@@ -32,10 +32,6 @@ class MoveLabel(Enum):
         return self.value[0]
 
     @property
-    def is_opponent(self) -> bool:
-        return self.value[0] == "O"
-
-    @property
     def is_question(self) -> bool:
         return self.value[1] == "Q"
 
@@ -80,10 +76,6 @@ class Arena:
         for a, b in self.enabling:
             out[a].append(b)
         return {m: tuple(sorted(v)) for m, v in out.items()}
-
-    @cached_property
-    def o_moves(self) -> tuple[str, ...]:
-        return tuple(sorted(m for m, lab in self.labels if lab.is_opponent))
 
     def label(self, move: str) -> MoveLabel:
         return self.label_of[move]

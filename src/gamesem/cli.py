@@ -4,7 +4,7 @@ Exit codes: 0 for success (including an EQUIV verdict), 1 for an
 INEQUIV verdict or a failed law check, 2 for bad input (unreadable
 file, parse error, type error, mismatched arenas), 3 for an internal
 consistency failure (the two decision methods disagree, or the engine
-rejects its own play).
+rejects its own play) or a resource limit.
 
 All output is canonical JSON: keys sorted, two-space indent, stable
 element ordering, so repeated runs are byte-identical.
@@ -28,8 +28,11 @@ class _InputError(Exception):
 
 
 def _bounds(ns) -> Bounds:
-    return Bounds(max_nat=ns.max_nat, max_play_len=ns.max_play_len,
-                  max_view_len=ns.max_view_len, fix_depth=ns.fix_depth)
+    try:
+        return Bounds(max_nat=ns.max_nat, max_play_len=ns.max_play_len,
+                      max_view_len=ns.max_view_len, fix_depth=ns.fix_depth)
+    except ValueError as e:
+        raise _InputError(str(e)) from e
 
 
 def _emit(doc) -> None:
@@ -216,6 +219,9 @@ def main(argv=None) -> int:
         return 2
     except (StrategyError, InconsistentPlay) as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 3
+    except RecursionError as e:
+        print(f"resource limit: {e}", file=sys.stderr)
         return 3
 
 

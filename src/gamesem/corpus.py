@@ -15,7 +15,7 @@ from .arena import arrow, make_nat_arena, product
 from .bounds import Bounds
 from .pcf import builtin, denote, make_add, parse
 from .plays import ROOT, Play
-from .strategy import InnocentStrategy, mirror_strategy
+from .strategy import InnocentStrategy, mirror_strategy, prefix_swap
 
 
 def proj_strategy(side: str, max_nat: int) -> InnocentStrategy:
@@ -24,18 +24,7 @@ def proj_strategy(side: str, max_nat: int) -> InnocentStrategy:
         raise ValueError(side)
     n = make_nat_arena(max_nat)
     a = arrow(product(n, n), n)
-    swap = _swap(f"L.{side}.", "R.")
-    return mirror_strategy(a, swap, f"proj_{side}")
-
-
-def _swap(x: str, y: str):
-    def swap(move: str):
-        if move.startswith(x):
-            return y + move[len(x):]
-        if move.startswith(y):
-            return x + move[len(y):]
-        return None
-    return swap
+    return mirror_strategy(a, prefix_swap([(f"L.{side}.", "R.")]), f"proj_{side}")
 
 
 def applier(max_nat: int) -> InnocentStrategy:
@@ -73,7 +62,8 @@ class CorpusEntry:
         b = self.bounds
         if self.source is not None:
             s = denote(parse(self.source), b)
-            return InnocentStrategy(s.arena, self.name, play_fn=lambda p: s.respond(p))
+            s.name = self.name
+            return s
         builders = {
             "add_LR": lambda: builtin("add_LR", b.max_nat),
             "add_RL": lambda: builtin("add_RL", b.max_nat),

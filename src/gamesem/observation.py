@@ -174,11 +174,8 @@ def induced_test(s: ODetSet) -> InnocentStrategy:
         elif v.moves and is_complete(v):
             put(lift_to_test(v, s.arena, test_arena), ("R.a", 0))
 
-    def view_fn(view: Play):
-        return table.get(view.moves)
-
     name = f"test[{len(s.views)} views on {s.arena.name}]"
-    return InnocentStrategy(test_arena, name, view_fn=view_fn)
+    return from_view_table(test_arena, name, table)
 
 
 class TestVerdict(enum.Enum):

@@ -40,7 +40,7 @@ from .strategy import (
     compose,
     from_view_table,
     mirror_strategy,
-    prefix_renamer,
+    prefix_swap,
     rename_strategy,
 )
 
@@ -512,24 +512,8 @@ def eval_strategy(fn_arena: Arena) -> InnocentStrategy:
     """
     pair = product(fn_arena, fn_arena.parts[0])
     a = arrow(pair, fn_arena.parts[1])
-    swap = _swap_pairs([("R.", "L.L.R."), ("L.L.L.", "L.R.")])
+    swap = prefix_swap([("R.", "L.L.R."), ("L.L.L.", "L.R.")])
     return mirror_strategy(a, swap, "eval")
-
-
-def _swap_pairs(pairs):
-    rules = []
-    for x, y in pairs:
-        rules.append((x, y))
-        rules.append((y, x))
-    rules.sort(key=lambda r: -len(r[0]))
-
-    def swap(move: str):
-        for src, dst in rules:
-            if move.startswith(src):
-                return dst + move[len(src):]
-        return None
-
-    return swap
 
 
 def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
@@ -558,7 +542,7 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
         branch = v.moves[3][0]
         for b in ("L.R.L.", "L.R.R."):
             if branch.startswith(b):
-                swap = _swap_pairs([("R.", b)])
+                swap = prefix_swap([("R.", b)])
                 break
         else:
             return None
@@ -637,21 +621,12 @@ def _var_path(ctx: tuple, name: str) -> str:
     raise ValueError(f"unbound variable {name!r}")
 
 
-def _var_ty(ctx: tuple, name: str) -> Ty:
-    for nm, ty in reversed(ctx):
-        if nm == name:
-            return ty
-    raise ValueError(f"unbound variable {name!r}")
-
-
 def denote(t: Term, b: Bounds, rl_add: bool = False) -> InnocentStrategy:
     """Strategy of a closed well-typed term, on the arena of its type."""
     ty = typecheck(t)
     open_strat = denote_open(t, (), b, rl_add)
     target = type_arena(ty, b.max_nat)
-    fwd = prefix_renamer([("R.", "")])
-    inv = prefix_renamer([("", "R.")])
-    return rename_strategy(open_strat, fwd, inv, target, f"den[{_short(t)}]")
+    return rename_strategy(open_strat, [("R.", "")], target, f"den[{_short(t)}]")
 
 
 def _short(t: Term) -> str:
@@ -688,7 +663,7 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
         va = type_arena(ty, b.max_nat)
         target = arrow(ca, va)
         path = "L." + _var_path(ctx, t.name)
-        swap = _swap_pairs([(path, "R.")])
+        swap = prefix_swap([(path, "R.")])
         return mirror_strategy(target, swap, f"var[{t.name}]")
 
     if isinstance(t, Lam):
@@ -696,9 +671,8 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
         res_ty = typecheck(t.body, ctx + ((t.var, t.ty),))
         target = arrow(ca, arrow(type_arena(t.ty, b.max_nat),
                                  type_arena(res_ty, b.max_nat)))
-        fwd = prefix_renamer([("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")])
-        inv = prefix_renamer([("R.L.", "L.R."), ("R.R.", "R."), ("L.", "L.L.")])
-        return rename_strategy(inner, fwd, inv, target, f"fun[{t.var}]")
+        pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
+        return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
 
     if isinstance(t, App):
         fty = typecheck(t.fn, ctx)

@@ -8,13 +8,15 @@ strictly starting with an Opponent move, every pointer is a genuine
 justification, and visibility holds (a Proponent move points into the
 P-view of the prefix before it, an Opponent move into the O-view).
 
-The views are computed by the usual backward recursions.  For the
-P-view: a Proponent move is kept and the walk steps to the move before
-it; an unjustified Opponent move ends the walk; a justified Opponent
-move is kept together with its justifier, and the walk resumes just
-before that justifier.  The O-view is dual, with no special case for
-initial moves, so the walk can cross thread boundaries in
-multi-threaded plays; no extra normalisation is applied.
+Both views are computed by one backward recursion, parameterised by
+the player whose view it is.  For the P-view: a Proponent move is kept
+and the walk steps to the move before it; an unjustified Opponent move
+ends the walk; a justified Opponent move is kept together with its
+justifier, and the walk resumes just before that justifier.  The O-view
+swaps the roles.  Initial moves are Opponent moves, so on a legal play
+the O-view walk never meets an unjustified move of the other player and
+can cross thread boundaries in multi-threaded plays; no extra
+normalisation is applied.
 
 Views are returned with their pointers re-indexed into the view itself.
 On legal plays this never fails; views of non-visible sequences can be
@@ -62,8 +64,10 @@ class Play:
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None,
                   registry: dict[str, Arena] | None = None) -> "Play":
-        ref = doc["arena"]
+        """Load a play; the document's "arena" key is read only when no
+        `arena` is passed in."""
         if arena is None:
+            ref = doc["arena"]
             if isinstance(ref, dict):
                 arena = Arena.from_json(ref)
             elif registry is not None and ref in registry:
@@ -80,10 +84,6 @@ class Play:
             m if p == ROOT else f"{m}<-{p}" for m, p in self.moves
         )
         return f"Play[{body}]"
-
-
-def _polarity(arena: Arena, move: str) -> str:
-    return arena.label(move).polarity
 
 
 def legality_violation(s: Play) -> str | None:
@@ -109,13 +109,8 @@ def legality_violation(s: Play) -> str | None:
                 return f"move {i}: pointer {ptr} out of range"
             if not arena.enables(s.moves[ptr][0], m):
                 return f"move {i}: {s.moves[ptr][0]!r} does not enable {m!r}"
-            prefix = s.moves[:i]
-            if lab.polarity == "P":
-                if ptr not in _pview_positions(arena, prefix):
-                    return f"move {i}: justifier {ptr} not in the P-view"
-            else:
-                if ptr not in _oview_positions(arena, prefix):
-                    return f"move {i}: justifier {ptr} not in the O-view"
+            if ptr not in _view_positions(arena, s.moves[:i], lab.polarity):
+                return f"move {i}: justifier {ptr} not in the {lab.polarity}-view"
     return None
 
 
@@ -129,31 +124,22 @@ def _require_legal(s: Play) -> None:
         raise ValueError(f"illegal play: {v}")
 
 
-def _pview_positions(arena: Arena, moves) -> list[int]:
+def _view_positions(arena: Arena, moves, player: str) -> list[int]:
+    """Positions of the `player`-view of `moves`, ascending.
+
+    A move of `player` is kept and the walk steps to the move before
+    it; a move of the other player is kept with its justifier and the
+    walk resumes just before that justifier, or ends if it has none.
+    """
     pos = []
     i = len(moves) - 1
     while i >= 0:
         m, ptr = moves[i]
         pos.append(i)
-        if _polarity(arena, m) == "P":
+        if arena.label(m).polarity == player:
             i -= 1
         elif ptr == ROOT:
             break
-        else:
-            pos.append(ptr)
-            i = ptr - 1
-    pos.reverse()
-    return pos
-
-
-def _oview_positions(arena: Arena, moves) -> list[int]:
-    pos = []
-    i = len(moves) - 1
-    while i >= 0:
-        m, ptr = moves[i]
-        pos.append(i)
-        if _polarity(arena, m) == "O":
-            i -= 1
         else:
             pos.append(ptr)
             i = ptr - 1
@@ -178,7 +164,7 @@ def _extract(s: Play, positions: list[int]) -> Play:
 def pview_with_positions(s: Play) -> tuple[Play, list[int]]:
     """P-view together with the retained positions of `s` (ascending)."""
     _require_legal(s)
-    positions = _pview_positions(s.arena, s.moves)
+    positions = _view_positions(s.arena, s.moves, "P")
     return _extract(s, positions), positions
 
 
@@ -188,7 +174,7 @@ def pview(s: Play) -> Play:
 
 def oview_with_positions(s: Play) -> tuple[Play, list[int]]:
     _require_legal(s)
-    positions = _oview_positions(s.arena, s.moves)
+    positions = _view_positions(s.arena, s.moves, "O")
     return _extract(s, positions), positions
 
 
@@ -249,11 +235,7 @@ def _innocence_map(s: Play, polarity: str):
     seen: dict[tuple, tuple] = {}
     for i in range(start, len(s.moves), 2):
         m, ptr = s.moves[i]
-        prefix = s.moves[:i]
-        if polarity == "O":
-            positions = _oview_positions(arena, prefix)
-        else:
-            positions = _pview_positions(arena, prefix)
+        positions = _view_positions(arena, s.moves[:i], polarity)
         key = tuple(_extract(s.prefix(i), positions).moves)
         if ptr == ROOT:
             val = (m, ROOT)

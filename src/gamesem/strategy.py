@@ -140,33 +140,20 @@ def traces(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
 def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, int]]]:
     """The reachable part of sigma's view function, canonically ordered.
 
-    Walks the trace tree, records (P-view, response with view-relative
-    pointer) for every answered position, and checks along the way that
-    equal views always received equal responses.
+    Reads (P-view, response with view-relative pointer) off every
+    answered position of sigma's trace set, and checks that equal views
+    always received equal responses.
     """
-    entries: dict[tuple, tuple[tuple, tuple[str, int]]] = {}
-    empty = Play(sigma.arena)
-    stack = [empty]
-    while stack:
-        s = stack.pop()
-        if len(s.moves) + 2 > b.max_play_len:
+    entries: dict[tuple, tuple[str, int]] = {}
+    for sop in explore(sigma, b).plays:
+        if not sop.moves:
             continue
-        for so in legal_extensions(s):
-            try:
-                r = sigma.respond(so)
-            except BoundExceeded:
-                continue
-            if r is None:
-                continue
-            view, positions = pview_with_positions(so)
-            entry = (r[0], positions.index(r[1]))
-            key = view.moves
-            if key in entries and entries[key][1] != entry:
-                raise StrategyError(f"{sigma.name}: view answered two ways")
-            entries[key] = (view.moves, entry)
-            sop = so.extend(*r)
-            stack.append(sop)
-    out = [(Play(sigma.arena, k), e) for k, (_, e) in entries.items()]
+        view, positions = pview_with_positions(sop.prefix(len(sop) - 1))
+        m, ptr = sop.last
+        entry = (m, positions.index(ptr))
+        if entries.setdefault(view.moves, entry) != entry:
+            raise StrategyError(f"{sigma.name}: view answered two ways")
+    out = [(Play(sigma.arena, k), e) for k, e in entries.items()]
     out.sort(key=lambda ve: json.dumps(ve[0].to_json(arena_ref="name"),
                                        sort_keys=True))
     return out
@@ -186,25 +173,23 @@ def from_view_table(arena: Arena, name: str, table: dict[tuple, tuple[str, int]]
     return InnocentStrategy(arena, name, view_fn=view_fn)
 
 
-def _swap_by_prefix(pairs: list[tuple[str, str]]):
-    """Involution on move ids defined by swapping path prefixes.
+def prefix_renamer(pairs: list[tuple[str, str]]):
+    """Prefix rewriter on move ids: the longest matching source prefix
+    is replaced by its target; a move no prefix matches maps to None."""
+    rules = sorted(pairs, key=lambda r: -len(r[0]))
 
-    `pairs` lists (left, right) prefix pairs; both directions are
-    installed and longer prefixes are tried first.
-    """
-    rules = []
-    for a, b in pairs:
-        rules.append((a, b))
-        rules.append((b, a))
-    rules.sort(key=lambda r: -len(r[0]))
-
-    def swap(move: str):
+    def fn(move: str) -> str | None:
         for src, dst in rules:
             if move.startswith(src):
                 return dst + move[len(src):]
         return None
 
-    return swap
+    return fn
+
+
+def prefix_swap(pairs: list[tuple[str, str]]):
+    """Involution on move ids swapping each (left, right) prefix pair."""
+    return prefix_renamer(pairs + [(y, x) for x, y in pairs])
 
 
 def mirror_strategy(arena: Arena, swap, name: str) -> InnocentStrategy:
@@ -243,12 +228,19 @@ def mirror_strategy(arena: Arena, swap, name: str) -> InnocentStrategy:
 def copycat(a: Arena) -> InnocentStrategy:
     """The identity strategy on arrow(a, a)."""
     cc_arena = arrow(a, a)
-    swap = _swap_by_prefix([("L.", "R.")])
+    swap = prefix_swap([("L.", "R.")])
     return mirror_strategy(cc_arena, swap, f"copycat({a.name})")
 
 
-def rename_strategy(sigma: InnocentStrategy, fwd, inv, new_arena: Arena, name: str) -> InnocentStrategy:
-    """Transport sigma along a move renaming onto an isomorphic arena."""
+def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
+                    new_arena: Arena, name: str) -> InnocentStrategy:
+    """Transport sigma onto an isomorphic arena along a prefix renaming.
+
+    `pairs` lists (source, target) prefixes for sigma's moves; plays
+    over `new_arena` are read back through the reversed pairs.
+    """
+    fwd = prefix_renamer(pairs)
+    inv = prefix_renamer([(dst, src) for src, dst in pairs])
     if {fwd(m) for m in sigma.arena.moves} != set(new_arena.moves):
         raise ValueError("renaming does not map onto the target arena")
 
@@ -262,25 +254,10 @@ def rename_strategy(sigma: InnocentStrategy, fwd, inv, new_arena: Arena, name: s
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
 
 
-def prefix_renamer(pairs: list[tuple[str, str]]):
-    """One-directional prefix rewriter (longest prefix wins)."""
-    rules = sorted(pairs, key=lambda r: -len(r[0]))
-
-    def fn(move: str) -> str:
-        for src, dst in rules:
-            if move.startswith(src):
-                return dst + move[len(src):]
-        raise ValueError(f"no rename rule for {move!r}")
-
-    return fn
-
-
 def as_thunk(sigma: InnocentStrategy) -> InnocentStrategy:
     """View a strategy on A as a strategy on arrow(Empty, A)."""
     outer = arrow(make_empty(), sigma.arena)
-    fwd = prefix_renamer([("", "R.")])
-    inv = prefix_renamer([("R.", "")])
-    return rename_strategy(sigma, fwd, inv, outer, f"thunk({sigma.name})")
+    return rename_strategy(sigma, [("", "R.")], outer, f"thunk({sigma.name})")
 
 
 def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -161,6 +162,25 @@ def test_view_set_arena_cross_check(tmp_path):
     assert "arena" in r.stderr
 
 
+def test_hand_written_view_set_without_view_arenas(tmp_path):
+    # The documented file format: the arena is given once at the top,
+    # and each view is {"moves": [{"m": move, "ptr": justifier}]}.
+    f = write(tmp_path, "t.pcf", "succ 0\n")
+    doc = {
+        "arena": make_nat_arena(2).to_json(),
+        "initial": "q",
+        "views": [
+            {"moves": []},
+            {"moves": [{"m": "q", "ptr": -1}]},
+            {"moves": [{"m": "q", "ptr": -1}, {"m": "1", "ptr": 0}]},
+        ],
+    }
+    s = write(tmp_path, "s.json", json.dumps(doc))
+    r = run_cli("test", f, "--set", s, "--max-nat", "2")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["verdict"] == "TOP"
+
+
 def test_bad_view_set_file_exits_2(tmp_path):
     f = write(tmp_path, "t.pcf", "0\n")
     g = write(tmp_path, "g.json", "{not json")
@@ -182,6 +202,82 @@ def test_engine_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_denote_file", boom)
     assert cli.main(["denote", str(f)]) == 3
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--max-nat", "0", "max_nat"),
+    ("--max-play-len", "-1", "max_play_len"),
+])
+def test_bad_bounds_exit_2(tmp_path, flag, value, field):
+    f = write(tmp_path, "t.pcf", "fun x: nat -> x\n")
+    r = run_cli("traces", f, flag, value)
+    assert r.returncode == 2
+    assert r.stderr == f"error: {field} must be positive, got {value}\n"
+
+
+def test_resource_limit_exits_3(tmp_path):
+    f = write(tmp_path, "deep.pcf", "succ " * 3000 + "0\n")
+    r = run_cli("parse", f)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+
+
+GOLDEN_TERMS = {
+    "hof.pcf": "fun f: nat -> nat -> f (f 1)\n",
+    "once.pcf": "fun f: nat -> nat -> f 1\n",
+    "add.pcf": "fun x: nat -> fun y: nat -> x + y\n",
+    "add_flip.pcf": "fun x: nat -> fun y: nat -> y + x\n",
+    "rec_zero.pcf": "fix (fun f: nat -> nat -> fun x: nat -> "
+                    "ifz x then 0 else f (pred x))\n",
+    "strict_zero.pcf": "fun x: nat -> ifz x then 0 else 0\n",
+}
+
+# sha256 of stdout.  These pin the canonical JSON byte for byte,
+# including `denote`'s tabulated view function; a digest changes only
+# when the output is meant to change.
+NAT2_B = ("--max-nat", "2", "--max-play-len", "10")
+REC_B = ("--max-nat", "1", "--fix-depth", "2")
+GOLDEN = [
+    (("denote", "hof.pcf", *NAT2_B), 0,
+     "2d783c153fb7e4342d1629a7a612d03c91e55b79deb3184d947cf4aa160943d2"),
+    (("traces", "hof.pcf", *NAT2_B), 0,
+     "07baf1bce56bf661908d9fedfd0402114c55e7ed1e49a0e95d716b2e5fb7d12e"),
+    (("obs", "hof.pcf", *NAT2_B), 0,
+     "cb9a40babd5ad40384473c42ac6d2afefb83ebe1cc8a474b105ce9b6050fc027"),
+    (("denote", "add.pcf", *NAT2_B), 0,
+     "cb7fcbefd0623b1028c0beb9edfcdda4aa92bf29a416f509bfd6dc7d7dadc1eb"),
+    (("traces", "add.pcf", *NAT2_B), 0,
+     "7c94a030aa3eaee5b26fd6d9d46d549ce68c195a92c83424bad58a08ec8adcad"),
+    (("obs", "add.pcf", *NAT2_B), 0,
+     "85f9758f98b348ad4d917aeba7a20989331d4d09092d5c25d91577c12943a9f8"),
+    (("denote", "rec_zero.pcf", *REC_B, "--max-play-len", "14"), 0,
+     "6971b1ab2641ffb255a8a4c2df277b0d7c423d15d36a548e674be48d679b614e"),
+    (("traces", "rec_zero.pcf", *REC_B, "--max-play-len", "12"), 0,
+     "a040d150f80b07ec2d544ef16fdca4d779528f4ff42cec79f32f81f950502427"),
+    (("obs", "rec_zero.pcf", *REC_B, "--max-play-len", "24"), 0,
+     "9c2c75341b1b9dd75da45bd5ea0ae9c597af29fe19f17f81be48bda2855184e7"),
+    (("equiv", "add.pcf", "add_flip.pcf", "--oracle", "--max-nat", "1",
+      "--max-play-len", "8", "--max-view-len", "4"), 0,
+     "6bf71a09171eb5b5114dc93f1f4f0a5c333b3cd15f4816f345e0514bb837b036"),
+    (("equiv", "rec_zero.pcf", "strict_zero.pcf", "--oracle", *REC_B,
+      "--max-play-len", "24", "--max-view-len", "4"), 0,
+     "233eeb81394f502619b06d5faa590cd7421f6fc46ff68ad514b42d6181144049"),
+    (("equiv", "hof.pcf", "once.pcf", "--oracle", "--max-nat", "1",
+      "--max-play-len", "16", "--max-view-len", "6"), 1,
+     "d00faacfbc79c6348388c6ac2f9d125adc6fb71ae4771c96f458763a72224313"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", GOLDEN,
+                         ids=[" ".join(a[:3]) for a, _, _ in GOLDEN])
+def test_golden_stdout(tmp_path, args, code, digest):
+    for name, text in GOLDEN_TERMS.items():
+        write(tmp_path, name, text)
+    argv = [str(tmp_path / a) if a in GOLDEN_TERMS else a for a in args]
+    r = run_cli(*argv)
+    assert r.returncode == code, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_help_lists_subcommands():
