@@ -63,6 +63,10 @@ class Arena:
         return dict(self.labels)
 
     @cached_property
+    def polarity(self) -> dict[str, str]:
+        return {m: lab.polarity for m, lab in self.labels}
+
+    @cached_property
     def moves(self) -> frozenset[str]:
         return frozenset(m for m, _ in self.labels)
 

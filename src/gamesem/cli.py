@@ -3,8 +3,11 @@
 Exit codes: 0 for success (including an EQUIV verdict), 1 for an
 INEQUIV verdict or a failed law check, 2 for bad input (unreadable
 file, parse error, type error, mismatched arenas), 3 for an internal
-consistency failure (the two decision methods disagree, or the engine
-rejects its own play) or a resource limit.
+consistency failure (the engine rejects its own play, or the two
+decision methods disagree although neither hit a bound and no witness
+view is longer than max_view_len) or a resource limit.  A disagreement
+the bounds explain adds "bounds_explain": true to the oracle report and
+exits with the obs_equiv verdict.
 
 All output is canonical JSON: keys sorted, two-space indent, stable
 element ordering, so repeated runs are byte-identical.
@@ -116,19 +119,29 @@ def cmd_equiv(ns) -> int:
     if ns.oracle:
         fwd = brute_force_leq(s1, s2, b)
         bwd = brute_force_leq(s2, s1, b)
-        oracle_equal = fwd.holds and bwd.holds
-        agrees = oracle_equal == report.equal
+        agrees = (fwd.holds and bwd.holds) == report.equal
         doc["oracle"] = {
             "agrees": agrees,
             "left_leq_right": fwd.to_json(),
             "right_leq_left": bwd.to_json(),
         }
-        _emit(doc)
         if not agrees:
-            return 3
-    else:
-        _emit(doc)
+            if not _bounds_explain(report, fwd, bwd, b):
+                _emit(doc)
+                return 3
+            doc["oracle"]["bounds_explain"] = True
+    _emit(doc)
     return 0 if report.equal else 1
+
+
+def _bounds_explain(report, fwd, bwd, b: Bounds) -> bool:
+    """Can the bounds account for a disagreement?  They can when either
+    route hit a bound, or when the witness has a view longer than
+    max_view_len, which the oracle's enumeration cannot reach."""
+    hits = sum(report.bound_exceeded) + fwd.bound_exceeded + bwd.bound_exceeded
+    long_view = report.witness is not None and any(
+        len(v) > b.max_view_len for v in report.witness.views)
+    return hits > 0 or long_view
 
 
 def cmd_test(ns) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .arena import Arena
 from .bounds import Bounds
+from .corpus import applier, proj_strategy
 from .observation import (
     ODetSet,
     ObservationalStrategy,
@@ -23,6 +24,7 @@ from .observation import (
     run_test,
     viewset_key,
 )
+from .pcf import builtin, denote, parse, succ_strategy
 from .plays import ROOT, Play, is_well_bracketed
 from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
 
@@ -238,8 +240,6 @@ def _min_distinguishing(x: ObservationalStrategy, y: ObservationalStrategy) -> s
 
 
 def _law_strategies(b: Bounds) -> list[tuple[str, InnocentStrategy]]:
-    from .pcf import builtin, denote, parse, succ_strategy
-    from .corpus import proj_strategy
     return [
         ("numeral_2_thunk", as_thunk(denote(parse("2"), b))),
         ("succ", succ_strategy(b.max_nat)),
@@ -252,8 +252,6 @@ def check_category_laws(b: Bounds | None = None) -> LawsReport:
     """Identity, associativity, and congruence checks over the
     built-in strategies, with a minimal distinguishing view set
     reported on failure."""
-    from .pcf import builtin, denote, parse, succ_strategy
-
     b = b or Bounds()
     wide = _interaction_bounds(b)
     checks: list[LawCheck] = []
@@ -294,7 +292,6 @@ def check_category_laws(b: Bounds | None = None) -> LawsReport:
     s1 = builtin("add_LR", pb.max_nat)
     s2 = builtin("add_RL", pb.max_nat)
     premise = observations(s1, pb).sets == observations(s2, pb).sets
-    from .corpus import applier
     ctx = applier(pb.max_nat)
     c1 = observations(compose(as_thunk(s1), ctx, _interaction_bounds(pb)), pb)
     c2 = observations(compose(as_thunk(s2), ctx, _interaction_bounds(pb)), pb)

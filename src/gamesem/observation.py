@@ -21,12 +21,13 @@ from .plays import (
     ROOT,
     Play,
     is_complete,
-    is_legal,
     is_single_threaded,
     is_well_bracketed,
+    legality_violation,
     lift_to_test,
-    oview,
+    prefix_views,
     prefixes,
+    subsequence,
 )
 from .strategy import (
     BoundExceeded,
@@ -39,19 +40,18 @@ from .strategy import (
 
 
 def prefix_oviews(s: Play) -> frozenset[Play]:
-    """O-views of every prefix of s (the empty view included)."""
-    return frozenset(oview(t) for t in prefixes(s))
+    """O-views of every prefix of the legal play s (the empty view included)."""
+    return frozenset(subsequence(s, ov) for _, ov in prefix_views(s))
 
 
 def is_oview_shaped(v: Play) -> bool:
-    """True when v is its own O-view.
+    """True when v is legal and its own O-view.
 
     Equivalently: moves alternate starting with O, and every P-move
     points at the move immediately before it.
     """
-    if not is_legal(v):
-        return False
-    return oview(v) == v
+    views: list = []
+    return legality_violation(v, views) is None and len(views[1]) == len(v.moves)
 
 
 def odet_violation(arena: Arena, views: frozenset[Play]):

@@ -8,19 +8,23 @@ strictly starting with an Opponent move, every pointer is a genuine
 justification, and visibility holds (a Proponent move points into the
 P-view of the prefix before it, an Opponent move into the O-view).
 
-Both views are computed by one backward recursion, parameterised by
-the player whose view it is.  For the P-view: a Proponent move is kept
-and the walk steps to the move before it; an unjustified Opponent move
-ends the walk; a justified Opponent move is kept together with its
-justifier, and the walk resumes just before that justifier.  The O-view
-swaps the roles.  Initial moves are Opponent moves, so on a legal play
-the O-view walk never meets an unjustified move of the other player and
-can cross thread boundaries in multi-threaded plays; no extra
-normalisation is applied.
+Both views are defined incrementally (Hyland & Ong, "On full abstraction
+for PCF", Inf. & Comp. 163, 2000), and `prefix_views` runs that
+definition forward, yielding the P- and O-view of every prefix in one
+pass.  For the view of one player: a move of that player appends itself
+to the view before it; an unjustified move starts a new view; any other
+move appends (justifier, move) to the view before its justifier.  The
+legality check, the view functions, the innocence tests,
+`legal_extensions` and the observation and tabulation code all read
+their views from this one recurrence.
+
+Legality is checked where plays enter: `InnocentStrategy.respond`
+checks every play it is asked about, `pview` and `oview` check their
+argument, and view-sets read from JSON are checked by `ODetSet.make`.
+Everything else takes a legal play as given; `legal_extensions` builds
+only legal plays from a legal one, so exploration checks no candidate.
 
 Views are returned with their pointers re-indexed into the view itself.
-On legal plays this never fails; views of non-visible sequences can be
-ill-justified, which is why both view functions insist on legality.
 """
 from __future__ import annotations
 
@@ -86,31 +90,51 @@ class Play:
         return f"Play[{body}]"
 
 
-def legality_violation(s: Play) -> str | None:
+def prefix_views(s: Play):
+    """(P-view, O-view) positions of every prefix of s, shortest first.
+
+    Each view is a tuple of ascending positions of s.  The pairs come
+    lazily, so `legality_violation` can stop at a bad move before the
+    recurrence reads its pointer; other readers take a legal play.
+    """
+    polarity = s.arena.polarity
+    pv, ov = [()], [()]
+    yield (), ()
+    for i, (m, ptr) in enumerate(s.moves):
+        own, other = (pv, ov) if polarity[m] == "P" else (ov, pv)
+        own.append(own[i] + (i,))
+        other.append((i,) if ptr == ROOT else other[ptr] + (ptr, i))
+        yield pv[-1], ov[-1]
+
+
+def legality_violation(s: Play, views: list | None = None) -> str | None:
     """Return a description of the first legality failure, or None.
 
     Checks, in order per occurrence: known move, strict OP alternation
     starting with Opponent, pointer sanity (ROOT only on initial moves,
-    otherwise an earlier enabling occurrence), and visibility.
+    otherwise an earlier enabling occurrence), and visibility.  On a
+    legal play the P- and O-view positions of s are appended to `views`.
     """
     arena = s.arena
-    for i, (m, ptr) in enumerate(s.moves):
-        if m not in arena.moves:
+    polarity = arena.polarity
+    walk = prefix_views(s)
+    for i, ((m, ptr), (pv, ov)) in enumerate(zip(s.moves, walk)):
+        if m not in polarity:
             return f"move {i}: unknown move {m!r}"
-        lab = arena.label(m)
         want = "O" if i % 2 == 0 else "P"
-        if lab.polarity != want:
+        if polarity[m] != want:
             return f"move {i}: expected {want}-move, got {m!r}"
         if ptr == ROOT:
             if not arena.is_initial(m):
                 return f"move {i}: unjustified non-initial move {m!r}"
-        else:
-            if not 0 <= ptr < i:
-                return f"move {i}: pointer {ptr} out of range"
-            if not arena.enables(s.moves[ptr][0], m):
-                return f"move {i}: {s.moves[ptr][0]!r} does not enable {m!r}"
-            if ptr not in _view_positions(arena, s.moves[:i], lab.polarity):
-                return f"move {i}: justifier {ptr} not in the {lab.polarity}-view"
+        elif not 0 <= ptr < i:
+            return f"move {i}: pointer {ptr} out of range"
+        elif not arena.enables(s.moves[ptr][0], m):
+            return f"move {i}: {s.moves[ptr][0]!r} does not enable {m!r}"
+        elif ptr not in (pv if want == "P" else ov):
+            return f"move {i}: justifier {ptr} not in the {want}-view"
+    if views is not None:
+        views.extend(next(walk))
     return None
 
 
@@ -118,68 +142,42 @@ def is_legal(s: Play) -> bool:
     return legality_violation(s) is None
 
 
-def _require_legal(s: Play) -> None:
-    v = legality_violation(s)
+def _require_legal(s: Play, views: list | None = None) -> None:
+    v = legality_violation(s, views)
     if v is not None:
         raise ValueError(f"illegal play: {v}")
 
 
-def _view_positions(arena: Arena, moves, player: str) -> list[int]:
-    """Positions of the `player`-view of `moves`, ascending.
-
-    A move of `player` is kept and the walk steps to the move before
-    it; a move of the other player is kept with its justifier and the
-    walk resumes just before that justifier, or ends if it has none.
-    """
-    pos = []
-    i = len(moves) - 1
-    while i >= 0:
-        m, ptr = moves[i]
-        pos.append(i)
-        if arena.label(m).polarity == player:
-            i -= 1
-        elif ptr == ROOT:
-            break
-        else:
-            pos.append(ptr)
-            i = ptr - 1
-    pos.reverse()
-    return pos
-
-
-def _extract(s: Play, positions: list[int]) -> Play:
+def subsequence(s: Play, positions) -> Play:
+    """The occurrences of s at `positions` (ascending, and holding every
+    justifier they point at), pointers re-indexed."""
     index = {p: k for k, p in enumerate(positions)}
-    out = []
-    for p in positions:
-        m, ptr = s.moves[p]
-        if ptr == ROOT:
-            out.append((m, ROOT))
-        elif ptr in index:
-            out.append((m, index[ptr]))
-        else:
-            raise ValueError("view is ill-justified (justifier elided)")
-    return Play(s.arena, tuple(out))
+    return Play(s.arena, tuple((m, ROOT if ptr == ROOT else index[ptr])
+                               for m, ptr in (s.moves[p] for p in positions)))
 
 
-def pview_with_positions(s: Play) -> tuple[Play, list[int]]:
-    """P-view together with the retained positions of `s` (ascending)."""
-    _require_legal(s)
-    positions = _view_positions(s.arena, s.moves, "P")
-    return _extract(s, positions), positions
+def pview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
+    """P-view of the legal play s, unchecked, and its positions in s."""
+    *_, (positions, _) = prefix_views(s)
+    return subsequence(s, positions), positions
 
 
 def pview(s: Play) -> Play:
-    return pview_with_positions(s)[0]
+    views: list = []
+    _require_legal(s, views)
+    return subsequence(s, views[0])
 
 
-def oview_with_positions(s: Play) -> tuple[Play, list[int]]:
-    _require_legal(s)
-    positions = _view_positions(s.arena, s.moves, "O")
-    return _extract(s, positions), positions
+def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
+    """O-view of the legal play s, unchecked, and its positions in s."""
+    *_, (_, positions) = prefix_views(s)
+    return subsequence(s, positions), positions
 
 
 def oview(s: Play) -> Play:
-    return oview_with_positions(s)[0]
+    views: list = []
+    _require_legal(s, views)
+    return subsequence(s, views[1])
 
 
 def prefixes(s: Play) -> list[Play]:
@@ -230,20 +228,16 @@ def _innocence_map(s: Play, polarity: str):
     Returns None as soon as two occurrences of the given polarity extend
     equal views differently; otherwise returns the map.
     """
-    arena = s.arena
     start = 0 if polarity == "O" else 1
     seen: dict[tuple, tuple] = {}
-    for i in range(start, len(s.moves), 2):
-        m, ptr = s.moves[i]
-        positions = _view_positions(arena, s.moves[:i], polarity)
-        key = tuple(_extract(s.prefix(i), positions).moves)
-        if ptr == ROOT:
-            val = (m, ROOT)
-        else:
-            val = (m, positions.index(ptr))
-        if key in seen and seen[key] != val:
+    for i, ((m, ptr), (pv, ov)) in enumerate(zip(s.moves, prefix_views(s))):
+        if i % 2 != start:
+            continue
+        positions = ov if polarity == "O" else pv
+        key = subsequence(s, positions).moves
+        val = (m, ROOT if ptr == ROOT else positions.index(ptr))
+        if seen.setdefault(key, val) != val:
             return None
-        seen[key] = val
     return seen
 
 
@@ -262,11 +256,11 @@ def lift_to_test(s: Play, sigma_arena: Arena, test_arena: Arena) -> Play:
 
     The image starts with the Sigma question; every A-move is retagged
     "L." and shifted one place right, formerly unjustified moves now
-    point at the opening question.
+    point at the opening question.  s must be legal; the views of an
+    `ODetSet` are checked when the set is made.
     """
     if not is_single_threaded(s):
         raise ValueError("only single-threaded plays lift to tests")
-    _require_legal(s)
     moves = [("R.q", ROOT)]
     for m, ptr in s.moves:
         moves.append(("L." + m, 0 if ptr == ROOT else ptr + 1))
@@ -290,16 +284,26 @@ def enumerate_plays(arena: Arena, max_len: int, single_threaded: bool = False) -
 
 
 def legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:
-    """All one-move legal extensions of a legal play."""
+    """All one-move legal extensions of s, which must be a legal play.
+
+    The precondition is not checked.  The mover's view of s is read once
+    off `prefix_views`; a candidate is an initial move (unless
+    `single_threaded` and the play has begun) or a move of the mover
+    enabled by an occurrence inside that view.  Each is legal by
+    construction, so none is checked.  Order: moves sorted, each with
+    ROOT first and then its justifiers ascending.
+    """
     arena = s.arena
-    want = "O" if len(s.moves) % 2 == 0 else "P"
-    cands = []
+    polarity = arena.polarity
+    mover = "O" if len(s.moves) % 2 == 0 else "P"
+    *_, (pv, ov) = prefix_views(s)
+    view = pv if mover == "P" else ov
+    may_open = not (single_threaded and s.moves)
+    out = []
     for m in sorted(arena.moves):
-        if arena.label(m).polarity != want:
+        if polarity[m] != mover:
             continue
-        if arena.is_initial(m) and not (single_threaded and len(s.moves) > 0):
-            cands.append(s.extend(m, ROOT))
-        for j in range(len(s.moves)):
-            if arena.enables(s.moves[j][0], m):
-                cands.append(s.extend(m, j))
-    return [c for c in cands if is_legal(c)]
+        if may_open and arena.is_initial(m):
+            out.append(s.extend(m, ROOT))
+        out.extend(s.extend(m, j) for j in view if arena.enables(s.moves[j][0], m))
+    return out

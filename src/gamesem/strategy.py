@@ -9,8 +9,9 @@ replay a hidden interaction) supply `play_fn` instead; they remain
 innocent, which the test suite checks on every generated trace.
 
 Responses name their justifier: a `view_fn` returns (move, index into
-the P-view), a `play_fn` returns (move, index into the play).  Every
-emitted response is validated against the arena before being trusted.
+the P-view), a `play_fn` returns (move, index into the play).  `respond`
+checks the play it is given once and every emitted response against
+the arena and the P-view, so the extended play is legal again.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -21,6 +22,7 @@ deliberately distinct from a genuine refusal to respond.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arena import Arena, arrow, make_empty
@@ -28,11 +30,11 @@ from .bounds import Bounds
 from .plays import (
     ROOT,
     Play,
-    is_legal,
     is_o_innocent,
     legality_violation,
     legal_extensions,
     pview_with_positions,
+    subsequence,
 )
 
 
@@ -60,31 +62,34 @@ class InnocentStrategy:
     def respond(self, s: Play):
         """Proponent's reply to a legal odd-length play, or None.
 
-        Returns (move, justifier index into s).  Raises BoundExceeded if
-        computing the reply hit an interaction bound, StrategyError if
-        the underlying function emitted an illegal move.
+        The one checked entry point: one legality pass over s, whose
+        P-view the node reuses.  Returns (move, justifier index into s)
+        for a P-move enabled by a justifier inside that P-view; raises
+        StrategyError for any other reply, BoundExceeded if computing
+        the reply hit an interaction bound.
         """
         if s.arena != self.arena:
             raise ValueError(f"play is over {s.arena.name}, strategy over {self.arena.name}")
-        bad = legality_violation(s)
+        views: list = []
+        bad = legality_violation(s, views)
         if bad is not None:
             raise ValueError(f"illegal play: {bad}")
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
+        positions = views[0]
         if self._play_fn is not None:
             r = self._play_fn(s)
         else:
-            view, positions = pview_with_positions(s)
-            r = self._view_fn(view)
+            r = self._view_fn(subsequence(s, positions))
             if r is not None:
                 r = (r[0], positions[r[1]])
         if r is None:
             return None
         move, ptr = r
-        if move not in self.arena.moves or self.arena.label(move).polarity != "P":
+        if self.arena.polarity.get(move) != "P":
             raise StrategyError(f"{self.name}: emitted non-P move {move!r}")
-        if not 0 <= ptr < len(s.moves) or not self.arena.enables(s.moves[ptr][0], move):
-            raise StrategyError(f"{self.name}: move {move!r} not enabled at position {ptr}")
+        if ptr not in positions or not self.arena.enables(s.moves[ptr][0], move):
+            raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {ptr}")
         return move, ptr
 
     def __repr__(self) -> str:
@@ -308,12 +313,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         except BoundExceeded:
             cache[key] = "bound"
             raise
-        if r is None:
-            cache[key] = None
-            return None
-        if r[1] not in positions:
-            raise StrategyError(f"{cname}: response justifier escaped the P-view")
-        cache[key] = (r[0], positions.index(r[1]))
+        # positions ascend; `respond` refuses a justifier outside them
+        cache[key] = None if r is None else (r[0], bisect_left(positions, r[1]))
         return r
 
     def _replay(s: Play):

@@ -2,14 +2,16 @@
 
 Everything here is written from the defining recursions, as directly
 and naively as possible, sharing no code with the package internals:
-views by structural recursion on the sequence, composition by
-enumerating raw interaction sequences and projecting.
+views by structural recursion on the sequence and by a backward walk,
+legality with every prefix's view recomputed, one-move extensions by
+generating candidates and checking each, composition by enumerating
+raw interaction sequences and projecting.
 """
 from __future__ import annotations
 
 from gamesem.arena import Arena, arrow
 from gamesem.bounds import Bounds
-from gamesem.plays import ROOT, Play, is_legal
+from gamesem.plays import ROOT, Play
 from gamesem.strategy import InnocentStrategy, explore
 
 
@@ -60,6 +62,64 @@ def ref_pview(s: Play) -> Play:
 
 def ref_oview(s: Play) -> Play:
     return reindex(s, oview_positions(s.arena, s.moves))
+
+
+def walk_view_positions(arena: Arena, moves, player: str) -> list[int]:
+    """Positions of the `player`-view of `moves` by a backward walk: a
+    move of `player` is kept and the walk steps to the move before it;
+    a move of the other player is kept with its justifier and the walk
+    resumes just before that justifier, or ends if it has none."""
+    pos = []
+    i = len(moves) - 1
+    while i >= 0:
+        m, ptr = moves[i]
+        pos.append(i)
+        if arena.label(m).polarity == player:
+            i -= 1
+        elif ptr == ROOT:
+            break
+        else:
+            pos.append(ptr)
+            i = ptr - 1
+    pos.reverse()
+    return pos
+
+
+# ------------------------------------------------ legality, checked afresh
+
+def ref_is_legal(s: Play) -> bool:
+    """Legality with every prefix's view recomputed by the backward walk."""
+    arena = s.arena
+    for i, (m, ptr) in enumerate(s.moves):
+        if m not in arena.moves:
+            return False
+        player = arena.label(m).polarity
+        if player != ("O" if i % 2 == 0 else "P"):
+            return False
+        if ptr == ROOT:
+            if m not in arena.initials:
+                return False
+        elif not (0 <= ptr < i and (s.moves[ptr][0], m) in arena.enabling
+                  and ptr in walk_view_positions(arena, s.moves[:i], player)):
+            return False
+    return True
+
+
+def ref_legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:
+    """Generate then check: every extension by a move of the player due,
+    unjustified if initial and then from each earlier enabler in order,
+    kept when `ref_is_legal` accepts it."""
+    arena = s.arena
+    due = "O" if len(s.moves) % 2 == 0 else "P"
+    cands = []
+    for m in sorted(arena.moves):
+        if arena.label(m).polarity != due:
+            continue
+        if m in arena.initials and not (single_threaded and s.moves):
+            cands.append(s.extend(m, ROOT))
+        cands.extend(s.extend(m, j) for j, (mj, _) in enumerate(s.moves)
+                     if (mj, m) in arena.enabling)
+    return [c for c in cands if ref_is_legal(c)]
 
 
 # --------------------------------------------- composition by interleaving
@@ -165,7 +225,7 @@ def ref_compose_traces(sigma: InnocentStrategy, tau: InnocentStrategy,
                 # environment could move out of turn (e.g. open a new
                 # thread while a factor is due to respond)
                 out = proj_outer(u2)
-                if not is_legal(Play(comp_arena, out)):
+                if not ref_is_legal(Play(comp_arena, out)):
                     continue
                 if u2 in seen:
                     continue

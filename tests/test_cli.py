@@ -7,6 +7,7 @@ import pytest
 
 from gamesem import cli
 from gamesem.arena import make_nat_arena
+from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
 from gamesem.plays import ROOT, Play
 from gamesem.strategy import StrategyError
@@ -124,6 +125,38 @@ def test_equiv_oracle_agreement(tmp_path):
     assert doc["oracle"]["agrees"] is True
     assert doc["oracle"]["left_leq_right"]["verdict"] == "HOLDS_AT_BOUNDS"
     assert doc["oracle"]["right_leq_left"]["verdict"] == "HOLDS_AT_BOUNDS"
+
+
+# f (f 1) against f 1 at max_nat 1: at 12/6 obs_equiv hits bounds and
+# the oracle excludes tests; at 14/4 the witness has a 5-move view the
+# oracle cannot enumerate; at 16/6 the two routes agree.
+@pytest.mark.parametrize("play_len,view_len,explained", [
+    ("12", "6", True), ("14", "4", True), ("16", "6", False),
+])
+def test_equiv_oracle_disagreement_explained_by_bounds(tmp_path, play_len, view_len,
+                                                       explained):
+    a = write(tmp_path, "a.pcf", "fun f: nat -> nat -> f (f 1)\n")
+    b = write(tmp_path, "b.pcf", "fun f: nat -> nat -> f 1\n")
+    r = run_cli("equiv", a, b, "--oracle", "--max-nat", "1",
+                "--max-play-len", play_len, "--max-view-len", view_len)
+    assert r.returncode == 1, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["verdict"] == "INEQUIV"
+    assert doc["oracle"]["agrees"] is not explained
+    assert doc["oracle"].get("bounds_explain") is (True if explained else None)
+
+
+def test_equiv_oracle_unexplained_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    a = write(tmp_path, "a.pcf", "1 + 2\n")
+    b = write(tmp_path, "b.pcf", "succ 2\n")
+
+    def refuted(s1, s2, b):
+        return LeqReport(False, b, None, 1, 0)
+
+    monkeypatch.setattr(cli, "brute_force_leq", refuted)
+    assert cli.main(["equiv", a, b, "--oracle"]) == 3
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert oracle["agrees"] is False and "bounds_explain" not in oracle
 
 
 def test_equiv_respects_add_pragma(tmp_path):

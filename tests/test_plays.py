@@ -13,14 +13,22 @@ from gamesem.plays import (
     is_p_innocent,
     is_single_threaded,
     is_well_bracketed,
+    legal_extensions,
     legality_violation,
     lift_to_test,
     oview,
     pending_questions,
+    prefix_views,
     prefixes,
     pview,
 )
-from oracles import ref_oview, ref_pview
+from oracles import (
+    ref_is_legal,
+    ref_legal_extensions,
+    ref_oview,
+    ref_pview,
+    walk_view_positions,
+)
 
 N2 = make_nat_arena(2)
 ARROW = arrow(N2, N2)
@@ -113,6 +121,45 @@ def test_oview_shape_proponent_points_at_predecessor():
         for i, (m, ptr) in enumerate(ov.moves):
             if ov.arena.label(m).polarity == "P":
                 assert ptr == i - 1
+
+
+# The forward recurrence and legal-by-construction extensions against
+# the references: views by the backward walk, extensions generated and
+# then checked afresh.  The last arena is third-order.
+
+N1 = make_nat_arena(1)
+EXT_ARENAS = [
+    N2,
+    arrow(N1, N1),
+    arrow(product(N1, N1), N1),
+    arrow(arrow(arrow(N1, N1), N1), N1),
+]
+
+
+@pytest.mark.parametrize("single_threaded", [False, True])
+@pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
+def test_legal_extensions_match_generate_then_check(arena, single_threaded):
+    plays = enumerate_plays(arena, 7, single_threaded=single_threaded)
+    assert len(plays) > 1
+    for s in plays:
+        assert legal_extensions(s, single_threaded) == ref_legal_extensions(s, single_threaded)
+
+
+@pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
+def test_prefix_views_match_backward_walk(arena):
+    for s in enumerate_plays(arena, 7):
+        for k, (pv, ov) in enumerate(prefix_views(s)):
+            assert list(pv) == walk_view_positions(arena, s.moves[:k], "P")
+            assert list(ov) == walk_view_positions(arena, s.moves[:k], "O")
+
+
+@pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
+def test_legality_matches_reference_on_every_raw_extension(arena):
+    for s in enumerate_plays(arena, 5):
+        for m in sorted(arena.moves) + ["nonsense"]:
+            for ptr in (ROOT, *range(-2, len(s.moves) + 1)):
+                c = s.extend(m, ptr)
+                assert (legality_violation(c) is None) == ref_is_legal(c)
 
 
 def test_views_require_legality():

@@ -8,6 +8,7 @@ from gamesem.strategy import (
     BoundExceeded,
     InconsistentPlay,
     InnocentStrategy,
+    StrategyError,
     as_thunk,
     compose,
     copycat,
@@ -39,6 +40,18 @@ def test_respond_rejects_illegal_play():
     bad = Play(s.arena, (("R.q", ROOT), ("R.q", ROOT), ("L.q", 0)))
     with pytest.raises(ValueError):
         s.respond(bad)
+
+
+def test_respond_refuses_an_invisible_justifier():
+    # A second thread opens at 2, so the P-view is that move alone: the
+    # first thread's R.q enables R.0 but is not visible.
+    arena = arrow(N2, N2)
+    s = Play(arena, (("R.q", ROOT), ("L.q", 0), ("R.q", ROOT)))
+    peek = InnocentStrategy(arena, "peek", play_fn=lambda s: ("R.0", 0))
+    with pytest.raises(StrategyError):
+        peek.respond(s)
+    local = InnocentStrategy(arena, "local", play_fn=lambda s: ("R.0", 2))
+    assert local.respond(s) == ("R.0", 2)
 
 
 def test_succ_responds_by_view():
