@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .arena import Arena, arrow, make_empty, make_nat_arena, product
 from .bounds import Bounds
-from .plays import ROOT, Play
+from .plays import ROOT, Play, pview_with_positions
 from .strategy import (
     InnocentStrategy,
     compose,
@@ -560,21 +560,16 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
 
 # ------------------------------------------------------------ pairing
 
-def _thread_root(s: Play, i: int) -> int:
-    while s.moves[i][1] != ROOT:
-        i = s.moves[i][1]
-    return i
-
-
 def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
                     name: str | None = None) -> InnocentStrategy:
     """Tupling: from f : arrow(X, B) and g : arrow(X, C), the strategy
     on arrow(X, product(B, C)) that plays f inside threads rooted at a
     B-initial and g inside threads rooted at a C-initial.
 
-    Threads share no moves (every move is hereditarily justified by one
-    initial), so each response is computed on the thread of the last
-    Opponent move, projected to the component strategy's arena.
+    By innocence each response is computed on the P-view, which lies
+    inside the thread of the last Opponent move (every move in it is
+    hereditarily justified by the view's first, initial move); the view
+    is retagged to the component strategy's arena.
     """
     x = f.arena.parts[0]
     if g.arena.parts[0] != x:
@@ -583,23 +578,17 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
     outer = arrow(x, pair)
 
     def play_fn(s: Play):
-        root = _thread_root(s, len(s.moves) - 1)
-        side = "L" if s.moves[root][0].startswith("R.L.") else "R"
+        view, positions = pview_with_positions(s)
+        side = "L" if view.moves[0][0].startswith("R.L.") else "R"
         strat = f if side == "L" else g
-        keep = [i for i in range(len(s.moves)) if _thread_root(s, i) == root]
-        pos_of = {si: k for k, si in enumerate(keep)}
-        inner_moves = []
-        for si in keep:
-            m, ptr = s.moves[si]
-            im = "R." + m[4:] if m.startswith("R.") else m
-            inner_moves.append((im, ROOT if ptr == ROOT else pos_of[ptr]))
-        inner = Play(strat.arena, tuple(inner_moves))
+        inner = Play(strat.arena, tuple(("R." + m[4:] if m.startswith("R.") else m, ptr)
+                                        for m, ptr in view.moves))
         r = strat.respond(inner)
         if r is None:
             return None
         m, ptr = r
         om = f"R.{side}." + m[2:] if m.startswith("R.") else m
-        return om, keep[ptr]
+        return om, positions[ptr]
 
     return InnocentStrategy(outer, name or f"<{f.name}, {g.name}>", play_fn=play_fn)
 

@@ -3,10 +3,10 @@
 A strategy answers the question "given this legal play ending with an
 Opponent move, what does Proponent do next?".  Innocence means the
 answer depends only on the P-view of the play, so most strategies here
-are given as a function from P-views to a response.  Strategies whose
-responder is easier to state on whole plays (notably composites, which
-replay a hidden interaction) supply `play_fn` instead; they remain
-innocent, which the test suite checks on every generated trace.
+are given as a function from P-views to a response.  Wrappers that
+translate plays for an inner strategy (renamings, pairings, composites)
+supply `play_fn` instead; they remain innocent, which the test suite
+checks on every generated trace.
 
 Responses name their justifier: a `view_fn` returns (move, index into
 the P-view), a `play_fn` returns (move, index into the play).  `respond`
@@ -15,14 +15,16 @@ the arena and the P-view, so the extended play is legal again.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
-outside.  Interactions are capped at `bounds.max_play_len` occurrences
+outside.  A composite replays only the P-view of the play it is asked
+about (the P-view of a legal play is a legal play, and the composite is
+innocent), so its reply is a function of that view and is memoised by
+it.  Interactions are capped at `bounds.max_play_len` occurrences
 counting hidden moves; hitting the cap raises BoundExceeded, which is
 deliberately distinct from a genuine refusal to respond.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arena import Arena, arrow, make_empty
@@ -82,6 +84,8 @@ class InnocentStrategy:
         else:
             r = self._view_fn(subsequence(s, positions))
             if r is not None:
+                if not 0 <= r[1] < len(positions):
+                    raise StrategyError(f"{self.name}: pointer {r[1]} outside the P-view")
                 r = (r[0], positions[r[1]])
         if r is None:
             return None
@@ -146,11 +150,14 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
     """The reachable part of sigma's view function, canonically ordered.
 
     Reads (P-view, response with view-relative pointer) off every
-    answered position of sigma's trace set, and checks that equal views
-    always received equal responses.
+    answered position of sigma's single-threaded trace set, and checks
+    that equal views always received equal responses.  Single-threaded
+    plays suffice: every P-view of a play of sigma is itself a
+    single-threaded play of sigma, no longer than the play, so
+    multi-threaded exploration would only revisit the same views.
     """
     entries: dict[tuple, tuple[str, int]] = {}
-    for sop in explore(sigma, b).plays:
+    for sop in explore(sigma, b, single_threaded_only=True).plays:
         if not sop.moves:
             continue
         view, positions = pview_with_positions(sop.prefix(len(sop) - 1))
@@ -269,11 +276,13 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             name: str | None = None) -> InnocentStrategy:
     """Sequential composition of sigma : arrow(A, B) with tau : arrow(B, C).
 
-    The composite answers a play over arrow(A, C) by replaying it as the
-    unique interaction over the three components: visible moves are laid
-    down as given, and between them sigma and tau ping-pong in B until
-    one of them surfaces.  The interaction, hidden moves included, may
-    not grow past b.max_play_len.
+    The composite answers a play over arrow(A, C) by replaying its
+    P-view as the unique interaction over the three components: visible
+    moves are laid down as given, and between them sigma and tau
+    ping-pong in B until one of them surfaces.  The interaction, hidden
+    moves included, may not grow past b.max_play_len.  A P-move of the
+    view that the composite would not have played raises
+    InconsistentPlay.
 
     Component bookkeeping: in the interaction each occurrence is tagged
     A, B or C.  Projecting to sigma keeps A and B (B-initial occurrences
@@ -282,8 +291,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     the interaction, and re-pointed to that move's own C justifier when
     it surfaces.
 
-    Responses are cached by P-view, which lazily tabulates the
-    composite's view function.
+    The reply, a refusal or a bound hit depends on the P-view alone, so
+    the cache is a memo of the composite's view function.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -300,22 +309,18 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     def play_fn(s: Play):
         view, positions = pview_with_positions(s)
         key = view.moves
-        if key in cache:
-            hit = cache[key]
-            if hit == "bound":
-                raise BoundExceeded(cname)
-            if hit is None:
-                return None
-            mv, vptr = hit
-            return mv, positions[vptr]
-        try:
-            r = _replay(s)
-        except BoundExceeded:
-            cache[key] = "bound"
-            raise
-        # positions ascend; `respond` refuses a justifier outside them
-        cache[key] = None if r is None else (r[0], bisect_left(positions, r[1]))
-        return r
+        if key not in cache:
+            try:
+                cache[key] = _replay(view)
+            except BoundExceeded:
+                cache[key] = "bound"
+        hit = cache[key]
+        if hit == "bound":
+            raise BoundExceeded(cname)
+        if hit is None:
+            return None
+        mv, vptr = hit
+        return mv, positions[vptr]
 
     def _replay(s: Play):
         u_comp: list[str] = []
@@ -405,7 +410,6 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         if ui is None:
             return None
         mv = ("L." if u_comp[ui] == "A" else "R.") + u_move[ui]
-        s_of[ui] = len(s.moves)
         return mv, visible_ptr(ui)
 
     return InnocentStrategy(outer, cname, play_fn=play_fn)

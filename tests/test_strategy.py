@@ -2,8 +2,16 @@ import pytest
 
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
+from gamesem.corpus import CORPUS
 from gamesem.pcf import builtin, denote, parse, succ_strategy
-from gamesem.plays import ROOT, Play, is_p_innocent, is_well_bracketed, pview
+from gamesem.plays import (
+    ROOT,
+    Play,
+    is_p_innocent,
+    is_well_bracketed,
+    pview,
+    pview_with_positions,
+)
 from gamesem.strategy import (
     BoundExceeded,
     InconsistentPlay,
@@ -52,6 +60,15 @@ def test_respond_refuses_an_invisible_justifier():
         peek.respond(s)
     local = InnocentStrategy(arena, "local", play_fn=lambda s: ("R.0", 2))
     assert local.respond(s) == ("R.0", 2)
+
+
+def test_respond_rejects_a_view_pointer_outside_the_view():
+    arena = arrow(N2, N2)
+    s = Play(arena, (("R.q", ROOT), ("L.q", 0), ("L.1", 1)))
+    for j in (-3, 3):
+        wild = InnocentStrategy(arena, "wild", view_fn=lambda v, j=j: ("R.1", j))
+        with pytest.raises(StrategyError):
+            wild.respond(s)
 
 
 def test_succ_responds_by_view():
@@ -114,6 +131,34 @@ def test_tabulate_canonical_and_consistent():
     keys = [json.dumps(v.to_json(arena_ref="name"), sort_keys=True) for v, _ in tab]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
+
+
+def _multi_threaded_table(sigma, b):
+    table = {}
+    for sop in explore(sigma, b).plays:
+        if sop.moves:
+            view, positions = pview_with_positions(sop.prefix(len(sop) - 1))
+            m, ptr = sop.last
+            table[view.moves] = (m, positions.index(ptr))
+    return table
+
+
+TABULATED_TERMS = [
+    ("fun f: nat -> nat -> f (f 1)", Bounds(max_nat=2, max_play_len=10)),
+    ("fun x: nat -> fun y: nat -> x + y", Bounds(max_nat=2, max_play_len=10)),
+    ("fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))",
+     Bounds(max_nat=1, max_play_len=14, fix_depth=2)),
+]
+
+
+def test_tabulate_matches_multi_threaded_table():
+    # tabulate explores single-threaded plays only; every P-view a
+    # multi-threaded play reaches must already be in its table
+    cases = [(e.build, e.bounds) for e in CORPUS if e.name != "rec_zero"]
+    cases += [(lambda src=src, b=b: denote(parse(src), b), b) for src, b in TABULATED_TERMS]
+    for build, b in cases:
+        table = {v.moves: r for v, r in tabulate(build(), b)}
+        assert table == _multi_threaded_table(build(), b)
 
 
 def test_from_view_table_roundtrip():
@@ -179,12 +224,39 @@ def test_compose_associates_on_traces():
 
 
 def test_compose_raises_inconsistent_on_foreign_play():
+    # The composite (succ after the sum) asks x first; claim it asked y.
+    # The false move is inside the P-view, so replaying that view meets
+    # it whatever the cache holds.
+    b = Bounds(max_nat=2, max_play_len=12)
+    t = parse("fun x: nat -> fun y: nat -> succ (x + y)")
+    cold = denote(t, b)
+    warm = denote(t, b)
+    explore(warm, Bounds(max_nat=2, max_play_len=8))
+    for comp in (cold, warm):
+        lie = Play(comp.arena, (("R.R.q", ROOT), ("R.L.q", 0), ("R.L.1", 1)))
+        with pytest.raises(InconsistentPlay):
+            comp.respond(lie)
+
+
+def test_compose_answers_a_lie_in_another_thread_from_its_view():
+    # The composite answers 2, not 0; by innocence the false answer in
+    # the first thread does not reach the second thread's P-view.
     b = Bounds(max_nat=2, max_play_len=12)
     comp = compose(as_thunk(denote(parse("2"), b)), succ_strategy(2), b)
-    # claim the composite answered 0 where it answers 2, then ask again
     lie = Play(comp.arena, (("R.q", ROOT), ("R.0", 0), ("R.q", ROOT)))
-    with pytest.raises(InconsistentPlay):
-        comp.respond(lie)
+    assert comp.respond(lie) == ("R.2", 2)
+    assert comp.respond(Play(comp.arena, (("R.q", ROOT),))) == ("R.2", 0)
+
+
+def test_compose_results_do_not_depend_on_exploration_order():
+    # Multi-threaded plays reach the same P-views through longer plays;
+    # exploring them first must not change what shorter plays see.
+    b = Bounds(max_nat=2, max_play_len=10)
+    t = parse("fun f: nat -> nat -> f (f 1)")
+    fresh = explore(denote(t, b), b, single_threaded_only=True)
+    s = denote(t, b)
+    explore(s, b)
+    assert explore(s, b, single_threaded_only=True) == fresh
 
 
 def test_compose_bound_exceeded_is_not_none():
