@@ -5,9 +5,10 @@ INEQUIV verdict or a failed law check, 2 for bad input (unreadable
 file, parse error, type error, mismatched arenas), 3 for an internal
 consistency failure (the engine rejects its own play, or the two
 decision methods disagree although neither hit a bound and no witness
-view is longer than max_view_len) or a resource limit.  A disagreement
-the bounds explain adds "bounds_explain": true to the oracle report and
-exits with the obs_equiv verdict.
+view is longer than max_view_len) or a resource limit (recursion depth
+or memory), reported on one stderr line.  A disagreement the bounds
+explain adds "bounds_explain": true to the oracle report and exits with
+the obs_equiv verdict.
 
 All output is canonical JSON: keys sorted, two-space indent, stable
 element ordering, so repeated runs are byte-identical.
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
         return 3
     except RecursionError as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 3
 
 

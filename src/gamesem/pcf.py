@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .arena import Arena, arrow, make_empty, make_nat_arena, product
 from .bounds import Bounds
-from .plays import ROOT, Play, pview_with_positions
+from .plays import ROOT, Play, subsequence
 from .strategy import (
     InnocentStrategy,
     compose,
@@ -577,8 +577,8 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
     pair = product(f.arena.parts[1], g.arena.parts[1])
     outer = arrow(x, pair)
 
-    def play_fn(s: Play):
-        view, positions = pview_with_positions(s)
+    def play_fn(s: Play, positions: tuple[int, ...]):
+        view = subsequence(s, positions)
         side = "L" if view.moves[0][0].startswith("R.L.") else "R"
         strat = f if side == "L" else g
         inner = Play(strat.arena, tuple(("R." + m[4:] if m.startswith("R.") else m, ptr)

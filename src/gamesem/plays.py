@@ -22,7 +22,9 @@ Legality is checked where plays enter: `InnocentStrategy.respond`
 checks every play it is asked about, `pview` and `oview` check their
 argument, and view-sets read from JSON are checked by `ODetSet.make`.
 Everything else takes a legal play as given; `legal_extensions` builds
-only legal plays from a legal one, so exploration checks no candidate.
+only legal plays from a legal one, so exploration checks no play it
+built: `explore` carries the views of each play forward, one entry per
+move, and asks its strategy without a legality pass.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -151,6 +153,8 @@ def _require_legal(s: Play, views: list | None = None) -> None:
 def subsequence(s: Play, positions) -> Play:
     """The occurrences of s at `positions` (ascending, and holding every
     justifier they point at), pointers re-indexed."""
+    if len(positions) == len(s.moves):
+        return s   # all of s, as a P-view often is
     index = {p: k for k, p in enumerate(positions)}
     return Play(s.arena, tuple((m, ROOT if ptr == ROOT else index[ptr])
                                for m, ptr in (s.moves[p] for p in positions)))

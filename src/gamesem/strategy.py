@@ -5,13 +5,20 @@ Opponent move, what does Proponent do next?".  Innocence means the
 answer depends only on the P-view of the play, so most strategies here
 are given as a function from P-views to a response.  Wrappers that
 translate plays for an inner strategy (renamings, pairings, composites)
-supply `play_fn` instead; they remain innocent, which the test suite
-checks on every generated trace.
+supply `play_fn(s, positions)` instead, where `positions` are the
+positions of the P-view of s; they remain innocent, which the test
+suite checks on every generated trace.
 
 Responses name their justifier: a `view_fn` returns (move, index into
 the P-view), a `play_fn` returns (move, index into the play).  `respond`
-checks the play it is given once and every emitted response against
-the arena and the P-view, so the extended play is legal again.
+checks the play it is given once, hands the P-view positions of that
+check to the node, and checks every emitted response against the arena
+and the P-view, so the extended play is legal again.  Wrappers
+translate only the P-view, `subsequence(s, positions)`, for their inner
+strategy (a prefix renaming is an arena isomorphism, so it commutes
+with the P-view) and map the inner pointer back through `positions`.
+`explore` asks its strategy through the unchecked `_answer`, since it
+builds legal plays and carries their views itself.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -32,7 +39,6 @@ from .bounds import Bounds
 from .plays import (
     ROOT,
     Play,
-    is_o_innocent,
     legality_violation,
     legal_extensions,
     pview_with_positions,
@@ -65,7 +71,7 @@ class InnocentStrategy:
         """Proponent's reply to a legal odd-length play, or None.
 
         The one checked entry point: one legality pass over s, whose
-        P-view the node reuses.  Returns (move, justifier index into s)
+        P-view `_answer` reuses.  Returns (move, justifier index into s)
         for a P-move enabled by a justifier inside that P-view; raises
         StrategyError for any other reply, BoundExceeded if computing
         the reply hit an interaction bound.
@@ -78,9 +84,14 @@ class InnocentStrategy:
             raise ValueError(f"illegal play: {bad}")
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        positions = views[0]
+        return self._answer(s, views[0])
+
+    def _answer(self, s: Play, positions: tuple[int, ...]):
+        """`respond` without its checks on s: s must be a legal
+        odd-length play over this arena whose P-view sits at `positions`.
+        The reply is checked all the same."""
         if self._play_fn is not None:
-            r = self._play_fn(s)
+            r = self._play_fn(s, positions)
         else:
             r = self._view_fn(subsequence(s, positions))
             if r is not None:
@@ -114,20 +125,37 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
     O-innocent or single-threaded continuations; Proponent plays
     sigma's response.  Positions where the response computation hit an
     interaction bound are counted, not silently dropped.
+
+    No play is checked: `legal_extensions` builds legal plays, and each
+    stacked play carries the P- and O-view positions of its prefixes,
+    one entry per move by the incremental view definition, so sigma is
+    asked through `_answer`.  With `o_innocent_only` it also carries
+    the O-innocence map of its Opponent moves (O-view -> move and
+    pointer); a candidate whose O-view is mapped to another move is
+    pruned, which is `is_o_innocent` one move at a time.
     """
     empty = Play(sigma.arena)
     result = {empty}
-    stack = [empty]
+    # (play, P-views and O-views of its prefixes by length, O-innocence map)
+    stack = [(empty, ((),), ((),), {})]
     exceeded = 0
     while stack:
-        s = stack.pop()
-        if len(s.moves) + 2 > b.max_play_len:
+        s, pvs, ovs, omap = stack.pop()
+        i = len(s.moves)
+        if i + 2 > b.max_play_len:
             continue
+        ov = ovs[i]
+        okey = subsequence(s, ov).moves if o_innocent_only else None
         for so in legal_extensions(s, single_threaded=single_threaded_only):
-            if o_innocent_only and not is_o_innocent(so):
-                continue
+            o, j = so.last
+            if o_innocent_only:
+                oval = (o, ROOT if j == ROOT else ov.index(j))
+                if omap.get(okey, oval) != oval:
+                    continue
+            # pview(s.o) = pview(s<=j).o; s<=ROOT is the empty prefix
+            pv = pvs[j + 1] + (i,)
             try:
-                r = sigma.respond(so)
+                r = sigma._answer(so, pv)
             except BoundExceeded:
                 exceeded += 1
                 continue
@@ -136,7 +164,11 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
             sop = so.extend(*r)
             if sop not in result:
                 result.add(sop)
-                stack.append(sop)
+                # oview(s.o.p) = oview(s<q).q.p for the reply p justified at q
+                q = r[1]
+                stack.append((sop, pvs + (pv, pv + (i + 1,)),
+                              ovs + (ov + (i,), ovs[q] + (q, i + 1)),
+                              {**omap, okey: oval} if o_innocent_only else omap))
     return TraceResult(frozenset(result), exceeded)
 
 
@@ -256,12 +288,14 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     if {fwd(m) for m in sigma.arena.moves} != set(new_arena.moves):
         raise ValueError("renaming does not map onto the target arena")
 
-    def play_fn(s: Play):
-        inner = Play(sigma.arena, tuple((inv(m), p) for m, p in s.moves))
-        r = sigma.respond(inner)
+    def play_fn(s: Play, positions: tuple[int, ...]):
+        # the renaming is an arena isomorphism, so it commutes with the
+        # P-view: translate the view alone and map the pointer back
+        view = subsequence(s, positions)
+        r = sigma.respond(Play(sigma.arena, tuple((inv(m), p) for m, p in view.moves)))
         if r is None:
             return None
-        return fwd(r[0]), r[1]
+        return fwd(r[0]), positions[r[1]]
 
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
 
@@ -306,8 +340,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     cache: dict[tuple, object] = {}
     cname = name or f"({sigma.name} ; {tau.name})"
 
-    def play_fn(s: Play):
-        view, positions = pview_with_positions(s)
+    def play_fn(s: Play, positions: tuple[int, ...]):
+        view = subsequence(s, positions)
         key = view.moves
         if key not in cache:
             try:

@@ -3,9 +3,9 @@
 Everything here is written from the defining recursions, as directly
 and naively as possible, sharing no code with the package internals:
 views by structural recursion on the sequence and by a backward walk,
-legality with every prefix's view recomputed, one-move extensions by
-generating candidates and checking each, composition by enumerating
-raw interaction sequences and projecting.
+legality and O-innocence with every prefix's view recomputed, one-move
+extensions by generating candidates and checking each, composition by
+enumerating raw interaction sequences and projecting.
 """
 from __future__ import annotations
 
@@ -101,6 +101,20 @@ def ref_is_legal(s: Play) -> bool:
                 return False
         elif not (0 <= ptr < i and (s.moves[ptr][0], m) in arena.enabling
                   and ptr in walk_view_positions(arena, s.moves[:i], player)):
+            return False
+    return True
+
+
+def ref_is_o_innocent(s: Play) -> bool:
+    """Opponent extends equal O-views identically: each Opponent move,
+    keyed by the O-view before it (by the recursion) and read with its
+    pointer into that view, agrees with every earlier one."""
+    seen = {}
+    for i in range(0, len(s.moves), 2):
+        positions = oview_positions(s.arena, s.moves[:i])
+        m, ptr = s.moves[i]
+        reply = (m, ROOT if ptr == ROOT else positions.index(ptr))
+        if seen.setdefault(reindex(s, positions).moves, reply) != reply:
             return False
     return True
 

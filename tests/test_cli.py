@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gamesem import cli
+from gamesem import cli, equiv
 from gamesem.arena import make_nat_arena
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
@@ -254,6 +254,18 @@ def test_resource_limit_exits_3(tmp_path):
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    once = write(tmp_path, "once.pcf", "fun f: nat -> nat -> f 1\n")
+    twice = write(tmp_path, "twice.pcf", "fun f: nat -> nat -> f (f 1)\n")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(equiv, "enumerate_closed_odet_sets", exhausted)
+    assert cli.main(["equiv", once, twice, "--oracle"]) == 3
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
 
 
 GOLDEN_TERMS = {

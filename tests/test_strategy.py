@@ -3,12 +3,13 @@ import pytest
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
-from gamesem.pcf import builtin, denote, parse, succ_strategy
+from gamesem.pcf import Lam, builtin, denote, denote_open, parse, succ_strategy
 from gamesem.plays import (
     ROOT,
     Play,
     is_p_innocent,
     is_well_bracketed,
+    legal_extensions,
     pview,
     pview_with_positions,
 )
@@ -23,10 +24,11 @@ from gamesem.strategy import (
     explore,
     from_view_table,
     mirror_strategy,
+    prefix_renamer,
     tabulate,
     traces,
 )
-from oracles import ref_compose_traces
+from oracles import ref_compose_traces, ref_is_legal, ref_is_o_innocent
 
 N2 = make_nat_arena(2)
 
@@ -55,10 +57,10 @@ def test_respond_refuses_an_invisible_justifier():
     # first thread's R.q enables R.0 but is not visible.
     arena = arrow(N2, N2)
     s = Play(arena, (("R.q", ROOT), ("L.q", 0), ("R.q", ROOT)))
-    peek = InnocentStrategy(arena, "peek", play_fn=lambda s: ("R.0", 0))
+    peek = InnocentStrategy(arena, "peek", play_fn=lambda s, positions: ("R.0", 0))
     with pytest.raises(StrategyError):
         peek.respond(s)
-    local = InnocentStrategy(arena, "local", play_fn=lambda s: ("R.0", 2))
+    local = InnocentStrategy(arena, "local", play_fn=lambda s, positions: ("R.0", 2))
     assert local.respond(s) == ("R.0", 2)
 
 
@@ -159,6 +161,70 @@ def test_tabulate_matches_multi_threaded_table():
     for build, b in cases:
         table = {v.moves: r for v, r in tabulate(build(), b)}
         assert table == _multi_threaded_table(build(), b)
+
+
+# The corpus denotations, with rec_zero at bounds small enough for
+# multi-threaded exploration, plus f (f 1).
+SMALL_TERMS = [(e.source, e.bounds) for e in CORPUS
+               if e.source is not None and e.name != "rec_zero"] + [
+    ("fun f: nat -> nat -> f (f 1)", Bounds(max_nat=1, max_play_len=12)),
+    ("fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))",
+     Bounds(max_nat=1, max_play_len=14, fix_depth=2)),
+]
+
+
+def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
+    # explore checks O-innocence one move at a time against the map it
+    # carries; the reference recomputes every O-view of the whole play
+    cases = [(e.build, e.bounds) for e in CORPUS if e.source is None]
+    cases += [(lambda src=src, b=b: denote(parse(src), b), b) for src, b in SMALL_TERMS]
+    pruned_some = False
+    for build, b in cases:
+        for single in (False, True):
+            every = explore(build(), b, single_threaded_only=single).plays
+            assert all(ref_is_legal(p) for p in every)
+            pruned = explore(build(), b, o_innocent_only=True, single_threaded_only=single)
+            assert pruned.plays == {p for p in every if ref_is_o_innocent(p)}
+            pruned_some |= pruned.plays != every
+    assert pruned_some
+
+
+def _rename_nodes():
+    """(node, inner node, pairs, bounds) for the den and top fun rename
+    nodes of SMALL_TERMS, with the pairs `pcf` renames by."""
+    for src, b in SMALL_TERMS:
+        t = parse(src)
+        yield denote(t, b), denote_open(t, (), b), [("R.", "")], b
+        if isinstance(t, Lam):
+            yield (denote_open(t, (), b), denote_open(t.body, ((t.var, t.ty),), b),
+                   [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")], b)
+
+
+def _outcome(respond, s):
+    try:
+        return respond(s)
+    except BoundExceeded:
+        return "bound"
+
+
+def test_renaming_the_view_answers_as_renaming_the_play():
+    # the node renames only the P-view; the reference renames the whole
+    # play, asks the inner node and renames the reply back
+    longest = 0
+    for node, inner, pairs, b in _rename_nodes():
+        fwd = prefix_renamer(pairs)
+        inv = prefix_renamer([(dst, src) for src, dst in pairs])
+
+        def by_play(s):
+            r = inner.respond(Play(inner.arena, tuple((inv(m), p) for m, p in s.moves)))
+            return r and (fwd(r[0]), r[1])
+
+        asked = {so for p in explore(node, b).plays if len(p) + 2 <= b.max_play_len
+                 for so in legal_extensions(p)}
+        for s in asked:
+            assert _outcome(node.respond, s) == _outcome(by_play, s), (node.name, s)
+            longest = max(longest, len(s))
+    assert longest >= 9
 
 
 def test_from_view_table_roundtrip():
