@@ -59,6 +59,20 @@ class Arena:
     parts: tuple["Arena", ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.labels, self.enabling, self.initials))
+
+    def __hash__(self) -> int:
+        # The structural hash, computed once: every hash(Play) asks for it.
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes; never ship a cached one.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    @cached_property
     def label_of(self) -> dict[str, MoveLabel]:
         return dict(self.labels)
 

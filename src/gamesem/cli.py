@@ -5,10 +5,11 @@ INEQUIV verdict or a failed law check, 2 for bad input (unreadable
 file, parse error, type error, mismatched arenas), 3 for an internal
 consistency failure (the engine rejects its own play, or the two
 decision methods disagree although neither hit a bound and no witness
-view is longer than max_view_len) or a resource limit (recursion depth
-or memory), reported on one stderr line.  A disagreement the bounds
-explain adds "bounds_explain": true to the oracle report and exits with
-the obs_equiv verdict.
+view is longer than max_view_len) or a resource limit (recursion depth,
+memory, or the oracle's test budget running out before it decides),
+reported on one stderr line.  A disagreement the bounds explain adds
+"bounds_explain": true to the oracle report and exits with the
+obs_equiv verdict.
 
 All output is canonical JSON: keys sorted, two-space indent, stable
 element ordering, so repeated runs are byte-identical.
@@ -20,7 +21,7 @@ import json
 import sys
 
 from .bounds import Bounds
-from .equiv import brute_force_leq, check_category_laws, obs_equiv
+from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
 from .observation import ODetSet, observations, run_test
 from .pcf import PcfError, denote, parse, pragmas, term_to_json, typecheck
 from .plays import is_complete
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
     except (StrategyError, InconsistentPlay) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except RecursionError as e:
+    except (RecursionError, OracleIncomplete) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except MemoryError:

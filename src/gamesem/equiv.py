@@ -10,6 +10,7 @@ always carry the bounds they were established at.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .arena import Arena
@@ -108,37 +109,97 @@ def enumerate_oviews(arena: Arena, max_view_len: int) -> list[Play]:
     return out
 
 
+def _view_tree(arena: Arena, max_view_len: int):
+    """The capped O-views as a tree: the views in play_key order and,
+    per view index, the indices of its one-move extensions."""
+    views = enumerate_oviews(arena, max_view_len)
+    index = {v.moves: i for i, v in enumerate(views)}
+    kids: list[list[int]] = [[] for _ in views]
+    for i, v in enumerate(views):
+        if v.moves:
+            kids[index[v.moves[:-1]]].append(i)
+    return views, kids
+
+
+def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play]]:
+    """Every prefix-closed deterministic view set over the arena whose
+    views respect the length cap, lazily and smallest first.
+
+    The order is `viewset_key` order.  Its first component is the
+    total number of moves, so the sets are built one total size at a
+    time and each such bucket is sorted on its own.  A set rooted at a
+    view of even length (Opponent to move) takes at most one child; at
+    odd length (Proponent to move) the children are independent.  Sets
+    are built as tuples of view indices; the views are in play_key
+    order, so sorted indices compare as viewset_key's sorted views do.
+    """
+    views, kids = _view_tree(arena, max_view_len)
+    size = [len(v.moves) for v in views]
+    largest = list(size)              # largest total size rooted at i
+    for i in reversed(range(len(views))):   # children come after parents
+        if kids[i]:
+            sub = [largest[c] for c in kids[i]]
+            largest[i] += sum(sub) if size[i] % 2 else max(sub)
+    rooted: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # spread[i][k][n]: unions of sets rooted at children k.. of view i
+    # with n moves in all, filled one n at a time for every k.
+    spread: dict[int, list[list[list[tuple[int, ...]]]]] = {}
+
+    def at(i: int, n: int) -> list[tuple[int, ...]]:
+        # Sets rooted at view i with n moves in total.
+        if n < size[i] or n > largest[i]:
+            return []
+        got = rooted.get((i, n))
+        if got is None:
+            rest, v = n - size[i], (i,)
+            if rest == 0:
+                got = [v]
+            elif size[i] % 2:
+                got = [v + s for s in over(i, rest)]
+            else:
+                got = [v + s for c in kids[i] for s in at(c, rest)]
+            rooted[i, n] = got
+        return got
+
+    def over(i: int, n: int) -> list[tuple[int, ...]]:
+        # Unions of sets rooted at the children of view i, n moves in all.
+        rows = spread.setdefault(i, [[[()]] for _ in range(len(kids[i]) + 1)])
+        while len(rows[0]) <= n:
+            m = len(rows[0])
+            rows[-1].append([])
+            for k in reversed(range(len(kids[i]))):
+                c, tail = kids[i][k], rows[k + 1]
+                got = list(tail[m])
+                for j in range(size[c], min(m, largest[c]) + 1):
+                    if tail[m - j]:
+                        got.extend(a + t for a in at(c, j) for t in tail[m - j])
+                rows[k].append(got)
+        return rows[0][n]
+
+    for n in range(largest[0] + 1):
+        bucket = ([()] if n == 0 else []) + at(0, n)
+        bucket.sort(key=lambda t: (len(t), sorted(t)))
+        for t in bucket:
+            yield frozenset(views[i] for i in t)
+
+
+def count_closed_odet_sets(arena: Arena, max_view_len: int) -> int:
+    """How many sets `closed_odet_sets` yields, without building them."""
+    views, kids = _view_tree(arena, max_view_len)
+    count = [1] * len(views)          # sets rooted at view i
+    for i in reversed(range(len(views))):
+        if len(views[i].moves) % 2:
+            for c in kids[i]:
+                count[i] *= 1 + count[c]
+        else:
+            count[i] += sum(count[c] for c in kids[i])
+    return 1 + count[0]
+
+
 def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play]]:
     """Every prefix-closed deterministic view set over the arena whose
-    views respect the length cap, smallest first."""
-    views = enumerate_oviews(arena, max_view_len)
-    children: dict[tuple, list[Play]] = {}
-    for v in views:
-        if len(v.moves) == 0:
-            continue
-        parent = v.moves[:-1]
-        children.setdefault(parent, []).append(v)
-
-    def rec(v: Play) -> list[frozenset[Play]]:
-        kids = children.get(v.moves, [])
-        if len(v.moves) % 2 == 0:
-            # Opponent extends: at most one continuation may be present.
-            opts = [frozenset({v})]
-            for c in kids:
-                opts.extend(frozenset({v}) | s for s in rec(c))
-            return opts
-        # Proponent extends: continuations are independent choices.
-        combos = [frozenset({v})]
-        for c in kids:
-            subs = rec(c)
-            combos = [base | extra
-                      for base in combos
-                      for extra in ([frozenset()] + subs)]
-        return combos
-
-    sets = [frozenset()] + rec(Play(arena, ()))
-    sets.sort(key=viewset_key)
-    return sets
+    views respect the length cap, smallest first, as one list."""
+    return list(closed_odet_sets(arena, max_view_len))
 
 
 @dataclass(frozen=True)
@@ -163,21 +224,42 @@ class LeqReport:
         }
 
 
+# Candidate tests brute_force_leq runs per direction before it gives
+# up.  The test suite, the oracle sweep and the benchmark test at most
+# a few hundred; the CLI defaults on (nat -> nat) -> nat have millions.
+TEST_BUDGET = 20_000
+
+
+class OracleIncomplete(Exception):
+    """The test budget ran out before a failing test or the last candidate."""
+
+    def __init__(self, tested: int, candidates: int):
+        super().__init__(f"oracle incomplete at bounds after {tested} of "
+                         f"{candidates} candidate tests")
+        self.tested = tested
+        self.candidates = candidates
+
+
 def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> LeqReport:
     """Test-based order: does every closed deterministic view set that
     drives s1 to convergence also drive s2 there?
 
-    Enumerates all candidate sets (views capped at max_view_len),
-    runs each as a test against both strategies, and fails on the
-    first set where s1 converges but s2 does not.  Runs where either
-    side exceeds the interaction budget are counted and excluded;
-    they neither confirm nor refute.
+    Runs the candidate sets (views capped at max_view_len) as tests
+    against both strategies, smallest first as `closed_odet_sets`
+    yields them, and fails on the first set where s1 converges but s2
+    does not; sets of a larger total size are never built.  Runs where either
+    side exceeds the interaction budget are counted and excluded; they
+    neither confirm nor refute.  Raises OracleIncomplete when
+    TEST_BUDGET tests find no failure and candidates remain.
     """
     if s1.arena != s2.arena:
         raise ValueError("strategies live on different arenas")
     tested = 0
     exceeded = 0
-    for vs in enumerate_closed_odet_sets(s1.arena, b.max_view_len):
+    for vs in closed_odet_sets(s1.arena, b.max_view_len):
+        if tested == TEST_BUDGET:
+            raise OracleIncomplete(
+                tested, count_closed_odet_sets(s1.arena, b.max_view_len))
         s = ODetSet(s1.arena, vs)
         v1 = run_test(s1, s, b)
         v2 = run_test(s2, s, b)

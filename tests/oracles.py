@@ -4,13 +4,16 @@ Everything here is written from the defining recursions, as directly
 and naively as possible, sharing no code with the package internals:
 views by structural recursion on the sequence and by a backward walk,
 legality and O-innocence with every prefix's view recomputed, one-move
-extensions by generating candidates and checking each, composition by
-enumerating raw interaction sequences and projecting.
+extensions by generating candidates and checking each, candidate test
+sets by one eager recursion over the engine's O-view enumeration and one
+sort, composition by enumerating raw interaction sequences and
+projecting.
 """
 from __future__ import annotations
 
 from gamesem.arena import Arena, arrow
 from gamesem.bounds import Bounds
+from gamesem.equiv import enumerate_oviews
 from gamesem.plays import ROOT, Play
 from gamesem.strategy import InnocentStrategy, explore
 
@@ -134,6 +137,45 @@ def ref_legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:
         cands.extend(s.extend(m, j) for j, (mj, _) in enumerate(s.moves)
                      if (mj, m) in arena.enabling)
     return [c for c in cands if ref_is_legal(c)]
+
+
+# ------------------------------------------------- candidate test sets
+
+def ref_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play]]:
+    """Every prefix-closed O-deterministic view set, built eagerly by
+    recursion on the view tree and sorted once: by total moves, then
+    number of views, then the views sorted by (length, moves).  The
+    capped O-views themselves come from the engine's `enumerate_oviews`."""
+    views = enumerate_oviews(arena, max_view_len)
+    children: dict[tuple, list[Play]] = {}
+    for v in views:
+        if v.moves:
+            children.setdefault(v.moves[:-1], []).append(v)
+
+    def rec(v: Play) -> list[frozenset[Play]]:
+        kids = children.get(v.moves, [])
+        if len(v.moves) % 2 == 0:
+            # Opponent extends: at most one continuation may be present.
+            opts = [frozenset({v})]
+            for c in kids:
+                opts.extend(frozenset({v}) | s for s in rec(c))
+            return opts
+        # Proponent extends: continuations are independent choices.
+        combos = [frozenset({v})]
+        for c in kids:
+            subs = rec(c)
+            combos = [base | extra
+                      for base in combos
+                      for extra in ([frozenset()] + subs)]
+        return combos
+
+    def key(vs):
+        ordered = sorted((len(v.moves), v.moves) for v in vs)
+        return (sum(n for n, _ in ordered), len(ordered), tuple(ordered))
+
+    sets = [frozenset()] + rec(Play(arena, ()))
+    sets.sort(key=key)
+    return sets
 
 
 # --------------------------------------------- composition by interleaving

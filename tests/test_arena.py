@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from gamesem.arena import (
@@ -130,3 +135,31 @@ def test_arrow_right_assoc_shape_matches_curried():
     assert c.enables("R.R.q", "R.L.q")
     assert c.label("R.L.q") is MoveLabel.PQ
     assert c.label("L.q") is MoveLabel.PQ
+
+
+def test_hash_is_structural_cached_and_not_pickled():
+    a = arrow(arrow(make_nat_arena(1), make_nat_arena(2)), make_nat_arena(1))
+    want = hash((a.labels, a.enabling, a.initials))
+    assert "_hash" not in vars(a)
+    assert hash(a) == want
+    assert "_hash" in vars(a)
+    assert hash(a) == want
+    b = pickle.loads(pickle.dumps(a))
+    assert "_hash" not in vars(b)
+    assert hash(b) == want and b == a
+
+
+def _python(code, seed, data=b""):
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                          capture_output=True, check=True).stdout
+
+
+def test_unpickled_hash_follows_the_hash_seed():
+    # Pickled after hashing under one seed, hashed under another: the
+    # arena must hash like a freshly built one, or dict lookups miss.
+    make = "import pickle, sys; from gamesem.arena import arrow, make_nat_arena as N; a = arrow(N(1), N(2))"
+    data = _python(f"{make}; hash(a); sys.stdout.buffer.write(pickle.dumps(a))", "1")
+    out = _python(f"{make}; b = pickle.loads(sys.stdin.buffer.read()); "
+                  "print(hash(b) == hash(a), {a: 1}.get(b))", "2", data)
+    assert out.split() == [b"True", b"1"]

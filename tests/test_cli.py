@@ -263,9 +263,20 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(equiv, "enumerate_closed_odet_sets", exhausted)
+    monkeypatch.setattr(equiv, "closed_odet_sets", exhausted)
     assert cli.main(["equiv", once, twice, "--oracle"]) == 3
     assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
+def test_oracle_test_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # At the CLI defaults (nat -> nat) -> nat has 3,748,194 candidate
+    # tests; neither direction fails within the first 50.
+    once = write(tmp_path, "once.pcf", "fun f: nat -> nat -> f 1\n")
+    twice = write(tmp_path, "twice.pcf", "fun f: nat -> nat -> f (f 1)\n")
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 50)
+    assert cli.main(["equiv", once, twice, "--oracle"]) == 3
+    assert capsys.readouterr().err == ("resource limit: oracle incomplete at bounds "
+                                       "after 50 of 3748194 candidate tests\n")
 
 
 GOLDEN_TERMS = {

@@ -1,20 +1,31 @@
+import itertools
+import time
+
 import pytest
 
+from gamesem import equiv
 from gamesem.arena import arrow, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CorpusEntry, entry
 from gamesem.equiv import (
+    OracleIncomplete,
     brute_force_leq,
     check_category_laws,
+    closed_odet_sets,
+    count_closed_odet_sets,
     enumerate_closed_odet_sets,
     enumerate_oviews,
     obs_equiv,
 )
-from gamesem.observation import is_o_deterministic, is_oview_shaped
+from gamesem.observation import is_o_deterministic, is_oview_shaped, viewset_key
+from gamesem.pcf import denote, parse
 from gamesem.plays import ROOT, Play, is_well_bracketed
 from gamesem.strategy import InnocentStrategy
 
+from oracles import ref_closed_odet_sets
+
 N1 = make_nat_arena(1)
+N2 = make_nat_arena(2)
 FLAT = Bounds(max_nat=1, max_play_len=8, max_view_len=4)
 
 
@@ -66,6 +77,41 @@ def test_closed_sets_are_all_deterministic():
     assert frozenset({Play(a, ())}) in sets
     for vs in sets:
         assert is_o_deterministic(a, vs)
+
+
+# Every arena and view cap the lazy stream is checked on, element for
+# element, against the eager reference.
+REFERENCE_CASES = [
+    ("N1", N1, 6),
+    ("N1=>N1", arrow(N1, N1), 4),
+    ("N1=>N1", arrow(N1, N1), 6),
+    ("(N1xN1)=>N1", arrow(product(N1, N1), N1), 4),
+    ("N1=>(N1=>N1)", arrow(N1, arrow(N1, N1)), 4),
+    ("(N1=>N1)=>N1", arrow(arrow(N1, N1), N1), 6),
+    ("(N1=>N1)=>N1", arrow(arrow(N1, N1), N1), 8),
+    ("(N2=>N2)=>N2", arrow(arrow(N2, N2), N2), 6),
+]
+
+
+@pytest.mark.parametrize("arena,cap", [(a, c) for _, a, c in REFERENCE_CASES],
+                         ids=[f"{n}@{c}" for n, _, c in REFERENCE_CASES])
+def test_closed_sets_stream_equals_eager_reference(arena, cap):
+    got = list(closed_odet_sets(arena, cap))
+    assert got == ref_closed_odet_sets(arena, cap)
+    assert count_closed_odet_sets(arena, cap) == len(got)
+
+
+def test_closed_sets_stream_is_lazy():
+    # The CLI defaults on (nat -> nat) -> nat: far too many sets to list.
+    a = arrow(arrow(make_nat_arena(3), make_nat_arena(3)), make_nat_arena(3))
+    assert count_closed_odet_sets(a, 6) == 3_748_194
+    t0 = time.perf_counter()
+    first = list(itertools.islice(closed_odet_sets(a, 6), 1000))
+    assert time.perf_counter() - t0 < 10
+    assert len(first) == 1000
+    keys = [viewset_key(vs) for vs in first]
+    assert keys == sorted(keys)
+    assert all(is_o_deterministic(a, vs) for vs in first)
 
 
 # ----------------------------------------------------------- obs_equiv
@@ -146,6 +192,49 @@ def test_brute_force_agrees_with_obs_on_numerals():
     fwd = brute_force_leq(zero, one, b)
     bwd = brute_force_leq(one, zero, b)
     assert not (fwd.holds and bwd.holds)
+
+
+def _views(witness):
+    # Each view as its moves, a justified move written move@pointer.
+    return [" ".join(m if p == ROOT else f"{m}@{p}" for m, p in v.moves)
+            for v in sorted(witness.views, key=lambda v: (len(v.moves), v.moves))]
+
+
+def test_brute_force_leq_stops_at_the_first_witness():
+    # 44 and 128 of 18,514 candidates; the witnesses are the ones the
+    # eager enumeration found.
+    b = Bounds(max_nat=1, max_play_len=16, max_view_len=8)
+    once = denote(parse("fun f: nat -> nat -> f 1"), b)
+    twice = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
+    fwd = brute_force_leq(once, twice, b)
+    bwd = brute_force_leq(twice, once, b)
+    assert (fwd.holds, fwd.tested, fwd.bound_exceeded) == (False, 44, 0)
+    assert (bwd.holds, bwd.tested, bwd.bound_exceeded) == (False, 128, 0)
+    assert _views(fwd.witness) == [
+        "", "R.q", "R.q L.R.q@0", "R.q R.0@0", "R.q L.R.q@0 L.L.q@1",
+        "R.q L.R.q@0 L.L.q@1 L.L.1@2", "R.q L.R.q@0 L.L.q@1 L.L.1@2 L.R.0@1"]
+    assert _views(bwd.witness) == [
+        "", "R.q", "R.q L.R.q@0", "R.q R.1@0", "R.q L.R.q@0 L.L.q@1",
+        "R.q L.R.q@0 L.L.q@1 L.L.0@2", "R.q L.R.q@0 L.L.q@1 L.L.1@2",
+        "R.q L.R.q@0 L.L.q@1 L.L.0@2 L.R.1@1",
+        "R.q L.R.q@0 L.L.q@1 L.L.1@2 L.R.0@1"]
+
+
+def test_brute_force_leq_budget(monkeypatch):
+    # bot <= top holds and runs all 4 candidates on the Sigma arena.
+    sig, top, bot = _sigma_pair()
+    b = Bounds(max_nat=1, max_play_len=6, max_view_len=4)
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 4)
+    assert brute_force_leq(bot, top, b).tested == 4
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 3)
+    with pytest.raises(OracleIncomplete) as e:
+        brute_force_leq(bot, top, b)
+    assert (e.value.tested, e.value.candidates) == (3, 4)
+    assert str(e.value) == "oracle incomplete at bounds after 3 of 4 candidate tests"
+    # A failing test found by the last test the budget allows is reported.
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 4)
+    r = brute_force_leq(top, bot, b)
+    assert not r.holds and r.tested == 4
 
 
 # ---------------------------------------------------------------- laws
