@@ -50,6 +50,9 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise _InputError(f"cannot read {path}: not UTF-8 text ({e.reason} "
+                          f"at byte {e.start})") from e
 
 
 def _load_term(path: str):

@@ -24,8 +24,9 @@ Denotation maps a typed term to an innocent strategy over the arena of
 its type: numerals answer immediately, arithmetic goes through small
 interrogation strategies, lambda is a retagging of moves, application
 pairs the function with its argument and cuts against the evaluation
-copycat, and fixpoints unfold syntactically a bounded number of times
-(the unfolding bottoms out in a strategy with no responses).
+copycat, and a fixpoint denotes its fix_depth-th approximant: the
+strategy of its body applied fix_depth times to the strategy with no
+responses.
 Arithmetic saturates at max_nat and pred 0 = 0.
 """
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .plays import ROOT, Play, subsequence
 from .strategy import (
     InnocentStrategy,
     compose,
-    from_view_table,
     mirror_strategy,
     prefix_swap,
     rename_strategy,
@@ -134,13 +134,6 @@ class Fix(Term):
 class Add(Term):
     left: Term
     right: Term
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Bottom(Term):
-    """No-response placeholder; result of exhausting the fix budget."""
-    ty: Ty
     pos: tuple = field(default=(0, 0), compare=False)
 
 
@@ -402,8 +395,6 @@ def typecheck(t: Term, ctx: tuple = ()) -> Ty:
             if sty != NAT:
                 raise PcfTypeError(f"+ on type {sty}", t.pos)
         return NAT
-    if isinstance(t, Bottom):
-        return t.ty
     raise PcfTypeError(f"unknown term {t!r}", getattr(t, "pos", (0, 0)))
 
 
@@ -433,30 +424,41 @@ def term_to_json(t: Term) -> dict:
         return {"node": "fix", "arg": term_to_json(t.t)}
     if isinstance(t, Add):
         return {"node": "add", "left": term_to_json(t.left), "right": term_to_json(t.right)}
-    if isinstance(t, Bottom):
-        return {"node": "bottom", "ty": str(t.ty)}
     raise ValueError(f"unknown term {t!r}")
 
 
 # ------------------------------------------------- primitive strategies
 
-def _nat_unop(name: str, f, max_nat: int) -> InnocentStrategy:
-    """One-question strategy on arrow(N, N): ask, then answer f(k)."""
-    n = make_nat_arena(max_nat)
-    a = arrow(n, n)
-    table = {(("R.q", ROOT),): ("L.q", 0)}
-    for k in range(max_nat + 1):
-        key = (("R.q", ROOT), ("L.q", 0), (f"L.{k}", 1))
-        table[key] = (f"R.{f(k)}", 0)
-    return from_view_table(a, name, table)
+def interrogate(arena: Arena, name: str, questions: tuple[str, ...], f) -> InnocentStrategy:
+    """Ask `questions` in turn, then answer R.{f(replies)}.
+
+    `arena` is arrow(X, N) and each question is the question of a nat
+    component of X, justified by the opening R.q.  `f` maps the numeric
+    replies, in the order asked, to the answer.  In a P-view every
+    Opponent move is justified by the move just before it, so the reply
+    to the i-th question sits right after it.
+    """
+    def view_fn(v: Play):
+        ms = v.moves
+        asked = len(ms) // 2
+        if asked > len(questions) or any(
+                ms[2 * i + 1] != (q, 0) for i, q in enumerate(questions[:asked])):
+            return None
+        if asked < len(questions):
+            return (questions[asked], 0)
+        return (f"R.{f([int(m.rsplit('.', 1)[1]) for m, _ in ms[2::2]])}", 0)
+
+    return InnocentStrategy(arena, name, view_fn=view_fn)
 
 
 def succ_strategy(max_nat: int) -> InnocentStrategy:
-    return _nat_unop("succ", lambda k: min(k + 1, max_nat), max_nat)
+    n = make_nat_arena(max_nat)
+    return interrogate(arrow(n, n), "succ", ("L.q",), lambda ks: min(ks[0] + 1, max_nat))
 
 
 def pred_strategy(max_nat: int) -> InnocentStrategy:
-    return _nat_unop("pred", lambda k: max(k - 1, 0), max_nat)
+    n = make_nat_arena(max_nat)
+    return interrogate(arrow(n, n), "pred", ("L.q",), lambda ks: max(ks[0] - 1, 0))
 
 
 def make_add(order: tuple[str, ...], max_nat: int) -> InnocentStrategy:
@@ -470,30 +472,9 @@ def make_add(order: tuple[str, ...], max_nat: int) -> InnocentStrategy:
     if not {"L", "R"} <= set(order) or set(order) - {"L", "R"}:
         raise ValueError(f"order must draw on both of L and R: {order!r}")
     n = make_nat_arena(max_nat)
-    a = arrow(product(n, n), n)
-
-    def view_fn(v: Play):
-        if v.moves[0] != ("R.q", ROOT):
-            return None
-        seen = {}
-        for step, (m, ptr) in enumerate(v.moves[1:]):
-            if step // 2 >= len(order):
-                return None
-            if step % 2 == 0:
-                want = f"L.{order[step // 2]}.q"
-                if m != want or ptr != 0:
-                    return None
-            else:
-                comp = order[step // 2]
-                if not m.startswith(f"L.{comp}.") or ptr != step:
-                    return None
-                seen[comp] = int(m.split(".")[-1])
-        asked = len(v.moves) // 2
-        if asked < len(order):
-            return (f"L.{order[asked]}.q", 0)
-        return (f"R.{min(seen['L'] + seen['R'], max_nat)}", 0)
-
-    return InnocentStrategy(a, f"add_{''.join(order)}", view_fn=view_fn)
+    return interrogate(arrow(product(n, n), n), f"add_{''.join(order)}",
+                       tuple(f"L.{c}.q" for c in order),
+                       lambda ks: min(sum(dict(zip(order, ks)).values()), max_nat))
 
 
 def builtin(name: str, max_nat: int) -> InnocentStrategy:
@@ -595,27 +576,11 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
 
 # ---------------------------------------------------------- denotation
 
-def _ctx_arena(ctx: tuple, max_nat: int) -> Arena:
-    a = make_empty()
-    for _, ty in ctx:
-        a = product(a, type_arena(ty, max_nat))
-    return a
-
-
-def _var_path(ctx: tuple, name: str) -> str:
-    """Move prefix of a variable's component inside the context arena."""
-    for rev, (nm, _) in enumerate(reversed(ctx)):
-        if nm == name:
-            return "L." * rev + "R."
-    raise ValueError(f"unbound variable {name!r}")
-
-
 def denote(t: Term, b: Bounds, rl_add: bool = False) -> InnocentStrategy:
     """Strategy of a closed well-typed term, on the arena of its type."""
-    ty = typecheck(t)
     open_strat = denote_open(t, (), b, rl_add)
-    target = type_arena(ty, b.max_nat)
-    return rename_strategy(open_strat, [("R.", "")], target, f"den[{_short(t)}]")
+    return rename_strategy(open_strat, [("R.", "")], open_strat.arena.parts[1],
+                           f"den[{_short(t)}]")
 
 
 def _short(t: Term) -> str:
@@ -628,13 +593,36 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
 
     ctx is a tuple of (name, type) pairs, innermost binding last; the
     context arena nests products to the left, so the innermost variable
-    sits under R. and each enclosing one under one more L..
+    sits under R. and each enclosing one under one more L..  The term
+    is typechecked here, once; below it every subterm's type is read
+    off the arena of its strategy.
     """
-    ca = _ctx_arena(ctx, b.max_nat)
-    ty = typecheck(t, ctx)
+    typecheck(t, ctx)
+    env = tuple((name, type_arena(ty, b.max_nat)) for name, ty in ctx)
+    ca = make_empty()
+    for _, va in env:
+        ca = product(ca, va)
+    return _denote(t, env, ca, b, rl_add)
+
+
+def _var(env: tuple, name: str) -> tuple[str, Arena]:
+    """Move prefix and arena of a variable's component of the context."""
+    rev = next(i for i, (nm, _) in enumerate(reversed(env)) if nm == name)
+    return "L." * rev + "R.", env[-1 - rev][1]
+
+
+def _apply(f: InnocentStrategy, x: InnocentStrategy, b: Bounds) -> InnocentStrategy:
+    """f : arrow(X, arrow(A, B)) applied to x : arrow(X, A)."""
+    return compose(pair_strategies(f, x), eval_strategy(f.arena.parts[1]), b, name="app")
+
+
+def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool) -> InnocentStrategy:
+    """`denote_open` of a well-typed term; env pairs each variable in
+    scope with its arena, innermost last, and ca is their product."""
+    def den(u: Term) -> InnocentStrategy:
+        return _denote(u, env, ca, b, rl_add)
 
     if isinstance(t, Num):
-        target = arrow(ca, make_nat_arena(b.max_nat))
         k = min(t.n, b.max_nat)
 
         def const_view(v: Play):
@@ -642,102 +630,55 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
                 return (f"R.{k}", 0)
             return None
 
-        return InnocentStrategy(target, f"num[{k}]", view_fn=const_view)
-
-    if isinstance(t, Bottom):
-        target = arrow(ca, type_arena(t.ty, b.max_nat))
-        return InnocentStrategy(target, "bottom", view_fn=lambda v: None)
+        return InnocentStrategy(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]",
+                                view_fn=const_view)
 
     if isinstance(t, Var):
-        va = type_arena(ty, b.max_nat)
-        target = arrow(ca, va)
-        path = "L." + _var_path(ctx, t.name)
-        swap = prefix_swap([(path, "R.")])
-        return mirror_strategy(target, swap, f"var[{t.name}]")
+        path, va = _var(env, t.name)
+        return mirror_strategy(arrow(ca, va), prefix_swap([("L." + path, "R.")]),
+                               f"var[{t.name}]")
 
     if isinstance(t, Lam):
-        inner = denote_open(t.body, ctx + ((t.var, t.ty),), b, rl_add)
-        res_ty = typecheck(t.body, ctx + ((t.var, t.ty),))
-        target = arrow(ca, arrow(type_arena(t.ty, b.max_nat),
-                                 type_arena(res_ty, b.max_nat)))
+        va = type_arena(t.ty, b.max_nat)
+        inner = _denote(t.body, env + ((t.var, va),), product(ca, va), b, rl_add)
+        target = arrow(ca, arrow(va, inner.arena.parts[1]))
         pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
         return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
 
     if isinstance(t, App):
-        fty = typecheck(t.fn, ctx)
-        df = denote_open(t.fn, ctx, b, rl_add)
-        dg = denote_open(t.arg, ctx, b, rl_add)
-        ev = eval_strategy(type_arena(fty, b.max_nat))
-        return compose(pair_strategies(df, dg), ev, b, name="app")
+        return _apply(den(t.fn), den(t.arg), b)
 
-    if isinstance(t, Succ):
-        return compose(denote_open(t.t, ctx, b, rl_add), succ_strategy(b.max_nat), b,
-                       name="succ")
-
-    if isinstance(t, Pred):
-        return compose(denote_open(t.t, ctx, b, rl_add), pred_strategy(b.max_nat), b,
-                       name="pred")
+    if isinstance(t, (Succ, Pred)):
+        prim = (succ_strategy if isinstance(t, Succ) else pred_strategy)(b.max_nat)
+        return compose(den(t.t), prim, b, name=prim.name)
 
     if isinstance(t, Ifz):
-        dc = denote_open(t.cond, ctx, b, rl_add)
-        dt = denote_open(t.then, ctx, b, rl_add)
-        de = denote_open(t.els, ctx, b, rl_add)
-        prim = ifz_strategy(type_arena(ty, b.max_nat), b.max_nat)
-        return compose(pair_strategies(dc, pair_strategies(dt, de)), prim, b,
+        dt = den(t.then)
+        prim = ifz_strategy(dt.arena.parts[1], b.max_nat)
+        return compose(pair_strategies(den(t.cond), pair_strategies(dt, den(t.els))), prim, b,
                        name="ifz")
 
     if isinstance(t, Fix):
-        fty = typecheck(t.t, ctx)
-        unrolled: Term = Bottom(fty.res, t.pos)
+        # the fix_depth-th approximant: the body applied that many
+        # times to the strategy with no responses
+        body = den(t.t)
+        approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
+                                  view_fn=lambda v: None)
         for _ in range(b.fix_depth):
-            unrolled = App(t.t, unrolled, t.pos)
-        return denote_open(unrolled, ctx, b, rl_add)
+            approx = _apply(body, approx, b)
+        return approx
 
     if isinstance(t, Add):
         first, second = (t.right, t.left) if rl_add else (t.left, t.right)
-        if isinstance(t.left, Var) and isinstance(t.right, Var):
-            return _add_of_vars(ctx, first.name, second.name, ca, b)
-        order = ("R", "L") if rl_add else ("L", "R")
-        prim = make_add(order, b.max_nat)
-        dl = denote_open(t.left, ctx, b, rl_add)
-        dr = denote_open(t.right, ctx, b, rl_add)
-        return compose(pair_strategies(dl, dr), prim, b, name="add")
+        if isinstance(first, Var) and isinstance(second, Var):
+            # Ask the context directly, not through compose: no hidden
+            # moves count against max_play_len, and a curried sum is
+            # move-for-move the classic interrogation strategy.
+            qs = tuple("L." + _var(env, v.name)[0] + "q" for v in (first, second))
+            return interrogate(arrow(ca, make_nat_arena(b.max_nat)),
+                               f"add_vars[{first.name},{second.name}]", qs,
+                               lambda ks: min(sum(ks), b.max_nat))
+        prim = make_add(("R", "L") if rl_add else ("L", "R"), b.max_nat)
+        return compose(pair_strategies(den(t.left), den(t.right)), prim, b, name="add")
 
     raise ValueError(f"cannot denote {t!r}")
-
-
-def _add_of_vars(ctx: tuple, first: str, second: str, ca: Arena, b: Bounds) -> InnocentStrategy:
-    """Sum of two variables, by direct interrogation of the context.
-
-    Kept separate from the compose route so the denotation of a curried
-    sum is move-for-move the classic interrogation strategy, with no
-    hidden traffic.
-    """
-    target = arrow(ca, make_nat_arena(b.max_nat))
-    q1 = "L." + _var_path(ctx, first) + "q"
-    q2 = "L." + _var_path(ctx, second) + "q"
-    p1 = q1[:-1]
-    p2 = q2[:-1]
-
-    def view_fn(v: Play):
-        ms = v.moves
-        if ms[0] != ("R.q", ROOT):
-            return None
-        if len(ms) == 1:
-            return (q1, 0)
-        if ms[1] != (q1, 0):
-            return None
-        if len(ms) == 3:
-            m, ptr = ms[2]
-            if ptr == 1 and m.startswith(p1):
-                return (q2, 0)
-            return None
-        if (len(ms) == 5 and ms[3] == (q2, 0)
-                and ms[2][1] == 1 and ms[2][0].startswith(p1)
-                and ms[4][1] == 3 and ms[4][0].startswith(p2)):
-            k1 = int(ms[2][0].rsplit(".", 1)[-1])
-            k2 = int(ms[4][0].rsplit(".", 1)[-1])
-            return (f"R.{min(k1 + k2, b.max_nat)}", 0)
-        return None
-
-    return InnocentStrategy(target, f"add_vars[{first},{second}]", view_fn=view_fn)

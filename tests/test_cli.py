@@ -221,6 +221,17 @@ def test_bad_view_set_file_exits_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_non_utf8_input_exits_2(tmp_path):
+    ok = write(tmp_path, "ok.pcf", "0\n")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe0\n")
+    for args in (("parse", str(bad)), ("test", ok, "--set", str(bad))):
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert r.stderr == (f"error: cannot read {bad}: "
+                            "not UTF-8 text (invalid start byte at byte 0)\n")
+
+
 def test_laws_exit_0():
     r = run_cli("laws", "--max-nat", "2")
     assert r.returncode == 0

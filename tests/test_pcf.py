@@ -16,6 +16,7 @@ from gamesem.pcf import (
     Var,
     builtin,
     denote,
+    make_add,
     parse,
     parse_type,
     pragmas,
@@ -197,6 +198,16 @@ def test_fix_computes_recursive_zero():
     assert _value(src, b) == 0
 
 
+@pytest.mark.parametrize("fix_depth", [2, 3])
+def test_fix_unrolls_fix_depth_times(fix_depth):
+    # The k-th call recurses k times, so it answers exactly when the
+    # fix_depth-th approximant reaches its base case.
+    b = Bounds(max_nat=3, max_play_len=80, fix_depth=fix_depth)
+    body = "fun f: nat -> nat -> fun x: nat -> ifz x then 0 else succ (f (pred x))"
+    got = [_value(f"(fix ({body})) {k}", b) for k in range(4)]
+    assert got == [k if k < fix_depth else None for k in range(4)]
+
+
 def test_denoted_arena_follows_the_type():
     b = Bounds(max_nat=2)
     d = denote(parse("fun x: nat -> x"), b)
@@ -246,3 +257,10 @@ def test_builtin_add_orders():
     assert builtin("add_RL", 2).respond(opening) == ("L.R.q", 0)
     with pytest.raises(ValueError):
         builtin("no_such", 2)
+
+
+def test_repeated_question_sums_the_latest_answer():
+    add = make_add(("L", "L", "R"), 3)
+    view = Play(add.arena, (("R.q", ROOT), ("L.L.q", 0), ("L.L.1", 1), ("L.L.q", 0),
+                            ("L.L.2", 3), ("L.R.q", 0), ("L.R.1", 5)))
+    assert add.respond(view) == ("R.3", 0)
