@@ -12,17 +12,21 @@ reported on one stderr line.  A disagreement the bounds explain adds
 obs_equiv verdict.
 
 All output is canonical JSON: keys sorted, two-space indent, stable
-element ordering, so repeated runs are byte-identical.
+element ordering, so repeated runs are byte-identical.  One encoder,
+`_encode`, writes it for every subcommand; its bytes are those of
+`json.dumps(doc, indent=2, sort_keys=True)`, which on Python 3.13 and
+older runs the stdlib's pure-Python encoder once it is given an indent.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _str
 
 from .bounds import Bounds
 from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
-from .observation import ODetSet, observations, run_test
+from .observation import ODetSet, observations, play_key, run_test
 from .pcf import PcfError, denote, parse, pragmas, term_to_json, typecheck
 from .plays import is_complete
 from .strategy import InconsistentPlay, StrategyError, explore, tabulation_to_json
@@ -41,7 +45,44 @@ def _bounds(ns) -> Bounds:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_encode(doc, 0, {}) + "\n")
+
+
+_LEAF_TYPES = frozenset((str, int))
+
+
+def _encode(o, depth: int, memo: dict) -> str:
+    """`json.dumps(o, indent=2, sort_keys=True)` at nesting `depth`, byte
+    for byte, for dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else raises TypeError.  `memo` maps (depth, items) of
+    a dict whose values are all str or exact int to its text, so a move
+    repeated through a document is written once per depth.  A bool is
+    kept out of it: True == 1, so it would share 1's entry."""
+    if isinstance(o, dict):
+        key = None
+        if _LEAF_TYPES.issuperset(map(type, o.values())):
+            key = (depth, *o.items())
+            text = memo.get(key)
+            if text is not None:
+                return text
+        inner = "\n" + "  " * (depth + 1)
+        text = ("{" + inner + ("," + inner).join([_str(k) + ": " + _encode(v, depth + 1, memo)
+                                                   for k, v in sorted(o.items())])
+                + inner[:-2] + "}") if o else "{}"
+        if key is not None:
+            memo[key] = text
+        return text
+    if isinstance(o, str):
+        return _str(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    inner = "\n" + "  " * (depth + 1)
+    return ("[" + inner + ("," + inner).join([_encode(v, depth + 1, memo) for v in o])
+            + inner[:-2] + "]") if o else "[]"
 
 
 def _read(path: str) -> str:
@@ -93,7 +134,7 @@ def cmd_traces(ns) -> int:
     b = _bounds(ns)
     sigma, _ = _denote_file(ns.file, b)
     tr = explore(sigma, b)
-    plays = sorted(tr.plays, key=lambda p: (len(p.moves), p.moves))
+    plays = sorted(tr.plays, key=play_key)
     if ns.complete_only:
         plays = [p for p in plays if is_complete(p)]
     _emit({

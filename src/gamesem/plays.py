@@ -287,21 +287,24 @@ def enumerate_plays(arena: Arena, max_len: int, single_threaded: bool = False) -
     return out
 
 
-def legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:
+def legal_extensions(s: Play, single_threaded: bool = False, *,
+                     view: tuple[int, ...] | None = None) -> list[Play]:
     """All one-move legal extensions of s, which must be a legal play.
 
-    The precondition is not checked.  The mover's view of s is read once
-    off `prefix_views`; a candidate is an initial move (unless
-    `single_threaded` and the play has begun) or a move of the mover
-    enabled by an occurrence inside that view.  Each is legal by
+    The precondition is not checked.  The mover's view of s (its
+    positions, as `prefix_views` yields them) is `view` when given and
+    is otherwise read off `prefix_views`; a candidate is an initial move
+    (unless `single_threaded` and the play has begun) or a move of the
+    mover enabled by an occurrence inside that view.  Each is legal by
     construction, so none is checked.  Order: moves sorted, each with
     ROOT first and then its justifiers ascending.
     """
     arena = s.arena
     polarity = arena.polarity
     mover = "O" if len(s.moves) % 2 == 0 else "P"
-    *_, (pv, ov) = prefix_views(s)
-    view = pv if mover == "P" else ov
+    if view is None:
+        *_, (pv, ov) = prefix_views(s)
+        view = pv if mover == "P" else ov
     may_open = not (single_threaded and s.moves)
     out = []
     for m in sorted(arena.moves):

@@ -126,13 +126,14 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
     sigma's response.  Positions where the response computation hit an
     interaction bound are counted, not silently dropped.
 
-    No play is checked: `legal_extensions` builds legal plays, and each
-    stacked play carries the P- and O-view positions of its prefixes,
-    one entry per move by the incremental view definition, so sigma is
-    asked through `_answer`.  With `o_innocent_only` it also carries
-    the O-innocence map of its Opponent moves (O-view -> move and
-    pointer); a candidate whose O-view is mapped to another move is
-    pruned, which is `is_o_innocent` one move at a time.
+    No play is checked: each stacked play carries the P- and O-view
+    positions of its prefixes, one entry per move by the incremental
+    view definition, so `legal_extensions` builds its legal extensions
+    from the O-view it is handed and sigma is asked through `_answer`.
+    With `o_innocent_only` it also carries the O-innocence map of its
+    Opponent moves (O-view -> move and pointer); a candidate whose
+    O-view is mapped to another move is pruned, which is
+    `is_o_innocent` one move at a time.
     """
     empty = Play(sigma.arena)
     result = {empty}
@@ -146,7 +147,7 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
             continue
         ov = ovs[i]
         okey = subsequence(s, ov).moves if o_innocent_only else None
-        for so in legal_extensions(s, single_threaded=single_threaded_only):
+        for so in legal_extensions(s, single_threaded=single_threaded_only, view=ov):
             o, j = so.last
             if o_innocent_only:
                 oval = (o, ROOT if j == ROOT else ov.index(j))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesem import cli, equiv
 from gamesem.arena import make_nat_arena
@@ -345,6 +347,78 @@ def test_golden_stdout(tmp_path, args, code, digest):
     r = run_cli(*argv)
     assert r.returncode == code, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+# Every subcommand writes canonical JSON: what the stdlib writes for the
+# parsed document with the same indent and key order.  This covers the
+# subcommands and flags that no digest above pins.
+ROUND_TRIP = [
+    pytest.param(("parse", "hof.pcf"), id="parse"),
+    pytest.param(("denote", "add.pcf", "--max-nat", "1"), id="denote"),
+    pytest.param(("traces", "add.pcf", "--max-nat", "1"), id="traces"),
+    pytest.param(("traces", "add.pcf", "--max-nat", "1", "--complete-only"),
+                 id="traces --complete-only"),
+    pytest.param(("obs", "hof.pcf", "--max-nat", "1"), id="obs"),
+    pytest.param(("equiv", "add.pcf", "add_flip.pcf", "--max-nat", "1"), id="equiv"),
+    pytest.param(("equiv", "add.pcf", "add_flip.pcf", "--oracle", "--max-nat", "1",
+                  "--max-view-len", "4"), id="equiv --oracle"),
+    pytest.param(("test", "one.pcf", "--set", "one.json", "--max-nat", "2"), id="test --set"),
+    pytest.param(("laws", "--max-nat", "1"), id="laws"),
+]
+
+
+@pytest.mark.parametrize("args", ROUND_TRIP)
+def test_stdout_is_canonical_json(tmp_path, capsys, args):
+    for name, text in {**GOLDEN_TERMS, "one.pcf": "succ 0\n"}.items():
+        write(tmp_path, name, text)
+    _set_file(tmp_path, "one.json", 2, 1)
+    argv = [str(tmp_path / a) if a.endswith((".pcf", ".json")) else a for a in args]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# The CLI's encoder against the stdlib's.  Text with quotes,
+# backslashes, control, non-ASCII and lone surrogate characters;
+# negative and large ints; bools beside the ints they equal; empty
+# containers at any depth.  Leaf dicts come from a pool of three, so one
+# recurs at one depth or at several, and {"a": 1} meets {"a": True}.
+_TEXT = st.one_of(
+    st.sampled_from(["a", "m", "ptr", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
+                     "\u2028", "\ud800", "\U0001f600"]),
+    st.text(max_size=6))
+_LEAVES = st.one_of(_TEXT, st.integers(-2, 2), st.integers(),
+                    st.sampled_from([-(2 ** 64), 2 ** 100]), st.booleans(), st.none(),
+                    st.sampled_from([{"a": 1}, {"a": True}, {"a": "1", "m": 0}]))
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda c: st.lists(c, max_size=4) | st.dictionaries(_TEXT, c, max_size=4),
+    max_leaves=40)
+
+
+def canonical(doc) -> str:
+    return cli._encode(doc, 0, {})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_encoder_matches_json_dumps(doc):
+    assert canonical(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_encoder_keeps_bools_and_depths_apart():
+    leaf = {"m": "R.q", "ptr": -1}
+    for doc in ([{"a": 1}, {"a": True}, {"a": 1}],
+                {"x": leaf, "y": [leaf, [leaf]]},
+                (1, [()], {"t": ((),)})):
+        assert canonical(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, {1: "a"}, {"a": [float("nan")]}, {"a"}, b"a"],
+                         ids=["float", "int key", "nested float", "set", "bytes"])
+def test_encoder_rejects_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        canonical(doc)
 
 
 def test_help_lists_subcommands():

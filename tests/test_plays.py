@@ -145,6 +145,18 @@ def test_legal_extensions_match_generate_then_check(arena, single_threaded):
         assert legal_extensions(s, single_threaded) == ref_legal_extensions(s, single_threaded)
 
 
+@pytest.mark.parametrize("single_threaded", [False, True])
+@pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
+def test_legal_extensions_from_a_given_view(arena, single_threaded):
+    # `explore` hands over the mover's view it carries; the extensions
+    # must be those read off the play itself.
+    for s in enumerate_plays(arena, 7, single_threaded=single_threaded):
+        mover = "O" if len(s.moves) % 2 == 0 else "P"
+        view = tuple(walk_view_positions(arena, s.moves, mover))
+        assert (legal_extensions(s, single_threaded, view=view)
+                == legal_extensions(s, single_threaded))
+
+
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
 def test_prefix_views_match_backward_walk(arena):
     for s in enumerate_plays(arena, 7):
