@@ -7,7 +7,11 @@ strategy's observation: a set of view-sets.  Each view-set is
 O-deterministic, and such sets double as tests: an O-deterministic set
 induces a probing strategy that walks the recorded views against the
 strategy under test and reports success on an auxiliary one-question
-arena.
+arena (`induced_test`, the paper's construction).  `run_test` gives
+the verdict of that composite without building it: the set is read as
+an Opponent, a table from O-views to the next Opponent move, and one
+play over the strategy's own arena alternates that Opponent with the
+strategy, carrying both views forward one move at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arena import Arena, arrow, make_empty, make_sigma
+from .arena import Arena, arrow, make_sigma
 from .bounds import Bounds
 from .plays import (
     ROOT,
@@ -32,8 +36,7 @@ from .plays import (
 from .strategy import (
     BoundExceeded,
     InnocentStrategy,
-    as_thunk,
-    compose,
+    StrategyError,
     explore,
     from_view_table,
 )
@@ -92,6 +95,10 @@ def is_o_deterministic(arena: Arena, views: frozenset[Play]) -> bool:
     return odet_violation(arena, views) is None
 
 
+# The test's entry at a complete element: the test succeeds there.
+_SUCCEED = "succeed"
+
+
 @dataclass(frozen=True)
 class ODetSet:
     """A prefix-closed, O-deterministic set of O-views over one arena."""
@@ -108,6 +115,33 @@ class ODetSet:
         if bad is not None:
             raise ValueError(f"not an O-deterministic view-set: {bad}")
         return cls(arena, closed)
+
+    @cached_property
+    def _table(self) -> dict[tuple, object]:
+        """The Opponent the set defines, as a view function over A.
+
+        Maps the moves of an O-view to the set's next Opponent move
+        there (move, pointer into the view or ROOT), or to _SUCCEED
+        where the view is a complete element.  Only the views that key
+        the table must be single-threaded: the body of an odd-length
+        element and a complete element.  O-determinacy of the set is
+        exactly what makes the table single-valued.  Built once, for
+        every strategy the set tests.
+        """
+        table: dict[tuple, object] = {}
+
+        def put(key: Play, entry):
+            if not is_single_threaded(key):
+                raise ValueError("only single-threaded plays lift to tests")
+            if table.setdefault(key.moves, entry) != entry:
+                raise ValueError("ill-formed test: a view is answered two ways")
+
+        for v in self.views:
+            if len(v.moves) % 2 == 1:
+                put(v.prefix(len(v.moves) - 1), v.moves[-1])
+            elif v.moves and is_complete(v):
+                put(v, _SUCCEED)
+        return table
 
     @cached_property
     def initial(self):
@@ -155,25 +189,18 @@ def induced_test(s: ODetSet) -> InnocentStrategy:
     Over arrow(A, Sigma): once the Sigma question is asked, replay the
     recorded Opponent moves of A on the left; whenever the replay
     completes one of the set's complete elements, answer the Sigma
-    question instead.  O-determinacy of the set is exactly what makes
-    the table below single-valued.
+    question instead.  This is the set's `_table` lifted onto the test
+    arena; `run_test` plays the table directly.
     """
     test_arena = arrow(s.arena, make_sigma())
     table: dict[tuple, tuple[str, int]] = {}
-
-    def put(key: Play, resp: tuple[str, int]):
-        if key.moves in table and table[key.moves] != resp:
-            raise ValueError("ill-formed test: a view is answered two ways")
-        table[key.moves] = resp
-
-    for v in s.views:
-        if len(v.moves) % 2 == 1:
-            body = lift_to_test(v.prefix(len(v.moves) - 1), s.arena, test_arena)
-            m, ptr = v.moves[-1]
-            put(body, ("L." + m, 0 if ptr == ROOT else ptr + 1))
-        elif v.moves and is_complete(v):
-            put(lift_to_test(v, s.arena, test_arena), ("R.a", 0))
-
+    for key, entry in s._table.items():
+        lifted = lift_to_test(Play(s.arena, key), s.arena, test_arena).moves
+        if entry is _SUCCEED:
+            table[lifted] = ("R.a", 0)
+        else:
+            m, ptr = entry
+            table[lifted] = ("L." + m, 0 if ptr == ROOT else ptr + 1)
     name = f"test[{len(s.views)} views on {s.arena.name}]"
     return from_view_table(test_arena, name, table)
 
@@ -185,16 +212,68 @@ class TestVerdict(enum.Enum):
 
 
 def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
-    """Compose sigma with the test for s and see if the probe succeeds."""
+    """Play sigma against the Opponent s defines; TOP if the test succeeds.
+
+    The same verdict as composing sigma (as a thunk) with
+    `induced_test(s)` and asking the composite the Sigma question, but
+    played as one play over A: the Opponent move is looked up by the
+    play's O-view, sigma answers from its P-view, and the test succeeds
+    when the O-view is a complete element of s.  Both views are carried
+    forward one move at a time, as `explore` carries them.  As in the
+    composite, the Sigma question and answer count against
+    b.max_play_len with the moves of A, so a reply that would take the
+    interaction past the cap gives BOUND_EXCEEDED; so does a bound hit
+    inside sigma.  An Opponent move A does not allow raises
+    StrategyError when it is due to be played.
+    """
     if s.arena != sigma.arena:
         raise ValueError("view-set and strategy live on different arenas")
-    probe = compose(as_thunk(sigma), induced_test(s), b)
-    opening = Play(probe.arena, (("R.q", ROOT),))
-    try:
-        r = probe.respond(opening)
-    except BoundExceeded:
-        return TestVerdict.BOUND_EXCEEDED
-    return TestVerdict.TOP if r is not None else TestVerdict.BOT
+    table = s._table
+    arena = s.arena
+    # The composite's interaction holds the Sigma question, the moves of
+    # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
+    cap = b.max_play_len - 2
+    play = Play(arena)
+    # P-views and O-views of the play's prefixes, by length
+    pvs: list[tuple[int, ...]] = [()]
+    ovs: list[tuple[int, ...]] = [()]
+    while True:
+        i = len(play.moves)
+        ov = ovs[i]
+        entry = table.get(subsequence(play, ov).moves)
+        if entry is None:
+            return TestVerdict.BOT
+        if entry is _SUCCEED:
+            return TestVerdict.BOUND_EXCEEDED if i > cap else TestVerdict.TOP
+        o, ptr = entry
+        if ptr == ROOT:
+            j, enabled = ROOT, arena.is_initial(o)
+        else:
+            j = ov[ptr] if 0 <= ptr < len(ov) else None
+            enabled = j is not None and arena.enables(play.moves[j][0], o)
+        if arena.polarity.get(o) != "O" or not enabled:
+            raise StrategyError(f"{s!r}: {o!r} is not an Opponent move "
+                                f"enabled in the O-view")
+        if i > cap:
+            return TestVerdict.BOUND_EXCEEDED
+        play = play.extend(o, j)
+        # pview(s.o) = pview(s<=j).o; s<=ROOT is the empty prefix
+        pv = pvs[j + 1] + (i,)
+        pvs.append(pv)
+        ovs.append(ov + (i,))
+        try:
+            r = sigma._answer(play, pv)
+        except BoundExceeded:
+            return TestVerdict.BOUND_EXCEEDED
+        if r is None:
+            return TestVerdict.BOT
+        if i + 1 > cap:
+            return TestVerdict.BOUND_EXCEEDED
+        play = play.extend(*r)
+        # oview(s.o.p) = oview(s<q).q.p for the reply p justified at q
+        q = r[1]
+        pvs.append(pv + (i + 1,))
+        ovs.append(ovs[q] + (q, i + 1))
 
 
 @dataclass(frozen=True)

@@ -602,7 +602,7 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
     ca = make_empty()
     for _, va in env:
         ca = product(ca, va)
-    return _denote(t, env, ca, b, rl_add)
+    return _denote(t, env, ca, b, rl_add, {})
 
 
 def _var(env: tuple, name: str) -> tuple[str, Arena]:
@@ -611,16 +611,27 @@ def _var(env: tuple, name: str) -> tuple[str, Arena]:
     return "L." * rev + "R.", env[-1 - rev][1]
 
 
-def _apply(f: InnocentStrategy, x: InnocentStrategy, b: Bounds) -> InnocentStrategy:
-    """f : arrow(X, arrow(A, B)) applied to x : arrow(X, A)."""
-    return compose(pair_strategies(f, x), eval_strategy(f.arena.parts[1]), b, name="app")
+def _apply(f: InnocentStrategy, x: InnocentStrategy, b: Bounds,
+           evals: dict[Arena, InnocentStrategy]) -> InnocentStrategy:
+    """f : arrow(X, arrow(A, B)) applied to x : arrow(X, A).
+
+    `evals` holds one eval strategy per function arena: a mirror node
+    holds no state, so every application at one type shares it (each
+    approximant of a `fix`, say).
+    """
+    fn_arena = f.arena.parts[1]
+    if fn_arena not in evals:
+        evals[fn_arena] = eval_strategy(fn_arena)
+    return compose(pair_strategies(f, x), evals[fn_arena], b, name="app")
 
 
-def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool) -> InnocentStrategy:
+def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
+            evals: dict[Arena, InnocentStrategy]) -> InnocentStrategy:
     """`denote_open` of a well-typed term; env pairs each variable in
-    scope with its arena, innermost last, and ca is their product."""
+    scope with its arena, innermost last, and ca is their product.
+    `evals` is `_apply`'s, one per term denoted."""
     def den(u: Term) -> InnocentStrategy:
-        return _denote(u, env, ca, b, rl_add)
+        return _denote(u, env, ca, b, rl_add, evals)
 
     if isinstance(t, Num):
         k = min(t.n, b.max_nat)
@@ -640,13 +651,13 @@ def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool) -> Innocent
 
     if isinstance(t, Lam):
         va = type_arena(t.ty, b.max_nat)
-        inner = _denote(t.body, env + ((t.var, va),), product(ca, va), b, rl_add)
+        inner = _denote(t.body, env + ((t.var, va),), product(ca, va), b, rl_add, evals)
         target = arrow(ca, arrow(va, inner.arena.parts[1]))
         pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
         return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
 
     if isinstance(t, App):
-        return _apply(den(t.fn), den(t.arg), b)
+        return _apply(den(t.fn), den(t.arg), b, evals)
 
     if isinstance(t, (Succ, Pred)):
         prim = (succ_strategy if isinstance(t, Succ) else pred_strategy)(b.max_nat)
@@ -665,7 +676,7 @@ def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool) -> Innocent
         approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
                                   view_fn=lambda v: None)
         for _ in range(b.fix_depth):
-            approx = _apply(body, approx, b)
+            approx = _apply(body, approx, b, evals)
         return approx
 
     if isinstance(t, Add):

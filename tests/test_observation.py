@@ -1,9 +1,13 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from gamesem.arena import arrow, make_nat_arena, make_sigma
 from gamesem.bounds import Bounds
+from gamesem.corpus import PAIRS, build_pair
+from gamesem.equiv import closed_odet_sets
 from gamesem.observation import (
     ODetSet,
     ObservationalStrategy,
@@ -20,7 +24,14 @@ from gamesem.observation import (
 from gamesem.observation import TestVerdict as Verdict
 from gamesem.pcf import builtin, denote, parse
 from gamesem.plays import ROOT, Play, is_complete
-from gamesem.strategy import InnocentStrategy, traces
+from gamesem.strategy import (
+    BoundExceeded,
+    InnocentStrategy,
+    StrategyError,
+    as_thunk,
+    compose,
+    traces,
+)
 
 N2 = make_nat_arena(2)
 ARROW = arrow(N2, N2)
@@ -239,3 +250,82 @@ def test_top_like_strategy_absorbs_every_test():
     b = Bounds(max_nat=1, max_play_len=6, max_view_len=4)
     s = ODetSet.make(sig, [P(sig, ("q", ROOT), ("a", 0))])
     assert run_test(top, s, b) is Verdict.TOP
+
+
+def _composite_verdict(sigma, s, b):
+    """run_test's verdict the long way: the thunk of sigma composed with
+    the induced test, asked the Sigma question."""
+    probe = compose(as_thunk(sigma), induced_test(s), b)
+    try:
+        r = probe.respond(Play(probe.arena, (("R.q", ROOT),)))
+    except BoundExceeded:
+        return Verdict.BOUND_EXCEEDED
+    return Verdict.TOP if r is not None else Verdict.BOT
+
+
+def _cross_check_cases():
+    for p in PAIRS:
+        for k in (p.bounds.max_play_len, 2, 3, 4, 5):
+            q = replace(p, bounds=replace(p.bounds, max_play_len=k))
+            yield from zip(build_pair(q), (q.bounds,) * 2)
+    b = Bounds(max_nat=1, max_play_len=16, max_view_len=6)
+    for body in ("f 1", "f (f 1)", "f (f (f 1))"):
+        yield denote(parse(f"fun f: nat -> nat -> {body}"), b), b
+
+
+def test_run_test_agrees_with_the_composite_on_every_candidate():
+    seen = Counter()
+    for sigma, b in _cross_check_cases():
+        for vs in closed_odet_sets(sigma.arena, b.max_view_len):
+            s = ODetSet(sigma.arena, vs)
+            got = run_test(sigma, s, b)
+            assert got is _composite_verdict(sigma, s, b), (sigma.name, b, s)
+            seen[got] += 1
+    assert seen[Verdict.BOUND_EXCEEDED] > 0 and seen[Verdict.TOP] > 0
+
+
+# Raw sets (the dataclass constructor skips `make`'s checks) over the
+# identity on N1: each fails, or not, where the composite with its
+# induced test fails, and only once the bad entry is due to be played.
+_ID = "fun x: nat -> x"
+_Q = ("R.q", ROOT)
+_ASKED = [_Q, ("L.q", 0)]
+
+
+def _raw(arena, *views):
+    return ODetSet(arena, frozenset(Play(arena, tuple(v)) for v in views))
+
+
+@pytest.mark.parametrize("views, outcome", [
+    # the argument's answer pointing at the opening question
+    ([[], [_Q], _ASKED, _ASKED + [("L.1", 0)]], StrategyError),
+    # a pointer past the end of the O-view
+    ([[], [_Q], _ASKED, _ASKED + [("L.1", 5)]], StrategyError),
+    # a non-initial move with no justifier
+    ([[], [_Q], _ASKED, _ASKED + [("L.1", ROOT)]], StrategyError),
+    # a move the arena does not have
+    ([[], [_Q], _ASKED, _ASKED + [("L.7", 1)]], StrategyError),
+    # a Proponent move played as Opponent's
+    ([[], [_Q], _ASKED, _ASKED + [("R.1", 0)]], StrategyError),
+    # a complete element extended by an Opponent move
+    ([[], [_Q], _ASKED, _ASKED + [("L.1", 1)], _ASKED + [("L.1", 1), ("R.1", 0)],
+      _ASKED + [("L.1", 1), ("R.1", 0), _Q]], ValueError),
+    # a complete element with two threads
+    ([[], [_Q], [_Q, ("R.0", 0), _Q, ("R.0", 2)]], ValueError),
+    # a Proponent move as Opponent's, after a view the identity never shows
+    ([[], [_Q], _ASKED, _ASKED + [("L.0", 1)], _ASKED + [("L.0", 1), ("L.q", 0)],
+      _ASKED + [("L.0", 1), ("L.q", 0), ("R.1", 0)]], Verdict.BOT),
+    # a second thread: its O-view keys nothing, so the test never answers
+    ([[], [_Q], _ASKED, _ASKED + [_Q]], Verdict.BOT),
+])
+def test_run_test_on_malformed_sets(views, outcome):
+    b = Bounds(max_nat=1, max_play_len=10)
+    sigma = denote(parse(_ID), b)
+    s = _raw(sigma.arena, *views)
+    if isinstance(outcome, Verdict):
+        assert run_test(sigma, s, b) is outcome
+        assert _composite_verdict(sigma, s, b) is outcome
+    else:
+        for route in (run_test, _composite_verdict):
+            with pytest.raises(outcome):
+                route(sigma, s, b)
