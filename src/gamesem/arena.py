@@ -81,6 +81,10 @@ class Arena:
         return {m: lab.polarity for m, lab in self.labels}
 
     @cached_property
+    def questions(self) -> frozenset[str]:
+        return frozenset(m for m, lab in self.labels if lab.is_question)
+
+    @cached_property
     def moves(self) -> frozenset[str]:
         return frozenset(m for m, _ in self.labels)
 
@@ -233,14 +237,3 @@ def arrow(a: Arena, b: Arena) -> Arena:
         parts=(a, b),
     )
 
-
-def rename_arena(arena: Arena, rename, name: str, kind: str = "renamed") -> Arena:
-    """Arena with every move id passed through `rename` (a bijection)."""
-    labels = tuple(sorted(((rename(m), lab) for m, lab in arena.labels),
-                          key=lambda x: x[0]))
-    enabling = tuple(sorted((rename(a), rename(b)) for a, b in arena.enabling))
-    initials = frozenset(rename(m) for m in arena.initials)
-    out = Arena(labels, enabling, initials, name=name, kind=kind)
-    if len(out.moves) != len(arena.moves):
-        raise ValueError("rename is not injective on moves")
-    return out

@@ -24,7 +24,7 @@ def proj_strategy(side: str, max_nat: int) -> InnocentStrategy:
         raise ValueError(side)
     n = make_nat_arena(max_nat)
     a = arrow(product(n, n), n)
-    return mirror_strategy(a, prefix_swap([(f"L.{side}.", "R.")]), f"proj_{side}")
+    return mirror_strategy(a, prefix_swap([(f"L.{side}.", "R.")], a.moves), f"proj_{side}")
 
 
 def applier(max_nat: int) -> InnocentStrategy:

@@ -28,7 +28,6 @@ from .plays import (
     is_single_threaded,
     is_well_bracketed,
     legality_violation,
-    lift_to_test,
     prefix_views,
     prefixes,
     subsequence,
@@ -195,7 +194,10 @@ def induced_test(s: ODetSet) -> InnocentStrategy:
     test_arena = arrow(s.arena, make_sigma())
     table: dict[tuple, tuple[str, int]] = {}
     for key, entry in s._table.items():
-        lifted = lift_to_test(Play(s.arena, key), s.arena, test_arena).moves
+        # the Sigma question opens; A-moves shift one place right, and
+        # the A-initial now points at that question
+        lifted = (("R.q", ROOT),) + tuple(("L." + m, 0 if ptr == ROOT else ptr + 1)
+                                          for m, ptr in key)
         if entry is _SUCCEED:
             table[lifted] = ("R.a", 0)
         else:

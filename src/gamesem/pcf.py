@@ -493,7 +493,7 @@ def eval_strategy(fn_arena: Arena) -> InnocentStrategy:
     """
     pair = product(fn_arena, fn_arena.parts[0])
     a = arrow(pair, fn_arena.parts[1])
-    swap = prefix_swap([("R.", "L.L.R."), ("L.L.L.", "L.R.")])
+    swap = prefix_swap([("R.", "L.L.R."), ("L.L.L.", "L.R.")], a.moves)
     return mirror_strategy(a, swap, "eval")
 
 
@@ -505,6 +505,8 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
     """
     n = make_nat_arena(max_nat)
     a = arrow(product(n, product(res_arena, res_arena)), res_arena)
+    # the outer T against each branch copy
+    swaps = {b: prefix_swap([("R.", b)], a.moves) for b in ("L.R.L.", "L.R.R.")}
 
     def view_fn(v: Play):
         first, fptr = v.moves[0]
@@ -520,19 +522,15 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
                 return None
             branch = "L.R.L." if int(m[4:]) == 0 else "L.R.R."
             return (branch + first[2:], 0)
-        branch = v.moves[3][0]
-        for b in ("L.R.L.", "L.R.R."):
-            if branch.startswith(b):
-                swap = prefix_swap([("R.", b)])
-                break
-        else:
+        swap = swaps.get(v.moves[3][0][:6])
+        if swap is None:
             return None
         m, ptr = v.moves[-1]
-        mm = swap(m)
+        mm = swap.get(m)
         if mm is None or ptr == ROOT:
             return None
         j = 0 if ptr == 3 else ptr - 1
-        if j < 0 or swap(v.moves[ptr][0]) != v.moves[j][0]:
+        if j < 0 or swap.get(v.moves[ptr][0]) != v.moves[j][0]:
             return None
         return (mm, j)
 
@@ -646,8 +644,8 @@ def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
 
     if isinstance(t, Var):
         path, va = _var(env, t.name)
-        return mirror_strategy(arrow(ca, va), prefix_swap([("L." + path, "R.")]),
-                               f"var[{t.name}]")
+        a = arrow(ca, va)
+        return mirror_strategy(a, prefix_swap([("L." + path, "R.")], a.moves), f"var[{t.name}]")
 
     if isinstance(t, Lam):
         va = type_arena(t.ty, b.max_nat)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arena import Arena, MoveLabel
+from .arena import Arena
 
 ROOT = -1
 
@@ -68,18 +68,14 @@ class Play:
         return {"arena": arena, "moves": [{"m": m, "ptr": p} for m, p in self.moves]}
 
     @classmethod
-    def from_json(cls, doc: dict, arena: Arena | None = None,
-                  registry: dict[str, Arena] | None = None) -> "Play":
+    def from_json(cls, doc: dict, arena: Arena | None = None) -> "Play":
         """Load a play; the document's "arena" key is read only when no
         `arena` is passed in."""
         if arena is None:
             ref = doc["arena"]
-            if isinstance(ref, dict):
-                arena = Arena.from_json(ref)
-            elif registry is not None and ref in registry:
-                arena = registry[ref]
-            else:
+            if not isinstance(ref, dict):
                 raise ValueError(f"cannot resolve arena reference {ref!r}")
+            arena = Arena.from_json(ref)
         moves = tuple((m["m"], int(m["ptr"])) for m in doc["moves"])
         return cls(arena, moves)
 
@@ -194,27 +190,25 @@ def is_single_threaded(s: Play) -> bool:
     return sum(1 for _, p in s.moves if p == ROOT) <= 1
 
 
-def is_well_bracketed(s: Play) -> bool:
-    """Every answer answers the most recently asked unanswered question."""
+def pending_questions(s: Play) -> list[int] | None:
+    """Positions of the questions of s still unanswered, innermost last;
+    None if s is not well-bracketed, that is, as soon as an answer does
+    not answer the innermost open question."""
+    questions = s.arena.questions
     stack: list[int] = []
     for i, (m, ptr) in enumerate(s.moves):
-        if s.arena.label(m).is_question:
-            stack.append(i)
-        else:
-            if not stack or stack[-1] != ptr:
-                return False
-            stack.pop()
-    return True
-
-
-def pending_questions(s: Play) -> list[int]:
-    stack: list[int] = []
-    for i, (m, ptr) in enumerate(s.moves):
-        if s.arena.label(m).is_question:
+        if m in questions:
             stack.append(i)
         elif stack and stack[-1] == ptr:
             stack.pop()
+        else:
+            return None
     return stack
+
+
+def is_well_bracketed(s: Play) -> bool:
+    """Every answer answers the most recently asked unanswered question."""
+    return pending_questions(s) is not None
 
 
 def is_complete(s: Play) -> bool:
@@ -223,7 +217,7 @@ def is_complete(s: Play) -> bool:
     The empty play is not complete: completion means an interrogation
     actually happened and every question in it was answered.
     """
-    return len(s.moves) > 0 and is_well_bracketed(s) and not pending_questions(s)
+    return len(s.moves) > 0 and pending_questions(s) == []
 
 
 def _innocence_map(s: Play, polarity: str):
@@ -253,22 +247,6 @@ def is_o_innocent(s: Play) -> bool:
 def is_p_innocent(s: Play) -> bool:
     """Proponent extends equal P-views identically (pointer-inclusive)."""
     return _innocence_map(s, "P") is not None
-
-
-def lift_to_test(s: Play, sigma_arena: Arena, test_arena: Arena) -> Play:
-    """Embed a single-threaded play of A into (A => Sigma).
-
-    The image starts with the Sigma question; every A-move is retagged
-    "L." and shifted one place right, formerly unjustified moves now
-    point at the opening question.  s must be legal; the views of an
-    `ODetSet` are checked when the set is made.
-    """
-    if not is_single_threaded(s):
-        raise ValueError("only single-threaded plays lift to tests")
-    moves = [("R.q", ROOT)]
-    for m, ptr in s.moves:
-        moves.append(("L." + m, 0 if ptr == ROOT else ptr + 1))
-    return Play(test_arena, tuple(moves))
 
 
 def enumerate_plays(arena: Arena, max_len: int, single_threaded: bool = False) -> list[Play]:

@@ -20,14 +20,22 @@ with the P-view) and map the inner pointer back through `positions`.
 `explore` asks its strategy through the unchecked `_answer`, since it
 builds legal plays and carries their views itself.
 
+Renamings are move tables, built once per node: `prefix_map` applies
+the longest matching (source, target) prefix to each move of an arena,
+`prefix_swap` tables the involution a mirror (copycat-style) strategy
+echoes through, and `rename_strategy` inverts its table to read plays
+back.  No prefix is scanned when a strategy is asked.
+
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
 outside.  A composite replays only the P-view of the play it is asked
 about (the P-view of a legal play is a legal play, and the composite is
 innocent), so its reply is a function of that view and is memoised by
-it.  Interactions are capped at `bounds.max_play_len` occurrences
-counting hidden moves; hitting the cap raises BoundExceeded, which is
-deliberately distinct from a genuine refusal to respond.
+it.  The replay grows both strategies' projections of the interaction
+with each move it appends.  Interactions are capped at
+`bounds.max_play_len` occurrences counting hidden moves; hitting the
+cap raises BoundExceeded, which is deliberately distinct from a genuine
+refusal to respond.
 """
 from __future__ import annotations
 
@@ -218,42 +226,43 @@ def from_view_table(arena: Arena, name: str, table: dict[tuple, tuple[str, int]]
     return InnocentStrategy(arena, name, view_fn=view_fn)
 
 
-def prefix_renamer(pairs: list[tuple[str, str]]):
-    """Prefix rewriter on move ids: the longest matching source prefix
-    is replaced by its target; a move no prefix matches maps to None."""
+def prefix_map(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
+    """Each of `moves` with its longest matching source prefix replaced
+    by that prefix's target; a move no prefix matches is left out."""
     rules = sorted(pairs, key=lambda r: -len(r[0]))
-
-    def fn(move: str) -> str | None:
+    out = {}
+    for m in moves:
         for src, dst in rules:
-            if move.startswith(src):
-                return dst + move[len(src):]
-        return None
-
-    return fn
-
-
-def prefix_swap(pairs: list[tuple[str, str]]):
-    """Involution on move ids swapping each (left, right) prefix pair."""
-    return prefix_renamer(pairs + [(y, x) for x, y in pairs])
+            if m.startswith(src):
+                out[m] = dst + m[len(src):]
+                break
+    return out
 
 
-def mirror_strategy(arena: Arena, swap, name: str) -> InnocentStrategy:
+def prefix_swap(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
+    """The involution on `moves` swapping each (left, right) prefix pair."""
+    return prefix_map(pairs + [(y, x) for x, y in pairs], moves)
+
+
+def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentStrategy:
     """Copycat-style strategy: echo the last Opponent move through `swap`.
 
-    The echo's justifier is found by the pairing discipline of copycat
-    views: the partner of the justifier sits immediately before it, with
-    an unjustified opener echoed by a move pointing at the opener
-    itself.  Views that do not exhibit the discipline get no response.
+    `swap` is a move table over the arena (a `prefix_swap`); a move it
+    does not list has no echo.  The echo's justifier is found by the
+    pairing discipline of copycat views: the partner of the justifier
+    sits immediately before it, with an unjustified opener echoed by a
+    move pointing at the opener itself.  Views that do not exhibit the
+    discipline get no response.
     """
     def view_fn(v: Play):
         m, ptr = v.moves[-1]
-        mm = swap(m)
+        mm = swap.get(m)
         if mm is None:
             return None
         if ptr == ROOT:
             j = len(v.moves) - 1
         else:
-            partner = swap(v.moves[ptr][0])
+            partner = swap.get(v.moves[ptr][0])
             if partner is None:
                 return None
             if ptr - 1 >= 0 and v.moves[ptr - 1][0] == partner:
@@ -273,7 +282,7 @@ def mirror_strategy(arena: Arena, swap, name: str) -> InnocentStrategy:
 def copycat(a: Arena) -> InnocentStrategy:
     """The identity strategy on arrow(a, a)."""
     cc_arena = arrow(a, a)
-    swap = prefix_swap([("L.", "R.")])
+    swap = prefix_swap([("L.", "R.")], cc_arena.moves)
     return mirror_strategy(cc_arena, swap, f"copycat({a.name})")
 
 
@@ -281,22 +290,30 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
                     new_arena: Arena, name: str) -> InnocentStrategy:
     """Transport sigma onto an isomorphic arena along a prefix renaming.
 
-    `pairs` lists (source, target) prefixes for sigma's moves; plays
-    over `new_arena` are read back through the reversed pairs.
+    `pairs` lists (source, target) prefixes for sigma's moves.  The
+    renaming is tabled once, `prefix_map` over sigma's moves, and must
+    be a bijection onto `new_arena`'s moves: a renaming that leaves a
+    move unmatched, merges two moves or misses a target move raises
+    ValueError.  Plays over `new_arena` are read back through the
+    inverse table.
     """
-    fwd = prefix_renamer(pairs)
-    inv = prefix_renamer([(dst, src) for src, dst in pairs])
-    if {fwd(m) for m in sigma.arena.moves} != set(new_arena.moves):
+    fwd = prefix_map(pairs, sigma.arena.moves)
+    inv = {dst: src for src, dst in fwd.items()}
+    if len(fwd) != len(sigma.arena.moves):
+        raise ValueError("renaming leaves a move unmatched")
+    if len(inv) != len(fwd):
+        raise ValueError("renaming merges two moves")
+    if inv.keys() != new_arena.moves:
         raise ValueError("renaming does not map onto the target arena")
 
     def play_fn(s: Play, positions: tuple[int, ...]):
         # the renaming is an arena isomorphism, so it commutes with the
         # P-view: translate the view alone and map the pointer back
         view = subsequence(s, positions)
-        r = sigma.respond(Play(sigma.arena, tuple((inv(m), p) for m, p in view.moves)))
+        r = sigma.respond(Play(sigma.arena, tuple((inv[m], p) for m, p in view.moves)))
         if r is None:
             return None
-        return fwd(r[0]), positions[r[1]]
+        return fwd[r[0]], positions[r[1]]
 
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
 
@@ -319,12 +336,17 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     view that the composite would not have played raises
     InconsistentPlay.
 
-    Component bookkeeping: in the interaction each occurrence is tagged
-    A, B or C.  Projecting to sigma keeps A and B (B-initial occurrences
-    become unjustified since their justifier lives in C); projecting to
-    tau keeps B and C.  An A-initial move is justified by a B-initial in
-    the interaction, and re-pointed to that move's own C justifier when
-    it surfaces.
+    Component bookkeeping: the interaction records one (component,
+    move, justifier) per occurrence, A, B or C, and grows sigma's (A, B)
+    and tau's (B, C) projections with it.  Each projection holds its
+    plays' moves, tagged "L."/"R.", the interaction index of each of
+    its positions, and the position of each of its interaction indices.
+    A justifier outside a side's components becomes ROOT on that side:
+    these are sigma's B-initial occurrences, which are justified in C.
+    The two sides are indexed by position, never by strategy, since
+    sigma and tau may be one object.  An A-initial move is justified by
+    a B-initial in the interaction, and re-pointed to that move's own C
+    justifier when it surfaces.
 
     The reply, a refusal or a bound hit depends on the P-view alone, so
     the cache is a memo of the composite's view function.
@@ -340,6 +362,9 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     cap = b.max_play_len
     cache: dict[tuple, object] = {}
     cname = name or f"({sigma.name} ; {tau.name})"
+    strats = (sigma, tau)
+    comps = (("A", "B"), ("B", "C"))   # each side's (left, right) components
+    b_polarity = sigma.arena.polarity    # of "R." + a B-move, as sigma sees it
 
     def play_fn(s: Play, positions: tuple[int, ...]):
         view = subsequence(s, positions)
@@ -358,93 +383,63 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         return mv, positions[vptr]
 
     def _replay(s: Play):
-        u_comp: list[str] = []
-        u_move: list[str] = []
-        u_ptr: list[int] = []
-        vis_of: list[int] = []   # s index -> u index
-        s_of: dict[int, int] = {}  # u index -> s index
+        u: list[tuple[str, str, int]] = []   # (component, move, justifier)
+        # per side: projected moves, position -> u index, u index -> position
+        proj = (([], [], {}), ([], [], {}))
+        s_of: dict[int, int] = {}            # u index -> s index
+        vis_of: list[int] = []               # s index -> u index
 
         def append(comp: str, mv: str, up: int) -> int:
-            if len(u_comp) + 1 > cap:
+            ui = len(u)
+            if ui >= cap:
                 raise BoundExceeded(cname)
-            u_comp.append(comp)
-            u_move.append(mv)
-            u_ptr.append(up)
-            return len(u_comp) - 1
+            u.append((comp, mv, up))
+            for (left, right), (moves, idx, pos) in zip(comps, proj):
+                if comp == left or comp == right:
+                    pos[ui] = len(moves)
+                    idx.append(ui)
+                    moves.append((("L." if comp == left else "R.") + mv, pos.get(up, ROOT)))
+            return ui
 
-        def project(side: str) -> tuple[Play, list[int]]:
-            comps = ("A", "B") if side == "sigma" else ("B", "C")
-            strat = sigma if side == "sigma" else tau
-            left = "A" if side == "sigma" else "B"
-            idx = [i for i in range(len(u_comp)) if u_comp[i] in comps]
-            pos_of = {ui: k for k, ui in enumerate(idx)}
-            mlist = []
-            for ui in idx:
-                comp = u_comp[ui]
-                tag = ("L." if comp == left else "R.") + u_move[ui]
-                up = u_ptr[ui]
-                if side == "sigma" and comp == "B" and up != ROOT and u_comp[up] == "C":
-                    mlist.append((tag, ROOT))
-                elif up == ROOT:
-                    mlist.append((tag, ROOT))
-                else:
-                    mlist.append((tag, pos_of[up]))
-            return Play(strat.arena, tuple(mlist)), idx
-
-        def visible_ptr(ui: int) -> int:
-            up = u_ptr[ui]
-            if up == ROOT:
-                return ROOT
-            if u_comp[ui] == "A" and u_comp[up] == "B":
-                up = u_ptr[up]   # A-initial: surface via the B-initial's C justifier
-            return s_of[up]
+        def visible(ui: int) -> tuple[str, int]:
+            comp, mv, up = u[ui]
+            if up != ROOT and comp == "A" and u[up][0] == "B":
+                up = u[up][2]   # A-initial: surface via the B-initial's C justifier
+            return ("L." if comp == "A" else "R.") + mv, ROOT if up == ROOT else s_of[up]
 
         def run_until_visible():
             while True:
-                lastc = u_comp[-1]
-                if lastc == "A":
-                    side = "sigma"
-                elif lastc == "C":
-                    side = "tau"
+                comp, mv, _ = u[-1]
+                if comp == "B":
+                    side = 1 if b_polarity["R." + mv] == "P" else 0
                 else:
-                    lab = sigma.arena.label("R." + u_move[-1])
-                    side = "tau" if lab.polarity == "P" else "sigma"
-                pl, idx = project(side)
-                strat = sigma if side == "sigma" else tau
-                r = strat.respond(pl)
+                    side = 0 if comp == "A" else 1
+                moves, idx, _ = proj[side]
+                strat = strats[side]
+                r = strat.respond(Play(strat.arena, tuple(moves)))
                 if r is None:
                     return None
-                mv, pptr = r
-                if side == "sigma":
-                    comp = "A" if mv.startswith("L.") else "B"
-                else:
-                    comp = "B" if mv.startswith("L.") else "C"
-                ui = append(comp, mv[2:], idx[pptr])
-                if comp == "B":
-                    continue
-                return ui
+                m, pptr = r
+                comp = comps[side][0 if m.startswith("L.") else 1]
+                ui = append(comp, m[2:], idx[pptr])
+                if comp != "B":
+                    return ui
 
         for k, (m, ptr) in enumerate(s.moves):
             if k % 2 == 0:
-                comp = "C" if m.startswith("R.") else "A"
-                up = ROOT if ptr == ROOT else vis_of[ptr]
-                ui = append(comp, m[2:], up)
-                vis_of.append(ui)
-                s_of[ui] = k
+                ui = append("C" if m.startswith("R.") else "A", m[2:],
+                            ROOT if ptr == ROOT else vis_of[ptr])
             else:
                 ui = run_until_visible()
                 if ui is None:
                     raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
-                got = ("L." if u_comp[ui] == "A" else "R.") + u_move[ui]
-                s_of[ui] = k
-                if got != m or visible_ptr(ui) != ptr:
+                got = visible(ui)
+                if got != (m, ptr):
                     raise InconsistentPlay(
-                        f"{cname}: computed {got!r} where the play has {m!r}")
-                vis_of.append(ui)
+                        f"{cname}: computed {got[0]!r} where the play has {m!r}")
+            vis_of.append(ui)
+            s_of[ui] = k
         ui = run_until_visible()
-        if ui is None:
-            return None
-        mv = ("L." if u_comp[ui] == "A" else "R.") + u_move[ui]
-        return mv, visible_ptr(ui)
+        return None if ui is None else visible(ui)
 
     return InnocentStrategy(outer, cname, play_fn=play_fn)

@@ -3,7 +3,8 @@
 Everything here is written from the defining recursions, as directly
 and naively as possible, sharing no code with the package internals:
 views by structural recursion on the sequence and by a backward walk,
-legality and O-innocence with every prefix's view recomputed, one-move
+legality and O-innocence with every prefix's view recomputed,
+bracketing by searching for each answer's question afresh, one-move
 extensions by generating candidates and checking each, candidate test
 sets by one eager recursion over the engine's O-view enumeration and one
 sort, composition by enumerating raw interaction sequences and
@@ -120,6 +121,24 @@ def ref_is_o_innocent(s: Play) -> bool:
         if seen.setdefault(reindex(s, positions).moves, reply) != reply:
             return False
     return True
+
+
+# ------------------------------------------------------------- bracketing
+
+def ref_pending_questions(s: Play) -> list[int] | None:
+    """The questions of s that no answer points at, or None if s is not
+    well-bracketed: each answer must point at the latest question before
+    it that is still unanswered."""
+    asked = [i for i, (m, _) in enumerate(s.moves) if s.arena.label(m).is_question]
+    answered = set()
+    for i, (m, ptr) in enumerate(s.moves):
+        if i in asked:
+            continue
+        unanswered = [q for q in asked if q < i and q not in answered]
+        if not unanswered or ptr != unanswered[-1]:
+            return None
+        answered.add(ptr)
+    return [q for q in asked if q not in answered]
 
 
 def ref_legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:

@@ -13,7 +13,6 @@ from gamesem.arena import (
     make_nat_arena,
     make_sigma,
     product,
-    rename_arena,
 )
 
 
@@ -119,12 +118,6 @@ def test_json_roundtrip():
     for a in [make_nat_arena(2), make_sigma(),
               arrow(product(make_nat_arena(1), make_nat_arena(1)), make_nat_arena(1))]:
         assert Arena.from_json(a.to_json()) == a
-
-
-def test_rename_arena_injectivity_guard():
-    n = make_nat_arena(1)
-    with pytest.raises(ValueError):
-        rename_arena(n, lambda m: "x", "collapsed")
 
 
 def test_arrow_right_assoc_shape_matches_curried():

@@ -15,7 +15,6 @@ from gamesem.plays import (
     is_well_bracketed,
     legal_extensions,
     legality_violation,
-    lift_to_test,
     oview,
     pending_questions,
     prefix_views,
@@ -26,6 +25,7 @@ from oracles import (
     ref_is_legal,
     ref_legal_extensions,
     ref_oview,
+    ref_pending_questions,
     ref_pview,
     walk_view_positions,
 )
@@ -207,6 +207,19 @@ def test_bracketing_and_completeness():
     assert not is_complete(P(ARROW))
 
 
+def test_bracketing_matches_reference_everywhere():
+    ill = complete = 0
+    for s in ALL_PLAYS:
+        ref = ref_pending_questions(s)
+        assert is_well_bracketed(s) == (ref is not None), s
+        assert is_complete(s) == (len(s.moves) > 0 and ref == []), s
+        if ref is not None:
+            assert pending_questions(s) == ref, s
+        ill += ref is None
+        complete += len(s.moves) > 0 and ref == []
+    assert (len(ALL_PLAYS), ill, complete) == (3381, 375, 1332)
+
+
 def test_answer_must_close_pending_question():
     # third-order arena: Proponent answers the outer question while two
     # inner questions are still pending
@@ -225,14 +238,6 @@ def test_innocence_filters():
     t = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0), ("L.1", 3))
     assert is_o_innocent(t)
     assert is_p_innocent(t)
-
-
-def test_lift_to_test_shape():
-    ta = arrow(N2, make_sigma())
-    s = P(N2, ("q", ROOT), ("1", 0))
-    lifted = lift_to_test(s, N2, ta)
-    assert lifted.moves == (("R.q", ROOT), ("L.q", 0), ("L.1", 1))
-    assert is_legal(lifted)
 
 
 def test_enumerate_plays_all_legal():

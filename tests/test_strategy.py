@@ -24,7 +24,8 @@ from gamesem.strategy import (
     explore,
     from_view_table,
     mirror_strategy,
-    prefix_renamer,
+    prefix_map,
+    rename_strategy,
     tabulate,
     traces,
 )
@@ -212,12 +213,12 @@ def test_renaming_the_view_answers_as_renaming_the_play():
     # play, asks the inner node and renames the reply back
     longest = 0
     for node, inner, pairs, b in _rename_nodes():
-        fwd = prefix_renamer(pairs)
-        inv = prefix_renamer([(dst, src) for src, dst in pairs])
+        fwd = prefix_map(pairs, inner.arena.moves)
+        inv = prefix_map([(dst, src) for src, dst in pairs], node.arena.moves)
 
         def by_play(s):
-            r = inner.respond(Play(inner.arena, tuple((inv(m), p) for m, p in s.moves)))
-            return r and (fwd(r[0]), r[1])
+            r = inner.respond(Play(inner.arena, tuple((inv[m], p) for m, p in s.moves)))
+            return r and (fwd[r[0]], r[1])
 
         asked = {so for p in explore(node, b).plays if len(p) + 2 <= b.max_play_len
                  for so in legal_extensions(p)}
@@ -237,15 +238,23 @@ def test_from_view_table_roundtrip():
 
 def test_mirror_strategy_is_total_on_swapped_moves():
     a = arrow(N2, N2)
-    def swap(m):
-        if m.startswith("L."):
-            return "R." + m[2:]
-        if m.startswith("R."):
-            return "L." + m[2:]
-        return None
+    swap = {m: ("R." if m.startswith("L.") else "L.") + m[2:] for m in a.moves}
     cc = mirror_strategy(a, swap, "cc")
     t = traces(cc, Bounds(max_nat=2, max_play_len=8))
     assert Play(a, (("R.q", ROOT), ("L.q", 0), ("L.2", 1), ("R.2", 0))) in t
+
+
+def test_rename_strategy_rejects_a_renaming_that_is_no_bijection():
+    s = succ_strategy(1)
+    target = arrow(make_empty(), make_nat_arena(1))
+    bad = [
+        [("L.", "R."), ("R.", "R.")],   # onto, but merges L.q with R.q
+        [("R.", "R.")],                 # leaves the L. moves unmatched
+        [("L.", "X."), ("R.", "Y.")],   # misses every target move
+    ]
+    for pairs in bad:
+        with pytest.raises(ValueError):
+            rename_strategy(s, pairs, target, "bad")
 
 
 def test_as_thunk_wraps_flat_strategy():
@@ -266,9 +275,11 @@ def test_compose_type_checks():
 
 def test_compose_matches_interleaving_oracle():
     wide = Bounds(max_nat=2, max_play_len=12)
+    same = succ_strategy(2)
     cases = [
         (as_thunk(denote(parse("2"), wide)), succ_strategy(2)),
         (succ_strategy(2), succ_strategy(2)),
+        (same, same),   # one strategy object on both sides
         (succ_strategy(2), copycat(N2)),
         (copycat(N2), succ_strategy(2)),
     ]
