@@ -9,7 +9,9 @@ budget, fails the sweep.
 After the first-order battery (`corpus.PAIRS`) come four higher-order
 pairs on (nat -> nat) -> nat, each at bounds where no test is lost.
 
-Run from the repository root:
+The report goes to stdout and the elapsed time to stderr, so the
+reports of two checkouts compare with a plain diff.  Run from the
+repository root:
 
     python scripts/oracle_sweep.py [-v]
 """
@@ -73,8 +75,8 @@ def main(argv=None) -> int:
             print(f"    {left} <= {right}: {fwd.verdict}")
             print(f"    {right} <= {left}: {bwd.verdict}")
 
-    dt = time.time() - t0
-    print(f"\n{len(rows)} pairs in {dt:.1f}s, disagreements: {bad}")
+    print(f"\n{len(rows)} pairs, disagreements: {bad}")
+    print(f"elapsed: {time.time() - t0:.1f}s", file=sys.stderr)
     return 1 if bad else 0
 
 

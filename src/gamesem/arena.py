@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
 
 
 class MoveLabel(Enum):
@@ -151,15 +150,6 @@ class Arena:
         return f"Arena({self.name})"
 
 
-def _tag(prefix: str, move: str) -> str:
-    return prefix + move
-
-
-def _retag(labels: Iterable[tuple[str, MoveLabel]], prefix: str, flip: bool):
-    for m, lab in labels:
-        yield _tag(prefix, m), (lab.flip() if flip else lab)
-
-
 def make_empty() -> Arena:
     """The arena with no moves; unit for `product`."""
     return Arena((), (), frozenset(), name="Empty", kind="empty")
@@ -194,22 +184,22 @@ def make_sigma() -> Arena:
     )
 
 
+def _juxtapose(a: Arena, b: Arena, flip_left: bool):
+    """The labels and enabling pairs of `a` tagged "L." beside those of
+    `b` tagged "R.", with the left side's polarity flipped if asked."""
+    labels = [("L." + m, lab.flip() if flip_left else lab) for m, lab in a.labels]
+    labels += [("R." + m, lab) for m, lab in b.labels]
+    enabling = [("L." + x, "L." + y) for x, y in a.enabling]
+    enabling += [("R." + x, "R." + y) for x, y in b.enabling]
+    return labels, enabling
+
+
 def product(a: Arena, b: Arena) -> Arena:
     """Side-by-side juxtaposition. Components keep their polarity."""
-    labels = tuple(sorted(
-        list(_retag(a.labels, "L.", flip=False)) + list(_retag(b.labels, "R.", flip=False))
-    ))
-    enabling = [( _tag("L.", x), _tag("L.", y)) for x, y in a.enabling]
-    enabling += [(_tag("R.", x), _tag("R.", y)) for x, y in b.enabling]
-    initials = frozenset({_tag("L.", m) for m in a.initials} | {_tag("R.", m) for m in b.initials})
-    return Arena(
-        labels,
-        tuple(sorted(enabling)),
-        initials,
-        name=f"({a.name} x {b.name})",
-        kind="product",
-        parts=(a, b),
-    )
+    labels, enabling = _juxtapose(a, b, flip_left=False)
+    initials = frozenset(["L." + m for m in a.initials] + ["R." + m for m in b.initials])
+    return Arena(tuple(sorted(labels)), tuple(sorted(enabling)), initials,
+                 name=f"({a.name} x {b.name})", kind="product", parts=(a, b))
 
 
 def arrow(a: Arena, b: Arena) -> Arena:
@@ -219,21 +209,8 @@ def arrow(a: Arena, b: Arena) -> Arena:
     component lose their initial status and become enabled by every
     initial move of the right component.
     """
-    labels = tuple(sorted(
-        list(_retag(a.labels, "L.", flip=True)) + list(_retag(b.labels, "R.", flip=False))
-    ))
-    enabling = [(_tag("L.", x), _tag("L.", y)) for x, y in a.enabling]
-    enabling += [(_tag("R.", x), _tag("R.", y)) for x, y in b.enabling]
-    for bi in b.initials:
-        for ai in a.initials:
-            enabling.append((_tag("R.", bi), _tag("L.", ai)))
-    initials = frozenset(_tag("R.", m) for m in b.initials)
-    return Arena(
-        labels,
-        tuple(sorted(enabling)),
-        initials,
-        name=f"({a.name} => {b.name})",
-        kind="arrow",
-        parts=(a, b),
-    )
-
+    labels, enabling = _juxtapose(a, b, flip_left=True)
+    enabling += [("R." + bi, "L." + ai) for bi in b.initials for ai in a.initials]
+    initials = frozenset("R." + m for m in b.initials)
+    return Arena(tuple(sorted(labels)), tuple(sorted(enabling)), initials,
+                 name=f"({a.name} => {b.name})", kind="arrow", parts=(a, b))

@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 
 from .arena import Arena, arrow, make_empty, make_nat_arena, product
 from .bounds import Bounds
-from .plays import ROOT, Play, subsequence
+from .plays import ROOT, Play
 from .strategy import (
     InnocentStrategy,
     compose,
     mirror_strategy,
+    pair_strategies,
     prefix_swap,
     rename_strategy,
 )
@@ -186,9 +187,9 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         pos = (line, col)
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             toks.append(Token("num", source[i:j], pos))
             col += j - i
@@ -298,7 +299,11 @@ class _Parser:
     def atom(self) -> Term:
         t = self.next()
         if t.kind == "num":
-            return Num(int(t.text), t.pos)
+            try:
+                return Num(int(t.text), t.pos)
+            except ValueError:   # past the interpreter's int-string digit limit
+                raise PcfParseError(f"numeral of {len(t.text)} digits is too long",
+                                    t.pos) from None
         if t.kind == "ident":
             return Var(t.text, t.pos)
         if t.text == "(":
@@ -535,41 +540,6 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
         return (mm, j)
 
     return InnocentStrategy(a, "ifz", view_fn=view_fn)
-
-
-# ------------------------------------------------------------ pairing
-
-def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
-                    name: str | None = None) -> InnocentStrategy:
-    """Tupling: from f : arrow(X, B) and g : arrow(X, C), the strategy
-    on arrow(X, product(B, C)) that plays f inside threads rooted at a
-    B-initial and g inside threads rooted at a C-initial.
-
-    By innocence each response is computed on the P-view, which lies
-    inside the thread of the last Opponent move (every move in it is
-    hereditarily justified by the view's first, initial move); the view
-    is retagged to the component strategy's arena.
-    """
-    x = f.arena.parts[0]
-    if g.arena.parts[0] != x:
-        raise ValueError("paired strategies disagree on the left arena")
-    pair = product(f.arena.parts[1], g.arena.parts[1])
-    outer = arrow(x, pair)
-
-    def play_fn(s: Play, positions: tuple[int, ...]):
-        view = subsequence(s, positions)
-        side = "L" if view.moves[0][0].startswith("R.L.") else "R"
-        strat = f if side == "L" else g
-        inner = Play(strat.arena, tuple(("R." + m[4:] if m.startswith("R.") else m, ptr)
-                                        for m, ptr in view.moves))
-        r = strat.respond(inner)
-        if r is None:
-            return None
-        m, ptr = r
-        om = f"R.{side}." + m[2:] if m.startswith("R.") else m
-        return om, positions[ptr]
-
-    return InnocentStrategy(outer, name or f"<{f.name}, {g.name}>", play_fn=play_fn)
 
 
 # ---------------------------------------------------------- denotation

@@ -70,14 +70,18 @@ class Play:
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "Play":
         """Load a play; the document's "arena" key is read only when no
-        `arena` is passed in."""
+        `arena` is passed in.  A pointer must be a JSON integer."""
         if arena is None:
             ref = doc["arena"]
             if not isinstance(ref, dict):
                 raise ValueError(f"cannot resolve arena reference {ref!r}")
             arena = Arena.from_json(ref)
-        moves = tuple((m["m"], int(m["ptr"])) for m in doc["moves"])
-        return cls(arena, moves)
+        moves = []
+        for m in doc["moves"]:
+            if type(m["ptr"]) is not int:
+                raise ValueError(f"pointer {m['ptr']!r} is not an integer")
+            moves.append((m["m"], m["ptr"]))
+        return cls(arena, tuple(moves))
 
     def __repr__(self) -> str:
         if not self.moves:

@@ -2,29 +2,28 @@
 
 A strategy answers the question "given this legal play ending with an
 Opponent move, what does Proponent do next?".  Innocence means the
-answer depends only on the P-view of the play, so most strategies here
-are given as a function from P-views to a response.  Wrappers that
-translate plays for an inner strategy (renamings, pairings, composites)
-supply `play_fn(s, positions)` instead, where `positions` are the
-positions of the P-view of s; they remain innocent, which the test
-suite checks on every generated trace.
+answer depends only on the P-view of the play, so every strategy node
+here is a function from P-views to a response: (move, index into the
+P-view) or None.  Leaves give it as `view_fn`; wrappers that ask an
+inner strategy (renamings, pairings, composites) give it as `play_fn`,
+which differs in name only, so a tracer can tell the node kinds apart.
 
-Responses name their justifier: a `view_fn` returns (move, index into
-the P-view), a `play_fn` returns (move, index into the play).  `respond`
-checks the play it is given once, hands the P-view positions of that
-check to the node, and checks every emitted response against the arena
-and the P-view, so the extended play is legal again.  Wrappers
-translate only the P-view, `subsequence(s, positions)`, for their inner
-strategy (a prefix renaming is an arena isomorphism, so it commutes
-with the P-view) and map the inner pointer back through `positions`.
-`explore` asks its strategy through the unchecked `_answer`, since it
-builds legal plays and carries their views itself.
+`respond` checks the play it is given once, hands the P-view of that
+check to the node, and checks every response against the arena and
+the P-view, so the extended play is legal again; a view index can only
+name a move of the P-view.  Wrappers translate the view alone for
+their inner strategy (a prefix renaming is an arena isomorphism, so it
+commutes with the P-view), and the inner strategy's pointer into that
+view is already view-relative.  `explore` asks its strategy through the
+unchecked `_answer`, since it builds legal plays and carries their
+views itself.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
 `prefix_swap` tables the involution a mirror (copycat-style) strategy
-echoes through, and `rename_strategy` inverts its table to read plays
-back.  No prefix is scanned when a strategy is asked.
+echoes through, and `rename_strategy` and `pair_strategies` invert
+their tables to read views back.  No prefix is scanned when a strategy
+is asked.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -42,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arena import Arena, arrow, make_empty
+from .arena import Arena, arrow, make_empty, product
 from .bounds import Bounds
 from .plays import (
     ROOT,
@@ -67,6 +66,10 @@ class InconsistentPlay(Exception):
 
 
 class InnocentStrategy:
+    """A node over `arena` answering P-views: exactly one of `view_fn`
+    (a leaf) or `play_fn` (a wrapper) maps the P-view, a Play, to
+    (move, index into the view) or None."""
+
     def __init__(self, arena: Arena, name: str, view_fn=None, play_fn=None):
         if (view_fn is None) == (play_fn is None):
             raise ValueError("exactly one of view_fn / play_fn required")
@@ -80,7 +83,7 @@ class InnocentStrategy:
 
         The one checked entry point: one legality pass over s, whose
         P-view `_answer` reuses.  Returns (move, justifier index into s)
-        for a P-move enabled by a justifier inside that P-view; raises
+        for a P-move enabled by a move of that P-view; raises
         StrategyError for any other reply, BoundExceeded if computing
         the reply hit an interaction bound.
         """
@@ -97,21 +100,18 @@ class InnocentStrategy:
     def _answer(self, s: Play, positions: tuple[int, ...]):
         """`respond` without its checks on s: s must be a legal
         odd-length play over this arena whose P-view sits at `positions`.
-        The reply is checked all the same."""
-        if self._play_fn is not None:
-            r = self._play_fn(s, positions)
-        else:
-            r = self._view_fn(subsequence(s, positions))
-            if r is not None:
-                if not 0 <= r[1] < len(positions):
-                    raise StrategyError(f"{self.name}: pointer {r[1]} outside the P-view")
-                r = (r[0], positions[r[1]])
+        The node answers that view; its reply is checked all the same
+        and its view index mapped to a position of s."""
+        r = (self._view_fn or self._play_fn)(subsequence(s, positions))
         if r is None:
             return None
-        move, ptr = r
+        move, j = r
+        if not 0 <= j < len(positions):
+            raise StrategyError(f"{self.name}: pointer {j} outside the P-view")
+        ptr = positions[j]
         if self.arena.polarity.get(move) != "P":
             raise StrategyError(f"{self.name}: emitted non-P move {move!r}")
-        if ptr not in positions or not self.arena.enables(s.moves[ptr][0], move):
+        if not self.arena.enables(s.moves[ptr][0], move):
             raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {ptr}")
         return move, ptr
 
@@ -294,7 +294,7 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     renaming is tabled once, `prefix_map` over sigma's moves, and must
     be a bijection onto `new_arena`'s moves: a renaming that leaves a
     move unmatched, merges two moves or misses a target move raises
-    ValueError.  Plays over `new_arena` are read back through the
+    ValueError.  P-views over `new_arena` are read back through the
     inverse table.
     """
     fwd = prefix_map(pairs, sigma.arena.moves)
@@ -306,16 +306,47 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     if inv.keys() != new_arena.moves:
         raise ValueError("renaming does not map onto the target arena")
 
-    def play_fn(s: Play, positions: tuple[int, ...]):
-        # the renaming is an arena isomorphism, so it commutes with the
-        # P-view: translate the view alone and map the pointer back
-        view = subsequence(s, positions)
-        r = sigma.respond(Play(sigma.arena, tuple((inv[m], p) for m, p in view.moves)))
-        if r is None:
-            return None
-        return fwd[r[0]], positions[r[1]]
+    def play_fn(view: Play):
+        return _ask(sigma, inv, fwd, view)
 
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
+
+
+def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
+                    name: str | None = None) -> InnocentStrategy:
+    """Tupling: from f : arrow(X, B) and g : arrow(X, C), the strategy
+    on arrow(X, product(B, C)) that plays f inside threads rooted at a
+    B-initial and g inside threads rooted at a C-initial.
+
+    Every move of a P-view is hereditarily justified by its first,
+    initial move, so the view lies inside one thread and is read back
+    whole to that side's strategy.  Each side's move tables are built
+    once, as in `rename_strategy`: X moves keep their tags, and the
+    side's "R." moves gain "L." or "R." after the outer "R.".
+    """
+    x = f.arena.parts[0]
+    if g.arena.parts[0] != x:
+        raise ValueError("paired strategies disagree on the left arena")
+    outer = arrow(x, product(f.arena.parts[1], g.arena.parts[1]))
+    sides = []
+    for strat, tag in ((f, "R.L."), (g, "R.R.")):
+        out = prefix_map([("L.", "L."), ("R.", tag)], strat.arena.moves)
+        sides.append((strat, {o: m for m, o in out.items()}, out))
+    left, right = sides
+
+    def play_fn(view: Play):
+        strat, into, back = left if view.moves[0][0] in left[1] else right
+        return _ask(strat, into, back, view)
+
+    return InnocentStrategy(outer, name or f"<{f.name}, {g.name}>", play_fn=play_fn)
+
+
+def _ask(inner: InnocentStrategy, into: dict[str, str], back: dict[str, str], view: Play):
+    """`inner`'s reply to `view` read through the move table `into`,
+    with its move read back through `back`.  The translated view is its
+    own P-view, so the inner pointer is already an index into `view`."""
+    r = inner.respond(Play(inner.arena, tuple((into[m], p) for m, p in view.moves)))
+    return None if r is None else (back[r[0]], r[1])
 
 
 def as_thunk(sigma: InnocentStrategy) -> InnocentStrategy:
@@ -366,8 +397,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     comps = (("A", "B"), ("B", "C"))   # each side's (left, right) components
     b_polarity = sigma.arena.polarity    # of "R." + a B-move, as sigma sees it
 
-    def play_fn(s: Play, positions: tuple[int, ...]):
-        view = subsequence(s, positions)
+    def play_fn(view: Play):
         key = view.moves
         if key not in cache:
             try:
@@ -377,10 +407,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         hit = cache[key]
         if hit == "bound":
             raise BoundExceeded(cname)
-        if hit is None:
-            return None
-        mv, vptr = hit
-        return mv, positions[vptr]
+        return hit
 
     def _replay(s: Play):
         u: list[tuple[str, str, int]] = []   # (component, move, justifier)

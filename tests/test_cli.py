@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesem import cli, equiv
-from gamesem.arena import make_nat_arena
+from gamesem.arena import arrow, make_nat_arena
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
 from gamesem.plays import ROOT, Play
@@ -214,6 +214,34 @@ def test_hand_written_view_set_without_view_arenas(tmp_path):
     r = run_cli("test", f, "--set", s, "--max-nat", "2")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["verdict"] == "TOP"
+
+
+@pytest.mark.parametrize("ptr", ["1e400", "1.5", "true", '"1"'])
+def test_view_set_pointer_that_is_no_json_integer_exits_2(tmp_path, ptr):
+    # Read as int(), each of these pointers would be 1, the right one.
+    f = write(tmp_path, "t.pcf", "fun x: nat -> x\n")
+    n = make_nat_arena(1)
+    views = [[], [("R.q", -1)], [("R.q", -1), ("L.q", 0)],
+             [("R.q", -1), ("L.q", 0), ("L.1", "PTR")]]
+    doc = json.dumps({
+        "arena": arrow(n, n).to_json(),
+        "initial": "R.q",
+        "views": [{"moves": [{"m": m, "ptr": p} for m, p in v]} for v in views],
+    })
+    s = write(tmp_path, "s.json", doc.replace('"PTR"', ptr))
+    r = run_cli("test", f, "--set", s, "--max-nat", "1")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "is not an integer" in r.stderr
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "9" * 5000], ids=["superscript", "5000-digits"])
+def test_numeral_int_cannot_read_exits_2(tmp_path, text):
+    f = tmp_path / "n.pcf"
+    f.write_text(text + "\n", encoding="utf-8")
+    r = run_cli("parse", str(f))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {f}: 1:1: ") and r.stderr.count("\n") == 1
 
 
 def test_bad_view_set_file_exits_2(tmp_path):

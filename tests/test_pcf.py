@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gamesem.arena import arrow, make_nat_arena
 from gamesem.bounds import Bounds
@@ -9,6 +11,7 @@ from gamesem.pcf import (
     Ifz,
     Lam,
     Num,
+    PcfError,
     PcfParseError,
     PcfTypeError,
     Succ,
@@ -48,6 +51,40 @@ def test_tokenize_rejects_stray_character():
     with pytest.raises(PcfParseError) as e:
         tokenize("0 ? 1")
     assert "1:3" in str(e.value)
+
+
+def test_numerals_are_decimal_digits():
+    # int() reads any Unicode decimal digit; a superscript is a digit
+    # but not a decimal one, so it is a stray character
+    assert parse("\u0663") == Num(3)
+    with pytest.raises(PcfParseError) as e:
+        parse("1 + \u00b2")
+    assert "1:5" in str(e.value)
+
+
+def test_a_numeral_past_the_int_digit_limit_is_a_parse_error():
+    with pytest.raises(PcfParseError) as e:
+        parse("succ " + "9" * 5000)
+    assert "1:6" in str(e.value)
+
+
+# The grammar's characters, some keywords whole, and three numeric
+# characters outside ASCII: a digit that is not decimal (²), a numeric
+# that is not a digit (½) and an Arabic-Indic decimal digit (٣).
+_CHARS = "funxyzsccpredfi0129 :->()+#\n\u00b2\u00bd\u0663"
+_WORDS = ["fun", "fix", "succ", "pred", "ifz", "then", "else", "nat", "x", "f",
+          "0", "12", "->", ":", "(", ")", "+", "\u00b2", "\u00bd", "\u0663"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=_CHARS, max_size=24),
+                 st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join)))
+@example("\u00b2")
+def test_parse_and_typecheck_fail_only_with_pcf_errors(source):
+    try:
+        typecheck(parse(source))
+    except PcfError:
+        pass
 
 
 def test_pragma_lines_lex_as_comments():

@@ -3,7 +3,7 @@ import pytest
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
-from gamesem.pcf import Lam, builtin, denote, denote_open, parse, succ_strategy
+from gamesem.pcf import Lam, builtin, denote, denote_open, parse, pred_strategy, succ_strategy
 from gamesem.plays import (
     ROOT,
     Play,
@@ -24,6 +24,7 @@ from gamesem.strategy import (
     explore,
     from_view_table,
     mirror_strategy,
+    pair_strategies,
     prefix_map,
     rename_strategy,
     tabulate,
@@ -55,13 +56,14 @@ def test_respond_rejects_illegal_play():
 
 def test_respond_refuses_an_invisible_justifier():
     # A second thread opens at 2, so the P-view is that move alone: the
-    # first thread's R.q enables R.0 but is not visible.
+    # first thread's R.q enables R.0 but is not visible, and a pointer
+    # into the view cannot name it.  Index 1 is past the view's end.
     arena = arrow(N2, N2)
     s = Play(arena, (("R.q", ROOT), ("L.q", 0), ("R.q", ROOT)))
-    peek = InnocentStrategy(arena, "peek", play_fn=lambda s, positions: ("R.0", 0))
+    peek = InnocentStrategy(arena, "peek", play_fn=lambda v: ("R.0", 1))
     with pytest.raises(StrategyError):
         peek.respond(s)
-    local = InnocentStrategy(arena, "local", play_fn=lambda s, positions: ("R.0", 2))
+    local = InnocentStrategy(arena, "local", play_fn=lambda v: ("R.0", 0))
     assert local.respond(s) == ("R.0", 2)
 
 
@@ -255,6 +257,24 @@ def test_rename_strategy_rejects_a_renaming_that_is_no_bijection():
     for pairs in bad:
         with pytest.raises(ValueError):
             rename_strategy(s, pairs, target, "bad")
+
+
+def test_pairing_answers_each_thread_through_its_side():
+    # One thread under each side: f = succ plays the R.L. thread and
+    # g = pred the R.R. one.  The pairing answers as its side does on
+    # the P-view retagged by hand, with the pointer read through the
+    # view's positions.
+    f, g = succ_strategy(2), pred_strategy(2)
+    pair = pair_strategies(f, g)
+    s = Play(pair.arena, (("R.L.q", ROOT), ("L.q", 0), ("R.R.q", ROOT), ("L.q", 2),
+                          ("L.0", 3), ("R.R.0", 2), ("L.1", 1)))
+    for strat, tag, n, view, want in ((g, "R.R.", 5, (2, 3, 4), "R.0"),
+                                      (f, "R.L.", 7, (0, 1, 6), "R.2")):
+        assert pview_with_positions(s.prefix(n))[1] == view
+        inner = Play(strat.arena, (("R.q", ROOT), ("L.q", 0), (s.moves[view[2]][0], 1)))
+        move, ptr = strat.respond(inner)
+        assert move == want
+        assert pair.respond(s.prefix(n)) == (tag + move[2:], view[ptr])
 
 
 def test_as_thunk_wraps_flat_strategy():
