@@ -10,7 +10,8 @@ After the first-order battery (`corpus.PAIRS`) come four higher-order
 pairs on (nat -> nat) -> nat, each at bounds where no test is lost.
 
 The report goes to stdout and the elapsed time to stderr, so the
-reports of two checkouts compare with a plain diff.  Run from the
+reports of two checkouts compare with a plain diff;
+tests/data/oracle_sweep.txt holds the expected report.  Run from the
 repository root:
 
     python scripts/oracle_sweep.py [-v]

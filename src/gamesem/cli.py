@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _str
 from .bounds import Bounds
 from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
 from .observation import ODetSet, observations, play_key, run_test
-from .pcf import PcfError, denote, parse, pragmas, term_to_json, typecheck
+from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
 from .plays import is_complete
 from .strategy import InconsistentPlay, StrategyError, explore, tabulation_to_json
 
@@ -96,24 +96,29 @@ def _read(path: str) -> str:
                           f"at byte {e.start})") from e
 
 
-def _load_term(path: str):
-    source = _read(path)
-    rl = "add_rl" in pragmas(source)
+def _pcf(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a PcfError reported as bad input in `path`."""
     try:
-        t = parse(source)
-        ty = typecheck(t)
+        return fn(*args, **kwargs)
     except PcfError as e:
         raise _InputError(f"{path}: {e}") from e
-    return t, ty, rl
+
+
+def _load_term(path: str):
+    source = _read(path)
+    return _pcf(path, parse, source), "add_rl" in pragmas(source)
 
 
 def _denote_file(path: str, b: Bounds):
-    t, ty, rl = _load_term(path)
-    return denote(t, b, rl_add=rl), ty
+    """Strategy and type of a file; `denote` typechecks it, once."""
+    t, rl = _load_term(path)
+    sigma = _pcf(path, denote, t, b, rl_add=rl)
+    return sigma, arena_type(sigma.arena)
 
 
 def cmd_parse(ns) -> int:
-    t, ty, _ = _load_term(ns.file)
+    t, _ = _load_term(ns.file)
+    ty = _pcf(ns.file, typecheck, t)
     _emit({"term": term_to_json(t), "type": str(ty)})
     return 0
 

@@ -26,7 +26,7 @@ from .observation import (
     viewset_key,
 )
 from .pcf import builtin, denote, parse, succ_strategy
-from .plays import ROOT, Play, is_well_bracketed
+from .plays import Play, is_well_bracketed, legal_extensions
 from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
 
 
@@ -73,12 +73,14 @@ def obs_equiv(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> EquivRep
 
 
 def enumerate_oviews(arena: Arena, max_view_len: int) -> list[Play]:
-    """All well-bracketed Opponent-view-shaped plays up to the length cap.
+    """All well-bracketed single-threaded O-views up to the length cap,
+    in `play_key` order.
 
-    Shape invariant: a Proponent move always points at the move right
-    before it, an Opponent move may point at any earlier Proponent
-    move that enables it.  Bracketing violations are pruned eagerly;
-    they can never be repaired by extension.
+    Each grows through `legal_extensions` from the positions its mover
+    may point at: every one at even length, as an O-view is its own
+    O-view, and the last at odd length, as a Proponent move in an O-view
+    points at the move before it.  Bracketing violations are pruned
+    eagerly; they can never be repaired by extension.
     """
     out: list[Play] = []
     frontier = [Play(arena, ())]
@@ -87,24 +89,10 @@ def enumerate_oviews(arena: Arena, max_view_len: int) -> list[Play]:
         if not is_well_bracketed(v):
             continue
         out.append(v)
-        if len(v.moves) >= max_view_len:
-            continue
-        kids: list[Play] = []
-        if len(v.moves) == 0:
-            for m in sorted(arena.initials):
-                kids.append(Play(arena, ((m, ROOT),)))
-        elif len(v.moves) % 2 == 1:
-            last, _ = v.moves[-1]
-            for m in arena.enabled_from[last]:
-                if arena.label(m).polarity == "P":
-                    kids.append(Play(arena, v.moves + ((m, len(v.moves) - 1),)))
-        else:
-            for j in range(1, len(v.moves), 2):
-                mj, _ = v.moves[j]
-                for m in arena.enabled_from[mj]:
-                    if arena.label(m).polarity == "O":
-                        kids.append(Play(arena, v.moves + ((m, j),)))
-        frontier.extend(kids)
+        n = len(v.moves)
+        if n < max_view_len:
+            view = range(n) if n % 2 == 0 else (n - 1,)
+            frontier.extend(legal_extensions(v, single_threaded=True, view=view))
     out.sort(key=play_key)
     return out
 

@@ -409,6 +409,13 @@ def type_arena(ty: Ty, max_nat: int) -> Arena:
     return arrow(type_arena(ty.arg, max_nat), type_arena(ty.res, max_nat))
 
 
+def arena_type(a: Arena) -> Ty:
+    """The type whose arena `a` is: the inverse of `type_arena`."""
+    if a.kind == "nat":
+        return NAT
+    return TFun(arena_type(a.parts[0]), arena_type(a.parts[1]))
+
+
 def term_to_json(t: Term) -> dict:
     if isinstance(t, Num):
         return {"node": "num", "n": t.n}

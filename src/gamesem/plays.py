@@ -24,7 +24,9 @@ argument, and view-sets read from JSON are checked by `ODetSet.make`.
 Everything else takes a legal play as given; `legal_extensions` builds
 only legal plays from a legal one, so exploration checks no play it
 built: `explore` carries the views of each play forward, one entry per
-move, and asks its strategy without a legality pass.
+move, and asks its strategy without a legality pass.  It is the one
+move generator: `equiv.enumerate_oviews` grows the oracle's O-views
+through it too.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -273,26 +275,26 @@ def legal_extensions(s: Play, single_threaded: bool = False, *,
                      view: tuple[int, ...] | None = None) -> list[Play]:
     """All one-move legal extensions of s, which must be a legal play.
 
-    The precondition is not checked.  The mover's view of s (its
-    positions, as `prefix_views` yields them) is `view` when given and
-    is otherwise read off `prefix_views`; a candidate is an initial move
-    (unless `single_threaded` and the play has begun) or a move of the
-    mover enabled by an occurrence inside that view.  Each is legal by
-    construction, so none is checked.  Order: moves sorted, each with
-    ROOT first and then its justifiers ascending.
+    The precondition is not checked.  Candidates come from the enabling
+    table: each initial move of the mover (unless `single_threaded` and
+    the play has begun), and each move of the mover in
+    `arena.enabled_from` of the move at a position in `view`.  `view` is
+    the mover's view of s (its positions, as `prefix_views` yields them)
+    unless given; any subset of those positions also gives only legal
+    plays, so none is checked.  Order: moves sorted, each with ROOT
+    first and then its justifiers ascending.
     """
     arena = s.arena
     polarity = arena.polarity
+    enabled_from = arena.enabled_from
     mover = "O" if len(s.moves) % 2 == 0 else "P"
     if view is None:
         *_, (pv, ov) = prefix_views(s)
         view = pv if mover == "P" else ov
-    may_open = not (single_threaded and s.moves)
-    out = []
-    for m in sorted(arena.moves):
-        if polarity[m] != mover:
-            continue
-        if may_open and arena.is_initial(m):
-            out.append(s.extend(m, ROOT))
-        out.extend(s.extend(m, j) for j in view if arena.enables(s.moves[j][0], m))
-    return out
+    cands = []
+    if not (single_threaded and s.moves):
+        cands += [(m, ROOT) for m in arena.initials if polarity[m] == mover]
+    for j in view:
+        cands += [(m, j) for m in enabled_from[s.moves[j][0]] if polarity[m] == mover]
+    cands.sort()
+    return [s.extend(m, j) for m, j in cands]

@@ -251,8 +251,9 @@ def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentSt
     does not list has no echo.  The echo's justifier is found by the
     pairing discipline of copycat views: the partner of the justifier
     sits immediately before it, with an unjustified opener echoed by a
-    move pointing at the opener itself.  Views that do not exhibit the
-    discipline get no response.
+    move pointing at the opener itself.  Every view the mirror produced
+    keeps it: an Opponent move in a P-view points at the move before it,
+    and each Proponent move there is an echo.  Other views get no echo.
     """
     def view_fn(v: Play):
         m, ptr = v.moves[-1]
@@ -262,16 +263,9 @@ def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentSt
         if ptr == ROOT:
             j = len(v.moves) - 1
         else:
-            partner = swap.get(v.moves[ptr][0])
-            if partner is None:
+            j = ptr - 1
+            if j < 0 or v.moves[j][0] != swap.get(v.moves[ptr][0]):
                 return None
-            if ptr - 1 >= 0 and v.moves[ptr - 1][0] == partner:
-                j = ptr - 1
-            else:
-                hits = [i for i, (x, _) in enumerate(v.moves) if x == partner]
-                if len(hits) != 1:
-                    return None
-                j = hits[0]
         if not arena.enables(v.moves[j][0], mm):
             return None
         return mm, j

@@ -5,16 +5,16 @@ and naively as possible, sharing no code with the package internals:
 views by structural recursion on the sequence and by a backward walk,
 legality and O-innocence with every prefix's view recomputed,
 bracketing by searching for each answer's question afresh, one-move
-extensions by generating candidates and checking each, candidate test
-sets by one eager recursion over the engine's O-view enumeration and one
-sort, composition by enumerating raw interaction sequences and
+extensions by generating candidates and checking each, O-views by
+keeping the one-move extensions that are their own O-view, candidate
+test sets by one eager recursion over those O-views and one sort,
+composition by enumerating raw interaction sequences and
 projecting.
 """
 from __future__ import annotations
 
 from gamesem.arena import Arena, arrow
 from gamesem.bounds import Bounds
-from gamesem.equiv import enumerate_oviews
 from gamesem.plays import ROOT, Play
 from gamesem.strategy import InnocentStrategy, explore
 
@@ -160,12 +160,29 @@ def ref_legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:
 
 # ------------------------------------------------- candidate test sets
 
+def ref_enumerate_oviews(arena: Arena, max_view_len: int) -> list[Play]:
+    """Every well-bracketed single-threaded play up to the cap that is
+    its own O-view, sorted by (length, moves).  Plays grow by
+    `ref_legal_extensions`; a prefix of an O-view is an O-view and a
+    prefix of a well-bracketed play is well-bracketed, so every other
+    extension is dropped at once."""
+    out = []
+    frontier = [Play(arena, ())]
+    while frontier:
+        v = frontier.pop()
+        out.append(v)
+        if len(v.moves) < max_view_len:
+            frontier.extend(c for c in ref_legal_extensions(v, single_threaded=True)
+                            if ref_oview(c) == c and ref_pending_questions(c) is not None)
+    return sorted(out, key=lambda v: (len(v.moves), v.moves))
+
+
 def ref_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play]]:
     """Every prefix-closed O-deterministic view set, built eagerly by
     recursion on the view tree and sorted once: by total moves, then
     number of views, then the views sorted by (length, moves).  The
-    capped O-views themselves come from the engine's `enumerate_oviews`."""
-    views = enumerate_oviews(arena, max_view_len)
+    capped O-views come from `ref_enumerate_oviews`."""
+    views = ref_enumerate_oviews(arena, max_view_len)
     children: dict[tuple, list[Play]] = {}
     for v in views:
         if v.moves:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesem import cli, equiv
+from gamesem import cli, equiv, pcf
 from gamesem.arena import arrow, make_nat_arena
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
@@ -260,6 +260,30 @@ def test_non_utf8_input_exits_2(tmp_path):
         assert r.returncode == 2
         assert r.stderr == (f"error: cannot read {bad}: "
                             "not UTF-8 text (invalid start byte at byte 0)\n")
+
+
+@pytest.mark.parametrize("args,inputs", [
+    (["denote", "one"], ["one"]),
+    (["equiv", "one", "two"], ["one", "two"]),
+    (["test", "one", "--set", "set"], ["one"]),
+])
+def test_each_input_is_typechecked_once(tmp_path, monkeypatch, capsys, args, inputs):
+    sources = {"one": "succ 0\n", "two": "1 + 0\n"}
+    paths = {name: write(tmp_path, name + ".pcf", text) for name, text in sources.items()}
+    paths["set"] = _set_file(tmp_path, "set.json", 1, 1)
+    roots = {name: pcf.parse(text) for name, text in sources.items()}
+    checked = []
+    typecheck = pcf.typecheck
+
+    def spy(t, ctx=()):
+        checked.extend(name for name, root in roots.items() if t == root)
+        return typecheck(t, ctx)
+
+    monkeypatch.setattr(pcf, "typecheck", spy)
+    monkeypatch.setattr(cli, "typecheck", spy)
+    assert cli.main([paths.get(a, a) for a in args] + ["--max-nat", "1"]) == 0
+    capsys.readouterr()
+    assert checked == inputs
 
 
 def test_laws_exit_0():

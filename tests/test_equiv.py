@@ -22,7 +22,7 @@ from gamesem.pcf import denote, parse
 from gamesem.plays import ROOT, Play, is_well_bracketed
 from gamesem.strategy import InnocentStrategy
 
-from oracles import ref_closed_odet_sets
+from oracles import ref_closed_odet_sets, ref_enumerate_oviews
 
 N1 = make_nat_arena(1)
 N2 = make_nat_arena(2)
@@ -55,6 +55,20 @@ def test_enumerate_oviews_flat():
     vs = enumerate_oviews(N1, 4)
     # empty, the question, and one view per answer
     assert len(vs) == 4
+
+
+@pytest.mark.parametrize("arena,cap,size", [
+    (N1, 4, 4),
+    (arrow(N1, N1), 6, 7),
+    (arrow(product(N1, N1), N1), 6, 10),
+    (arrow(N1, arrow(N1, N1)), 6, 10),
+    (arrow(arrow(N1, N1), N1), 8, 40),
+    (arrow(arrow(N2, N2), N2), 6, 34),
+])
+def test_enumerate_oviews_matches_reference(arena, cap, size):
+    vs = enumerate_oviews(arena, cap)
+    assert len(vs) == size
+    assert vs == ref_enumerate_oviews(arena, cap)
 
 
 def test_closed_set_counts():

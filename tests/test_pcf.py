@@ -17,6 +17,7 @@ from gamesem.pcf import (
     Succ,
     TFun,
     Var,
+    arena_type,
     builtin,
     denote,
     make_add,
@@ -25,6 +26,7 @@ from gamesem.pcf import (
     pragmas,
     term_to_json,
     tokenize,
+    type_arena,
     typecheck,
 )
 from gamesem.plays import ROOT, Play
@@ -249,6 +251,25 @@ def test_denoted_arena_follows_the_type():
     b = Bounds(max_nat=2)
     d = denote(parse("fun x: nat -> x"), b)
     assert d.arena == arrow(make_nat_arena(2), make_nat_arena(2))
+
+
+@pytest.mark.parametrize("text", ["nat", "nat -> nat", "nat -> nat -> nat",
+                                  "(nat -> nat) -> nat"])
+def test_arena_type_inverts_type_arena(text):
+    ty = parse_type(text)
+    assert arena_type(type_arena(ty, 2)) == ty
+
+
+@pytest.mark.parametrize("source", [
+    "succ 0",
+    "fun f: nat -> nat -> f (f 1)",
+    "fun x: nat -> fun y: nat -> ifz x then y else x + y",
+    "(fun g: (nat -> nat) -> nat -> g) (fun h: nat -> nat -> h 0)",
+    "fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))",
+])
+def test_the_type_reads_back_off_the_denoted_arena(source):
+    t = parse(source)
+    assert arena_type(denote(t, Bounds(max_nat=1, fix_depth=2)).arena) == typecheck(t)
 
 
 def test_double_interrogates_argument_twice():

@@ -95,6 +95,16 @@ def test_copycat_echoes():
     assert cc.respond(back) == ("R.1", 0)
 
 
+def test_mirror_answers_only_views_that_keep_the_pairing_discipline():
+    # R.L.q at 3 is a move copycat never plays: its partner L.L.q sits
+    # at 2, not right before it.  The justifier's partner is read only
+    # from the position right before it, so there is no echo.
+    cc = copycat(arrow(make_nat_arena(1), make_nat_arena(1)))
+    s = Play(cc.arena, (("R.R.q", ROOT), ("L.R.q", 0), ("L.L.q", 1), ("R.L.q", 0),
+                        ("R.L.1", 3), ("R.L.q", 0), ("R.L.0", 5)))
+    assert cc.respond(s) is None
+
+
 def test_traces_even_prefix_closed_and_deterministic():
     b = Bounds(max_nat=2, max_play_len=6)
     t = traces(builtin("add_LR", 2), b)
