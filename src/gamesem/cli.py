@@ -147,7 +147,7 @@ def cmd_traces(ns) -> int:
         "bound_exceeded": tr.bound_exceeded,
         "bounds": b.to_json(),
         "count": len(plays),
-        "plays": [p.to_json(arena_ref="name") for p in plays],
+        "plays": [p.to_json() for p in plays],
     })
     return 0
 

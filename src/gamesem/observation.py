@@ -11,7 +11,7 @@ arena (`induced_test`, the paper's construction).  `run_test` gives
 the verdict of that composite without building it: the set is read as
 an Opponent, a table from O-views to the next Opponent move, and one
 play over the strategy's own arena alternates that Opponent with the
-strategy, carrying both views forward one move at a time.
+strategy's rounds, the rounds `explore` plays.
 """
 from __future__ import annotations
 
@@ -150,7 +150,7 @@ class ODetSet:
     def to_json(self, include_arena: bool = False) -> dict:
         doc = {
             "initial": self.initial,
-            "views": [v.to_json(arena_ref="name") for v in sorted_views(self.views)],
+            "views": [v.to_json() for v in sorted_views(self.views)],
         }
         if include_arena:
             doc["arena"] = self.arena.to_json()
@@ -162,7 +162,7 @@ class ODetSet:
             if "arena" not in doc:
                 raise ValueError("no arena given and none embedded in the document")
             arena = Arena.from_json(doc["arena"])
-        views = [Play.from_json(v, arena=arena) for v in doc["views"]]
+        views = [Play.from_json(v, arena) for v in doc["views"]]
         return cls.make(arena, views)
 
     def __repr__(self) -> str:
@@ -220,8 +220,9 @@ def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
     `induced_test(s)` and asking the composite the Sigma question, but
     played as one play over A: the Opponent move is looked up by the
     play's O-view, sigma answers from its P-view, and the test succeeds
-    when the O-view is a complete element of s.  Both views are carried
-    forward one move at a time, as `explore` carries them.  As in the
+    when the O-view is a complete element of s.  Each round is sigma's
+    `_round`, the one `explore` plays, so both views are carried forward
+    one move at a time and no play is checked.  As in the
     composite, the Sigma question and answer count against
     b.max_play_len with the moves of A, so a reply that would take the
     interaction past the cap gives BOUND_EXCEEDED; so does a bound hit
@@ -236,12 +237,10 @@ def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
     cap = b.max_play_len - 2
     play = Play(arena)
-    # P-views and O-views of the play's prefixes, by length
-    pvs: list[tuple[int, ...]] = [()]
-    ovs: list[tuple[int, ...]] = [()]
+    views = (((), ()),)   # P- and O-view of each prefix of the play
     while True:
         i = len(play.moves)
-        ov = ovs[i]
+        ov = views[i][1]
         entry = table.get(subsequence(play, ov).moves)
         if entry is None:
             return TestVerdict.BOT
@@ -258,24 +257,15 @@ def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
                                 f"enabled in the O-view")
         if i > cap:
             return TestVerdict.BOUND_EXCEEDED
-        play = play.extend(o, j)
-        # pview(s.o) = pview(s<=j).o; s<=ROOT is the empty prefix
-        pv = pvs[j + 1] + (i,)
-        pvs.append(pv)
-        ovs.append(ov + (i,))
         try:
-            r = sigma._answer(play, pv)
+            step = sigma._round(play.extend(o, j), views)
         except BoundExceeded:
             return TestVerdict.BOUND_EXCEEDED
-        if r is None:
+        if step is None:
             return TestVerdict.BOT
         if i + 1 > cap:
             return TestVerdict.BOUND_EXCEEDED
-        play = play.extend(*r)
-        # oview(s.o.p) = oview(s<q).q.p for the reply p justified at q
-        q = r[1]
-        pvs.append(pv + (i + 1,))
-        ovs.append(ovs[q] + (q, i + 1))
+        play, views = step
 
 
 @dataclass(frozen=True)
@@ -291,7 +281,7 @@ class ObservationalStrategy:
         doc = {
             "bounds": self.bounds.to_json(),
             "bound_exceeded": self.bound_exceeded,
-            "sets": [[v.to_json(arena_ref="name") for v in sorted_views(vs)]
+            "sets": [[v.to_json() for v in sorted_views(vs)]
                      for vs in ordered],
         }
         if include_arena:
@@ -305,7 +295,7 @@ class ObservationalStrategy:
                 raise ValueError("no arena given and none embedded in the document")
             arena = Arena.from_json(doc["arena"])
         sets = frozenset(
-            frozenset(Play.from_json(v, arena=arena) for v in vs)
+            frozenset(Play.from_json(v, arena) for v in vs)
             for vs in doc["sets"])
         return cls(arena, sets, Bounds.from_json(doc.get("bounds", {})),
                    int(doc.get("bound_exceeded", 0)))

@@ -21,8 +21,9 @@ A comment of the form "#pragma add_rl" flips the evaluation order of
 from parsing so the AST stays order-neutral.
 
 Denotation maps a typed term to an innocent strategy over the arena of
-its type: numerals answer immediately, arithmetic goes through small
-interrogation strategies, lambda is a retagging of moves, application
+its type: numerals and arithmetic are small interrogation strategies
+(a numeral asks no question), `ifz` asks its condition and then plays
+copycat with a branch, lambda is a retagging of moves, application
 pairs the function with its argument and cuts against the evaluation
 copycat, and a fixpoint denotes its fix_depth-th approximant: the
 strategy of its body applied fix_depth times to the strategy with no
@@ -35,10 +36,11 @@ from dataclasses import dataclass, field
 
 from .arena import Arena, arrow, make_empty, make_nat_arena, product
 from .bounds import Bounds
-from .plays import ROOT, Play
+from .plays import Play
 from .strategy import (
     InnocentStrategy,
     compose,
+    copycat_echo,
     mirror_strategy,
     pair_strategies,
     prefix_swap,
@@ -512,39 +514,28 @@ def eval_strategy(fn_arena: Arena) -> InnocentStrategy:
 def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
     """Branching on arrow(product(N, product(T, T)), T).
 
-    Ask the number; open the matching branch copy of T; thereafter
-    mirror the outer T against the opened branch.
+    Ask the number, then answer with `copycat_echo` between the outer T
+    and the branch copy of T that the answer picks, on the P-view with
+    the condition's question and answer (positions 1 and 2) cut out.
+    Echoing the opening question opens the branch; a view with moves in
+    the other branch gets no answer.
     """
     n = make_nat_arena(max_nat)
     a = arrow(product(n, product(res_arena, res_arena)), res_arena)
-    # the outer T against each branch copy
-    swaps = {b: prefix_swap([("R.", b)], a.moves) for b in ("L.R.L.", "L.R.R.")}
+    # the outer T against each branch copy: then for 0, else otherwise
+    then_swap, else_swap = (prefix_swap([("R.", b)], a.moves) for b in ("L.R.L.", "L.R.R."))
 
     def view_fn(v: Play):
-        first, fptr = v.moves[0]
-        if fptr != ROOT or not first.startswith("R."):
-            return None
-        if len(v.moves) == 1:
+        ms = v.moves
+        if len(ms) == 1:
             return ("L.L.q", 0)
-        if v.moves[1] != ("L.L.q", 0):
+        if ms[1] != ("L.L.q", 0):
             return None
-        if len(v.moves) == 3:
-            m, ptr = v.moves[2]
-            if ptr != 1 or not m.startswith("L.L."):
-                return None
-            branch = "L.R.L." if int(m[4:]) == 0 else "L.R.R."
-            return (branch + first[2:], 0)
-        swap = swaps.get(v.moves[3][0][:6])
-        if swap is None:
+        cut = ms[:1] + tuple((m, p - 2 if p >= 3 else p) for m, p in ms[3:])
+        r = copycat_echo(a, then_swap if ms[2][0] == "L.L.0" else else_swap, cut)
+        if r is None:
             return None
-        m, ptr = v.moves[-1]
-        mm = swap.get(m)
-        if mm is None or ptr == ROOT:
-            return None
-        j = 0 if ptr == 3 else ptr - 1
-        if j < 0 or swap.get(v.moves[ptr][0]) != v.moves[j][0]:
-            return None
-        return (mm, j)
+        return r[0], (r[1] + 2 if r[1] > 0 else 0)
 
     return InnocentStrategy(a, "ifz", view_fn=view_fn)
 
@@ -610,14 +601,8 @@ def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
 
     if isinstance(t, Num):
         k = min(t.n, b.max_nat)
-
-        def const_view(v: Play):
-            if v.moves == (("R.q", ROOT),):
-                return (f"R.{k}", 0)
-            return None
-
-        return InnocentStrategy(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]",
-                                view_fn=const_view)
+        return interrogate(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]", (),
+                           lambda ks: k)
 
     if isinstance(t, Var):
         path, va = _var(env, t.name)

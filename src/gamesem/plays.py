@@ -9,14 +9,13 @@ justification, and visibility holds (a Proponent move points into the
 P-view of the prefix before it, an Opponent move into the O-view).
 
 Both views are defined incrementally (Hyland & Ong, "On full abstraction
-for PCF", Inf. & Comp. 163, 2000), and `prefix_views` runs that
-definition forward, yielding the P- and O-view of every prefix in one
-pass.  For the view of one player: a move of that player appends itself
-to the view before it; an unjustified move starts a new view; any other
-move appends (justifier, move) to the view before its justifier.  The
-legality check, the view functions, the innocence tests,
-`legal_extensions` and the observation and tabulation code all read
-their views from this one recurrence.
+for PCF", Inf. & Comp. 163, 2000), and `next_views` is the one view
+recurrence: it extends the views of a play's prefixes by one move,
+reading the mover from the play's parity.  `prefix_views` loops over
+it, and a strategy's round of play (`InnocentStrategy._round`) extends
+a play's views with it, so the legality check, the view functions, the
+innocence tests, `legal_extensions`, exploration, test runs and the
+observation and tabulation code all read their views from it.
 
 Legality is checked where plays enter: `InnocentStrategy.respond`
 checks every play it is asked about, `pview` and `oview` check their
@@ -24,7 +23,7 @@ argument, and view-sets read from JSON are checked by `ODetSet.make`.
 Everything else takes a legal play as given; `legal_extensions` builds
 only legal plays from a legal one, so exploration checks no play it
 built: `explore` carries the views of each play forward, one entry per
-move, and asks its strategy without a legality pass.  It is the one
+move, and plays each round without a legality pass.  It is the one
 move generator: `equiv.enumerate_oviews` grows the oracle's O-views
 through it too.
 
@@ -64,20 +63,15 @@ class Play:
     def prefix(self, n: int) -> "Play":
         return Play(self.arena, self.moves[:n])
 
-    def to_json(self, arena_ref: str = "inline") -> dict:
-        """Serialize; `arena_ref` is "inline" for the full arena or "name"."""
-        arena = self.arena.to_json() if arena_ref == "inline" else self.arena.name
-        return {"arena": arena, "moves": [{"m": m, "ptr": p} for m, p in self.moves]}
+    def to_json(self) -> dict:
+        """Serialize, naming the arena; the reader supplies it."""
+        return {"arena": self.arena.name,
+                "moves": [{"m": m, "ptr": p} for m, p in self.moves]}
 
     @classmethod
-    def from_json(cls, doc: dict, arena: Arena | None = None) -> "Play":
-        """Load a play; the document's "arena" key is read only when no
-        `arena` is passed in.  A pointer must be a JSON integer."""
-        if arena is None:
-            ref = doc["arena"]
-            if not isinstance(ref, dict):
-                raise ValueError(f"cannot resolve arena reference {ref!r}")
-            arena = Arena.from_json(ref)
+    def from_json(cls, doc: dict, arena: Arena) -> "Play":
+        """Load a play over `arena`; the document's "arena" key is not
+        read.  A pointer must be a JSON integer."""
         moves = []
         for m in doc["moves"]:
             if type(m["ptr"]) is not int:
@@ -94,21 +88,31 @@ class Play:
         return f"Play[{body}]"
 
 
+def next_views(views, ptr: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(P-view, O-view) positions of s·m, from the pair of every prefix
+    of s (shortest first) and the pointer of m.  m is an Opponent move
+    when s has even length.  It appends itself to its own view; the
+    other view is (m) when m is unjustified, and otherwise that view of
+    the prefix before the justifier, then the justifier, then m."""
+    i = len(views) - 1
+    if i % 2:   # a Proponent move
+        return views[i][0] + (i,), (i,) if ptr == ROOT else views[ptr][1] + (ptr, i)
+    return (i,) if ptr == ROOT else views[ptr][0] + (ptr, i), views[i][1] + (i,)
+
+
 def prefix_views(s: Play):
     """(P-view, O-view) positions of every prefix of s, shortest first.
 
     Each view is a tuple of ascending positions of s.  The pairs come
-    lazily, so `legality_violation` can stop at a bad move before the
-    recurrence reads its pointer; other readers take a legal play.
+    lazily, `next_views` reading one move at a time, so
+    `legality_violation` can stop at a bad move before the recurrence
+    reads its pointer or its parity; other readers take a legal play.
     """
-    polarity = s.arena.polarity
-    pv, ov = [()], [()]
-    yield (), ()
-    for i, (m, ptr) in enumerate(s.moves):
-        own, other = (pv, ov) if polarity[m] == "P" else (ov, pv)
-        own.append(own[i] + (i,))
-        other.append((i,) if ptr == ROOT else other[ptr] + (ptr, i))
-        yield pv[-1], ov[-1]
+    views = [((), ())]
+    yield views[0]
+    for _, ptr in s.moves:
+        views.append(next_views(views, ptr))
+        yield views[-1]
 
 
 def legality_violation(s: Play, views: list | None = None) -> str | None:

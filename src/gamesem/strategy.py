@@ -14,16 +14,19 @@ the P-view, so the extended play is legal again; a view index can only
 name a move of the P-view.  Wrappers translate the view alone for
 their inner strategy (a prefix renaming is an arena isomorphism, so it
 commutes with the P-view), and the inner strategy's pointer into that
-view is already view-relative.  `explore` asks its strategy through the
-unchecked `_answer`, since it builds legal plays and carries their
-views itself.
+view is already view-relative.  One round of play, an Opponent move
+and the strategy's reply, is `_round`: it asks the unchecked
+`_answer` and carries the views of the play forward through
+`plays.next_views`.  `explore` and `observation.run_test` both play
+their rounds through it, since they build legal plays themselves.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
 `prefix_swap` tables the involution a mirror (copycat-style) strategy
 echoes through, and `rename_strategy` and `pair_strategies` invert
 their tables to read views back.  No prefix is scanned when a strategy
-is asked.
+is asked.  `copycat_echo` is the one copycat rule: the mirror answers
+with it, and so does `pcf.ifz_strategy` once its condition is answered.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -48,6 +51,7 @@ from .plays import (
     Play,
     legality_violation,
     legal_extensions,
+    next_views,
     pview_with_positions,
     subsequence,
 )
@@ -115,6 +119,18 @@ class InnocentStrategy:
             raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {ptr}")
         return move, ptr
 
+    def _round(self, so: Play, views: tuple):
+        """One round: this strategy's reply p to the legal play s·o,
+        asked through `_answer`.  `views` holds the (P-view, O-view)
+        positions of every prefix of s, as `plays.prefix_views` yields
+        them.  Returns (s·o·p, the same for every prefix of s·o·p), or
+        None where the strategy does not answer."""
+        views += (next_views(views, so.moves[-1][1]),)
+        r = self._answer(so, views[-1][0])
+        if r is None:
+            return None
+        return so.extend(*r), views + (next_views(views, r[1]),)
+
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
 
@@ -134,50 +150,40 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
     sigma's response.  Positions where the response computation hit an
     interaction bound are counted, not silently dropped.
 
-    No play is checked: each stacked play carries the P- and O-view
-    positions of its prefixes, one entry per move by the incremental
-    view definition, so `legal_extensions` builds its legal extensions
-    from the O-view it is handed and sigma is asked through `_answer`.
-    With `o_innocent_only` it also carries the O-innocence map of its
+    No play is checked: each stacked play carries the views of its
+    prefixes that sigma's `_round` returned with it, so
+    `legal_extensions` builds its legal extensions from the O-view it
+    is handed and each round asks sigma without a legality pass.  With
+    `o_innocent_only` it also carries the O-innocence map of its
     Opponent moves (O-view -> move and pointer); a candidate whose
     O-view is mapped to another move is pruned, which is
     `is_o_innocent` one move at a time.
     """
     empty = Play(sigma.arena)
     result = {empty}
-    # (play, P-views and O-views of its prefixes by length, O-innocence map)
-    stack = [(empty, ((),), ((),), {})]
+    # (play, views of its prefixes by length, O-innocence map)
+    stack = [(empty, (((), ()),), {})]
     exceeded = 0
     while stack:
-        s, pvs, ovs, omap = stack.pop()
-        i = len(s.moves)
-        if i + 2 > b.max_play_len:
+        s, views, omap = stack.pop()
+        if len(s.moves) + 2 > b.max_play_len:
             continue
-        ov = ovs[i]
+        ov = views[-1][1]
         okey = subsequence(s, ov).moves if o_innocent_only else None
         for so in legal_extensions(s, single_threaded=single_threaded_only, view=ov):
-            o, j = so.last
             if o_innocent_only:
+                o, j = so.last
                 oval = (o, ROOT if j == ROOT else ov.index(j))
                 if omap.get(okey, oval) != oval:
                     continue
-            # pview(s.o) = pview(s<=j).o; s<=ROOT is the empty prefix
-            pv = pvs[j + 1] + (i,)
             try:
-                r = sigma._answer(so, pv)
+                step = sigma._round(so, views)
             except BoundExceeded:
                 exceeded += 1
                 continue
-            if r is None:
-                continue
-            sop = so.extend(*r)
-            if sop not in result:
-                result.add(sop)
-                # oview(s.o.p) = oview(s<q).q.p for the reply p justified at q
-                q = r[1]
-                stack.append((sop, pvs + (pv, pv + (i + 1,)),
-                              ovs + (ov + (i,), ovs[q] + (q, i + 1)),
-                              {**omap, okey: oval} if o_innocent_only else omap))
+            if step is not None and step[0] not in result:
+                result.add(step[0])
+                stack.append((*step, {**omap, okey: oval} if o_innocent_only else omap))
     return TraceResult(frozenset(result), exceeded)
 
 
@@ -207,14 +213,13 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
         if entries.setdefault(view.moves, entry) != entry:
             raise StrategyError(f"{sigma.name}: view answered two ways")
     out = [(Play(sigma.arena, k), e) for k, e in entries.items()]
-    out.sort(key=lambda ve: json.dumps(ve[0].to_json(arena_ref="name"),
-                                       sort_keys=True))
+    out.sort(key=lambda ve: json.dumps(ve[0].to_json(), sort_keys=True))
     return out
 
 
 def tabulation_to_json(sigma: InnocentStrategy, b: Bounds) -> list[dict]:
     return [
-        {"view": v.to_json(arena_ref="name"), "response": {"m": m, "ptr": p}}
+        {"view": v.to_json(), "response": {"m": m, "ptr": p}}
         for v, (m, p) in tabulate(sigma, b)
     ]
 
@@ -244,33 +249,38 @@ def prefix_swap(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
     return prefix_map(pairs + [(y, x) for x, y in pairs], moves)
 
 
-def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentStrategy:
-    """Copycat-style strategy: echo the last Opponent move through `swap`.
+def copycat_echo(arena: Arena, swap: dict[str, str], moves):
+    """The copycat reply to a P-view, given by its moves: the last
+    Opponent move echoed through `swap`, as (move, index into the view),
+    or None.
 
-    `swap` is a move table over the arena (a `prefix_swap`); a move it
+    `swap` is a move table over `arena` (a `prefix_swap`); a move it
     does not list has no echo.  The echo's justifier is found by the
     pairing discipline of copycat views: the partner of the justifier
     sits immediately before it, with an unjustified opener echoed by a
-    move pointing at the opener itself.  Every view the mirror produced
+    move pointing at the opener itself.  Every view copycat produced
     keeps it: an Opponent move in a P-view points at the move before it,
     and each Proponent move there is an echo.  Other views get no echo.
     """
-    def view_fn(v: Play):
-        m, ptr = v.moves[-1]
-        mm = swap.get(m)
-        if mm is None:
+    m, ptr = moves[-1]
+    mm = swap.get(m)
+    if mm is None:
+        return None
+    if ptr == ROOT:
+        j = len(moves) - 1
+    else:
+        j = ptr - 1
+        if j < 0 or moves[j][0] != swap.get(moves[ptr][0]):
             return None
-        if ptr == ROOT:
-            j = len(v.moves) - 1
-        else:
-            j = ptr - 1
-            if j < 0 or v.moves[j][0] != swap.get(v.moves[ptr][0]):
-                return None
-        if not arena.enables(v.moves[j][0], mm):
-            return None
-        return mm, j
+    if not arena.enables(moves[j][0], mm):
+        return None
+    return mm, j
 
-    return InnocentStrategy(arena, name, view_fn=view_fn)
+
+def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentStrategy:
+    """Copycat-style strategy: answer each P-view with `copycat_echo`."""
+    return InnocentStrategy(arena, name,
+                            view_fn=lambda v: copycat_echo(arena, swap, v.moves))
 
 
 def copycat(a: Arena) -> InnocentStrategy:

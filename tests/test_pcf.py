@@ -20,6 +20,7 @@ from gamesem.pcf import (
     arena_type,
     builtin,
     denote,
+    ifz_strategy,
     make_add,
     parse,
     parse_type,
@@ -223,6 +224,16 @@ def test_ifz_selects_branch():
     b = Bounds(max_nat=2)
     assert _value("ifz 0 then 1 else 2", b) == 1
     assert _value("ifz 2 then 1 else 0", b) == 0
+
+
+def test_ifz_answers_only_views_it_produced():
+    # The condition answered 0, so ifz opens the then branch (L.R.L.);
+    # a view whose else branch (L.R.R.) was opened is none of its own.
+    sigma = ifz_strategy(make_nat_arena(1), 1)
+    opened = (("R.q", ROOT), ("L.L.q", 0), ("L.L.0", 1))
+    for branch, want in (("L.R.L.", ("R.1", 0)), ("L.R.R.", None)):
+        view = opened + ((branch + "q", 0), (branch + "1", 3))
+        assert sigma.respond(Play(sigma.arena, view)) == want
 
 
 def test_fix_of_identity_diverges():

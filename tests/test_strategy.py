@@ -10,6 +10,7 @@ from gamesem.plays import (
     is_p_innocent,
     is_well_bracketed,
     legal_extensions,
+    prefix_views,
     pview,
     pview_with_positions,
 )
@@ -143,7 +144,7 @@ def test_tabulate_canonical_and_consistent():
     b = Bounds(max_nat=1, max_play_len=6)
     s = builtin("add_LR", 1)
     tab = tabulate(s, b)
-    keys = [json.dumps(v.to_json(arena_ref="name"), sort_keys=True) for v, _ in tab]
+    keys = [json.dumps(v.to_json(), sort_keys=True) for v, _ in tab]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
@@ -200,6 +201,28 @@ def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
             assert pruned.plays == {p for p in every if ref_is_o_innocent(p)}
             pruned_some |= pruned.plays != every
     assert pruned_some
+
+
+ROUND_NODES = {
+    "copycat": lambda b: copycat(make_nat_arena(1)),
+    "add_LR": lambda b: builtin("add_LR", 1),
+    "ifz": lambda b: denote(parse("fun x: nat -> ifz x then 1 else 0"), b),
+    "twice": lambda b: denote(parse("fun f: nat -> nat -> f (f 1)"), b),
+}
+
+
+@pytest.mark.parametrize("build", ROUND_NODES.values(), ids=ROUND_NODES.keys())
+def test_a_round_returns_the_views_prefix_views_walks(build):
+    # explore and run_test carry a play's views only through _round
+    b = Bounds(max_nat=1, max_play_len=10)
+    sigma = build(b)
+    plays = explore(sigma, b).plays
+    assert len(plays) > 2
+    for sop in plays:
+        if sop.moves:
+            n = len(sop.moves)
+            step = sigma._round(sop.prefix(n - 1), tuple(prefix_views(sop.prefix(n - 2))))
+            assert step == (sop, tuple(prefix_views(sop)))
 
 
 def _rename_nodes():
