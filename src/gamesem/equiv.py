@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .arena import Arena
 from .bounds import Bounds
@@ -115,11 +116,15 @@ def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play
 
     The order is `viewset_key` order.  Its first component is the
     total number of moves, so the sets are built one total size at a
-    time and each such bucket is sorted on its own.  A set rooted at a
-    view of even length (Opponent to move) takes at most one child; at
-    odd length (Proponent to move) the children are independent.  Sets
-    are built as tuples of view indices; the views are in play_key
-    order, so sorted indices compare as viewset_key's sorted views do.
+    time and each such bucket is sorted on its own.  Two memoised
+    recursions build a bucket: `rooted(i, n)`, the sets rooted at view
+    i with n moves in all, and `spread(i, k, n)`, the unions of sets
+    rooted at children k.. of view i.  A set rooted at a view of even
+    length (Opponent to move) takes at most one child; at odd length
+    (Proponent to move) the children are independent, so it is a
+    spread.  Sets are built as tuples of view indices; the views are in
+    play_key order, so sorted indices compare as viewset_key's sorted
+    views do.
     """
     views, kids = _view_tree(arena, max_view_len)
     size = [len(v.moves) for v in views]
@@ -128,44 +133,35 @@ def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play
         if kids[i]:
             sub = [largest[c] for c in kids[i]]
             largest[i] += sum(sub) if size[i] % 2 else max(sub)
-    rooted: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    # spread[i][k][n]: unions of sets rooted at children k.. of view i
-    # with n moves in all, filled one n at a time for every k.
-    spread: dict[int, list[list[list[tuple[int, ...]]]]] = {}
 
-    def at(i: int, n: int) -> list[tuple[int, ...]]:
+    @cache
+    def rooted(i: int, n: int) -> list[tuple[int, ...]]:
         # Sets rooted at view i with n moves in total.
         if n < size[i] or n > largest[i]:
             return []
-        got = rooted.get((i, n))
-        if got is None:
-            rest, v = n - size[i], (i,)
-            if rest == 0:
-                got = [v]
-            elif size[i] % 2:
-                got = [v + s for s in over(i, rest)]
-            else:
-                got = [v + s for c in kids[i] for s in at(c, rest)]
-            rooted[i, n] = got
+        rest, v = n - size[i], (i,)
+        if rest == 0:
+            return [v]
+        if size[i] % 2:
+            return [v + s for s in spread(i, 0, rest)]
+        return [v + s for c in kids[i] for s in rooted(c, rest)]
+
+    @cache
+    def spread(i: int, k: int, n: int) -> list[tuple[int, ...]]:
+        # Unions of sets rooted at children k.. of view i, each child
+        # left out or taken once, with n moves in all.
+        if k == len(kids[i]):
+            return [()] if n == 0 else []
+        c = kids[i][k]
+        got = list(spread(i, k + 1, n))
+        for j in range(size[c], min(n, largest[c]) + 1):
+            tail = spread(i, k + 1, n - j)
+            if tail:
+                got.extend(a + t for a in rooted(c, j) for t in tail)
         return got
 
-    def over(i: int, n: int) -> list[tuple[int, ...]]:
-        # Unions of sets rooted at the children of view i, n moves in all.
-        rows = spread.setdefault(i, [[[()]] for _ in range(len(kids[i]) + 1)])
-        while len(rows[0]) <= n:
-            m = len(rows[0])
-            rows[-1].append([])
-            for k in reversed(range(len(kids[i]))):
-                c, tail = kids[i][k], rows[k + 1]
-                got = list(tail[m])
-                for j in range(size[c], min(m, largest[c]) + 1):
-                    if tail[m - j]:
-                        got.extend(a + t for a in at(c, j) for t in tail[m - j])
-                rows[k].append(got)
-        return rows[0][n]
-
     for n in range(largest[0] + 1):
-        bucket = ([()] if n == 0 else []) + at(0, n)
+        bucket = ([()] if n == 0 else []) + rooted(0, n)
         bucket.sort(key=lambda t: (len(t), sorted(t)))
         for t in bucket:
             yield frozenset(views[i] for i in t)

@@ -312,7 +312,7 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     length bound contribute nothing, but positions where the strategy's
     own computation hit a bound are counted in bound_exceeded.
     """
-    res = explore(sigma, b, o_innocent_only=True, single_threaded_only=True)
+    res = explore(sigma, b, innocent_opponent=True)
     sets = frozenset(prefix_oviews(p) for p in res.plays if is_complete(p))
     return ObservationalStrategy(sigma.arena, sets, b, res.bound_exceeded)
 

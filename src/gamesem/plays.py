@@ -15,7 +15,8 @@ reading the mover from the play's parity.  `prefix_views` loops over
 it, and a strategy's round of play (`InnocentStrategy._round`) extends
 a play's views with it, so the legality check, the view functions, the
 innocence tests, `legal_extensions`, exploration, test runs and the
-observation and tabulation code all read their views from it.
+observation code all read their views from it.  `strategy.tabulate`
+needs none: it walks P-views, each its own P-view.
 
 Legality is checked where plays enter: `InnocentStrategy.respond`
 checks every play it is asked about, `pview` and `oview` check their

@@ -18,7 +18,8 @@ view is already view-relative.  One round of play, an Opponent move
 and the strategy's reply, is `_round`: it asks the unchecked
 `_answer` and carries the views of the play forward through
 `plays.next_views`.  `explore` and `observation.run_test` both play
-their rounds through it, since they build legal plays themselves.
+their rounds through it, since they build legal plays themselves;
+`tabulate` walks P-views alone and asks `_answer` once per view.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -33,8 +34,9 @@ exchange moves in the shared middle component, which is hidden from the
 outside.  A composite replays only the P-view of the play it is asked
 about (the P-view of a legal play is a legal play, and the composite is
 innocent), so its reply is a function of that view and is memoised by
-it.  The replay grows both strategies' projections of the interaction
-with each move it appends.  Interactions are capped at
+it.  The replay grows three projections of the interaction with each
+move it appends, sigma's, tau's and the outer one the reply is read
+off, all pointed by one justifier rule.  Interactions are capped at
 `bounds.max_play_len` occurrences counting hidden moves; hitting the
 cap raises BoundExceeded, which is deliberately distinct from a genuine
 refusal to respond.
@@ -52,7 +54,6 @@ from .plays import (
     legality_violation,
     legal_extensions,
     next_views,
-    pview_with_positions,
     subsequence,
 )
 
@@ -141,20 +142,19 @@ class TraceResult:
     bound_exceeded: int
 
 
-def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
-            single_threaded_only: bool = False) -> TraceResult:
+def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False) -> TraceResult:
     """Even-length plays reachable against sigma within the bounds.
 
-    Opponent ranges over every legal choice, optionally pruned to
-    O-innocent or single-threaded continuations; Proponent plays
-    sigma's response.  Positions where the response computation hit an
+    Opponent ranges over every legal choice, or with `innocent_opponent`
+    over the single-threaded, O-innocent ones; Proponent plays sigma's
+    response.  Positions where the response computation hit an
     interaction bound are counted, not silently dropped.
 
     No play is checked: each stacked play carries the views of its
     prefixes that sigma's `_round` returned with it, so
     `legal_extensions` builds its legal extensions from the O-view it
     is handed and each round asks sigma without a legality pass.  With
-    `o_innocent_only` it also carries the O-innocence map of its
+    `innocent_opponent` it also carries the O-innocence map of its
     Opponent moves (O-view -> move and pointer); a candidate whose
     O-view is mapped to another move is pruned, which is
     `is_o_innocent` one move at a time.
@@ -169,9 +169,9 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
         if len(s.moves) + 2 > b.max_play_len:
             continue
         ov = views[-1][1]
-        okey = subsequence(s, ov).moves if o_innocent_only else None
-        for so in legal_extensions(s, single_threaded=single_threaded_only, view=ov):
-            if o_innocent_only:
+        okey = subsequence(s, ov).moves if innocent_opponent else None
+        for so in legal_extensions(s, single_threaded=innocent_opponent, view=ov):
+            if innocent_opponent:
                 o, j = so.last
                 oval = (o, ROOT if j == ROOT else ov.index(j))
                 if omap.get(okey, oval) != oval:
@@ -183,35 +183,42 @@ def explore(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
                 continue
             if step is not None and step[0] not in result:
                 result.add(step[0])
-                stack.append((*step, {**omap, okey: oval} if o_innocent_only else omap))
+                stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap))
     return TraceResult(frozenset(result), exceeded)
 
 
-def traces(sigma: InnocentStrategy, b: Bounds, o_innocent_only: bool = False,
-           single_threaded_only: bool = False) -> frozenset[Play]:
+def traces(sigma: InnocentStrategy, b: Bounds,
+           innocent_opponent: bool = False) -> frozenset[Play]:
     """The even-length-prefix-closed trace set of sigma at the bounds."""
-    return explore(sigma, b, o_innocent_only, single_threaded_only).plays
+    return explore(sigma, b, innocent_opponent).plays
 
 
 def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, int]]]:
     """The reachable part of sigma's view function, canonically ordered.
 
-    Reads (P-view, response with view-relative pointer) off every
-    answered position of sigma's single-threaded trace set, and checks
-    that equal views always received equal responses.  Single-threaded
-    plays suffice: every P-view of a play of sigma is itself a
-    single-threaded play of sigma, no longer than the play, so
-    multi-threaded exploration would only revisit the same views.
+    Walks sigma's P-views, no longer than the play bound, from the
+    empty play.  A P-view of a play of sigma is itself a play of sigma
+    and its own P-view: Opponent points at the move just before it, and
+    sigma's reply extends it to the next P-view.  So each view vo is
+    asked once, `_answer` with the whole of vo as its P-view, and its
+    (reply, view-relative pointer) is read off directly.  A view whose
+    reply hit an interaction bound is left out.
     """
     entries: dict[tuple, tuple[str, int]] = {}
-    for sop in explore(sigma, b, single_threaded_only=True).plays:
-        if not sop.moves:
+    stack = [Play(sigma.arena)]
+    while stack:
+        v = stack.pop()
+        if len(v.moves) + 2 > b.max_play_len:
             continue
-        view, positions = pview_with_positions(sop.prefix(len(sop) - 1))
-        m, ptr = sop.last
-        entry = (m, positions.index(ptr))
-        if entries.setdefault(view.moves, entry) != entry:
-            raise StrategyError(f"{sigma.name}: view answered two ways")
+        last = (len(v.moves) - 1,) if v.moves else ()
+        for vo in legal_extensions(v, single_threaded=True, view=last):
+            try:
+                r = sigma._answer(vo, range(len(vo)))
+            except BoundExceeded:
+                continue
+            if r is not None:
+                entries[vo.moves] = r
+                stack.append(vo.extend(*r))
     out = [(Play(sigma.arena, k), e) for k, e in entries.items()]
     out.sort(key=lambda ve: json.dumps(ve[0].to_json(), sort_keys=True))
     return out
@@ -372,16 +379,18 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     InconsistentPlay.
 
     Component bookkeeping: the interaction records one (component,
-    move, justifier) per occurrence, A, B or C, and grows sigma's (A, B)
-    and tau's (B, C) projections with it.  Each projection holds its
-    plays' moves, tagged "L."/"R.", the interaction index of each of
-    its positions, and the position of each of its interaction indices.
-    A justifier outside a side's components becomes ROOT on that side:
-    these are sigma's B-initial occurrences, which are justified in C.
-    The two sides are indexed by position, never by strategy, since
-    sigma and tau may be one object.  An A-initial move is justified by
-    a B-initial in the interaction, and re-pointed to that move's own C
-    justifier when it surfaces.
+    move, justifier) per occurrence, A, B or C, and grows three views
+    of it with each move: sigma's (A, B), tau's (B, C) and the outer
+    (A, C), which is the replayed play followed by the reply.  Each
+    view holds its moves, tagged "L."/"R.", the interaction index of
+    each of its positions, and the position of each of its interaction
+    indices.  One rule points every view's moves: a justifier outside
+    the view's components is replaced by its own justifier, and by
+    ROOT if that is outside too.  So sigma's B-initials, justified by C
+    initials, are unjustified on sigma's side, and an A-initial, which
+    points at a B-initial, surfaces pointing at that move's C
+    justifier.  The views are indexed by position, never by strategy,
+    since sigma and tau may be one object.
 
     The reply, a refusal or a bound hit depends on the P-view alone, so
     the cache is a memo of the composite's view function.
@@ -398,7 +407,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     cache: dict[tuple, object] = {}
     cname = name or f"({sigma.name} ; {tau.name})"
     strats = (sigma, tau)
-    comps = (("A", "B"), ("B", "C"))   # each side's (left, right) components
+    # each view's (left, right) components: sigma's, tau's, the outer one
+    comps = (("A", "B"), ("B", "C"), ("A", "C"))
     b_polarity = sigma.arena.polarity    # of "R." + a B-move, as sigma sees it
 
     def play_fn(view: Play):
@@ -415,30 +425,24 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
 
     def _replay(s: Play):
         u: list[tuple[str, str, int]] = []   # (component, move, justifier)
-        # per side: projected moves, position -> u index, u index -> position
-        proj = (([], [], {}), ([], [], {}))
-        s_of: dict[int, int] = {}            # u index -> s index
-        vis_of: list[int] = []               # s index -> u index
+        # per view: projected moves, position -> u index, u index ->
+        # position (and ROOT -> ROOT)
+        proj = tuple(([], [], {ROOT: ROOT}) for _ in comps)
+        outer_moves, outer_idx, _ = proj[2]
 
-        def append(comp: str, mv: str, up: int) -> int:
+        def append(comp: str, mv: str, up: int) -> None:
             ui = len(u)
             if ui >= cap:
                 raise BoundExceeded(cname)
             u.append((comp, mv, up))
             for (left, right), (moves, idx, pos) in zip(comps, proj):
                 if comp == left or comp == right:
+                    ptr = pos[up] if up in pos else pos.get(u[up][2], ROOT)
                     pos[ui] = len(moves)
                     idx.append(ui)
-                    moves.append((("L." if comp == left else "R.") + mv, pos.get(up, ROOT)))
-            return ui
+                    moves.append((("L." if comp == left else "R.") + mv, ptr))
 
-        def visible(ui: int) -> tuple[str, int]:
-            comp, mv, up = u[ui]
-            if up != ROOT and comp == "A" and u[up][0] == "B":
-                up = u[up][2]   # A-initial: surface via the B-initial's C justifier
-            return ("L." if comp == "A" else "R.") + mv, ROOT if up == ROOT else s_of[up]
-
-        def run_until_visible():
+        def run_until_visible() -> bool:
             while True:
                 comp, mv, _ = u[-1]
                 if comp == "B":
@@ -449,28 +453,22 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
                 strat = strats[side]
                 r = strat.respond(Play(strat.arena, tuple(moves)))
                 if r is None:
-                    return None
+                    return False
                 m, pptr = r
                 comp = comps[side][0 if m.startswith("L.") else 1]
-                ui = append(comp, m[2:], idx[pptr])
+                append(comp, m[2:], idx[pptr])
                 if comp != "B":
-                    return ui
+                    return True
 
         for k, (m, ptr) in enumerate(s.moves):
             if k % 2 == 0:
-                ui = append("C" if m.startswith("R.") else "A", m[2:],
-                            ROOT if ptr == ROOT else vis_of[ptr])
-            else:
-                ui = run_until_visible()
-                if ui is None:
-                    raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
-                got = visible(ui)
-                if got != (m, ptr):
-                    raise InconsistentPlay(
-                        f"{cname}: computed {got[0]!r} where the play has {m!r}")
-            vis_of.append(ui)
-            s_of[ui] = k
-        ui = run_until_visible()
-        return None if ui is None else visible(ui)
+                append("C" if m.startswith("R.") else "A", m[2:],
+                       ROOT if ptr == ROOT else outer_idx[ptr])
+            elif not run_until_visible():
+                raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
+            elif outer_moves[-1] != (m, ptr):
+                raise InconsistentPlay(
+                    f"{cname}: computed {outer_moves[-1][0]!r} where the play has {m!r}")
+        return outer_moves[-1] if run_until_visible() else None
 
     return InnocentStrategy(outer, cname, play_fn=play_fn)

@@ -123,7 +123,7 @@ def test_criterion_3_complete_traces_induce_deterministic_view_sets():
     bad = []
     exceeded = 0
     for name, sigma, b in build_corpus():
-        tr = explore(sigma, b, o_innocent_only=True, single_threaded_only=True)
+        tr = explore(sigma, b, innocent_opponent=True)
         exceeded += tr.bound_exceeded
         fams = set()
         for s in tr.plays:

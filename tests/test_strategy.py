@@ -3,11 +3,24 @@ import pytest
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
-from gamesem.pcf import Lam, builtin, denote, denote_open, parse, pred_strategy, succ_strategy
+from gamesem.pcf import (
+    Lam,
+    Num,
+    Var,
+    builtin,
+    denote,
+    denote_open,
+    eval_strategy,
+    parse,
+    parse_type,
+    pred_strategy,
+    succ_strategy,
+)
 from gamesem.plays import (
     ROOT,
     Play,
     is_p_innocent,
+    is_single_threaded,
     is_well_bracketed,
     legal_extensions,
     prefix_views,
@@ -31,7 +44,14 @@ from gamesem.strategy import (
     tabulate,
     traces,
 )
-from oracles import ref_compose_traces, ref_is_legal, ref_is_o_innocent
+from oracles import (
+    pview_positions,
+    ref_compose_traces,
+    ref_is_legal,
+    ref_is_o_innocent,
+    ref_pview,
+    reindex,
+)
 
 N2 = make_nat_arena(2)
 
@@ -127,7 +147,7 @@ def test_single_threaded_traces_well_bracketed():
     # single thread every built-in stays bracketed
     b = Bounds(max_nat=2, max_play_len=6)
     for name in ("add_LR", "add_RL"):
-        for p in traces(builtin(name, 2), b, single_threaded_only=True):
+        for p in filter(is_single_threaded, traces(builtin(name, 2), b)):
             assert is_well_bracketed(p)
 
 
@@ -150,12 +170,14 @@ def test_tabulate_canonical_and_consistent():
 
 
 def _multi_threaded_table(sigma, b):
+    # P-views by the reference recursion, which shares no view code
+    # with the engine
     table = {}
     for sop in explore(sigma, b).plays:
         if sop.moves:
-            view, positions = pview_with_positions(sop.prefix(len(sop) - 1))
+            positions = pview_positions(sop.arena, sop.moves[:-1])
             m, ptr = sop.last
-            table[view.moves] = (m, positions.index(ptr))
+            table[reindex(sop, positions).moves] = (m, positions.index(ptr))
     return table
 
 
@@ -164,16 +186,20 @@ TABULATED_TERMS = [
     ("fun x: nat -> fun y: nat -> x + y", Bounds(max_nat=2, max_play_len=10)),
     ("fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))",
      Bounds(max_nat=1, max_play_len=14, fix_depth=2)),
+    ("fun x: nat -> ifz x then 0 else x", Bounds(max_nat=2, max_play_len=8)),
 ]
 
 
 def test_tabulate_matches_multi_threaded_table():
-    # tabulate explores single-threaded plays only; every P-view a
-    # multi-threaded play reaches must already be in its table
+    # tabulate walks P-views only; every P-view a multi-threaded play
+    # reaches must already be in its table, and every view in the table
+    # is its own P-view
     cases = [(e.build, e.bounds) for e in CORPUS if e.name != "rec_zero"]
     cases += [(lambda src=src, b=b: denote(parse(src), b), b) for src, b in TABULATED_TERMS]
     for build, b in cases:
-        table = {v.moves: r for v, r in tabulate(build(), b)}
+        tab = tabulate(build(), b)
+        assert all(ref_pview(v) == v for v, _ in tab)
+        table = {v.moves: r for v, r in tab}
         assert table == _multi_threaded_table(build(), b)
 
 
@@ -194,12 +220,12 @@ def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
     cases += [(lambda src=src, b=b: denote(parse(src), b), b) for src, b in SMALL_TERMS]
     pruned_some = False
     for build, b in cases:
-        for single in (False, True):
-            every = explore(build(), b, single_threaded_only=single).plays
-            assert all(ref_is_legal(p) for p in every)
-            pruned = explore(build(), b, o_innocent_only=True, single_threaded_only=single)
-            assert pruned.plays == {p for p in every if ref_is_o_innocent(p)}
-            pruned_some |= pruned.plays != every
+        every = explore(build(), b).plays
+        assert all(ref_is_legal(p) for p in every)
+        single = {p for p in every if is_single_threaded(p)}
+        pruned = explore(build(), b, innocent_opponent=True)
+        assert pruned.plays == {p for p in single if ref_is_o_innocent(p)}
+        pruned_some |= pruned.plays != single
     assert pruned_some
 
 
@@ -329,12 +355,19 @@ def test_compose_type_checks():
 def test_compose_matches_interleaving_oracle():
     wide = Bounds(max_nat=2, max_play_len=12)
     same = succ_strategy(2)
+    ctx = (("f", parse_type("nat -> nat")),)
     cases = [
         (as_thunk(denote(parse("2"), wide)), succ_strategy(2)),
         (succ_strategy(2), succ_strategy(2)),
         (same, same),   # one strategy object on both sides
         (succ_strategy(2), copycat(N2)),
         (copycat(N2), succ_strategy(2)),
+        # the shape application builds, `f 1` under f : nat -> nat: a
+        # pairing against eval, with a higher-order middle arena; in
+        # R.q L.R.R.q<-0 R.q L.R.R.q<-2 an A-initial surfaces at the
+        # second C-initial
+        (pair_strategies(denote_open(Var("f"), ctx, wide), denote_open(Num(1), ctx, wide)),
+         eval_strategy(arrow(N2, N2))),
     ]
     for s, t in cases:
         res = explore(compose(s, t, wide), Bounds(max_nat=2, max_play_len=4))
@@ -383,10 +416,10 @@ def test_compose_results_do_not_depend_on_exploration_order():
     # exploring them first must not change what shorter plays see.
     b = Bounds(max_nat=2, max_play_len=10)
     t = parse("fun f: nat -> nat -> f (f 1)")
-    fresh = explore(denote(t, b), b, single_threaded_only=True)
+    fresh = explore(denote(t, b), b, innocent_opponent=True)
     s = denote(t, b)
     explore(s, b)
-    assert explore(s, b, single_threaded_only=True) == fresh
+    assert explore(s, b, innocent_opponent=True) == fresh
 
 
 def test_compose_bound_exceeded_is_not_none():
