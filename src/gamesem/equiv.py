@@ -118,13 +118,13 @@ def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play
     total number of moves, so the sets are built one total size at a
     time and each such bucket is sorted on its own.  Two memoised
     recursions build a bucket: `rooted(i, n)`, the sets rooted at view
-    i with n moves in all, and `spread(i, k, n)`, the unions of sets
-    rooted at children k.. of view i.  A set rooted at a view of even
-    length (Opponent to move) takes at most one child; at odd length
-    (Proponent to move) the children are independent, so it is a
-    spread.  Sets are built as tuples of view indices; the views are in
-    play_key order, so sorted indices compare as viewset_key's sorted
-    views do.
+    i with n moves in all, and `spread(i, n)`, whose entry k unites
+    sets rooted at the last k children of view i.  A set rooted at a
+    view of even length (Opponent to move) takes at most one child; at
+    odd length (Proponent to move) the children are independent, so it
+    is a spread, folded over the children in one loop.  Sets are built
+    as tuples of view indices; the views are in play_key order, so
+    sorted indices compare as viewset_key's sorted views do.
     """
     views, kids = _view_tree(arena, max_view_len)
     size = [len(v.moves) for v in views]
@@ -143,28 +143,32 @@ def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play
         if rest == 0:
             return [v]
         if size[i] % 2:
-            return [v + s for s in spread(i, 0, rest)]
+            return [v + s for s in spread(i, rest)[-1]]
         return [v + s for c in kids[i] for s in rooted(c, rest)]
 
     @cache
-    def spread(i: int, k: int, n: int) -> list[tuple[int, ...]]:
-        # Unions of sets rooted at children k.. of view i, each child
-        # left out or taken once, with n moves in all.
-        if k == len(kids[i]):
-            return [()] if n == 0 else []
-        c = kids[i][k]
-        got = list(spread(i, k + 1, n))
-        for j in range(size[c], min(n, largest[c]) + 1):
-            tail = spread(i, k + 1, n - j)
-            if tail:
-                got.extend(a + t for a in rooted(c, j) for t in tail)
-        return got
+    def spread(i: int, n: int) -> list[list[tuple[int, ...]]]:
+        # Entry k: unions of sets rooted at the last k children of view
+        # i, each child left out or taken once, with n moves in all.
+        row = [[()] if n == 0 else []]
+        for k, c in enumerate(reversed(kids[i])):   # k children after c
+            got = list(row[k])
+            for j in range(size[c], min(n, largest[c]) + 1):
+                tail = spread(i, n - j)[k]
+                if tail:
+                    got.extend(a + t for a in rooted(c, j) for t in tail)
+            row.append(got)
+        return row
 
-    for n in range(largest[0] + 1):
-        bucket = ([()] if n == 0 else []) + rooted(0, n)
-        bucket.sort(key=lambda t: (len(t), sorted(t)))
-        for t in bucket:
-            yield frozenset(views[i] for i in t)
+    try:
+        for n in range(largest[0] + 1):
+            bucket = ([()] if n == 0 else []) + rooted(0, n)
+            bucket.sort(key=lambda t: (len(t), sorted(t)))
+            for t in bucket:
+                yield frozenset(views[i] for i in t)
+    finally:
+        rooted.cache_clear()
+        spread.cache_clear()
 
 
 def count_closed_odet_sets(arena: Arena, max_view_len: int) -> int:

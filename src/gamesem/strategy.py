@@ -187,10 +187,10 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
     return TraceResult(frozenset(result), exceeded)
 
 
-def traces(sigma: InnocentStrategy, b: Bounds,
-           innocent_opponent: bool = False) -> frozenset[Play]:
-    """The even-length-prefix-closed trace set of sigma at the bounds."""
-    return explore(sigma, b, innocent_opponent).plays
+def traces(sigma: InnocentStrategy, b: Bounds) -> frozenset[Play]:
+    """The even-length-prefix-closed trace set of sigma at the bounds,
+    against every Opponent."""
+    return explore(sigma, b).plays
 
 
 def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, int]]]:

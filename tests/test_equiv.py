@@ -128,6 +128,23 @@ def test_closed_sets_stream_is_lazy():
     assert all(is_o_deterministic(a, vs) for vs in first)
 
 
+def test_closed_sets_stream_handles_a_wide_view():
+    # The question of nat 1500 has 1,501 answers, far more children
+    # than the interpreter's default recursion limit of 1,000 frames.
+    wide = make_nat_arena(1500)
+    first = list(itertools.islice(closed_odet_sets(wide, 2), 1504))
+    assert [len(vs) for vs in first] == [0, 1, 2] + [3] * 1501
+    keys = [viewset_key(vs) for vs in first]
+    assert keys == sorted(keys)
+    assert {m for vs in first for v in vs for m, _ in v.moves} == set(wide.moves)
+    # Those over the moves of nat 3 are the reference's sets up to 3 moves.
+    small = make_nat_arena(3)
+    ref = [sorted(v.moves for v in vs) for vs in ref_closed_odet_sets(small, 2)[:7]]
+    got = [sorted(v.moves for v in vs) for vs in first
+           if all(m in small.moves for v in vs for m, _ in v.moves)]
+    assert got == ref
+
+
 # ----------------------------------------------------------- obs_equiv
 
 
