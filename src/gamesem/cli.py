@@ -218,14 +218,14 @@ def cmd_laws(ns) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-nat", type=int, default=3,
-                        help="largest numeral distinguished (default 3)")
-    common.add_argument("--max-play-len", type=int, default=8,
-                        help="play and interaction length cap (default 8)")
-    common.add_argument("--max-view-len", type=int, default=6,
-                        help="view length cap for enumeration (default 6)")
-    common.add_argument("--fix-depth", type=int, default=4,
-                        help="fixpoint unrolling depth (default 4)")
+    common.add_argument("--max-nat", type=int, default=Bounds.max_nat,
+                        help="largest numeral distinguished (default %(default)s)")
+    common.add_argument("--max-play-len", type=int, default=Bounds.max_play_len,
+                        help="play and interaction length cap (default %(default)s)")
+    common.add_argument("--max-view-len", type=int, default=Bounds.max_view_len,
+                        help="view length cap for enumeration (default %(default)s)")
+    common.add_argument("--fix-depth", type=int, default=Bounds.fix_depth,
+                        help="fixpoint unrolling depth (default %(default)s)")
 
     p = argparse.ArgumentParser(
         prog="gamesem",

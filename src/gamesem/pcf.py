@@ -338,22 +338,22 @@ class _Parser:
         raise PcfParseError(f"expected a type, found {t.text or 'end of input'!r}", t.pos)
 
 
-def parse(source: str) -> Term:
+def _parse_all(source: str, rule):
+    """Parse the whole of `source` by the `_Parser` method `rule`."""
     p = _Parser(tokenize(source))
-    t = p.term()
+    out = rule(p)
     tail = p.peek()
     if tail.kind != "eof":
         raise PcfParseError(f"trailing input starting at {tail.text!r}", tail.pos)
-    return t
+    return out
+
+
+def parse(source: str) -> Term:
+    return _parse_all(source, _Parser.term)
 
 
 def parse_type(source: str) -> Ty:
-    p = _Parser(tokenize(source))
-    ty = p.type_greedy()
-    tail = p.peek()
-    if tail.kind != "eof":
-        raise PcfParseError(f"trailing input starting at {tail.text!r}", tail.pos)
-    return ty
+    return _parse_all(source, _Parser.type_greedy)
 
 
 # ----------------------------------------------------------- typechecker

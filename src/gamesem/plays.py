@@ -14,19 +14,21 @@ recurrence: it extends the views of a play's prefixes by one move,
 reading the mover from the play's parity.  `prefix_views` loops over
 it, and a strategy's round of play (`InnocentStrategy._round`) extends
 a play's views with it, so the legality check, the view functions, the
-innocence tests, `legal_extensions`, exploration, test runs and the
-observation code all read their views from it.  `strategy.tabulate`
-needs none: it walks P-views, each its own P-view.
+O-innocence test, exploration, test runs and the observation code all
+read their views from it.  `strategy.tabulate` needs none: it walks
+P-views, each its own P-view.
 
 Legality is checked where plays enter: `InnocentStrategy.respond`
 checks every play it is asked about, `pview` and `oview` check their
 argument, and view-sets read from JSON are checked by `ODetSet.make`.
-Everything else takes a legal play as given; `legal_extensions` builds
-only legal plays from a legal one, so exploration checks no play it
-built: `explore` carries the views of each play forward, one entry per
-move, and plays each round without a legality pass.  It is the one
-move generator: `equiv.enumerate_oviews` grows the oracle's O-views
-through it too.
+Everything else takes a legal play as given.  `legal_extensions`, the
+one move generator, takes a legal play and the set of positions the
+new move may point at: members of the mover's view, and ROOT where a
+new thread may open.  That is visibility, so it builds only legal
+plays and exploration checks no play it built: `explore` carries the
+views of each play forward, one entry per move, and plays each round
+without a legality pass.  `strategy.tabulate` and
+`equiv.enumerate_oviews` grow views through it too.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -231,75 +233,38 @@ def is_complete(s: Play) -> bool:
     return len(s.moves) > 0 and pending_questions(s) == []
 
 
-def _innocence_map(s: Play, polarity: str):
-    """Map view-of-prefix -> (move, justifier position within that view).
-
-    Returns None as soon as two occurrences of the given polarity extend
-    equal views differently; otherwise returns the map.
-    """
-    start = 0 if polarity == "O" else 1
-    seen: dict[tuple, tuple] = {}
-    for i, ((m, ptr), (pv, ov)) in enumerate(zip(s.moves, prefix_views(s))):
-        if i % 2 != start:
-            continue
-        positions = ov if polarity == "O" else pv
-        key = subsequence(s, positions).moves
-        val = (m, ROOT if ptr == ROOT else positions.index(ptr))
-        if seen.setdefault(key, val) != val:
-            return None
-    return seen
-
-
 def is_o_innocent(s: Play) -> bool:
-    """Opponent extends equal O-views identically (pointer-inclusive)."""
-    return _innocence_map(s, "O") is not None
+    """Opponent extends equal O-views identically (pointer-inclusive):
+    each Opponent move, keyed by the O-view before it and read with its
+    pointer into that view, agrees with every earlier one."""
+    seen: dict[tuple, tuple] = {}
+    for i, ((m, ptr), (_, ov)) in enumerate(zip(s.moves, prefix_views(s))):
+        if i % 2 == 0:
+            val = (m, ROOT if ptr == ROOT else ov.index(ptr))
+            if seen.setdefault(subsequence(s, ov).moves, val) != val:
+                return False
+    return True
 
 
-def is_p_innocent(s: Play) -> bool:
-    """Proponent extends equal P-views identically (pointer-inclusive)."""
-    return _innocence_map(s, "P") is not None
+def legal_extensions(s: Play, justifiers) -> list[Play]:
+    """The one-move legal extensions of s whose pointers lie in
+    `justifiers`; s must be a legal play.
 
-
-def enumerate_plays(arena: Arena, max_len: int, single_threaded: bool = False) -> list[Play]:
-    """All legal plays of length at most max_len, breadth first."""
-    out = [Play(arena)]
-    frontier = [Play(arena)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if len(s.moves) >= max_len:
-                continue
-            for cand in legal_extensions(s, single_threaded=single_threaded):
-                out.append(cand)
-                nxt.append(cand)
-        frontier = nxt
-    return out
-
-
-def legal_extensions(s: Play, single_threaded: bool = False, *,
-                     view: tuple[int, ...] | None = None) -> list[Play]:
-    """All one-move legal extensions of s, which must be a legal play.
-
-    The precondition is not checked.  Candidates come from the enabling
-    table: each initial move of the mover (unless `single_threaded` and
-    the play has begun), and each move of the mover in
-    `arena.enabled_from` of the move at a position in `view`.  `view` is
-    the mover's view of s (its positions, as `prefix_views` yields them)
-    unless given; any subset of those positions also gives only legal
-    plays, so none is checked.  Order: moves sorted, each with ROOT
-    first and then its justifiers ascending.
+    Every member of `justifiers` must lie in the mover's view of s
+    (positions as `prefix_views` yields them), or be ROOT, which opens
+    a thread; neither precondition is checked.  ROOT offers the mover's
+    initial moves, and a position j the mover's moves in
+    `arena.enabled_from` of the move at j.  Visibility holds for every
+    candidate, so none is checked.  Order: sorted by (move, justifier),
+    ROOT first.
     """
     arena = s.arena
     polarity = arena.polarity
     enabled_from = arena.enabled_from
     mover = "O" if len(s.moves) % 2 == 0 else "P"
-    if view is None:
-        *_, (pv, ov) = prefix_views(s)
-        view = pv if mover == "P" else ov
     cands = []
-    if not (single_threaded and s.moves):
-        cands += [(m, ROOT) for m in arena.initials if polarity[m] == mover]
-    for j in view:
-        cands += [(m, j) for m in enabled_from[s.moves[j][0]] if polarity[m] == mover]
+    for j in justifiers:
+        enabled = arena.initials if j == ROOT else enabled_from[s.moves[j][0]]
+        cands += [(m, j) for m in enabled if polarity[m] == mover]
     cands.sort()
     return [s.extend(m, j) for m, j in cands]

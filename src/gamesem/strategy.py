@@ -153,7 +153,8 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
     No play is checked: each stacked play carries the views of its
     prefixes that sigma's `_round` returned with it, so
     `legal_extensions` builds its legal extensions from the O-view it
-    is handed and each round asks sigma without a legality pass.  With
+    is handed, with ROOT unless a single-threaded Opponent has begun,
+    and each round asks sigma without a legality pass.  With
     `innocent_opponent` it also carries the O-innocence map of its
     Opponent moves (O-view -> move and pointer); a candidate whose
     O-view is mapped to another move is pruned, which is
@@ -170,7 +171,7 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
             continue
         ov = views[-1][1]
         okey = subsequence(s, ov).moves if innocent_opponent else None
-        for so in legal_extensions(s, single_threaded=innocent_opponent, view=ov):
+        for so in legal_extensions(s, ov if innocent_opponent and s.moves else (ROOT, *ov)):
             if innocent_opponent:
                 o, j = so.last
                 oval = (o, ROOT if j == ROOT else ov.index(j))
@@ -198,11 +199,12 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
 
     Walks sigma's P-views, no longer than the play bound, from the
     empty play.  A P-view of a play of sigma is itself a play of sigma
-    and its own P-view: Opponent points at the move just before it, and
-    sigma's reply extends it to the next P-view.  So each view vo is
-    asked once, `_answer` with the whole of vo as its P-view, and its
-    (reply, view-relative pointer) is read off directly.  A view whose
-    reply hit an interaction bound is left out.
+    and its own P-view: Opponent points at the move just before it, or
+    at nothing in the empty view, and sigma's reply extends it to the
+    next P-view.  So `legal_extensions` is handed that one justifier,
+    each view vo is asked once, `_answer` with the whole of vo as its
+    P-view, and its (reply, view-relative pointer) is read off
+    directly.  A view whose reply hit an interaction bound is left out.
     """
     entries: dict[tuple, tuple[str, int]] = {}
     stack = [Play(sigma.arena)]
@@ -210,8 +212,7 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
         v = stack.pop()
         if len(v.moves) + 2 > b.max_play_len:
             continue
-        last = (len(v.moves) - 1,) if v.moves else ()
-        for vo in legal_extensions(v, single_threaded=True, view=last):
+        for vo in legal_extensions(v, (len(v.moves) - 1,) if v.moves else (ROOT,)):
             try:
                 r = sigma._answer(vo, range(len(vo)))
             except BoundExceeded:

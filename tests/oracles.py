@@ -3,9 +3,10 @@
 Everything here is written from the defining recursions, as directly
 and naively as possible, sharing no code with the package internals:
 views by structural recursion on the sequence and by a backward walk,
-legality and O-innocence with every prefix's view recomputed,
+legality and innocence with every prefix's view recomputed,
 bracketing by searching for each answer's question afresh, one-move
-extensions by generating candidates and checking each, O-views by
+extensions by generating candidates and checking each, plays by
+growing those extensions breadth first, O-views by
 keeping the one-move extensions that are their own O-view, candidate
 test sets by one eager recursion over those O-views and one sort,
 composition by enumerating raw interaction sequences and
@@ -123,6 +124,20 @@ def ref_is_o_innocent(s: Play) -> bool:
     return True
 
 
+def ref_is_p_innocent(s: Play) -> bool:
+    """Proponent extends equal P-views identically: each Proponent move,
+    keyed by the P-view before it (by the recursion) and read with its
+    pointer into that view, agrees with every earlier one."""
+    seen = {}
+    for i in range(1, len(s.moves), 2):
+        positions = pview_positions(s.arena, s.moves[:i])
+        m, ptr = s.moves[i]
+        reply = (m, ROOT if ptr == ROOT else positions.index(ptr))
+        if seen.setdefault(reindex(s, positions).moves, reply) != reply:
+            return False
+    return True
+
+
 # ------------------------------------------------------------- bracketing
 
 def ref_pending_questions(s: Play) -> list[int] | None:
@@ -156,6 +171,18 @@ def ref_legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:
         cands.extend(s.extend(m, j) for j, (mj, _) in enumerate(s.moves)
                      if (mj, m) in arena.enabling)
     return [c for c in cands if ref_is_legal(c)]
+
+
+def ref_enumerate_plays(arena: Arena, max_len: int,
+                        single_threaded: bool = False) -> list[Play]:
+    """Every legal play of length at most max_len, breadth first: each
+    length is the `ref_legal_extensions` of the one before, in order."""
+    out = [Play(arena)]
+    frontier = out[:]
+    for _ in range(max_len):
+        frontier = [c for s in frontier for c in ref_legal_extensions(s, single_threaded)]
+        out += frontier
+    return out
 
 
 # ------------------------------------------------- candidate test sets

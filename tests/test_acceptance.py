@@ -34,13 +34,13 @@ from gamesem.pcf import builtin
 from gamesem.plays import (
     ROOT,
     Play,
-    enumerate_plays,
     is_complete,
     is_single_threaded,
     oview,
     pview,
 )
 from gamesem.strategy import explore, traces
+from oracles import ref_enumerate_plays
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,7 +92,7 @@ def test_criterion_2_view_duality_under_lifting():
                        (make_nat_arena(2), 6),
                        (arrow(make_nat_arena(2), make_nat_arena(2)), 10)):
         lifted = arrow(arena, make_sigma())
-        for s in enumerate_plays(arena, cap, single_threaded=True):
+        for s in ref_enumerate_plays(arena, cap, single_threaded=True):
             stock.append((s, lifted))
     mismatches = [
         s for s, lifted in stock

@@ -78,40 +78,33 @@ def test_structural_equality_ignores_name():
     assert n1 != make_nat_arena(3)
 
 
-def test_validate_rejects_non_oq_initial():
-    bad = Arena((("a", MoveLabel.PA),), (), frozenset({"a"}))
-    with pytest.raises(ValueError):
-        bad.validate()
+def _doc(moves, enabling=(), initials=("q",)):
+    return {"moves": [{"id": m, "label": lab} for m, lab in moves],
+            "enabling": [list(e) for e in enabling], "initials": list(initials)}
 
 
-def test_validate_rejects_answer_enabling():
-    bad = Arena(
-        (("q", MoveLabel.OQ), ("a", MoveLabel.PA), ("x", MoveLabel.OQ)),
-        (("q", "a"), ("a", "x")),
-        frozenset({"q"}),
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
-
-
-def test_validate_rejects_same_polarity_enabling():
-    bad = Arena(
-        (("q", MoveLabel.OQ), ("r", MoveLabel.OQ)),
-        (("q", "r"),),
-        frozenset({"q", "r"}),
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
-
-
-def test_validate_rejects_orphan_move():
-    bad = Arena(
-        (("q", MoveLabel.OQ), ("a", MoveLabel.PA)),
-        (),
-        frozenset({"q"}),
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
+# One malformed arena document per rule `Arena.validate` enforces, as
+# view-set files reach it through `Arena.from_json`.
+@pytest.mark.parametrize("doc, rule", [
+    pytest.param(_doc([("q", "OQ"), ("q", "PA")]),
+                 "duplicate move ids", id="duplicate_move_id"),
+    pytest.param(_doc([("q", "OQ")], initials=("q", "z")),
+                 "initial move 'z' not in arena", id="unknown_initial"),
+    pytest.param(_doc([("a", "PA")], initials=("a",)),
+                 "initial move 'a' is not an Opponent question", id="non_oq_initial"),
+    pytest.param(_doc([("q", "OQ"), ("a", "PA")], [("q", "a"), ("q", "z")]),
+                 r"enabling pair \('q', 'z'\) mentions unknown move", id="unknown_enabled_move"),
+    pytest.param(_doc([("q", "OQ"), ("r", "OQ")], [("q", "r")], ("q", "r")),
+                 r"enabling pair \('q', 'r'\) does not alternate polarity",
+                 id="same_polarity_enabling"),
+    pytest.param(_doc([("q", "OQ"), ("a", "PA"), ("x", "OQ")], [("q", "a"), ("a", "x")]),
+                 "answers enable nothing, but 'a' enables 'x'", id="answer_enabling"),
+    pytest.param(_doc([("q", "OQ"), ("a", "PA")]),
+                 "non-initial move 'a' has no enabler", id="orphan_move"),
+])
+def test_from_json_rejects_malformed_arena(doc, rule):
+    with pytest.raises(ValueError, match=rule):
+        Arena.from_json(doc)
 
 
 def test_json_roundtrip():

@@ -145,6 +145,13 @@ def test_parse_error_reports_position():
     assert "trailing" in str(e.value)
 
 
+def test_parse_type_rejects_trailing_input():
+    with pytest.raises(PcfParseError) as e:
+        parse_type("nat nat")
+    assert "trailing input starting at 'nat'" in str(e.value)
+    assert "1:5" in str(e.value)
+
+
 def test_parse_error_on_empty_input():
     with pytest.raises(PcfParseError):
         parse("   # nothing here")

@@ -6,11 +6,9 @@ from gamesem.arena import arrow, make_nat_arena, make_sigma, product
 from gamesem.plays import (
     ROOT,
     Play,
-    enumerate_plays,
     is_complete,
     is_legal,
     is_o_innocent,
-    is_p_innocent,
     is_single_threaded,
     is_well_bracketed,
     legal_extensions,
@@ -22,7 +20,9 @@ from gamesem.plays import (
     pview,
 )
 from oracles import (
+    ref_enumerate_plays,
     ref_is_legal,
+    ref_is_p_innocent,
     ref_legal_extensions,
     ref_oview,
     ref_pending_questions,
@@ -77,9 +77,9 @@ def test_opening_move_must_be_initial():
 # every legal play of three differently shaped arenas.
 
 ALL_PLAYS = (
-    enumerate_plays(make_sigma(), 6)
-    + enumerate_plays(N2, 6)
-    + enumerate_plays(ARROW, 8)
+    ref_enumerate_plays(make_sigma(), 6)
+    + ref_enumerate_plays(N2, 6)
+    + ref_enumerate_plays(ARROW, 8)
 )
 
 
@@ -139,27 +139,20 @@ EXT_ARENAS = [
 @pytest.mark.parametrize("single_threaded", [False, True])
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
 def test_legal_extensions_match_generate_then_check(arena, single_threaded):
-    plays = enumerate_plays(arena, 7, single_threaded=single_threaded)
+    # The justifiers are the mover's view, read off by the backward
+    # walk, and ROOT unless a single-threaded play has begun.
+    plays = ref_enumerate_plays(arena, 7, single_threaded)
     assert len(plays) > 1
     for s in plays:
-        assert legal_extensions(s, single_threaded) == ref_legal_extensions(s, single_threaded)
-
-
-@pytest.mark.parametrize("single_threaded", [False, True])
-@pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
-def test_legal_extensions_from_a_given_view(arena, single_threaded):
-    # `explore` hands over the mover's view it carries; the extensions
-    # must be those read off the play itself.
-    for s in enumerate_plays(arena, 7, single_threaded=single_threaded):
         mover = "O" if len(s.moves) % 2 == 0 else "P"
-        view = tuple(walk_view_positions(arena, s.moves, mover))
-        assert (legal_extensions(s, single_threaded, view=view)
-                == legal_extensions(s, single_threaded))
+        view = walk_view_positions(arena, s.moves, mover)
+        justifiers = view if single_threaded and s.moves else [ROOT, *view]
+        assert legal_extensions(s, justifiers) == ref_legal_extensions(s, single_threaded)
 
 
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
 def test_prefix_views_match_backward_walk(arena):
-    for s in enumerate_plays(arena, 7):
+    for s in ref_enumerate_plays(arena, 7):
         for k, (pv, ov) in enumerate(prefix_views(s)):
             assert list(pv) == walk_view_positions(arena, s.moves[:k], "P")
             assert list(ov) == walk_view_positions(arena, s.moves[:k], "O")
@@ -167,7 +160,7 @@ def test_prefix_views_match_backward_walk(arena):
 
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
 def test_legality_matches_reference_on_every_raw_extension(arena):
-    for s in enumerate_plays(arena, 5):
+    for s in ref_enumerate_plays(arena, 5):
         for m in sorted(arena.moves) + ["nonsense"]:
             for ptr in (ROOT, *range(-2, len(s.moves) + 1)):
                 c = s.extend(m, ptr)
@@ -237,20 +230,20 @@ def test_innocence_filters():
     assert not is_o_innocent(s)
     t = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0), ("L.1", 3))
     assert is_o_innocent(t)
-    assert is_p_innocent(t)
+    assert ref_is_p_innocent(t)
 
 
 def test_enumerate_plays_all_legal():
-    plays = enumerate_plays(ARROW, 6)
+    plays = ref_enumerate_plays(ARROW, 6)
     assert all(is_legal(s) for s in plays)
     lengths = {len(s.moves) for s in plays}
     assert 0 in lengths and 1 in lengths and 6 in lengths
 
 
 def test_enumerate_plays_single_threaded_flag():
-    sts = enumerate_plays(N2, 8, single_threaded=True)
+    sts = ref_enumerate_plays(N2, 8, single_threaded=True)
     assert all(is_single_threaded(s) for s in sts)
-    assert len(sts) < len(enumerate_plays(N2, 8))
+    assert len(sts) < len(ref_enumerate_plays(N2, 8))
 
 
 def test_play_json_roundtrip():

@@ -19,7 +19,6 @@ from gamesem.pcf import (
 from gamesem.plays import (
     ROOT,
     Play,
-    is_p_innocent,
     is_single_threaded,
     is_well_bracketed,
     legal_extensions,
@@ -45,10 +44,12 @@ from gamesem.strategy import (
     traces,
 )
 from oracles import (
+    oview_positions,
     pview_positions,
     ref_compose_traces,
     ref_is_legal,
     ref_is_o_innocent,
+    ref_is_p_innocent,
     ref_pview,
     reindex,
 )
@@ -139,7 +140,7 @@ def test_all_traces_p_innocent():
     b = Bounds(max_nat=2, max_play_len=6)
     for name in ("add_LR", "add_RL"):
         for p in traces(builtin(name, 2), b):
-            assert is_p_innocent(p)
+            assert ref_is_p_innocent(p)
 
 
 def test_single_threaded_traces_well_bracketed():
@@ -282,7 +283,7 @@ def test_renaming_the_view_answers_as_renaming_the_play():
             return r and (fwd[r[0]], r[1])
 
         asked = {so for p in explore(node, b).plays if len(p) + 2 <= b.max_play_len
-                 for so in legal_extensions(p)}
+                 for so in legal_extensions(p, (ROOT, *oview_positions(p.arena, p.moves)))}
         for s in asked:
             assert _outcome(node.respond, s) == _outcome(by_play, s), (node.name, s)
             longest = max(longest, len(s))
