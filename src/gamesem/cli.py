@@ -6,8 +6,9 @@ file, parse error, type error, mismatched arenas), 3 for an internal
 consistency failure (the engine rejects its own play, or the two
 decision methods disagree although neither hit a bound and no witness
 view is longer than max_view_len) or a resource limit (recursion depth,
-memory, or the oracle's test budget running out before it decides),
-reported on one stderr line.  A disagreement the bounds explain adds
+memory, the oracle's test budget running out before it decides, or the
+exploration's play budget running out before it ends), reported on one
+stderr line.  A disagreement the bounds explain adds
 "bounds_explain": true to the oracle report and exits with the
 obs_equiv verdict.
 
@@ -29,7 +30,13 @@ from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_e
 from .observation import ODetSet, observations, play_key, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
 from .plays import is_complete
-from .strategy import InconsistentPlay, StrategyError, explore, tabulation_to_json
+from .strategy import (
+    ExplorationIncomplete,
+    InconsistentPlay,
+    StrategyError,
+    explore,
+    tabulation_to_json,
+)
 
 
 class _InputError(Exception):
@@ -284,7 +291,7 @@ def main(argv=None) -> int:
     except (StrategyError, InconsistentPlay) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except (RecursionError, OracleIncomplete) as e:
+    except (RecursionError, OracleIncomplete, ExplorationIncomplete) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except MemoryError:

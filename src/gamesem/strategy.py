@@ -8,18 +8,20 @@ P-view) or None.  Leaves give it as `view_fn`; wrappers that ask an
 inner strategy (renamings, pairings, composites) give it as `play_fn`,
 which differs in name only, so a tracer can tell the node kinds apart.
 
-`respond` checks the play it is given once, hands the P-view of that
-check to the node, and checks every response against the arena and
-the P-view, so the extended play is legal again; a view index can only
-name a move of the P-view.  Wrappers translate the view alone for
-their inner strategy (a prefix renaming is an arena isomorphism, so it
-commutes with the P-view), and the inner strategy's pointer into that
-view is already view-relative.  One round of play, an Opponent move
-and the strategy's reply, is `_round`: it asks the unchecked
-`_answer` and carries the views of the play forward through
-`plays.next_views`.  `explore` and `observation.run_test` both play
-their rounds through it, since they build legal plays themselves;
-`tabulate` walks P-views alone and asks `_answer` once per view.
+`respond` checks the play it is given once and hands its P-view to
+`_reply`, which runs the node and checks the response against the
+arena and the view, so the extended play is legal again; a view index
+can only name a move of the P-view.  Wrappers translate the view alone
+for their inner strategy (a prefix renaming is an arena isomorphism,
+so it commutes with the P-view), and the inner strategy's pointer into
+that view is already view-relative.  One round of play, an Opponent
+move and the strategy's reply, is `_round`: it carries the views of
+the play forward through `plays.next_views` and asks the node through
+a memo of its checked replies, one entry per P-view, a bound hit
+included, so Opponent reaching a view again costs a lookup.
+`explore` and `observation.run_test` both play their rounds through
+it, since they build legal plays themselves; `tabulate` walks P-views
+alone and asks `_reply` once per view.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -70,6 +72,27 @@ class InconsistentPlay(Exception):
     """A composite was asked about a play it would never have produced."""
 
 
+# Plays `explore` collects before it gives up.  A benchmark op explores
+# at most a few thousand; against every Opponent,
+# `fun f: nat -> nat -> f (f (f 1))` at nat 2 / play_len 18 has over
+# 700,000, at about 500 bytes a play.
+EXPLORE_BUDGET = 500_000
+
+
+class ExplorationIncomplete(Exception):
+    """The play budget ran out before the exploration did."""
+
+    def __init__(self, plays: int):
+        super().__init__(f"exploration incomplete at bounds after {plays} plays")
+        self.plays = plays
+
+
+# `_round`'s memo markers: a view not asked yet, a view whose reply hit
+# an interaction bound.
+_UNASKED = object()
+_BOUND = object()
+
+
 class InnocentStrategy:
     """A node over `arena` answering P-views: exactly one of `view_fn`
     (a leaf) or `play_fn` (a wrapper) maps the P-view, a Play, to
@@ -82,13 +105,14 @@ class InnocentStrategy:
         self.name = name
         self._view_fn = view_fn
         self._play_fn = play_fn
+        self._memo: dict[tuple, object] = {}   # `_round`'s, by P-view moves
 
     def respond(self, s: Play):
         """Proponent's reply to a legal odd-length play, or None.
 
         The one checked entry point: one legality pass over s, whose
-        P-view `_answer` reuses.  Returns (move, justifier index into s)
-        for a P-move enabled by a move of that P-view; raises
+        P-view is handed to `_reply`.  Returns (move, justifier index
+        into s) for a P-move enabled by a move of that P-view; raises
         StrategyError for any other reply, BoundExceeded if computing
         the reply hit an interaction bound.
         """
@@ -100,37 +124,55 @@ class InnocentStrategy:
             raise ValueError(f"illegal play: {bad}")
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        return self._answer(s, views[0])
+        positions = views[0]
+        r = self._reply(subsequence(s, positions))
+        return None if r is None else (r[0], positions[r[1]])
 
-    def _answer(self, s: Play, positions: tuple[int, ...]):
-        """`respond` without its checks on s: s must be a legal
-        odd-length play over this arena whose P-view sits at `positions`.
-        The node answers that view; its reply is checked all the same
-        and its view index mapped to a position of s."""
-        r = (self._view_fn or self._play_fn)(subsequence(s, positions))
+    def _reply(self, view: Play):
+        """The node's reply to `view`, a P-view over this arena, checked:
+        (P-move, index into the view of a move enabling it), or None.
+        Raises StrategyError for any other reply."""
+        r = (self._view_fn or self._play_fn)(view)
         if r is None:
             return None
         move, j = r
-        if not 0 <= j < len(positions):
+        if not 0 <= j < len(view.moves):
             raise StrategyError(f"{self.name}: pointer {j} outside the P-view")
-        ptr = positions[j]
         if self.arena.polarity.get(move) != "P":
             raise StrategyError(f"{self.name}: emitted non-P move {move!r}")
-        if not self.arena.enables(s.moves[ptr][0], move):
-            raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {ptr}")
-        return move, ptr
+        if not self.arena.enables(view.moves[j][0], move):
+            raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {j}")
+        return r
 
     def _round(self, so: Play, views: tuple):
-        """One round: this strategy's reply p to the legal play s·o,
-        asked through `_answer`.  `views` holds the (P-view, O-view)
-        positions of every prefix of s, as `plays.prefix_views` yields
-        them.  Returns (s·o·p, the same for every prefix of s·o·p), or
-        None where the strategy does not answer."""
+        """One round: this strategy's reply p to the legal play s·o.
+        `views` holds the (P-view, O-view) positions of every prefix of
+        s, as `plays.prefix_views` yields them.  Returns (s·o·p, the same
+        for every prefix of s·o·p), or None where the strategy does not
+        answer.
+
+        The reply is a function of the P-view of s·o, so it is memoised
+        by that view's moves: each view is asked of the node, and its
+        reply checked, once.  A bound hit is memoised too and raised
+        again on every later ask of the view; a StrategyError or
+        InconsistentPlay is never stored.
+        """
         views += (next_views(views, so.moves[-1][1]),)
-        r = self._answer(so, views[-1][0])
+        positions = views[-1][0]
+        view = subsequence(so, positions)
+        r = self._memo.get(view.moves, _UNASKED)
+        if r is _UNASKED:
+            try:
+                r = self._reply(view)
+            except BoundExceeded:
+                r = _BOUND
+            self._memo[view.moves] = r
+        if r is _BOUND:
+            raise BoundExceeded(self.name)
         if r is None:
             return None
-        return so.extend(*r), views + (next_views(views, r[1]),)
+        ptr = positions[r[1]]
+        return so.extend(r[0], ptr), views + (next_views(views, ptr),)
 
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
@@ -148,7 +190,9 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
     Opponent ranges over every legal choice, or with `innocent_opponent`
     over the single-threaded, O-innocent ones; Proponent plays sigma's
     response.  Positions where the response computation hit an
-    interaction bound are counted, not silently dropped.
+    interaction bound are counted, not silently dropped.  Raises
+    ExplorationIncomplete when the plays found reach EXPLORE_BUDGET and
+    another is due.
 
     No play is checked: each stacked play carries the views of its
     prefixes that sigma's `_round` returned with it, so
@@ -183,6 +227,8 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
                 exceeded += 1
                 continue
             if step is not None and step[0] not in result:
+                if len(result) == EXPLORE_BUDGET:
+                    raise ExplorationIncomplete(len(result))
                 result.add(step[0])
                 stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap))
     return TraceResult(frozenset(result), exceeded)
@@ -202,9 +248,9 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
     and its own P-view: Opponent points at the move just before it, or
     at nothing in the empty view, and sigma's reply extends it to the
     next P-view.  So `legal_extensions` is handed that one justifier,
-    each view vo is asked once, `_answer` with the whole of vo as its
-    P-view, and its (reply, view-relative pointer) is read off
-    directly.  A view whose reply hit an interaction bound is left out.
+    and each view vo is asked once through `_reply`, whose pointer is
+    already an index into vo.  A view whose reply hit an interaction
+    bound is left out.
     """
     entries: dict[tuple, tuple[str, int]] = {}
     stack = [Play(sigma.arena)]
@@ -214,7 +260,7 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
             continue
         for vo in legal_extensions(v, (len(v.moves) - 1,) if v.moves else (ROOT,)):
             try:
-                r = sigma._answer(vo, range(len(vo)))
+                r = sigma._reply(vo)
             except BoundExceeded:
                 continue
             if r is not None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesem import cli, equiv, pcf
+from gamesem import cli, equiv, pcf, strategy
 from gamesem.arena import arrow, make_nat_arena
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
@@ -342,6 +342,16 @@ def test_oracle_test_budget_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["equiv", once, twice, "--oracle"]) == 3
     assert capsys.readouterr().err == ("resource limit: oracle incomplete at bounds "
                                        "after 50 of 3748194 candidate tests\n")
+
+
+def test_exploration_play_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # Against every Opponent f (f (f 1)) has millions of plays at these
+    # bounds; the budget stops the walk first.
+    thrice = write(tmp_path, "thrice.pcf", "fun f: nat -> nat -> f (f (f 1))\n")
+    monkeypatch.setattr(strategy, "EXPLORE_BUDGET", 1000)
+    assert cli.main(["traces", thrice, "--max-nat", "2", "--max-play-len", "30"]) == 3
+    assert capsys.readouterr().err == ("resource limit: exploration incomplete at "
+                                       "bounds after 1000 plays\n")
 
 
 GOLDEN_TERMS = {

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
+from gamesem import strategy
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
+from gamesem.equiv import brute_force_leq
 from gamesem.pcf import (
     Lam,
     Num,
@@ -28,6 +32,7 @@ from gamesem.plays import (
 )
 from gamesem.strategy import (
     BoundExceeded,
+    ExplorationIncomplete,
     InconsistentPlay,
     InnocentStrategy,
     StrategyError,
@@ -50,6 +55,7 @@ from oracles import (
     ref_is_legal,
     ref_is_o_innocent,
     ref_is_p_innocent,
+    ref_legal_extensions,
     ref_pview,
     reindex,
 )
@@ -158,6 +164,108 @@ def test_explore_counts_bound_hits():
     comp = compose(copycat(N2), succ_strategy(2), tight)
     res = explore(comp, tight)
     assert res.bound_exceeded > 0
+
+
+def _counted_leaf(sigma, b, asked, raising=None):
+    """A `from_view_table` leaf on sigma's tabulated view function that
+    records each view it is asked in `asked`, and raises BoundExceeded
+    on the view whose moves are `raising`."""
+    leaf = from_view_table(sigma.arena, f"counted({sigma.name})",
+                           {v.moves: r for v, r in tabulate(sigma, b)})
+    lookup = leaf._view_fn
+
+    def counted(v):
+        asked.append(v.moves)
+        if v.moves == raising:
+            raise BoundExceeded(leaf.name)
+        return lookup(v)
+
+    leaf._view_fn = counted
+    return leaf
+
+
+def _ref_asks(plays, b, innocent_opponent=False):
+    """The P-view moves at every position `explore` asks about, once per
+    position: each Opponent extension of an explored play that leaves
+    room for a reply within the play bound."""
+    for p in plays:
+        if len(p) + 2 > b.max_play_len:
+            continue
+        for so in ref_legal_extensions(p, single_threaded=innocent_opponent):
+            if not innocent_opponent or ref_is_o_innocent(so):
+                yield ref_pview(so).moves
+
+
+@pytest.mark.parametrize("innocent_opponent", [False, True])
+def test_explore_asks_each_p_view_once(innocent_opponent):
+    b = Bounds(max_nat=1, max_play_len=10)
+    asked = []
+    leaf = _counted_leaf(denote(parse("fun f: nat -> nat -> f (f 1)"), b), b, asked)
+    res = explore(leaf, b, innocent_opponent)
+    reached = list(_ref_asks(res.plays, b, innocent_opponent))
+    assert sorted(asked) == sorted(set(reached))
+    assert len(reached) > len(asked)
+
+
+def test_brute_force_leq_asks_each_p_view_once():
+    # run_test plays through the same rounds; the P-views each side
+    # reaches are read off every play a round is asked about
+    b = Bounds(max_nat=1, max_play_len=16, max_view_len=8)
+    sides = [denote(parse(src), b)
+             for src in ("fun f: nat -> nat -> f 1", "fun f: nat -> nat -> f (f 1)")]
+    asked, reached = ([], []), ([], [])
+    leaves = [_counted_leaf(s, b, a) for s, a in zip(sides, asked)]
+    for leaf, seen in zip(leaves, reached):
+        def round_(so, views, play_round=leaf._round, seen=seen):
+            seen.append(ref_pview(so).moves)
+            return play_round(so, views)
+        leaf._round = round_
+    assert brute_force_leq(*leaves, b) == brute_force_leq(*sides, b)
+    for a, r in zip(asked, reached):
+        assert sorted(a) == sorted(set(r))
+        assert len(r) > len(a)
+
+
+def test_a_bound_hit_is_asked_once_and_counted_at_every_position():
+    b = Bounds(max_nat=1, max_play_len=8)
+    sigma = builtin("add_LR", 1)
+    counts = Counter(_ref_asks(explore(sigma, b).plays, b))
+    # the longest P-view reached at more than one position
+    view = max(counts, key=lambda v: (counts[v] > 1, len(v), v))
+    asked = []
+    leaf = _counted_leaf(sigma, b, asked, raising=view)
+    res = explore(leaf, b)
+    assert asked.count(view) == 1
+    positions = Counter(_ref_asks(res.plays, b))[view]
+    assert res.bound_exceeded == positions > 1
+
+
+def test_a_reply_that_fails_its_check_raises_on_every_ask():
+    # R.q is an Opponent move: the check fails, and it is not memoised
+    b = Bounds(max_nat=1, max_play_len=4)
+    asked = []
+    wrong = InnocentStrategy(arrow(N2, N2), "wrong",
+                             view_fn=lambda v: asked.append(v.moves) or ("R.q", 0))
+    opening = Play(wrong.arena, (("R.q", ROOT),))
+    for _ in range(2):
+        with pytest.raises(StrategyError):
+            wrong._round(opening, (((), ()),))
+        with pytest.raises(StrategyError):
+            explore(wrong, b)
+    assert asked == [opening.moves] * 4
+
+
+def test_explore_stops_at_its_play_budget(monkeypatch):
+    b = Bounds(max_nat=1, max_play_len=6)
+    sigma = builtin("add_LR", 1)
+    n = len(explore(sigma, b).plays)
+    monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n)
+    assert len(explore(sigma, b).plays) == n
+    monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n - 1)
+    with pytest.raises(ExplorationIncomplete) as e:
+        explore(sigma, b)
+    assert e.value.plays == n - 1
+    assert str(e.value) == f"exploration incomplete at bounds after {n - 1} plays"
 
 
 def test_tabulate_canonical_and_consistent():
