@@ -17,6 +17,8 @@ element ordering, so repeated runs are byte-identical.  One encoder,
 `_encode`, writes it for every subcommand; its bytes are those of
 `json.dumps(doc, indent=2, sort_keys=True)`, which on Python 3.13 and
 older runs the stdlib's pure-Python encoder once it is given an indent.
+A `Play` is written as its `to_json()` would be, from a per-depth table
+of move texts, so `traces` builds no dict per move.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .bounds import Bounds
 from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
 from .observation import ODetSet, observations, play_key, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
-from .plays import is_complete
+from .plays import Play, is_complete
 from .strategy import (
     ExplorationIncomplete,
     InconsistentPlay,
@@ -52,7 +54,8 @@ def _bounds(ns) -> Bounds:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(_encode(doc, 0, {}) + "\n")
+    sys.stdout.write(_encode(doc, 0, {}))
+    sys.stdout.write("\n")
 
 
 _LEAF_TYPES = frozenset((str, int))
@@ -60,11 +63,24 @@ _LEAF_TYPES = frozenset((str, int))
 
 def _encode(o, depth: int, memo: dict) -> str:
     """`json.dumps(o, indent=2, sort_keys=True)` at nesting `depth`, byte
-    for byte, for dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else raises TypeError.  `memo` maps (depth, items) of
-    a dict whose values are all str or exact int to its text, so a move
-    repeated through a document is written once per depth.  A bool is
-    kept out of it: True == 1, so it would share 1's entry."""
+    for byte, for dicts with str keys, lists, tuples, str, int, bool,
+    None and `Play`s; anything else raises TypeError.  A Play is written
+    as its `to_json()` would be, without building that dict: its moves'
+    texts come from a per-depth table in `memo`.  `memo` also maps
+    (depth, items) of a dict whose values are all str or exact int to
+    its text, so a move repeated through a document is written once per
+    depth.  A bool is kept out of it: True == 1, so it would share 1's
+    entry."""
+    if isinstance(o, Play):
+        texts = memo.setdefault((Play, depth), {})
+        moves = [texts.get(mv) or texts.setdefault(mv, _encode({"m": mv[0], "ptr": mv[1]},
+                                                                 depth + 2, memo))
+                 for mv in o.moves]
+        inner = "\n" + "  " * (depth + 1)
+        listed = ("[" + inner + "  " + ("," + inner + "  ").join(moves) + inner
+                  + "]") if moves else "[]"
+        return ("{" + inner + '"arena": ' + _str(o.arena.name) + "," + inner
+                + '"moves": ' + listed + inner[:-2] + "}")
     if isinstance(o, dict):
         key = None
         if _LEAF_TYPES.issuperset(map(type, o.values())):
@@ -146,15 +162,16 @@ def cmd_traces(ns) -> int:
     b = _bounds(ns)
     sigma, _ = _denote_file(ns.file, b)
     tr = explore(sigma, b)
-    plays = sorted(tr.plays, key=play_key)
+    plays = tr.plays
     if ns.complete_only:
         plays = [p for p in plays if is_complete(p)]
+    plays = sorted(plays, key=play_key)
     _emit({
         "arena": sigma.arena.to_json(),
         "bound_exceeded": tr.bound_exceeded,
         "bounds": b.to_json(),
         "count": len(plays),
-        "plays": [p.to_json() for p in plays],
+        "plays": plays,
     })
     return 0
 

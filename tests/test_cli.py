@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesem import cli, equiv, pcf, strategy
-from gamesem.arena import arrow, make_nat_arena
+from gamesem.arena import Arena, MoveLabel, arrow, make_nat_arena
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
 from gamesem.plays import ROOT, Play
@@ -362,6 +362,7 @@ GOLDEN_TERMS = {
     "rec_zero.pcf": "fix (fun f: nat -> nat -> fun x: nat -> "
                     "ifz x then 0 else f (pred x))\n",
     "strict_zero.pcf": "fun x: nat -> ifz x then 0 else 0\n",
+    "sum3.pcf": "fun x: nat -> fun y: nat -> fun z: nat -> z + x\n",
 }
 
 # sha256 of stdout.  These pin the canonical JSON byte for byte,
@@ -386,6 +387,8 @@ GOLDEN = [
      "6971b1ab2641ffb255a8a4c2df277b0d7c423d15d36a548e674be48d679b614e"),
     (("traces", "rec_zero.pcf", *REC_B, "--max-play-len", "12"), 0,
      "a040d150f80b07ec2d544ef16fdca4d779528f4ff42cec79f32f81f950502427"),
+    (("traces", "sum3.pcf", "--complete-only", *NAT2_B), 0,
+     "8a3639983c1ee7ff6771beebb6a94e4e690ec16caa916546e0b290202128b70e"),
     (("obs", "rec_zero.pcf", *REC_B, "--max-play-len", "24"), 0,
      "9c2c75341b1b9dd75da45bd5ea0ae9c597af29fe19f17f81be48bda2855184e7"),
     (("equiv", "add.pcf", "add_flip.pcf", "--oracle", "--max-nat", "1",
@@ -445,13 +448,33 @@ def test_stdout_is_canonical_json(tmp_path, capsys, args):
 # negative and large ints; bools beside the ints they equal; empty
 # containers at any depth.  Leaf dicts come from a pool of three, so one
 # recurs at one depth or at several, and {"a": 1} meets {"a": True}.
+# A Play must be written as its `to_json()` would be: its arena is named
+# with a quote, a backslash, a non-ASCII character or a lone surrogate,
+# its moves come from a pool of three, so they recur within a play,
+# across plays and across depths, and it is drawn empty, alone, at
+# several depths at once and beside its own `to_json()` dict.
 _TEXT = st.one_of(
     st.sampled_from(["a", "m", "ptr", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
                      "\u2028", "\ud800", "\U0001f600"]),
     st.text(max_size=6))
+_ARENAS = [Arena((("q", MoveLabel.OQ), ("0", MoveLabel.PA), ('"1"', MoveLabel.PA)),
+                 (("q", "0"), ("q", '"1"')), frozenset({"q"}), name=name)
+           for name in ("nat", 'say "q"', "C:\\nat", "caf\u00e9", "\ud800")]
+
+
+@st.composite
+def _plays(draw):
+    arena = draw(st.sampled_from(_ARENAS))
+    ids = [m for m, _ in arena.labels]
+    return Play(arena, tuple((draw(st.sampled_from(ids)), draw(st.integers(ROOT, i - 1)))
+                             for i in range(draw(st.integers(0, 5)))))
+
+
 _LEAVES = st.one_of(_TEXT, st.integers(-2, 2), st.integers(),
                     st.sampled_from([-(2 ** 64), 2 ** 100]), st.booleans(), st.none(),
-                    st.sampled_from([{"a": 1}, {"a": True}, {"a": "1", "m": 0}]))
+                    st.sampled_from([{"a": 1}, {"a": True}, {"a": "1", "m": 0}]),
+                    _plays(), _plays().map(lambda p: [p, [p, [p]], {"p": p}]),
+                    _plays().map(lambda p: [p, p.to_json()]))
 _DOCS = st.recursive(
     _LEAVES,
     lambda c: st.lists(c, max_size=4) | st.dictionaries(_TEXT, c, max_size=4),
@@ -462,10 +485,21 @@ def canonical(doc) -> str:
     return cli._encode(doc, 0, {})
 
 
+def _plain(o):
+    """`o` with every Play replaced by its `to_json()`."""
+    if isinstance(o, Play):
+        return o.to_json()
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    return o
+
+
 @settings(max_examples=400, deadline=None)
 @given(_DOCS)
 def test_encoder_matches_json_dumps(doc):
-    assert canonical(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert canonical(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
 
 
 def test_encoder_keeps_bools_and_depths_apart():
