@@ -137,13 +137,13 @@ class Arena:
         }
 
     @classmethod
-    def from_json(cls, doc: dict, name: str = "loaded") -> "Arena":
+    def from_json(cls, doc: dict) -> "Arena":
         # Sorted by id alone: labels do not order, and a duplicate id
         # is for `validate` to report.
         labels = tuple(sorted(((m["id"], MoveLabel(m["label"])) for m in doc["moves"]),
                               key=lambda ml: ml[0]))
         enabling = tuple(sorted((a, b) for a, b in doc["enabling"]))
-        arena = cls(labels, enabling, frozenset(doc["initials"]), name=name, kind="loaded")
+        arena = cls(labels, enabling, frozenset(doc["initials"]), name="loaded", kind="loaded")
         arena.validate()
         return arena
 

@@ -9,7 +9,7 @@ plays and frozen here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arena import arrow, make_nat_arena, product
 from .bounds import Bounds
@@ -150,6 +150,4 @@ PAIRS: tuple[CorpusPair, ...] = (
 
 
 def build_pair(p: CorpusPair) -> tuple[InnocentStrategy, InnocentStrategy]:
-    le = CorpusEntry(entry(p.left).name, entry(p.left).source, p.bounds)
-    re = CorpusEntry(entry(p.right).name, entry(p.right).source, p.bounds)
-    return le.build(), re.build()
+    return tuple(replace(entry(name), bounds=p.bounds).build() for name in (p.left, p.right))

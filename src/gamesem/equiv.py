@@ -318,11 +318,10 @@ def _law_strategies(b: Bounds) -> list[tuple[str, InnocentStrategy]]:
     ]
 
 
-def check_category_laws(b: Bounds | None = None) -> LawsReport:
+def check_category_laws(b: Bounds) -> LawsReport:
     """Identity, associativity, and congruence checks over the
     built-in strategies, with a minimal distinguishing view set
     reported on failure."""
-    b = b or Bounds()
     wide = _interaction_bounds(b)
     checks: list[LawCheck] = []
 

@@ -159,6 +159,9 @@ class PcfTypeError(PcfError):
 
 KEYWORDS = {"fun", "fix", "succ", "pred", "ifz", "then", "else", "nat"}
 PUNCT = ["->", "(", ")", ":", "+"]
+# the prefix forms: keyword -> node, and node -> its JSON name
+PREFIX_FORMS = {"fix": Fix, "succ": Succ, "pred": Pred}
+PREFIX_NAMES = {cls: kw for kw, cls in PREFIX_FORMS.items()}
 
 
 @dataclass(frozen=True)
@@ -169,53 +172,42 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, then an "eof" token.  A position is
+    (line, column), both from 1, a column counting characters from the
+    start of its line; a comment that runs to the end of the input ends
+    it where the comment starts."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
+    line, start = 1, 0     # the current line and the offset it begins at
+    i, n = 0, len(source)
+    while True:
+        pos = (line, i - start + 1)
+        if i == n:
+            toks.append(Token("eof", "", pos))
+            return toks
         c = source[i]
+        j = i + 1
         if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        pos = (line, col)
-        if c.isdecimal():
-            j = i
+            line, start = line + 1, j
+        elif c == "#":
+            j = source.find("\n", i)
+            if j < 0:   # a trailing comment: the input ends where it starts
+                n = j = i
+        elif c.isdecimal():
             while j < n and source[j].isdecimal():
                 j += 1
             toks.append(Token("num", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
             while j < n and (source[j].isalnum() or source[j] in "_'"):
                 j += 1
             text = source[i:j]
             toks.append(Token("keyword" if text in KEYWORDS else "ident", text, pos))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                toks.append(Token("punct", p, pos))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise PcfParseError(f"unexpected character {c!r}", pos)
-    toks.append(Token("eof", "", (line, col)))
-    return toks
+        elif c not in " \t\r":
+            p = next((p for p in PUNCT if source.startswith(p, i)), None)
+            if p is None:
+                raise PcfParseError(f"unexpected character {c!r}", pos)
+            j = i + len(p)
+            toks.append(Token("punct", p, pos))
+        i = j
 
 
 def pragmas(source: str) -> frozenset[str]:
@@ -261,15 +253,9 @@ class _Parser:
             self.expect("->")
             body = self.term()
             return Lam(v.text, ty, body, t.pos)
-        if t.text == "fix":
+        if t.text in PREFIX_FORMS:
             self.next()
-            return Fix(self.term(), t.pos)
-        if t.text == "succ":
-            self.next()
-            return Succ(self.term(), t.pos)
-        if t.text == "pred":
-            self.next()
-            return Pred(self.term(), t.pos)
+            return PREFIX_FORMS[t.text](self.term(), t.pos)
         if t.text == "ifz":
             self.next()
             cond = self.term()
@@ -427,15 +413,11 @@ def term_to_json(t: Term) -> dict:
         return {"node": "fun", "var": t.var, "ty": str(t.ty), "body": term_to_json(t.body)}
     if isinstance(t, App):
         return {"node": "app", "fn": term_to_json(t.fn), "arg": term_to_json(t.arg)}
-    if isinstance(t, Succ):
-        return {"node": "succ", "arg": term_to_json(t.t)}
-    if isinstance(t, Pred):
-        return {"node": "pred", "arg": term_to_json(t.t)}
+    if type(t) in PREFIX_NAMES:
+        return {"node": PREFIX_NAMES[type(t)], "arg": term_to_json(t.t)}
     if isinstance(t, Ifz):
         return {"node": "ifz", "cond": term_to_json(t.cond),
                 "then": term_to_json(t.then), "else": term_to_json(t.els)}
-    if isinstance(t, Fix):
-        return {"node": "fix", "arg": term_to_json(t.t)}
     if isinstance(t, Add):
         return {"node": "add", "left": term_to_json(t.left), "right": term_to_json(t.right)}
     raise ValueError(f"unknown term {t!r}")

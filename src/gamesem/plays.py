@@ -20,15 +20,16 @@ P-views, each its own P-view.
 
 Legality is checked where plays enter: `InnocentStrategy.respond`
 checks every play it is asked about, `pview` and `oview` check their
-argument, and view-sets read from JSON are checked by `ODetSet.make`.
-Everything else takes a legal play as given.  `legal_extensions`, the
-one move generator, takes a legal play and the set of positions the
-new move may point at: members of the mover's view, and ROOT where a
-new thread may open.  That is visibility, so it builds only legal
-plays and exploration checks no play it built: `explore` carries the
-views of each play forward, one entry per move, and plays each round
-without a legality pass.  `strategy.tabulate` and
-`equiv.enumerate_oviews` grow views through it too.
+argument through `_checked_view`, and view-sets read from JSON are
+checked by `ODetSet.make`.  Everything else takes a legal play as
+given.  `legal_extensions`, the one move generator, takes a legal play
+and the set of positions the new move may point at: members of the
+mover's view, and ROOT where a new thread may open.  That is
+visibility, so it builds only legal plays and exploration checks no
+play it built: `explore` carries the views of each play forward, one
+entry per move, and plays each round without a legality pass.
+`strategy.tabulate` and `equiv.enumerate_oviews` grow views through it
+too.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -153,12 +154,6 @@ def is_legal(s: Play) -> bool:
     return legality_violation(s) is None
 
 
-def _require_legal(s: Play, views: list | None = None) -> None:
-    v = legality_violation(s, views)
-    if v is not None:
-        raise ValueError(f"illegal play: {v}")
-
-
 def subsequence(s: Play, positions) -> Play:
     """The occurrences of s at `positions` (ascending, and holding every
     justifier they point at), pointers re-indexed."""
@@ -175,10 +170,18 @@ def pview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
     return subsequence(s, positions), positions
 
 
-def pview(s: Play) -> Play:
+def _checked_view(s: Play, k: int) -> Play:
+    """The P-view (k = 0) or O-view (k = 1) of s; ValueError if s is
+    not legal."""
     views: list = []
-    _require_legal(s, views)
-    return subsequence(s, views[0])
+    bad = legality_violation(s, views)
+    if bad is not None:
+        raise ValueError(f"illegal play: {bad}")
+    return subsequence(s, views[k])
+
+
+def pview(s: Play) -> Play:
+    return _checked_view(s, 0)
 
 
 def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
@@ -188,9 +191,7 @@ def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
 
 
 def oview(s: Play) -> Play:
-    views: list = []
-    _require_legal(s, views)
-    return subsequence(s, views[1])
+    return _checked_view(s, 1)
 
 
 def prefixes(s: Play) -> list[Play]:

@@ -87,8 +87,8 @@ class ExplorationIncomplete(Exception):
         self.plays = plays
 
 
-# `_round`'s memo markers: a view not asked yet, a view whose reply hit
-# an interaction bound.
+# The memo markers of `_round` and of compose's cache: a view not asked
+# yet, a view whose reply hit an interaction bound.
 _UNASKED = object()
 _BOUND = object()
 
@@ -370,8 +370,7 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
 
 
-def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
-                    name: str | None = None) -> InnocentStrategy:
+def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrategy:
     """Tupling: from f : arrow(X, B) and g : arrow(X, C), the strategy
     on arrow(X, product(B, C)) that plays f inside threads rooted at a
     B-initial and g inside threads rooted at a C-initial.
@@ -396,7 +395,7 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy,
         strat, into, back = left if view.moves[0][0] in left[1] else right
         return _ask(strat, into, back, view)
 
-    return InnocentStrategy(outer, name or f"<{f.name}, {g.name}>", play_fn=play_fn)
+    return InnocentStrategy(outer, f"<{f.name}, {g.name}>", play_fn=play_fn)
 
 
 def _ask(inner: InnocentStrategy, into: dict[str, str], back: dict[str, str], view: Play):
@@ -440,7 +439,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     since sigma and tau may be one object.
 
     The reply, a refusal or a bound hit depends on the P-view alone, so
-    the cache is a memo of the composite's view function.
+    the cache is a memo of the composite's view function, with
+    `_round`'s markers: `_BOUND` stands for a bound hit.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -459,16 +459,16 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     b_polarity = sigma.arena.polarity    # of "R." + a B-move, as sigma sees it
 
     def play_fn(view: Play):
-        key = view.moves
-        if key not in cache:
+        r = cache.get(view.moves, _UNASKED)
+        if r is _UNASKED:
             try:
-                cache[key] = _replay(view)
+                r = _replay(view)
             except BoundExceeded:
-                cache[key] = "bound"
-        hit = cache[key]
-        if hit == "bound":
+                r = _BOUND
+            cache[view.moves] = r
+        if r is _BOUND:
             raise BoundExceeded(cname)
-        return hit
+        return r
 
     def _replay(s: Play):
         u: list[tuple[str, str, int]] = []   # (component, move, justifier)

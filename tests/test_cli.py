@@ -292,6 +292,12 @@ def test_laws_exit_0():
     assert json.loads(r.stdout)["verdict"] == "ALL_LAWS_HOLD"
 
 
+def test_a_failing_law_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(equiv, "_interaction_bounds", lambda b: b)
+    assert cli.main(["laws", "--max-nat", "2", "--max-play-len", "4"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "LAW_FAILURE"
+
+
 def test_engine_failure_exits_3(tmp_path, monkeypatch):
     f = write(tmp_path, "t.pcf", "0\n")
 

@@ -64,6 +64,8 @@ def test_enumerate_oviews_flat():
     (arrow(N1, arrow(N1, N1)), 6, 10),
     (arrow(arrow(N1, N1), N1), 8, 40),
     (arrow(arrow(N2, N2), N2), 6, 34),
+    # third order: the only arena here with ill-bracketed O-views to prune
+    (arrow(arrow(arrow(N1, N1), N1), N1), 8, 83),
 ])
 def test_enumerate_oviews_matches_reference(arena, cap, size):
     vs = enumerate_oviews(arena, cap)
@@ -104,6 +106,7 @@ REFERENCE_CASES = [
     ("(N1=>N1)=>N1", arrow(arrow(N1, N1), N1), 6),
     ("(N1=>N1)=>N1", arrow(arrow(N1, N1), N1), 8),
     ("(N2=>N2)=>N2", arrow(arrow(N2, N2), N2), 6),
+    ("((N1=>N1)=>N1)=>N1", arrow(arrow(arrow(N1, N1), N1), N1), 6),
 ]
 
 
@@ -281,6 +284,23 @@ def test_category_laws_hold_and_report():
     doc = rep.to_json()
     assert doc["verdict"] == "ALL_LAWS_HOLD"
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_law_failures_are_reported_with_their_detail(monkeypatch):
+    # Without the wider interaction budget the composites hit the play
+    # bound: identities lose the plays that hit it, and the two
+    # associations lose different view sets.
+    monkeypatch.setattr(equiv, "_interaction_bounds", lambda b: b)
+    rep = check_category_laws(Bounds(max_nat=2, max_play_len=4))
+    assert rep.to_json()["verdict"] == "LAW_FAILURE"
+    failed = [(c.law, c.subject, c.detail) for c in rep.checks if not c.passed]
+    identity = "missing=3 extra=0 exceeded=3"
+    assert failed == [
+        *((law, name, identity) for name in ("succ", "add_LR", "proj_fst")
+          for law in ("identity_left", "identity_right")),
+        ("associativity", "numeral_2_thunk;succ;succ",
+         "distinguishing view set: [[], ['R.q'], ['R.q', 'R.2']]"),
+    ]
 
 
 def test_associativity_value_names_the_sum():

@@ -157,6 +157,17 @@ def test_parse_error_on_empty_input():
         parse("   # nothing here")
 
 
+@pytest.mark.parametrize("source, where", [
+    ("fun x: nat -> # note", "1:15"),   # a trailing comment ends the input where it starts
+    ("1 +\r\n# only\n", "3:1"),         # CR is a column, a newline starts a line
+    ("succ\t# c\n  (", "2:4"),          # a tab is one column
+])
+def test_end_of_input_position(source, where):
+    with pytest.raises(PcfParseError) as e:
+        parse(source)
+    assert str(e.value) == f"{where}: expected a term, found 'end of input'"
+
+
 # ------------------------------------------------------------ typing
 
 
@@ -235,12 +246,15 @@ def test_ifz_selects_branch():
 
 def test_ifz_answers_only_views_it_produced():
     # The condition answered 0, so ifz opens the then branch (L.R.L.);
-    # a view whose else branch (L.R.R.) was opened is none of its own.
+    # a view whose else branch (L.R.R.) was opened is none of its own,
+    # and neither is one that opens a branch before the condition.
     sigma = ifz_strategy(make_nat_arena(1), 1)
     opened = (("R.q", ROOT), ("L.L.q", 0), ("L.L.0", 1))
     for branch, want in (("L.R.L.", ("R.1", 0)), ("L.R.R.", None)):
         view = opened + ((branch + "q", 0), (branch + "1", 3))
         assert sigma.respond(Play(sigma.arena, view)) == want
+    early = (("R.q", ROOT), ("L.R.L.q", 0), ("L.R.L.1", 1))
+    assert sigma.respond(Play(sigma.arena, early)) is None
 
 
 def test_fix_of_identity_diverges():
@@ -331,6 +345,9 @@ def test_builtin_add_orders():
     opening = Play(lr.arena, (("R.q", ROOT),))
     assert lr.respond(opening) == ("L.L.q", 0)
     assert builtin("add_RL", 2).respond(opening) == ("L.R.q", 0)
+    # a view that asked the right summand first is none of add_LR's own
+    right_first = Play(lr.arena, (("R.q", ROOT), ("L.R.q", 0), ("L.R.1", 1)))
+    assert lr.respond(right_first) is None
     with pytest.raises(ValueError):
         builtin("no_such", 2)
 

@@ -510,6 +510,18 @@ def test_compose_raises_inconsistent_on_foreign_play():
             comp.respond(lie)
 
 
+def test_compose_raises_inconsistent_when_a_side_refuses():
+    # tau never answers, so the composite has no move where the play
+    # has one.
+    n1 = make_nat_arena(1)
+    never = InnocentStrategy(arrow(n1, n1), "never", view_fn=lambda v: None)
+    comp = compose(copycat(n1), never, Bounds())
+    play = Play(comp.arena, (("R.q", ROOT), ("L.q", 0), ("L.0", 1)))
+    with pytest.raises(InconsistentPlay) as e:
+        comp.respond(play)
+    assert str(e.value) == "(copycat(N1) ; never): no response where the play has 'L.q'"
+
+
 def test_compose_answers_a_lie_in_another_thread_from_its_view():
     # The composite answers 2, not 0; by innocence the false answer in
     # the first thread does not reach the second thread's P-view.
