@@ -56,6 +56,14 @@ def is_oview_shaped(v: Play) -> bool:
     return legality_violation(v, views) is None and len(views[1]) == len(v.moves)
 
 
+def _doc_arena(doc: dict, arena: Arena | None) -> Arena:
+    """The arena a document is read over: `arena` if given, else the one
+    embedded in the document; ValueError if neither."""
+    if arena is None and "arena" not in doc:
+        raise ValueError("no arena given and none embedded in the document")
+    return Arena.from_json(doc["arena"]) if arena is None else arena
+
+
 def odet_violation(arena: Arena, views: frozenset[Play]):
     """Why `views` fails to be an O-deterministic view-set, or None.
 
@@ -158,10 +166,7 @@ class ODetSet:
 
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ODetSet":
-        if arena is None:
-            if "arena" not in doc:
-                raise ValueError("no arena given and none embedded in the document")
-            arena = Arena.from_json(doc["arena"])
+        arena = _doc_arena(doc, arena)
         views = [Play.from_json(v, arena) for v in doc["views"]]
         return cls.make(arena, views)
 
@@ -290,10 +295,7 @@ class ObservationalStrategy:
 
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ObservationalStrategy":
-        if arena is None:
-            if "arena" not in doc:
-                raise ValueError("no arena given and none embedded in the document")
-            arena = Arena.from_json(doc["arena"])
+        arena = _doc_arena(doc, arena)
         sets = frozenset(
             frozenset(Play.from_json(v, arena) for v in vs)
             for vs in doc["sets"])

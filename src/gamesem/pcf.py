@@ -514,7 +514,7 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
         if ms[1] != ("L.L.q", 0):
             return None
         cut = ms[:1] + tuple((m, p - 2 if p >= 3 else p) for m, p in ms[3:])
-        r = copycat_echo(a, then_swap if ms[2][0] == "L.L.0" else else_swap, cut)
+        r = copycat_echo(then_swap if ms[2][0] == "L.L.0" else else_swap, cut)
         if r is None:
             return None
         return r[0], (r[1] + 2 if r[1] > 0 else 0)

@@ -18,10 +18,11 @@ O-innocence test, exploration, test runs and the observation code all
 read their views from it.  `strategy.tabulate` needs none: it walks
 P-views, each its own P-view.
 
-Legality is checked where plays enter: `InnocentStrategy.respond`
-checks every play it is asked about, `pview` and `oview` check their
-argument through `_checked_view`, and view-sets read from JSON are
-checked by `ODetSet.make`.  Everything else takes a legal play as
+Legality is checked where plays enter, at one door: `checked_views`
+returns the views of a legal play or raises ValueError, and
+`InnocentStrategy.respond`, `pview` and `oview` pass every play they
+are given through it.  View-sets read from JSON are checked by
+`ODetSet.make`.  Everything else takes a legal play as
 given.  `legal_extensions`, the one move generator, takes a legal play
 and the set of positions the new move may point at: members of the
 mover's view, and ROOT where a new thread may open.  That is
@@ -170,18 +171,18 @@ def pview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
     return subsequence(s, positions), positions
 
 
-def _checked_view(s: Play, k: int) -> Play:
-    """The P-view (k = 0) or O-view (k = 1) of s; ValueError if s is
-    not legal."""
+def checked_views(s: Play) -> list[tuple[int, ...]]:
+    """[P-view, O-view] positions of s; ValueError if s is not legal.
+    The one door a play is checked at."""
     views: list = []
     bad = legality_violation(s, views)
     if bad is not None:
         raise ValueError(f"illegal play: {bad}")
-    return subsequence(s, views[k])
+    return views
 
 
 def pview(s: Play) -> Play:
-    return _checked_view(s, 0)
+    return subsequence(s, checked_views(s)[0])
 
 
 def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
@@ -191,7 +192,7 @@ def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
 
 
 def oview(s: Play) -> Play:
-    return _checked_view(s, 1)
+    return subsequence(s, checked_views(s)[1])
 
 
 def prefixes(s: Play) -> list[Play]:

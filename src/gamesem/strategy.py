@@ -8,20 +8,22 @@ P-view) or None.  Leaves give it as `view_fn`; wrappers that ask an
 inner strategy (renamings, pairings, composites) give it as `play_fn`,
 which differs in name only, so a tracer can tell the node kinds apart.
 
-`respond` checks the play it is given once and hands its P-view to
-`_reply`, which runs the node and checks the response against the
-arena and the view, so the extended play is legal again; a view index
-can only name a move of the P-view.  Wrappers translate the view alone
-for their inner strategy (a prefix renaming is an arena isomorphism,
-so it commutes with the P-view), and the inner strategy's pointer into
-that view is already view-relative.  One round of play, an Opponent
-move and the strategy's reply, is `_round`: it carries the views of
-the play forward through `plays.next_views` and asks the node through
-a memo of its checked replies, one entry per P-view, a bound hit
-included, so Opponent reaching a view again costs a lookup.
-`explore` and `observation.run_test` both play their rounds through
-it, since they build legal plays themselves; `tabulate` walks P-views
-alone and asks `_reply` once per view.
+`respond` checks the play it is given once, at `plays.checked_views`,
+and hands its P-view to `_reply`, which runs the node and checks the
+response against the arena and the view, so the extended play is
+legal again; a view index can only name a move of the P-view.
+Wrappers translate the view alone for their inner strategy (a prefix
+renaming is an arena isomorphism, so it commutes with the P-view), and
+the inner strategy's pointer into that view is already view-relative.
+One round of play, an Opponent move and the strategy's reply, is
+`_round`: it carries the views of the play forward through
+`plays.next_views` and asks the node through a memo of its checked
+replies, one entry per P-view, so Opponent reaching a view again costs
+a lookup; that memo and compose's cache are both asked through
+`_recall`, which stores a bound hit too.  `explore` and
+`observation.run_test` both play their rounds through `_round`, since
+they build legal plays themselves; `tabulate` walks P-views alone and
+asks `_reply` once per view.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -36,12 +38,13 @@ exchange moves in the shared middle component, which is hidden from the
 outside.  A composite replays only the P-view of the play it is asked
 about (the P-view of a legal play is a legal play, and the composite is
 innocent), so its reply is a function of that view and is memoised by
-it.  The replay grows three projections of the interaction with each
-move it appends, sigma's, tau's and the outer one the reply is read
-off, all pointed by one justifier rule.  Interactions are capped at
-`bounds.max_play_len` occurrences counting hidden moves; hitting the
-cap raises BoundExceeded, which is deliberately distinct from a genuine
-refusal to respond.
+it.  One turn rule says who moves next, and the replay grows three
+projections of the interaction with each move it appends, sigma's,
+tau's and the outer one the reply is read off, all pointed by one
+justifier rule.  Interactions are capped at `bounds.max_play_len`
+occurrences counting hidden moves; hitting the cap raises
+BoundExceeded, which is deliberately distinct from a genuine refusal
+to respond.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ from .bounds import Bounds
 from .plays import (
     ROOT,
     Play,
-    legality_violation,
+    checked_views,
     legal_extensions,
     next_views,
     subsequence,
@@ -87,10 +90,26 @@ class ExplorationIncomplete(Exception):
         self.plays = plays
 
 
-# The memo markers of `_round` and of compose's cache: a view not asked
-# yet, a view whose reply hit an interaction bound.
+# The markers of `_recall`: a view not asked yet, a view whose reply hit
+# an interaction bound.
 _UNASKED = object()
 _BOUND = object()
+
+
+def _recall(memo: dict, view: Play, ask, name: str):
+    """ask(view), memoised in `memo` by the view's moves.  A bound hit is
+    stored too and raised again, as BoundExceeded(name), on every later
+    ask of the view; any other exception is never stored."""
+    r = memo.get(view.moves, _UNASKED)
+    if r is _UNASKED:
+        try:
+            r = ask(view)
+        except BoundExceeded:
+            r = _BOUND
+        memo[view.moves] = r
+    if r is _BOUND:
+        raise BoundExceeded(name)
+    return r
 
 
 class InnocentStrategy:
@@ -118,13 +137,9 @@ class InnocentStrategy:
         """
         if s.arena != self.arena:
             raise ValueError(f"play is over {s.arena.name}, strategy over {self.arena.name}")
-        views: list = []
-        bad = legality_violation(s, views)
-        if bad is not None:
-            raise ValueError(f"illegal play: {bad}")
+        positions = checked_views(s)[0]
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        positions = views[0]
         r = self._reply(subsequence(s, positions))
         return None if r is None else (r[0], positions[r[1]])
 
@@ -151,24 +166,14 @@ class InnocentStrategy:
         for every prefix of s·o·p), or None where the strategy does not
         answer.
 
-        The reply is a function of the P-view of s·o, so it is memoised
-        by that view's moves: each view is asked of the node, and its
-        reply checked, once.  A bound hit is memoised too and raised
-        again on every later ask of the view; a StrategyError or
-        InconsistentPlay is never stored.
+        The reply is a function of the P-view of s·o, so it is asked
+        through `_recall`: each view is asked of the node, and its reply
+        checked, once, and a bound hit is raised again on every later
+        ask of the view.
         """
         views += (next_views(views, so.moves[-1][1]),)
         positions = views[-1][0]
-        view = subsequence(so, positions)
-        r = self._memo.get(view.moves, _UNASKED)
-        if r is _UNASKED:
-            try:
-                r = self._reply(view)
-            except BoundExceeded:
-                r = _BOUND
-            self._memo[view.moves] = r
-        if r is _BOUND:
-            raise BoundExceeded(self.name)
+        r = _recall(self._memo, subsequence(so, positions), self._reply, self.name)
         if r is None:
             return None
         ptr = positions[r[1]]
@@ -303,18 +308,22 @@ def prefix_swap(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
     return prefix_map(pairs + [(y, x) for x, y in pairs], moves)
 
 
-def copycat_echo(arena: Arena, swap: dict[str, str], moves):
+def copycat_echo(swap: dict[str, str], moves):
     """The copycat reply to a P-view, given by its moves: the last
     Opponent move echoed through `swap`, as (move, index into the view),
     or None.
 
-    `swap` is a move table over `arena` (a `prefix_swap`); a move it
-    does not list has no echo.  The echo's justifier is found by the
-    pairing discipline of copycat views: the partner of the justifier
-    sits immediately before it, with an unjustified opener echoed by a
-    move pointing at the opener itself.  Every view copycat produced
-    keeps it: an Opponent move in a P-view points at the move before it,
-    and each Proponent move there is an echo.  Other views get no echo.
+    `swap` is a `prefix_swap` exchanging two copies of one component of
+    the view's arena; a move it does not list has no echo.  The echo's
+    justifier is found by the pairing discipline of copycat views: the
+    partner of the justifier sits immediately before it, with an
+    unjustified opener echoed by a move pointing at the opener itself.
+    Every view copycat produced keeps it: an Opponent move in a P-view
+    points at the move before it, and each Proponent move there is an
+    echo.  Other views get no echo.  An echo is always enabled where it
+    points: the swap maps an enabling pair inside a copy to one, an
+    Opponent move is never enabled across the copies, and an opener
+    enables its echo, a left initial.
     """
     m, ptr = moves[-1]
     mm = swap.get(m)
@@ -326,15 +335,13 @@ def copycat_echo(arena: Arena, swap: dict[str, str], moves):
         j = ptr - 1
         if j < 0 or moves[j][0] != swap.get(moves[ptr][0]):
             return None
-    if not arena.enables(moves[j][0], mm):
-        return None
     return mm, j
 
 
 def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentStrategy:
     """Copycat-style strategy: answer each P-view with `copycat_echo`."""
     return InnocentStrategy(arena, name,
-                            view_fn=lambda v: copycat_echo(arena, swap, v.moves))
+                            view_fn=lambda v: copycat_echo(swap, v.moves))
 
 
 def copycat(a: Arena) -> InnocentStrategy:
@@ -419,28 +426,30 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     The composite answers a play over arrow(A, C) by replaying its
     P-view as the unique interaction over the three components: visible
     moves are laid down as given, and between them sigma and tau
-    ping-pong in B until one of them surfaces.  The interaction, hidden
+    ping-pong in B until one of them surfaces.  The turn rule: sigma
+    answers an outer move in A, tau one in C, and a move in B is
+    answered by the side that did not play it.  The interaction, hidden
     moves included, may not grow past b.max_play_len.  A P-move of the
     view that the composite would not have played raises
     InconsistentPlay.
 
-    Component bookkeeping: the interaction records one (component,
-    move, justifier) per occurrence, A, B or C, and grows three views
-    of it with each move: sigma's (A, B), tau's (B, C) and the outer
-    (A, C), which is the replayed play followed by the reply.  Each
-    view holds its moves, tagged "L."/"R.", the interaction index of
-    each of its positions, and the position of each of its interaction
-    indices.  One rule points every view's moves: a justifier outside
-    the view's components is replaced by its own justifier, and by
-    ROOT if that is outside too.  So sigma's B-initials, justified by C
-    initials, are unjustified on sigma's side, and an A-initial, which
-    points at a B-initial, surfaces pointing at that move's C
-    justifier.  The views are indexed by position, never by strategy,
-    since sigma and tau may be one object.
+    Component bookkeeping: the interaction records the justifier of
+    each occurrence, in A, B or C, and grows three views of it with
+    each move: sigma's (A, B), tau's (B, C) and the outer (A, C),
+    which is the replayed play followed by the reply.  Each view holds
+    its moves, tagged "L."/"R.", the interaction index of each of its
+    positions, and the position of each of its interaction indices.
+    One rule points every view's moves: a justifier outside the view's
+    components is replaced by its own justifier, and by ROOT if that is
+    outside too.  So sigma's B-initials, justified by C initials, are
+    unjustified on sigma's side, and an A-initial, which points at a
+    B-initial, surfaces pointing at that move's C justifier.  The views
+    are indexed by position, never by strategy, since sigma and tau may
+    be one object.
 
     The reply, a refusal or a bound hit depends on the P-view alone, so
-    the cache is a memo of the composite's view function, with
-    `_round`'s markers: `_BOUND` stands for a bound hit.
+    `cache` is a memo of the composite's view function, asked through
+    `_recall` as `_round`'s memo is.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -456,22 +465,12 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     strats = (sigma, tau)
     # each view's (left, right) components: sigma's, tau's, the outer one
     comps = (("A", "B"), ("B", "C"), ("A", "C"))
-    b_polarity = sigma.arena.polarity    # of "R." + a B-move, as sigma sees it
 
     def play_fn(view: Play):
-        r = cache.get(view.moves, _UNASKED)
-        if r is _UNASKED:
-            try:
-                r = _replay(view)
-            except BoundExceeded:
-                r = _BOUND
-            cache[view.moves] = r
-        if r is _BOUND:
-            raise BoundExceeded(cname)
-        return r
+        return _recall(cache, view, _replay, cname)
 
     def _replay(s: Play):
-        u: list[tuple[str, str, int]] = []   # (component, move, justifier)
+        u: list[int] = []   # the justifier of each occurrence
         # per view: projected moves, position -> u index, u index ->
         # position (and ROOT -> ROOT)
         proj = tuple(([], [], {ROOT: ROOT}) for _ in comps)
@@ -481,21 +480,17 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             ui = len(u)
             if ui >= cap:
                 raise BoundExceeded(cname)
-            u.append((comp, mv, up))
+            u.append(up)
             for (left, right), (moves, idx, pos) in zip(comps, proj):
                 if comp == left or comp == right:
-                    ptr = pos[up] if up in pos else pos.get(u[up][2], ROOT)
+                    ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
                     pos[ui] = len(moves)
                     idx.append(ui)
                     moves.append((("L." if comp == left else "R.") + mv, ptr))
 
-        def run_until_visible() -> bool:
+        def run_until_visible(side: int) -> bool:
+            # True once a move surfaces in A or C, False on a refusal
             while True:
-                comp, mv, _ = u[-1]
-                if comp == "B":
-                    side = 1 if b_polarity["R." + mv] == "P" else 0
-                else:
-                    side = 0 if comp == "A" else 1
                 moves, idx, _ = proj[side]
                 strat = strats[side]
                 r = strat.respond(Play(strat.arena, tuple(moves)))
@@ -506,16 +501,17 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
                 append(comp, m[2:], idx[pptr])
                 if comp != "B":
                     return True
+                side = 1 - side
 
         for k, (m, ptr) in enumerate(s.moves):
             if k % 2 == 0:
-                append("C" if m.startswith("R.") else "A", m[2:],
-                       ROOT if ptr == ROOT else outer_idx[ptr])
-            elif not run_until_visible():
+                side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
+                append("AC"[side], m[2:], ROOT if ptr == ROOT else outer_idx[ptr])
+            elif not run_until_visible(side):
                 raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
             elif outer_moves[-1] != (m, ptr):
                 raise InconsistentPlay(
                     f"{cname}: computed {outer_moves[-1][0]!r} where the play has {m!r}")
-        return outer_moves[-1] if run_until_visible() else None
+        return outer_moves[-1] if run_until_visible(side) else None
 
     return InnocentStrategy(outer, cname, play_fn=play_fn)

@@ -197,6 +197,19 @@ def test_view_set_arena_cross_check(tmp_path):
     assert "arena" in r.stderr
 
 
+def test_view_set_with_a_bad_element_exits_2(tmp_path):
+    # Two threads in one element: ODetSet.make refuses it as the file is read.
+    f = write(tmp_path, "t.pcf", "1\n")
+    views = [[], [("q", -1)], [("q", -1), ("1", 0)], [("q", -1), ("1", 0), ("q", -1)]]
+    doc = {"arena": make_nat_arena(2).to_json(), "initial": "q",
+           "views": [{"moves": [{"m": m, "ptr": p} for m, p in v]} for v in views]}
+    s = write(tmp_path, "s.json", json.dumps(doc))
+    r = run_cli("test", f, "--set", s, "--max-nat", "2")
+    assert r.returncode == 2
+    assert r.stderr == (f"error: bad view-set file {s}: not an O-deterministic view-set: "
+                        "element has several initial moves: Play[q 1<-0 q]\n")
+
+
 def test_hand_written_view_set_without_view_arenas(tmp_path):
     # The documented file format: the arena is given once at the top,
     # and each view is {"moves": [{"m": move, "ptr": justifier}]}.

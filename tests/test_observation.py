@@ -135,12 +135,49 @@ def test_odet_set_make_rejects_opponent_branching():
         ])
 
 
+N1 = make_nat_arena(1)
+# (((nat -> nat) -> nat) -> nat): its opener, the argument's question
+# (P), that argument asking its own argument (O) and the question under
+# that (P)
+DEEP = arrow(arrow(arrow(N1, N1), N1), N1)
+_DEEP_ASKED = [("R.q", ROOT), ("L.R.q", 0), ("L.L.R.q", 1), ("L.L.L.q", 2)]
+
+
+@pytest.mark.parametrize("arena, element, reason", [
+    pytest.param(N2, P(N1, ("q", ROOT), ("1", 0)), "element over wrong arena N1",
+                 id="wrong-arena"),
+    # the second question points at the opener, not at the move before it
+    pytest.param(ARROW, P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0)),
+                 "element is not an O-view", id="not-an-o-view"),
+    pytest.param(N2, P(N2, ("q", ROOT), ("1", 0), ("q", ROOT)),
+                 "element has several initial moves", id="two-threads"),
+    # the argument's answer while the two questions after it are open
+    pytest.param(DEEP, P(DEEP, *_DEEP_ASKED, ("L.R.0", 1)),
+                 "element is not well-bracketed", id="not-well-bracketed"),
+])
+def test_odet_set_make_refuses_a_bad_element(arena, element, reason):
+    # Every proper prefix of each element is a good element, so the
+    # element alone is refused, whatever order the set is walked in.
+    with pytest.raises(ValueError, match=f"^not an O-deterministic view-set: {reason}"):
+        ODetSet.make(arena, [element])
+
+
 def test_odet_set_json_roundtrip():
     s = ODetSet.make(ARROW, prefix_oviews(
         P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.2", 0))))
     doc = s.to_json(include_arena=True)
     assert ODetSet.from_json(doc) == s
     assert ODetSet.from_json(s.to_json(), arena=ARROW) == s
+    assert ODetSet.from_json({**doc, "arena": N2.to_json()}, arena=ARROW) == s
+
+
+def test_documents_without_an_arena_are_refused():
+    b = Bounds(max_nat=2, max_play_len=6)
+    docs = [(ODetSet, ODetSet.make(N2, [P(N2, ("q", ROOT), ("1", 0))]).to_json()),
+            (ObservationalStrategy, observations(builtin("add_LR", 2), b).to_json())]
+    for cls, doc in docs:
+        with pytest.raises(ValueError, match="^no arena given and none embedded"):
+            cls.from_json(doc)
 
 
 def test_induced_test_lifts_and_answers():

@@ -195,6 +195,12 @@ def test_type_errors_carry_positions():
         typecheck(parse("0 + (fun x: nat -> x)"))
 
 
+@pytest.mark.parametrize("source", ["succ (fun x: nat -> x)", "pred (fun x: nat -> x)"])
+def test_arithmetic_on_a_function_is_a_type_error(source):
+    with pytest.raises(PcfTypeError, match=r"^1:1: arithmetic on type nat -> nat$"):
+        typecheck(parse(source))
+
+
 def test_shadowing_uses_innermost_binding():
     t = parse("fun x: nat -> fun x: nat -> nat -> x")
     assert typecheck(t) == TFun(NAT, TFun(TFun(NAT, NAT), TFun(NAT, NAT)))
@@ -350,6 +356,12 @@ def test_builtin_add_orders():
     assert lr.respond(right_first) is None
     with pytest.raises(ValueError):
         builtin("no_such", 2)
+
+
+@pytest.mark.parametrize("order", [("L",), ("R", "R"), (), ("L", "R", "M")])
+def test_add_order_must_draw_on_both_summands_alone(order):
+    with pytest.raises(ValueError, match=r"^order must draw on both of L and R: "):
+        make_add(order, 2)
 
 
 def test_repeated_question_sums_the_latest_answer():

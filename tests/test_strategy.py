@@ -15,6 +15,7 @@ from gamesem.pcf import (
     denote,
     denote_open,
     eval_strategy,
+    interrogate,
     parse,
     parse_type,
     pred_strategy,
@@ -44,6 +45,7 @@ from gamesem.strategy import (
     mirror_strategy,
     pair_strategies,
     prefix_map,
+    prefix_swap,
     rename_strategy,
     tabulate,
     traces,
@@ -121,6 +123,39 @@ def test_copycat_echoes():
     assert cc.respond(opening) == ("L.q", 0)
     back = Play(cc.arena, (("R.q", ROOT), ("L.q", 0), ("L.1", 1)))
     assert cc.respond(back) == ("R.1", 0)
+
+
+def _swap_cases():
+    """(arena, prefix pairs) of every swap the package builds, over a
+    few component arenas: copycat's, `var`'s (second of three
+    variables), `proj`'s, `eval`'s and the two of `ifz`."""
+    n1 = make_nat_arena(1)
+    f = arrow(n1, n1)
+    for t in (n1, f, arrow(f, n1), arrow(n1, f)):
+        yield arrow(t, t), [("L.", "R.")]
+        env = product(product(product(make_empty(), f), t), n1)
+        yield arrow(env, t), [("L.L.R.", "R.")]
+        yield arrow(product(t, t), t), [("L.L.", "R.")]
+        yield arrow(product(arrow(t, n1), t), n1), [("R.", "L.L.R."), ("L.L.L.", "L.R.")]
+        yield arrow(product(arrow(f, t), f), t), [("R.", "L.L.R."), ("L.L.L.", "L.R.")]
+        for branch in ("L.R.L.", "L.R.R."):
+            yield arrow(product(n1, product(t, t)), t), [("R.", branch)]
+
+
+def test_every_swap_echoes_onto_an_enabling_pair():
+    # What lets `copycat_echo` skip an enabling check: an Opponent move
+    # and its justifier echo onto an enabling pair, and an opener
+    # enables its own echo.
+    for arena, pairs in _swap_cases():
+        swap = prefix_swap(pairs, arena.moves)
+        for m, echo in swap.items():
+            if arena.polarity[m] != "O":
+                continue
+            if arena.is_initial(m):
+                assert arena.enables(m, echo)
+            for x in swap:
+                if arena.enables(x, m):
+                    assert arena.enables(swap[x], echo), (arena.name, x, m)
 
 
 def test_mirror_answers_only_views_that_keep_the_pairing_discipline():
@@ -425,6 +460,13 @@ def test_rename_strategy_rejects_a_renaming_that_is_no_bijection():
     for pairs in bad:
         with pytest.raises(ValueError):
             rename_strategy(s, pairs, target, "bad")
+
+
+@pytest.mark.parametrize("left", [make_nat_arena(1), arrow(N2, N2)], ids=["nat1", "nat2->nat2"])
+def test_pairing_refuses_sides_over_different_left_arenas(left):
+    g = interrogate(arrow(left, N2), "zero", (), lambda ks: 0)
+    with pytest.raises(ValueError, match="^paired strategies disagree on the left arena$"):
+        pair_strategies(succ_strategy(2), g)
 
 
 def test_pairing_answers_each_thread_through_its_side():
