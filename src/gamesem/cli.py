@@ -224,7 +224,8 @@ def cmd_test(ns) -> int:
     sigma, _ = _denote_file(ns.file, b)
     try:
         doc = json.loads(_read(ns.set))
-        s = ODetSet.from_json(doc)
+        # a witness as `equiv` prints it names no arena: read it over the term's
+        s = ODetSet.from_json(doc, None if "arena" in doc else sigma.arena)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
         raise _InputError(f"bad view-set file {ns.set}: {e}") from e
     if s.arena != sigma.arena:

@@ -12,11 +12,12 @@ Both views are defined incrementally (Hyland & Ong, "On full abstraction
 for PCF", Inf. & Comp. 163, 2000), and `next_views` is the one view
 recurrence: it extends the views of a play's prefixes by one move,
 reading the mover from the play's parity.  `prefix_views` loops over
-it, and a strategy's round of play (`InnocentStrategy._round`) extends
-a play's views with it, so the legality check, the view functions, the
-O-innocence test, exploration, test runs and the observation code all
-read their views from it.  `strategy.tabulate` needs none: it walks
-P-views, each its own P-view.
+it, and a strategy's round of play (`InnocentStrategy._round`) and a
+composite's replay extend a play's views with it, so the legality
+check, the view functions, the O-innocence test, exploration, test
+runs, composition and the observation code all read their views from
+it.  `strategy.tabulate` needs none: it walks P-views, each its own
+P-view.
 
 Legality is checked where plays enter, at one door: `checked_views`
 returns the views of a legal play or raises ValueError, and

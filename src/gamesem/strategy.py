@@ -8,22 +8,21 @@ P-view) or None.  Leaves give it as `view_fn`; wrappers that ask an
 inner strategy (renamings, pairings, composites) give it as `play_fn`,
 which differs in name only, so a tracer can tell the node kinds apart.
 
-`respond` checks the play it is given once, at `plays.checked_views`,
-and hands its P-view to `_reply`, which runs the node and checks the
-response against the arena and the view, so the extended play is
-legal again; a view index can only name a move of the P-view.
-Wrappers translate the view alone for their inner strategy (a prefix
-renaming is an arena isomorphism, so it commutes with the P-view), and
-the inner strategy's pointer into that view is already view-relative.
-One round of play, an Opponent move and the strategy's reply, is
-`_round`: it carries the views of the play forward through
-`plays.next_views` and asks the node through a memo of its checked
-replies, one entry per P-view, so Opponent reaching a view again costs
-a lookup; that memo and compose's cache are both asked through
-`_recall`, which stores a bound hit too.  `explore` and
-`observation.run_test` both play their rounds through `_round`, since
-they build legal plays themselves; `tabulate` walks P-views alone and
-asks `_reply` once per view.
+Every node keeps one memo of its checked replies, one entry per P-view,
+read and written only by `_answer`: an innocent strategy is its view
+function, so reaching a view again costs a lookup.  On a miss `_reply`
+runs the node and checks the response against the arena and the view,
+so the extended play is legal again; a bound hit is stored too and
+raised again on later asks.  Three callers hand `_answer` a play and
+its P-view's positions: `respond`, after one legality pass at
+`plays.checked_views`; `_round`, one round of play (an Opponent move
+and the reply) for `explore` and `observation.run_test`, which carries
+the play's views through `plays.next_views`; and compose, which
+carries each factor's views the same way.  `tabulate` walks P-views
+alone and asks `_reply` once per view.  Wrappers translate the view
+alone for their inner strategy (a prefix renaming is an arena
+isomorphism, so it commutes with the P-view), and the inner pointer
+into that view is already view-relative.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -38,13 +37,13 @@ exchange moves in the shared middle component, which is hidden from the
 outside.  A composite replays only the P-view of the play it is asked
 about (the P-view of a legal play is a legal play, and the composite is
 innocent), so its reply is a function of that view and is memoised by
-it.  One turn rule says who moves next, and the replay grows three
-projections of the interaction with each move it appends, sigma's,
-tau's and the outer one the reply is read off, all pointed by one
-justifier rule.  Interactions are capped at `bounds.max_play_len`
-occurrences counting hidden moves; hitting the cap raises
-BoundExceeded, which is deliberately distinct from a genuine refusal
-to respond.
+its node like any other.  One turn rule says who moves next, and the
+replay grows three projections of the interaction with each move it
+appends, sigma's, tau's and the outer one the reply is read off, all
+pointed by one justifier rule.  Interactions are capped at
+`bounds.max_play_len` occurrences counting hidden moves; hitting the
+cap raises BoundExceeded, which is deliberately distinct from a
+genuine refusal to respond.
 """
 from __future__ import annotations
 
@@ -90,26 +89,10 @@ class ExplorationIncomplete(Exception):
         self.plays = plays
 
 
-# The markers of `_recall`: a view not asked yet, a view whose reply hit
-# an interaction bound.
+# The markers of `_answer`'s memo: a view not asked yet, a view whose
+# reply hit an interaction bound.
 _UNASKED = object()
 _BOUND = object()
-
-
-def _recall(memo: dict, view: Play, ask, name: str):
-    """ask(view), memoised in `memo` by the view's moves.  A bound hit is
-    stored too and raised again, as BoundExceeded(name), on every later
-    ask of the view; any other exception is never stored."""
-    r = memo.get(view.moves, _UNASKED)
-    if r is _UNASKED:
-        try:
-            r = ask(view)
-        except BoundExceeded:
-            r = _BOUND
-        memo[view.moves] = r
-    if r is _BOUND:
-        raise BoundExceeded(name)
-    return r
 
 
 class InnocentStrategy:
@@ -124,13 +107,13 @@ class InnocentStrategy:
         self.name = name
         self._view_fn = view_fn
         self._play_fn = play_fn
-        self._memo: dict[tuple, object] = {}   # `_round`'s, by P-view moves
+        self._memo: dict[tuple, object] = {}   # `_answer`'s, by P-view moves
 
     def respond(self, s: Play):
         """Proponent's reply to a legal odd-length play, or None.
 
         The one checked entry point: one legality pass over s, whose
-        P-view is handed to `_reply`.  Returns (move, justifier index
+        P-view is handed to `_answer`.  Returns (move, justifier index
         into s) for a P-move enabled by a move of that P-view; raises
         StrategyError for any other reply, BoundExceeded if computing
         the reply hit an interaction bound.
@@ -140,7 +123,24 @@ class InnocentStrategy:
         positions = checked_views(s)[0]
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        r = self._reply(subsequence(s, positions))
+        return self._answer(s, positions)
+
+    def _answer(self, s: Play, positions: tuple):
+        """`respond`'s reply to the legal odd-length play s, whose P-view
+        is at `positions`, unchecked.  Memoised by the view's moves: each
+        view is asked through `_reply`, and its reply checked, once; a
+        bound hit is stored and raised again on every later ask, and any
+        other exception is never stored."""
+        view = subsequence(s, positions)
+        r = self._memo.get(view.moves, _UNASKED)
+        if r is _UNASKED:
+            try:
+                r = self._reply(view)
+            except BoundExceeded:
+                r = _BOUND
+            self._memo[view.moves] = r
+        if r is _BOUND:
+            raise BoundExceeded(self.name)
         return None if r is None else (r[0], positions[r[1]])
 
     def _reply(self, view: Play):
@@ -164,20 +164,13 @@ class InnocentStrategy:
         `views` holds the (P-view, O-view) positions of every prefix of
         s, as `plays.prefix_views` yields them.  Returns (s·o·p, the same
         for every prefix of s·o·p), or None where the strategy does not
-        answer.
-
-        The reply is a function of the P-view of s·o, so it is asked
-        through `_recall`: each view is asked of the node, and its reply
-        checked, once, and a bound hit is raised again on every later
-        ask of the view.
+        answer.  s·o is asked through `_answer`, unchecked.
         """
         views += (next_views(views, so.moves[-1][1]),)
-        positions = views[-1][0]
-        r = _recall(self._memo, subsequence(so, positions), self._reply, self.name)
+        r = self._answer(so, views[-1][0])
         if r is None:
             return None
-        ptr = positions[r[1]]
-        return so.extend(r[0], ptr), views + (next_views(views, ptr),)
+        return so.extend(*r), views + (next_views(views, r[1]),)
 
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
@@ -409,6 +402,7 @@ def _ask(inner: InnocentStrategy, into: dict[str, str], back: dict[str, str], vi
     """`inner`'s reply to `view` read through the move table `into`,
     with its move read back through `back`.  The translated view is its
     own P-view, so the inner pointer is already an index into `view`."""
+    # through `respond`: the benchmark's tracer counts compose nodes there
     r = inner.respond(Play(inner.arena, tuple((into[m], p) for m, p in view.moves)))
     return None if r is None else (back[r[0]], r[1])
 
@@ -434,22 +428,23 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     InconsistentPlay.
 
     Component bookkeeping: the interaction records the justifier of
-    each occurrence, in A, B or C, and grows three views of it with
-    each move: sigma's (A, B), tau's (B, C) and the outer (A, C),
-    which is the replayed play followed by the reply.  Each view holds
-    its moves, tagged "L."/"R.", the interaction index of each of its
-    positions, and the position of each of its interaction indices.
-    One rule points every view's moves: a justifier outside the view's
-    components is replaced by its own justifier, and by ROOT if that is
-    outside too.  So sigma's B-initials, justified by C initials, are
+    each occurrence, in A, B or C, and grows three projections of it
+    with each move: sigma's (A, B), tau's (B, C) and the outer (A, C),
+    which is the replayed play followed by the reply.  Each projection
+    holds its moves, tagged "L."/"R.", the interaction index of each of
+    its positions, the position of each of its interaction indices, and
+    the (P-view, O-view) positions of each of its prefixes.  One rule
+    points every projection's moves: a justifier outside its components
+    is replaced by its own justifier, and by ROOT if that is outside
+    too.  So sigma's B-initials, justified by C initials, are
     unjustified on sigma's side, and an A-initial, which points at a
-    B-initial, surfaces pointing at that move's C justifier.  The views
-    are indexed by position, never by strategy, since sigma and tau may
-    be one object.
+    B-initial, surfaces pointing at that move's C justifier.  The
+    projections are indexed by position, never by strategy, since sigma
+    and tau may be one object.
 
-    The reply, a refusal or a bound hit depends on the P-view alone, so
-    `cache` is a memo of the composite's view function, asked through
-    `_recall` as `_round`'s memo is.
+    A factor's projection is a legal play, so the factor is asked
+    through `_answer` with the P-view its views carry, unchecked.  The
+    composite's reply depends on its P-view alone; its node memoises it.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -460,40 +455,37 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             f"middle arenas differ: {b_mid.name} vs {b_mid2.name}")
     outer = arrow(a, c)
     cap = b.max_play_len
-    cache: dict[tuple, object] = {}
     cname = name or f"({sigma.name} ; {tau.name})"
     strats = (sigma, tau)
-    # each view's (left, right) components: sigma's, tau's, the outer one
+    # each projection's (left, right) components: sigma's, tau's, the outer one
     comps = (("A", "B"), ("B", "C"), ("A", "C"))
 
     def play_fn(view: Play):
-        return _recall(cache, view, _replay, cname)
-
-    def _replay(s: Play):
         u: list[int] = []   # the justifier of each occurrence
-        # per view: projected moves, position -> u index, u index ->
-        # position (and ROOT -> ROOT)
-        proj = tuple(([], [], {ROOT: ROOT}) for _ in comps)
-        outer_moves, outer_idx, _ = proj[2]
+        # per projection: moves, position -> u index, u index -> position
+        # (and ROOT -> ROOT), the views of each prefix
+        proj = tuple(([], [], {ROOT: ROOT}, [((), ())]) for _ in comps)
+        outer_moves, outer_idx, _, _ = proj[2]
 
         def append(comp: str, mv: str, up: int) -> None:
             ui = len(u)
             if ui >= cap:
                 raise BoundExceeded(cname)
             u.append(up)
-            for (left, right), (moves, idx, pos) in zip(comps, proj):
+            for (left, right), (moves, idx, pos, views) in zip(comps, proj):
                 if comp == left or comp == right:
                     ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
                     pos[ui] = len(moves)
                     idx.append(ui)
                     moves.append((("L." if comp == left else "R.") + mv, ptr))
+                    views.append(next_views(views, ptr))
 
         def run_until_visible(side: int) -> bool:
             # True once a move surfaces in A or C, False on a refusal
             while True:
-                moves, idx, _ = proj[side]
+                moves, idx, _, views = proj[side]
                 strat = strats[side]
-                r = strat.respond(Play(strat.arena, tuple(moves)))
+                r = strat._answer(Play(strat.arena, tuple(moves)), views[-1][0])
                 if r is None:
                     return False
                 m, pptr = r
@@ -503,7 +495,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
                     return True
                 side = 1 - side
 
-        for k, (m, ptr) in enumerate(s.moves):
+        for k, (m, ptr) in enumerate(view.moves):
             if k % 2 == 0:
                 side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
                 append("AC"[side], m[2:], ROOT if ptr == ROOT else outer_idx[ptr])

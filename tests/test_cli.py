@@ -229,6 +229,23 @@ def test_hand_written_view_set_without_view_arenas(tmp_path):
     assert json.loads(r.stdout)["verdict"] == "TOP"
 
 
+def test_a_witness_equiv_prints_runs_as_a_test(tmp_path):
+    # `equiv` prints the witness without its arena; `test` reads it over
+    # the term's arena
+    add = write(tmp_path, "add.pcf", "fun x: nat -> fun y: nat -> x + y\n")
+    first = write(tmp_path, "first.pcf", "fun x: nat -> fun y: nat -> x\n")
+    bounds = ("--max-nat", "2", "--max-play-len", "12")
+    r = run_cli("equiv", add, first, *bounds)
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["witness_side"] == "right" and "arena" not in report["witness"]
+    witness = write(tmp_path, "witness.json", json.dumps(report["witness"]))
+    for term, verdict in ((first, "TOP"), (add, "BOT")):
+        r = run_cli("test", term, "--set", witness, *bounds)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["verdict"] == verdict
+
+
 @pytest.mark.parametrize("ptr", ["1e400", "1.5", "true", '"1"'])
 def test_view_set_pointer_that_is_no_json_integer_exits_2(tmp_path, ptr):
     # Read as int(), each of these pointers would be 1, the right one.

@@ -30,6 +30,7 @@ from gamesem.plays import (
     prefix_views,
     pview,
     pview_with_positions,
+    subsequence,
 )
 from gamesem.strategy import (
     BoundExceeded,
@@ -503,11 +504,12 @@ def test_compose_type_checks():
         compose(succ_strategy(2), succ_strategy(1), b)  # middles differ
 
 
-def test_compose_matches_interleaving_oracle():
-    wide = Bounds(max_nat=2, max_play_len=12)
+def _interleaving_cases(wide):
+    """(sigma, tau) pairs whose composite is checked against the
+    interleaving oracle."""
     same = succ_strategy(2)
     ctx = (("f", parse_type("nat -> nat")),)
-    cases = [
+    return [
         (as_thunk(denote(parse("2"), wide)), succ_strategy(2)),
         (succ_strategy(2), succ_strategy(2)),
         (same, same),   # one strategy object on both sides
@@ -520,27 +522,80 @@ def test_compose_matches_interleaving_oracle():
         (pair_strategies(denote_open(Var("f"), ctx, wide), denote_open(Num(1), ctx, wide)),
          eval_strategy(arrow(N2, N2))),
     ]
-    for s, t in cases:
+
+
+def test_compose_matches_interleaving_oracle():
+    wide = Bounds(max_nat=2, max_play_len=12)
+    for s, t in _interleaving_cases(wide):
         res = explore(compose(s, t, wide), Bounds(max_nat=2, max_play_len=4))
         assert res.bound_exceeded == 0
         assert res.plays == ref_compose_traces(s, t, wide, 4)
 
 
-def test_compose_associates_on_traces():
-    b = Bounds(max_nat=2, max_play_len=20)
-    vis = Bounds(max_nat=2, max_play_len=6)
+def _associated(b):
+    """f ; g ; h bracketed both ways, and every factor of either."""
     f = as_thunk(denote(parse("1"), b))
     g = succ_strategy(2)
     h = succ_strategy(2)
-    lhs = compose(compose(f, g, b), h, b)
-    rhs = compose(f, compose(g, h, b), b)
+    fg, gh = compose(f, g, b), compose(g, h, b)
+    return compose(fg, h, b), compose(f, gh, b), (f, g, h, fg, gh)
+
+
+def test_compose_associates_on_traces():
+    b = Bounds(max_nat=2, max_play_len=20)
+    vis = Bounds(max_nat=2, max_play_len=6)
+    lhs, rhs, _ = _associated(b)
     assert explore(lhs, vis).plays == explore(rhs, vis).plays
+
+
+def _recorded(factors):
+    """Patch each factor's `_answer` to record the (play, P-view
+    positions) it is handed; returns the record."""
+    seen = []
+    for strat in {id(x): x for x in factors}.values():
+        def answer(s, positions, ask=strat._answer):
+            seen.append((s, positions))
+            return ask(s, positions)
+        strat._answer = answer
+    return seen
+
+
+def test_compose_hands_each_factor_a_legal_play_and_its_p_view():
+    # compose asks its factors unchecked: each play it hands one must be
+    # legal, and the positions must be that play's P-view
+    wide = Bounds(max_nat=2, max_play_len=12)
+    asks = []
+    for s, t in _interleaving_cases(wide):
+        seen = _recorded((s, t))
+        explore(compose(s, t, wide), Bounds(max_nat=2, max_play_len=4))
+        asks += seen
+    b = Bounds(max_nat=2, max_play_len=20)
+    lhs, rhs, factors = _associated(b)
+    seen = _recorded(factors)
+    for comp in (lhs, rhs):
+        explore(comp, Bounds(max_nat=2, max_play_len=6))
+    asks += seen
+    assert len(asks) > 50
+    for s, positions in asks:
+        assert ref_is_legal(s), s
+        assert subsequence(s, positions) == ref_pview(s), s
+
+
+def test_compose_asks_each_factor_p_view_once():
+    b = Bounds(max_nat=2, max_play_len=8)
+    asked = []
+    leaf = _counted_leaf(succ_strategy(2), b, asked)
+    counted = compose(copycat(N2), leaf, b)
+    plain = compose(copycat(N2), succ_strategy(2), b)
+    for innocent_opponent in (False, True):
+        assert explore(counted, b, innocent_opponent) == explore(plain, b, innocent_opponent)
+    assert asked and len(asked) == len(set(asked))
 
 
 def test_compose_raises_inconsistent_on_foreign_play():
     # The composite (succ after the sum) asks x first; claim it asked y.
     # The false move is inside the P-view, so replaying that view meets
-    # it whatever the cache holds.
+    # it whatever the memo holds.
     b = Bounds(max_nat=2, max_play_len=12)
     t = parse("fun x: nat -> fun y: nat -> succ (x + y)")
     cold = denote(t, b)
