@@ -3,7 +3,8 @@
 A single completed play is remembered only as the set of O-views of its
 prefixes.  Collecting that set for every complete play a strategy can
 produce (against innocent, single-threaded Opponents) yields the
-strategy's observation: a set of view-sets.  Each view-set is
+strategy's observation: a set of view-sets, which `explore` gathers on
+its walk.  Each view-set is
 O-deterministic, and such sets double as tests: an O-deterministic set
 induces a probing strategy that walks the recorded views against the
 strategy under test and reports success on an auxiliary one-question
@@ -22,6 +23,7 @@ from functools import cached_property
 from .arena import Arena, arrow, make_sigma
 from .bounds import Bounds
 from .plays import (
+    EMPTY_VIEWS,
     ROOT,
     Play,
     is_complete,
@@ -30,7 +32,6 @@ from .plays import (
     legality_violation,
     prefix_views,
     prefixes,
-    subsequence,
 )
 from .strategy import (
     BoundExceeded,
@@ -43,7 +44,7 @@ from .strategy import (
 
 def prefix_oviews(s: Play) -> frozenset[Play]:
     """O-views of every prefix of the legal play s (the empty view included)."""
-    return frozenset(subsequence(s, ov) for _, ov in prefix_views(s))
+    return frozenset(Play(s.arena, views[3]) for views in prefix_views(s))
 
 
 def is_oview_shaped(v: Play) -> bool:
@@ -242,11 +243,11 @@ def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
     cap = b.max_play_len - 2
     play = Play(arena)
-    views = (((), ()),)   # P- and O-view of each prefix of the play
+    views = (EMPTY_VIEWS,)   # the views of each prefix of the play
     while True:
         i = len(play.moves)
         ov = views[i][1]
-        entry = table.get(subsequence(play, ov).moves)
+        entry = table.get(views[i][3])
         if entry is None:
             return TestVerdict.BOT
         if entry is _SUCCEED:
@@ -307,16 +308,17 @@ class ObservationalStrategy:
 
 
 def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
-    """Collect prefix_oviews(s) over sigma's complete single-threaded traces.
+    """The O-views of the prefixes of each of sigma's complete
+    single-threaded traces, one view-set per play, as `explore` collects
+    them on its walk.
 
-    Opponent is restricted to innocent, single-threaded behavior; each
-    complete play contributes one view-set.  Plays cut short by the
-    length bound contribute nothing, but positions where the strategy's
-    own computation hit a bound are counted in bound_exceeded.
+    Opponent is restricted to innocent, single-threaded behavior.  Plays
+    cut short by the length bound contribute nothing, but positions
+    where the strategy's own computation hit a bound are counted in
+    bound_exceeded.
     """
     res = explore(sigma, b, innocent_opponent=True)
-    sets = frozenset(prefix_oviews(p) for p in res.plays if is_complete(p))
-    return ObservationalStrategy(sigma.arena, sets, b, res.bound_exceeded)
+    return ObservationalStrategy(sigma.arena, res.oview_sets, b, res.bound_exceeded)
 
 
 def obs_leq(x: ObservationalStrategy, y: ObservationalStrategy) -> bool:

@@ -11,13 +11,15 @@ P-view of the prefix before it, an Opponent move into the O-view).
 Both views are defined incrementally (Hyland & Ong, "On full abstraction
 for PCF", Inf. & Comp. 163, 2000), and `next_views` is the one view
 recurrence: it extends the views of a play's prefixes by one move,
-reading the mover from the play's parity.  `prefix_views` loops over
-it, and a strategy's round of play (`InnocentStrategy._round`) and a
-composite's replay extend a play's views with it, so the legality
-check, the view functions, the O-innocence test, exploration, test
-runs, composition and the observation code all read their views from
-it.  `strategy.tabulate` needs none: it walks P-views, each its own
-P-view.
+reading the mover from the play's parity.  Each entry carries both
+views' positions and their moves, so no reader cuts a view out of the
+play by its positions.  `prefix_views` loops over it, and a strategy's
+round of play (`InnocentStrategy._round`) and a composite's replay
+extend a play's views with it, so the legality check, the view
+functions, the O-innocence test, the memo keys of strategies,
+exploration, test runs, composition and the observation code all read
+their views from it.  `strategy.tabulate` needs none: it walks
+P-views, each its own P-view.
 
 Legality is checked where plays enter, at one door: `checked_views`
 returns the views of a legal play or raises ValueError, and
@@ -94,30 +96,41 @@ class Play:
         return f"Play[{body}]"
 
 
-def next_views(views, ptr: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(P-view, O-view) positions of s·m, from the pair of every prefix
-    of s (shortest first) and the pointer of m.  m is an Opponent move
-    when s has even length.  It appends itself to its own view; the
-    other view is (m) when m is unjustified, and otherwise that view of
-    the prefix before the justifier, then the justifier, then m."""
+# The views of the empty play: no positions, no moves.
+EMPTY_VIEWS = ((), (), (), ())
+
+
+def next_views(views, move: str, ptr: int):
+    """The views of the legal play s·m, (P-view positions, O-view
+    positions, P-view moves, O-view moves), from those of every prefix
+    of s (shortest first).  m is an Opponent move when s has even length.
+    It appends itself to its own view; the other view is (m) when m is
+    unjustified, and otherwise that view of the prefix ending with the
+    justifier, then m.  Either view that holds the justifier agrees, up
+    to it, with that prefix's view, so m points at that view's end."""
     i = len(views) - 1
+    pv, ov, pvm, ovm = views[i]
+    if ptr == ROOT:   # an initial move, Opponent's
+        return (i,), ov + (i,), ((move, ROOT),), ovm + ((move, ROOT),)
+    jpv, jov, jpvm, jovm = views[ptr + 1]
+    at_p, at_o = (move, len(jpv) - 1), (move, len(jov) - 1)
     if i % 2:   # a Proponent move
-        return views[i][0] + (i,), (i,) if ptr == ROOT else views[ptr][1] + (ptr, i)
-    return (i,) if ptr == ROOT else views[ptr][0] + (ptr, i), views[i][1] + (i,)
+        return pv + (i,), jov + (i,), pvm + (at_p,), jovm + (at_o,)
+    return jpv + (i,), ov + (i,), jpvm + (at_p,), ovm + (at_o,)
 
 
 def prefix_views(s: Play):
-    """(P-view, O-view) positions of every prefix of s, shortest first.
+    """The views of every prefix of s, shortest first, as `next_views`
+    gives them: positions ascend in s, and moves point into the view.
 
-    Each view is a tuple of ascending positions of s.  The pairs come
-    lazily, `next_views` reading one move at a time, so
-    `legality_violation` can stop at a bad move before the recurrence
-    reads its pointer or its parity; other readers take a legal play.
+    The entries come lazily, one move at a time, so `legality_violation`
+    can stop at a bad move before the recurrence reads its pointer or
+    its parity; other readers take a legal play.
     """
-    views = [((), ())]
+    views = [EMPTY_VIEWS]
     yield views[0]
-    for _, ptr in s.moves:
-        views.append(next_views(views, ptr))
+    for m, ptr in s.moves:
+        views.append(next_views(views, m, ptr))
         yield views[-1]
 
 
@@ -127,12 +140,13 @@ def legality_violation(s: Play, views: list | None = None) -> str | None:
     Checks, in order per occurrence: known move, strict OP alternation
     starting with Opponent, pointer sanity (ROOT only on initial moves,
     otherwise an earlier enabling occurrence), and visibility.  On a
-    legal play the P- and O-view positions of s are appended to `views`.
+    legal play the views of s, as `next_views` gives them, are appended
+    to `views`.
     """
     arena = s.arena
     polarity = arena.polarity
     walk = prefix_views(s)
-    for i, ((m, ptr), (pv, ov)) in enumerate(zip(s.moves, walk)):
+    for i, ((m, ptr), (pv, ov, _, _)) in enumerate(zip(s.moves, walk)):
         if m not in polarity:
             return f"move {i}: unknown move {m!r}"
         want = "O" if i % 2 == 0 else "P"
@@ -156,25 +170,15 @@ def is_legal(s: Play) -> bool:
     return legality_violation(s) is None
 
 
-def subsequence(s: Play, positions) -> Play:
-    """The occurrences of s at `positions` (ascending, and holding every
-    justifier they point at), pointers re-indexed."""
-    if len(positions) == len(s.moves):
-        return s   # all of s, as a P-view often is
-    index = {p: k for k, p in enumerate(positions)}
-    return Play(s.arena, tuple((m, ROOT if ptr == ROOT else index[ptr])
-                               for m, ptr in (s.moves[p] for p in positions)))
-
-
 def pview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
     """P-view of the legal play s, unchecked, and its positions in s."""
-    *_, (positions, _) = prefix_views(s)
-    return subsequence(s, positions), positions
+    *_, (positions, _, moves, _) = prefix_views(s)
+    return Play(s.arena, moves), positions
 
 
-def checked_views(s: Play) -> list[tuple[int, ...]]:
-    """[P-view, O-view] positions of s; ValueError if s is not legal.
-    The one door a play is checked at."""
+def checked_views(s: Play) -> list:
+    """The views of s, as `next_views` gives them; ValueError if s is
+    not legal.  The one door a play is checked at."""
     views: list = []
     bad = legality_violation(s, views)
     if bad is not None:
@@ -183,17 +187,17 @@ def checked_views(s: Play) -> list[tuple[int, ...]]:
 
 
 def pview(s: Play) -> Play:
-    return subsequence(s, checked_views(s)[0])
+    return Play(s.arena, checked_views(s)[2])
 
 
 def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
     """O-view of the legal play s, unchecked, and its positions in s."""
-    *_, (_, positions) = prefix_views(s)
-    return subsequence(s, positions), positions
+    *_, (_, positions, _, moves) = prefix_views(s)
+    return Play(s.arena, moves), positions
 
 
 def oview(s: Play) -> Play:
-    return subsequence(s, checked_views(s)[1])
+    return Play(s.arena, checked_views(s)[3])
 
 
 def prefixes(s: Play) -> list[Play]:
@@ -238,14 +242,13 @@ def is_complete(s: Play) -> bool:
 
 def is_o_innocent(s: Play) -> bool:
     """Opponent extends equal O-views identically (pointer-inclusive):
-    each Opponent move, keyed by the O-view before it and read with its
-    pointer into that view, agrees with every earlier one."""
+    each Opponent move, keyed by the O-view before it and read off the
+    end of the O-view after it, agrees with every earlier one."""
     seen: dict[tuple, tuple] = {}
-    for i, ((m, ptr), (_, ov)) in enumerate(zip(s.moves, prefix_views(s))):
-        if i % 2 == 0:
-            val = (m, ROOT if ptr == ROOT else ov.index(ptr))
-            if seen.setdefault(subsequence(s, ov).moves, val) != val:
-                return False
+    views = list(prefix_views(s))
+    for before, after in zip(views[::2], views[1::2]):
+        if seen.setdefault(before[3], after[3][-1]) != after[3][-1]:
+            return False
     return True
 
 

@@ -14,11 +14,12 @@ function, so reaching a view again costs a lookup.  On a miss `_reply`
 runs the node and checks the response against the arena and the view,
 so the extended play is legal again; a bound hit is stored too and
 raised again on later asks.  Three callers hand `_answer` a play and
-its P-view's positions: `respond`, after one legality pass at
-`plays.checked_views`; `_round`, one round of play (an Opponent move
-and the reply) for `explore` and `observation.run_test`, which carries
-the play's views through `plays.next_views`; and compose, which
-carries each factor's views the same way.  `tabulate` walks P-views
+its views, whose P-view moves key the memo: `respond`, after one
+legality pass at `plays.checked_views`; `_round`, one round of play
+(an Opponent move and the reply) for `explore` and
+`observation.run_test`, which carries the play's views through
+`plays.next_views`; and compose, which carries each factor's views
+the same way.  `tabulate` walks P-views
 alone and asks `_reply` once per view.  Wrappers translate the view
 alone for their inner strategy (a prefix renaming is an arena
 isomorphism, so it commutes with the P-view), and the inner pointer
@@ -53,12 +54,13 @@ from dataclasses import dataclass
 from .arena import Arena, arrow, make_empty, product
 from .bounds import Bounds
 from .plays import (
+    EMPTY_VIEWS,
     ROOT,
     Play,
     checked_views,
+    is_complete,
     legal_extensions,
     next_views,
-    subsequence,
 )
 
 
@@ -113,32 +115,33 @@ class InnocentStrategy:
         """Proponent's reply to a legal odd-length play, or None.
 
         The one checked entry point: one legality pass over s, whose
-        P-view is handed to `_answer`.  Returns (move, justifier index
+        views are handed to `_answer`.  Returns (move, justifier index
         into s) for a P-move enabled by a move of that P-view; raises
         StrategyError for any other reply, BoundExceeded if computing
         the reply hit an interaction bound.
         """
         if s.arena != self.arena:
             raise ValueError(f"play is over {s.arena.name}, strategy over {self.arena.name}")
-        positions = checked_views(s)[0]
+        views = checked_views(s)
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        return self._answer(s, positions)
+        return self._answer(s, views)
 
-    def _answer(self, s: Play, positions: tuple):
-        """`respond`'s reply to the legal odd-length play s, whose P-view
-        is at `positions`, unchecked.  Memoised by the view's moves: each
-        view is asked through `_reply`, and its reply checked, once; a
-        bound hit is stored and raised again on every later ask, and any
-        other exception is never stored."""
-        view = subsequence(s, positions)
-        r = self._memo.get(view.moves, _UNASKED)
+    def _answer(self, s: Play, views):
+        """`respond`'s reply to the legal odd-length play s, unchecked;
+        `views` are the views of s, as `plays.next_views` gives them.
+        Memoised by the P-view's moves: each view is asked through
+        `_reply`, and its reply checked, once; a bound hit is stored and
+        raised again on every later ask, and any other exception is
+        never stored."""
+        positions, _, key, _ = views
+        r = self._memo.get(key, _UNASKED)
         if r is _UNASKED:
             try:
-                r = self._reply(view)
+                r = self._reply(Play(s.arena, key))
             except BoundExceeded:
                 r = _BOUND
-            self._memo[view.moves] = r
+            self._memo[key] = r
         if r is _BOUND:
             raise BoundExceeded(self.name)
         return None if r is None else (r[0], positions[r[1]])
@@ -161,16 +164,16 @@ class InnocentStrategy:
 
     def _round(self, so: Play, views: tuple):
         """One round: this strategy's reply p to the legal play s·o.
-        `views` holds the (P-view, O-view) positions of every prefix of
-        s, as `plays.prefix_views` yields them.  Returns (s·o·p, the same
-        for every prefix of s·o·p), or None where the strategy does not
+        `views` holds the views of every prefix of s, as
+        `plays.prefix_views` yields them.  Returns (s·o·p, the same for
+        every prefix of s·o·p), or None where the strategy does not
         answer.  s·o is asked through `_answer`, unchecked.
         """
-        views += (next_views(views, so.moves[-1][1]),)
-        r = self._answer(so, views[-1][0])
+        views += (next_views(views, *so.moves[-1]),)
+        r = self._answer(so, views[-1])
         if r is None:
             return None
-        return so.extend(*r), views + (next_views(views, r[1]),)
+        return so.extend(*r), views + (next_views(views, *r),)
 
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
@@ -180,6 +183,8 @@ class InnocentStrategy:
 class TraceResult:
     plays: frozenset[Play]
     bound_exceeded: int
+    # with an innocent Opponent, each complete play's prefixes' O-views
+    oview_sets: frozenset[frozenset[Play]] = frozenset()
 
 
 def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False) -> TraceResult:
@@ -200,19 +205,22 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
     `innocent_opponent` it also carries the O-innocence map of its
     Opponent moves (O-view -> move and pointer); a candidate whose
     O-view is mapped to another move is pruned, which is
-    `is_o_innocent` one move at a time.
+    `is_o_innocent` one move at a time.  It also carries the O-views of
+    its prefixes, each built once as a Play and shared with every play
+    that extends it, and records them as a set at each complete play.
     """
     empty = Play(sigma.arena)
     result = {empty}
-    # (play, views of its prefixes by length, O-innocence map)
-    stack = [(empty, (((), ()),), {})]
+    oview_sets = set()
+    # (play, its prefixes' views, O-innocence map, its prefixes' O-views)
+    stack = [(empty, (EMPTY_VIEWS,), {}, (empty,))]
     exceeded = 0
     while stack:
-        s, views, omap = stack.pop()
+        s, views, omap, oviews = stack.pop()
         if len(s.moves) + 2 > b.max_play_len:
             continue
         ov = views[-1][1]
-        okey = subsequence(s, ov).moves if innocent_opponent else None
+        okey = views[-1][3]
         for so in legal_extensions(s, ov if innocent_opponent and s.moves else (ROOT, *ov)):
             if innocent_opponent:
                 o, j = so.last
@@ -228,8 +236,13 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
                 if len(result) == EXPLORE_BUDGET:
                     raise ExplorationIncomplete(len(result))
                 result.add(step[0])
-                stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap))
-    return TraceResult(frozenset(result), exceeded)
+                seen = oviews
+                if innocent_opponent:
+                    seen += tuple(Play(s.arena, v[3]) for v in step[1][-2:])
+                    if is_complete(step[0]):
+                        oview_sets.add(frozenset(seen))
+                stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap, seen))
+    return TraceResult(frozenset(result), exceeded, frozenset(oview_sets))
 
 
 def traces(sigma: InnocentStrategy, b: Bounds) -> frozenset[Play]:
@@ -464,7 +477,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         u: list[int] = []   # the justifier of each occurrence
         # per projection: moves, position -> u index, u index -> position
         # (and ROOT -> ROOT), the views of each prefix
-        proj = tuple(([], [], {ROOT: ROOT}, [((), ())]) for _ in comps)
+        proj = tuple(([], [], {ROOT: ROOT}, [EMPTY_VIEWS]) for _ in comps)
         outer_moves, outer_idx, _, _ = proj[2]
 
         def append(comp: str, mv: str, up: int) -> None:
@@ -475,17 +488,18 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             for (left, right), (moves, idx, pos, views) in zip(comps, proj):
                 if comp == left or comp == right:
                     ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
+                    tagged = ("L." if comp == left else "R.") + mv
                     pos[ui] = len(moves)
                     idx.append(ui)
-                    moves.append((("L." if comp == left else "R.") + mv, ptr))
-                    views.append(next_views(views, ptr))
+                    moves.append((tagged, ptr))
+                    views.append(next_views(views, tagged, ptr))
 
         def run_until_visible(side: int) -> bool:
             # True once a move surfaces in A or C, False on a refusal
             while True:
                 moves, idx, _, views = proj[side]
                 strat = strats[side]
-                r = strat._answer(Play(strat.arena, tuple(moves)), views[-1][0])
+                r = strat._answer(Play(strat.arena, tuple(moves)), views[-1])
                 if r is None:
                     return False
                 m, pptr = r

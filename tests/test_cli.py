@@ -399,6 +399,7 @@ GOLDEN_TERMS = {
                     "ifz x then 0 else f (pred x))\n",
     "strict_zero.pcf": "fun x: nat -> ifz x then 0 else 0\n",
     "sum3.pcf": "fun x: nat -> fun y: nat -> fun z: nat -> z + x\n",
+    "thrice.pcf": "fun f: nat -> nat -> f (f (f 1))\n",
 }
 
 # sha256 of stdout.  These pin the canonical JSON byte for byte,
@@ -427,6 +428,9 @@ GOLDEN = [
      "8a3639983c1ee7ff6771beebb6a94e4e690ec16caa916546e0b290202128b70e"),
     (("obs", "rec_zero.pcf", *REC_B, "--max-play-len", "24"), 0,
      "9c2c75341b1b9dd75da45bd5ea0ae9c597af29fe19f17f81be48bda2855184e7"),
+    # thrice at the bounds of the twice/thrice pairs of the benchmark's `equiv` pool
+    (("obs", "thrice.pcf", "--max-nat", "3", "--max-play-len", "20"), 0,
+     "d3801d193297883abb70f2256e612ce3b662f5d1633f474a488680ceca9fb244"),
     (("equiv", "add.pcf", "add_flip.pcf", "--oracle", "--max-nat", "1",
       "--max-play-len", "8", "--max-view-len", "4"), 0,
      "6bf71a09171eb5b5114dc93f1f4f0a5c333b3cd15f4816f345e0514bb837b036"),

@@ -6,7 +6,7 @@ import pytest
 
 from gamesem.arena import arrow, make_nat_arena, make_sigma
 from gamesem.bounds import Bounds
-from gamesem.corpus import PAIRS, build_pair
+from gamesem.corpus import CORPUS, PAIRS, build_pair
 from gamesem.equiv import closed_odet_sets
 from gamesem.observation import (
     ODetSet,
@@ -30,8 +30,10 @@ from gamesem.strategy import (
     StrategyError,
     as_thunk,
     compose,
+    explore,
     traces,
 )
+from oracles import ref_oview, ref_pending_questions
 
 N2 = make_nat_arena(2)
 ARROW = arrow(N2, N2)
@@ -220,6 +222,17 @@ def test_observations_of_bottom_empty():
     b = Bounds(max_nat=1, max_play_len=8)
     bot = denote(parse("fix (fun x: nat -> x)"), b)
     assert observations(bot, b).sets == frozenset()
+
+
+@pytest.mark.parametrize("e", CORPUS, ids=lambda e: e.name)
+def test_observations_are_the_reference_oviews_of_complete_plays(e):
+    # explore collects the view-sets on its walk; the reference reads
+    # each complete play's prefixes afresh
+    sigma = e.build()
+    plays = explore(sigma, e.bounds, innocent_opponent=True).plays
+    want = {frozenset(ref_oview(p.prefix(k)) for k in range(len(p) + 1))
+            for p in plays if p.moves and ref_pending_questions(p) == []}
+    assert observations(sigma, e.bounds).sets == want
 
 
 def test_observations_complete_plays_only():

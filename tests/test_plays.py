@@ -152,10 +152,25 @@ def test_legal_extensions_match_generate_then_check(arena, single_threaded):
 
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
 def test_prefix_views_match_backward_walk(arena):
+    # positions by the backward walk, moves by the reference recursions
     for s in ref_enumerate_plays(arena, 7):
-        for k, (pv, ov) in enumerate(prefix_views(s)):
-            assert list(pv) == walk_view_positions(arena, s.moves[:k], "P")
-            assert list(ov) == walk_view_positions(arena, s.moves[:k], "O")
+        for k, (pv, ov, pv_moves, ov_moves) in enumerate(prefix_views(s)):
+            t = s.prefix(k)
+            assert list(pv) == walk_view_positions(arena, t.moves, "P")
+            assert list(ov) == walk_view_positions(arena, t.moves, "O")
+            assert pv_moves == ref_pview(t).moves
+            assert ov_moves == ref_oview(t).moves
+
+
+def test_legality_stops_before_the_views_of_a_bad_move():
+    # the recurrence never reads a move that failed its checks, so a bad
+    # pointer with moves after it gives its message and raises nothing
+    opened = (("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.1", 0), ("R.q", ROOT))
+    for moves, why in (
+        (opened[:1] + (("L.q", 5), ("L.1", 1)), "move 1: pointer 5 out of range"),
+        (opened + (("L.q", 0), ("L.1", 5)), "move 5: justifier 0 not in the P-view"),
+    ):
+        assert legality_violation(P(ARROW, *moves)) == why
 
 
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)

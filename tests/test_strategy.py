@@ -22,6 +22,7 @@ from gamesem.pcf import (
     succ_strategy,
 )
 from gamesem.plays import (
+    EMPTY_VIEWS,
     ROOT,
     Play,
     is_single_threaded,
@@ -30,7 +31,6 @@ from gamesem.plays import (
     prefix_views,
     pview,
     pview_with_positions,
-    subsequence,
 )
 from gamesem.strategy import (
     BoundExceeded,
@@ -285,7 +285,7 @@ def test_a_reply_that_fails_its_check_raises_on_every_ask():
     opening = Play(wrong.arena, (("R.q", ROOT),))
     for _ in range(2):
         with pytest.raises(StrategyError):
-            wrong._round(opening, (((), ()),))
+            wrong._round(opening, (EMPTY_VIEWS,))
         with pytest.raises(StrategyError):
             explore(wrong, b)
     assert asked == [opening.moves] * 4
@@ -549,20 +549,21 @@ def test_compose_associates_on_traces():
 
 
 def _recorded(factors):
-    """Patch each factor's `_answer` to record the (play, P-view
-    positions) it is handed; returns the record."""
+    """Patch each factor's `_answer` to record the (play, views) it is
+    handed; returns the record."""
     seen = []
     for strat in {id(x): x for x in factors}.values():
-        def answer(s, positions, ask=strat._answer):
-            seen.append((s, positions))
-            return ask(s, positions)
+        def answer(s, views, ask=strat._answer):
+            seen.append((s, views))
+            return ask(s, views)
         strat._answer = answer
     return seen
 
 
 def test_compose_hands_each_factor_a_legal_play_and_its_p_view():
     # compose asks its factors unchecked: each play it hands one must be
-    # legal, and the positions must be that play's P-view
+    # legal, and the views it carries must hold that play's P-view, by
+    # its positions and by its moves
     wide = Bounds(max_nat=2, max_play_len=12)
     asks = []
     for s, t in _interleaving_cases(wide):
@@ -576,9 +577,10 @@ def test_compose_hands_each_factor_a_legal_play_and_its_p_view():
         explore(comp, Bounds(max_nat=2, max_play_len=6))
     asks += seen
     assert len(asks) > 50
-    for s, positions in asks:
+    for s, (positions, _, moves, _) in asks:
         assert ref_is_legal(s), s
-        assert subsequence(s, positions) == ref_pview(s), s
+        assert reindex(s, positions) == ref_pview(s), s
+        assert moves == ref_pview(s).moves, s
 
 
 def test_compose_asks_each_factor_p_view_once():
