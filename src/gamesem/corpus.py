@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .arena import arrow, make_nat_arena, product
 from .bounds import Bounds
 from .pcf import builtin, denote, make_add, parse
-from .plays import ROOT, Play
+from .plays import ROOT
 from .strategy import InnocentStrategy, mirror_strategy, prefix_swap
 
 
@@ -37,14 +37,14 @@ def applier(max_nat: int) -> InnocentStrategy:
     f = arrow(product(n, n), n)
     a = arrow(f, n)
 
-    def view_fn(v: Play):
-        m, _ = v.moves[-1]
-        if len(v.moves) == 1:
-            return ("L.R.q", 0) if v.moves[0] == ("R.q", ROOT) else None
+    def view_fn(ms: tuple):
+        m, _ = ms[-1]
+        if len(ms) == 1:
+            return ("L.R.q", 0) if ms[0] == ("R.q", ROOT) else None
         if m == "L.L.L.q":
-            return ("L.L.L.1", len(v.moves) - 1)
+            return ("L.L.L.1", len(ms) - 1)
         if m == "L.L.R.q":
-            return ("L.L.R.2", len(v.moves) - 1)
+            return ("L.L.R.2", len(ms) - 1)
         if m.startswith("L.R.") and m != "L.R.q":
             return ("R." + m[4:], 0)
         return None

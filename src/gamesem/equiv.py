@@ -9,6 +9,7 @@ always carry the bounds they were established at.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cache
@@ -222,8 +223,10 @@ class OracleIncomplete(Exception):
     """The test budget ran out before a failing test or the last candidate."""
 
     def __init__(self, tested: int, candidates: int):
+        # a count can run to thousands of digits, past what str() takes
+        shown = candidates if candidates < 10**18 else f"about 10^{math.log10(candidates):.0f}"
         super().__init__(f"oracle incomplete at bounds after {tested} of "
-                         f"{candidates} candidate tests")
+                         f"{shown} candidate tests")
         self.tested = tested
         self.candidates = candidates
 

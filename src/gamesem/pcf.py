@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 from .arena import Arena, arrow, make_empty, make_nat_arena, product
 from .bounds import Bounds
-from .plays import Play
 from .strategy import (
     InnocentStrategy,
     compose,
@@ -434,8 +433,7 @@ def interrogate(arena: Arena, name: str, questions: tuple[str, ...], f) -> Innoc
     Opponent move is justified by the move just before it, so the reply
     to the i-th question sits right after it.
     """
-    def view_fn(v: Play):
-        ms = v.moves
+    def view_fn(ms: tuple):
         asked = len(ms) // 2
         if asked > len(questions) or any(
                 ms[2 * i + 1] != (q, 0) for i, q in enumerate(questions[:asked])):
@@ -507,8 +505,7 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
     # the outer T against each branch copy: then for 0, else otherwise
     then_swap, else_swap = (prefix_swap([("R.", b)], a.moves) for b in ("L.R.L.", "L.R.R."))
 
-    def view_fn(v: Play):
-        ms = v.moves
+    def view_fn(ms: tuple):
         if len(ms) == 1:
             return ("L.L.q", 0)
         if ms[1] != ("L.L.q", 0):
@@ -616,7 +613,7 @@ def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
         # times to the strategy with no responses
         body = den(t.t)
         approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
-                                  view_fn=lambda v: None)
+                                  view_fn=lambda ms: None)
         for _ in range(b.fix_depth):
             approx = _apply(body, approx, b, evals)
         return approx

@@ -3,7 +3,8 @@
 A strategy answers the question "given this legal play ending with an
 Opponent move, what does Proponent do next?".  Innocence means the
 answer depends only on the P-view of the play, so every strategy node
-here is a function from P-views to a response: (move, index into the
+here is a function from P-views, given by their moves as the key
+`plays.next_views` carries, to a response: (move, index into the
 P-view) or None.  Leaves give it as `view_fn`; wrappers that ask an
 inner strategy (renamings, pairings, composites) give it as `play_fn`,
 which differs in name only, so a tracer can tell the node kinds apart.
@@ -13,17 +14,16 @@ read and written only by `_answer`: an innocent strategy is its view
 function, so reaching a view again costs a lookup.  On a miss `_reply`
 runs the node and checks the response against the arena and the view,
 so the extended play is legal again; a bound hit is stored too and
-raised again on later asks.  Three callers hand `_answer` a play and
-its views, whose P-view moves key the memo: `respond`, after one
-legality pass at `plays.checked_views`; `_round`, one round of play
-(an Opponent move and the reply) for `explore` and
+raised again on later asks.  Three callers hand `_answer` a play's
+views, whose P-view moves key the memo, and no play is built for it:
+`respond`, after one legality pass at `plays.checked_views`; `_round`,
+one round of play (an Opponent move and the reply) for `explore` and
 `observation.run_test`, which carries the play's views through
-`plays.next_views`; and compose, which carries each factor's views
-the same way.  `tabulate` walks P-views
-alone and asks `_reply` once per view.  Wrappers translate the view
-alone for their inner strategy (a prefix renaming is an arena
-isomorphism, so it commutes with the P-view), and the inner pointer
-into that view is already view-relative.
+`plays.next_views`; and compose, which carries each factor's views the
+same way.  `tabulate` walks P-views alone and asks `_reply` once per
+view.  Wrappers translate the view alone for their inner strategy (a
+prefix renaming is an arena isomorphism, so it commutes with the
+P-view), and the inner pointer into that view is already view-relative.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -35,16 +35,16 @@ with it, and so does `pcf.ifz_strategy` once its condition is answered.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
-outside.  A composite replays only the P-view of the play it is asked
-about (the P-view of a legal play is a legal play, and the composite is
-innocent), so its reply is a function of that view and is memoised by
-its node like any other.  One turn rule says who moves next, and the
-replay grows three projections of the interaction with each move it
-appends, sigma's, tau's and the outer one the reply is read off, all
-pointed by one justifier rule.  Interactions are capped at
-`bounds.max_play_len` occurrences counting hidden moves; hitting the
-cap raises BoundExceeded, which is deliberately distinct from a
-genuine refusal to respond.
+outside.  A composite replays only the P-view it is asked about (the
+P-view of a legal play is a legal play, and the composite is innocent),
+so its reply is a function of that view and is memoised by its node
+like any other.  One turn rule says who moves next, and the replay
+grows three projections of the interaction with each move it appends:
+sigma's and tau's, by their views, and the outer one the reply is read
+off, by its moves, all pointed by one justifier rule.  Interactions are
+capped at `bounds.max_play_len` occurrences counting hidden moves;
+hitting the cap raises BoundExceeded, which is deliberately distinct
+from a genuine refusal to respond.
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ _BOUND = object()
 
 class InnocentStrategy:
     """A node over `arena` answering P-views: exactly one of `view_fn`
-    (a leaf) or `play_fn` (a wrapper) maps the P-view, a Play, to
+    (a leaf) or `play_fn` (a wrapper) maps the P-view's moves to
     (move, index into the view) or None."""
 
     def __init__(self, arena: Arena, name: str, view_fn=None, play_fn=None):
@@ -125,20 +125,19 @@ class InnocentStrategy:
         views = checked_views(s)
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        return self._answer(s, views)
+        return self._answer(views)
 
-    def _answer(self, s: Play, views):
-        """`respond`'s reply to the legal odd-length play s, unchecked;
-        `views` are the views of s, as `plays.next_views` gives them.
-        Memoised by the P-view's moves: each view is asked through
-        `_reply`, and its reply checked, once; a bound hit is stored and
-        raised again on every later ask, and any other exception is
-        never stored."""
+    def _answer(self, views):
+        """`respond`'s reply to a legal odd-length play, unchecked, from
+        its views as `plays.next_views` gives them.  Memoised by the
+        P-view's moves: each view is asked through `_reply`, and its
+        reply checked, once; a bound hit is stored and raised again on
+        every later ask, and any other exception is never stored."""
         positions, _, key, _ = views
         r = self._memo.get(key, _UNASKED)
         if r is _UNASKED:
             try:
-                r = self._reply(Play(s.arena, key))
+                r = self._reply(key)
             except BoundExceeded:
                 r = _BOUND
             self._memo[key] = r
@@ -146,19 +145,19 @@ class InnocentStrategy:
             raise BoundExceeded(self.name)
         return None if r is None else (r[0], positions[r[1]])
 
-    def _reply(self, view: Play):
-        """The node's reply to `view`, a P-view over this arena, checked:
-        (P-move, index into the view of a move enabling it), or None.
-        Raises StrategyError for any other reply."""
+    def _reply(self, view: tuple):
+        """The node's reply to the moves `view` of a P-view over this
+        arena, checked: (P-move, index into the view of a move enabling
+        it), or None.  Raises StrategyError for any other reply."""
         r = (self._view_fn or self._play_fn)(view)
         if r is None:
             return None
         move, j = r
-        if not 0 <= j < len(view.moves):
+        if not 0 <= j < len(view):
             raise StrategyError(f"{self.name}: pointer {j} outside the P-view")
         if self.arena.polarity.get(move) != "P":
             raise StrategyError(f"{self.name}: emitted non-P move {move!r}")
-        if not self.arena.enables(view.moves[j][0], move):
+        if not self.arena.enables(view[j][0], move):
             raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {j}")
         return r
 
@@ -170,7 +169,7 @@ class InnocentStrategy:
         answer.  s·o is asked through `_answer`, unchecked.
         """
         views += (next_views(views, *so.moves[-1]),)
-        r = self._answer(so, views[-1])
+        r = self._answer(views[-1])
         if r is None:
             return None
         return so.extend(*r), views + (next_views(views, *r),)
@@ -259,9 +258,9 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
     and its own P-view: Opponent points at the move just before it, or
     at nothing in the empty view, and sigma's reply extends it to the
     next P-view.  So `legal_extensions` is handed that one justifier,
-    and each view vo is asked once through `_reply`, whose pointer is
-    already an index into vo.  A view whose reply hit an interaction
-    bound is left out.
+    and each view vo is asked once through `_reply` by its moves, whose
+    pointer is already an index into vo.  A view whose reply hit an
+    interaction bound is left out.
     """
     entries: dict[tuple, tuple[str, int]] = {}
     stack = [Play(sigma.arena)]
@@ -271,7 +270,7 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
             continue
         for vo in legal_extensions(v, (len(v.moves) - 1,) if v.moves else (ROOT,)):
             try:
-                r = sigma._reply(vo)
+                r = sigma._reply(vo.moves)
             except BoundExceeded:
                 continue
             if r is not None:
@@ -291,9 +290,7 @@ def tabulation_to_json(sigma: InnocentStrategy, b: Bounds) -> list[dict]:
 
 def from_view_table(arena: Arena, name: str, table: dict[tuple, tuple[str, int]]) -> InnocentStrategy:
     """Strategy backed by a finite map from view move-tuples to responses."""
-    def view_fn(v: Play):
-        return table.get(v.moves)
-    return InnocentStrategy(arena, name, view_fn=view_fn)
+    return InnocentStrategy(arena, name, view_fn=table.get)
 
 
 def prefix_map(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
@@ -347,7 +344,7 @@ def copycat_echo(swap: dict[str, str], moves):
 def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentStrategy:
     """Copycat-style strategy: answer each P-view with `copycat_echo`."""
     return InnocentStrategy(arena, name,
-                            view_fn=lambda v: copycat_echo(swap, v.moves))
+                            view_fn=lambda v: copycat_echo(swap, v))
 
 
 def copycat(a: Arena) -> InnocentStrategy:
@@ -377,7 +374,7 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     if inv.keys() != new_arena.moves:
         raise ValueError("renaming does not map onto the target arena")
 
-    def play_fn(view: Play):
+    def play_fn(view: tuple):
         return _ask(sigma, inv, fwd, view)
 
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
@@ -404,19 +401,19 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrateg
         sides.append((strat, {o: m for m, o in out.items()}, out))
     left, right = sides
 
-    def play_fn(view: Play):
-        strat, into, back = left if view.moves[0][0] in left[1] else right
+    def play_fn(view: tuple):
+        strat, into, back = left if view[0][0] in left[1] else right
         return _ask(strat, into, back, view)
 
     return InnocentStrategy(outer, f"<{f.name}, {g.name}>", play_fn=play_fn)
 
 
-def _ask(inner: InnocentStrategy, into: dict[str, str], back: dict[str, str], view: Play):
+def _ask(inner: InnocentStrategy, into: dict[str, str], back: dict[str, str], view: tuple):
     """`inner`'s reply to `view` read through the move table `into`,
     with its move read back through `back`.  The translated view is its
     own P-view, so the inner pointer is already an index into `view`."""
     # through `respond`: the benchmark's tracer counts compose nodes there
-    r = inner.respond(Play(inner.arena, tuple((into[m], p) for m, p in view.moves)))
+    r = inner.respond(Play(inner.arena, tuple((into[m], p) for m, p in view)))
     return None if r is None else (back[r[0]], r[1])
 
 
@@ -444,9 +441,9 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     each occurrence, in A, B or C, and grows three projections of it
     with each move: sigma's (A, B), tau's (B, C) and the outer (A, C),
     which is the replayed play followed by the reply.  Each projection
-    holds its moves, tagged "L."/"R.", the interaction index of each of
-    its positions, the position of each of its interaction indices, and
-    the (P-view, O-view) positions of each of its prefixes.  One rule
+    holds the interaction index of each of its positions, the position
+    of each of its interaction indices, and per move sigma's and tau's
+    views, or the outer move, tagged "L."/"R.".  One rule
     points every projection's moves: a justifier outside its components
     is replaced by its own justifier, and by ROOT if that is outside
     too.  So sigma's B-initials, justified by C initials, are
@@ -456,8 +453,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     and tau may be one object.
 
     A factor's projection is a legal play, so the factor is asked
-    through `_answer` with the P-view its views carry, unchecked.  The
-    composite's reply depends on its P-view alone; its node memoises it.
+    through `_answer` with its views, unchecked, and no play is built.
+    The composite's reply depends on its P-view alone; its node memoises it.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -470,36 +467,36 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     cap = b.max_play_len
     cname = name or f"({sigma.name} ; {tau.name})"
     strats = (sigma, tau)
-    # each projection's (left, right) components: sigma's, tau's, the outer one
-    comps = (("A", "B"), ("B", "C"), ("A", "C"))
+    # each projection's (left, right) components, and the entry a move
+    # adds: sigma's and tau's views, the outer projection's move
+    comps = (("A", "B", next_views), ("B", "C", next_views),
+             ("A", "C", lambda moves, m, ptr: (m, ptr)))
 
-    def play_fn(view: Play):
+    def play_fn(view: tuple):
         u: list[int] = []   # the justifier of each occurrence
-        # per projection: moves, position -> u index, u index -> position
-        # (and ROOT -> ROOT), the views of each prefix
-        proj = tuple(([], [], {ROOT: ROOT}, [EMPTY_VIEWS]) for _ in comps)
-        outer_moves, outer_idx, _, _ = proj[2]
+        # per projection: position -> u index, u index -> position (and
+        # ROOT -> ROOT), and the entries its moves add
+        proj = (([], {ROOT: ROOT}, [EMPTY_VIEWS]), ([], {ROOT: ROOT}, [EMPTY_VIEWS]),
+                ([], {ROOT: ROOT}, []))
+        outer_idx, _, outer_moves = proj[2]
 
         def append(comp: str, mv: str, up: int) -> None:
             ui = len(u)
             if ui >= cap:
                 raise BoundExceeded(cname)
             u.append(up)
-            for (left, right), (moves, idx, pos, views) in zip(comps, proj):
+            for (left, right, entry), (idx, pos, grown) in zip(comps, proj):
                 if comp == left or comp == right:
                     ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
-                    tagged = ("L." if comp == left else "R.") + mv
-                    pos[ui] = len(moves)
+                    pos[ui] = len(idx)
                     idx.append(ui)
-                    moves.append((tagged, ptr))
-                    views.append(next_views(views, tagged, ptr))
+                    grown.append(entry(grown, ("L." if comp == left else "R.") + mv, ptr))
 
         def run_until_visible(side: int) -> bool:
             # True once a move surfaces in A or C, False on a refusal
             while True:
-                moves, idx, _, views = proj[side]
-                strat = strats[side]
-                r = strat._answer(Play(strat.arena, tuple(moves)), views[-1])
+                idx, _, views = proj[side]
+                r = strats[side]._answer(views[-1])
                 if r is None:
                     return False
                 m, pptr = r
@@ -509,7 +506,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
                     return True
                 side = 1 - side
 
-        for k, (m, ptr) in enumerate(view.moves):
+        for k, (m, ptr) in enumerate(view):
             if k % 2 == 0:
                 side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
                 append("AC"[side], m[2:], ROOT if ptr == ROOT else outer_idx[ptr])

@@ -380,6 +380,17 @@ def test_oracle_test_budget_exits_3(tmp_path, monkeypatch, capsys):
                                        "after 50 of 3748194 candidate tests\n")
 
 
+def test_oracle_budget_with_a_huge_candidate_count_exits_3(tmp_path, monkeypatch, capsys):
+    # At view_len 16 the count has 5,500 digits, past what str() of an
+    # int takes: it is written as a power of ten, not as a traceback.
+    once = write(tmp_path, "once.pcf", "fun f: nat -> nat -> f 1\n")
+    twice = write(tmp_path, "twice.pcf", "fun f: nat -> nat -> f (f 1)\n")
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 50)
+    assert cli.main(["equiv", once, twice, "--oracle", "--max-view-len", "16"]) == 3
+    assert capsys.readouterr().err == ("resource limit: oracle incomplete at bounds "
+                                       "after 50 of about 10^5500 candidate tests\n")
+
+
 def test_exploration_play_budget_exits_3(tmp_path, monkeypatch, capsys):
     # Against every Opponent f (f (f 1)) has millions of plays at these
     # bounds; the budget stops the walk first.

@@ -33,7 +33,7 @@ def _sigma_pair():
     sig = make_sigma()
     top = InnocentStrategy(
         sig, "converge",
-        view_fn=lambda v: ("a", 0) if v.moves == (("q", ROOT),) else None)
+        view_fn=lambda v: ("a", 0) if v == (("q", ROOT),) else None)
     bot = InnocentStrategy(sig, "diverge", view_fn=lambda v: None)
     return sig, top, bot
 

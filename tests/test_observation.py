@@ -296,7 +296,7 @@ def test_top_like_strategy_absorbs_every_test():
     sig = make_sigma()
     top = InnocentStrategy(
         sig, "converge",
-        view_fn=lambda v: ("a", 0) if v.moves == (("q", ROOT),) else None)
+        view_fn=lambda v: ("a", 0) if v == (("q", ROOT),) else None)
     b = Bounds(max_nat=1, max_play_len=6, max_view_len=4)
     s = ODetSet.make(sig, [P(sig, ("q", ROOT), ("a", 0))])
     assert run_test(top, s, b) is Verdict.TOP

@@ -204,15 +204,17 @@ def test_explore_counts_bound_hits():
 
 def _counted_leaf(sigma, b, asked, raising=None):
     """A `from_view_table` leaf on sigma's tabulated view function that
-    records each view it is asked in `asked`, and raises BoundExceeded
-    on the view whose moves are `raising`."""
+    records the moves of each view it is asked in `asked`, and raises
+    BoundExceeded on the view whose moves are `raising`.  A node is
+    handed a P-view as its move tuple, never as a Play."""
     leaf = from_view_table(sigma.arena, f"counted({sigma.name})",
                            {v.moves: r for v, r in tabulate(sigma, b)})
     lookup = leaf._view_fn
 
     def counted(v):
-        asked.append(v.moves)
-        if v.moves == raising:
+        assert type(v) is tuple, v
+        asked.append(v)
+        if v == raising:
             raise BoundExceeded(leaf.name)
         return lookup(v)
 
@@ -234,13 +236,19 @@ def _ref_asks(plays, b, innocent_opponent=False):
 
 @pytest.mark.parametrize("innocent_opponent", [False, True])
 def test_explore_asks_each_p_view_once(innocent_opponent):
+    # the leaf is asked by `_round`, and, behind a renaming onto its own
+    # arena, by `respond` from the renaming's `_ask`
     b = Bounds(max_nat=1, max_play_len=10)
-    asked = []
-    leaf = _counted_leaf(denote(parse("fun f: nat -> nat -> f (f 1)"), b), b, asked)
-    res = explore(leaf, b, innocent_opponent)
-    reached = list(_ref_asks(res.plays, b, innocent_opponent))
-    assert sorted(asked) == sorted(set(reached))
-    assert len(reached) > len(asked)
+    sigma = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
+    for renamed in (False, True):
+        asked = []
+        node = leaf = _counted_leaf(sigma, b, asked)
+        if renamed:
+            node = rename_strategy(leaf, [("", "")], leaf.arena, "same")
+        res = explore(node, b, innocent_opponent)
+        reached = list(_ref_asks(res.plays, b, innocent_opponent))
+        assert sorted(asked) == sorted(set(reached))
+        assert len(reached) > len(asked)
 
 
 def test_brute_force_leq_asks_each_p_view_once():
@@ -281,7 +289,7 @@ def test_a_reply_that_fails_its_check_raises_on_every_ask():
     b = Bounds(max_nat=1, max_play_len=4)
     asked = []
     wrong = InnocentStrategy(arrow(N2, N2), "wrong",
-                             view_fn=lambda v: asked.append(v.moves) or ("R.q", 0))
+                             view_fn=lambda v: asked.append(v) or ("R.q", 0))
     opening = Play(wrong.arena, (("R.q", ROOT),))
     for _ in range(2):
         with pytest.raises(StrategyError):
@@ -548,31 +556,53 @@ def test_compose_associates_on_traces():
     assert explore(lhs, vis).plays == explore(rhs, vis).plays
 
 
-def _recorded(factors):
-    """Patch each factor's `_answer` to record the (play, views) it is
-    handed; returns the record."""
+def _projections(monkeypatch):
+    """Patch `strategy.next_views`, which compose's `append` calls once
+    per move of a factor's projection, to record the moves of each list
+    of views it extends; compose nodes built afterwards use the patch.
+    Returns a map from each entry made to (the entry, the moves so far
+    of the projection it was made for)."""
+    grown, made = {}, {}
+
+    def recording(views, move, ptr, real=strategy.next_views):
+        entry = real(views, move, ptr)
+        _, moves = grown.setdefault(id(views), (views, []))
+        moves.append((move, ptr))
+        made[id(entry)] = (entry, moves)
+        return entry
+
+    monkeypatch.setattr(strategy, "next_views", recording)
+    return made
+
+
+def _recorded(made, factors):
+    """Patch each factor's `_answer` to record, per ask, its projection
+    as a play and the views entry it is handed; returns the record."""
     seen = []
     for strat in {id(x): x for x in factors}.values():
-        def answer(s, views, ask=strat._answer):
-            seen.append((s, views))
-            return ask(s, views)
+        def answer(views, strat=strat, ask=strat._answer):
+            entry, moves = made.get(id(views), (None, ()))
+            assert entry is views, "an entry no projection's recurrence made"
+            seen.append((Play(strat.arena, tuple(moves)), views))
+            return ask(views)
         strat._answer = answer
     return seen
 
 
-def test_compose_hands_each_factor_a_legal_play_and_its_p_view():
-    # compose asks its factors unchecked: each play it hands one must be
-    # legal, and the views it carries must hold that play's P-view, by
-    # its positions and by its moves
+def test_compose_hands_each_factor_a_legal_play_and_its_p_view(monkeypatch):
+    # compose asks its factors unchecked, handing each the views entry
+    # of its projection: that projection must be legal, and the entry
+    # must hold its P-view, by its positions and by its moves
+    made = _projections(monkeypatch)
     wide = Bounds(max_nat=2, max_play_len=12)
     asks = []
     for s, t in _interleaving_cases(wide):
-        seen = _recorded((s, t))
+        seen = _recorded(made, (s, t))
         explore(compose(s, t, wide), Bounds(max_nat=2, max_play_len=4))
         asks += seen
     b = Bounds(max_nat=2, max_play_len=20)
     lhs, rhs, factors = _associated(b)
-    seen = _recorded(factors)
+    seen = _recorded(made, factors)
     for comp in (lhs, rhs):
         explore(comp, Bounds(max_nat=2, max_play_len=6))
     asks += seen
