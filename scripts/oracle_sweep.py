@@ -1,9 +1,10 @@
 """Sweep the whole strategy pair battery with both decision methods.
 
 For every pair the observational comparison (set equality of view-set
-families) is checked against the brute-force oracle (run every closed
-deterministic view set as a test and compare convergence verdicts both
-ways).  Any disagreement, or any test run lost to the interaction
+families) is checked against the test oracle (every closed deterministic view set
+as a test, built lazily as the runs reach its entries, with the
+convergence verdicts compared both ways; `tested=` counts the leaves
+of that search).  Any disagreement, or any test run lost to the interaction
 budget, fails the sweep.
 
 After the first-order battery (`corpus.PAIRS`) come four higher-order

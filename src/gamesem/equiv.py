@@ -1,15 +1,21 @@
-"""Equivalence checking: observational comparison, a brute-force
-test-based oracle, and the compositionality law checks.
+"""Equivalence checking: observational comparison, a test-based
+oracle, and the compositionality law checks.
 
 Two strategies are compared either through their observational
-representations (sets of Opponent-view sets) or by running every
-closed deterministic view set as a test against both and demanding
-the convergence verdicts agree.  Both roads are bounded and verdicts
-always carry the bounds they were established at.
+representations (sets of Opponent-view sets) or by the paper's order
+on tests: every closed deterministic view set that makes one side
+converge must make the other converge too.  The oracle quantifies over
+every such set but builds only the part of each test that a run
+reaches, branching on an Opponent's entry where a run first reads it,
+so it runs one test per leaf of that search rather than one per
+candidate set.  Both roads are bounded and verdicts always carry the
+bounds they were established at.  `closed_odet_sets` still lists the
+candidate sets themselves, smallest first.
 """
 from __future__ import annotations
 
-import math
+import heapq
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cache
@@ -18,17 +24,18 @@ from .arena import Arena
 from .bounds import Bounds
 from .corpus import applier, proj_strategy
 from .observation import (
+    _SUCCEED,
     ODetSet,
     ObservationalStrategy,
     TestVerdict,
+    _play_against,
     observations,
     play_key,
-    run_test,
     sorted_views,
     viewset_key,
 )
 from .pcf import builtin, denote, parse, succ_strategy
-from .plays import ROOT, Play, is_well_bracketed, legal_extensions
+from .plays import ROOT, Play, is_complete, is_well_bracketed, legal_extensions
 from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
 
 
@@ -172,19 +179,6 @@ def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play
         spread.cache_clear()
 
 
-def count_closed_odet_sets(arena: Arena, max_view_len: int) -> int:
-    """How many sets `closed_odet_sets` yields, without building them."""
-    views, kids = _view_tree(arena, max_view_len)
-    count = [1] * len(views)          # sets rooted at view i
-    for i in reversed(range(len(views))):
-        if len(views[i].moves) % 2:
-            for c in kids[i]:
-                count[i] *= 1 + count[c]
-        else:
-            count[i] += sum(count[c] for c in kids[i])
-    return 1 + count[0]
-
-
 def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play]]:
     """Every prefix-closed deterministic view set over the arena whose
     views respect the length cap, smallest first, as one list."""
@@ -213,54 +207,108 @@ class LeqReport:
         }
 
 
-# Candidate tests brute_force_leq runs per direction before it gives
-# up.  The test suite, the oracle sweep and the benchmark test at most
-# a few hundred; the CLI defaults on (nat -> nat) -> nat have millions.
+# Leaves brute_force_leq evaluates per direction before it gives up.
+# The test suite, the oracle sweep and the benchmark need at most a few
+# hundred; second-order arguments at long views need far more.
 TEST_BUDGET = 20_000
 
 
 class OracleIncomplete(Exception):
-    """The test budget ran out before a failing test or the last candidate."""
+    """The leaf budget ran out before a failing test or the last leaf."""
 
-    def __init__(self, tested: int, candidates: int):
-        # a count can run to thousands of digits, past what str() takes
-        shown = candidates if candidates < 10**18 else f"about 10^{math.log10(candidates):.0f}"
-        super().__init__(f"oracle incomplete at bounds after {tested} of "
-                         f"{shown} candidate tests")
+    def __init__(self, tested: int):
+        super().__init__(f"oracle incomplete at bounds after {tested} tests")
         self.tested = tested
-        self.candidates = candidates
 
 
 def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> LeqReport:
-    """Test-based order: does every closed deterministic view set that
-    drives s1 to convergence also drive s2 there?
+    """Test-based order: does every closed deterministic view set (views
+    capped at max_view_len) that drives s1 to convergence also drive s2
+    there?
 
-    Runs the candidate sets (views capped at max_view_len) as tests
-    against both strategies, smallest first as `closed_odet_sets`
-    yields them, and fails on the first set where s1 converges but s2
-    does not; sets of a larger total size are never built.  Runs where either
-    side exceeds the interaction budget are counted and excluded; they
-    neither confirm nor refute.  Raises OracleIncomplete when
-    TEST_BUDGET tests find no failure and candidates remain.
+    A test is its table from O-views to the next Opponent move, to
+    success, or to nothing, and a run reads only the keys its play
+    reaches.  So the tests are built lazily, as partial tables: s1, then
+    s2, is played against one by `_play_against`, and where a run reaches
+    an O-view with no entry the table branches on every entry a
+    candidate set can give it.  Those are nothing; success, at a
+    nonempty complete view within the cap; and each Opponent move that
+    extends the view to a well-bracketed one within the cap.  A table
+    where both runs end is a leaf: every candidate set extends exactly
+    one leaf and gets its verdicts, so the quantifier is the brute
+    force's over every candidate.
+
+    Partial tables are expanded in `viewset_key` order of the view set
+    their entries close to, the least candidate that extends them, so
+    the first failing leaf (s1 converges, s2 does not) gives the
+    `viewset_key`-least failing candidate as the witness.  `tested`
+    counts leaves; leaves where either side exceeds the interaction
+    budget are counted in `bound_exceeded` and neither confirm nor
+    refute.  Raises OracleIncomplete when TEST_BUDGET leaves find no
+    failure and another leaf is due.
     """
     if s1.arena != s2.arena:
         raise ValueError("strategies live on different arenas")
-    tested = 0
-    exceeded = 0
-    for vs in closed_odet_sets(s1.arena, b.max_view_len):
-        if tested == TEST_BUDGET:
-            raise OracleIncomplete(
-                tested, count_closed_odet_sets(s1.arena, b.max_view_len))
-        s = ODetSet(s1.arena, vs)
-        v1 = run_test(s1, s, b)
-        v2 = run_test(s2, s, b)
-        tested += 1
-        if TestVerdict.BOUND_EXCEEDED in (v1, v2):
-            exceeded += 1
+    arena = s1.arena
+    cap = b.max_view_len
+    branches: dict[tuple, list] = {}
+
+    def entries(key: tuple) -> list:
+        # Every entry a candidate set's table can hold at the O-view key.
+        got = branches.get(key)
+        if got is None:
+            v, n = Play(arena, key), len(key)
+            got = [None]
+            if 0 < n <= cap and is_complete(v):
+                got.append(_SUCCEED)
+            if n < cap:
+                got += [e.moves[-1] for e in legal_extensions(v, range(n) if n else (ROOT,))
+                        if is_well_bracketed(e)]
+            branches[key] = got
+        return got
+
+    seq = itertools.count()
+    # (viewset_key of the closing set, tie-break, parent table, key,
+    #  entry, s1's run, s2's run); a run is None before it starts, a
+    #  TestVerdict once it ends, and otherwise stands at `key`.
+    heap = [((0, 0, ()), next(seq), {}, None, None, None, None)]
+    tested = exceeded = 0
+    while heap:
+        vkey, _, table, key, entry, r1, r2 = heapq.heappop(heap)
+        if key is not None:
+            table = {**table, key: entry}
+        if not isinstance(r1, TestVerdict):
+            r1 = _play_against(s1, table, b, r1)
+        if isinstance(r1, TestVerdict) and not isinstance(r2, TestVerdict):
+            r2 = _play_against(s2, table, b, r2)
+        stuck = r2 if isinstance(r1, TestVerdict) else r1
+        if not isinstance(stuck, TestVerdict):
+            at = stuck[1][-1][3]
+            for e in entries(at):
+                heapq.heappush(heap, (_closing(vkey, at, e), next(seq), table, at, e, r1, r2))
             continue
-        if v1 is TestVerdict.TOP and v2 is not TestVerdict.TOP:
-            return LeqReport(False, b, s, tested, exceeded)
+        if tested == TEST_BUDGET:
+            raise OracleIncomplete(tested)
+        tested += 1
+        if TestVerdict.BOUND_EXCEEDED in (r1, r2):
+            exceeded += 1
+        elif r1 is TestVerdict.TOP and r2 is not TestVerdict.TOP:
+            witness = ODetSet.make(arena, [Play(arena, m) for _, m in vkey[2]])
+            return LeqReport(False, b, witness, tested, exceeded)
     return LeqReport(True, b, None, tested, exceeded)
+
+
+def _closing(vkey: tuple, key: tuple, entry) -> tuple:
+    """The `viewset_key` of the set a partial table closes to, once
+    `entry` is set at the O-view `key`, from the one before.  Nothing
+    adds no view.  Success adds the key, and an Opponent move adds the
+    key and the key extended by it; the key's prefixes are in already."""
+    if entry is None:
+        return vkey
+    n = len(key)
+    new = [(n, key)] if entry is _SUCCEED else [(n, key), (n + 1, key + (entry,))]
+    total, count, views = vkey
+    return (total + sum(k for k, _ in new), count + len(new), tuple(sorted(views + tuple(new))))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ arena (`induced_test`, the paper's construction).  `run_test` gives
 the verdict of that composite without building it: the set is read as
 an Opponent, a table from O-views to the next Opponent move, and one
 play over the strategy's own arena alternates that Opponent with the
-strategy's rounds, the rounds `explore` plays.
+strategy's rounds, the rounds `explore` plays.  That play is
+`_play_against`, which takes any table, a partial one too: it stops at
+the first O-view the table has no entry for, and the test oracle in
+`equiv` branches there.
 """
 from __future__ import annotations
 
@@ -105,6 +108,8 @@ def is_o_deterministic(arena: Arena, views: frozenset[Play]) -> bool:
 
 # The test's entry at a complete element: the test succeeds there.
 _SUCCEED = "succeed"
+# `_play_against`'s mark for an O-view the table has no entry for.
+_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -224,30 +229,46 @@ def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
 
     The same verdict as composing sigma (as a thunk) with
     `induced_test(s)` and asking the composite the Sigma question, but
-    played as one play over A: the Opponent move is looked up by the
-    play's O-view, sigma answers from its P-view, and the test succeeds
-    when the O-view is a complete element of s.  Each round is sigma's
-    `_round`, the one `explore` plays, so both views are carried forward
-    one move at a time and no play is checked.  As in the
-    composite, the Sigma question and answer count against
+    played as one play over A by `_play_against`, which reads the
+    Opponent's moves from the set's table.  An O-view the table has no
+    entry for ends the test there: BOT.
+    """
+    if s.arena != sigma.arena:
+        raise ValueError("view-set and strategy live on different arenas")
+    got = _play_against(sigma, s._table, b)
+    return got if isinstance(got, TestVerdict) else TestVerdict.BOT
+
+
+def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
+    """Play sigma against the Opponent `table` defines, a map from O-view
+    moves to the next Opponent move (move, pointer into the O-view or
+    ROOT), to _SUCCEED, or to None, where the test gives up (BOT).
+
+    Returns the TestVerdict where the play ends, or the run (the play
+    and the views of each of its prefixes) as it stands at the first
+    O-view that is not a key of the table; that O-view is
+    `run[1][-1][3]`.  Given such a run, the play resumes from it.  The
+    Opponent move is looked up by the play's O-view, sigma answers from
+    its P-view, and the test succeeds when the table says so.  Each
+    round is sigma's `_round`, the one `explore` plays, so both views
+    are carried forward one move at a time and no play is checked.  As
+    in the composite, the Sigma question and answer count against
     b.max_play_len with the moves of A, so a reply that would take the
     interaction past the cap gives BOUND_EXCEEDED; so does a bound hit
     inside sigma.  An Opponent move A does not allow raises
     StrategyError when it is due to be played.
     """
-    if s.arena != sigma.arena:
-        raise ValueError("view-set and strategy live on different arenas")
-    table = s._table
-    arena = s.arena
+    arena = sigma.arena
     # The composite's interaction holds the Sigma question, the moves of
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
     cap = b.max_play_len - 2
-    play = Play(arena)
-    views = (EMPTY_VIEWS,)   # the views of each prefix of the play
+    play, views = run or (Play(arena), (EMPTY_VIEWS,))
     while True:
         i = len(play.moves)
         ov = views[i][1]
-        entry = table.get(views[i][3])
+        entry = table.get(views[i][3], _UNSET)
+        if entry is _UNSET:
+            return play, views
         if entry is None:
             return TestVerdict.BOT
         if entry is _SUCCEED:
@@ -259,8 +280,8 @@ def run_test(sigma: InnocentStrategy, s: ODetSet, b: Bounds) -> TestVerdict:
             j = ov[ptr] if 0 <= ptr < len(ov) else None
             enabled = j is not None and arena.enables(play.moves[j][0], o)
         if arena.polarity.get(o) != "O" or not enabled:
-            raise StrategyError(f"{s!r}: {o!r} is not an Opponent move "
-                                f"enabled in the O-view")
+            raise StrategyError(f"{o!r} is not an Opponent move enabled in "
+                                f"the O-view {views[i][3]!r}")
         if i > cap:
             return TestVerdict.BOUND_EXCEEDED
         try:

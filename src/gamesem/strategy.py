@@ -18,8 +18,8 @@ raised again on later asks.  Three callers hand `_answer` a play's
 views, whose P-view moves key the memo, and no play is built for it:
 `respond`, after one legality pass at `plays.checked_views`; `_round`,
 one round of play (an Opponent move and the reply) for `explore` and
-`observation.run_test`, which carries the play's views through
-`plays.next_views`; and compose, which carries each factor's views the
+`observation._play_against` (test runs and the oracle), which carries
+the play's views through `plays.next_views`; and compose, which carries each factor's views the
 same way.  `tabulate` walks P-views alone and asks `_reply` once per
 view.  Wrappers translate the view alone for their inner strategy (a
 prefix renaming is an arena isomorphism, so it commutes with the

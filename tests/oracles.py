@@ -9,6 +9,7 @@ extensions by generating candidates and checking each, plays by
 growing those extensions breadth first, O-views by
 keeping the one-move extensions that are their own O-view, candidate
 test sets by one eager recursion over those O-views and one sort,
+the test-based order by running each of those sets as a test,
 composition by enumerating raw interaction sequences and
 projecting.
 """
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from gamesem.arena import Arena, arrow
 from gamesem.bounds import Bounds
+from gamesem.equiv import LeqReport
+from gamesem.observation import ODetSet, TestVerdict, run_test
 from gamesem.plays import ROOT, Play
 from gamesem.strategy import InnocentStrategy, explore
 
@@ -239,6 +242,54 @@ def ref_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play
     sets = [frozenset()] + rec(Play(arena, ()))
     sets.sort(key=key)
     return sets
+
+
+def ref_count_closed_odet_sets(arena: Arena, max_view_len: int) -> int:
+    """How many sets `ref_closed_odet_sets` builds, without building
+    them: by the same recursion, a view of even length roots itself
+    alone or with one child's sets, one of odd length itself with each
+    child's sets left out or taken once; the empty set comes on top."""
+    views = ref_enumerate_oviews(arena, max_view_len)
+    children: dict[tuple, list[Play]] = {}
+    for v in views:
+        if v.moves:
+            children.setdefault(v.moves[:-1], []).append(v)
+
+    def rec(v: Play) -> int:
+        kids = [rec(c) for c in children.get(v.moves, [])]
+        if len(v.moves) % 2 == 0:
+            return 1 + sum(kids)
+        n = 1
+        for k in kids:
+            n *= 1 + k
+        return n
+
+    return 1 + rec(Play(arena, ()))
+
+
+def ref_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> LeqReport:
+    """The test-based order by brute force: run every candidate set of
+    `ref_closed_odet_sets`, smallest first, as a test against both sides,
+    and fail on the first where s1 converges and s2 does not.  Runs where
+    either side exceeds the interaction budget are counted and excluded.
+    `tested` counts the candidates run.  Each run is the public
+    `run_test`, so this checks the quantifier of `brute_force_leq`, not
+    the play; test_observation checks the play against the composite."""
+    if s1.arena != s2.arena:
+        raise ValueError("strategies live on different arenas")
+    tested = 0
+    exceeded = 0
+    for vs in ref_closed_odet_sets(s1.arena, b.max_view_len):
+        s = ODetSet(s1.arena, vs)
+        v1 = run_test(s1, s, b)
+        v2 = run_test(s2, s, b)
+        tested += 1
+        if TestVerdict.BOUND_EXCEEDED in (v1, v2):
+            exceeded += 1
+            continue
+        if v1 is TestVerdict.TOP and v2 is not TestVerdict.TOP:
+            return LeqReport(False, b, s, tested, exceeded)
+    return LeqReport(True, b, None, tested, exceeded)
 
 
 # --------------------------------------------- composition by interleaving

@@ -364,31 +364,45 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(equiv, "closed_odet_sets", exhausted)
+    monkeypatch.setattr(equiv, "_play_against", exhausted)
     assert cli.main(["equiv", once, twice, "--oracle"]) == 3
     assert capsys.readouterr().err == "resource limit: out of memory\n"
 
 
-def test_oracle_test_budget_exits_3(tmp_path, monkeypatch, capsys):
-    # At the CLI defaults (nat -> nat) -> nat has 3,748,194 candidate
-    # tests; neither direction fails within the first 50.
+def test_oracle_decides_once_against_twice_at_the_defaults(tmp_path):
+    # 3,748,194 candidate tests; the search evaluates 11 leaves each way.
     once = write(tmp_path, "once.pcf", "fun f: nat -> nat -> f 1\n")
     twice = write(tmp_path, "twice.pcf", "fun f: nat -> nat -> f (f 1)\n")
+    r = run_cli("equiv", once, twice, "--oracle")
+    assert r.returncode == 0, r.stderr
+    oracle = json.loads(r.stdout)["oracle"]
+    assert oracle["agrees"] is True
+    assert oracle["left_leq_right"]["tested"] == oracle["right_leq_left"]["tested"] == 11
+
+
+# A second-order argument used twice, against itself: 398 leaves each
+# way at play_len 16, whatever the view cap.
+SECOND_ORDER = "fun g: (nat -> nat) -> nat -> g (fun x: nat -> g (fun y: nat -> x))\n"
+
+
+def test_oracle_test_budget_exits_3(tmp_path, monkeypatch, capsys):
+    f = write(tmp_path, "g.pcf", SECOND_ORDER)
     monkeypatch.setattr(equiv, "TEST_BUDGET", 50)
-    assert cli.main(["equiv", once, twice, "--oracle"]) == 3
+    assert cli.main(["equiv", f, f, "--oracle", "--max-play-len", "16",
+                     "--max-view-len", "10"]) == 3
     assert capsys.readouterr().err == ("resource limit: oracle incomplete at bounds "
-                                       "after 50 of 3748194 candidate tests\n")
+                                       "after 50 tests\n")
 
 
 def test_oracle_budget_with_a_huge_candidate_count_exits_3(tmp_path, monkeypatch, capsys):
-    # At view_len 16 the count has 5,500 digits, past what str() of an
-    # int takes: it is written as a power of ten, not as a traceback.
-    once = write(tmp_path, "once.pcf", "fun f: nat -> nat -> f 1\n")
-    twice = write(tmp_path, "twice.pcf", "fun f: nat -> nat -> f (f 1)\n")
+    # At view_len 16 the candidate sets run to thousands of digits; the
+    # message counts leaves only.
+    f = write(tmp_path, "g.pcf", SECOND_ORDER)
     monkeypatch.setattr(equiv, "TEST_BUDGET", 50)
-    assert cli.main(["equiv", once, twice, "--oracle", "--max-view-len", "16"]) == 3
+    assert cli.main(["equiv", f, f, "--oracle", "--max-play-len", "16",
+                     "--max-view-len", "16"]) == 3
     assert capsys.readouterr().err == ("resource limit: oracle incomplete at bounds "
-                                       "after 50 of about 10^5500 candidate tests\n")
+                                       "after 50 tests\n")
 
 
 def test_exploration_play_budget_exits_3(tmp_path, monkeypatch, capsys):
@@ -415,7 +429,8 @@ GOLDEN_TERMS = {
 
 # sha256 of stdout.  These pin the canonical JSON byte for byte,
 # including `denote`'s tabulated view function; a digest changes only
-# when the output is meant to change.
+# when the output is meant to change.  The `equiv --oracle` digests pin
+# the oracle's `tested` leaf counts too.
 NAT2_B = ("--max-nat", "2", "--max-play-len", "10")
 REC_B = ("--max-nat", "1", "--fix-depth", "2")
 GOLDEN = [
@@ -444,13 +459,13 @@ GOLDEN = [
      "d3801d193297883abb70f2256e612ce3b662f5d1633f474a488680ceca9fb244"),
     (("equiv", "add.pcf", "add_flip.pcf", "--oracle", "--max-nat", "1",
       "--max-play-len", "8", "--max-view-len", "4"), 0,
-     "6bf71a09171eb5b5114dc93f1f4f0a5c333b3cd15f4816f345e0514bb837b036"),
+     "764c56780a239c1590d7fff1c9d132c5d74aa9d43de504bd84e69ac468b3eb65"),
     (("equiv", "rec_zero.pcf", "strict_zero.pcf", "--oracle", *REC_B,
       "--max-play-len", "24", "--max-view-len", "4"), 0,
-     "233eeb81394f502619b06d5faa590cd7421f6fc46ff68ad514b42d6181144049"),
+     "df7cf747f7e98ff55b84a85c48a96bca5564dfc77103b8fa12ca17849cc9f544"),
     (("equiv", "hof.pcf", "once.pcf", "--oracle", "--max-nat", "1",
       "--max-play-len", "16", "--max-view-len", "6"), 1,
-     "d00faacfbc79c6348388c6ac2f9d125adc6fb71ae4771c96f458763a72224313"),
+     "87251458e3b94851471784a6e991c8eb8d41a098229039f2ba388a8338515afe"),
 ]
 
 

@@ -1,28 +1,39 @@
+import importlib.util
 import itertools
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from gamesem import equiv
 from gamesem.arena import arrow, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
-from gamesem.corpus import CorpusEntry, entry
+from gamesem.corpus import PAIRS, CorpusEntry, build_pair, entry
 from gamesem.equiv import (
     OracleIncomplete,
     brute_force_leq,
     check_category_laws,
     closed_odet_sets,
-    count_closed_odet_sets,
     enumerate_closed_odet_sets,
     enumerate_oviews,
     obs_equiv,
 )
-from gamesem.observation import is_o_deterministic, is_oview_shaped, viewset_key
+from gamesem.observation import TestVerdict as Verdict
+from gamesem.observation import is_o_deterministic, is_oview_shaped, run_test, viewset_key
 from gamesem.pcf import denote, parse
 from gamesem.plays import ROOT, Play, is_well_bracketed
 from gamesem.strategy import InnocentStrategy
 
-from oracles import ref_closed_odet_sets, ref_enumerate_oviews
+from oracles import (
+    ref_closed_odet_sets,
+    ref_count_closed_odet_sets,
+    ref_enumerate_oviews,
+    ref_leq,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 N1 = make_nat_arena(1)
 N2 = make_nat_arena(2)
@@ -115,13 +126,13 @@ REFERENCE_CASES = [
 def test_closed_sets_stream_equals_eager_reference(arena, cap):
     got = list(closed_odet_sets(arena, cap))
     assert got == ref_closed_odet_sets(arena, cap)
-    assert count_closed_odet_sets(arena, cap) == len(got)
+    assert ref_count_closed_odet_sets(arena, cap) == len(got)
 
 
 def test_closed_sets_stream_is_lazy():
     # The CLI defaults on (nat -> nat) -> nat: far too many sets to list.
     a = arrow(arrow(make_nat_arena(3), make_nat_arena(3)), make_nat_arena(3))
-    assert count_closed_odet_sets(a, 6) == 3_748_194
+    assert ref_count_closed_odet_sets(a, 6) == 3_748_194
     t0 = time.perf_counter()
     first = list(itertools.islice(closed_odet_sets(a, 6), 1000))
     assert time.perf_counter() - t0 < 10
@@ -202,7 +213,9 @@ def test_brute_force_leq_on_observation_arena():
     b = Bounds(max_nat=1, max_play_len=6, max_view_len=4)
     r = brute_force_leq(bot, top, b)
     assert r.holds and r.verdict == "HOLDS_AT_BOUNDS"
-    assert r.tested == 4 and r.bound_exceeded == 0
+    # three leaves: nothing at the empty view; the question, then
+    # nothing or success at its answer
+    assert r.tested == 3 and r.bound_exceeded == 0
     assert r.witness is None
 
 
@@ -215,7 +228,7 @@ def test_brute_force_leq_failure_witness():
                  key=len)
     assert got == [(), ("q",), ("q", "a")]
     doc = r.to_json()
-    assert doc["verdict"] == "FAILS" and doc["tested"] == 4
+    assert doc["verdict"] == "FAILS" and doc["tested"] == 3
 
 
 def test_brute_force_agrees_with_obs_on_numerals():
@@ -235,15 +248,15 @@ def _views(witness):
 
 
 def test_brute_force_leq_stops_at_the_first_witness():
-    # 44 and 128 of 18,514 candidates; the witnesses are the ones the
-    # eager enumeration found.
+    # 11 and 19 leaves, where the eager enumeration ran 44 and 128 of
+    # 18,514 candidates; the witnesses are the ones it found.
     b = Bounds(max_nat=1, max_play_len=16, max_view_len=8)
     once = denote(parse("fun f: nat -> nat -> f 1"), b)
     twice = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
     fwd = brute_force_leq(once, twice, b)
     bwd = brute_force_leq(twice, once, b)
-    assert (fwd.holds, fwd.tested, fwd.bound_exceeded) == (False, 44, 0)
-    assert (bwd.holds, bwd.tested, bwd.bound_exceeded) == (False, 128, 0)
+    assert (fwd.holds, fwd.tested, fwd.bound_exceeded) == (False, 11, 0)
+    assert (bwd.holds, bwd.tested, bwd.bound_exceeded) == (False, 19, 0)
     assert _views(fwd.witness) == [
         "", "R.q", "R.q L.R.q@0", "R.q R.0@0", "R.q L.R.q@0 L.L.q@1",
         "R.q L.R.q@0 L.L.q@1 L.L.1@2", "R.q L.R.q@0 L.L.q@1 L.L.1@2 L.R.0@1"]
@@ -255,20 +268,95 @@ def test_brute_force_leq_stops_at_the_first_witness():
 
 
 def test_brute_force_leq_budget(monkeypatch):
-    # bot <= top holds and runs all 4 candidates on the Sigma arena.
+    # bot <= top holds and evaluates all 3 leaves on the Sigma arena.
     sig, top, bot = _sigma_pair()
     b = Bounds(max_nat=1, max_play_len=6, max_view_len=4)
-    monkeypatch.setattr(equiv, "TEST_BUDGET", 4)
-    assert brute_force_leq(bot, top, b).tested == 4
     monkeypatch.setattr(equiv, "TEST_BUDGET", 3)
+    assert brute_force_leq(bot, top, b).tested == 3
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 2)
     with pytest.raises(OracleIncomplete) as e:
         brute_force_leq(bot, top, b)
-    assert (e.value.tested, e.value.candidates) == (3, 4)
-    assert str(e.value) == "oracle incomplete at bounds after 3 of 4 candidate tests"
-    # A failing test found by the last test the budget allows is reported.
-    monkeypatch.setattr(equiv, "TEST_BUDGET", 4)
+    assert e.value.tested == 2
+    assert str(e.value) == "oracle incomplete at bounds after 2 tests"
+    # A failing test found at the last leaf the budget allows is reported.
+    monkeypatch.setattr(equiv, "TEST_BUDGET", 3)
     r = brute_force_leq(top, bot, b)
-    assert not r.holds and r.tested == 4
+    assert not r.holds and r.tested == 3
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_cases():
+    """The sweep's pairs (the battery and four higher-order pairs); the
+    battery again at play_len 4, where most pairs lose tests to the
+    interaction budget, and at view_len 2, where the cap falls on the
+    complete views; a third-order pair, whose arena has O-views that
+    are not well-bracketed; and the benchmark's extra oracle pairs."""
+    sweep = _load(REPO / "scripts" / "oracle_sweep.py")
+    for left, right, s1, s2, b, _ in sweep.cases():
+        yield pytest.param(s1, s2, b, id=f"{left}~{right}@{b.max_play_len}/{b.max_view_len}")
+    for p in PAIRS:
+        for b in (replace(p.bounds, max_play_len=4), replace(p.bounds, max_view_len=2)):
+            q = replace(p, bounds=b)
+            yield pytest.param(*build_pair(q), b,
+                               id=f"{p.left}~{p.right}@{b.max_play_len}/{b.max_view_len}")
+    b = Bounds(max_nat=1, max_play_len=12, max_view_len=6)
+    s1, s2 = (denote(parse(f"fun F: (nat -> nat) -> nat -> F (fun x: nat -> {body})"), b)
+              for body in ("x", "F (fun y: nat -> y)"))
+    yield pytest.param(s1, s2, b, id="third-order@12/6")
+    workloads = _load(REPO / "perfbench" / "workloads.py")
+    for e in workloads.ORACLE_EXTRA:
+        b = Bounds(**e.bounds.to_json())
+        s1, s2 = (denote(parse(workloads.TERMS[t].format(f="f", x="x")), b)
+                  for t in (e.left, e.right))
+        yield pytest.param(s1, s2, b, id=f"bench:{e.name}")
+
+
+@pytest.mark.parametrize("s1,s2,b", _oracle_cases())
+def test_brute_force_leq_agrees_with_every_candidate_run(s1, s2, b):
+    # The lazy search against the eager quantifier, both ways: the same
+    # verdict, witness and bound hits, from no more leaves than tests.
+    for x, y in ((s1, s2), (s2, s1)):
+        got, want = brute_force_leq(x, y, b), ref_leq(x, y, b)
+        assert got.holds == want.holds
+        assert got.witness == want.witness
+        assert (got.bound_exceeded > 0) == (want.bound_exceeded > 0)
+        assert got.tested <= want.tested
+
+
+def test_the_search_order_is_the_viewset_key_of_the_closing_set():
+    # The search pops partial tables by this key; the witness is the
+    # least failing candidate only if it is the set's `viewset_key`.
+    a = arrow(N1, N1)
+    q, asked = (("R.q", ROOT),), (("R.q", ROOT), ("L.q", 0))
+    steps = [((), ("R.q", ROOT)), (q + (("L.q", 0),), ("L.1", 1)),
+             (q + (("R.1", 0),), equiv._SUCCEED), (asked + (("L.1", 1), ("R.1", 0)), None)]
+    key, views = viewset_key(()), set()
+    for at, entry in steps:
+        key = equiv._closing(key, at, entry)
+        if entry is not None:
+            views.add(Play(a, at))
+        if entry not in (None, equiv._SUCCEED):
+            views.add(Play(a, at + (entry,)))
+        assert key == viewset_key(views)
+
+
+def test_brute_force_leq_beyond_the_candidate_list():
+    # About 4.8e22 candidate sets: no list reaches the witness, the
+    # search does.
+    b = Bounds(max_nat=3, max_play_len=16, max_view_len=8)
+    twice = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
+    thrice = denote(parse("fun f: nat -> nat -> f (f (f 1))"), b)
+    r = brute_force_leq(twice, thrice, b)
+    assert (r.holds, r.tested, r.bound_exceeded) == (False, 35, 3)
+    assert run_test(twice, r.witness, b) is Verdict.TOP
+    assert run_test(thrice, r.witness, b) is not Verdict.TOP
 
 
 # ---------------------------------------------------------------- laws

@@ -252,8 +252,8 @@ def test_explore_asks_each_p_view_once(innocent_opponent):
 
 
 def test_brute_force_leq_asks_each_p_view_once():
-    # run_test plays through the same rounds; the P-views each side
-    # reaches are read off every play a round is asked about
+    # the oracle's search plays through the same rounds; the P-views
+    # each side reaches are read off every play a round is asked about
     b = Bounds(max_nat=1, max_play_len=16, max_view_len=8)
     sides = [denote(parse(src), b)
              for src in ("fun f: nat -> nat -> f 1", "fun f: nat -> nat -> f (f 1)")]
