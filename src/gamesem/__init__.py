@@ -11,7 +11,6 @@ from .equiv import (
     brute_force_leq,
     check_category_laws,
     enumerate_closed_odet_sets,
-    enumerate_oviews,
     obs_equiv,
 )
 from .observation import (
@@ -43,9 +42,9 @@ __all__ = [
     "Arena", "MoveLabel", "arrow", "make_empty", "make_nat_arena", "make_sigma",
     "product", "Bounds", "EquivReport", "LawsReport", "LeqReport",
     "brute_force_leq", "check_category_laws", "enumerate_closed_odet_sets",
-    "enumerate_oviews", "obs_equiv", "ODetSet", "ObservationalStrategy",
-    "TestVerdict", "induced_test", "is_o_deterministic", "is_observational",
-    "obs_leq", "observations", "prefix_oviews", "run_test", "PcfError",
+    "obs_equiv", "ODetSet", "ObservationalStrategy", "TestVerdict",
+    "induced_test", "is_o_deterministic", "is_observational", "obs_leq",
+    "observations", "prefix_oviews", "run_test", "PcfError",
     "PcfParseError", "PcfTypeError", "denote", "parse", "parse_type",
     "typecheck", "ROOT", "Play", "is_complete", "is_legal", "oview", "pview",
     "BoundExceeded", "InnocentStrategy", "as_thunk", "compose", "copycat",

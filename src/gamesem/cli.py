@@ -212,7 +212,7 @@ def cmd_equiv(ns) -> int:
 def _bounds_explain(report, fwd, bwd, b: Bounds) -> bool:
     """Can the bounds account for a disagreement?  They can when either
     route hit a bound, or when the witness has a view longer than
-    max_view_len, which the oracle's enumeration cannot reach."""
+    max_view_len, which the oracle's search cannot reach."""
     hits = sum(report.bound_exceeded) + fwd.bound_exceeded + bwd.bound_exceeded
     long_view = report.witness is not None and any(
         len(v) > b.max_view_len for v in report.witness.views)

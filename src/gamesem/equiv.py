@@ -9,16 +9,14 @@ every such set but builds only the part of each test that a run
 reaches, branching on an Opponent's entry where a run first reads it,
 so it runs one test per leaf of that search rather than one per
 candidate set.  Both roads are bounded and verdicts always carry the
-bounds they were established at.  `closed_odet_sets` still lists the
-candidate sets themselves, smallest first.
+bounds they were established at.  `enumerate_closed_odet_sets` lists
+the candidate sets, smallest first, growing O-views as the oracle does.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import cache
 
 from .arena import Arena
 from .bounds import Bounds
@@ -30,7 +28,6 @@ from .observation import (
     TestVerdict,
     _play_against,
     observations,
-    play_key,
     sorted_views,
     viewset_key,
 )
@@ -80,109 +77,41 @@ def obs_equiv(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> EquivRep
     return EquivReport(False, b, ODetSet.make(s1.arena, w), side, exceeded)
 
 
-def enumerate_oviews(arena: Arena, max_view_len: int) -> list[Play]:
-    """All well-bracketed single-threaded O-views up to the length cap,
-    in `play_key` order.
-
-    Each grows through `legal_extensions` from the positions its mover
-    may point at: ROOT in the empty view, as only the first move opens
-    a thread; every position at even length, as an O-view is its own
-    O-view; and the last at odd length, as a Proponent move in an O-view
-    points at the move before it.  Bracketing violations are pruned
-    eagerly; they can never be repaired by extension.
-    """
-    out: list[Play] = []
-    frontier = [Play(arena, ())]
-    while frontier:
-        v = frontier.pop()
-        if not is_well_bracketed(v):
-            continue
-        out.append(v)
-        n = len(v.moves)
-        if n < max_view_len:
-            frontier.extend(legal_extensions(
-                v, (ROOT,) if n == 0 else range(n) if n % 2 == 0 else (n - 1,)))
-    out.sort(key=play_key)
-    return out
-
-
-def _view_tree(arena: Arena, max_view_len: int):
-    """The capped O-views as a tree: the views in play_key order and,
-    per view index, the indices of its one-move extensions."""
-    views = enumerate_oviews(arena, max_view_len)
-    index = {v.moves: i for i, v in enumerate(views)}
-    kids: list[list[int]] = [[] for _ in views]
-    for i, v in enumerate(views):
-        if v.moves:
-            kids[index[v.moves[:-1]]].append(i)
-    return views, kids
-
-
-def closed_odet_sets(arena: Arena, max_view_len: int) -> Iterator[frozenset[Play]]:
-    """Every prefix-closed deterministic view set over the arena whose
-    views respect the length cap, lazily and smallest first.
-
-    The order is `viewset_key` order.  Its first component is the
-    total number of moves, so the sets are built one total size at a
-    time and each such bucket is sorted on its own.  Two memoised
-    recursions build a bucket: `rooted(i, n)`, the sets rooted at view
-    i with n moves in all, and `spread(i, n)`, whose entry k unites
-    sets rooted at the last k children of view i.  A set rooted at a
-    view of even length (Opponent to move) takes at most one child; at
-    odd length (Proponent to move) the children are independent, so it
-    is a spread, folded over the children in one loop.  Sets are built
-    as tuples of view indices; the views are in play_key order, so
-    sorted indices compare as viewset_key's sorted views do.
-    """
-    views, kids = _view_tree(arena, max_view_len)
-    size = [len(v.moves) for v in views]
-    largest = list(size)              # largest total size rooted at i
-    for i in reversed(range(len(views))):   # children come after parents
-        if kids[i]:
-            sub = [largest[c] for c in kids[i]]
-            largest[i] += sum(sub) if size[i] % 2 else max(sub)
-
-    @cache
-    def rooted(i: int, n: int) -> list[tuple[int, ...]]:
-        # Sets rooted at view i with n moves in total.
-        if n < size[i] or n > largest[i]:
-            return []
-        rest, v = n - size[i], (i,)
-        if rest == 0:
-            return [v]
-        if size[i] % 2:
-            return [v + s for s in spread(i, rest)[-1]]
-        return [v + s for c in kids[i] for s in rooted(c, rest)]
-
-    @cache
-    def spread(i: int, n: int) -> list[list[tuple[int, ...]]]:
-        # Entry k: unions of sets rooted at the last k children of view
-        # i, each child left out or taken once, with n moves in all.
-        row = [[()] if n == 0 else []]
-        for k, c in enumerate(reversed(kids[i])):   # k children after c
-            got = list(row[k])
-            for j in range(size[c], min(n, largest[c]) + 1):
-                tail = spread(i, n - j)[k]
-                if tail:
-                    got.extend(a + t for a in rooted(c, j) for t in tail)
-            row.append(got)
-        return row
-
-    try:
-        for n in range(largest[0] + 1):
-            bucket = ([()] if n == 0 else []) + rooted(0, n)
-            bucket.sort(key=lambda t: (len(t), sorted(t)))
-            for t in bucket:
-                yield frozenset(views[i] for i in t)
-    finally:
-        rooted.cache_clear()
-        spread.cache_clear()
+def _oview_children(v: Play, cap: int) -> list[Play]:
+    """The well-bracketed O-views one move longer than the O-view v,
+    within the length cap.  Each grows through `legal_extensions` from
+    the positions its mover may point at: ROOT in the empty view, as only
+    the first move opens a thread; every position at even length, as an
+    O-view is its own O-view; and the last at odd length, as a Proponent
+    move in an O-view points at the move before it.  Bracketing
+    violations are pruned, as no extension repairs them."""
+    n = len(v.moves)
+    if n >= cap:
+        return []
+    ptrs = (ROOT,) if n == 0 else range(n) if n % 2 == 0 else (n - 1,)
+    return [e for e in legal_extensions(v, ptrs) if is_well_bracketed(e)]
 
 
 def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play]]:
     """Every prefix-closed deterministic view set over the arena whose
-    views respect the length cap, smallest first, as one list."""
-    return list(closed_odet_sets(arena, max_view_len))
+    views respect the length cap, in `viewset_key` order: the candidate
+    list the tests quantify over, kept whole for the checks on
+    `brute_force_leq`'s search and wrapped by name by the benchmark's
+    tracer.  A set rooted at a view of even length (Opponent to move)
+    takes at most one child's sets; at odd length (Proponent to move) it
+    takes any choice of its children's sets, each child left out or
+    taken once."""
+    def rooted(v: Play) -> list[frozenset[Play]]:
+        alone = frozenset({v})
+        kids = [rooted(c) for c in _oview_children(v, max_view_len)]
+        if len(v.moves) % 2 == 0:
+            return [alone, *(alone | s for sets in kids for s in sets)]
+        combos = [alone]
+        for sets in kids:
+            combos += [c | s for c in combos for s in sets]
+        return combos
+
+    return sorted([frozenset(), *rooted(Play(arena, ()))], key=viewset_key)
 
 
 @dataclass(frozen=True)
@@ -261,9 +190,7 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
             got = [None]
             if 0 < n <= cap and is_complete(v):
                 got.append(_SUCCEED)
-            if n < cap:
-                got += [e.moves[-1] for e in legal_extensions(v, range(n) if n else (ROOT,))
-                        if is_well_bracketed(e)]
+            got += [e.moves[-1] for e in _oview_children(v, cap)]
             branches[key] = got
         return got
 

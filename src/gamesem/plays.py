@@ -32,8 +32,8 @@ mover's view, and ROOT where a new thread may open.  That is
 visibility, so it builds only legal plays and exploration checks no
 play it built: `explore` carries the views of each play forward, one
 entry per move, and plays each round without a legality pass.
-`strategy.tabulate` and `equiv.enumerate_oviews` grow views through it
-too.
+`strategy.tabulate` and the O-view rule of `equiv` grow views through
+it too.
 
 Views are returned with their pointers re-indexed into the view itself.
 """

@@ -209,7 +209,8 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
     that extends it, and records them as a set at each complete play.
     """
     empty = Play(sigma.arena)
-    result = {empty}
+    # A tree walk: no play is reached twice.
+    result = [empty]
     oview_sets = set()
     # (play, its prefixes' views, O-innocence map, its prefixes' O-views)
     stack = [(empty, (EMPTY_VIEWS,), {}, (empty,))]
@@ -231,10 +232,10 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
             except BoundExceeded:
                 exceeded += 1
                 continue
-            if step is not None and step[0] not in result:
+            if step is not None:
                 if len(result) == EXPLORE_BUDGET:
                     raise ExplorationIncomplete(len(result))
-                result.add(step[0])
+                result.append(step[0])
                 seen = oviews
                 if innocent_opponent:
                     seen += tuple(Play(s.arena, v[3]) for v in step[1][-2:])

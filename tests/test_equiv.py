@@ -1,7 +1,5 @@
 import importlib.util
-import itertools
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,11 +11,10 @@ from gamesem.bounds import Bounds
 from gamesem.corpus import PAIRS, CorpusEntry, build_pair, entry
 from gamesem.equiv import (
     OracleIncomplete,
+    _oview_children,
     brute_force_leq,
     check_category_laws,
-    closed_odet_sets,
     enumerate_closed_odet_sets,
-    enumerate_oviews,
     obs_equiv,
 )
 from gamesem.observation import TestVerdict as Verdict
@@ -50,6 +47,17 @@ def _sigma_pair():
 
 
 # ----------------------------------------------------- view enumeration
+
+
+def enumerate_oviews(arena, cap):
+    """Every O-view `_oview_children` grows from the empty view, in
+    play_key order."""
+    out, frontier = [], [Play(arena, ())]
+    while frontier:
+        v = frontier.pop()
+        out.append(v)
+        frontier += _oview_children(v, cap)
+    return sorted(out, key=lambda v: (len(v.moves), v.moves))
 
 
 def test_enumerate_oviews_shape_and_cap():
@@ -95,6 +103,9 @@ def test_closed_set_counts():
         got = enumerate_closed_odet_sets(a, 4)
         assert len(got) == want
         assert len(set(got)) == want
+    # The CLI defaults on (nat -> nat) -> nat: far too many sets to list.
+    a = arrow(arrow(make_nat_arena(3), make_nat_arena(3)), make_nat_arena(3))
+    assert ref_count_closed_odet_sets(a, 6) == 3_748_194
 
 
 def test_closed_sets_are_all_deterministic():
@@ -106,8 +117,8 @@ def test_closed_sets_are_all_deterministic():
         assert is_o_deterministic(a, vs)
 
 
-# Every arena and view cap the lazy stream is checked on, element for
-# element, against the eager reference.
+# Every arena and view cap the candidate list is checked on, element for
+# element, against the reference.
 REFERENCE_CASES = [
     ("N1", N1, 6),
     ("N1=>N1", arrow(N1, N1), 4),
@@ -124,39 +135,24 @@ REFERENCE_CASES = [
 @pytest.mark.parametrize("arena,cap", [(a, c) for _, a, c in REFERENCE_CASES],
                          ids=[f"{n}@{c}" for n, _, c in REFERENCE_CASES])
 def test_closed_sets_stream_equals_eager_reference(arena, cap):
-    got = list(closed_odet_sets(arena, cap))
+    got = enumerate_closed_odet_sets(arena, cap)
     assert got == ref_closed_odet_sets(arena, cap)
     assert ref_count_closed_odet_sets(arena, cap) == len(got)
 
 
-def test_closed_sets_stream_is_lazy():
-    # The CLI defaults on (nat -> nat) -> nat: far too many sets to list.
-    a = arrow(arrow(make_nat_arena(3), make_nat_arena(3)), make_nat_arena(3))
-    assert ref_count_closed_odet_sets(a, 6) == 3_748_194
-    t0 = time.perf_counter()
-    first = list(itertools.islice(closed_odet_sets(a, 6), 1000))
-    assert time.perf_counter() - t0 < 10
-    assert len(first) == 1000
-    keys = [viewset_key(vs) for vs in first]
-    assert keys == sorted(keys)
-    assert all(is_o_deterministic(a, vs) for vs in first)
-
-
 def test_closed_sets_stream_handles_a_wide_view():
-    # The question of nat 1500 has 1,501 answers, far more children
-    # than the interpreter's default recursion limit of 1,000 frames.
-    wide = make_nat_arena(1500)
-    first = list(itertools.islice(closed_odet_sets(wide, 2), 1504))
-    assert [len(vs) for vs in first] == [0, 1, 2] + [3] * 1501
-    keys = [viewset_key(vs) for vs in first]
-    assert keys == sorted(keys)
-    assert {m for vs in first for v in vs for m, _ in v.moves} == set(wide.moves)
-    # Those over the moves of nat 3 are the reference's sets up to 3 moves.
-    small = make_nat_arena(3)
-    ref = [sorted(v.moves for v in vs) for vs in ref_closed_odet_sets(small, 2)[:7]]
-    got = [sorted(v.moves for v in vs) for vs in first
-           if all(m in small.moves for v in vs for m, _ in v.moves)]
-    assert got == ref
+    # The question of nat 12 has 13 answers, each taken or left out.
+    wide = make_nat_arena(12)
+    got = enumerate_closed_odet_sets(wide, 2)
+    assert len(got) == ref_count_closed_odet_sets(wide, 2) == 2 + 2 ** 13
+    assert got == ref_closed_odet_sets(wide, 2)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_closed_sets_at_a_cap_below_one(cap):
+    # No view grows, so the empty view is the only one.
+    assert _oview_children(Play(N1, ()), cap) == []
+    assert enumerate_closed_odet_sets(N1, cap) == [frozenset(), frozenset({Play(N1, ())})]
 
 
 # ----------------------------------------------------------- obs_equiv

@@ -7,7 +7,7 @@ import pytest
 from gamesem.arena import arrow, make_nat_arena, make_sigma
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS, PAIRS, build_pair
-from gamesem.equiv import closed_odet_sets
+from gamesem.equiv import enumerate_closed_odet_sets
 from gamesem.observation import (
     ODetSet,
     ObservationalStrategy,
@@ -326,7 +326,7 @@ def _cross_check_cases():
 def test_run_test_agrees_with_the_composite_on_every_candidate():
     seen = Counter()
     for sigma, b in _cross_check_cases():
-        for vs in closed_odet_sets(sigma.arena, b.max_view_len):
+        for vs in enumerate_closed_odet_sets(sigma.arena, b.max_view_len):
             s = ODetSet(sigma.arena, vs)
             got = run_test(sigma, s, b)
             assert got is _composite_verdict(sigma, s, b), (sigma.name, b, s)
