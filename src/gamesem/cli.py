@@ -7,7 +7,8 @@ consistency failure (the engine rejects its own play, or the two
 decision methods disagree although neither hit a bound and no witness
 view is longer than max_view_len) or a resource limit (recursion depth,
 memory, the oracle's test budget running out before it decides, or the
-exploration's play budget running out before it ends), reported on one
+exploration's play budget running out before it ends) or a stdout
+closed by its reader before the output was written, reported on one
 stderr line.  A disagreement the bounds explain adds
 "bounds_explain": true to the oracle report and exits with the
 obs_equiv verdict.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _str
 
@@ -54,8 +56,7 @@ def _bounds(ns) -> Bounds:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(_encode(doc, 0, {}))
-    sys.stdout.write("\n")
+    print(_encode(doc, 0, {}), flush=True)
 
 
 _LEAF_TYPES = frozenset((str, int))
@@ -303,6 +304,13 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.fn(ns)
+    except BrokenPipeError:
+        # stdout's reader is gone: what is still buffered, flushed at
+        # exit, goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output closed: stdout's reader exited before the output was written",
+              file=sys.stderr)
+        return 3
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -3,16 +3,17 @@
 A single completed play is remembered only as the set of O-views of its
 prefixes.  Collecting that set for every complete play a strategy can
 produce (against innocent, single-threaded Opponents) yields the
-strategy's observation: a set of view-sets, which `explore` gathers on
-its walk.  Each view-set is
-O-deterministic, and such sets double as tests: an O-deterministic set
-induces a probing strategy that walks the recorded views against the
-strategy under test and reports success on an auxiliary one-question
-arena (`induced_test`, the paper's construction).  `run_test` gives
+strategy's observation: a set of view-sets, which `observations` reads
+off the views `strategy.walk` yields with each complete play.  Each
+view-set is O-deterministic, and such sets double as tests: an
+O-deterministic set induces a probing strategy that walks the recorded
+views against the strategy under test and reports success on an
+auxiliary one-question arena (`induced_test`, the paper's
+construction).  `run_test` gives
 the verdict of that composite without building it: the set is read as
 an Opponent, a table from O-views to the next Opponent move, and one
 play over the strategy's own arena alternates that Opponent with the
-strategy's rounds, the rounds `explore` plays.  That play is
+strategy's rounds, the rounds `walk` plays.  That play is
 `_play_against`, which takes any table, a partial one too: it stops at
 the first O-view the table has no entry for, and the test oracle in
 `equiv` branches there.
@@ -40,8 +41,8 @@ from .strategy import (
     BoundExceeded,
     InnocentStrategy,
     StrategyError,
-    explore,
     from_view_table,
+    walk,
 )
 
 
@@ -250,7 +251,7 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     `run[1][-1][3]`.  Given such a run, the play resumes from it.  The
     Opponent move is looked up by the play's O-view, sigma answers from
     its P-view, and the test succeeds when the table says so.  Each
-    round is sigma's `_round`, the one `explore` plays, so both views
+    round is sigma's `_round`, the one `walk` plays, so both views
     are carried forward one move at a time and no play is checked.  As
     in the composite, the Sigma question and answer count against
     b.max_play_len with the moves of A, so a reply that would take the
@@ -330,16 +331,23 @@ class ObservationalStrategy:
 
 def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     """The O-views of the prefixes of each of sigma's complete
-    single-threaded traces, one view-set per play, as `explore` collects
-    them on its walk.
+    single-threaded traces, one view-set per play, read off the views
+    `walk` carries with each play.
 
     Opponent is restricted to innocent, single-threaded behavior.  Plays
     cut short by the length bound contribute nothing, but positions
     where the strategy's own computation hit a bound are counted in
-    bound_exceeded.
+    bound_exceeded.  Each distinct O-view is built as a Play once.
     """
-    res = explore(sigma, b, innocent_opponent=True)
-    return ObservationalStrategy(sigma.arena, res.oview_sets, b, res.bound_exceeded)
+    sets, exceeded, oviews = set(), 0, {}   # oviews: O-view moves -> its Play
+    for step in walk(sigma, b, innocent_opponent=True):
+        if step is None:
+            exceeded += 1
+        elif is_complete(step[0]):
+            keys = {v[3] for v in step[1]}
+            oviews.update((k, Play(sigma.arena, k)) for k in keys - oviews.keys())
+            sets.add(frozenset(map(oviews.__getitem__, keys)))
+    return ObservationalStrategy(sigma.arena, frozenset(sets), b, exceeded)
 
 
 def obs_leq(x: ObservationalStrategy, y: ObservationalStrategy) -> bool:

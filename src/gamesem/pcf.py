@@ -324,9 +324,14 @@ class _Parser:
 
 
 def _parse_all(source: str, rule):
-    """Parse the whole of `source` by the `_Parser` method `rule`."""
+    """Parse the whole of `source` by the `_Parser` method `rule`.  A
+    term nested deeper than the parser's recursion can follow is a
+    parse error at the last token it read."""
     p = _Parser(tokenize(source))
-    out = rule(p)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise PcfParseError("term nested too deeply", p.toks[p.i - 1].pos) from None
     tail = p.peek()
     if tail.kind != "eof":
         raise PcfParseError(f"trailing input starting at {tail.text!r}", tail.pos)

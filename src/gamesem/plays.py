@@ -30,7 +30,7 @@ given.  `legal_extensions`, the one move generator, takes a legal play
 and the set of positions the new move may point at: members of the
 mover's view, and ROOT where a new thread may open.  That is
 visibility, so it builds only legal plays and exploration checks no
-play it built: `explore` carries the views of each play forward, one
+play it built: `walk` carries the views of each play forward, one
 entry per move, and plays each round without a legality pass.
 `strategy.tabulate` and the O-view rule of `equiv` grow views through
 it too.

@@ -17,13 +17,19 @@ so the extended play is legal again; a bound hit is stored too and
 raised again on later asks.  Three callers hand `_answer` a play's
 views, whose P-view moves key the memo, and no play is built for it:
 `respond`, after one legality pass at `plays.checked_views`; `_round`,
-one round of play (an Opponent move and the reply) for `explore` and
+one round of play (an Opponent move and the reply) for `walk` and
 `observation._play_against` (test runs and the oracle), which carries
 the play's views through `plays.next_views`; and compose, which carries each factor's views the
 same way.  `tabulate` walks P-views alone and asks `_reply` once per
 view.  Wrappers translate the view alone for their inner strategy (a
 prefix renaming is an arena isomorphism, so it commutes with the
 P-view), and the inner pointer into that view is already view-relative.
+
+`walk` is the one exploration of a strategy's plays, a generator that
+keeps none: it yields each play it reaches with the views of its
+prefixes.  `explore` folds it into the plays against every Opponent,
+and `observation.observations` into the O-view sets of the complete
+plays against an innocent one.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -58,7 +64,6 @@ from .plays import (
     ROOT,
     Play,
     checked_views,
-    is_complete,
     legal_extensions,
     next_views,
 )
@@ -76,7 +81,7 @@ class InconsistentPlay(Exception):
     """A composite was asked about a play it would never have produced."""
 
 
-# Plays `explore` collects before it gives up.  A benchmark op explores
+# Plays `walk` reaches before it gives up.  A benchmark op explores
 # at most a few thousand; against every Opponent,
 # `fun f: nat -> nat -> f (f (f 1))` at nat 2 / play_len 18 has over
 # 700,000, at about 500 bytes a play.
@@ -182,19 +187,19 @@ class InnocentStrategy:
 class TraceResult:
     plays: frozenset[Play]
     bound_exceeded: int
-    # with an innocent Opponent, each complete play's prefixes' O-views
-    oview_sets: frozenset[frozenset[Play]] = frozenset()
 
 
-def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False) -> TraceResult:
-    """Even-length plays reachable against sigma within the bounds.
+def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
+    """Every nonempty even-length play reachable against sigma within
+    the bounds, yielded as (play, the views of each of its prefixes),
+    and None for each position where sigma's reply hit an interaction
+    bound.  No play is kept: `explore` and `observation.observations`
+    are two folds over this walk.
 
     Opponent ranges over every legal choice, or with `innocent_opponent`
     over the single-threaded, O-innocent ones; Proponent plays sigma's
-    response.  Positions where the response computation hit an
-    interaction bound are counted, not silently dropped.  Raises
-    ExplorationIncomplete when the plays found reach EXPLORE_BUDGET and
-    another is due.
+    response.  Raises ExplorationIncomplete when the plays reached, the
+    empty play included, come to EXPLORE_BUDGET and another is due.
 
     No play is checked: each stacked play carries the views of its
     prefixes that sigma's `_round` returned with it, so
@@ -204,23 +209,17 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
     `innocent_opponent` it also carries the O-innocence map of its
     Opponent moves (O-view -> move and pointer); a candidate whose
     O-view is mapped to another move is pruned, which is
-    `is_o_innocent` one move at a time.  It also carries the O-views of
-    its prefixes, each built once as a Play and shared with every play
-    that extends it, and records them as a set at each complete play.
+    `is_o_innocent` one move at a time.
     """
-    empty = Play(sigma.arena)
     # A tree walk: no play is reached twice.
-    result = [empty]
-    oview_sets = set()
-    # (play, its prefixes' views, O-innocence map, its prefixes' O-views)
-    stack = [(empty, (EMPTY_VIEWS,), {}, (empty,))]
-    exceeded = 0
+    reached = 1   # the empty play
+    # (play, its prefixes' views, O-innocence map)
+    stack = [(Play(sigma.arena), (EMPTY_VIEWS,), {})]
     while stack:
-        s, views, omap, oviews = stack.pop()
+        s, views, omap = stack.pop()
         if len(s.moves) + 2 > b.max_play_len:
             continue
-        ov = views[-1][1]
-        okey = views[-1][3]
+        _, ov, _, okey = views[-1]
         for so in legal_extensions(s, ov if innocent_opponent and s.moves else (ROOT, *ov)):
             if innocent_opponent:
                 o, j = so.last
@@ -230,19 +229,29 @@ def explore(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False)
             try:
                 step = sigma._round(so, views)
             except BoundExceeded:
-                exceeded += 1
+                yield None
                 continue
             if step is not None:
-                if len(result) == EXPLORE_BUDGET:
-                    raise ExplorationIncomplete(len(result))
-                result.append(step[0])
-                seen = oviews
-                if innocent_opponent:
-                    seen += tuple(Play(s.arena, v[3]) for v in step[1][-2:])
-                    if is_complete(step[0]):
-                        oview_sets.add(frozenset(seen))
-                stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap, seen))
-    return TraceResult(frozenset(result), exceeded, frozenset(oview_sets))
+                if reached == EXPLORE_BUDGET:
+                    raise ExplorationIncomplete(reached)
+                reached += 1
+                yield step
+                stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap))
+
+
+def explore(sigma: InnocentStrategy, b: Bounds) -> TraceResult:
+    """Even-length plays reachable against sigma within the bounds,
+    against every Opponent, the empty play included: `walk`'s plays.
+    Positions where the response computation hit an interaction bound
+    are counted, not silently dropped."""
+    plays = [Play(sigma.arena)]
+    exceeded = 0
+    for step in walk(sigma, b):
+        if step is None:
+            exceeded += 1
+        else:
+            plays.append(step[0])
+    return TraceResult(frozenset(plays), exceeded)
 
 
 def traces(sigma: InnocentStrategy, b: Bounds) -> frozenset[Play]:

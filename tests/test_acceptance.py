@@ -39,8 +39,9 @@ from gamesem.plays import (
     oview,
     pview,
 )
-from gamesem.strategy import explore, traces
+from gamesem.strategy import traces
 from oracles import ref_enumerate_plays
+from walks import innocent_explore
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,7 +124,7 @@ def test_criterion_3_complete_traces_induce_deterministic_view_sets():
     bad = []
     exceeded = 0
     for name, sigma, b in build_corpus():
-        tr = explore(sigma, b, innocent_opponent=True)
+        tr = innocent_explore(sigma, b)
         exceeded += tr.bound_exceeded
         fams = set()
         for s in tr.plays:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -350,11 +352,42 @@ def test_bad_bounds_exit_2(tmp_path, flag, value, field):
 
 
 def test_resource_limit_exits_3(tmp_path):
-    f = write(tmp_path, "deep.pcf", "succ " * 3000 + "0\n")
-    r = run_cli("parse", f)
+    # the term parses; asking its strategy recurses once per succ
+    f = write(tmp_path, "deep.pcf", "succ " * 250 + "0\n")
+    r = run_cli("obs", f)
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
-    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr == "resource limit: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("source", ["succ " * 3000 + "0\n",
+                                    "(" * 300 + "0" + ")" * 300 + "\n"],
+                         ids=["succ", "parentheses"])
+def test_deep_nesting_is_a_parse_error_exits_2(tmp_path, source):
+    # the column is that of the token the parser had reached
+    f = write(tmp_path, "deep.pcf", source)
+    r = run_cli("parse", f)
+    assert r.returncode == 2
+    assert re.fullmatch(rf"error: {re.escape(f)}: 1:\d+: term nested too deeply\n", r.stderr)
+
+
+@pytest.mark.parametrize("cmd, text, read", [
+    ("obs", "fun f: nat -> nat -> f (f (f 1))\n", 100),   # about 700 kB
+    ("parse", "fun x: nat -> x\n", 0),   # still buffered when the write fails
+], ids=["obs", "parse"])
+def test_a_closed_stdout_exits_3_with_one_line(tmp_path, cmd, text, read):
+    # the reader takes `read` bytes and closes the pipe; stdout is
+    # block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    f = write(tmp_path, "t.pcf", text)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "gamesem.cli", cmd, f,
+                             "--max-nat", "3", "--max-play-len", "20"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert err == "output closed: stdout's reader exited before the output was written\n"
 
 
 def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):

@@ -30,10 +30,10 @@ from gamesem.strategy import (
     StrategyError,
     as_thunk,
     compose,
-    explore,
     traces,
 )
 from oracles import ref_oview, ref_pending_questions
+from walks import innocent_explore
 
 N2 = make_nat_arena(2)
 ARROW = arrow(N2, N2)
@@ -226,13 +226,23 @@ def test_observations_of_bottom_empty():
 
 @pytest.mark.parametrize("e", CORPUS, ids=lambda e: e.name)
 def test_observations_are_the_reference_oviews_of_complete_plays(e):
-    # explore collects the view-sets on its walk; the reference reads
-    # each complete play's prefixes afresh
+    # observations reads the view-sets off walk's views; the reference
+    # reads each complete play's prefixes afresh
     sigma = e.build()
-    plays = explore(sigma, e.bounds, innocent_opponent=True).plays
+    plays = innocent_explore(sigma, e.bounds).plays
     want = {frozenset(ref_oview(p.prefix(k)) for k in range(len(p) + 1))
             for p in plays if p.moves and ref_pending_questions(p) == []}
     assert observations(sigma, e.bounds).sets == want
+
+
+def test_observations_build_each_oview_once():
+    # every view-set holds the one Play built for each distinct O-view
+    b = Bounds(max_nat=2, max_play_len=24)
+    x = observations(denote(parse(
+        "fun g: (nat -> nat) -> nat -> g (fun x: nat -> g (fun y: nat -> x))"), b), b)
+    views = {v for vs in x.sets for v in vs}
+    assert len(views) == 118
+    assert len({id(v) for vs in x.sets for v in vs}) == len(views)
 
 
 def test_observations_complete_plays_only():

@@ -145,6 +145,18 @@ def test_parse_error_reports_position():
     assert "trailing" in str(e.value)
 
 
+@pytest.mark.parametrize("source", ["succ " * 3000 + "0", "(" * 300 + "0" + ")" * 300,
+                                    "fun x: " + "(" * 1000 + "nat" + ")" * 1000 + " -> x"],
+                         ids=["succ", "parentheses", "type"])
+def test_deep_nesting_is_a_parse_error(source):
+    # at the token the parser had reached when its recursion ran out
+    with pytest.raises(PcfParseError) as e:
+        parse(source)
+    line, col = e.value.pos
+    assert line == 1 and 1 < col < len(source)
+    assert str(e.value) == f"1:{col}: term nested too deeply"
+
+
 def test_parse_type_rejects_trailing_input():
     with pytest.raises(PcfParseError) as e:
         parse_type("nat nat")

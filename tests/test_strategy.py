@@ -7,6 +7,7 @@ from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
 from gamesem.equiv import brute_force_leq
+from gamesem.observation import observations
 from gamesem.pcf import (
     Lam,
     Num,
@@ -62,6 +63,7 @@ from oracles import (
     ref_pview,
     reindex,
 )
+from walks import innocent_explore
 
 N2 = make_nat_arena(2)
 
@@ -245,7 +247,7 @@ def test_explore_asks_each_p_view_once(innocent_opponent):
         node = leaf = _counted_leaf(sigma, b, asked)
         if renamed:
             node = rename_strategy(leaf, [("", "")], leaf.arena, "same")
-        res = explore(node, b, innocent_opponent)
+        res = innocent_explore(node, b) if innocent_opponent else explore(node, b)
         reached = list(_ref_asks(res.plays, b, innocent_opponent))
         assert sorted(asked) == sorted(set(reached))
         assert len(reached) > len(asked)
@@ -308,6 +310,21 @@ def test_explore_stops_at_its_play_budget(monkeypatch):
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n - 1)
     with pytest.raises(ExplorationIncomplete) as e:
         explore(sigma, b)
+    assert e.value.plays == n - 1
+    assert str(e.value) == f"exploration incomplete at bounds after {n - 1} plays"
+
+
+def test_observations_stop_at_the_play_budget_as_explore_does(monkeypatch):
+    # the innocent walk counts the plays it reaches, the empty one too
+    b = Bounds(max_nat=1, max_play_len=6)
+    sigma = builtin("add_LR", 1)
+    want = observations(sigma, b)
+    n = len(innocent_explore(sigma, b).plays)
+    monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n)
+    assert observations(sigma, b) == want
+    monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n - 1)
+    with pytest.raises(ExplorationIncomplete) as e:
+        observations(sigma, b)
     assert e.value.plays == n - 1
     assert str(e.value) == f"exploration incomplete at bounds after {n - 1} plays"
 
@@ -376,7 +393,7 @@ def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
         every = explore(build(), b).plays
         assert all(ref_is_legal(p) for p in every)
         single = {p for p in every if is_single_threaded(p)}
-        pruned = explore(build(), b, innocent_opponent=True)
+        pruned = innocent_explore(build(), b)
         assert pruned.plays == {p for p in single if ref_is_o_innocent(p)}
         pruned_some |= pruned.plays != single
     assert pruned_some
@@ -619,8 +636,8 @@ def test_compose_asks_each_factor_p_view_once():
     leaf = _counted_leaf(succ_strategy(2), b, asked)
     counted = compose(copycat(N2), leaf, b)
     plain = compose(copycat(N2), succ_strategy(2), b)
-    for innocent_opponent in (False, True):
-        assert explore(counted, b, innocent_opponent) == explore(plain, b, innocent_opponent)
+    for fold in (explore, innocent_explore):
+        assert fold(counted, b) == fold(plain, b)
     assert asked and len(asked) == len(set(asked))
 
 
@@ -666,10 +683,10 @@ def test_compose_results_do_not_depend_on_exploration_order():
     # exploring them first must not change what shorter plays see.
     b = Bounds(max_nat=2, max_play_len=10)
     t = parse("fun f: nat -> nat -> f (f 1)")
-    fresh = explore(denote(t, b), b, innocent_opponent=True)
+    fresh = innocent_explore(denote(t, b), b)
     s = denote(t, b)
     explore(s, b)
-    assert explore(s, b, innocent_opponent=True) == fresh
+    assert innocent_explore(s, b) == fresh
 
 
 def test_compose_bound_exceeded_is_not_none():
