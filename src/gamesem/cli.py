@@ -2,14 +2,16 @@
 
 Exit codes: 0 for success (including an EQUIV verdict), 1 for an
 INEQUIV verdict or a failed law check, 2 for bad input (unreadable
-file, parse error, type error, mismatched arenas), 3 for an internal
-consistency failure (the engine rejects its own play, or the two
-decision methods disagree although neither hit a bound and no witness
-view is longer than max_view_len) or a resource limit (recursion depth,
-memory, the oracle's test budget running out before it decides, or the
-exploration's play budget running out before it ends) or a stdout
-closed by its reader before the output was written, reported on one
-stderr line.  A disagreement the bounds explain adds
+file, parse error, type error, mismatched arenas, a view-set file that
+is not a view set or is nested deeper than `json.loads` can follow),
+reported on one stderr line with any line break in it escaped, 3 for
+an internal consistency failure (the engine rejects its own play, or
+the two decision methods disagree although neither hit a bound and no
+witness view is longer than max_view_len) or a resource limit
+(recursion depth, memory, the oracle's test budget running out before
+it decides, or the exploration's play budget running out before it
+ends) or a stdout closed by its reader before the output was written,
+reported on one stderr line.  A disagreement the bounds explain adds
 "bounds_explain": true to the oracle report and exits with the
 obs_equiv verdict.
 
@@ -31,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _str
 
 from .bounds import Bounds
 from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
-from .observation import ODetSet, observations, play_key, run_test
+from .observation import ODetSet, observations, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
 from .plays import Play, is_complete
 from .strategy import (
@@ -166,7 +168,7 @@ def cmd_traces(ns) -> int:
     plays = tr.plays
     if ns.complete_only:
         plays = [p for p in plays if is_complete(p)]
-    plays = sorted(plays, key=play_key)
+    plays = sorted(plays, key=lambda p: (len(p.moves), p.moves))
     _emit({
         "arena": sigma.arena.to_json(),
         "bound_exceeded": tr.bound_exceeded,
@@ -227,7 +229,7 @@ def cmd_test(ns) -> int:
         doc = json.loads(_read(ns.set))
         # a witness as `equiv` prints it names no arena: read it over the term's
         s = ODetSet.from_json(doc, None if "arena" in doc else sigma.arena)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise _InputError(f"bad view-set file {ns.set}: {e}") from e
     if s.arena != sigma.arena:
         raise _InputError("view-set arena does not match the term's arena")
@@ -312,7 +314,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
     except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
+        # a line break in a file name or a move name stays on the one line
+        print("error: " + "\\n".join(str(e).splitlines()), file=sys.stderr)
         return 2
     except (StrategyError, InconsistentPlay) as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -11,6 +11,9 @@ so it runs one test per leaf of that search rather than one per
 candidate set.  Both roads are bounded and verdicts always carry the
 bounds they were established at.  `enumerate_closed_odet_sets` lists
 the candidate sets, smallest first, growing O-views as the oracle does.
+A view set holds each O-view as its move tuple, as `observation` does,
+and so does the witness; the oracle grows O-views as `Play`s, to extend
+them through `legal_extensions`.
 """
 from __future__ import annotations
 
@@ -92,17 +95,18 @@ def _oview_children(v: Play, cap: int) -> list[Play]:
     return [e for e in legal_extensions(v, ptrs) if is_well_bracketed(e)]
 
 
-def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[Play]]:
+def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[tuple]]:
     """Every prefix-closed deterministic view set over the arena whose
-    views respect the length cap, in `viewset_key` order: the candidate
-    list the tests quantify over, kept whole for the checks on
-    `brute_force_leq`'s search and wrapped by name by the benchmark's
-    tracer.  A set rooted at a view of even length (Opponent to move)
-    takes at most one child's sets; at odd length (Proponent to move) it
-    takes any choice of its children's sets, each child left out or
-    taken once."""
-    def rooted(v: Play) -> list[frozenset[Play]]:
-        alone = frozenset({v})
+    views respect the length cap, each view as its moves, in
+    `viewset_key` order: the candidate list the tests quantify over,
+    kept whole for the checks on `brute_force_leq`'s search and wrapped
+    by name by the benchmark's tracer.  The views grow as `Play`s and
+    the sets keep their moves.  A set rooted at a view of even length
+    (Opponent to move) takes at most one child's sets; at odd length
+    (Proponent to move) it takes any choice of its children's sets, each
+    child left out or taken once."""
+    def rooted(v: Play) -> list[frozenset[tuple]]:
+        alone = frozenset({v.moves})
         kids = [rooted(c) for c in _oview_children(v, max_view_len)]
         if len(v.moves) % 2 == 0:
             return [alone, *(alone | s for sets in kids for s in sets)]
@@ -220,7 +224,7 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
         if TestVerdict.BOUND_EXCEEDED in (r1, r2):
             exceeded += 1
         elif r1 is TestVerdict.TOP and r2 is not TestVerdict.TOP:
-            witness = ODetSet.make(arena, [Play(arena, m) for _, m in vkey[2]])
+            witness = ODetSet.make(arena, [m for _, m in vkey[2]])
             return LeqReport(False, b, witness, tested, exceeded)
     return LeqReport(True, b, None, tested, exceeded)
 
@@ -274,7 +278,7 @@ def _interaction_bounds(b: Bounds) -> Bounds:
     return replace(b, max_play_len=2 * b.max_play_len + 4)
 
 
-def _least_difference(x: ObservationalStrategy, y: ObservationalStrategy) -> frozenset[Play]:
+def _least_difference(x: ObservationalStrategy, y: ObservationalStrategy) -> frozenset[tuple]:
     """The `viewset_key`-least view set observed on one side only; the
     two sides must differ in their sets."""
     return min(x.sets ^ y.sets, key=viewset_key)
@@ -283,7 +287,7 @@ def _least_difference(x: ObservationalStrategy, y: ObservationalStrategy) -> fro
 def _min_distinguishing(x: ObservationalStrategy, y: ObservationalStrategy) -> str:
     if x.sets == y.sets:
         return ""
-    views = [[m for m, _ in p.moves] for p in sorted_views(_least_difference(x, y))]
+    views = [[m for m, _ in v] for v in sorted_views(_least_difference(x, y))]
     return f"distinguishing view set: {views}"
 
 

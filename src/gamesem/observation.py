@@ -4,13 +4,17 @@ A single completed play is remembered only as the set of O-views of its
 prefixes.  Collecting that set for every complete play a strategy can
 produce (against innocent, single-threaded Opponents) yields the
 strategy's observation: a set of view-sets, which `observations` reads
-off the views `strategy.walk` yields with each complete play.  Each
-view-set is O-deterministic, and such sets double as tests: an
-O-deterministic set induces a probing strategy that walks the recorded
-views against the strategy under test and reports success on an
-auxiliary one-question arena (`induced_test`, the paper's
-construction).  `run_test` gives
-the verdict of that composite without building it: the set is read as
+off the views `strategy.walk` yields with each complete play.  An
+O-view is held as its moves, the tuple ((move, pointer into the view),
+...) the walk yields, since its set already names the arena; a `Play`
+is built only where a view crosses the JSON door (`to_json`,
+`from_json`) and for the legality and bracketing checks of a set's
+elements.  Each view-set is O-deterministic, and such sets double as
+tests: an O-deterministic set induces a probing strategy that walks the
+recorded views against the strategy under test and reports success on
+an auxiliary one-question arena (`induced_test`, the paper's
+construction).  `run_test` gives the verdict of that composite without
+building it: the set is read as
 an Opponent, a table from O-views to the next Opponent move, and one
 play over the strategy's own arena alternates that Opponent with the
 strategy's rounds, the rounds `walk` plays.  That play is
@@ -35,7 +39,6 @@ from .plays import (
     is_well_bracketed,
     legality_violation,
     prefix_views,
-    prefixes,
 )
 from .strategy import (
     BoundExceeded,
@@ -46,9 +49,10 @@ from .strategy import (
 )
 
 
-def prefix_oviews(s: Play) -> frozenset[Play]:
-    """O-views of every prefix of the legal play s (the empty view included)."""
-    return frozenset(Play(s.arena, views[3]) for views in prefix_views(s))
+def prefix_oviews(s: Play) -> frozenset[tuple]:
+    """O-views of every prefix of the legal play s (the empty view
+    included), each as its moves."""
+    return frozenset(views[3] for views in prefix_views(s))
 
 
 def is_oview_shaped(v: Play) -> bool:
@@ -69,41 +73,39 @@ def _doc_arena(doc: dict, arena: Arena | None) -> Arena:
     return Arena.from_json(doc["arena"]) if arena is None else arena
 
 
-def odet_violation(arena: Arena, views: frozenset[Play]):
-    """Why `views` fails to be an O-deterministic view-set, or None.
+def odet_violation(arena: Arena, views: frozenset[tuple]):
+    """Why `views`, a set of move tuples, fails to be an
+    O-deterministic view-set over `arena`, or None.
 
     Conditions: every element is a single-threaded well-bracketed
     O-view over `arena`; the set is closed under prefixes; nonempty
     elements share one initial move; and an even-length element has at
     most one one-move extension in the set (Opponent branching is
-    resolved, Proponent branching is free).
+    resolved, Proponent branching is free).  Each element is checked as
+    a `Play` over `arena`, which also names it in the reason.
     """
     for v in views:
-        if v.arena != arena:
-            return f"element over wrong arena {v.arena.name}"
-        if not is_oview_shaped(v):
-            return f"element is not an O-view: {v!r}"
-        if not is_single_threaded(v):
-            return f"element has several initial moves: {v!r}"
-        if not is_well_bracketed(v):
-            return f"element is not well-bracketed: {v!r}"
-        for t in prefixes(v):
-            if t not in views:
-                return f"set is not prefix-closed at {t!r}"
-    firsts = {v.moves[0] for v in views if v.moves}
+        p = Play(arena, v)
+        if not is_oview_shaped(p):
+            return f"element is not an O-view: {p!r}"
+        if not is_single_threaded(p):
+            return f"element has several initial moves: {p!r}"
+        if not is_well_bracketed(p):
+            return f"element is not well-bracketed: {p!r}"
+        for k in range(len(v)):
+            if v[:k] not in views:
+                return f"set is not prefix-closed at {p.prefix(k)!r}"
+    firsts = {v[0] for v in views if v}
     if len(firsts) > 1:
         return f"several initial moves across the set: {sorted(m for m, _ in firsts)}"
-    ochild: dict[tuple, Play] = {}
+    ochild: dict[tuple, tuple] = {}
     for v in views:
-        if len(v.moves) % 2 == 1:
-            key = v.moves[:-1]
-            if key in ochild and ochild[key] != v:
-                return f"two Opponent continuations after {v.prefix(len(v.moves) - 1)!r}"
-            ochild[key] = v
+        if len(v) % 2 == 1 and ochild.setdefault(v[:-1], v) != v:
+            return f"two Opponent continuations after {Play(arena, v[:-1])!r}"
     return None
 
 
-def is_o_deterministic(arena: Arena, views: frozenset[Play]) -> bool:
+def is_o_deterministic(arena: Arena, views: frozenset[tuple]) -> bool:
     return odet_violation(arena, views) is None
 
 
@@ -115,16 +117,16 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class ODetSet:
-    """A prefix-closed, O-deterministic set of O-views over one arena."""
+    """A prefix-closed, O-deterministic set of O-views over one arena,
+    each O-view held as its moves."""
     arena: Arena
-    views: frozenset[Play]
+    views: frozenset[tuple]
 
     @classmethod
     def make(cls, arena: Arena, views) -> "ODetSet":
-        closed = set()
-        for v in views:
-            closed.update(prefixes(v))
-        closed = frozenset(closed)
+        """The set of `views`, move tuples, closed under prefixes;
+        ValueError if it is not O-deterministic over `arena`."""
+        closed = frozenset(v[:k] for v in views for k in range(len(v) + 1))
         bad = odet_violation(arena, closed)
         if bad is not None:
             raise ValueError(f"not an O-deterministic view-set: {bad}")
@@ -144,28 +146,28 @@ class ODetSet:
         """
         table: dict[tuple, object] = {}
 
-        def put(key: Play, entry):
-            if not is_single_threaded(key):
+        def put(key: tuple, entry):
+            if not is_single_threaded(Play(self.arena, key)):
                 raise ValueError("only single-threaded plays lift to tests")
-            if table.setdefault(key.moves, entry) != entry:
+            if table.setdefault(key, entry) != entry:
                 raise ValueError("ill-formed test: a view is answered two ways")
 
         for v in self.views:
-            if len(v.moves) % 2 == 1:
-                put(v.prefix(len(v.moves) - 1), v.moves[-1])
-            elif v.moves and is_complete(v):
+            if len(v) % 2 == 1:
+                put(v[:-1], v[-1])
+            elif v and is_complete(Play(self.arena, v)):
                 put(v, _SUCCEED)
         return table
 
     @cached_property
     def initial(self):
-        firsts = {v.moves[0][0] for v in self.views if v.moves}
+        firsts = {v[0][0] for v in self.views if v}
         return next(iter(firsts)) if firsts else None
 
     def to_json(self, include_arena: bool = False) -> dict:
         doc = {
             "initial": self.initial,
-            "views": [v.to_json() for v in sorted_views(self.views)],
+            "views": [Play(self.arena, v).to_json() for v in sorted_views(self.views)],
         }
         if include_arena:
             doc["arena"] = self.arena.to_json()
@@ -174,24 +176,22 @@ class ODetSet:
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ODetSet":
         arena = _doc_arena(doc, arena)
-        views = [Play.from_json(v, arena) for v in doc["views"]]
-        return cls.make(arena, views)
+        return cls.make(arena, [Play.from_json(v, arena).moves for v in doc["views"]])
 
     def __repr__(self) -> str:
         return f"ODetSet({self.arena.name}, {len(self.views)} views)"
 
 
-def play_key(p: Play):
-    return (len(p.moves), p.moves)
-
-
-def sorted_views(views) -> list[Play]:
-    return sorted(views, key=play_key)
+def sorted_views(views) -> list[tuple]:
+    """Move tuples, shortest first, then in order."""
+    return sorted(views, key=lambda v: (len(v), v))
 
 
 def viewset_key(views):
-    vs = sorted_views(views)
-    return (sum(len(v.moves) for v in vs), len(vs), tuple(play_key(v) for v in vs))
+    """A set of move tuples' place in the order of candidate tests:
+    fewest moves in total, then fewest views, then the views in order."""
+    keys = sorted((len(v), v) for v in views)
+    return (sum(n for n, _ in keys), len(keys), tuple(keys))
 
 
 def induced_test(s: ODetSet) -> InnocentStrategy:
@@ -298,19 +298,23 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
 
 @dataclass(frozen=True)
 class ObservationalStrategy:
-    """A strategy's observation: its complete plays seen through O-views."""
+    """A strategy's observation: its complete plays seen through O-views,
+    one set of O-views per play, each O-view held as its moves."""
     arena: Arena
-    sets: frozenset[frozenset[Play]]
+    sets: frozenset[frozenset[tuple]]
     bounds: Bounds = field(compare=False)
     bound_exceeded: int = field(default=0, compare=False)
 
     def to_json(self, include_arena: bool = False) -> dict:
-        ordered = sorted(self.sets, key=viewset_key)
+        """The document `from_json` reads.  Each distinct O-view is
+        written as one object, and every set that holds the view lists
+        that same object, so the document shares them."""
+        docs = {v: Play(self.arena, v).to_json() for v in frozenset().union(*self.sets)}
         doc = {
             "bounds": self.bounds.to_json(),
             "bound_exceeded": self.bound_exceeded,
-            "sets": [[v.to_json() for v in sorted_views(vs)]
-                     for vs in ordered],
+            "sets": [[docs[v] for v in sorted_views(vs)]
+                     for vs in sorted(self.sets, key=viewset_key)],
         }
         if include_arena:
             doc["arena"] = self.arena.to_json()
@@ -320,7 +324,7 @@ class ObservationalStrategy:
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ObservationalStrategy":
         arena = _doc_arena(doc, arena)
         sets = frozenset(
-            frozenset(Play.from_json(v, arena) for v in vs)
+            frozenset(Play.from_json(v, arena).moves for v in vs)
             for vs in doc["sets"])
         return cls(arena, sets, Bounds.from_json(doc.get("bounds", {})),
                    int(doc.get("bound_exceeded", 0)))
@@ -337,16 +341,15 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     Opponent is restricted to innocent, single-threaded behavior.  Plays
     cut short by the length bound contribute nothing, but positions
     where the strategy's own computation hit a bound are counted in
-    bound_exceeded.  Each distinct O-view is built as a Play once.
+    bound_exceeded.  An O-view is held as its moves, and the sets share
+    one tuple per distinct O-view.
     """
-    sets, exceeded, oviews = set(), 0, {}   # oviews: O-view moves -> its Play
+    sets, exceeded, oviews = set(), 0, {}   # oviews: O-view moves -> themselves
     for step in walk(sigma, b, innocent_opponent=True):
         if step is None:
             exceeded += 1
         elif is_complete(step[0]):
-            keys = {v[3] for v in step[1]}
-            oviews.update((k, Play(sigma.arena, k)) for k in keys - oviews.keys())
-            sets.add(frozenset(map(oviews.__getitem__, keys)))
+            sets.add(frozenset(oviews.setdefault(v[3], v[3]) for v in step[1]))
     return ObservationalStrategy(sigma.arena, frozenset(sets), b, exceeded)
 
 
@@ -373,8 +376,8 @@ def is_observational(x: ObservationalStrategy) -> bool:
     return True
 
 
-def _o_separated(s: frozenset[Play], t: frozenset[Play]) -> bool:
-    ext_s = {v.moves[:-1]: v.moves[-1] for v in s if len(v.moves) % 2 == 1}
-    ext_t = {v.moves[:-1]: v.moves[-1] for v in t if len(v.moves) % 2 == 1}
+def _o_separated(s: frozenset[tuple], t: frozenset[tuple]) -> bool:
+    ext_s = {v[:-1]: v[-1] for v in s if len(v) % 2 == 1}
+    ext_t = {v[:-1]: v[-1] for v in t if len(v) % 2 == 1}
     return any(body in ext_t and ext_t[body] != last
                for body, last in ext_s.items())

@@ -280,7 +280,7 @@ def ref_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> LeqReport:
     tested = 0
     exceeded = 0
     for vs in ref_closed_odet_sets(s1.arena, b.max_view_len):
-        s = ODetSet(s1.arena, vs)
+        s = ODetSet(s1.arena, frozenset(v.moves for v in vs))
         v1 = run_test(s1, s, b)
         v2 = run_test(s2, s, b)
         tested += 1

@@ -164,7 +164,7 @@ def test_criterion_4_verdicts_match_containment_exactly():
                 continue
             want_top = any(t <= vs for t in content.sets)
             if (v is Verdict.TOP) != want_top:
-                mismatches.append((name, sorted(len(x.moves) for x in vs)))
+                mismatches.append((name, sorted(len(x) for x in vs)))
     ok = (len(candidate_sets) == 6 and runs == 24
           and exceeded == 0 and not mismatches)
     assert report(4, ok, f"convergence verdict equals view-set containment "

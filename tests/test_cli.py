@@ -1,12 +1,17 @@
+import copy
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gamesem import cli, equiv, pcf, strategy
@@ -173,7 +178,7 @@ def test_equiv_respects_add_pragma(tmp_path):
 
 def _set_file(tmp_path, name, max_nat, answer):
     arena = make_nat_arena(max_nat)
-    s = ODetSet.make(arena, [Play(arena, (("q", ROOT), (str(answer), 0)))])
+    s = ODetSet.make(arena, [(("q", ROOT), (str(answer), 0))])
     p = tmp_path / name
     p.write_text(json.dumps(s.to_json(include_arena=True)))
     return str(p)
@@ -281,6 +286,90 @@ def test_bad_view_set_file_exits_2(tmp_path):
     g = write(tmp_path, "g.json", "{not json")
     r = run_cli("test", f, "--set", g)
     assert r.returncode == 2
+
+
+def test_a_view_set_file_nested_too_deeply_exits_2(tmp_path):
+    # json.loads runs out of recursion depth: bad input, not a resource limit
+    f = write(tmp_path, "id.pcf", "fun x: nat -> x\n")
+    deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    r = run_cli("test", f, "--set", deep)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: bad view-set file {deep}: maximum recursion depth")
+    assert r.stderr.count("\n") == 1
+
+
+# The view-set door, `ODetSet.from_json` -> `make` -> `odet_violation`,
+# fuzzed through `gamesem test` on the identity at nat 1: documents
+# built around a valid set by deleting keys, moves or views (missing
+# keys, odd-length views) and by putting values of the wrong type, bad
+# or huge pointers, NaN, odd move names and foreign arenas in place of
+# any part, the whole document included.  Each must give a verdict, or
+# exit 2 with one stderr line.
+_ID_ARENA = arrow(make_nat_arena(1), make_nat_arena(1))
+_ID_SET = ODetSet.make(_ID_ARENA, [(("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
+                                   (("R.q", ROOT), ("R.1", 0))]).to_json(include_arena=True)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.integers(),
+    st.sampled_from([2 ** 63, -(2 ** 63), 10 ** 30]),
+    st.floats(), st.text(max_size=4),
+    st.sampled_from(["R.q", "R.0", "L.q", "L.1", "q", "a\nb", [], {}, [[]], {"moves": []},
+                     {"m": "L.q", "ptr": 0}, make_nat_arena(1).to_json(),
+                     make_nat_arena(2).to_json(), arrow(make_nat_arena(2),
+                                                        make_nat_arena(2)).to_json()]))
+
+
+def _paths(o, at=()):
+    """The path to every part of the document `o`, `o` itself first."""
+    yield at
+    items = o.items() if isinstance(o, dict) else enumerate(o) if isinstance(o, list) else ()
+    for k, v in items:
+        yield from _paths(v, at + (k,))
+
+
+@st.composite
+def _view_set_texts(draw):
+    doc = copy.deepcopy(_ID_SET)
+    for _ in range(draw(st.integers(1, 3))):
+        # the views' parts first and three times as likely as the
+        # arena's; the whole document last
+        root, *paths = _paths(doc)
+        views = [p for p in paths if p[:1] == ("views",)]
+        path = draw(st.sampled_from(3 * views + paths + [root]))
+        if not path:
+            doc = copy.deepcopy(draw(_JUNK))
+            continue
+        parent = reduce(getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(_JUNK))
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def door(tmp_path_factory):
+    d = tmp_path_factory.mktemp("door")
+    return write(d, "id.pcf", "fun x: nat -> x\n"), str(d / "set.json")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_view_set_texts())
+@example(json.dumps(_ID_SET))
+@example("[" * 100_000 + "]" * 100_000)
+@example(json.dumps({**_ID_SET, "views": [{"moves": [{"m": "a\nb", "ptr": -1}]}]}))
+def test_view_set_door_gives_a_verdict_or_exits_2(door, text):
+    term, path = door
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["test", term, "--set", path, "--max-nat", "1"])
+    if code == 0:
+        assert json.loads(out.getvalue())["verdict"] in {"TOP", "BOT", "BOUND_EXCEEDED"}
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_non_utf8_input_exits_2(tmp_path):

@@ -43,19 +43,20 @@ def P(arena, *moves):
     return Play(arena, tuple(moves))
 
 
-def V(arena, *pairs):
-    return frozenset(P(arena, *pairs[:k]) for k in range(len(pairs) + 1))
+def V(*pairs):
+    """The moves `pairs` and their prefixes, a view-set of move tuples."""
+    return frozenset(pairs[:k] for k in range(len(pairs) + 1))
 
 
 def test_prefix_oviews_of_interrogation():
     s = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.2", 0))
     got = prefix_oviews(s)
     want = {
-        P(ARROW),
-        P(ARROW, ("R.q", ROOT)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
-        P(ARROW, ("R.q", ROOT), ("R.2", 0)),
+        (),
+        (("R.q", ROOT),),
+        (("R.q", ROOT), ("L.q", 0)),
+        (("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
+        (("R.q", ROOT), ("R.2", 0)),
     }
     assert got == want
 
@@ -68,8 +69,8 @@ def test_odet_accepts_interrogation_views():
 def test_odet_rejects_unclosed_set():
     # two numeral answers with the shared one-move body missing
     views = frozenset({
-        P(N2, ("q", ROOT), ("2", 0)),
-        P(N2, ("q", ROOT), ("1", 0)),
+        (("q", ROOT), ("2", 0)),
+        (("q", ROOT), ("1", 0)),
     })
     reason = odet_violation(N2, views)
     assert reason is not None and "prefix" in reason
@@ -78,11 +79,11 @@ def test_odet_rejects_unclosed_set():
 def test_odet_rejects_opponent_branching():
     # two Opponent answers to the same argument question
     views = frozenset({
-        P(ARROW),
-        P(ARROW, ("R.q", ROOT)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.0", 1)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
+        (),
+        (("R.q", ROOT),),
+        (("R.q", ROOT), ("L.q", 0)),
+        (("R.q", ROOT), ("L.q", 0), ("L.0", 1)),
+        (("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
     })
     reason = odet_violation(ARROW, views)
     assert reason is not None and "Opponent" in reason
@@ -91,10 +92,10 @@ def test_odet_rejects_opponent_branching():
 def test_odet_allows_proponent_answer_branching():
     # numeral answers are Proponent moves, so this set is fine
     views = frozenset({
-        P(N2),
-        P(N2, ("q", ROOT)),
-        P(N2, ("q", ROOT), ("2", 0)),
-        P(N2, ("q", ROOT), ("1", 0)),
+        (),
+        (("q", ROOT),),
+        (("q", ROOT), ("2", 0)),
+        (("q", ROOT), ("1", 0)),
     })
     assert odet_violation(N2, views) is None
 
@@ -102,11 +103,11 @@ def test_odet_allows_proponent_answer_branching():
 def test_odet_allows_proponent_branching():
     # after the opening question both a left probe and a direct answer
     views = frozenset({
-        P(ARROW),
-        P(ARROW, ("R.q", ROOT)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0)),
-        P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
-        P(ARROW, ("R.q", ROOT), ("R.0", 0)),
+        (),
+        (("R.q", ROOT),),
+        (("R.q", ROOT), ("L.q", 0)),
+        (("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
+        (("R.q", ROOT), ("R.0", 0)),
     })
     assert is_o_deterministic(ARROW, views)
 
@@ -115,16 +116,12 @@ def test_odet_rejects_two_initials():
     # a product arena has two initial questions; a view-set may use one
     from gamesem.arena import product
     pa = product(N2, N2)
-    bad = frozenset({
-        Play(pa, ()),
-        Play(pa, (("L.q", ROOT),)),
-        Play(pa, (("R.q", ROOT),)),
-    })
+    bad = frozenset({(), (("L.q", ROOT),), (("R.q", ROOT),)})
     assert odet_violation(pa, bad) is not None
 
 
 def test_odet_set_make_closes_prefixes():
-    s = ODetSet.make(N2, [P(N2, ("q", ROOT), ("1", 0))])
+    s = ODetSet.make(N2, [(("q", ROOT), ("1", 0))])
     assert len(s.views) == 3
     assert s.initial == "q"
 
@@ -132,8 +129,8 @@ def test_odet_set_make_closes_prefixes():
 def test_odet_set_make_rejects_opponent_branching():
     with pytest.raises(ValueError):
         ODetSet.make(ARROW, [
-            P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.0", 1)),
-            P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
+            (("R.q", ROOT), ("L.q", 0), ("L.0", 1)),
+            (("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
         ])
 
 
@@ -146,15 +143,16 @@ _DEEP_ASKED = [("R.q", ROOT), ("L.R.q", 0), ("L.L.R.q", 1), ("L.L.L.q", 2)]
 
 
 @pytest.mark.parametrize("arena, element, reason", [
-    pytest.param(N2, P(N1, ("q", ROOT), ("1", 0)), "element over wrong arena N1",
+    # an element of nat 3's arena: its answer 3 is no move of nat 2's
+    pytest.param(N2, (("q", ROOT), ("3", 0)), "element is not an O-view",
                  id="wrong-arena"),
     # the second question points at the opener, not at the move before it
-    pytest.param(ARROW, P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0)),
+    pytest.param(ARROW, (("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0)),
                  "element is not an O-view", id="not-an-o-view"),
-    pytest.param(N2, P(N2, ("q", ROOT), ("1", 0), ("q", ROOT)),
+    pytest.param(N2, (("q", ROOT), ("1", 0), ("q", ROOT)),
                  "element has several initial moves", id="two-threads"),
     # the argument's answer while the two questions after it are open
-    pytest.param(DEEP, P(DEEP, *_DEEP_ASKED, ("L.R.0", 1)),
+    pytest.param(DEEP, (*_DEEP_ASKED, ("L.R.0", 1)),
                  "element is not well-bracketed", id="not-well-bracketed"),
 ])
 def test_odet_set_make_refuses_a_bad_element(arena, element, reason):
@@ -175,7 +173,7 @@ def test_odet_set_json_roundtrip():
 
 def test_documents_without_an_arena_are_refused():
     b = Bounds(max_nat=2, max_play_len=6)
-    docs = [(ODetSet, ODetSet.make(N2, [P(N2, ("q", ROOT), ("1", 0))]).to_json()),
+    docs = [(ODetSet, ODetSet.make(N2, [(("q", ROOT), ("1", 0))]).to_json()),
             (ObservationalStrategy, observations(builtin("add_LR", 2), b).to_json())]
     for cls, doc in docs:
         with pytest.raises(ValueError, match="^no arena given and none embedded"):
@@ -183,7 +181,7 @@ def test_documents_without_an_arena_are_refused():
 
 
 def test_induced_test_lifts_and_answers():
-    s = ODetSet.make(N2, [P(N2, ("q", ROOT), ("1", 0))])
+    s = ODetSet.make(N2, [(("q", ROOT), ("1", 0))])
     t = induced_test(s)
     opening = Play(t.arena, (("R.q", ROOT),))
     assert t.respond(opening) == ("L.q", 0)
@@ -196,8 +194,8 @@ def test_induced_test_lifts_and_answers():
 def test_run_test_verdicts():
     b = Bounds(max_nat=2, max_play_len=8)
     one = denote(parse("succ 0"), b)
-    s_good = ODetSet.make(one.arena, [P(one.arena, ("q", ROOT), ("1", 0))])
-    s_bad = ODetSet.make(one.arena, [P(one.arena, ("q", ROOT), ("2", 0))])
+    s_good = ODetSet.make(one.arena, [(("q", ROOT), ("1", 0))])
+    s_bad = ODetSet.make(one.arena, [(("q", ROOT), ("2", 0))])
     assert run_test(one, s_good, b) is Verdict.TOP
     assert run_test(one, s_bad, b) is Verdict.BOT
     bottom = denote(parse("fix (fun x: nat -> x)"), b)
@@ -230,13 +228,13 @@ def test_observations_are_the_reference_oviews_of_complete_plays(e):
     # reads each complete play's prefixes afresh
     sigma = e.build()
     plays = innocent_explore(sigma, e.bounds).plays
-    want = {frozenset(ref_oview(p.prefix(k)) for k in range(len(p) + 1))
+    want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
             for p in plays if p.moves and ref_pending_questions(p) == []}
     assert observations(sigma, e.bounds).sets == want
 
 
 def test_observations_build_each_oview_once():
-    # every view-set holds the one Play built for each distinct O-view
+    # every view-set holds the one move tuple kept for each distinct O-view
     b = Bounds(max_nat=2, max_play_len=24)
     x = observations(denote(parse(
         "fun g: (nat -> nat) -> nat -> g (fun x: nat -> g (fun y: nat -> x))"), b), b)
@@ -250,7 +248,7 @@ def test_observations_complete_plays_only():
     x = observations(denote(parse("0"), b), b)
     assert len(x.sets) == 1
     (s,) = x.sets
-    assert P(make_nat_arena(1), ("q", ROOT), ("0", 0)) in s
+    assert (("q", ROOT), ("0", 0)) in s
 
 
 def test_obs_leq_and_equality():
@@ -270,13 +268,13 @@ def test_is_observational_on_real_obs():
 def test_is_observational_rejects_unseparated():
     # two sets sharing the even body [q] but extended by the same move
     # cannot be told apart by one Opponent move
-    s1 = V(N2, ("q", ROOT), ("1", 0))
-    s2 = frozenset(s1 | {P(N2, ("q", ROOT), ("1", 0))})
+    s1 = V(("q", ROOT), ("1", 0))
+    s2 = frozenset(s1 | {(("q", ROOT), ("1", 0))})
     x = ObservationalStrategy(N2, frozenset({s1}), Bounds())
     assert is_observational(x)  # single set is trivially separated
     b2 = ObservationalStrategy(
         N2,
-        frozenset({V(N2, ("q", ROOT), ("1", 0)), V(N2, ("q", ROOT))}),
+        frozenset({V(("q", ROOT), ("1", 0)), V(("q", ROOT))}),
         Bounds(),
     )
     # {eps, q} vs {eps, q, q1}: at body [q] only one of them answers
@@ -296,8 +294,8 @@ def test_observational_strategy_json_roundtrip_and_order():
 
 
 def test_viewset_key_orders_by_total_size():
-    small = V(N2, ("q", ROOT))
-    big = V(N2, ("q", ROOT), ("1", 0))
+    small = V(("q", ROOT))
+    big = V(("q", ROOT), ("1", 0))
     assert viewset_key(small) < viewset_key(big)
 
 
@@ -308,7 +306,7 @@ def test_top_like_strategy_absorbs_every_test():
         sig, "converge",
         view_fn=lambda v: ("a", 0) if v == (("q", ROOT),) else None)
     b = Bounds(max_nat=1, max_play_len=6, max_view_len=4)
-    s = ODetSet.make(sig, [P(sig, ("q", ROOT), ("a", 0))])
+    s = ODetSet.make(sig, [(("q", ROOT), ("a", 0))])
     assert run_test(top, s, b) is Verdict.TOP
 
 
@@ -353,7 +351,7 @@ _ASKED = [_Q, ("L.q", 0)]
 
 
 def _raw(arena, *views):
-    return ODetSet(arena, frozenset(Play(arena, tuple(v)) for v in views))
+    return ODetSet(arena, frozenset(map(tuple, views)))
 
 
 @pytest.mark.parametrize("views, outcome", [
