@@ -10,6 +10,10 @@ move with a component path, so the left argument's question in
 ((N x N) => N) is the move id "L.L.q".  The `arrow` construction flips
 the polarity of left-component moves and hangs the left component's
 initial moves under the right component's initial moves.
+
+`json_check` is the shape check of the JSON door: the readers of
+arenas, plays and view-sets run it on each part before they read it,
+so bad input is named by its path in the document.
 """
 from __future__ import annotations
 
@@ -37,6 +41,55 @@ class MoveLabel(Enum):
     def flip(self) -> "MoveLabel":
         other = {"O": "P", "P": "O"}[self.value[0]]
         return MoveLabel(other + self.value[1])
+
+
+# The names of the JSON types, for `json_check`'s messages.
+_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array", dict: "an object"}
+
+
+def _expected(shape) -> tuple[type, str]:
+    """The type a part of `shape` has, and how a message names it."""
+    if isinstance(shape, frozenset):
+        return str, "one of " + ", ".join(sorted(shape))
+    if isinstance(shape, tuple):
+        return list, f"an array of {len(shape)}"
+    kind = dict if isinstance(shape, dict) else list if isinstance(shape, list) else shape
+    return kind, _JSON_NAMES[kind]
+
+
+def json_check(value, shape, path: str = "") -> None:
+    """Check `value`, the part of a JSON document at `path` ("" for the
+    whole document), against `shape`: a type, which the value must have
+    (a bool is no int); a dict of shapes, an object with those keys; a
+    list [shape], an array of such parts; a tuple of shapes, an array of
+    exactly those; a frozenset of strings, one of them.  ValueError
+    names the first part that does not fit, by its path, and what was
+    expected there."""
+    kind, want = _expected(shape)
+    if type(value) is not kind or (
+            value not in shape if isinstance(shape, frozenset)
+            else isinstance(shape, tuple) and len(value) != len(shape)):
+        if type(value) is str and len(value) <= 40:
+            got = repr(value)
+        elif type(value) is list:
+            got = f"an array of {len(value)}"
+        else:
+            got = _JSON_NAMES.get(type(value), "another type")
+        raise ValueError(f"{path or 'document'}: expected {want}, got {got}")
+    if isinstance(shape, dict):
+        for key, part in shape.items():
+            at = f"{path}.{key}" if path else key
+            if key not in value:
+                raise ValueError(f"{at}: expected {_expected(part)[1]}, got nothing")
+            json_check(value[key], part, at)
+    elif isinstance(shape, (list, tuple)):
+        for k, v in enumerate(value):
+            json_check(v, shape[0] if isinstance(shape, list) else shape[k], f"{path}[{k}]")
+
+
+_ARENA_SHAPE = {"moves": [{"id": str, "label": frozenset(lab.value for lab in MoveLabel)}],
+                "enabling": [(str, str)], "initials": [str]}
 
 
 @dataclass(frozen=True)
@@ -137,7 +190,11 @@ class Arena:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Arena":
+    def from_json(cls, doc: dict, path: str = "arena") -> "Arena":
+        """The arena `doc` describes, found at `path` in its document;
+        ValueError if it is not of the shape `to_json` writes or the
+        arena it describes is not valid."""
+        json_check(doc, _ARENA_SHAPE, path)
         # Sorted by id alone: labels do not order, and a duplicate id
         # is for `validate` to report.
         labels = tuple(sorted(((m["id"], MoveLabel(m["label"])) for m in doc["moves"]),

@@ -168,7 +168,6 @@ def cmd_traces(ns) -> int:
     plays = tr.plays
     if ns.complete_only:
         plays = [p for p in plays if is_complete(p)]
-    plays = sorted(plays, key=lambda p: (len(p.moves), p.moves))
     _emit({
         "arena": sigma.arena.to_json(),
         "bound_exceeded": tr.bound_exceeded,
@@ -228,7 +227,8 @@ def cmd_test(ns) -> int:
     try:
         doc = json.loads(_read(ns.set))
         # a witness as `equiv` prints it names no arena: read it over the term's
-        s = ODetSet.from_json(doc, None if "arena" in doc else sigma.arena)
+        embedded = isinstance(doc, dict) and "arena" in doc
+        s = ODetSet.from_json(doc, None if embedded else sigma.arena)
     except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise _InputError(f"bad view-set file {ns.set}: {e}") from e
     if s.arena != sigma.arena:

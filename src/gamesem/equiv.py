@@ -12,8 +12,8 @@ candidate set.  Both roads are bounded and verdicts always carry the
 bounds they were established at.  `enumerate_closed_odet_sets` lists
 the candidate sets, smallest first, growing O-views as the oracle does.
 A view set holds each O-view as its move tuple, as `observation` does,
-and so does the witness; the oracle grows O-views as `Play`s, to extend
-them through `legal_extensions`.
+and so does the witness; the oracle grows O-views as move tuples too,
+through `legal_extensions`.
 """
 from __future__ import annotations
 
@@ -80,19 +80,21 @@ def obs_equiv(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> EquivRep
     return EquivReport(False, b, ODetSet.make(s1.arena, w), side, exceeded)
 
 
-def _oview_children(v: Play, cap: int) -> list[Play]:
-    """The well-bracketed O-views one move longer than the O-view v,
-    within the length cap.  Each grows through `legal_extensions` from
-    the positions its mover may point at: ROOT in the empty view, as only
-    the first move opens a thread; every position at even length, as an
-    O-view is its own O-view; and the last at odd length, as a Proponent
-    move in an O-view points at the move before it.  Bracketing
-    violations are pruned, as no extension repairs them."""
-    n = len(v.moves)
+def _oview_children(arena: Arena, v: tuple, cap: int) -> list[tuple]:
+    """The well-bracketed O-views over `arena` one move longer than the
+    O-view v, each as its moves, within the length cap.  Each grows
+    through `legal_extensions` from the positions its mover may point
+    at: ROOT in the empty view, as only the first move opens a thread;
+    every position at even length, as an O-view is its own O-view; and
+    the last at odd length, as a Proponent move in an O-view points at
+    the move before it.  Bracketing violations are pruned, as no
+    extension repairs them."""
+    n = len(v)
     if n >= cap:
         return []
     ptrs = (ROOT,) if n == 0 else range(n) if n % 2 == 0 else (n - 1,)
-    return [e for e in legal_extensions(v, ptrs) if is_well_bracketed(e)]
+    kids = [v + (e,) for e in legal_extensions(arena, v, ptrs)]
+    return [c for c in kids if is_well_bracketed(Play(arena, c))]
 
 
 def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[tuple]]:
@@ -100,22 +102,21 @@ def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozense
     views respect the length cap, each view as its moves, in
     `viewset_key` order: the candidate list the tests quantify over,
     kept whole for the checks on `brute_force_leq`'s search and wrapped
-    by name by the benchmark's tracer.  The views grow as `Play`s and
-    the sets keep their moves.  A set rooted at a view of even length
-    (Opponent to move) takes at most one child's sets; at odd length
-    (Proponent to move) it takes any choice of its children's sets, each
-    child left out or taken once."""
-    def rooted(v: Play) -> list[frozenset[tuple]]:
-        alone = frozenset({v.moves})
-        kids = [rooted(c) for c in _oview_children(v, max_view_len)]
-        if len(v.moves) % 2 == 0:
+    by name by the benchmark's tracer.  A set rooted at a view of even
+    length (Opponent to move) takes at most one child's sets; at odd
+    length (Proponent to move) it takes any choice of its children's
+    sets, each child left out or taken once."""
+    def rooted(v: tuple) -> list[frozenset[tuple]]:
+        alone = frozenset({v})
+        kids = [rooted(c) for c in _oview_children(arena, v, max_view_len)]
+        if len(v) % 2 == 0:
             return [alone, *(alone | s for sets in kids for s in sets)]
         combos = [alone]
         for sets in kids:
             combos += [c | s for c in combos for s in sets]
         return combos
 
-    return sorted([frozenset(), *rooted(Play(arena, ()))], key=viewset_key)
+    return sorted([frozenset(), *rooted(())], key=viewset_key)
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,11 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
         # Every entry a candidate set's table can hold at the O-view key.
         got = branches.get(key)
         if got is None:
-            v, n = Play(arena, key), len(key)
+            n = len(key)
             got = [None]
-            if 0 < n <= cap and is_complete(v):
+            if 0 < n <= cap and is_complete(Play(arena, key)):
                 got.append(_SUCCEED)
-            got += [e.moves[-1] for e in _oview_children(v, cap)]
+            got += [c[-1] for c in _oview_children(arena, key, cap)]
             branches[key] = got
         return got
 
@@ -321,8 +322,9 @@ def check_category_laws(b: Bounds) -> LawsReport:
             ok = got.plays == base.plays and got.bound_exceeded == 0
             detail = ""
             if not ok:
-                missing = len(base.plays - got.plays)
-                extra = len(got.plays - base.plays)
+                have, want = frozenset(got.plays), frozenset(base.plays)
+                missing = len(want - have)
+                extra = len(have - want)
                 detail = f"missing={missing} extra={extra} exceeded={got.bound_exceeded}"
             checks.append(LawCheck(tag, name, ok, detail))
 

@@ -4,23 +4,24 @@ A single completed play is remembered only as the set of O-views of its
 prefixes.  Collecting that set for every complete play a strategy can
 produce (against innocent, single-threaded Opponents) yields the
 strategy's observation: a set of view-sets, which `observations` reads
-off the views `strategy.walk` yields with each complete play.  An
-O-view is held as its moves, the tuple ((move, pointer into the view),
-...) the walk yields, since its set already names the arena; a `Play`
-is built only where a view crosses the JSON door (`to_json`,
-`from_json`) and for the legality and bracketing checks of a set's
-elements.  Each view-set is O-deterministic, and such sets double as
-tests: an O-deterministic set induces a probing strategy that walks the
-recorded views against the strategy under test and reports success on
-an auxiliary one-question arena (`induced_test`, the paper's
-construction).  `run_test` gives the verdict of that composite without
-building it: the set is read as
-an Opponent, a table from O-views to the next Opponent move, and one
-play over the strategy's own arena alternates that Opponent with the
-strategy's rounds, the rounds `walk` plays.  That play is
-`_play_against`, which takes any table, a partial one too: it stops at
-the first O-view the table has no entry for, and the test oracle in
-`equiv` branches there.
+off the views `strategy.walk` yields with each play whose open
+questions, which the walk yields too, are none.  An O-view is held as
+its moves, the tuple ((move, pointer into the view), ...) the walk
+yields, since its set already names the arena; a `Play` is built only
+where a view crosses the JSON door (`to_json`, `from_json`, which
+checks the document's shape with `arena.json_check` first) and for the
+legality and bracketing checks of a set's elements.  Each view-set is
+O-deterministic, and such sets double as tests: an O-deterministic set
+induces a probing strategy that walks the recorded views against the
+strategy under test and reports success on an auxiliary one-question
+arena (`induced_test`, the paper's construction).  `run_test` gives the
+verdict of that composite without building it: the set is read as an
+Opponent, a table from O-views to the next Opponent move, and one play
+over the strategy's own arena alternates that Opponent with the
+strategy's rounds, the rounds `walk` plays, on the play's moves.  That
+play is `_play_against`, which takes any table, a partial one too: it
+stops at the first O-view the table has no entry for, and the test
+oracle in `equiv` branches there.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arena import Arena, arrow, make_sigma
+from .arena import Arena, arrow, json_check, make_sigma
 from .bounds import Bounds
 from .plays import (
     EMPTY_VIEWS,
@@ -175,8 +176,13 @@ class ODetSet:
 
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ODetSet":
+        """The set `to_json` wrote, over `arena` or the embedded one;
+        ValueError naming the part of the document at fault, or why the
+        views are not an O-deterministic set."""
+        json_check(doc, {"views": list})
         arena = _doc_arena(doc, arena)
-        return cls.make(arena, [Play.from_json(v, arena).moves for v in doc["views"]])
+        return cls.make(arena, [Play.from_json(v, arena, f"views[{k}]").moves
+                                for k, v in enumerate(doc["views"])])
 
     def __repr__(self) -> str:
         return f"ODetSet({self.arena.name}, {len(self.views)} views)"
@@ -245,9 +251,9 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     moves to the next Opponent move (move, pointer into the O-view or
     ROOT), to _SUCCEED, or to None, where the test gives up (BOT).
 
-    Returns the TestVerdict where the play ends, or the run (the play
-    and the views of each of its prefixes) as it stands at the first
-    O-view that is not a key of the table; that O-view is
+    Returns the TestVerdict where the play ends, or the run (the play's
+    moves and the views of each of its prefixes) as it stands at the
+    first O-view that is not a key of the table; that O-view is
     `run[1][-1][3]`.  Given such a run, the play resumes from it.  The
     Opponent move is looked up by the play's O-view, sigma answers from
     its P-view, and the test succeeds when the table says so.  Each
@@ -263,13 +269,13 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     # The composite's interaction holds the Sigma question, the moves of
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
     cap = b.max_play_len - 2
-    play, views = run or (Play(arena), (EMPTY_VIEWS,))
+    moves, views = run or ((), (EMPTY_VIEWS,))
     while True:
-        i = len(play.moves)
+        i = len(moves)
         ov = views[i][1]
         entry = table.get(views[i][3], _UNSET)
         if entry is _UNSET:
-            return play, views
+            return moves, views
         if entry is None:
             return TestVerdict.BOT
         if entry is _SUCCEED:
@@ -279,21 +285,21 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
             j, enabled = ROOT, arena.is_initial(o)
         else:
             j = ov[ptr] if 0 <= ptr < len(ov) else None
-            enabled = j is not None and arena.enables(play.moves[j][0], o)
+            enabled = j is not None and arena.enables(moves[j][0], o)
         if arena.polarity.get(o) != "O" or not enabled:
             raise StrategyError(f"{o!r} is not an Opponent move enabled in "
                                 f"the O-view {views[i][3]!r}")
         if i > cap:
             return TestVerdict.BOUND_EXCEEDED
         try:
-            step = sigma._round(play.extend(o, j), views)
+            step = sigma._round(moves + ((o, j),), views)
         except BoundExceeded:
             return TestVerdict.BOUND_EXCEEDED
         if step is None:
             return TestVerdict.BOT
         if i + 1 > cap:
             return TestVerdict.BOUND_EXCEEDED
-        play, views = step
+        moves, views = step
 
 
 @dataclass(frozen=True)
@@ -322,10 +328,11 @@ class ObservationalStrategy:
 
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ObservationalStrategy":
+        json_check(doc, {"sets": [list]})
         arena = _doc_arena(doc, arena)
         sets = frozenset(
-            frozenset(Play.from_json(v, arena).moves for v in vs)
-            for vs in doc["sets"])
+            frozenset(Play.from_json(v, arena, f"sets[{i}][{k}]").moves for k, v in enumerate(vs))
+            for i, vs in enumerate(doc["sets"]))
         return cls(arena, sets, Bounds.from_json(doc.get("bounds", {})),
                    int(doc.get("bound_exceeded", 0)))
 
@@ -336,7 +343,8 @@ class ObservationalStrategy:
 def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     """The O-views of the prefixes of each of sigma's complete
     single-threaded traces, one view-set per play, read off the views
-    `walk` carries with each play.
+    `walk` carries with each play.  A play is complete when it is
+    nonempty and the open questions `walk` carries with it are none.
 
     Opponent is restricted to innocent, single-threaded behavior.  Plays
     cut short by the length bound contribute nothing, but positions
@@ -348,7 +356,7 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     for step in walk(sigma, b, innocent_opponent=True):
         if step is None:
             exceeded += 1
-        elif is_complete(step[0]):
+        elif step[2] == () and step[0]:
             sets.add(frozenset(oviews.setdefault(v[3], v[3]) for v in step[1]))
     return ObservationalStrategy(sigma.arena, frozenset(sets), b, exceeded)
 

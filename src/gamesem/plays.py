@@ -26,14 +26,20 @@ returns the views of a legal play or raises ValueError, and
 `InnocentStrategy.respond`, `pview` and `oview` pass every play they
 are given through it.  View-sets read from JSON are checked by
 `ODetSet.make`.  Everything else takes a legal play as
-given.  `legal_extensions`, the one move generator, takes a legal play
-and the set of positions the new move may point at: members of the
-mover's view, and ROOT where a new thread may open.  That is
-visibility, so it builds only legal plays and exploration checks no
-play it built: `walk` carries the views of each play forward, one
-entry per move, and plays each round without a legality pass.
-`strategy.tabulate` and the O-view rule of `equiv` grow views through
-it too.
+given.  `legal_extensions`, the one move generator, takes the moves of
+a legal play and the set of positions the new move may point at:
+members of the mover's view, and ROOT where a new thread may open.
+That is visibility, so every (move, pointer) pair it returns extends
+the play to a legal one, and exploration checks no play it built:
+`walk` carries each play as its moves, with the views of its prefixes
+one entry per move, and plays each round without a legality pass.
+`strategy.tabulate` and the O-view rule of `equiv` grow their move
+tuples through it too.
+
+Bracketing has one rule as well: `next_pending` gives the open
+questions of a play from those of the play one move shorter.
+`pending_questions` folds it over a play, and `walk` carries its result
+with each play, so `observations` reads completeness off the walk.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -41,9 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arena import Arena
+from .arena import Arena, json_check
 
 ROOT = -1
+
+# A play as `Play.to_json` writes it; the "arena" key is not read.
+_PLAY_SHAPE = {"moves": [{"m": str, "ptr": int}]}
 
 
 @dataclass(frozen=True)
@@ -77,15 +86,13 @@ class Play:
                 "moves": [{"m": m, "ptr": p} for m, p in self.moves]}
 
     @classmethod
-    def from_json(cls, doc: dict, arena: Arena) -> "Play":
-        """Load a play over `arena`; the document's "arena" key is not
-        read.  A pointer must be a JSON integer."""
-        moves = []
-        for m in doc["moves"]:
-            if type(m["ptr"]) is not int:
-                raise ValueError(f"pointer {m['ptr']!r} is not an integer")
-            moves.append((m["m"], m["ptr"]))
-        return cls(arena, tuple(moves))
+    def from_json(cls, doc: dict, arena: Arena, path: str = "play") -> "Play":
+        """Load a play over `arena`, found at `path` in its document;
+        the document's "arena" key is not read.  ValueError, naming the
+        part, if a move is not an object with a string "m" and a JSON
+        integer "ptr".  The play is not checked for legality."""
+        json_check(doc, _PLAY_SHAPE, path)
+        return cls(arena, tuple((m["m"], m["ptr"]) for m in doc["moves"]))
 
     def __repr__(self) -> str:
         if not self.moves:
@@ -200,30 +207,38 @@ def oview(s: Play) -> Play:
     return Play(s.arena, checked_views(s)[3])
 
 
-def prefixes(s: Play) -> list[Play]:
-    """All prefixes of s, shortest first, including empty and s itself."""
-    return [s.prefix(k) for k in range(len(s.moves) + 1)]
-
-
 def is_single_threaded(s: Play) -> bool:
     """At most one unjustified occurrence (the empty play qualifies)."""
     return sum(1 for _, p in s.moves if p == ROOT) <= 1
 
 
-def pending_questions(s: Play) -> list[int] | None:
+def next_pending(questions, pending: tuple[int, ...] | None, i: int, move: str,
+                 ptr: int) -> tuple[int, ...] | None:
+    """The open questions of the play s·m, as `pending_questions` gives
+    them, from those of s; `i` is m's position and `questions` the
+    arena's.  None stays None, and an answer that does not answer the
+    innermost open question gives None."""
+    if pending is None:
+        return None
+    if move in questions:
+        return pending + (i,)
+    if pending and pending[-1] == ptr:
+        return pending[:-1]
+    return None
+
+
+def pending_questions(s: Play) -> tuple[int, ...] | None:
     """Positions of the questions of s still unanswered, innermost last;
     None if s is not well-bracketed, that is, as soon as an answer does
-    not answer the innermost open question."""
+    not answer the innermost open question.  `next_pending` one move at
+    a time, which is how `strategy.walk` carries them."""
     questions = s.arena.questions
-    stack: list[int] = []
+    pending: tuple[int, ...] | None = ()
     for i, (m, ptr) in enumerate(s.moves):
-        if m in questions:
-            stack.append(i)
-        elif stack and stack[-1] == ptr:
-            stack.pop()
-        else:
+        pending = next_pending(questions, pending, i, m, ptr)
+        if pending is None:
             return None
-    return stack
+    return pending
 
 
 def is_well_bracketed(s: Play) -> bool:
@@ -237,7 +252,7 @@ def is_complete(s: Play) -> bool:
     The empty play is not complete: completion means an interrogation
     actually happened and every question in it was answered.
     """
-    return len(s.moves) > 0 and pending_questions(s) == []
+    return len(s.moves) > 0 and pending_questions(s) == ()
 
 
 def is_o_innocent(s: Play) -> bool:
@@ -252,25 +267,24 @@ def is_o_innocent(s: Play) -> bool:
     return True
 
 
-def legal_extensions(s: Play, justifiers) -> list[Play]:
-    """The one-move legal extensions of s whose pointers lie in
-    `justifiers`; s must be a legal play.
+def legal_extensions(arena: Arena, moves: tuple, justifiers) -> list[tuple[str, int]]:
+    """The moves, as (move, pointer) pairs, that extend the legal play
+    `moves` over `arena` to a legal play with a pointer in `justifiers`.
 
-    Every member of `justifiers` must lie in the mover's view of s
-    (positions as `prefix_views` yields them), or be ROOT, which opens
-    a thread; neither precondition is checked.  ROOT offers the mover's
-    initial moves, and a position j the mover's moves in
+    Every member of `justifiers` must lie in the mover's view of the
+    play (positions as `prefix_views` yields them), or be ROOT, which
+    opens a thread; neither precondition is checked.  ROOT offers the
+    mover's initial moves, and a position j the mover's moves in
     `arena.enabled_from` of the move at j.  Visibility holds for every
     candidate, so none is checked.  Order: sorted by (move, justifier),
     ROOT first.
     """
-    arena = s.arena
     polarity = arena.polarity
     enabled_from = arena.enabled_from
-    mover = "O" if len(s.moves) % 2 == 0 else "P"
+    mover = "O" if len(moves) % 2 == 0 else "P"
     cands = []
     for j in justifiers:
-        enabled = arena.initials if j == ROOT else enabled_from[s.moves[j][0]]
+        enabled = arena.initials if j == ROOT else enabled_from[moves[j][0]]
         cands += [(m, j) for m in enabled if polarity[m] == mover]
     cands.sort()
-    return [s.extend(m, j) for m, j in cands]
+    return cands

@@ -18,18 +18,21 @@ raised again on later asks.  Three callers hand `_answer` a play's
 views, whose P-view moves key the memo, and no play is built for it:
 `respond`, after one legality pass at `plays.checked_views`; `_round`,
 one round of play (an Opponent move and the reply) for `walk` and
-`observation._play_against` (test runs and the oracle), which carries
-the play's views through `plays.next_views`; and compose, which carries each factor's views the
+`observation._play_against` (test runs and the oracle), which takes
+and returns the play's moves and carries its views through
+`plays.next_views`; and compose, which carries each factor's views the
 same way.  `tabulate` walks P-views alone and asks `_reply` once per
 view.  Wrappers translate the view alone for their inner strategy (a
 prefix renaming is an arena isomorphism, so it commutes with the
 P-view), and the inner pointer into that view is already view-relative.
 
 `walk` is the one exploration of a strategy's plays, a generator that
-keeps none: it yields each play it reaches with the views of its
-prefixes.  `explore` folds it into the plays against every Opponent,
-and `observation.observations` into the O-view sets of the complete
-plays against an innocent one.
+keeps none: it yields each play it reaches as its moves, with the views
+of its prefixes and its open questions, in order of the moves.
+`explore` folds it into the plays against every Opponent, builds each
+`Play` once and orders them shortest first with one stable sort by
+length; `observation.observations` folds it into the O-view sets of the
+complete plays against an innocent one.
 
 Renamings are move tables, built once per node: `prefix_map` applies
 the longest matching (source, target) prefix to each move of an arena,
@@ -65,6 +68,7 @@ from .plays import (
     Play,
     checked_views,
     legal_extensions,
+    next_pending,
     next_views,
 )
 
@@ -166,18 +170,19 @@ class InnocentStrategy:
             raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {j}")
         return r
 
-    def _round(self, so: Play, views: tuple):
-        """One round: this strategy's reply p to the legal play s·o.
-        `views` holds the views of every prefix of s, as
-        `plays.prefix_views` yields them.  Returns (s·o·p, the same for
-        every prefix of s·o·p), or None where the strategy does not
-        answer.  s·o is asked through `_answer`, unchecked.
+    def _round(self, so: tuple, views: tuple):
+        """One round: this strategy's reply p to the legal play s·o,
+        given by its moves.  `views` holds the views of every prefix of
+        s, as `plays.prefix_views` yields them.  Returns (the moves of
+        s·o·p, the views of every prefix of s·o·p), or None where the
+        strategy does not answer.  s·o is asked through `_answer`,
+        unchecked.
         """
-        views += (next_views(views, *so.moves[-1]),)
+        views += (next_views(views, *so[-1]),)
         r = self._answer(views[-1])
         if r is None:
             return None
-        return so.extend(*r), views + (next_views(views, *r),)
+        return so + (r,), views + (next_views(views, *r),)
 
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
@@ -185,49 +190,64 @@ class InnocentStrategy:
 
 @dataclass(frozen=True)
 class TraceResult:
-    plays: frozenset[Play]
+    """`explore`'s plays, shortest first and then in order of their
+    moves, the order the CLI prints, and its count of bound hits."""
+    plays: tuple[Play, ...]
     bound_exceeded: int
 
 
 def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
-    """Every nonempty even-length play reachable against sigma within
-    the bounds, yielded as (play, the views of each of its prefixes),
-    and None for each position where sigma's reply hit an interaction
-    bound.  No play is kept: `explore` and `observation.observations`
-    are two folds over this walk.
+    """Every even-length play reachable against sigma within the bounds,
+    the empty play first, yielded as (its moves, the views of each of
+    its prefixes, its open questions), and None for each position where
+    sigma's reply hit an interaction bound.  The open questions are
+    `plays.pending_questions` of the play: a tuple of positions, or None
+    once the play is not well-bracketed.  No play is kept: `explore` and
+    `observation.observations` are two folds over this walk.
 
     Opponent ranges over every legal choice, or with `innocent_opponent`
     over the single-threaded, O-innocent ones; Proponent plays sigma's
     response.  Raises ExplorationIncomplete when the plays reached, the
     empty play included, come to EXPLORE_BUDGET and another is due.
 
+    A depth-first walk in preorder: a play is yielded when it is taken
+    off the stack, and its children are pushed in reverse order of
+    their Opponent moves, so the plays come out in the order of their
+    moves, each before its extensions.  Each child is played when its
+    parent is taken off, so every play is extended once.
+
     No play is checked: each stacked play carries the views of its
     prefixes that sigma's `_round` returned with it, so
     `legal_extensions` builds its legal extensions from the O-view it
     is handed, with ROOT unless a single-threaded Opponent has begun,
-    and each round asks sigma without a legality pass.  With
-    `innocent_opponent` it also carries the O-innocence map of its
-    Opponent moves (O-view -> move and pointer); a candidate whose
+    and each round asks sigma without a legality pass.  The open
+    questions grow by `plays.next_pending`, one move at a time.  With
+    `innocent_opponent` the walk also carries the O-innocence map of
+    its Opponent moves (O-view -> move and pointer); a candidate whose
     O-view is mapped to another move is pruned, which is
     `is_o_innocent` one move at a time.
     """
+    arena = sigma.arena
+    questions = arena.questions
     # A tree walk: no play is reached twice.
     reached = 1   # the empty play
-    # (play, its prefixes' views, O-innocence map)
-    stack = [(Play(sigma.arena), (EMPTY_VIEWS,), {})]
+    # (moves, their prefixes' views, open questions, O-innocence map)
+    stack = [((), (EMPTY_VIEWS,), (), {})]
     while stack:
-        s, views, omap = stack.pop()
-        if len(s.moves) + 2 > b.max_play_len:
+        s, views, pending, omap = stack.pop()
+        yield s, views, pending
+        n = len(s)
+        if n + 2 > b.max_play_len:
             continue
         _, ov, _, okey = views[-1]
-        for so in legal_extensions(s, ov if innocent_opponent and s.moves else (ROOT, *ov)):
+        children = []
+        for o, j in legal_extensions(arena, s, ov if innocent_opponent and s else (ROOT, *ov)):
             if innocent_opponent:
-                o, j = so.last
                 oval = (o, ROOT if j == ROOT else ov.index(j))
                 if omap.get(okey, oval) != oval:
                     continue
             try:
-                step = sigma._round(so, views)
+                step = sigma._round(s + ((o, j),), views)
             except BoundExceeded:
                 yield None
                 continue
@@ -235,58 +255,68 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
                 if reached == EXPLORE_BUDGET:
                     raise ExplorationIncomplete(reached)
                 reached += 1
-                yield step
-                stack.append((*step, {**omap, okey: oval} if innocent_opponent else omap))
+                sop, sop_views = step
+                asked = next_pending(questions, pending, n, o, j)
+                pending_sop = next_pending(questions, asked, n + 1, *sop[-1])
+                children.append((sop, sop_views, pending_sop,
+                                  {**omap, okey: oval} if innocent_opponent else omap))
+        stack += reversed(children)
 
 
 def explore(sigma: InnocentStrategy, b: Bounds) -> TraceResult:
     """Even-length plays reachable against sigma within the bounds,
-    against every Opponent, the empty play included: `walk`'s plays.
-    Positions where the response computation hit an interaction bound
-    are counted, not silently dropped."""
-    plays = [Play(sigma.arena)]
-    exceeded = 0
+    against every Opponent, the empty play included: `walk`'s plays,
+    shortest first and then in order of their moves.  The walk gives
+    them in order of their moves, so a stable sort by length alone puts
+    them in that order, and each `Play` is built once, here.  Positions
+    where the response computation hit an interaction bound are
+    counted, not silently dropped."""
+    plays, exceeded = [], 0
     for step in walk(sigma, b):
         if step is None:
             exceeded += 1
         else:
             plays.append(step[0])
-    return TraceResult(frozenset(plays), exceeded)
+    plays.sort(key=len)
+    arena = sigma.arena
+    return TraceResult(tuple([Play(arena, m) for m in plays]), exceeded)
 
 
 def traces(sigma: InnocentStrategy, b: Bounds) -> frozenset[Play]:
     """The even-length-prefix-closed trace set of sigma at the bounds,
     against every Opponent."""
-    return explore(sigma, b).plays
+    return frozenset(explore(sigma, b).plays)
 
 
 def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, int]]]:
     """The reachable part of sigma's view function, canonically ordered.
 
-    Walks sigma's P-views, no longer than the play bound, from the
-    empty play.  A P-view of a play of sigma is itself a play of sigma
-    and its own P-view: Opponent points at the move just before it, or
-    at nothing in the empty view, and sigma's reply extends it to the
-    next P-view.  So `legal_extensions` is handed that one justifier,
-    and each view vo is asked once through `_reply` by its moves, whose
-    pointer is already an index into vo.  A view whose reply hit an
-    interaction bound is left out.
+    Walks sigma's P-views, as their moves, no longer than the play
+    bound, from the empty play.  A P-view of a play of sigma is itself a
+    play of sigma and its own P-view: Opponent points at the move just
+    before it, or at nothing in the empty view, and sigma's reply
+    extends it to the next P-view.  So `legal_extensions` is handed that
+    one justifier, and each view vo is asked once through `_reply` by
+    its moves, whose pointer is already an index into vo.  A view whose
+    reply hit an interaction bound is left out.
     """
+    arena = sigma.arena
     entries: dict[tuple, tuple[str, int]] = {}
-    stack = [Play(sigma.arena)]
+    stack = [()]
     while stack:
         v = stack.pop()
-        if len(v.moves) + 2 > b.max_play_len:
+        if len(v) + 2 > b.max_play_len:
             continue
-        for vo in legal_extensions(v, (len(v.moves) - 1,) if v.moves else (ROOT,)):
+        for o in legal_extensions(arena, v, (len(v) - 1,) if v else (ROOT,)):
+            vo = v + (o,)
             try:
-                r = sigma._reply(vo.moves)
+                r = sigma._reply(vo)
             except BoundExceeded:
                 continue
             if r is not None:
-                entries[vo.moves] = r
-                stack.append(vo.extend(*r))
-    out = [(Play(sigma.arena, k), e) for k, e in entries.items()]
+                entries[vo] = r
+                stack.append(vo + (r,))
+    out = [(Play(arena, k), e) for k, e in entries.items()]
     out.sort(key=lambda ve: json.dumps(ve[0].to_json(), sort_keys=True))
     return out
 

@@ -54,6 +54,11 @@ def oview_positions(arena: Arena, moves) -> list[int]:
     return oview_positions(arena, moves[:ptr + 1]) + [i]
 
 
+def prefixes(s: Play) -> list[Play]:
+    """All prefixes of s, shortest first, including empty and s itself."""
+    return [s.prefix(k) for k in range(len(s.moves) + 1)]
+
+
 def reindex(s: Play, positions: list[int]) -> Play:
     """Extract the subsequence at `positions`, remapping justifiers."""
     where = {p: k for k, p in enumerate(positions)}
@@ -143,7 +148,7 @@ def ref_is_p_innocent(s: Play) -> bool:
 
 # ------------------------------------------------------------- bracketing
 
-def ref_pending_questions(s: Play) -> list[int] | None:
+def ref_pending_questions(s: Play) -> tuple[int, ...] | None:
     """The questions of s that no answer points at, or None if s is not
     well-bracketed: each answer must point at the latest question before
     it that is still unanswered."""
@@ -156,7 +161,7 @@ def ref_pending_questions(s: Play) -> list[int] | None:
         if not unanswered or ptr != unanswered[-1]:
             return None
         answered.add(ptr)
-    return [q for q in asked if q not in answered]
+    return tuple(q for q in asked if q not in answered)
 
 
 def ref_legal_extensions(s: Play, single_threaded: bool = False) -> list[Play]:

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -104,6 +105,33 @@ def _doc(moves, enabling=(), initials=("q",)):
 ])
 def test_from_json_rejects_malformed_arena(doc, rule):
     with pytest.raises(ValueError, match=rule):
+        Arena.from_json(doc)
+
+
+# One document per kind of shape fault: the message names the part at
+# fault by its path and says what was expected there.
+_OK = _doc([("q", "OQ"), ("a", "PA")], [("q", "a")])
+
+
+@pytest.mark.parametrize("doc, said", [
+    pytest.param([], "arena: expected an object, got an array of 0", id="not_an_object"),
+    pytest.param({**_OK, "moves": None}, "arena.moves: expected an array, got null",
+                 id="null_moves"),
+    pytest.param({k: v for k, v in _OK.items() if k != "initials"},
+                 "arena.initials: expected an array, got nothing", id="missing_key"),
+    pytest.param({**_OK, "moves": [{"id": 1, "label": "OQ"}]},
+                 "arena.moves[0].id: expected a string, got an integer", id="int_id"),
+    pytest.param({**_OK, "moves": [{"id": "q", "label": "QQ"}]},
+                 "arena.moves[0].label: expected one of OA, OQ, PA, PQ, got 'QQ'",
+                 id="unknown_label"),
+    pytest.param({**_OK, "enabling": [["q"]]},
+                 "arena.enabling[0]: expected an array of 2, got an array of 1",
+                 id="short_pair"),
+    pytest.param({**_OK, "initials": [True]},
+                 "arena.initials[0]: expected a string, got a boolean", id="bool_initial"),
+])
+def test_from_json_names_the_part_of_a_misshapen_arena(doc, said):
+    with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
         Arena.from_json(doc)
 
 

@@ -269,7 +269,7 @@ def test_view_set_pointer_that_is_no_json_integer_exits_2(tmp_path, ptr):
     r = run_cli("test", f, "--set", s, "--max-nat", "1")
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
-    assert "is not an integer" in r.stderr
+    assert "views[3].moves[2].ptr: expected an integer, got " in r.stderr
 
 
 @pytest.mark.parametrize("text", ["\u00b2", "9" * 5000], ids=["superscript", "5000-digits"])
@@ -352,6 +352,17 @@ def door(tmp_path_factory):
     return write(d, "id.pcf", "fun x: nat -> x\n"), str(d / "set.json")
 
 
+# What the door says of a document it refuses: the part at fault, by its
+# path, and what was expected there; or why the arena or the views are
+# wrong; never a bare Python exception text.
+_DOOR_SAYS = re.compile(
+    r"(document|arena|views)[\w.\[\]]*: expected .+, got .+"
+    r"|not an O-deterministic view-set: .+"
+    r"|duplicate move ids|initial move .+|enabling pair .+|answers enable nothing, .+"
+    r"|non-initial move .+ has no enabler|maximum recursion depth exceeded .+"
+    r"|view-set arena does not match the term's arena")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_view_set_texts())
 @example(json.dumps(_ID_SET))
@@ -370,6 +381,8 @@ def test_view_set_door_gives_a_verdict_or_exits_2(door, text):
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        said = err.getvalue()[len("error: "):-1].removeprefix(f"bad view-set file {path}: ")
+        assert _DOOR_SAYS.fullmatch(said), said
 
 
 def test_non_utf8_input_exits_2(tmp_path):

@@ -52,11 +52,11 @@ def _sigma_pair():
 def enumerate_oviews(arena, cap):
     """Every O-view `_oview_children` grows from the empty view, in
     play_key order."""
-    out, frontier = [], [Play(arena, ())]
+    out, frontier = [], [()]
     while frontier:
         v = frontier.pop()
-        out.append(v)
-        frontier += _oview_children(v, cap)
+        out.append(Play(arena, v))
+        frontier += _oview_children(arena, v, cap)
     return sorted(out, key=lambda v: (len(v.moves), v.moves))
 
 
@@ -156,7 +156,7 @@ def test_closed_sets_stream_handles_a_wide_view():
 @pytest.mark.parametrize("cap", [0, -1])
 def test_closed_sets_at_a_cap_below_one(cap):
     # No view grows, so the empty view is the only one.
-    assert _oview_children(Play(N1, ()), cap) == []
+    assert _oview_children(N1, (), cap) == []
     assert enumerate_closed_odet_sets(N1, cap) == [frozenset(), frozenset({()})]
 
 

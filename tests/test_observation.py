@@ -229,7 +229,7 @@ def test_observations_are_the_reference_oviews_of_complete_plays(e):
     sigma = e.build()
     plays = innocent_explore(sigma, e.bounds).plays
     want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
-            for p in plays if p.moves and ref_pending_questions(p) == []}
+            for p in plays if p.moves and ref_pending_questions(p) == ()}
     assert observations(sigma, e.bounds).sets == want
 
 

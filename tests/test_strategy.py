@@ -29,6 +29,7 @@ from gamesem.plays import (
     is_single_threaded,
     is_well_bracketed,
     legal_extensions,
+    pending_questions,
     prefix_views,
     pview,
     pview_with_positions,
@@ -51,11 +52,13 @@ from gamesem.strategy import (
     rename_strategy,
     tabulate,
     traces,
+    walk,
 )
 from oracles import (
     oview_positions,
     pview_positions,
     ref_compose_traces,
+    ref_enumerate_plays,
     ref_is_legal,
     ref_is_o_innocent,
     ref_is_p_innocent,
@@ -196,6 +199,50 @@ def test_single_threaded_traces_well_bracketed():
             assert is_well_bracketed(p)
 
 
+def _print_order(plays) -> tuple:
+    """`plays` in the order the CLI prints them."""
+    return tuple(sorted(plays, key=lambda p: (len(p.moves), p.moves)))
+
+
+def test_explore_gives_the_reference_plays_in_print_order():
+    # the reference: every legal even-length play, grown breadth first,
+    # whose Proponent moves are the strategy's replies; each factor
+    # keeps a wide interaction budget, so no reply hits a bound
+    wide = Bounds(max_nat=1, max_play_len=20)
+    b = Bounds(max_nat=1, max_play_len=8)
+    for sigma in (builtin("add_LR", 1), copycat(make_nat_arena(1)),
+                  denote(parse("fun f: nat -> nat -> f (f 1)"), wide),
+                  denote(parse("fun x: nat -> ifz x then 1 else 0"), wide)):
+        ref = [p for p in ref_enumerate_plays(sigma.arena, b.max_play_len)
+               if len(p) % 2 == 0 and all(sigma.respond(p.prefix(k)) == p.moves[k]
+                                          for k in range(1, len(p), 2))]
+        res = explore(sigma, b)
+        assert res.bound_exceeded == 0
+        assert res.plays == _print_order(ref)
+
+
+# rec_zero against every Opponent at the bounds of SMALL_TERMS below;
+# at its corpus bounds that walk runs past the play budget
+_REC_EVERY = Bounds(max_nat=1, max_play_len=14, fix_depth=2)
+
+
+@pytest.mark.parametrize("innocent_opponent", [False, True])
+def test_walk_carries_each_plays_open_questions_in_order_of_moves(innocent_opponent):
+    kinds = Counter()
+    for e in CORPUS:
+        b = _REC_EVERY if e.name == "rec_zero" and not innocent_opponent else e.bounds
+        sigma = e.build()
+        walked = [step for step in walk(sigma, b, innocent_opponent) if step is not None]
+        assert walked[0][0] == ()
+        assert [moves for moves, _, _ in walked] == sorted(moves for moves, _, _ in walked)
+        for moves, _, pending in walked:
+            assert pending == pending_questions(Play(sigma.arena, moves)), (e.name, moves)
+            kinds[pending if pending in (None, ()) else "open"] += 1
+    assert kinds[()] and kinds["open"]
+    # an Opponent free to answer any question it sees breaks the brackets
+    assert kinds[None] or innocent_opponent
+
+
 def test_explore_counts_bound_hits():
     # a strategy that burns interaction budget: compose at a tiny cap
     tight = Bounds(max_nat=2, max_play_len=4)
@@ -263,7 +310,7 @@ def test_brute_force_leq_asks_each_p_view_once():
     leaves = [_counted_leaf(s, b, a) for s, a in zip(sides, asked)]
     for leaf, seen in zip(leaves, reached):
         def round_(so, views, play_round=leaf._round, seen=seen):
-            seen.append(ref_pview(so).moves)
+            seen.append(ref_pview(Play(leaf.arena, so)).moves)
             return play_round(so, views)
         leaf._round = round_
     assert brute_force_leq(*leaves, b) == brute_force_leq(*sides, b)
@@ -295,7 +342,7 @@ def test_a_reply_that_fails_its_check_raises_on_every_ask():
     opening = Play(wrong.arena, (("R.q", ROOT),))
     for _ in range(2):
         with pytest.raises(StrategyError):
-            wrong._round(opening, (EMPTY_VIEWS,))
+            wrong._round(opening.moves, (EMPTY_VIEWS,))
         with pytest.raises(StrategyError):
             explore(wrong, b)
     assert asked == [opening.moves] * 4
@@ -394,8 +441,8 @@ def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
         assert all(ref_is_legal(p) for p in every)
         single = {p for p in every if is_single_threaded(p)}
         pruned = innocent_explore(build(), b)
-        assert pruned.plays == {p for p in single if ref_is_o_innocent(p)}
-        pruned_some |= pruned.plays != single
+        assert frozenset(pruned.plays) == {p for p in single if ref_is_o_innocent(p)}
+        pruned_some |= frozenset(pruned.plays) != single
     assert pruned_some
 
 
@@ -417,8 +464,8 @@ def test_a_round_returns_the_views_prefix_views_walks(build):
     for sop in plays:
         if sop.moves:
             n = len(sop.moves)
-            step = sigma._round(sop.prefix(n - 1), tuple(prefix_views(sop.prefix(n - 2))))
-            assert step == (sop, tuple(prefix_views(sop)))
+            step = sigma._round(sop.moves[:-1], tuple(prefix_views(sop.prefix(n - 2))))
+            assert step == (sop.moves, tuple(prefix_views(sop)))
 
 
 def _rename_nodes():
@@ -451,8 +498,9 @@ def test_renaming_the_view_answers_as_renaming_the_play():
             r = inner.respond(Play(inner.arena, tuple((inv[m], p) for m, p in s.moves)))
             return r and (fwd[r[0]], r[1])
 
-        asked = {so for p in explore(node, b).plays if len(p) + 2 <= b.max_play_len
-                 for so in legal_extensions(p, (ROOT, *oview_positions(p.arena, p.moves)))}
+        asked = {p.extend(*o) for p in explore(node, b).plays if len(p) + 2 <= b.max_play_len
+                 for o in legal_extensions(p.arena, p.moves,
+                                           (ROOT, *oview_positions(p.arena, p.moves)))}
         for s in asked:
             assert _outcome(node.respond, s) == _outcome(by_play, s), (node.name, s)
             longest = max(longest, len(s))
@@ -554,7 +602,8 @@ def test_compose_matches_interleaving_oracle():
     for s, t in _interleaving_cases(wide):
         res = explore(compose(s, t, wide), Bounds(max_nat=2, max_play_len=4))
         assert res.bound_exceeded == 0
-        assert res.plays == ref_compose_traces(s, t, wide, 4)
+        ref = ref_compose_traces(s, t, wide, 4)
+        assert res.plays == tuple(sorted(ref, key=lambda p: (len(p.moves), p.moves)))
 
 
 def _associated(b):

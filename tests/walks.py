@@ -6,8 +6,9 @@ from gamesem.strategy import InnocentStrategy, TraceResult, walk
 
 
 def innocent_explore(sigma: InnocentStrategy, b: Bounds) -> TraceResult:
-    """`explore`'s result against the innocent Opponent: the empty play
-    and every play `walk` yields, and a count of its bound hits."""
+    """`explore`'s result against the innocent Opponent: every play
+    `walk` yields, the empty play first, in `explore`'s order, and a
+    count of its bound hits."""
     steps = list(walk(sigma, b, innocent_opponent=True))
-    plays = [step[0] for step in steps if step is not None]
-    return TraceResult(frozenset([Play(sigma.arena), *plays]), len(steps) - len(plays))
+    moves = sorted((step[0] for step in steps if step is not None), key=len)
+    return TraceResult(tuple(Play(sigma.arena, m) for m in moves), len(steps) - len(moves))
