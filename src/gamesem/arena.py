@@ -11,6 +11,16 @@ move with a component path, so the left argument's question in
 the polarity of left-component moves and hangs the left component's
 initial moves under the right component's initial moves.
 
+An arena is immutable, so the constructors share them: `arrow`,
+`product` and `make_nat_arena` return one arena for each value and
+name of what they are built from, and `make_empty` and `make_sigma`
+one arena each.  An arrow over an arena `Arena.from_json` read, named
+"loaded", is another arena from the arrow over the equal built one,
+and keeps its own name.  The move tables of `strategy`'s renamings,
+pairings and mirrors are shared the same way and are read only.  What
+is not shared is a strategy node and its memo of replies: each
+denotation builds its own.
+
 `json_check` is the shape check of the JSON door: the readers of
 arenas, plays and view-sets run it on each part before they read it,
 so bad input is named by its path in the document.
@@ -39,8 +49,10 @@ class MoveLabel(Enum):
         return self.value[1] == "Q"
 
     def flip(self) -> "MoveLabel":
-        other = {"O": "P", "P": "O"}[self.value[0]]
-        return MoveLabel(other + self.value[1])
+        return _FLIPPED[self._name_]
+
+
+_FLIPPED = {"OQ": MoveLabel.PQ, "OA": MoveLabel.PA, "PQ": MoveLabel.OQ, "PA": MoveLabel.OA}
 
 
 # The names of the JSON types, for `json_check`'s messages.
@@ -208,38 +220,57 @@ class Arena:
         return f"Arena({self.name})"
 
 
+# The arenas `make_nat_arena`, `product` and `arrow` have built, by
+# what they were built from: the operands' values, names and kinds, so
+# an arrow over an arena `Arena.from_json` read keeps its own name.
+# Each is built once and shared; an arena is immutable.
+_BUILT: dict[tuple, Arena] = {}
+
+
+def _shared(key: tuple, build, *args) -> Arena:
+    """The arena built for `key`, by `build(*args)` the first time."""
+    arena = _BUILT.get(key)
+    if arena is None:
+        arena = _BUILT[key] = build(*args)
+    return arena
+
+
+_EMPTY = Arena((), (), frozenset(), name="Empty", kind="empty")
+_SIGMA = Arena((("a", MoveLabel.PA), ("q", MoveLabel.OQ)), (("q", "a"),), frozenset({"q"}),
+               name="Sigma", kind="sigma")
+
+
 def make_empty() -> Arena:
     """The arena with no moves; unit for `product`."""
-    return Arena((), (), frozenset(), name="Empty", kind="empty")
+    return _EMPTY
 
 
 def make_nat_arena(max_nat: int) -> Arena:
     """Flat natural-number arena: one question, answers 0 .. max_nat."""
     if max_nat < 0:
         raise ValueError("max_nat must be >= 0")
+    name = f"N{max_nat}"
+    return _shared(("nat", name), _nat, max_nat, name)
+
+
+def _nat(max_nat: int, name: str) -> Arena:
     labels = [("q", MoveLabel.OQ)]
     enabling = []
     for k in range(max_nat + 1):
         labels.append((str(k), MoveLabel.PA))
         enabling.append(("q", str(k)))
-    return Arena(
-        tuple(sorted(labels)),
-        tuple(sorted(enabling)),
-        frozenset({"q"}),
-        name=f"N{max_nat}",
-        kind="nat",
-    )
+    return Arena(tuple(sorted(labels)), tuple(sorted(enabling)), frozenset({"q"}),
+                 name=name, kind="nat")
 
 
 def make_sigma() -> Arena:
     """The one-question one-answer observation arena."""
-    return Arena(
-        (("a", MoveLabel.PA), ("q", MoveLabel.OQ)),
-        (("q", "a"),),
-        frozenset({"q"}),
-        name="Sigma",
-        kind="sigma",
-    )
+    return _SIGMA
+
+
+def _compound(build, a: Arena, b: Arena) -> Arena:
+    """The shared arena `build(a, b)` makes."""
+    return _shared((build, a, a.name, a.kind, b, b.name, b.kind), build, a, b)
 
 
 def _juxtapose(a: Arena, b: Arena, flip_left: bool):
@@ -254,6 +285,10 @@ def _juxtapose(a: Arena, b: Arena, flip_left: bool):
 
 def product(a: Arena, b: Arena) -> Arena:
     """Side-by-side juxtaposition. Components keep their polarity."""
+    return _compound(_product, a, b)
+
+
+def _product(a: Arena, b: Arena) -> Arena:
     labels, enabling = _juxtapose(a, b, flip_left=False)
     initials = frozenset(["L." + m for m in a.initials] + ["R." + m for m in b.initials])
     return Arena(tuple(sorted(labels)), tuple(sorted(enabling)), initials,
@@ -267,6 +302,10 @@ def arrow(a: Arena, b: Arena) -> Arena:
     component lose their initial status and become enabled by every
     initial move of the right component.
     """
+    return _compound(_arrow, a, b)
+
+
+def _arrow(a: Arena, b: Arena) -> Arena:
     labels, enabling = _juxtapose(a, b, flip_left=True)
     enabling += [("R." + bi, "L." + ai) for bi in b.initials for ai in a.initials]
     initials = frozenset("R." + m for m in b.initials)

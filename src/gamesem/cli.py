@@ -11,9 +11,9 @@ witness view is longer than max_view_len) or a resource limit
 (recursion depth, memory, the oracle's test budget running out before
 it decides, or the exploration's play budget running out before it
 ends) or a stdout closed by its reader before the output was written,
-reported on one stderr line.  A disagreement the bounds explain adds
-"bounds_explain": true to the oracle report and exits with the
-obs_equiv verdict.
+reported on one stderr line (after the report, for a disagreement).
+A disagreement the bounds explain adds "bounds_explain": true to the
+oracle report and exits with the obs_equiv verdict.
 
 All output is canonical JSON: keys sorted, two-space indent, stable
 element ordering, so repeated runs are byte-identical.  One encoder,
@@ -35,7 +35,7 @@ from .bounds import Bounds
 from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
 from .observation import ODetSet, observations, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
-from .plays import Play, is_complete
+from .plays import Play
 from .strategy import (
     ExplorationIncomplete,
     InconsistentPlay,
@@ -164,16 +164,13 @@ def cmd_denote(ns) -> int:
 def cmd_traces(ns) -> int:
     b = _bounds(ns)
     sigma, _ = _denote_file(ns.file, b)
-    tr = explore(sigma, b)
-    plays = tr.plays
-    if ns.complete_only:
-        plays = [p for p in plays if is_complete(p)]
+    tr = explore(sigma, b, complete_only=ns.complete_only)
     _emit({
         "arena": sigma.arena.to_json(),
         "bound_exceeded": tr.bound_exceeded,
         "bounds": b.to_json(),
-        "count": len(plays),
-        "plays": plays,
+        "count": len(tr.plays),
+        "plays": tr.plays,
     })
     return 0
 
@@ -205,6 +202,8 @@ def cmd_equiv(ns) -> int:
         if not agrees:
             if not _bounds_explain(report, fwd, bwd, b):
                 _emit(doc)
+                print("internal error: obs_equiv and the oracle disagree, and the bounds "
+                      "do not explain it", file=sys.stderr)
                 return 3
             doc["oracle"]["bounds_explain"] = True
     _emit(doc)

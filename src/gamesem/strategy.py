@@ -34,13 +34,17 @@ of its prefixes and its open questions, in order of the moves.
 length; `observation.observations` folds it into the O-view sets of the
 complete plays against an innocent one.
 
-Renamings are move tables, built once per node: `prefix_map` applies
-the longest matching (source, target) prefix to each move of an arena,
-`prefix_swap` tables the involution a mirror (copycat-style) strategy
-echoes through, and `rename_strategy` and `pair_strategies` invert
-their tables to read views back.  No prefix is scanned when a strategy
-is asked.  `copycat_echo` is the one copycat rule: the mirror answers
-with it, and so does `pcf.ifz_strategy` once its condition is answered.
+Renamings are move tables: `prefix_map` applies the longest matching
+(source, target) prefix to each move of an arena, `prefix_swap` tables
+the involution a mirror (copycat-style) strategy echoes through, and
+`rename_strategy` and `pair_strategies` read views back through the
+inverse tables.  Each table and its inverse is built once for each
+(pairs, moves) key and shared by every node that reads it, so it is
+read only; `rename_strategy`'s bijection checks run once for each
+distinct renaming.  No prefix is scanned when a strategy is asked.
+Nodes share no memo: each keeps its own.  `copycat_echo` is the one
+copycat rule: the mirror answers with it, and so does
+`pcf.ifz_strategy` once its condition is answered.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -57,8 +61,11 @@ from a genuine refusal to respond.
 """
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .arena import Arena, arrow, make_empty, product
 from .bounds import Bounds
@@ -263,19 +270,21 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
         stack += reversed(children)
 
 
-def explore(sigma: InnocentStrategy, b: Bounds) -> TraceResult:
+def explore(sigma: InnocentStrategy, b: Bounds, complete_only: bool = False) -> TraceResult:
     """Even-length plays reachable against sigma within the bounds,
     against every Opponent, the empty play included: `walk`'s plays,
     shortest first and then in order of their moves.  The walk gives
     them in order of their moves, so a stable sort by length alone puts
-    them in that order, and each `Play` is built once, here.  Positions
-    where the response computation hit an interaction bound are
-    counted, not silently dropped."""
+    them in that order, and each `Play` is built once, here.  With
+    `complete_only`, only the complete plays are kept: nonempty, with
+    no open question by the walk's count.  Positions where the response
+    computation hit an interaction bound are counted, not silently
+    dropped."""
     plays, exceeded = [], 0
     for step in walk(sigma, b):
         if step is None:
             exceeded += 1
-        else:
+        elif not complete_only or (step[2] == () and step[0]):
             plays.append(step[0])
     plays.sort(key=len)
     arena = sigma.arena
@@ -333,9 +342,18 @@ def from_view_table(arena: Arena, name: str, table: dict[tuple, tuple[str, int]]
     return InnocentStrategy(arena, name, view_fn=table.get)
 
 
-def prefix_map(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
+def prefix_map(pairs: list[tuple[str, str]], moves) -> Mapping[str, str]:
     """Each of `moves` with its longest matching source prefix replaced
-    by that prefix's target; a move no prefix matches is left out."""
+    by that prefix's target; a move no prefix matches is left out.  The
+    table is shared, so it is a read-only mapping."""
+    return _tables(tuple(pairs), frozenset(moves))[0]
+
+
+@functools.cache
+def _tables(pairs: tuple, moves: frozenset) -> tuple[Mapping[str, str], Mapping[str, str]]:
+    """`prefix_map`'s table of `pairs` over `moves` and its inverse,
+    built once for each key and shared, read only, by every node that
+    reads them."""
     rules = sorted(pairs, key=lambda r: -len(r[0]))
     out = {}
     for m in moves:
@@ -343,15 +361,15 @@ def prefix_map(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
             if m.startswith(src):
                 out[m] = dst + m[len(src):]
                 break
-    return out
+    return MappingProxyType(out), MappingProxyType({dst: src for src, dst in out.items()})
 
 
-def prefix_swap(pairs: list[tuple[str, str]], moves) -> dict[str, str]:
+def prefix_swap(pairs: list[tuple[str, str]], moves) -> Mapping[str, str]:
     """The involution on `moves` swapping each (left, right) prefix pair."""
     return prefix_map(pairs + [(y, x) for x, y in pairs], moves)
 
 
-def copycat_echo(swap: dict[str, str], moves):
+def copycat_echo(swap: Mapping[str, str], moves):
     """The copycat reply to a P-view, given by its moves: the last
     Opponent move echoed through `swap`, as (move, index into the view),
     or None.
@@ -381,7 +399,7 @@ def copycat_echo(swap: dict[str, str], moves):
     return mm, j
 
 
-def mirror_strategy(arena: Arena, swap: dict[str, str], name: str) -> InnocentStrategy:
+def mirror_strategy(arena: Arena, swap: Mapping[str, str], name: str) -> InnocentStrategy:
     """Copycat-style strategy: answer each P-view with `copycat_echo`."""
     return InnocentStrategy(arena, name,
                             view_fn=lambda v: copycat_echo(swap, v))
@@ -405,19 +423,26 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     ValueError.  P-views over `new_arena` are read back through the
     inverse table.
     """
-    fwd = prefix_map(pairs, sigma.arena.moves)
-    inv = {dst: src for src, dst in fwd.items()}
-    if len(fwd) != len(sigma.arena.moves):
-        raise ValueError("renaming leaves a move unmatched")
-    if len(inv) != len(fwd):
-        raise ValueError("renaming merges two moves")
-    if inv.keys() != new_arena.moves:
-        raise ValueError("renaming does not map onto the target arena")
+    fwd, inv = _renaming(tuple(pairs), sigma.arena.moves, new_arena.moves)
 
     def play_fn(view: tuple):
         return _ask(sigma, inv, fwd, view)
 
     return InnocentStrategy(new_arena, name, play_fn=play_fn)
+
+
+@functools.cache
+def _renaming(pairs: tuple, source: frozenset, target: frozenset):
+    """`_tables` of `pairs` over `source`, checked once to be a
+    bijection onto `target`; ValueError if it is not."""
+    fwd, inv = _tables(pairs, source)
+    if len(fwd) != len(source):
+        raise ValueError("renaming leaves a move unmatched")
+    if len(inv) != len(fwd):
+        raise ValueError("renaming merges two moves")
+    if inv.keys() != target:
+        raise ValueError("renaming does not map onto the target arena")
+    return fwd, inv
 
 
 def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrategy:
@@ -437,8 +462,8 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrateg
     outer = arrow(x, product(f.arena.parts[1], g.arena.parts[1]))
     sides = []
     for strat, tag in ((f, "R.L."), (g, "R.R.")):
-        out = prefix_map([("L.", "L."), ("R.", tag)], strat.arena.moves)
-        sides.append((strat, {o: m for m, o in out.items()}, out))
+        out, into = _tables((("L.", "L."), ("R.", tag)), strat.arena.moves)
+        sides.append((strat, into, out))
     left, right = sides
 
     def play_fn(view: tuple):
@@ -448,7 +473,8 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrateg
     return InnocentStrategy(outer, f"<{f.name}, {g.name}>", play_fn=play_fn)
 
 
-def _ask(inner: InnocentStrategy, into: dict[str, str], back: dict[str, str], view: tuple):
+def _ask(inner: InnocentStrategy, into: Mapping[str, str], back: Mapping[str, str],
+         view: tuple):
     """`inner`'s reply to `view` read through the move table `into`,
     with its move read back through `back`.  The translated view is its
     own P-view, so the inner pointer is already an index into `view`."""

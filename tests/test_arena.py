@@ -152,7 +152,9 @@ def test_arrow_right_assoc_shape_matches_curried():
 
 
 def test_hash_is_structural_cached_and_not_pickled():
-    a = arrow(arrow(make_nat_arena(1), make_nat_arena(2)), make_nat_arena(1))
+    shared = arrow(arrow(make_nat_arena(1), make_nat_arena(2)), make_nat_arena(1))
+    # a copy of its own: other callers may have hashed the shared arena
+    a = Arena(shared.labels, shared.enabling, shared.initials, name=shared.name)
     want = hash((a.labels, a.enabling, a.initials))
     assert "_hash" not in vars(a)
     assert hash(a) == want
@@ -177,3 +179,28 @@ def test_unpickled_hash_follows_the_hash_seed():
     out = _python(f"{make}; b = pickle.loads(sys.stdin.buffer.read()); "
                   "print(hash(b) == hash(a), {a: 1}.get(b))", "2", data)
     assert out.split() == [b"True", b"1"]
+
+
+def test_constructors_share_one_arena_per_value_and_name():
+    n1, n2 = make_nat_arena(1), make_nat_arena(2)
+    assert make_nat_arena(2) is n2
+    assert arrow(n1, n2) is arrow(n1, n2)
+    assert product(n1, n2) is product(n1, n2)
+    assert arrow(product(n1, n2), n1) is arrow(product(make_nat_arena(1), n2), n1)
+    assert make_empty() is make_empty() and make_sigma() is make_sigma()
+    # an operand equal by value and name, built apart, finds the same arena
+    twin = Arena(n2.labels, n2.enabling, n2.initials, name="N2", kind="nat")
+    assert arrow(twin, n1) is arrow(n2, n1)
+    assert arrow(n1, n2) is not arrow(n2, n1) and arrow(n1, n2) != product(n1, n2)
+
+
+def test_an_arrow_over_a_loaded_arena_keeps_its_own_name():
+    n = make_nat_arena(2)
+    loaded = Arena.from_json(n.to_json())
+    assert loaded == n and loaded.name == "loaded"
+    over_loaded, over_built = arrow(loaded, n), arrow(n, n)
+    assert over_loaded == over_built and over_loaded is not over_built
+    assert over_loaded.name == "(loaded => N2)" and over_built.name == "(N2 => N2)"
+    assert over_loaded.parts[0].kind == "loaded" and over_built.parts[0].kind == "nat"
+    assert product(n, loaded).name == "(N2 x loaded)" and product(n, n).name == "(N2 x N2)"
+    assert arrow(Arena.from_json(n.to_json()), n) is over_loaded

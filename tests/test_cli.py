@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamesem import cli, equiv, pcf, strategy
+from gamesem import cli, equiv, pcf, plays, strategy
 from gamesem.arena import Arena, MoveLabel, arrow, make_nat_arena
+from gamesem.bounds import Bounds
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
-from gamesem.plays import ROOT, Play
+from gamesem.plays import ROOT, Play, is_complete
 from gamesem.strategy import StrategyError
 
 
@@ -84,6 +85,27 @@ def test_traces_counts_and_filter(tmp_path):
     assert d_full["count"] == len(d_full["plays"])
     assert d_comp["count"] < d_full["count"]
     assert d_full["bound_exceeded"] == 0
+
+
+def test_complete_only_asks_no_is_complete(tmp_path, monkeypatch, capsys):
+    # the filter reads completeness off the walk and keeps what
+    # is_complete keeps
+    f = write(tmp_path, "t.pcf", "fun x: nat -> fun y: nat -> ifz x then y else 0\n")
+    bounds = ["--max-nat", "1", "--max-play-len", "10"]
+    assert cli.main(["traces", f, *bounds]) == 0
+    full = json.loads(capsys.readouterr().out)
+    arena = Arena.from_json(full["arena"])
+    want = [p for p in full["plays"] if is_complete(Play.from_json(p, arena))]
+
+    def refuse(s):
+        raise AssertionError("is_complete was asked")
+
+    monkeypatch.setattr(plays, "is_complete", refuse)
+    assert cli.main(["traces", f, *bounds, "--complete-only"]) == 0
+    comp = json.loads(capsys.readouterr().out)
+    assert comp["plays"] == want and comp["count"] == len(want) < full["count"]
+    assert {k: v for k, v in comp.items() if k not in ("plays", "count")} == \
+        {k: v for k, v in full.items() if k not in ("plays", "count")}
 
 
 def test_obs_output_is_deterministic(tmp_path):
@@ -164,8 +186,11 @@ def test_equiv_oracle_unexplained_disagreement_exits_3(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(cli, "brute_force_leq", refuted)
     assert cli.main(["equiv", a, b, "--oracle"]) == 3
-    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    out, err = capsys.readouterr()
+    oracle = json.loads(out)["oracle"]
     assert oracle["agrees"] is False and "bounds_explain" not in oracle
+    assert err == ("internal error: obs_equiv and the oracle disagree, "
+                   "and the bounds do not explain it\n")
 
 
 def test_equiv_respects_add_pragma(tmp_path):
@@ -383,6 +408,115 @@ def test_view_set_door_gives_a_verdict_or_exits_2(door, text):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         said = err.getvalue()[len("error: "):-1].removeprefix(f"bad view-set file {path}: ")
         assert _DOOR_SAYS.fullmatch(said), said
+
+
+def _exits_by_the_contract(argv) -> int:
+    """Run `cli.main(argv)` in-process and check the exit-code
+    contract: 0 or 1 only with one JSON document on stdout and nothing
+    on stderr, 1 only for an INEQUIV verdict; 2 or 3 only with nothing
+    on stdout and exactly one stderr line.  An exception escaping
+    `main` is the traceback a process would print."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if code in (0, 1):
+        doc = json.loads(out.getvalue())
+        assert isinstance(doc, dict) and err.getvalue() == "", argv
+        assert code == (argv[0] == "equiv" and doc["verdict"] == "INEQUIV"), argv
+    else:
+        assert code in (2, 3) and out.getvalue() == "", argv
+        said = err.getvalue()
+        assert said.count("\n") == 1 and said.endswith("\n"), (argv, said)
+        assert said.startswith(("error: ", "internal error: ", "resource limit: ")), said
+    return code
+
+
+_FUZZ_SUBCOMMANDS = ("parse", "denote", "traces", "obs", "equiv")
+_FUZZ_BINDERS = (["fun", "f", ":", "nat", "->", "nat", "->"], ["fun", "x", ":", "nat", "->"],
+                 ["fun", "y", ":", "nat", "->"])
+
+
+def _fuzz_term(leaves):
+    """Token lists of nat terms of the surface grammar over x, y : nat
+    and f : nat -> nat, bound or free."""
+    def grow(t):
+        return st.one_of(
+            st.tuples(st.sampled_from(["succ", "pred"]), t).map(lambda p: [p[0], *p[1]]),
+            st.tuples(t, t).map(lambda p: [*p[0], "+", *p[1]]),
+            st.tuples(t, t, t).map(lambda p: ["ifz", *p[0], "then", *p[1], "else", *p[2]]),
+            t.map(lambda p: ["f", "(", *p, ")"]),
+            st.tuples(t, t).map(lambda p: ["(", *_FUZZ_BINDERS[1], *p[0], ")", "(", *p[1], ")"]),
+            t.map(lambda p: ["fix", "(", *_FUZZ_BINDERS[2], *p, ")"]))
+
+    return st.recursive(st.sampled_from([["0"], ["1"], ["3"], ["x"], ["y"]]), grow,
+                        max_leaves=leaves)
+
+
+# Tokens a mutation puts in: the grammar's own and some it has no place for.
+_FUZZ_TOKENS = ["(", ")", "->", ":", "+", "fun", "fix", "ifz", "then", "else", "nat", "succ",
+                "x", "f", "0", "2", "9" * 40, "\u00fc", "#", "#pragma add_rl\n", "\n", "$", "-"]
+
+
+@st.composite
+def _fuzz_program(draw) -> str:
+    binders = draw(st.lists(st.sampled_from(_FUZZ_BINDERS), max_size=3, unique_by=tuple))
+    toks = [t for b in binders for t in b] + draw(_fuzz_term(5))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(toks)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "swap"]))
+        if kind == "insert" or not toks:
+            toks.insert(i, draw(st.sampled_from(_FUZZ_TOKENS)))
+        elif kind == "swap" and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        elif kind == "replace":
+            toks[min(i, len(toks) - 1)] = draw(st.sampled_from(_FUZZ_TOKENS))
+        else:
+            del toks[min(i, len(toks) - 1)]
+    return " ".join(toks) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_SUBCOMMANDS), _fuzz_program(), _fuzz_program())
+@example("equiv", "fun x: nat -> x + 1\n", "fun y: nat -> succ y\n")
+@example("traces", "fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))\n",
+         "0\n")
+@example("obs", "fun f: nat -> nat -> f (f 1)\n", "0\n")
+def test_the_cli_keeps_its_exit_contract_on_mutated_programs(fuzz_dir, cmd, left, right):
+    # small bounds, so every program that typechecks runs in milliseconds
+    files = [write(fuzz_dir, f"{side}.pcf", text) for side, text in (("l", left), ("r", right))]
+    argv = [cmd, *files[:2 if cmd == "equiv" else 1]]
+    if cmd != "parse":
+        argv += ["--max-nat", "1", "--max-play-len", "6", "--max-view-len", "4",
+                 "--fix-depth", "2"]
+    _exits_by_the_contract(argv)
+
+
+_FUZZ_FLAGS = {"--max-nat": Bounds.max_nat, "--max-play-len": Bounds.max_play_len,
+               "--max-view-len": Bounds.max_view_len, "--fix-depth": Bounds.fix_depth}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_SUBCOMMANDS[1:]),
+       st.sampled_from(["fun x: nat -> succ x\n", "fun f: nat -> nat -> f 1\n",
+                        "fix (fun x: nat -> x)\n", "1 + 2\n"]),
+       st.one_of(st.fixed_dictionaries({}, optional={
+                     flag: st.sampled_from([1, default + 1]) for flag, default in _FUZZ_FLAGS.items()}),
+                 st.fixed_dictionaries({flag: st.sampled_from([0, -1, -(10 ** 30), 1, default + 1])
+                                        for flag, default in _FUZZ_FLAGS.items()})))
+def test_the_cli_keeps_its_exit_contract_at_the_edges_of_its_bounds(fuzz_dir, cmd, text, flags):
+    # each bound at 0, below it, at the least it takes and just above
+    # its default; never a bound large enough to run long
+    f = write(fuzz_dir, "bounds.pcf", text)
+    argv = [cmd, f, *([f] if cmd == "equiv" else [])]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    code = _exits_by_the_contract(argv)
+    assert (code == 2) == any(v < 1 for v in flags.values())
 
 
 def test_non_utf8_input_exits_2(tmp_path):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamesem.arena import arrow, make_nat_arena
+from gamesem import arena as arena_module
+from gamesem.arena import Arena, arrow, make_nat_arena
 from gamesem.bounds import Bounds
 from gamesem.pcf import (
     NAT,
@@ -295,6 +296,29 @@ def test_fix_unrolls_fix_depth_times(fix_depth):
     body = "fun f: nat -> nat -> fun x: nat -> ifz x then 0 else succ (f (pred x))"
     got = [_value(f"(fix ({body})) {k}", b) for k in range(4)]
     assert got == [k if k < fix_depth else None for k in range(4)]
+
+
+def test_a_denotation_builds_as_many_arenas_however_deep_fix_unrolls(monkeypatch):
+    # Each unrolling asks for the arenas of one application again; the
+    # constructors hand back the ones built, so denoting the recursive
+    # zero builds 21 arenas at every depth, from empty intern tables.
+    built = []
+    init = Arena.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Arena, "__init__", counting)
+    t = parse("fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))")
+    counts = []
+    for fix_depth in (4, 10, 30):
+        monkeypatch.setattr(arena_module, "_BUILT", {})
+        built.clear()
+        denote(t, Bounds(fix_depth=fix_depth))
+        counts.append(len(built))
+    assert counts == [21, 21, 21]
+    assert len({(a, a.name) for a in built}) == len(built)
 
 
 def test_denoted_arena_follows_the_type():

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from gamesem import plays as plays_module
 from gamesem import strategy
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
@@ -26,6 +27,7 @@ from gamesem.plays import (
     EMPTY_VIEWS,
     ROOT,
     Play,
+    is_complete,
     is_single_threaded,
     is_well_bracketed,
     legal_extensions,
@@ -241,6 +243,27 @@ def test_walk_carries_each_plays_open_questions_in_order_of_moves(innocent_oppon
     assert kinds[()] and kinds["open"]
     # an Opponent free to answer any question it sees breaks the brackets
     assert kinds[None] or innocent_opponent
+
+
+def test_complete_only_reads_completeness_off_the_walk(monkeypatch):
+    # `traces --complete-only` keeps exactly the plays is_complete
+    # keeps, in the same order, and never asks is_complete
+    kept = {}
+    for e in CORPUS:
+        b = _REC_EVERY if e.name == "rec_zero" else e.bounds
+        res = explore(e.build(), b)
+        kept[e.name] = (b, tuple(p for p in res.plays if is_complete(p)), res.bound_exceeded)
+    # only the diverging terms complete no play
+    assert [name for name, (_, want, _) in kept.items() if not want] == ["bottom_nat", "fix_succ"]
+
+    def refuse(s):
+        raise AssertionError("is_complete was asked")
+
+    monkeypatch.setattr(plays_module, "is_complete", refuse)
+    for e in CORPUS:
+        b, want, exceeded = kept[e.name]
+        res = explore(e.build(), b, complete_only=True)
+        assert (res.plays, res.bound_exceeded) == (want, exceeded), e.name
 
 
 def test_explore_counts_bound_hits():
@@ -534,6 +557,48 @@ def test_rename_strategy_rejects_a_renaming_that_is_no_bijection():
     for pairs in bad:
         with pytest.raises(ValueError):
             rename_strategy(s, pairs, target, "bad")
+
+
+def _fresh_table(pairs, moves) -> dict:
+    """`prefix_map`'s table built anew, past the shared ones."""
+    return strategy._tables.__wrapped__(tuple(pairs), frozenset(moves))[0]
+
+
+def test_nodes_built_twice_share_their_tables_and_play_alike():
+    # copycat, a renaming and a pairing, each built twice over one
+    # arena: the two play the same traces, each keeps its own memo, and
+    # the tables they share still equal fresh ones after every ask
+    b = Bounds(max_nat=2, max_play_len=8)
+    a = arrow(N2, N2)
+    builds = {
+        "copycat": (lambda: copycat(N2),
+                    [([("L.", "R."), ("R.", "L.")], a.moves)]),
+        "rename": (lambda: as_thunk(succ_strategy(2)),
+                   [([("", "R.")], a.moves), ([("R.", "")], arrow(make_empty(), a).moves)]),
+        "pair": (lambda: pair_strategies(copycat(N2), succ_strategy(2)),
+                 [([("L.", "L."), ("R.", tag)], a.moves) for tag in ("R.L.", "R.R.")]),
+    }
+    for name, (build, tables) in builds.items():
+        first, second = build(), build()
+        assert first.arena is second.arena and first._memo is not second._memo
+        assert traces(first, b) == traces(second, b), name
+        assert first._memo and first._memo == second._memo, name
+        for pairs, moves in tables:
+            assert prefix_map(pairs, moves) is prefix_map(pairs, moves)
+            assert prefix_map(pairs, moves) == _fresh_table(pairs, moves), (name, pairs)
+    swap = prefix_swap([("L.", "R.")], a.moves)
+    assert swap is prefix_map([("L.", "R."), ("R.", "L.")], a.moves)
+    with pytest.raises(TypeError):
+        swap["R.q"] = "R.q"
+
+
+def test_a_renaming_that_is_no_bijection_raises_on_every_ask():
+    s, target = succ_strategy(1), arrow(make_empty(), make_nat_arena(1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^renaming leaves a move unmatched$"):
+            rename_strategy(s, [("R.", "R.")], target, "bad")
+    assert rename_strategy(s, [("", "R.")], arrow(make_empty(), s.arena), "ok").arena.parts[1] \
+        is s.arena
 
 
 @pytest.mark.parametrize("left", [make_nat_arena(1), arrow(N2, N2)], ids=["nat1", "nat2->nat2"])
