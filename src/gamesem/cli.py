@@ -21,11 +21,15 @@ element ordering, so repeated runs are byte-identical.  One encoder,
 `json.dumps(doc, indent=2, sort_keys=True)`, which on Python 3.13 and
 older runs the stdlib's pure-Python encoder once it is given an indent.
 A `Play` is written as its `to_json()` would be, from a per-depth table
-of move texts, so `traces` builds no dict per move.
+of move texts, so `traces` builds no dict per move.  `_emit` streams
+the document: it writes the top-level keys one at a time and a list
+there one element at a time, so `obs` and `traces` never hold the
+whole text.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,7 +62,36 @@ def _bounds(ns) -> Bounds:
 
 
 def _emit(doc) -> None:
-    print(_encode(doc, 0, {}), flush=True)
+    """Write `_encode(doc, 0, {})` and a line break to stdout, a piece
+    at a time, so the whole text is never held: a dict at the top key
+    by key, and a list that is the document or a value of it element by
+    element, each piece by `_encode` with one memo."""
+    write, memo = sys.stdout.write, {}
+    if isinstance(doc, dict) and doc:
+        sep = "{\n  "
+        for k, v in sorted(doc.items()):
+            write(sep + _str(k) + ": ")
+            _write_list(write, v, 1, memo)
+            sep = ",\n  "
+        write("\n}")
+    else:
+        _write_list(write, doc, 0, memo)
+    write("\n")
+    sys.stdout.flush()
+
+
+def _write_list(write, o, depth: int, memo: dict) -> None:
+    """Write `_encode(o, depth, memo)`, a nonempty list or tuple one
+    element at a time."""
+    if not (isinstance(o, (list, tuple)) and o):
+        write(_encode(o, depth, memo))
+        return
+    inner = "\n" + "  " * (depth + 1)
+    sep = "[" + inner
+    for v in o:
+        write(sep + _encode(v, depth + 1, memo))
+        sep = "," + inner
+    write(inner[:-2] + "]")
 
 
 _LEAF_TYPES = frozenset((str, int))
@@ -243,7 +276,9 @@ def cmd_laws(ns) -> int:
     return 0 if report.all_pass else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built once per process: parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-nat", type=int, default=Bounds.max_nat,
                         help="largest numeral distinguished (default %(default)s)")

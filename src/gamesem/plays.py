@@ -14,7 +14,7 @@ recurrence: it extends the views of a play's prefixes by one move,
 reading the mover from the play's parity.  Each entry carries both
 views' positions and their moves, so no reader cuts a view out of the
 play by its positions.  `prefix_views` loops over it, and a strategy's
-round of play (`InnocentStrategy._round`) and a composite's replay
+round of play (`InnocentStrategy._round`) and a composite's interaction
 extend a play's views with it, so the legality check, the view
 functions, the O-innocence test, the memo keys of strategies,
 exploration, test runs, composition and the observation code all read

@@ -48,16 +48,20 @@ copycat rule: the mirror answers with it, and so does
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
-outside.  A composite replays only the P-view it is asked about (the
+outside.  A composite plays out only the P-view it is asked about (the
 P-view of a legal play is a legal play, and the composite is innocent),
 so its reply is a function of that view and is memoised by its node
-like any other.  One turn rule says who moves next, and the replay
-grows three projections of the interaction with each move it appends:
-sigma's and tau's, by their views, and the outer one the reply is read
-off, by its moves, all pointed by one justifier rule.  Interactions are
-capped at `bounds.max_play_len` occurrences counting hidden moves;
-hitting the cap raises BoundExceeded, which is deliberately distinct
-from a genuine refusal to respond.
+like any other.  It resumes that interaction from the one it stored for
+the P-view two moves shorter: a P-view asked in a play is an earlier
+asked P-view, Proponent's reply and one Opponent move, so a miss plays
+only that move and the hidden moves up to the next visible one.  One
+turn rule says who moves next, and the interaction grows three
+projections with each move it appends: sigma's and tau's, by their
+views, and the outer one the reply is read off, by its moves, all
+pointed by one justifier rule.  Interactions are capped at
+`bounds.max_play_len` occurrences counting hidden moves; hitting the
+cap raises BoundExceeded, which is deliberately distinct from a
+genuine refusal to respond.
 """
 from __future__ import annotations
 
@@ -493,7 +497,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             name: str | None = None) -> InnocentStrategy:
     """Sequential composition of sigma : arrow(A, B) with tau : arrow(B, C).
 
-    The composite answers a play over arrow(A, C) by replaying its
+    The composite answers a play over arrow(A, C) by playing out its
     P-view as the unique interaction over the three components: visible
     moves are laid down as given, and between them sigma and tau
     ping-pong in B until one of them surfaces.  The turn rule: sigma
@@ -503,10 +507,21 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     view that the composite would not have played raises
     InconsistentPlay.
 
+    The interaction after each reply is stored, keyed by the moves of
+    the P-view answered.  A P-view w resumes from the one stored for
+    w[:-2], which is checked to end with the reply w[-2], copied, and
+    grown by w[-1] and the hidden moves after it.  An ask with no
+    stored parent, such as `respond` on an arbitrary play, steps back
+    two moves at a time to the longest prefix stored, or to the empty
+    interaction, and resumes from there one visible pair at a time,
+    storing each interaction it reaches.  The moves played, and so the
+    replies, the bound hits and the InconsistentPlay texts, are those
+    of playing out w from the empty interaction.
+
     Component bookkeeping: the interaction records the justifier of
     each occurrence, in A, B or C, and grows three projections of it
     with each move: sigma's (A, B), tau's (B, C) and the outer (A, C),
-    which is the replayed play followed by the reply.  Each projection
+    which is the P-view played out, followed by the reply.  Each projection
     holds the interaction index of each of its positions, the position
     of each of its interaction indices, and per move sigma's and tau's
     views, or the outer move, tagged "L."/"R.".  One rule
@@ -520,7 +535,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
 
     A factor's projection is a legal play, so the factor is asked
     through `_answer` with its views, unchecked, and no play is built.
-    The composite's reply depends on its P-view alone; its node memoises it.
+    The composite's reply depends on its P-view alone; its node
+    memoises it, and the stored interactions are the composite's own.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -537,50 +553,72 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     # adds: sigma's and tau's views, the outer projection's move
     comps = (("A", "B", next_views), ("B", "C", next_views),
              ("A", "C", lambda moves, m, ptr: (m, ptr)))
+    # the moves of each P-view answered -> the interaction after its reply
+    states: dict[tuple, tuple] = {}
+
+    def append(u: list, proj: tuple, comp: str, mv: str, up: int) -> None:
+        ui = len(u)
+        if ui >= cap:
+            raise BoundExceeded(cname)
+        u.append(up)
+        for (left, right, entry), (idx, pos, grown) in zip(comps, proj):
+            if comp == left or comp == right:
+                ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
+                pos[ui] = len(idx)
+                idx.append(ui)
+                grown.append(entry(grown, ("L." if comp == left else "R.") + mv, ptr))
+
+    def run_until_visible(u: list, proj: tuple, side: int) -> bool:
+        # True once a move surfaces in A or C, False on a refusal
+        while True:
+            idx, _, views = proj[side]
+            r = strats[side]._answer(views[-1])
+            if r is None:
+                return False
+            m, pptr = r
+            comp = comps[side][0 if m.startswith("L.") else 1]
+            append(u, proj, comp, m[2:], idx[pptr])
+            if comp != "B":
+                return True
+            side = 1 - side
 
     def play_fn(view: tuple):
-        u: list[int] = []   # the justifier of each occurrence
-        # per projection: position -> u index, u index -> position (and
-        # ROOT -> ROOT), and the entries its moves add
-        proj = (([], {ROOT: ROOT}, [EMPTY_VIEWS]), ([], {ROOT: ROOT}, [EMPTY_VIEWS]),
-                ([], {ROOT: ROOT}, []))
-        outer_idx, _, outer_moves = proj[2]
-
-        def append(comp: str, mv: str, up: int) -> None:
-            ui = len(u)
-            if ui >= cap:
-                raise BoundExceeded(cname)
-            u.append(up)
-            for (left, right, entry), (idx, pos, grown) in zip(comps, proj):
-                if comp == left or comp == right:
-                    ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
-                    pos[ui] = len(idx)
-                    idx.append(ui)
-                    grown.append(entry(grown, ("L." if comp == left else "R.") + mv, ptr))
-
-        def run_until_visible(side: int) -> bool:
-            # True once a move surfaces in A or C, False on a refusal
-            while True:
-                idx, _, views = proj[side]
-                r = strats[side]._answer(views[-1])
-                if r is None:
-                    return False
-                m, pptr = r
-                comp = comps[side][0 if m.startswith("L.") else 1]
-                append(comp, m[2:], idx[pptr])
-                if comp != "B":
-                    return True
-                side = 1 - side
-
-        for k, (m, ptr) in enumerate(view):
-            if k % 2 == 0:
-                side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
-                append("AC"[side], m[2:], ROOT if ptr == ROOT else outer_idx[ptr])
-            elif not run_until_visible(side):
-                raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
-            elif outer_moves[-1] != (m, ptr):
-                raise InconsistentPlay(
-                    f"{cname}: computed {outer_moves[-1][0]!r} where the play has {m!r}")
-        return outer_moves[-1] if run_until_visible(side) else None
+        n = len(view)
+        # step back two moves at a time to the longest proper prefix
+        # whose interaction is stored; k == -1 is the empty interaction
+        k, state = n - 2, None
+        while k > 0:
+            state = states.get(view[:k])
+            if state is not None:
+                break
+            k -= 2
+        if state is None:
+            # per projection: position -> u index, u index -> position
+            # (and ROOT -> ROOT), and the entries its moves add
+            u = []   # the justifier of each occurrence
+            proj = (([], {ROOT: ROOT}, [EMPTY_VIEWS]), ([], {ROOT: ROOT}, [EMPTY_VIEWS]),
+                    ([], {ROOT: ROOT}, []))
+        # one visible pair at a time: the reply to view[:k] is checked
+        # against view[k], and view[k + 1] is appended to a copy
+        while True:
+            if state is not None:
+                u, proj = state
+                reply = proj[2][2][-1]
+                if reply != view[k]:
+                    raise InconsistentPlay(
+                        f"{cname}: computed {reply[0]!r} where the play has {view[k][0]!r}")
+                u, proj = u.copy(), tuple((idx.copy(), pos.copy(), grown.copy())
+                                          for idx, pos, grown in proj)
+            m, ptr = view[k + 1]
+            side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
+            append(u, proj, "AC"[side], m[2:], ROOT if ptr == ROOT else proj[2][0][ptr])
+            k += 2
+            if not run_until_visible(u, proj, side):
+                if k == n:
+                    return None
+                raise InconsistentPlay(f"{cname}: no response where the play has {view[k][0]!r}")
+            state = states[view[:k]] = (u, proj)
+            if k == n:
+                return proj[2][2][-1]
 
     return InnocentStrategy(outer, cname, play_fn=play_fn)

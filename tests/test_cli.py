@@ -767,13 +767,16 @@ ROUND_TRIP = [
 ]
 
 
-@pytest.mark.parametrize("args", ROUND_TRIP)
-def test_stdout_is_canonical_json(tmp_path, capsys, args):
+def _argv(tmp_path, args):
     for name, text in {**GOLDEN_TERMS, "one.pcf": "succ 0\n"}.items():
         write(tmp_path, name, text)
     _set_file(tmp_path, "one.json", 2, 1)
-    argv = [str(tmp_path / a) if a.endswith((".pcf", ".json")) else a for a in args]
-    assert cli.main(argv) == 0
+    return [str(tmp_path / a) if a.endswith((".pcf", ".json")) else a for a in args]
+
+
+@pytest.mark.parametrize("args", ROUND_TRIP)
+def test_stdout_is_canonical_json(tmp_path, capsys, args):
+    assert cli.main(_argv(tmp_path, args)) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
@@ -835,6 +838,7 @@ def _plain(o):
 @given(_DOCS)
 def test_encoder_matches_json_dumps(doc):
     assert canonical(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+    assert emitted(doc) == canonical(doc) + "\n"
 
 
 def test_encoder_keeps_bools_and_depths_apart():
@@ -850,6 +854,53 @@ def test_encoder_keeps_bools_and_depths_apart():
 def test_encoder_rejects_what_it_does_not_write(doc):
     with pytest.raises(TypeError):
         canonical(doc)
+
+
+def emitted(doc) -> str:
+    """What `_emit` writes for doc."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(doc)
+    return out.getvalue()
+
+
+def test_emit_streams_what_json_dumps_writes(tmp_path, monkeypatch):
+    # `_emit` writes a document in pieces: each subcommand's document,
+    # and containers left empty where the stream splits them, come out
+    # as the stdlib writes them whole
+    docs = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", docs.append)
+        for param in ROUND_TRIP:
+            cli.main(_argv(tmp_path, param.values[0]))
+    assert len(docs) == len(ROUND_TRIP)
+    docs += [{}, [], (), {"plays": (), "count": 0}, {"sets": [[], [{}]], "bounds": {}},
+             [[], {}, ()], {"a": [[]], "b": [{}]}]
+    for doc in docs:
+        assert emitted(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+
+
+def test_in_process_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
+    # The parser is built once per process; no call leaves a subcommand,
+    # a flag or a bound behind for the next, so each call writes what it
+    # writes in a process of its own.
+    runs = [_argv(tmp_path, args) for args in (
+        ("traces", "add.pcf", "--complete-only", "--max-nat", "1", "--max-play-len", "6"),
+        ("equiv", "add.pcf", "add_flip.pcf", "--oracle", "--max-nat", "1",
+         "--max-view-len", "4"),
+        ("traces", "add.pcf", "--max-nat", "1"),
+        ("test", "one.pcf", "--set", "one.json", "--max-nat", "2"),
+        ("denote", "add.pcf", "--max-nat", "1"),
+        ("traces", "add.pcf", "--complete-only", "--max-nat", "1", "--max-play-len", "6"))]
+    fresh = cli.build_parser.__wrapped__
+    together = []
+    for argv in runs:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+        together.append((cli.main(argv), capsys.readouterr()))
+    assert cli.build_parser() is cli.build_parser()
+    for argv, want in zip(runs, together):
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (want[0], *want[1]), argv
 
 
 def test_help_lists_subcommands():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -689,17 +691,20 @@ def test_compose_associates_on_traces():
 
 def _projections(monkeypatch):
     """Patch `strategy.next_views`, which compose's `append` calls once
-    per move of a factor's projection, to record the moves of each list
-    of views it extends; compose nodes built afterwards use the patch.
-    Returns a map from each entry made to (the entry, the moves so far
-    of the projection it was made for)."""
-    grown, made = {}, {}
+    per move of a factor's projection, to record the moves of the play
+    each entry it makes belongs to: those of the entry it extends, the
+    last of the views it is handed, then the move.  Entries are keyed by
+    their own ids, which a composite resuming from a copy of its lists
+    of views keeps.  Compose nodes built afterwards use the patch.
+    Returns a map from each entry made to (the entry, the moves of the
+    projection it was made for)."""
+    made = {id(EMPTY_VIEWS): (EMPTY_VIEWS, ())}
 
     def recording(views, move, ptr, real=strategy.next_views):
         entry = real(views, move, ptr)
-        _, moves = grown.setdefault(id(views), (views, []))
-        moves.append((move, ptr))
-        made[id(entry)] = (entry, moves)
+        last, moves = made[id(views[-1])]
+        assert last is views[-1], "a list of views not grown by the recurrence"
+        made[id(entry)] = (entry, moves + ((move, ptr),))
         return entry
 
     monkeypatch.setattr(strategy, "next_views", recording)
@@ -714,7 +719,7 @@ def _recorded(made, factors):
         def answer(views, strat=strat, ask=strat._answer):
             entry, moves = made.get(id(views), (None, ()))
             assert entry is views, "an entry no projection's recurrence made"
-            seen.append((Play(strat.arena, tuple(moves)), views))
+            seen.append((Play(strat.arena, moves), views))
             return ask(views)
         strat._answer = answer
     return seen
@@ -757,8 +762,9 @@ def test_compose_asks_each_factor_p_view_once():
 
 def test_compose_raises_inconsistent_on_foreign_play():
     # The composite (succ after the sum) asks x first; claim it asked y.
-    # The false move is inside the P-view, so replaying that view meets
-    # it whatever the memo holds.
+    # The false move is inside the P-view, so playing out that view
+    # meets it, or resuming from its stored prefix checks it, whatever
+    # the memo holds.
     b = Bounds(max_nat=2, max_play_len=12)
     t = parse("fun x: nat -> fun y: nat -> succ (x + y)")
     cold = denote(t, b)
@@ -811,6 +817,104 @@ def test_compose_bound_exceeded_is_not_none():
     deeper = Play(comp.arena, (("R.q", ROOT), ("L.q", 0), ("L.0", 1)))
     with pytest.raises(BoundExceeded):
         comp.respond(deeper)
+
+
+def _asked(node, play):
+    """`node.respond(play)`, or the exception it raised, by type and text."""
+    try:
+        return node.respond(play)
+    except (InconsistentPlay, BoundExceeded) as e:
+        return type(e).__name__, str(e)
+
+
+def _extensions(s: Play) -> list[Play]:
+    """The legal plays one move longer than s, by `legal_extensions`."""
+    *_, (pv, ov, _, _) = prefix_views(s)
+    justifiers = pv if len(s.moves) % 2 else (ROOT, *ov)
+    return [s.extend(*mj) for mj in legal_extensions(s.arena, s.moves, justifiers)]
+
+
+def _kind(outcome) -> str:
+    """An outcome's kind: a reply, a refusal, a bound hit, or an
+    InconsistentPlay by what it says the composite did."""
+    if outcome is None:
+        return "refusal"
+    name, text = outcome
+    if name == "InconsistentPlay":
+        return text.partition(" where")[0].split(": ")[-1]
+    return name if name == "BoundExceeded" else "reply"
+
+
+def _asks(sigma, b):
+    """Odd-length plays to ask a node like sigma: each play sigma reaches
+    at b, extended by each Opponent move; and each of those extended by
+    a Proponent move sigma does not play there and an Opponent move
+    pointing at it, a lie that stays in the P-view."""
+    asks = []
+    for s in explore(sigma, b).plays:
+        for so in _extensions(s):
+            asks.append(so)
+            if len(so.moves) + 2 > b.max_play_len:
+                continue
+            r = _asked(sigma, so)
+            for sop in _extensions(so):
+                if sop.moves[-1] != r:
+                    asks += [x for x in _extensions(sop) if x.moves[-1][1] == len(so.moves)][:2]
+    return asks
+
+
+def _cold_cases():
+    """(name, a maker of fresh nodes, bounds): every corpus entry; each
+    composite of the associativity factors, with room for its hidden
+    moves and with too little; and a composite whose second factor
+    never answers."""
+    cases = [(e.name, e.build, _REC_EVERY if e.name == "rec_zero" else e.bounds)
+             for e in CORPUS]
+    for cap in (20, 5):
+        for k, name in enumerate(("(f;g);h", "f;(g;h)", "f;g", "g;h")):
+            def make(k=k, b=Bounds(max_nat=2, max_play_len=cap)):
+                lhs, rhs, (_, _, _, fg, gh) = _associated(b)
+                return (lhs, rhs, fg, gh)[k]
+            cases.append((f"{name} at {cap}", make, Bounds(max_nat=2, max_play_len=6)))
+    n1 = make_nat_arena(1)
+    never = InnocentStrategy(arrow(n1, n1), "never", view_fn=lambda v: None)
+    cases.append(("copycat;never", lambda: compose(copycat(n1), never, Bounds()),
+                  Bounds(max_nat=1, max_play_len=6)))
+    return cases
+
+
+def test_a_cold_composite_answers_as_a_warm_one_in_any_order():
+    # A composite resumes each asked P-view from the stored interaction
+    # of the longest asked prefix, or from the empty one.  Asked cold, in
+    # any order, through `respond`, every node answers as a warm one
+    # does, and as one asked only that play, which plays it out from the
+    # empty interaction: the same replies, and InconsistentPlay and
+    # BoundExceeded, with the same texts, on the same plays.
+    rng = random.Random(0)
+    kinds = Counter()
+    digest = hashlib.sha256()
+    for name, make, b in _cold_cases():
+        asks = _asks(make(), b)
+        warm = make()
+        explore(warm, b)
+        want = [_asked(warm, s) for s in asks]
+        for order in (asks[::-1], rng.sample(asks, len(asks))):
+            fresh = make()
+            got = {s: _asked(fresh, s) for s in order}
+            assert [got[s] for s in asks] == want, name
+        longest = max((ref_pview(s) for s in asks), key=lambda v: (len(v), v.moves))
+        assert _asked(make(), longest) == _asked(warm, longest), name
+        for k in sorted(rng.sample(range(len(asks)), min(len(asks), 40))):
+            assert _asked(make(), asks[k]) == want[k], (name, asks[k])
+        kinds.update(map(_kind, want))
+        digest.update(repr((name, [(s.moves, w) for s, w in zip(asks, want)])).encode())
+    # the outcomes as a composite that played out each P-view from the
+    # empty interaction on every miss gave them
+    assert kinds == {"reply": 11472, "refusal": 253, "computed 'R.R.0'": 486,
+                     "computed 'R.0'": 36, "computed 'R.1'": 18, "computed 'R.2'": 18,
+                     "no response": 2, "BoundExceeded": 25}
+    assert digest.hexdigest() == (
+        "5c8dbb19fafcf61a5896b70eae23bf2444be0283a9ec7a6cfea177f8aaffea44")
 
 
 def test_strategy_responses_are_opponent_enabled_and_proponent():
