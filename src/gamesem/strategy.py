@@ -10,21 +10,24 @@ inner strategy (renamings, pairings, composites) give it as `play_fn`,
 which differs in name only, so a tracer can tell the node kinds apart.
 
 Every node keeps one memo of its checked replies, one entry per P-view,
-read and written only by `_answer`: an innocent strategy is its view
-function, so reaching a view again costs a lookup.  On a miss `_reply`
-runs the node and checks the response against the arena and the view,
-so the extended play is legal again; a bound hit is stored too and
-raised again on later asks.  Three callers hand `_answer` a play's
-views, whose P-view moves key the memo, and no play is built for it:
+written only by `_answer`: an innocent strategy is its view function,
+so reaching a view again costs a lookup.  On a miss `_reply` runs the
+node and checks the response against the arena and the view, so the
+extended play is legal again; a bound hit is stored too and raised
+again on later asks.  A reply may go on after its move and pointer:
+the memo keeps the rest, a composite's interaction, and `_answer`
+hands it to no caller.  Three callers hand `_answer` a play's views,
+whose P-view moves key the memo, and no play is built for it:
 `respond`, after one legality pass at `plays.checked_views`; `_round`,
 one round of play (an Opponent move and the reply) for `walk` and
 `observation._play_against` (test runs and the oracle), which takes
 and returns the play's moves and carries its views through
 `plays.next_views`; and compose, which carries each factor's views the
-same way.  `tabulate` walks P-views alone and asks `_reply` once per
-view.  Wrappers translate the view alone for their inner strategy (a
-prefix renaming is an arena isomorphism, so it commutes with the
-P-view), and the inner pointer into that view is already view-relative.
+same way.  `tabulate`, and a composite asking itself a shorter P-view,
+hand `_answer` a P-view as its own play, so only it calls `_reply`.
+Wrappers translate the view alone for their inner strategy (a prefix
+renaming is an arena isomorphism, so it commutes with the P-view), and
+the inner pointer into that view is already view-relative.
 
 `walk` is the one exploration of a strategy's plays, a generator that
 keeps none: it yields each play it reaches as its moves, with the views
@@ -51,11 +54,11 @@ exchange moves in the shared middle component, which is hidden from the
 outside.  A composite plays out only the P-view it is asked about (the
 P-view of a legal play is a legal play, and the composite is innocent),
 so its reply is a function of that view and is memoised by its node
-like any other.  It resumes that interaction from the one it stored for
-the P-view two moves shorter: a P-view asked in a play is an earlier
-asked P-view, Proponent's reply and one Opponent move, so a miss plays
-only that move and the hidden moves up to the next visible one.  One
-turn rule says who moves next, and the interaction grows three
+like any other, with the interaction after it.  It resumes from the
+memo entry of the P-view two moves shorter: a P-view asked in a play is
+an earlier asked P-view, Proponent's reply and one Opponent move, so a
+miss plays only that move and the hidden moves up to the next visible
+one.  One turn rule says who moves next, and the interaction grows three
 projections with each move it appends: sigma's and tau's, by their
 views, and the outer one the reply is read off, by its moves, all
 pointed by one justifier rule.  Interactions are capped at
@@ -120,7 +123,8 @@ _BOUND = object()
 class InnocentStrategy:
     """A node over `arena` answering P-views: exactly one of `view_fn`
     (a leaf) or `play_fn` (a wrapper) maps the P-view's moves to
-    (move, index into the view) or None."""
+    (move, index into the view), which may go on with items the memo
+    keeps and no reader sees, or None."""
 
     def __init__(self, arena: Arena, name: str, view_fn=None, play_fn=None):
         if (view_fn is None) == (play_fn is None):
@@ -152,7 +156,8 @@ class InnocentStrategy:
         its views as `plays.next_views` gives them.  Memoised by the
         P-view's moves: each view is asked through `_reply`, and its
         reply checked, once; a bound hit is stored and raised again on
-        every later ask, and any other exception is never stored."""
+        every later ask, and any other exception is never stored.  The
+        caller gets (move, pointer) of the memo's whole reply."""
         positions, _, key, _ = views
         r = self._memo.get(key, _UNASKED)
         if r is _UNASKED:
@@ -172,7 +177,7 @@ class InnocentStrategy:
         r = (self._view_fn or self._play_fn)(view)
         if r is None:
             return None
-        move, j = r
+        move, j = r[0], r[1]
         if not 0 <= j < len(view):
             raise StrategyError(f"{self.name}: pointer {j} outside the P-view")
         if self.arena.polarity.get(move) != "P":
@@ -309,9 +314,10 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
     play of sigma and its own P-view: Opponent points at the move just
     before it, or at nothing in the empty view, and sigma's reply
     extends it to the next P-view.  So `legal_extensions` is handed that
-    one justifier, and each view vo is asked once through `_reply` by
-    its moves, whose pointer is already an index into vo.  A view whose
-    reply hit an interaction bound is left out.
+    one justifier, and each view vo is asked once through `_answer` as
+    its own play, whose positions are its indices, so the pointer is
+    already an index into vo.  A view whose reply hit an interaction
+    bound is left out.
     """
     arena = sigma.arena
     entries: dict[tuple, tuple[str, int]] = {}
@@ -323,7 +329,7 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
         for o in legal_extensions(arena, v, (len(v) - 1,) if v else (ROOT,)):
             vo = v + (o,)
             try:
-                r = sigma._reply(vo)
+                r = sigma._answer((range(len(vo)), None, vo, None))
             except BoundExceeded:
                 continue
             if r is not None:
@@ -507,16 +513,16 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     view that the composite would not have played raises
     InconsistentPlay.
 
-    The interaction after each reply is stored, keyed by the moves of
-    the P-view answered.  A P-view w resumes from the one stored for
-    w[:-2], which is checked to end with the reply w[-2], copied, and
-    grown by w[-1] and the hidden moves after it.  An ask with no
-    stored parent, such as `respond` on an arbitrary play, steps back
-    two moves at a time to the longest prefix stored, or to the empty
-    interaction, and resumes from there one visible pair at a time,
-    storing each interaction it reaches.  The moves played, and so the
-    replies, the bound hits and the InconsistentPlay texts, are those
-    of playing out w from the empty interaction.
+    Each reply comes with the interaction after it, so the node's memo
+    keeps both.  A P-view w resumes from the memo entry of w[:-2], whose
+    reply is checked to be w[-2]; its interaction is copied and grown by
+    w[-1] and the hidden moves after it.  Where w[:-2] has no reply in
+    the memo, as when `respond` is asked an arbitrary play, the node
+    first asks itself w[:-2] through `_answer`, which recurses down to
+    the longest prefix in the memo, or to the empty interaction.  The
+    moves played, and so the replies, the bound hits and the
+    InconsistentPlay texts, are those of playing out w from the empty
+    interaction.
 
     Component bookkeeping: the interaction records the justifier of
     each occurrence, in A, B or C, and grows three projections of it
@@ -536,7 +542,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     A factor's projection is a legal play, so the factor is asked
     through `_answer` with its views, unchecked, and no play is built.
     The composite's reply depends on its P-view alone; its node
-    memoises it, and the stored interactions are the composite's own.
+    memoises it with the interaction, which is the composite's own.
     """
     if sigma.arena.kind != "arrow" or tau.arena.kind != "arrow":
         raise ValueError("compose needs arrow-shaped arenas")
@@ -553,8 +559,6 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     # adds: sigma's and tau's views, the outer projection's move
     comps = (("A", "B", next_views), ("B", "C", next_views),
              ("A", "C", lambda moves, m, ptr: (m, ptr)))
-    # the moves of each P-view answered -> the interaction after its reply
-    states: dict[tuple, tuple] = {}
 
     def append(u: list, proj: tuple, comp: str, mv: str, up: int) -> None:
         ui = len(u)
@@ -584,41 +588,34 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
 
     def play_fn(view: tuple):
         n = len(view)
-        # step back two moves at a time to the longest proper prefix
-        # whose interaction is stored; k == -1 is the empty interaction
-        k, state = n - 2, None
-        while k > 0:
-            state = states.get(view[:k])
-            if state is not None:
-                break
-            k -= 2
-        if state is None:
+        if n == 1:
             # per projection: position -> u index, u index -> position
             # (and ROOT -> ROOT), and the entries its moves add
             u = []   # the justifier of each occurrence
             proj = (([], {ROOT: ROOT}, [EMPTY_VIEWS]), ([], {ROOT: ROOT}, [EMPTY_VIEWS]),
                     ([], {ROOT: ROOT}, []))
-        # one visible pair at a time: the reply to view[:k] is checked
-        # against view[k], and view[k + 1] is appended to a copy
-        while True:
-            if state is not None:
-                u, proj = state
-                reply = proj[2][2][-1]
-                if reply != view[k]:
-                    raise InconsistentPlay(
-                        f"{cname}: computed {reply[0]!r} where the play has {view[k][0]!r}")
-                u, proj = u.copy(), tuple((idx.copy(), pos.copy(), grown.copy())
-                                          for idx, pos, grown in proj)
-            m, ptr = view[k + 1]
-            side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
-            append(u, proj, "AC"[side], m[2:], ROOT if ptr == ROOT else proj[2][0][ptr])
-            k += 2
-            if not run_until_visible(u, proj, side):
-                if k == n:
-                    return None
-                raise InconsistentPlay(f"{cname}: no response where the play has {view[k][0]!r}")
-            state = states[view[:k]] = (u, proj)
-            if k == n:
-                return proj[2][2][-1]
+        else:
+            # the memo entry of view[:-2]: its reply, checked against
+            # view[-2], and the interaction after it; asked first unless
+            # it is a reply
+            r = node._memo.get(view[:-2])
+            if type(r) is not tuple:
+                node._answer((range(n - 2), None, view[:-2], None))
+                r = node._memo[view[:-2]]
+            if r is None:
+                raise InconsistentPlay(f"{cname}: no response where the play has {view[-2][0]!r}")
+            if r[:2] != view[-2]:
+                raise InconsistentPlay(
+                    f"{cname}: computed {r[0]!r} where the play has {view[-2][0]!r}")
+            u, proj = r[2]
+            u, proj = u.copy(), tuple((idx.copy(), pos.copy(), grown.copy())
+                                      for idx, pos, grown in proj)
+        m, ptr = view[-1]
+        side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
+        append(u, proj, "AC"[side], m[2:], ROOT if ptr == ROOT else proj[2][0][ptr])
+        if not run_until_visible(u, proj, side):
+            return None
+        return (*proj[2][2][-1], (u, proj))
 
-    return InnocentStrategy(outer, cname, play_fn=play_fn)
+    node = InnocentStrategy(outer, cname, play_fn=play_fn)
+    return node

@@ -206,6 +206,21 @@ def test_obs_equiv_symmetric_verdict():
     assert {r1.witness_side, r2.witness_side} == {"left", "right"}
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a wrong INEQUIV with no bound hit: L's longer plays are cut at the play cap "
+    "without a count, so the witness from R's side runs BOUND_EXCEEDED against L "
+    "(ROADMAP items 5 and 17)"))
+def test_asking_g_twice_through_ifz_is_asking_it_once():
+    # equivalent in PCF: an innocent g answers both calls alike
+    b = Bounds(max_nat=1, max_play_len=16)
+    arg = "g (fun x: nat -> x)"
+    left = denote(parse(f"fun g: (nat -> nat) -> nat -> ifz {arg} then {arg} else {arg}"), b)
+    right = denote(parse(f"fun g: (nat -> nat) -> nat -> {arg}"), b)
+    r = obs_equiv(left, right, b)
+    assert r.to_json()["bound_exceeded_count"] == 0
+    assert r.equal, r.witness_side
+
+
 # ------------------------------------------------------ brute_force_leq
 
 

@@ -755,9 +755,53 @@ def test_compose_asks_each_factor_p_view_once():
     leaf = _counted_leaf(succ_strategy(2), b, asked)
     counted = compose(copycat(N2), leaf, b)
     plain = compose(copycat(N2), succ_strategy(2), b)
-    for fold in (explore, innocent_explore):
+    for fold in (explore, innocent_explore, tabulate):
         assert fold(counted, b) == fold(plain, b)
     assert asked and len(asked) == len(set(asked))
+
+
+def test_a_cold_ask_leaves_each_p_view_prefix_it_needed_in_the_memo():
+    # `respond` on a fresh composite's play with the longest P-view w
+    # asks the composite itself, through `_answer`, about each P-view
+    # prefix of w that it resumes from: each is left in the memo as a
+    # reply that passed `_reply`'s checks, with the interaction after
+    # it.  A warm ask of one more view then resumes from that memo, and
+    # asks the factors only about views they were not asked before.
+    b = Bounds(max_nat=1, max_play_len=40)
+
+    def make():
+        sigma, tau = denote(parse("fun f: nat -> nat -> f (f (f 1))"), b), succ_strategy(1)
+        return compose(sigma, tau, b), sigma, tau
+
+    plays = explore(make()[0], Bounds(max_nat=1, max_play_len=10)).plays
+    s = max((Play(p.arena, p.moves[:-1]) for p in plays if p.moves),
+            key=lambda s: (len(pview(s)), s.moves))
+    comp, sigma, tau = make()
+    asked = []
+    for strat in (sigma, tau):
+        def answer(views, strat=strat, ask=strat._answer):
+            asked.append((strat, views[2]))
+            return ask(views)
+        strat._answer = answer
+    reply = comp.respond(s)
+    w = pview(s).moves
+    assert len(w) == 7 and set(comp._memo) == {w[:k] for k in range(1, len(w) + 1, 2)}
+    for k in range(1, len(w) + 1, 2):
+        m, ptr, _ = comp._memo[w[:k]]
+        assert comp.arena.polarity[m] == "P" and 0 <= ptr < k
+        assert comp.arena.enables(w[ptr][0], m)
+        assert (m, ptr) == w[k] if k < len(w) else m == reply[0]
+    warm = 0
+    for k in range(1, len(w) + 1, 2):
+        v = w[:k] + (comp._memo[w[:k]][:2],)
+        for o in legal_extensions(comp.arena, v, (k,)):
+            if v + (o,) in comp._memo:
+                continue
+            before, n = set(asked), len(asked)
+            comp.respond(Play(comp.arena, v + (o,)))
+            assert asked[n:] and not before & set(asked[n:]), v + (o,)
+            warm += 1
+    assert warm == 6
 
 
 def test_compose_raises_inconsistent_on_foreign_play():
