@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
+from .arena import json_check
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -29,5 +31,10 @@ class Bounds:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Bounds":
-        return cls(**{k: int(doc[k]) for k in
-                      ("max_nat", "max_play_len", "max_view_len", "fix_depth") if k in doc})
+        """The bounds `to_json` wrote under an observation's "bounds"
+        key, each field a JSON integer; a field left out keeps its
+        default.  ValueError names a part out of shape by its path."""
+        json_check(doc, dict, "bounds")
+        given = {k: doc[k] for k in asdict(cls()) if k in doc}
+        json_check(given, dict.fromkeys(given, int), "bounds")
+        return cls(**given)

@@ -11,17 +11,21 @@ yields, since its set already names the arena; a `Play` is built only
 where a view crosses the JSON door (`to_json`, `from_json`, which
 checks the document's shape with `arena.json_check` first) and for the
 legality and bracketing checks of a set's elements.  Each view-set is
-O-deterministic, and such sets double as tests: an O-deterministic set
-induces a probing strategy that walks the recorded views against the
-strategy under test and reports success on an auxiliary one-question
-arena (`induced_test`, the paper's construction).  `run_test` gives the
-verdict of that composite without building it: the set is read as an
-Opponent, a table from O-views to the next Opponent move, and one play
-over the strategy's own arena alternates that Opponent with the
-strategy's rounds, the rounds `walk` plays, on the play's moves.  That
-play is `_play_against`, which takes any table, a partial one too: it
-stops at the first O-view the table has no entry for, and the test
-oracle in `equiv` branches there.
+O-deterministic, checked once, where it is made: by the `ODetSet`
+constructor, and set by set in `ObservationalStrategy.from_json`; no
+reader checks a set again.  Such sets double as tests: an
+O-deterministic set induces a probing strategy that walks the recorded
+views against the strategy under test and reports success on an
+auxiliary one-question arena (`induced_test`, the paper's
+construction).  `run_test` gives the verdict of that composite without
+building it: the set is read as an Opponent, a table from O-views to
+the next Opponent move, and one play over the strategy's own arena
+alternates that Opponent with the strategy's rounds, the rounds `walk`
+plays, on the play's moves.  That play is `_play_against`, which takes
+a valid set's table or a partial one that the test oracle in `equiv`
+grows through `legal_extensions`, and plays the Opponent moves either
+gives unchecked: it stops at the first O-view the table has no entry
+for, and the oracle branches there.
 """
 from __future__ import annotations
 
@@ -44,7 +48,6 @@ from .plays import (
 from .strategy import (
     BoundExceeded,
     InnocentStrategy,
-    StrategyError,
     from_view_table,
     walk,
 )
@@ -119,19 +122,21 @@ _UNSET = object()
 @dataclass(frozen=True)
 class ODetSet:
     """A prefix-closed, O-deterministic set of O-views over one arena,
-    each O-view held as its moves."""
+    each O-view held as its moves.  The constructor is the one door:
+    ValueError if `odet_violation` refuses the set, so every ODetSet is
+    valid and nothing that reads one checks it again."""
     arena: Arena
     views: frozenset[tuple]
 
-    @classmethod
-    def make(cls, arena: Arena, views) -> "ODetSet":
-        """The set of `views`, move tuples, closed under prefixes;
-        ValueError if it is not O-deterministic over `arena`."""
-        closed = frozenset(v[:k] for v in views for k in range(len(v) + 1))
-        bad = odet_violation(arena, closed)
+    def __post_init__(self):
+        bad = odet_violation(self.arena, self.views)
         if bad is not None:
             raise ValueError(f"not an O-deterministic view-set: {bad}")
-        return cls(arena, closed)
+
+    @classmethod
+    def make(cls, arena: Arena, views) -> "ODetSet":
+        """The set of `views`, move tuples, closed under prefixes."""
+        return cls(arena, frozenset(v[:k] for v in views for k in range(len(v) + 1)))
 
     @cached_property
     def _table(self) -> dict[tuple, object]:
@@ -139,25 +144,19 @@ class ODetSet:
 
         Maps the moves of an O-view to the set's next Opponent move
         there (move, pointer into the view or ROOT), or to _SUCCEED
-        where the view is a complete element.  Only the views that key
-        the table must be single-threaded: the body of an odd-length
-        element and a complete element.  O-determinacy of the set is
-        exactly what makes the table single-valued.  Built once, for
-        every strategy the set tests.
+        where the view is a complete element.  The set's validity makes
+        this a view function: O-determinacy makes it single-valued,
+        every key is an element and so single-threaded, and a complete
+        element, (q, a) with the answer pointing at q, has no Opponent
+        extension to compete with its _SUCCEED.  Built once, for every
+        strategy the set tests.
         """
         table: dict[tuple, object] = {}
-
-        def put(key: tuple, entry):
-            if not is_single_threaded(Play(self.arena, key)):
-                raise ValueError("only single-threaded plays lift to tests")
-            if table.setdefault(key, entry) != entry:
-                raise ValueError("ill-formed test: a view is answered two ways")
-
         for v in self.views:
             if len(v) % 2 == 1:
-                put(v[:-1], v[-1])
+                table[v[:-1]] = v[-1]
             elif v and is_complete(Play(self.arena, v)):
-                put(v, _SUCCEED)
+                table[v] = _SUCCEED
         return table
 
     @cached_property
@@ -262,17 +261,17 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     in the composite, the Sigma question and answer count against
     b.max_play_len with the moves of A, so a reply that would take the
     interaction past the cap gives BOUND_EXCEEDED; so does a bound hit
-    inside sigma.  An Opponent move A does not allow raises
-    StrategyError when it is due to be played.
+    inside sigma.  Every Opponent move is played as the table gives
+    it, unchecked: the table is either a valid set's `_table` or one of
+    the oracle's partial tables, whose entries come from
+    `legal_extensions`, so each move is legal in its O-view.
     """
-    arena = sigma.arena
     # The composite's interaction holds the Sigma question, the moves of
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
     cap = b.max_play_len - 2
     moves, views = run or ((), (EMPTY_VIEWS,))
     while True:
         i = len(moves)
-        ov = views[i][1]
         entry = table.get(views[i][3], _UNSET)
         if entry is _UNSET:
             return moves, views
@@ -281,16 +280,10 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
         if entry is _SUCCEED:
             return TestVerdict.BOUND_EXCEEDED if i > cap else TestVerdict.TOP
         o, ptr = entry
-        if ptr == ROOT:
-            j, enabled = ROOT, arena.is_initial(o)
-        else:
-            j = ov[ptr] if 0 <= ptr < len(ov) else None
-            enabled = j is not None and arena.enables(moves[j][0], o)
-        if arena.polarity.get(o) != "O" or not enabled:
-            raise StrategyError(f"{o!r} is not an Opponent move enabled in "
-                                f"the O-view {views[i][3]!r}")
         if i > cap:
             return TestVerdict.BOUND_EXCEEDED
+        # the O-view's pointer, as a position in the play
+        j = ROOT if ptr == ROOT else views[i][1][ptr]
         try:
             step = sigma._round(moves + ((o, j),), views)
         except BoundExceeded:
@@ -328,13 +321,25 @@ class ObservationalStrategy:
 
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ObservationalStrategy":
+        """The observation `to_json` wrote, over `arena` or the embedded
+        one; ValueError naming the part of the document at fault, or the
+        set, `sets[i]`, that is not an O-deterministic view-set.  The
+        sets need not be pairwise O-separated (`is_observational`), as
+        sets built by hand may not be."""
         json_check(doc, {"sets": [list]})
+        bounds = Bounds.from_json(doc.get("bounds", {}))
+        exceeded = doc.get("bound_exceeded", 0)
+        json_check(exceeded, int, "bound_exceeded")
         arena = _doc_arena(doc, arena)
-        sets = frozenset(
-            frozenset(Play.from_json(v, arena, f"sets[{i}][{k}]").moves for k, v in enumerate(vs))
-            for i, vs in enumerate(doc["sets"]))
-        return cls(arena, sets, Bounds.from_json(doc.get("bounds", {})),
-                   int(doc.get("bound_exceeded", 0)))
+        sets = set()
+        for i, vs in enumerate(doc["sets"]):
+            views = frozenset(Play.from_json(v, arena, f"sets[{i}][{k}]").moves
+                              for k, v in enumerate(vs))
+            bad = odet_violation(arena, views)
+            if bad is not None:
+                raise ValueError(f"sets[{i}]: not an O-deterministic view-set: {bad}")
+            sets.add(views)
+        return cls(arena, frozenset(sets), bounds, exceeded)
 
     def __repr__(self) -> str:
         return f"ObservationalStrategy({self.arena.name}, {len(self.sets)} sets)"

@@ -24,8 +24,9 @@ P-views, each its own P-view.
 Legality is checked where plays enter, at one door: `checked_views`
 returns the views of a legal play or raises ValueError, and
 `InnocentStrategy.respond`, `pview` and `oview` pass every play they
-are given through it.  View-sets read from JSON are checked by
-`ODetSet.make`.  Everything else takes a legal play as
+are given through it.  View-sets are checked by the `ODetSet`
+constructor, and an observation document's sets by
+`ObservationalStrategy.from_json`.  Everything else takes a legal play as
 given.  `legal_extensions`, the one move generator, takes the moves of
 a legal play and the set of positions the new move may point at:
 members of the mover's view, and ROOT where a new thread may open.

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import io
 import json
@@ -7,8 +6,6 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from functools import reduce
-from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +18,7 @@ from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
 from gamesem.plays import ROOT, Play, is_complete
 from gamesem.strategy import StrategyError
+from mutations import mutated
 
 
 def run_cli(*args):
@@ -323,7 +321,7 @@ def test_a_view_set_file_nested_too_deeply_exits_2(tmp_path):
     assert r.stderr.count("\n") == 1
 
 
-# The view-set door, `ODetSet.from_json` -> `make` -> `odet_violation`,
+# The view-set door, `ODetSet.from_json` -> `make` -> the constructor,
 # fuzzed through `gamesem test` on the identity at nat 1: documents
 # built around a valid set by deleting keys, moves or views (missing
 # keys, odd-length views) and by putting values of the wrong type, bad
@@ -343,32 +341,10 @@ _JUNK = st.one_of(
                                                         make_nat_arena(2)).to_json()]))
 
 
-def _paths(o, at=()):
-    """The path to every part of the document `o`, `o` itself first."""
-    yield at
-    items = o.items() if isinstance(o, dict) else enumerate(o) if isinstance(o, list) else ()
-    for k, v in items:
-        yield from _paths(v, at + (k,))
-
-
 @st.composite
 def _view_set_texts(draw):
-    doc = copy.deepcopy(_ID_SET)
-    for _ in range(draw(st.integers(1, 3))):
-        # the views' parts first and three times as likely as the
-        # arena's; the whole document last
-        root, *paths = _paths(doc)
-        views = [p for p in paths if p[:1] == ("views",)]
-        path = draw(st.sampled_from(3 * views + paths + [root]))
-        if not path:
-            doc = copy.deepcopy(draw(_JUNK))
-            continue
-        parent = reduce(getitem, path[:-1], doc)
-        if draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = copy.deepcopy(draw(_JUNK))
-    return json.dumps(doc)
+    # the views' parts three times as likely as the arena's
+    return json.dumps(mutated(draw, _ID_SET, _JUNK, lambda p: p[:1] == ("views",)))
 
 
 @pytest.fixture(scope="module")

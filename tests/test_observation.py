@@ -3,11 +3,13 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesem.arena import arrow, make_nat_arena, make_sigma
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS, PAIRS, build_pair
-from gamesem.equiv import enumerate_closed_odet_sets
+from gamesem.equiv import brute_force_leq, enumerate_closed_odet_sets, obs_equiv
 from gamesem.observation import (
     ODetSet,
     ObservationalStrategy,
@@ -27,11 +29,11 @@ from gamesem.plays import ROOT, Play, is_complete
 from gamesem.strategy import (
     BoundExceeded,
     InnocentStrategy,
-    StrategyError,
     as_thunk,
     compose,
     traces,
 )
+from mutations import mutated
 from oracles import ref_oview, ref_pending_questions
 from walks import innocent_explore
 
@@ -342,48 +344,124 @@ def test_run_test_agrees_with_the_composite_on_every_candidate():
     assert seen[Verdict.BOUND_EXCEEDED] > 0 and seen[Verdict.TOP] > 0
 
 
-# Raw sets (the dataclass constructor skips `make`'s checks) over the
-# identity on N1: each fails, or not, where the composite with its
-# induced test fails, and only once the bad entry is due to be played.
+# Malformed sets over the identity on N1, as lists of views.  The
+# constructor is the one door to an ODetSet, so each is refused there
+# with its reason, and neither `run_test` nor the composite with its
+# induced test is ever reached.
 _ID = "fun x: nat -> x"
 _Q = ("R.q", ROOT)
 _ASKED = [_Q, ("L.q", 0)]
 
 
-def _raw(arena, *views):
-    return ODetSet(arena, frozenset(map(tuple, views)))
-
-
-@pytest.mark.parametrize("views, outcome", [
-    # the argument's answer pointing at the opening question
-    ([[], [_Q], _ASKED, _ASKED + [("L.1", 0)]], StrategyError),
-    # a pointer past the end of the O-view
-    ([[], [_Q], _ASKED, _ASKED + [("L.1", 5)]], StrategyError),
-    # a non-initial move with no justifier
-    ([[], [_Q], _ASKED, _ASKED + [("L.1", ROOT)]], StrategyError),
-    # a move the arena does not have
-    ([[], [_Q], _ASKED, _ASKED + [("L.7", 1)]], StrategyError),
-    # a Proponent move played as Opponent's
-    ([[], [_Q], _ASKED, _ASKED + [("R.1", 0)]], StrategyError),
-    # a complete element extended by an Opponent move
-    ([[], [_Q], _ASKED, _ASKED + [("L.1", 1)], _ASKED + [("L.1", 1), ("R.1", 0)],
-      _ASKED + [("L.1", 1), ("R.1", 0), _Q]], ValueError),
-    # a complete element with two threads
-    ([[], [_Q], [_Q, ("R.0", 0), _Q, ("R.0", 2)]], ValueError),
-    # a Proponent move as Opponent's, after a view the identity never shows
-    ([[], [_Q], _ASKED, _ASKED + [("L.0", 1)], _ASKED + [("L.0", 1), ("L.q", 0)],
-      _ASKED + [("L.0", 1), ("L.q", 0), ("R.1", 0)]], Verdict.BOT),
-    # a second thread: its O-view keys nothing, so the test never answers
-    ([[], [_Q], _ASKED, _ASKED + [_Q]], Verdict.BOT),
+@pytest.mark.parametrize("views, reason", [
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("L.1", 0)]], "element is not an O-view",
+                 id="answer-points-at-opener"),
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("L.1", 5)]], "element is not an O-view",
+                 id="pointer-past-the-view"),
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("L.1", ROOT)]], "element is not an O-view",
+                 id="answer-without-justifier"),
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("L.7", 1)]], "element is not an O-view",
+                 id="unknown-move"),
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("R.1", 0)]], "element is not an O-view",
+                 id="proponent-move-as-opponent"),
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("L.1", 1)], _ASKED + [("L.1", 1), ("R.1", 0)],
+                  _ASKED + [("L.1", 1), ("R.1", 0), _Q]], "element is not an O-view",
+                 id="complete-element-extended"),
+    pytest.param([[], [_Q], [_Q, ("R.0", 0), _Q, ("R.0", 2)]],
+                 "element has several initial moves", id="complete-element-two-threads"),
+    # after a view the identity never shows
+    pytest.param([[], [_Q], _ASKED, _ASKED + [("L.0", 1)], _ASKED + [("L.0", 1), ("L.q", 0)],
+                  _ASKED + [("L.0", 1), ("L.q", 0), ("R.1", 0)]], "element is not an O-view",
+                 id="proponent-move-after-an-unseen-view"),
+    pytest.param([[], [_Q], _ASKED, _ASKED + [_Q]], "element has several initial moves",
+                 id="second-thread"),
 ])
-def test_run_test_on_malformed_sets(views, outcome):
-    b = Bounds(max_nat=1, max_play_len=10)
-    sigma = denote(parse(_ID), b)
-    s = _raw(sigma.arena, *views)
-    if isinstance(outcome, Verdict):
-        assert run_test(sigma, s, b) is outcome
-        assert _composite_verdict(sigma, s, b) is outcome
-    else:
-        for route in (run_test, _composite_verdict):
-            with pytest.raises(outcome):
-                route(sigma, s, b)
+def test_door_refuses_malformed_sets(views, reason):
+    arena = denote(parse(_ID), Bounds(max_nat=1)).arena
+    with pytest.raises(ValueError, match=f"^not an O-deterministic view-set: {reason}"):
+        ODetSet(arena, frozenset(map(tuple, views)))
+
+
+def test_door_accepts_every_set_the_engine_makes():
+    # the oracle's candidates, every observed set, and every witness
+    for sigma, b in _cross_check_cases():
+        for vs in enumerate_closed_odet_sets(sigma.arena, b.max_view_len):
+            ODetSet(sigma.arena, vs)
+    for e in CORPUS:
+        sigma = e.build()
+        for vs in observations(sigma, e.bounds).sets:
+            ODetSet(sigma.arena, vs)
+    for p in PAIRS:
+        s1, s2 = build_pair(p)
+        for rep in (obs_equiv(s1, s2, p.bounds), brute_force_leq(s1, s2, p.bounds),
+                    brute_force_leq(s2, s1, p.bounds)):
+            if rep.witness is not None:
+                assert ODetSet(rep.witness.arena, rep.witness.views) == rep.witness
+
+
+def _obs_doc(name: str) -> dict:
+    e = next(e for e in CORPUS if e.name == name)
+    return observations(e.build(), e.bounds).to_json(include_arena=True)
+
+
+@pytest.mark.parametrize("change, said", [
+    pytest.param(lambda d: d["sets"][0].append({"moves": [{"m": "R.q", "ptr": ROOT}] * 2}),
+                 "sets[0]: not an O-deterministic view-set: element is not an O-view: "
+                 "Play[R.q R.q]", id="two-openings"),
+    # the empty view, listed first, dropped
+    pytest.param(lambda d: d["sets"][1].pop(0),
+                 "sets[1]: not an O-deterministic view-set: set is not prefix-closed at Play[]",
+                 id="not-prefix-closed"),
+    pytest.param(lambda d: d.update(bound_exceeded=2.7),
+                 "bound_exceeded: expected an integer, got a number", id="fractional-count"),
+    pytest.param(lambda d: d.update(bounds={"max_nat": [1]}),
+                 "bounds.max_nat: expected an integer, got an array of 1", id="array-bound"),
+    pytest.param(lambda d: d.update(bounds=[]),
+                 "bounds: expected an object, got an array of 0", id="bounds-not-an-object"),
+    pytest.param(lambda d: d["bounds"].update(max_view_len=True),
+                 "bounds.max_view_len: expected an integer, got a boolean", id="boolean-bound"),
+])
+def test_observation_door_refuses_bad_documents(change, said):
+    doc = _obs_doc("add_LR")
+    change(doc)
+    with pytest.raises(ValueError) as e:
+        ObservationalStrategy.from_json(doc)
+    assert str(e.value) == said
+
+
+def test_observation_door_keeps_default_bounds():
+    doc = _obs_doc("add_LR")
+    del doc["bounds"], doc["bound_exceeded"]
+    x = ObservationalStrategy.from_json({**doc, "bounds": {"max_nat": 2}})
+    assert x.bounds == Bounds(max_nat=2) and x.bound_exceeded == 0
+
+
+# The observation door, `ObservationalStrategy.from_json`, fuzzed on the
+# documents of two corpus terms: any part, the whole document included,
+# is dropped or replaced by a move, a pointer, an object or a value of
+# another type.  The door gives an observation of O-deterministic sets,
+# or refuses the document with ValueError; nothing else escapes.
+_OBS_DOCS = [_obs_doc("add_LR"), _obs_doc("iszero")]
+_OBS_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.integers(), st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["R.q", "R.0", "L.q", "L.1", [], {}, [[]], {"moves": []},
+                     {"m": "L.q", "ptr": 0}, {"m": "R.q", "ptr": ROOT},
+                     {"moves": [{"m": "R.q", "ptr": ROOT}]}, N1.to_json(), N2.to_json()]))
+
+
+@st.composite
+def _observation_docs(draw):
+    # the sets' and bounds' parts three times as likely as the arena's
+    return mutated(draw, draw(st.sampled_from(_OBS_DOCS)), _OBS_JUNK,
+                   lambda p: p[:1] != ("arena",))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_observation_docs())
+def test_observation_door_reads_or_refuses_mutated_documents(doc):
+    try:
+        x = ObservationalStrategy.from_json(doc)
+    except ValueError:
+        return
+    assert all(odet_violation(x.arena, vs) is None for vs in x.sets)
