@@ -12,8 +12,10 @@ candidate set.  Both roads are bounded and verdicts always carry the
 bounds they were established at.  `enumerate_closed_odet_sets` lists
 the candidate sets, smallest first, growing O-views as the oracle does.
 A view set holds each O-view as its move tuple, as `observation` does,
-and so does the witness; the oracle grows O-views as move tuples too,
-through `legal_extensions`.
+and so does the witness; the oracle and the candidate list grow
+O-views as move tuples too, by the one rule the view-set door checks
+them by, `observation.oview_steps`, and read a view's completeness off
+the open questions that rule carries.
 """
 from __future__ import annotations
 
@@ -31,11 +33,12 @@ from .observation import (
     TestVerdict,
     _play_against,
     observations,
+    oview_steps,
     sorted_views,
     viewset_key,
 )
 from .pcf import builtin, denote, parse, succ_strategy
-from .plays import ROOT, Play, is_complete, is_well_bracketed, legal_extensions
+from .plays import next_pending
 from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
 
 
@@ -80,23 +83,6 @@ def obs_equiv(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> EquivRep
     return EquivReport(False, b, ODetSet.make(s1.arena, w), side, exceeded)
 
 
-def _oview_children(arena: Arena, v: tuple, cap: int) -> list[tuple]:
-    """The well-bracketed O-views over `arena` one move longer than the
-    O-view v, each as its moves, within the length cap.  Each grows
-    through `legal_extensions` from the positions its mover may point
-    at: ROOT in the empty view, as only the first move opens a thread;
-    every position at even length, as an O-view is its own O-view; and
-    the last at odd length, as a Proponent move in an O-view points at
-    the move before it.  Bracketing violations are pruned, as no
-    extension repairs them."""
-    n = len(v)
-    if n >= cap:
-        return []
-    ptrs = (ROOT,) if n == 0 else range(n) if n % 2 == 0 else (n - 1,)
-    kids = [v + (e,) for e in legal_extensions(arena, v, ptrs)]
-    return [c for c in kids if is_well_bracketed(Play(arena, c))]
-
-
 def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozenset[tuple]]:
     """Every prefix-closed deterministic view set over the arena whose
     views respect the length cap, each view as its moves, in
@@ -105,10 +91,12 @@ def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozense
     by name by the benchmark's tracer.  A set rooted at a view of even
     length (Opponent to move) takes at most one child's sets; at odd
     length (Proponent to move) it takes any choice of its children's
-    sets, each child left out or taken once."""
-    def rooted(v: tuple) -> list[frozenset[tuple]]:
+    sets, each child left out or taken once.  Views grow by
+    `oview_steps`, each with its open questions."""
+    def rooted(v: tuple, pending) -> list[frozenset[tuple]]:
         alone = frozenset({v})
-        kids = [rooted(c) for c in _oview_children(arena, v, max_view_len)]
+        steps = oview_steps(arena, v, pending) if len(v) < max_view_len else {}
+        kids = [rooted(v + (e,), p) for e, p in steps.items() if p is not None]
         if len(v) % 2 == 0:
             return [alone, *(alone | s for sets in kids for s in sets)]
         combos = [alone]
@@ -116,7 +104,7 @@ def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozense
             combos += [c | s for c in combos for s in sets]
         return combos
 
-    return sorted([frozenset(), *rooted(())], key=viewset_key)
+    return sorted([frozenset(), *rooted((), ())], key=viewset_key)
 
 
 @dataclass(frozen=True)
@@ -186,16 +174,22 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
     arena = s1.arena
     cap = b.max_view_len
     branches: dict[tuple, list] = {}
+    # the open questions of each view an Opponent entry makes
+    opened: dict[tuple, tuple | None] = {}
 
     def entries(key: tuple) -> list:
         # Every entry a candidate set's table can hold at the O-view key.
+        # A nonempty key is a view an Opponent entry made, extended by
+        # sigma's reply, which points at that entry's move.
         got = branches.get(key)
         if got is None:
             n = len(key)
-            got = [None]
-            if 0 < n <= cap and is_complete(Play(arena, key)):
-                got.append(_SUCCEED)
-            got += [c[-1] for c in _oview_children(arena, key, cap)]
+            pending = (next_pending(arena.questions, opened[key[:-1]], n - 1, *key[-1])
+                       if n else ())
+            got = [None, _SUCCEED] if 0 < n <= cap and pending == () else [None]
+            steps = oview_steps(arena, key, pending) if n < cap else {}
+            opened.update((key + (e,), p) for e, p in steps.items())
+            got += [e for e, p in steps.items() if p is not None]
             branches[key] = got
         return got
 

@@ -9,21 +9,26 @@ questions, which the walk yields too, are none.  An O-view is held as
 its moves, the tuple ((move, pointer into the view), ...) the walk
 yields, since its set already names the arena; a `Play` is built only
 where a view crosses the JSON door (`to_json`, `from_json`, which
-checks the document's shape with `arena.json_check` first) and for the
-legality and bracketing checks of a set's elements.  Each view-set is
+checks the document's shape with `arena.json_check` first) and to name
+a view in a refusal.  What an O-view is, the rule says once:
+`oview_steps` gives the moves that grow one O-view into another, with
+the open questions of each, and the view-set door and the oracle and
+candidate list in `equiv` all use it.  Each view-set is
 O-deterministic, checked once, where it is made: by the `ODetSet`
-constructor, and set by set in `ObservationalStrategy.from_json`; no
-reader checks a set again.  Such sets double as tests: an
-O-deterministic set induces a probing strategy that walks the recorded
-views against the strategy under test and reports success on an
-auxiliary one-question arena (`induced_test`, the paper's
+constructor, which checks every element's steps by that rule, shortest
+element first, and builds the set's Opponent table in the same pass;
+`ObservationalStrategy.from_json` makes each set it reads through that
+constructor.  No reader checks a set again.  Such sets double as
+tests: an O-deterministic set induces a probing strategy that walks the
+recorded views against the strategy under test and reports success on
+an auxiliary one-question arena (`induced_test`, the paper's
 construction).  `run_test` gives the verdict of that composite without
 building it: the set is read as an Opponent, a table from O-views to
 the next Opponent move, and one play over the strategy's own arena
 alternates that Opponent with the strategy's rounds, the rounds `walk`
 plays, on the play's moves.  That play is `_play_against`, which takes
 a valid set's table or a partial one that the test oracle in `equiv`
-grows through `legal_extensions`, and plays the Opponent moves either
+grows by `oview_steps`, and plays the Opponent moves either
 gives unchecked: it stops at the first O-view the table has no entry
 for, and the oracle branches there.
 """
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .arena import Arena, arrow, json_check, make_sigma
 from .bounds import Bounds
@@ -39,10 +43,8 @@ from .plays import (
     EMPTY_VIEWS,
     ROOT,
     Play,
-    is_complete,
-    is_single_threaded,
-    is_well_bracketed,
-    legality_violation,
+    legal_extensions,
+    next_pending,
     prefix_views,
 )
 from .strategy import (
@@ -59,14 +61,24 @@ def prefix_oviews(s: Play) -> frozenset[tuple]:
     return frozenset(views[3] for views in prefix_views(s))
 
 
-def is_oview_shaped(v: Play) -> bool:
-    """True when v is legal and its own O-view.
-
-    Equivalently: moves alternate starting with O, and every P-move
-    points at the move immediately before it.
-    """
-    views: list = []
-    return legality_violation(v, views) is None and len(views[1]) == len(v.moves)
+def oview_steps(arena: Arena, v: tuple, pending) -> dict[tuple, tuple | None]:
+    """The one rule that grows O-views: the moves (move, pointer into v)
+    that extend the single-threaded well-bracketed O-view v over
+    `arena`, whose open questions are `pending`, to a legal
+    single-threaded O-view, each mapped to the open questions of the
+    view it makes, or to None where that view is not well-bracketed,
+    which no extension repairs.  The moves come from `legal_extensions`,
+    in its order, at the positions the mover may point at: ROOT in the
+    empty view, as only the first move opens a thread; every position at
+    even length, as an Opponent move keeps the view its own O-view
+    wherever it points; and the last at odd length, as a Proponent move
+    in an O-view points at the move before it.  The view-set door checks
+    each element's steps by it, and the oracle and the candidate list in
+    `equiv` grow their views by it."""
+    n = len(v)
+    ptrs = (ROOT,) if n == 0 else range(n) if n % 2 == 0 else (n - 1,)
+    return {e: next_pending(arena.questions, pending, n, *e)
+            for e in legal_extensions(arena, v, ptrs)}
 
 
 def _doc_arena(doc: dict, arena: Arena | None) -> Arena:
@@ -77,92 +89,103 @@ def _doc_arena(doc: dict, arena: Arena | None) -> Arena:
     return Arena.from_json(doc["arena"]) if arena is None else arena
 
 
-def odet_violation(arena: Arena, views: frozenset[tuple]):
-    """Why `views`, a set of move tuples, fails to be an
-    O-deterministic view-set over `arena`, or None.
-
-    Conditions: every element is a single-threaded well-bracketed
-    O-view over `arena`; the set is closed under prefixes; nonempty
-    elements share one initial move; and an even-length element has at
-    most one one-move extension in the set (Opponent branching is
-    resolved, Proponent branching is free).  Each element is checked as
-    a `Play` over `arena`, which also names it in the reason.
-    """
-    for v in views:
-        p = Play(arena, v)
-        if not is_oview_shaped(p):
-            return f"element is not an O-view: {p!r}"
-        if not is_single_threaded(p):
-            return f"element has several initial moves: {p!r}"
-        if not is_well_bracketed(p):
-            return f"element is not well-bracketed: {p!r}"
-        for k in range(len(v)):
-            if v[:k] not in views:
-                return f"set is not prefix-closed at {p.prefix(k)!r}"
-    firsts = {v[0] for v in views if v}
-    if len(firsts) > 1:
-        return f"several initial moves across the set: {sorted(m for m, _ in firsts)}"
-    ochild: dict[tuple, tuple] = {}
-    for v in views:
-        if len(v) % 2 == 1 and ochild.setdefault(v[:-1], v) != v:
-            return f"two Opponent continuations after {Play(arena, v[:-1])!r}"
-    return None
-
-
-def is_o_deterministic(arena: Arena, views: frozenset[tuple]) -> bool:
-    return odet_violation(arena, views) is None
-
-
 # The test's entry at a complete element: the test succeeds there.
 _SUCCEED = "succeed"
 # `_play_against`'s mark for an O-view the table has no entry for.
 _UNSET = object()
 
 
+def _opponent_table(arena: Arena, views: frozenset[tuple]):
+    """The Opponent the set `views` of move tuples defines over `arena`,
+    or, if it is not an O-deterministic view-set, the reason as a str.
+
+    The elements are read shortest first, so a reason names the
+    shortest element at fault.  Each element must be grown from the
+    empty view by `oview_steps`, so it is a single-threaded
+    well-bracketed O-view; the steps at each prefix are computed once,
+    and each element's open questions are carried from its parent's.
+    A faulty step is named by what it breaks: it opens a second thread,
+    breaks bracketing, or else is illegal or leaves the element no
+    O-view.  Each element's parent must be an element too, so the set is
+    closed under prefixes; and each element of even length may have at
+    most one one-move extension in the set, so Opponent branching is
+    resolved (Proponent branching is free), and at the empty view the
+    set has one initial move.
+
+    The table maps the moves of an O-view to the set's next Opponent
+    move there (move, pointer into the view or ROOT), or to _SUCCEED
+    where the view is a complete element, one with no open questions.
+    O-determinacy makes it single-valued, every key is an element and
+    so single-threaded, and a complete element, (q, a) with the answer
+    pointing at q, has no Opponent extension to compete with its
+    _SUCCEED."""
+    opened, steps, table = {(): ()}, {}, {}   # opened: each view read, its open questions
+    for v in sorted_views(views):
+        for i in range(len(v)):
+            if v[:i + 1] in opened:
+                continue
+            if v[:i] not in steps:
+                steps[v[:i]] = oview_steps(arena, v[:i], opened[v[:i]])
+            p = steps[v[:i]].get(v[i], _UNSET)
+            if p is _UNSET or p is None:
+                m, ptr = v[i]
+                second_thread = ptr == ROOT and i % 2 == 0 and m in arena.initials
+                why = ("has several initial moves" if second_thread else
+                       "is not an O-view" if p is _UNSET else "is not well-bracketed")
+                return f"element {why}: {Play(arena, v)!r}"
+            opened[v[:i + 1]] = p
+        if v and v[:-1] not in views:
+            k = next(k for k in range(len(v)) if v[:k] not in views)
+            return f"set is not prefix-closed at {Play(arena, v[:k])!r}"
+        if len(v) % 2:
+            if v[:-1] in table:
+                return f"two Opponent continuations after {Play(arena, v[:-1])!r}"
+            table[v[:-1]] = v[-1]
+        elif v and opened[v] == ():
+            table[v] = _SUCCEED
+    return table
+
+
+def odet_violation(arena: Arena, views: frozenset[tuple]):
+    """Why `views`, a set of move tuples, fails to be an
+    O-deterministic view-set over `arena`, or None: the reason
+    `_opponent_table` gives."""
+    got = _opponent_table(arena, views)
+    return got if isinstance(got, str) else None
+
+
+def is_o_deterministic(arena: Arena, views: frozenset[tuple]) -> bool:
+    return odet_violation(arena, views) is None
+
+
 @dataclass(frozen=True)
 class ODetSet:
     """A prefix-closed, O-deterministic set of O-views over one arena,
     each O-view held as its moves.  The constructor is the one door:
-    ValueError if `odet_violation` refuses the set, so every ODetSet is
-    valid and nothing that reads one checks it again."""
+    ValueError with the reason `_opponent_table` gives if the set is
+    not valid, so nothing that reads one checks it again.  The same
+    pass builds `_table`, the Opponent the set defines, once for every
+    strategy the set tests."""
     arena: Arena
     views: frozenset[tuple]
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bad = odet_violation(self.arena, self.views)
-        if bad is not None:
-            raise ValueError(f"not an O-deterministic view-set: {bad}")
+        got = _opponent_table(self.arena, self.views)
+        if isinstance(got, str):
+            raise ValueError(f"not an O-deterministic view-set: {got}")
+        object.__setattr__(self, "_table", got)
 
     @classmethod
     def make(cls, arena: Arena, views) -> "ODetSet":
         """The set of `views`, move tuples, closed under prefixes."""
         return cls(arena, frozenset(v[:k] for v in views for k in range(len(v) + 1)))
 
-    @cached_property
-    def _table(self) -> dict[tuple, object]:
-        """The Opponent the set defines, as a view function over A.
-
-        Maps the moves of an O-view to the set's next Opponent move
-        there (move, pointer into the view or ROOT), or to _SUCCEED
-        where the view is a complete element.  The set's validity makes
-        this a view function: O-determinacy makes it single-valued,
-        every key is an element and so single-threaded, and a complete
-        element, (q, a) with the answer pointing at q, has no Opponent
-        extension to compete with its _SUCCEED.  Built once, for every
-        strategy the set tests.
-        """
-        table: dict[tuple, object] = {}
-        for v in self.views:
-            if len(v) % 2 == 1:
-                table[v[:-1]] = v[-1]
-            elif v and is_complete(Play(self.arena, v)):
-                table[v] = _SUCCEED
-        return table
-
-    @cached_property
+    @property
     def initial(self):
-        firsts = {v[0][0] for v in self.views if v}
-        return next(iter(firsts)) if firsts else None
+        """The set's initial move, its Opponent's entry at the empty
+        view, or None if the set has no nonempty view."""
+        return self._table.get((), (None,))[0]
 
     def to_json(self, include_arena: bool = False) -> dict:
         doc = {
@@ -208,20 +231,16 @@ def induced_test(s: ODetSet) -> InnocentStrategy:
     question instead.  This is the set's `_table` lifted onto the test
     arena; `run_test` plays the table directly.
     """
-    test_arena = arrow(s.arena, make_sigma())
-    table: dict[tuple, tuple[str, int]] = {}
-    for key, entry in s._table.items():
-        # the Sigma question opens; A-moves shift one place right, and
-        # the A-initial now points at that question
-        lifted = (("R.q", ROOT),) + tuple(("L." + m, 0 if ptr == ROOT else ptr + 1)
-                                          for m, ptr in key)
-        if entry is _SUCCEED:
-            table[lifted] = ("R.a", 0)
-        else:
-            m, ptr = entry
-            table[lifted] = ("L." + m, 0 if ptr == ROOT else ptr + 1)
+    def lift(m, ptr):
+        # an A-move one place right, as the Sigma question opens; the
+        # A-initial now points at that question
+        return "L." + m, 0 if ptr == ROOT else ptr + 1
+
+    table = {(("R.q", ROOT), *(lift(*mv) for mv in key)):
+             ("R.a", 0) if entry is _SUCCEED else lift(*entry)
+             for key, entry in s._table.items()}
     name = f"test[{len(s.views)} views on {s.arena.name}]"
-    return from_view_table(test_arena, name, table)
+    return from_view_table(arrow(s.arena, make_sigma()), name, table)
 
 
 class TestVerdict(enum.Enum):
@@ -263,8 +282,8 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     interaction past the cap gives BOUND_EXCEEDED; so does a bound hit
     inside sigma.  Every Opponent move is played as the table gives
     it, unchecked: the table is either a valid set's `_table` or one of
-    the oracle's partial tables, whose entries come from
-    `legal_extensions`, so each move is legal in its O-view.
+    the oracle's partial tables, whose entries come from `oview_steps`,
+    so each move is legal in its O-view.
     """
     # The composite's interaction holds the Sigma question, the moves of
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
@@ -335,10 +354,10 @@ class ObservationalStrategy:
         for i, vs in enumerate(doc["sets"]):
             views = frozenset(Play.from_json(v, arena, f"sets[{i}][{k}]").moves
                               for k, v in enumerate(vs))
-            bad = odet_violation(arena, views)
-            if bad is not None:
-                raise ValueError(f"sets[{i}]: not an O-deterministic view-set: {bad}")
-            sets.add(views)
+            try:
+                sets.add(ODetSet(arena, views).views)
+            except ValueError as e:
+                raise ValueError(f"sets[{i}]: {e}") from None
         return cls(arena, frozenset(sets), bounds, exceeded)
 
     def __repr__(self) -> str:

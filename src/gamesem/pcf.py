@@ -338,8 +338,26 @@ def _parse_all(source: str, rule):
     return out
 
 
+# The most terms a parsed term may nest one inside another, the term
+# itself and its leaves included.  The CLI's JSON writer recurses twice
+# per level, so it writes every term this lets through within Python's
+# default limit of 1,000 frames.  `denote` recurses deeper per level
+# and can still run out below it.
+MAX_NESTING = 400
+
+
 def parse(source: str) -> Term:
-    return _parse_all(source, _Parser.term)
+    """The term `source` holds; PcfParseError if it does not parse or
+    nests more than MAX_NESTING terms deep, the latter at the first
+    term too deep in source order."""
+    term = _parse_all(source, _Parser.term)
+    depth, level = 0, [term]   # the terms at one depth, in source order
+    while level:
+        depth += 1
+        if depth > MAX_NESTING:
+            raise PcfParseError("term nested too deeply", level[0].pos)
+        level = [c for t in level for c in vars(t).values() if isinstance(c, Term)]
+    return term
 
 
 def parse_type(source: str) -> Ty:

