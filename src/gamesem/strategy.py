@@ -25,9 +25,9 @@ and returns the play's moves and carries its views through
 `plays.next_views`; and compose, which carries each factor's views the
 same way.  `tabulate`, and a composite asking itself a shorter P-view,
 hand `_answer` a P-view as its own play, so only it calls `_reply`.
-Wrappers translate the view alone for their inner strategy (a prefix
-renaming is an arena isomorphism, so it commutes with the P-view), and
-the inner pointer into that view is already view-relative.
+Renamings and pairings translate the view alone (a prefix renaming is
+an arena isomorphism, so it commutes with the P-view), and the pointer
+of the reply into that view is already view-relative.
 
 `walk` is the one exploration of a strategy's plays, a generator that
 keeps none: it yields each play it reaches as its moves, with the views
@@ -38,16 +38,32 @@ length; `observation.observations` folds it into the O-view sets of the
 complete plays against an innocent one.
 
 Renamings are move tables: `prefix_map` applies the longest matching
-(source, target) prefix to each move of an arena, `prefix_swap` tables
-the involution a mirror (copycat-style) strategy echoes through, and
-`rename_strategy` and `pair_strategies` read views back through the
-inverse tables.  Each table and its inverse is built once for each
-(pairs, moves) key and shared by every node that reads it, so it is
-read only; `rename_strategy`'s bijection checks run once for each
-distinct renaming.  No prefix is scanned when a strategy is asked.
-Nodes share no memo: each keeps its own.  `copycat_echo` is the one
-copycat rule: the mirror answers with it, and so does
-`pcf.ifz_strategy` once its condition is answered.
+(source, target) prefix to each move of an arena, and `prefix_swap`
+tables the involution a mirror (copycat-style) strategy echoes
+through.  Each table and its inverse is built once for each (pairs,
+moves) key and shared by every node that reads it, so it is read
+only; `rename_strategy`'s bijection checks run once for each distinct
+renaming.  No prefix is scanned when a strategy is asked.  Nodes share
+no memo: each keeps its own.  `copycat_echo` is the one copycat rule:
+the mirror answers with it, and so does `pcf.ifz_strategy` once its
+condition is answered.
+
+A renaming or a pairing relabels moves and leaves the view function
+alone, so it asks across one move table whatever lies below it.  Its
+node holds a route for each initial move of its arena, built with the
+node: the first node below it that is no renaming or pairing, how to
+ask it, and the tables `into` it and `back`.  Over another wrapper the
+route is that wrapper's route, with this node's tables fused onto its
+own: the fused `into` is this node's followed by the inner one, and the
+fused `back` the inner one followed by this node's.  Each fused table
+is built once for each chain of (pairs, moves) keys and shared, read
+only.  A view-function leaf is asked through its `view_fn`, and the
+asking node's `_reply` checks the translated reply, which is the
+leaf's own check read across the tables: a renaming is an arena
+isomorphism, and a pairing embeds each side's arena keeping polarity
+and enabling.  Any other node, a composite, is asked through `respond`,
+where the benchmark's tracer counts compose asks.  The wrappers in
+between are skipped, so their memos stay empty.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -134,6 +150,9 @@ class InnocentStrategy:
         self._view_fn = view_fn
         self._play_fn = play_fn
         self._memo: dict[tuple, object] = {}   # `_answer`'s, by P-view moves
+        # a renaming's or a pairing's, by initial move: (ask, into, back,
+        # the `_tables` keys fused into them); None on any other node
+        self._routes: dict[str, tuple] | None = None
 
     def respond(self, s: Play):
         """Proponent's reply to a legal odd-length play, or None.
@@ -430,21 +449,26 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     renaming is tabled once, `prefix_map` over sigma's moves, and must
     be a bijection onto `new_arena`'s moves: a renaming that leaves a
     move unmatched, merges two moves or misses a target move raises
-    ValueError.  P-views over `new_arena` are read back through the
-    inverse table.
+    ValueError.  P-views over `new_arena` are read down through the
+    inverse table, fused with sigma's route when sigma is a renaming or
+    a pairing itself.
     """
-    fwd, inv = _renaming(tuple(pairs), sigma.arena.moves, new_arena.moves)
+    key = (tuple(pairs), sigma.arena.moves)
+    _check_renaming(*key, new_arena.moves)
+    routes = _routes_over(sigma, key, new_arena.initials)
 
     def play_fn(view: tuple):
-        return _ask(sigma, inv, fwd, view)
+        return _ask(routes[view[0][0]], view, name)
 
-    return InnocentStrategy(new_arena, name, play_fn=play_fn)
+    node = InnocentStrategy(new_arena, name, play_fn=play_fn)
+    node._routes = routes
+    return node
 
 
 @functools.cache
-def _renaming(pairs: tuple, source: frozenset, target: frozenset):
-    """`_tables` of `pairs` over `source`, checked once to be a
-    bijection onto `target`; ValueError if it is not."""
+def _check_renaming(pairs: tuple, source: frozenset, target: frozenset) -> None:
+    """Check once that `_tables` of `pairs` over `source` is a bijection
+    onto `target`; ValueError if it is not."""
     fwd, inv = _tables(pairs, source)
     if len(fwd) != len(source):
         raise ValueError("renaming leaves a move unmatched")
@@ -452,7 +476,6 @@ def _renaming(pairs: tuple, source: frozenset, target: frozenset):
         raise ValueError("renaming merges two moves")
     if inv.keys() != target:
         raise ValueError("renaming does not map onto the target arena")
-    return fwd, inv
 
 
 def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrategy:
@@ -461,36 +484,84 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrateg
     B-initial and g inside threads rooted at a C-initial.
 
     Every move of a P-view is hereditarily justified by its first,
-    initial move, so the view lies inside one thread and is read back
+    initial move, so the view lies inside one thread and is read down
     whole to that side's strategy.  Each side's move tables are built
     once, as in `rename_strategy`: X moves keep their tags, and the
-    side's "R." moves gain "L." or "R." after the outer "R.".
+    side's "R." moves gain "L." or "R." after the outer "R.".  Each
+    initial move's route goes through its side's tables, fused with
+    that side's route when the side is a renaming or a pairing itself.
     """
     x = f.arena.parts[0]
     if g.arena.parts[0] != x:
         raise ValueError("paired strategies disagree on the left arena")
     outer = arrow(x, product(f.arena.parts[1], g.arena.parts[1]))
-    sides = []
+    name = f"<{f.name}, {g.name}>"
+    routes = {}
     for strat, tag in ((f, "R.L."), (g, "R.R.")):
-        out, into = _tables((("L.", "L."), ("R.", tag)), strat.arena.moves)
-        sides.append((strat, into, out))
-    left, right = sides
+        routes.update(_routes_over(strat, ((("L.", "L."), ("R.", tag)), strat.arena.moves),
+                                   outer.initials))
 
     def play_fn(view: tuple):
-        strat, into, back = left if view[0][0] in left[1] else right
-        return _ask(strat, into, back, view)
+        return _ask(routes[view[0][0]], view, name)
 
-    return InnocentStrategy(outer, f"<{f.name}, {g.name}>", play_fn=play_fn)
+    node = InnocentStrategy(outer, name, play_fn=play_fn)
+    node._routes = routes
+    return node
 
 
-def _ask(inner: InnocentStrategy, into: Mapping[str, str], back: Mapping[str, str],
-         view: tuple):
-    """`inner`'s reply to `view` read through the move table `into`,
-    with its move read back through `back`.  The translated view is its
-    own P-view, so the inner pointer is already an index into `view`."""
-    # through `respond`: the benchmark's tracer counts compose nodes there
-    r = inner.respond(Play(inner.arena, tuple((into[m], p) for m, p in view)))
-    return None if r is None else (back[r[0]], r[1])
+def _routes_over(inner: InnocentStrategy, key: tuple, initials: frozenset) -> dict:
+    """The routes of one wrapper step over `inner`, for each of
+    `initials` that the step's inverse table reads down to inner's
+    arena.  The step is `_tables` of `key`, which maps inner's moves to
+    the wrapper's.  Over a renaming or a pairing, the route is inner's
+    own, with `key` fused onto its keys."""
+    down = _tables(*key)[1]
+    routes = {}
+    for m in initials:
+        if m not in down:
+            continue
+        if inner._routes is not None:
+            ask, _, _, keys = inner._routes[down[m]]
+        else:
+            ask, keys = inner._view_fn or functools.partial(_respond, inner), ()
+        keys = (key, *keys)
+        routes[m] = (ask, *_fused(keys), keys)
+    return routes
+
+
+@functools.cache
+def _fused(keys: tuple) -> tuple[Mapping[str, str], Mapping[str, str]]:
+    """The move tables of a chain of wrapper steps, outermost first,
+    each step given by its `_tables` key: `into` reads a move down the
+    chain and `back` reads one up it.  Built once for each chain and
+    shared, read only."""
+    up, down = _tables(*keys[0])
+    if len(keys) == 1:
+        return down, up
+    into, back = _fused(keys[1:])
+    return (MappingProxyType({m: into[x] for m, x in down.items() if x in into}),
+            MappingProxyType({m: up[x] for m, x in back.items()}))
+
+
+def _respond(node: InnocentStrategy, view: tuple):
+    # a composite is asked through `respond`: the benchmark's tracer
+    # counts compose asks there
+    return node.respond(Play(node.arena, view))
+
+
+def _ask(route: tuple, view: tuple, name: str):
+    """The reply of the node `route` reaches to `view` read down through
+    the route's `into` table, with its move read back up through `back`;
+    the asking node `name` checks it.  The translated view is its own
+    P-view, so the pointer is already an index into `view`."""
+    ask, into, back, _ = route
+    r = ask(tuple([(into[m], p) for m, p in view]))
+    if r is None:
+        return None
+    try:
+        return back[r[0]], r[1]
+    except KeyError:
+        raise StrategyError(f"{name}: emitted move {r[0]!r} outside the inner arena") from None
 
 
 def as_thunk(sigma: InnocentStrategy) -> InnocentStrategy:

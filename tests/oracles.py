@@ -11,11 +11,12 @@ keeping the one-move extensions that are their own O-view, candidate
 test sets by one eager recursion over those O-views and one sort,
 the test-based order by running each of those sets as a test,
 composition by enumerating raw interaction sequences and
-projecting.
+projecting, renamings and pairings as leaves that rewrite each move by
+its prefix and ask the inner node through `respond`.
 """
 from __future__ import annotations
 
-from gamesem.arena import Arena, arrow
+from gamesem.arena import Arena, arrow, product
 from gamesem.bounds import Bounds
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet, TestVerdict, run_test
@@ -414,3 +415,48 @@ def ref_compose_traces(sigma: InnocentStrategy, tau: InnocentStrategy,
                 if ps in full_sigma and pt in full_tau and len(out) <= visible_len:
                     results.add(Play(comp_arena, out))
     return frozenset(results)
+
+
+# ------------------------------------------ renamings and pairings, unfused
+
+def _rewrite(rules, m: str) -> str:
+    """m with its longest matching source prefix replaced by the target."""
+    for src, dst in sorted(rules, key=lambda r: -len(r[0])):
+        if m.startswith(src):
+            return dst + m[len(src):]
+    raise ValueError(f"no prefix of {m!r} is renamed")
+
+
+def ref_rename(sigma: InnocentStrategy, pairs, new_arena: Arena, name: str) -> InnocentStrategy:
+    """`rename_strategy` by its definition, as a view-function leaf: each
+    move of the view is rewritten back by the pairs read right to left,
+    sigma answers the rewritten view through `respond`, and its move is
+    rewritten forward.  The view is its own P-view, so the pointer
+    stands."""
+    back = [(dst, src) for src, dst in pairs]
+
+    def view_fn(view):
+        r = sigma.respond(Play(sigma.arena, tuple((_rewrite(back, m), p) for m, p in view)))
+        return None if r is None else (_rewrite(pairs, r[0]), r[1])
+
+    return InnocentStrategy(new_arena, name, view_fn=view_fn)
+
+
+def ref_pair(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrategy:
+    """`pair_strategies` by its definition, as a view-function leaf: a
+    view opened under R.L. is f's and one opened under R.R. is g's; the
+    side's tag is cut from the view's result moves, the side answers
+    through `respond`, and its result move gets the tag back."""
+    outer = arrow(f.arena.parts[0], product(f.arena.parts[1], g.arena.parts[1]))
+
+    def view_fn(view):
+        tag = view[0][0][:4]
+        side = f if tag == "R.L." else g
+        down = tuple(("R." + m[4:] if m.startswith(tag) else m, p) for m, p in view)
+        r = side.respond(Play(side.arena, down))
+        if r is None:
+            return None
+        m, j = r
+        return (tag + m[2:] if m.startswith("R.") else m), j
+
+    return InnocentStrategy(outer, f"<{f.name}, {g.name}>", view_fn=view_fn)

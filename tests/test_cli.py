@@ -585,6 +585,19 @@ def test_resource_limit_exits_3(tmp_path):
     assert r.stderr == "resource limit: maximum recursion depth exceeded\n"
 
 
+def test_a_deep_lambda_chain_asks_its_variable_across_one_table(tmp_path):
+    # 250 renamings over one mirror: they fuse into one route when the
+    # nodes are built, so asking the top node does not recurse per lambda
+    n = 250
+    f = write(tmp_path, "lams.pcf", "".join(f"fun x{i}: nat -> " for i in range(n)) + "x0\n")
+    r = run_cli("denote", f, "--max-nat", "1")
+    assert r.returncode == 0, r.stderr
+    views = json.loads(r.stdout)["views"]
+    result = "R." * n
+    assert sorted((v["view"]["moves"][-1]["m"], v["response"]["m"]) for v in views) == [
+        ("L.0", result + "0"), ("L.1", result + "1"), (result + "q", "L.q")]
+
+
 @pytest.mark.parametrize("source", ["succ " * 3000 + "0\n",
                                     "(" * 300 + "0" + ")" * 300 + "\n"],
                          ids=["succ", "parentheses"])

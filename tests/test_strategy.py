@@ -1,11 +1,12 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from gamesem import pcf, strategy
 from gamesem import plays as plays_module
-from gamesem import strategy
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
@@ -66,7 +67,9 @@ from oracles import (
     ref_is_o_innocent,
     ref_is_p_innocent,
     ref_legal_extensions,
+    ref_pair,
     ref_pview,
+    ref_rename,
     reindex,
 )
 from walks import innocent_explore
@@ -310,7 +313,7 @@ def _ref_asks(plays, b, innocent_opponent=False):
 @pytest.mark.parametrize("innocent_opponent", [False, True])
 def test_explore_asks_each_p_view_once(innocent_opponent):
     # the leaf is asked by `_round`, and, behind a renaming onto its own
-    # arena, by `respond` from the renaming's `_ask`
+    # arena, through its `view_fn` by the renaming's route, past its memo
     b = Bounds(max_nat=1, max_play_len=10)
     sigma = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
     for renamed in (False, True):
@@ -531,6 +534,67 @@ def test_renaming_the_view_answers_as_renaming_the_play():
     assert longest >= 9
 
 
+# The corpus denotations (among them the curried sums of x and y and
+# strict_zero) and the rest of the benchmark's term shapes: curried
+# sums, f applied once to three times, the two recursions, and an
+# argument that is a function, where a pairing is built over a renaming.
+_SUM_BOUNDS = Bounds(max_nat=2, max_play_len=10)
+_APPLY_BOUNDS = Bounds(max_nat=2, max_play_len=14)
+_REC_BOUNDS = Bounds(max_nat=2, max_play_len=24, fix_depth=3)
+FUSION_TERMS = [(e.source, e.bounds) for e in CORPUS if e.source is not None] + [
+    ("fun x: nat -> fun y: nat -> x + x", _SUM_BOUNDS),
+    ("fun x: nat -> fun y: nat -> fun z: nat -> z + x", _SUM_BOUNDS),
+    ("fun x: nat -> fun y: nat -> fun z: nat -> y + z", _SUM_BOUNDS),
+    ("fun f: nat -> nat -> f 1", _APPLY_BOUNDS),
+    ("fun f: nat -> nat -> f (f 1)", _APPLY_BOUNDS),
+    ("fun f: nat -> nat -> f (f (f 1))", _APPLY_BOUNDS),
+    ("fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else f (pred x))", _REC_BOUNDS),
+    ("fix (fun f: nat -> nat -> fun x: nat -> ifz x then 0 else succ (f (pred x)))",
+     _REC_BOUNDS),
+    ("fun x: nat -> x", _SUM_BOUNDS),
+    ("fun g: (nat -> nat) -> nat -> g (fun x: nat -> succ x)", _APPLY_BOUNDS),
+]
+
+
+@pytest.mark.parametrize("src, b", FUSION_TERMS, ids=[src for src, _ in FUSION_TERMS])
+def test_fused_routes_tabulate_as_the_unfused_references(src, b, monkeypatch):
+    # the engine's renamings and pairings ask across one fused table;
+    # the references rewrite each move by prefix and ask every inner
+    # node through `respond`
+    t = parse(src)
+    inner = denote_open(t, (), b)
+    node = rename_strategy(inner, [("R.", "")], inner.arena.parts[1], "den")
+    fused = tabulate(node, b)
+    monkeypatch.setattr(pcf, "rename_strategy", ref_rename)
+    monkeypatch.setattr(pcf, "pair_strategies", ref_pair)
+    reference = denote(t, b)
+    assert reference._routes is None
+    assert fused == tabulate(reference, b)
+    # a renaming, a pairing or a leaf under the top node is skipped; a
+    # composite is asked through `respond`, into its own memo
+    assert (inner._memo == {}) is (inner._view_fn is not None or inner._routes is not None)
+
+
+@pytest.mark.parametrize("reply, error", [
+    (("R.5", 0), "emitted move 'R.5' outside the inner arena"),
+    (("R.1", 3), "pointer 3 outside the P-view"),
+    (("R.q", 0), "emitted non-P move"),
+], ids=["foreign move", "pointer outside", "opponent move"])
+def test_a_bad_reply_behind_wrappers_raises_strategy_error_naming_a_node(reply, error):
+    # a leaf behind a renaming, a pairing, and a renaming over a pairing:
+    # the asking node checks the reply read back across its route
+    leaf = InnocentStrategy(arrow(N2, N2), "wild", view_fn=lambda v: reply)
+    b = Bounds(max_nat=2, max_play_len=4)
+    for node, opening in ((rename_strategy(leaf, [("", "")], leaf.arena, "same"), "R.q"),
+                          (pair_strategies(leaf, succ_strategy(2)), "R.L.q"),
+                          (as_thunk(pair_strategies(succ_strategy(2), leaf)), "R.R.R.q")):
+        want = f"^{re.escape(node.name)}: {re.escape(error)}"
+        with pytest.raises(StrategyError, match=want):
+            node.respond(Play(node.arena, ((opening, ROOT),)))
+        with pytest.raises(StrategyError, match=want):
+            explore(node, b)
+
+
 def test_from_view_table_roundtrip():
     b = Bounds(max_nat=1, max_play_len=6)
     s = builtin("add_LR", 1)
@@ -591,6 +655,30 @@ def test_nodes_built_twice_share_their_tables_and_play_alike():
     assert swap is prefix_map([("L.", "R."), ("R.", "L.")], a.moves)
     with pytest.raises(TypeError):
         swap["R.q"] = "R.q"
+    # a denotation's three renamings fuse into one route per initial
+    # move, down to the sum's leaf: two builds share its tables
+    first, second = (denote(parse("fun x: nat -> fun y: nat -> x + y"), b) for _ in range(2))
+    assert first._routes and first._routes.keys() == second._routes.keys()
+    for m, (ask, into, back, keys) in first._routes.items():
+        ask2, into2, back2, keys2 = second._routes[m]
+        assert len(keys) == 3 and keys == keys2 and ask is not ask2
+        assert into is into2 and back is back2
+        assert (dict(into), dict(back)) == _fresh_fused(keys)
+        for table in (into, back):
+            with pytest.raises(TypeError):
+                table[m] = m
+
+
+def _fresh_fused(keys) -> tuple[dict, dict]:
+    """A route's (into, back) tables composed anew from fresh tables,
+    the outermost step first."""
+    into = back = None
+    for pairs, moves in keys:
+        up = _fresh_table(pairs, moves)
+        down = {v: k for k, v in up.items()}
+        into = down if into is None else {m: down[x] for m, x in into.items() if x in down}
+        back = up if back is None else {x: back[y] for x, y in up.items()}
+    return into, back
 
 
 def test_a_renaming_that_is_no_bijection_raises_on_every_ask():
