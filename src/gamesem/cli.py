@@ -20,11 +20,13 @@ element ordering, so repeated runs are byte-identical.  One encoder,
 `_encode`, writes it for every subcommand; its bytes are those of
 `json.dumps(doc, indent=2, sort_keys=True)`, which on Python 3.13 and
 older runs the stdlib's pure-Python encoder once it is given an indent.
-A `Play` is written as its `to_json()` would be, from a per-depth table
-of move texts, so `traces` builds no dict per move.  `_emit` streams
-the document: it writes the top-level keys one at a time and a list
-there one element at a time, so `obs` and `traces` never hold the
-whole text.
+`traces` hands it `explore`'s `TraceResult`, whose plays are move
+tuples: each is written as its `Play.to_json()` would be, with one join
+over a per-depth table of move texts, so no `Play` and no dict per move
+is built.  `_emit` streams the document: it writes the top-level keys
+one at a time and a list there one element at a time, a play with its
+separator in one write, so `obs` and `traces` never hold the whole
+text.
 """
 from __future__ import annotations
 
@@ -39,11 +41,11 @@ from .bounds import Bounds
 from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
 from .observation import ODetSet, observations, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
-from .plays import Play
 from .strategy import (
     ExplorationIncomplete,
     InconsistentPlay,
     StrategyError,
+    TraceResult,
     explore,
     tabulation_to_json,
 )
@@ -64,8 +66,9 @@ def _bounds(ns) -> Bounds:
 def _emit(doc) -> None:
     """Write `_encode(doc, 0, {})` and a line break to stdout, a piece
     at a time, so the whole text is never held: a dict at the top key
-    by key, and a list that is the document or a value of it element by
-    element, each piece by `_encode` with one memo."""
+    by key, and a list or a `TraceResult` that is the document or a
+    value of it element by element, each piece by `_encode` with one
+    memo."""
     write, memo = sys.stdout.write, {}
     if isinstance(doc, dict) and doc:
         sep = "{\n  "
@@ -82,7 +85,12 @@ def _emit(doc) -> None:
 
 def _write_list(write, o, depth: int, memo: dict) -> None:
     """Write `_encode(o, depth, memo)`, a nonempty list or tuple one
-    element at a time."""
+    element at a time, and a `TraceResult` one play at a time, each
+    element in one write with the separator before it."""
+    if isinstance(o, TraceResult):
+        for piece in _trace_pieces(o, depth, memo):
+            write(piece)
+        return
     if not (isinstance(o, (list, tuple)) and o):
         write(_encode(o, depth, memo))
         return
@@ -94,29 +102,64 @@ def _write_list(write, o, depth: int, memo: dict) -> None:
     write(inner[:-2] + "]")
 
 
+class _MoveTexts(dict):
+    """The texts of moves at one nesting depth, keyed by (move,
+    pointer): each is `_encode` of the move's {"m", "ptr"} dict,
+    written on its first ask."""
+
+    def __init__(self, depth: int, memo: dict):
+        super().__init__()
+        self._depth, self._memo = depth, memo
+
+    def __missing__(self, move):
+        text = self[move] = _encode({"m": move[0], "ptr": move[1]}, self._depth, self._memo)
+        return text
+
+
+def _trace_pieces(tr: TraceResult, depth: int, memo: dict):
+    """`_encode(tr, depth, memo)` in pieces: each play with the
+    separator before it, then the list's close.  A play is written as
+    `Play.to_json()` would be at depth + 1, without building a `Play`
+    or a dict: its constant pieces and a table of move texts are made
+    once per document, depth and arena name and kept in `memo`, and
+    each play is one join of its moves' texts."""
+    if not tr.plays:
+        yield "[]"
+        return
+    inner = "\n" + "  " * (depth + 1)
+    key = (TraceResult, depth, tr.arena.name)
+    parts = memo.get(key)
+    if parts is None:
+        play = inner + "  "
+        arena = "{" + play + '"arena": ' + _str(tr.arena.name) + "," + play + '"moves": '
+        parts = memo[key] = (arena + "[" + play + "  ", "," + play + "  ",
+                             play + "]" + inner + "}", arena + "[]" + inner + "}",
+                             _MoveTexts(depth + 3, memo))
+    head, sep, tail, empty, texts = parts
+    lead = "[" + inner
+    for moves in tr.plays:
+        if moves:
+            yield lead + head + sep.join(map(texts.__getitem__, moves)) + tail
+        else:
+            yield lead + empty
+        lead = "," + inner
+    yield inner[:-2] + "]"
+
+
 _LEAF_TYPES = frozenset((str, int))
 
 
 def _encode(o, depth: int, memo: dict) -> str:
     """`json.dumps(o, indent=2, sort_keys=True)` at nesting `depth`, byte
     for byte, for dicts with str keys, lists, tuples, str, int, bool,
-    None and `Play`s; anything else raises TypeError.  A Play is written
-    as its `to_json()` would be, without building that dict: its moves'
-    texts come from a per-depth table in `memo`.  `memo` also maps
-    (depth, items) of a dict whose values are all str or exact int to
-    its text, so a move repeated through a document is written once per
-    depth.  A bool is kept out of it: True == 1, so it would share 1's
-    entry."""
-    if isinstance(o, Play):
-        texts = memo.setdefault((Play, depth), {})
-        moves = [texts.get(mv) or texts.setdefault(mv, _encode({"m": mv[0], "ptr": mv[1]},
-                                                                 depth + 2, memo))
-                 for mv in o.moves]
-        inner = "\n" + "  " * (depth + 1)
-        listed = ("[" + inner + "  " + ("," + inner + "  ").join(moves) + inner
-                  + "]") if moves else "[]"
-        return ("{" + inner + '"arena": ' + _str(o.arena.name) + "," + inner
-                + '"moves": ' + listed + inner[:-2] + "}")
+    None and `TraceResult`s; anything else raises TypeError.  A
+    TraceResult is written as the list of its plays' `Play.to_json()`,
+    by `_trace_pieces`.  `memo` maps (depth, items) of a dict whose
+    values are all str or exact int to its text, so a move repeated
+    through a document is written once per depth.  A bool is kept out
+    of it: True == 1, so it would share 1's entry.  Containers are
+    built in plain loops, not comprehensions, so the writer recurses one
+    frame per level on every Python version."""
     if isinstance(o, dict):
         key = None
         if _LEAF_TYPES.issuperset(map(type, o.values())):
@@ -124,10 +167,14 @@ def _encode(o, depth: int, memo: dict) -> str:
             text = memo.get(key)
             if text is not None:
                 return text
-        inner = "\n" + "  " * (depth + 1)
-        text = ("{" + inner + ("," + inner).join([_str(k) + ": " + _encode(v, depth + 1, memo)
-                                                   for k, v in sorted(o.items())])
-                + inner[:-2] + "}") if o else "{}"
+        if o:
+            inner = "\n" + "  " * (depth + 1)
+            parts = []
+            for k, v in sorted(o.items()):
+                parts.append(_str(k) + ": " + _encode(v, depth + 1, memo))
+            text = "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
+        else:
+            text = "{}"
         if key is not None:
             memo[key] = text
         return text
@@ -138,10 +185,16 @@ def _encode(o, depth: int, memo: dict) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if not isinstance(o, (list, tuple)):
+        if isinstance(o, TraceResult):
+            return "".join(_trace_pieces(o, depth, memo))
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "[]"
     inner = "\n" + "  " * (depth + 1)
-    return ("[" + inner + ("," + inner).join([_encode(v, depth + 1, memo) for v in o])
-            + inner[:-2] + "]") if o else "[]"
+    parts = []
+    for v in o:
+        parts.append(_encode(v, depth + 1, memo))
+    return "[" + inner + ("," + inner).join(parts) + inner[:-2] + "]"
 
 
 def _read(path: str) -> str:
@@ -203,7 +256,7 @@ def cmd_traces(ns) -> int:
         "bound_exceeded": tr.bound_exceeded,
         "bounds": b.to_json(),
         "count": len(tr.plays),
-        "plays": tr.plays,
+        "plays": tr,
     })
     return 0
 

@@ -339,10 +339,10 @@ def _parse_all(source: str, rule):
 
 
 # The most terms a parsed term may nest one inside another, the term
-# itself and its leaves included.  The CLI's JSON writer recurses twice
+# itself and its leaves included.  The CLI's JSON writer recurses once
 # per level, so it writes every term this lets through within Python's
-# default limit of 1,000 frames.  `denote` recurses deeper per level
-# and can still run out below it.
+# default limit of 1,000 frames, with room to spare for a caller.
+# `denote` recurses deeper per level and can still run out below it.
 MAX_NESTING = 400
 
 

@@ -272,13 +272,23 @@ def legal_extensions(arena: Arena, moves: tuple, justifiers) -> list[tuple[str, 
     `arena.enabled_from` of the move at j.  Visibility holds for every
     candidate, so none is checked.  Order: sorted by (move, justifier),
     ROOT first.
+
+    Polarity is read off positions, not looked up per move: the arena
+    must satisfy `Arena.validate`, whose initial moves are Opponent's
+    and whose enabling alternates polarity (`arrow` and `product` keep
+    both).  In a legal play the move at j has the polarity of j's
+    parity, so the moves it enables are all the mover's when
+    len(moves) - j is odd and none of them otherwise, and the initial
+    moves are the mover's exactly when Opponent moves.
     """
-    polarity = arena.polarity
     enabled_from = arena.enabled_from
-    mover = "O" if len(moves) % 2 == 0 else "P"
+    n = len(moves)
     cands = []
     for j in justifiers:
-        enabled = arena.initials if j == ROOT else enabled_from[moves[j][0]]
-        cands += [(m, j) for m in enabled if polarity[m] == mover]
+        if j == ROOT:
+            if n % 2 == 0:
+                cands += [(m, ROOT) for m in arena.initials]
+        elif (n - j) % 2:
+            cands += [(m, j) for m in enabled_from[moves[j][0]]]
     cands.sort()
     return cands

@@ -32,10 +32,12 @@ of the reply into that view is already view-relative.
 `walk` is the one exploration of a strategy's plays, a generator that
 keeps none: it yields each play it reaches as its moves, with the views
 of its prefixes and its open questions, in order of the moves.
-`explore` folds it into the plays against every Opponent, builds each
-`Play` once and orders them shortest first with one stable sort by
-length; `observation.observations` folds it into the O-view sets of the
-complete plays against an innocent one.
+`explore` folds it into the plays against every Opponent, kept as
+their moves and ordered shortest first with one stable sort by length,
+and builds no `Play`: the CLI writes each play straight from its moves,
+and `traces` wraps them at its own door.  `observation.observations`
+folds the walk into the O-view sets of the complete plays against an
+innocent one.
 
 Renamings are move tables: `prefix_map` applies the longest matching
 (source, target) prefix to each move of an arena, and `prefix_swap`
@@ -225,9 +227,12 @@ class InnocentStrategy:
 
 @dataclass(frozen=True)
 class TraceResult:
-    """`explore`'s plays, shortest first and then in order of their
-    moves, the order the CLI prints, and its count of bound hits."""
-    plays: tuple[Play, ...]
+    """`explore`'s plays over `arena`, each as its moves, shortest first
+    and then in order of their moves, the order the CLI prints, and its
+    count of bound hits.  No `Play` is built: `Play(arena, moves)` is
+    the play of each."""
+    arena: Arena
+    plays: tuple[tuple[tuple[str, int], ...], ...]
     bound_exceeded: int
 
 
@@ -300,10 +305,10 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
 
 def explore(sigma: InnocentStrategy, b: Bounds, complete_only: bool = False) -> TraceResult:
     """Even-length plays reachable against sigma within the bounds,
-    against every Opponent, the empty play included: `walk`'s plays,
-    shortest first and then in order of their moves.  The walk gives
-    them in order of their moves, so a stable sort by length alone puts
-    them in that order, and each `Play` is built once, here.  With
+    against every Opponent, the empty play included: `walk`'s plays, as
+    their moves, shortest first and then in order of their moves.  The
+    walk gives them in order of their moves, so a stable sort by length
+    alone puts them in that order.  No `Play` is built.  With
     `complete_only`, only the complete plays are kept: nonempty, with
     no open question by the walk's count.  Positions where the response
     computation hit an interaction bound are counted, not silently
@@ -315,14 +320,14 @@ def explore(sigma: InnocentStrategy, b: Bounds, complete_only: bool = False) -> 
         elif not complete_only or (step[2] == () and step[0]):
             plays.append(step[0])
     plays.sort(key=len)
-    arena = sigma.arena
-    return TraceResult(tuple([Play(arena, m) for m in plays]), exceeded)
+    return TraceResult(sigma.arena, tuple(plays), exceeded)
 
 
 def traces(sigma: InnocentStrategy, b: Bounds) -> frozenset[Play]:
     """The even-length-prefix-closed trace set of sigma at the bounds,
-    against every Opponent."""
-    return frozenset(explore(sigma, b).plays)
+    against every Opponent, as `Play`s."""
+    arena = sigma.arena
+    return frozenset([Play(arena, m) for m in explore(sigma, b).plays])
 
 
 def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, int]]]:

@@ -306,10 +306,11 @@ def ref_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> LeqReport:
 # --------------------------------------------- composition by interleaving
 
 def _prefix_set(plays) -> set:
+    """Every prefix of each of `plays`, given by their moves."""
     out = set()
-    for p in plays:
-        for k in range(len(p.moves) + 1):
-            out.add(p.moves[:k])
+    for moves in plays:
+        for k in range(len(moves) + 1):
+            out.add(moves[:k])
     return out
 
 
@@ -337,8 +338,8 @@ def ref_compose_traces(sigma: InnocentStrategy, tau: InnocentStrategy,
     t_tau = explore(tau, wide).plays
     pre_sigma = _prefix_set(t_sigma)
     pre_tau = _prefix_set(t_tau)
-    full_sigma = {p.moves for p in t_sigma}
-    full_tau = {p.moves for p in t_tau}
+    full_sigma = set(t_sigma)
+    full_tau = set(t_tau)
 
     def proj(u, comps, tags, init_root):
         """Project u to the components in `comps`, tagging moves and

@@ -40,7 +40,7 @@ from gamesem.plays import (
 )
 from gamesem.strategy import traces
 from oracles import is_single_threaded, ref_enumerate_plays
-from walks import innocent_explore
+from walks import innocent_explore, played
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,7 +126,7 @@ def test_criterion_3_complete_traces_induce_deterministic_view_sets():
         tr = innocent_explore(sigma, b)
         exceeded += tr.bound_exceeded
         fams = set()
-        for s in tr.plays:
+        for s in played(tr):
             if not is_complete(s):
                 continue
             vs = prefix_oviews(s)

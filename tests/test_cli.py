@@ -17,7 +17,7 @@ from gamesem.bounds import Bounds
 from gamesem.equiv import LeqReport
 from gamesem.observation import ODetSet
 from gamesem.plays import ROOT, Play, is_complete
-from gamesem.strategy import StrategyError
+from gamesem.strategy import StrategyError, TraceResult
 from mutations import mutated
 
 
@@ -619,6 +619,20 @@ def test_a_term_past_the_nesting_limit_exits_2_with_no_output(tmp_path, n):
     assert r.stderr == f"error: {f}: 1:{col}: term nested too deeply\n"
 
 
+def test_a_term_at_the_nesting_limit_is_written_from_deep_in_the_caller(tmp_path, capsys):
+    # the writer recurses one frame per level, so an in-process caller
+    # 300 frames down still has room to write a term one level short of
+    # the limit
+    f = write(tmp_path, "deep.pcf", "succ " * (pcf.MAX_NESTING - 2) + "0\n")
+
+    def nested(k):
+        return nested(k - 1) if k else (cli.main(["parse", f]), capsys.readouterr())
+
+    shallow = nested(0)
+    assert shallow[0] == 0 and shallow[1].err == ""
+    assert nested(300) == shallow
+
+
 @pytest.mark.parametrize("cmd, text, read", [
     ("obs", "fun f: nat -> nat -> f (f (f 1))\n", 100),   # about 700 kB
     ("parse", "fun x: nat -> x\n", 0),   # still buffered when the write fails
@@ -798,11 +812,12 @@ def test_stdout_is_canonical_json(tmp_path, capsys, args):
 # negative and large ints; bools beside the ints they equal; empty
 # containers at any depth.  Leaf dicts come from a pool of three, so one
 # recurs at one depth or at several, and {"a": 1} meets {"a": True}.
-# A Play must be written as its `to_json()` would be: its arena is named
-# with a quote, a backslash, a non-ASCII character or a lone surrogate,
-# its moves come from a pool of three, so they recur within a play,
-# across plays and across depths, and it is drawn empty, alone, at
-# several depths at once and beside its own `to_json()` dict.
+# A TraceResult must be written as the list of its plays' `to_json()`:
+# its arena is named with a quote, a backslash, a non-ASCII character or
+# a lone surrogate, its moves come from a pool of three, so they recur
+# within a play, across plays and across depths, it holds the empty
+# play among others or no play at all, and it is drawn alone, at
+# several depths at once and beside its own plain form.
 _TEXT = st.one_of(
     st.sampled_from(["a", "m", "ptr", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
                      "\u2028", "\ud800", "\U0001f600"]),
@@ -813,18 +828,20 @@ _ARENAS = [Arena((("q", MoveLabel.OQ), ("0", MoveLabel.PA), ('"1"', MoveLabel.PA
 
 
 @st.composite
-def _plays(draw):
+def _results(draw):
     arena = draw(st.sampled_from(_ARENAS))
     ids = [m for m, _ in arena.labels]
-    return Play(arena, tuple((draw(st.sampled_from(ids)), draw(st.integers(ROOT, i - 1)))
-                             for i in range(draw(st.integers(0, 5)))))
+    plays = [tuple((draw(st.sampled_from(ids)), draw(st.integers(ROOT, i - 1)))
+                   for i in range(draw(st.integers(0, 5))))
+             for _ in range(draw(st.integers(0, 4)))]
+    return TraceResult(arena, tuple(plays), draw(st.integers(0, 2)))
 
 
 _LEAVES = st.one_of(_TEXT, st.integers(-2, 2), st.integers(),
                     st.sampled_from([-(2 ** 64), 2 ** 100]), st.booleans(), st.none(),
                     st.sampled_from([{"a": 1}, {"a": True}, {"a": "1", "m": 0}]),
-                    _plays(), _plays().map(lambda p: [p, [p, [p]], {"p": p}]),
-                    _plays().map(lambda p: [p, p.to_json()]))
+                    _results(), _results().map(lambda r: [r, [r, [r]], {"p": r}]),
+                    _results().map(lambda r: [r, _plain(r)]))
 _DOCS = st.recursive(
     _LEAVES,
     lambda c: st.lists(c, max_size=4) | st.dictionaries(_TEXT, c, max_size=4),
@@ -836,9 +853,10 @@ def canonical(doc) -> str:
 
 
 def _plain(o):
-    """`o` with every Play replaced by its `to_json()`."""
-    if isinstance(o, Play):
-        return o.to_json()
+    """`o` with every TraceResult replaced by the list of its plays'
+    `Play.to_json()`."""
+    if isinstance(o, TraceResult):
+        return [Play(o.arena, moves).to_json() for moves in o.plays]
     if isinstance(o, dict):
         return {k: _plain(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
@@ -887,7 +905,10 @@ def test_emit_streams_what_json_dumps_writes(tmp_path, monkeypatch):
             cli.main(_argv(tmp_path, param.values[0]))
     assert len(docs) == len(ROUND_TRIP)
     docs += [{}, [], (), {"plays": (), "count": 0}, {"sets": [[], [{}]], "bounds": {}},
-             [[], {}, ()], {"a": [[]], "b": [{}]}]
+             [[], {}, ()], {"a": [[]], "b": [{}]},
+             {"plays": TraceResult(_ARENAS[1], (), 0), "count": 0},
+             {"plays": TraceResult(_ARENAS[2], ((), (("q", ROOT),)), 0), "count": 2},
+             TraceResult(_ARENAS[3], ((), (("q", ROOT), ('"1"', 0))), 0)]
     for doc in docs:
         assert emitted(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
 

@@ -37,7 +37,7 @@ from gamesem.strategy import (
 )
 from mutations import mutated
 from oracles import is_single_threaded, ref_is_legal, ref_oview, ref_pending_questions
-from walks import innocent_explore
+from walks import innocent_explore, played
 
 N2 = make_nat_arena(2)
 ARROW = arrow(N2, N2)
@@ -231,7 +231,7 @@ def test_observations_are_the_reference_oviews_of_complete_plays(e):
     # observations reads the view-sets off walk's views; the reference
     # reads each complete play's prefixes afresh
     sigma = e.build()
-    plays = innocent_explore(sigma, e.bounds).plays
+    plays = played(innocent_explore(sigma, e.bounds))
     want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
             for p in plays if p.moves and ref_pending_questions(p) == ()}
     assert observations(sigma, e.bounds).sets == want

@@ -72,7 +72,7 @@ from oracles import (
     ref_rename,
     reindex,
 )
-from walks import innocent_explore
+from walks import innocent_explore, played
 
 N2 = make_nat_arena(2)
 
@@ -224,7 +224,7 @@ def test_explore_gives_the_reference_plays_in_print_order():
                                           for k in range(1, len(p), 2))]
         res = explore(sigma, b)
         assert res.bound_exceeded == 0
-        assert res.plays == _print_order(ref)
+        assert played(res) == _print_order(ref)
 
 
 # rec_zero against every Opponent at the bounds of SMALL_TERMS below;
@@ -256,7 +256,7 @@ def test_complete_only_reads_completeness_off_the_walk(monkeypatch):
     for e in CORPUS:
         b = _REC_EVERY if e.name == "rec_zero" else e.bounds
         res = explore(e.build(), b)
-        kept[e.name] = (b, tuple(p for p in res.plays if is_complete(p)), res.bound_exceeded)
+        kept[e.name] = (b, tuple(p for p in played(res) if is_complete(p)), res.bound_exceeded)
     # only the diverging terms complete no play
     assert [name for name, (_, want, _) in kept.items() if not want] == ["bottom_nat", "fix_succ"]
 
@@ -267,7 +267,7 @@ def test_complete_only_reads_completeness_off_the_walk(monkeypatch):
     for e in CORPUS:
         b, want, exceeded = kept[e.name]
         res = explore(e.build(), b, complete_only=True)
-        assert (res.plays, res.bound_exceeded) == (want, exceeded), e.name
+        assert (played(res), res.bound_exceeded) == (want, exceeded), e.name
 
 
 def test_explore_counts_bound_hits():
@@ -322,7 +322,7 @@ def test_explore_asks_each_p_view_once(innocent_opponent):
         if renamed:
             node = rename_strategy(leaf, [("", "")], leaf.arena, "same")
         res = innocent_explore(node, b) if innocent_opponent else explore(node, b)
-        reached = list(_ref_asks(res.plays, b, innocent_opponent))
+        reached = list(_ref_asks(played(res), b, innocent_opponent))
         assert sorted(asked) == sorted(set(reached))
         assert len(reached) > len(asked)
 
@@ -349,14 +349,14 @@ def test_brute_force_leq_asks_each_p_view_once():
 def test_a_bound_hit_is_asked_once_and_counted_at_every_position():
     b = Bounds(max_nat=1, max_play_len=8)
     sigma = builtin("add_LR", 1)
-    counts = Counter(_ref_asks(explore(sigma, b).plays, b))
+    counts = Counter(_ref_asks(played(explore(sigma, b)), b))
     # the longest P-view reached at more than one position
     view = max(counts, key=lambda v: (counts[v] > 1, len(v), v))
     asked = []
     leaf = _counted_leaf(sigma, b, asked, raising=view)
     res = explore(leaf, b)
     assert asked.count(view) == 1
-    positions = Counter(_ref_asks(res.plays, b))[view]
+    positions = Counter(_ref_asks(played(res), b))[view]
     assert res.bound_exceeded == positions > 1
 
 
@@ -417,7 +417,7 @@ def _multi_threaded_table(sigma, b):
     # P-views by the reference recursion, which shares no view code
     # with the engine
     table = {}
-    for sop in explore(sigma, b).plays:
+    for sop in played(explore(sigma, b)):
         if sop.moves:
             positions = pview_positions(sop.arena, sop.moves[:-1])
             m, ptr = sop.last
@@ -464,12 +464,12 @@ def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
     cases += [(lambda src=src, b=b: denote(parse(src), b), b) for src, b in SMALL_TERMS]
     pruned_some = False
     for build, b in cases:
-        every = explore(build(), b).plays
+        every = played(explore(build(), b))
         assert all(ref_is_legal(p) for p in every)
         single = {p for p in every if is_single_threaded(p)}
         pruned = innocent_explore(build(), b)
-        assert frozenset(pruned.plays) == {p for p in single if ref_is_o_innocent(p)}
-        pruned_some |= frozenset(pruned.plays) != single
+        assert frozenset(played(pruned)) == {p for p in single if ref_is_o_innocent(p)}
+        pruned_some |= frozenset(played(pruned)) != single
     assert pruned_some
 
 
@@ -486,7 +486,7 @@ def test_a_round_returns_the_views_prefix_views_walks(build):
     # explore and run_test carry a play's views only through _round
     b = Bounds(max_nat=1, max_play_len=10)
     sigma = build(b)
-    plays = explore(sigma, b).plays
+    plays = played(explore(sigma, b))
     assert len(plays) > 2
     for sop in plays:
         if sop.moves:
@@ -525,7 +525,7 @@ def test_renaming_the_view_answers_as_renaming_the_play():
             r = inner.respond(Play(inner.arena, tuple((inv[m], p) for m, p in s.moves)))
             return r and (fwd[r[0]], r[1])
 
-        asked = {p.extend(*o) for p in explore(node, b).plays if len(p) + 2 <= b.max_play_len
+        asked = {p.extend(*o) for p in played(explore(node, b)) if len(p) + 2 <= b.max_play_len
                  for o in legal_extensions(p.arena, p.moves,
                                            (ROOT, *oview_positions(p.arena, p.moves)))}
         for s in asked:
@@ -757,7 +757,7 @@ def test_compose_matches_interleaving_oracle():
         res = explore(compose(s, t, wide), Bounds(max_nat=2, max_play_len=4))
         assert res.bound_exceeded == 0
         ref = ref_compose_traces(s, t, wide, 4)
-        assert res.plays == tuple(sorted(ref, key=lambda p: (len(p.moves), p.moves)))
+        assert played(res) == tuple(sorted(ref, key=lambda p: (len(p.moves), p.moves)))
 
 
 def _associated(b):
@@ -773,7 +773,7 @@ def test_compose_associates_on_traces():
     b = Bounds(max_nat=2, max_play_len=20)
     vis = Bounds(max_nat=2, max_play_len=6)
     lhs, rhs, _ = _associated(b)
-    assert explore(lhs, vis).plays == explore(rhs, vis).plays
+    assert played(explore(lhs, vis)) == played(explore(rhs, vis))
 
 
 def _projections(monkeypatch):
@@ -860,7 +860,7 @@ def test_a_cold_ask_leaves_each_p_view_prefix_it_needed_in_the_memo():
         sigma, tau = denote(parse("fun f: nat -> nat -> f (f (f 1))"), b), succ_strategy(1)
         return compose(sigma, tau, b), sigma, tau
 
-    plays = explore(make()[0], Bounds(max_nat=1, max_play_len=10)).plays
+    plays = played(explore(make()[0], Bounds(max_nat=1, max_play_len=10)))
     s = max((Play(p.arena, p.moves[:-1]) for p in plays if p.moves),
             key=lambda s: (len(pview(s)), s.moves))
     comp, sigma, tau = make()
@@ -982,7 +982,7 @@ def _asks(sigma, b):
     a Proponent move sigma does not play there and an Opponent move
     pointing at it, a lie that stays in the P-view."""
     asks = []
-    for s in explore(sigma, b).plays:
+    for s in played(explore(sigma, b)):
         for so in _extensions(s):
             asks.append(so)
             if len(so.moves) + 2 > b.max_play_len:

@@ -7,8 +7,13 @@ from gamesem.strategy import InnocentStrategy, TraceResult, walk
 
 def innocent_explore(sigma: InnocentStrategy, b: Bounds) -> TraceResult:
     """`explore`'s result against the innocent Opponent: every play
-    `walk` yields, the empty play first, in `explore`'s order, and a
-    count of its bound hits."""
+    `walk` yields, as its moves, the empty play first, in `explore`'s
+    order, and a count of its bound hits."""
     steps = list(walk(sigma, b, innocent_opponent=True))
     moves = sorted((step[0] for step in steps if step is not None), key=len)
-    return TraceResult(tuple(Play(sigma.arena, m) for m in moves), len(steps) - len(moves))
+    return TraceResult(sigma.arena, tuple(moves), len(steps) - len(moves))
+
+
+def played(res: TraceResult) -> tuple[Play, ...]:
+    """The plays of `res`, in its order, each as a `Play`."""
+    return tuple(Play(res.arena, moves) for moves in res.plays)
