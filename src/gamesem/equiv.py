@@ -275,8 +275,12 @@ def _interaction_bounds(b: Bounds) -> Bounds:
 
 def _least_difference(x: ObservationalStrategy, y: ObservationalStrategy) -> frozenset[tuple]:
     """The `viewset_key`-least view set observed on one side only; the
-    two sides must differ in their sets."""
-    return min(x.sets ^ y.sets, key=viewset_key)
+    two sides must differ in their sets.  `viewset_key` orders by total
+    moves and view count first, so only the sets least on those two are
+    given their whole key."""
+    sizes = {vs: (sum(map(len, vs)), len(vs)) for vs in x.sets ^ y.sets}
+    least = min(sizes.values())
+    return min([vs for vs, size in sizes.items() if size == least], key=viewset_key)
 
 
 def _min_distinguishing(x: ObservationalStrategy, y: ObservationalStrategy) -> str:

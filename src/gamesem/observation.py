@@ -5,12 +5,14 @@ prefixes.  Collecting that set for every complete play a strategy can
 produce (against innocent, single-threaded Opponents) yields the
 strategy's observation: a set of view-sets, which `observations` reads
 off the views `strategy.walk` yields with each play whose open
-questions, which the walk yields too, are none.  An O-view is held as
-its moves, the tuple ((move, pointer into the view), ...) the walk
-yields, since its set already names the arena; a `Play` is built only
-where a view crosses the JSON door (`to_json`, `from_json`, which
-checks the document's shape with `arena.json_check` first) and to name
-a view in a refusal.  What an O-view is, the rule says once:
+questions, which the walk yields too, are none; a play at the length
+cap comes without its own views, and `observations` adds its last
+O-view.  An O-view is held as its moves, the tuple ((move, pointer into
+the view), ...) the walk yields, since its set already names the arena;
+a `Play` is built only where a view crosses the JSON door (`to_json`,
+`from_json`, which checks the document's shape with `arena.json_check`
+first) and to name a view in a refusal.  What an O-view is, the rule
+says once:
 `oview_steps` gives the moves that grow one O-view into another, with
 the open questions of each, and the view-set door and the oracle and
 candidate list in `equiv` all use it.  Each view-set is
@@ -25,8 +27,8 @@ an auxiliary one-question arena (`induced_test`, the paper's
 construction).  `run_test` gives the verdict of that composite without
 building it: the set is read as an Opponent, a table from O-views to
 the next Opponent move, and one play over the strategy's own arena
-alternates that Opponent with the strategy's rounds, the rounds `walk`
-plays, on the play's moves.  That play is `_play_against`, which takes
+alternates that Opponent with the strategy's replies, asked as `walk`
+asks them, on the play's moves.  That play is `_play_against`, which takes
 a valid set's table or a partial one that the test oracle in `equiv`
 grows by `oview_steps`, and plays the Opponent moves either
 gives unchecked: it stops at the first O-view the table has no entry
@@ -45,6 +47,7 @@ from .plays import (
     Play,
     legal_extensions,
     next_pending,
+    next_views,
     prefix_views,
 )
 from .strategy import (
@@ -275,8 +278,9 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     `run[1][-1][3]`.  Given such a run, the play resumes from it.  The
     Opponent move is looked up by the play's O-view, sigma answers from
     its P-view, and the test succeeds when the table says so.  Each
-    round is sigma's `_round`, the one `walk` plays, so both views
-    are carried forward one move at a time and no play is checked.  As
+    round asks sigma's `_answer` as `walk` does, so both views are
+    carried forward one move at a time and no play is checked; the
+    views of the reply are added only where the play goes on.  As
     in the composite, the Sigma question and answer count against
     b.max_play_len with the moves of A, so a reply that would take the
     interaction past the cap gives BOUND_EXCEEDED; so does a bound hit
@@ -303,15 +307,17 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
             return TestVerdict.BOUND_EXCEEDED
         # the O-view's pointer, as a position in the play
         j = ROOT if ptr == ROOT else views[i][1][ptr]
+        views += (next_views(views, o, j),)
         try:
-            step = sigma._round(moves + ((o, j),), views)
+            r = sigma._answer(views[-1])
         except BoundExceeded:
             return TestVerdict.BOUND_EXCEEDED
-        if step is None:
+        if r is None:
             return TestVerdict.BOT
         if i + 1 > cap:
             return TestVerdict.BOUND_EXCEEDED
-        moves, views = step
+        moves += ((o, j), r)
+        views += (next_views(views, *r),)
 
 
 @dataclass(frozen=True)
@@ -381,7 +387,10 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
         if step is None:
             exceeded += 1
         elif step[2] == () and step[0]:
-            sets.add(frozenset(oviews.setdefault(v[3], v[3]) for v in step[1]))
+            moves, views, _ = step
+            if len(views) == len(moves):   # a play at the cap: add its own O-view
+                views += (next_views(views, *moves[-1]),)
+            sets.add(frozenset(oviews.setdefault(v[3], v[3]) for v in views))
     return ObservationalStrategy(sigma.arena, frozenset(sets), b, exceeded)
 
 

@@ -13,12 +13,12 @@ for PCF", Inf. & Comp. 163, 2000), and `next_views` is the one view
 recurrence: it extends the views of a play's prefixes by one move,
 reading the mover from the play's parity.  Each entry carries both
 views' positions and their moves, so no reader cuts a view out of the
-play by its positions.  `prefix_views` loops over it, and a strategy's
-round of play (`InnocentStrategy._round`) and a composite's interaction
-extend a play's views with it, so the legality check, the view
-functions, the O-innocence test, the memo keys of strategies,
-exploration, test runs, composition and the observation code all read
-their views from it.  `strategy.tabulate` needs none: it walks
+play by its positions.  `prefix_views` loops over it, and a round of
+play (in `strategy.walk` and `observation._play_against`) and a
+composite's interaction extend a play's views with it, so the legality
+check, the view functions, the O-innocence test, the memo keys of
+strategies, exploration, test runs, composition and the observation
+code all read their views from it.  `strategy.tabulate` needs none: it walks
 P-views, each its own P-view.
 
 Legality is checked where plays enter, at one door: `checked_views`
@@ -34,7 +34,10 @@ the new move may point at: members of the mover's view, and ROOT where
 a new thread may open.  That is visibility, so every (move, pointer) pair it returns extends
 the play to a legal one, and exploration checks no play it built:
 `walk` carries each play as its moves, with the views of its prefixes
-one entry per move, and plays each round without a legality pass.
+one entry per move, and plays each round without a legality pass.  A
+play at the length cap leaves the walk without the views of its last
+move, and a forced Opponent move, the one O-innocence leaves, is played
+without asking `legal_extensions`.
 `strategy.tabulate` and the O-view rule grow their move tuples
 through it too.
 

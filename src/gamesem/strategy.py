@@ -18,20 +18,26 @@ again on later asks.  A reply may go on after its move and pointer:
 the memo keeps the rest, a composite's interaction, and `_answer`
 hands it to no caller.  Three callers hand `_answer` a play's views,
 whose P-view moves key the memo, and no play is built for it:
-`respond`, after one legality pass at `plays.checked_views`; `_round`,
-one round of play (an Opponent move and the reply) for `walk` and
-`observation._play_against` (test runs and the oracle), which takes
-and returns the play's moves and carries its views through
-`plays.next_views`; and compose, which carries each factor's views the
-same way.  `tabulate`, and a composite asking itself a shorter P-view,
-hand `_answer` a P-view as its own play, so only it calls `_reply`.
+`respond`, after one legality pass at `plays.checked_views`; a round
+of play (an Opponent move and the reply) in `walk` and in
+`observation._play_against` (test runs and the oracle), which extends
+the play's views through `plays.next_views` by the Opponent move and
+adds the reply's only where the play goes on; and compose, which
+carries each factor's views the same way.  `tabulate`, and a composite
+asking itself a shorter P-view, hand `_answer` a P-view as its own
+play, so only it calls `_reply`.
 Renamings and pairings translate the view alone (a prefix renaming is
 an arena isomorphism, so it commutes with the P-view), and the pointer
 of the reply into that view is already view-relative.
 
 `walk` is the one exploration of a strategy's plays, a generator that
 keeps none: it yields each play it reaches as its moves, with the views
-of its prefixes and its open questions, in order of the moves.
+of its prefixes and its open questions, in order of the moves.  It
+builds only what a reader reads: a play at the length cap is yielded
+straight from its parent's loop, without the views of its last reply or
+a stack entry, and a forced Opponent move, the one O-innocence leaves
+where Opponent has moved at that O-view already, is played without
+generating the moves.
 `explore` folds it into the plays against every Opponent, kept as
 their moves and ordered shortest first with one stable sort by length,
 and builds no `Play`: the CLI writes each play straight from its moves,
@@ -207,20 +213,6 @@ class InnocentStrategy:
             raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {j}")
         return r
 
-    def _round(self, so: tuple, views: tuple):
-        """One round: this strategy's reply p to the legal play s·o,
-        given by its moves.  `views` holds the views of every prefix of
-        s, as `plays.prefix_views` yields them.  Returns (the moves of
-        s·o·p, the views of every prefix of s·o·p), or None where the
-        strategy does not answer.  s·o is asked through `_answer`,
-        unchecked.
-        """
-        views += (next_views(views, *so[-1]),)
-        r = self._answer(views[-1])
-        if r is None:
-            return None
-        return so + (r,), views + (next_views(views, *r),)
-
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
 
@@ -238,12 +230,19 @@ class TraceResult:
 
 def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     """Every even-length play reachable against sigma within the bounds,
-    the empty play first, yielded as (its moves, the views of each of
-    its prefixes, its open questions), and None for each position where
+    the empty play first, yielded as (its moves, the views of its
+    prefixes, its open questions), and None for each position where
     sigma's reply hit an interaction bound.  The open questions are
     `plays.pending_questions` of the play: a tuple of positions, or None
     once the play is not well-bracketed.  No play is kept: `explore` and
     `observation.observations` are two folds over this walk.
+
+    The views are those of `plays.prefix_views`, one entry per prefix,
+    shortest first.  A play the walk may extend, one of at most
+    b.max_play_len - 2 moves, and the empty play carry their own views
+    last.  A longer play is at the cap: it carries the views of its
+    proper prefixes only, so `len(views) == len(moves)`, and a reader
+    that needs its own gets them as `next_views(views, *moves[-1])`.
 
     Opponent ranges over every legal choice, or with `innocent_opponent`
     over the single-threaded, O-innocent ones; Proponent plays sigma's
@@ -254,21 +253,25 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     off the stack, and its children are pushed in reverse order of
     their Opponent moves, so the plays come out in the order of their
     moves, each before its extensions.  Each child is played when its
-    parent is taken off, so every play is extended once.
+    parent is taken off, so every play is extended once.  A child at
+    the cap is never extended, so it is yielded straight from its
+    parent's loop, in the same order, and never stacked.
 
     No play is checked: each stacked play carries the views of its
-    prefixes that sigma's `_round` returned with it, so
-    `legal_extensions` builds its legal extensions from the O-view it
-    is handed, with ROOT unless a single-threaded Opponent has begun,
-    and each round asks sigma without a legality pass.  The open
-    questions grow by `plays.next_pending`, one move at a time.  With
-    `innocent_opponent` the walk also carries the O-innocence map of
-    its Opponent moves (O-view -> move and pointer); a candidate whose
-    O-view is mapped to another move is pruned, which is
-    `is_o_innocent` one move at a time.
+    prefixes, so `legal_extensions` builds its legal extensions from the
+    O-view it is handed, with ROOT unless a single-threaded Opponent has
+    begun, and each round extends the views by `plays.next_views` and
+    asks sigma's `_answer` without a legality pass.  The open questions
+    grow by `plays.next_pending`, one move at a time.  With
+    `innocent_opponent` the walk also carries the O-innocence map of its
+    Opponent moves (O-view -> the last move of the O-view it makes),
+    which is `is_o_innocent` one move at a time: where Opponent has
+    moved at the play's O-view already, that move is forced and played
+    without a search, and the child shares its parent's map.
     """
     arena = sigma.arena
     questions = arena.questions
+    cap = b.max_play_len
     # A tree walk: no play is reached twice.
     reached = 1   # the empty play
     # (moves, their prefixes' views, open questions, O-innocence map)
@@ -277,29 +280,40 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
         s, views, pending, omap = stack.pop()
         yield s, views, pending
         n = len(s)
-        if n + 2 > b.max_play_len:
+        if n + 2 > cap:   # the empty play alone: a child at the cap is never stacked
             continue
+        at_cap = n + 4 > cap
         _, ov, _, okey = views[-1]
+        forced = omap.get(okey)
+        if forced is None:
+            extensions = legal_extensions(arena, s, ov if innocent_opponent and s else (ROOT, *ov))
+        else:
+            o, k = forced
+            extensions = ((o, ROOT if k == ROOT else ov[k]),)
         children = []
-        for o, j in legal_extensions(arena, s, ov if innocent_opponent and s else (ROOT, *ov)):
-            if innocent_opponent:
-                oval = (o, ROOT if j == ROOT else ov.index(j))
-                if omap.get(okey, oval) != oval:
-                    continue
+        for o, j in extensions:
+            so_views = views + (next_views(views, o, j),)
             try:
-                step = sigma._round(s + ((o, j),), views)
+                r = sigma._answer(so_views[-1])
             except BoundExceeded:
                 yield None
                 continue
-            if step is not None:
-                if reached == EXPLORE_BUDGET:
-                    raise ExplorationIncomplete(reached)
-                reached += 1
-                sop, sop_views = step
-                asked = next_pending(questions, pending, n, o, j)
-                pending_sop = next_pending(questions, asked, n + 1, *sop[-1])
-                children.append((sop, sop_views, pending_sop,
-                                  {**omap, okey: oval} if innocent_opponent else omap))
+            if r is None:
+                continue
+            if reached == EXPLORE_BUDGET:
+                raise ExplorationIncomplete(reached)
+            reached += 1
+            sop = s + ((o, j), r)
+            pending_sop = next_pending(questions, next_pending(questions, pending, n, o, j),
+                                       n + 1, *r)
+            if at_cap:
+                yield sop, so_views, pending_sop
+                continue
+            if innocent_opponent and forced is None:
+                child_omap = {**omap, okey: so_views[-1][3][-1]}
+            else:
+                child_omap = omap
+            children.append((sop, so_views + (next_views(so_views, *r),), pending_sop, child_omap))
         stack += reversed(children)
 
 

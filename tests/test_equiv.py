@@ -16,6 +16,7 @@ from gamesem.equiv import (
     enumerate_closed_odet_sets,
     obs_equiv,
 )
+from gamesem.observation import ObservationalStrategy
 from gamesem.observation import TestVerdict as Verdict
 from gamesem.observation import is_o_deterministic, oview_steps, run_test, viewset_key
 from gamesem.pcf import denote, parse
@@ -208,6 +209,23 @@ def test_obs_equiv_symmetric_verdict():
     r2 = obs_equiv(proj, add, FLAT)
     assert r1.witness == r2.witness
     assert {r1.witness_side, r2.witness_side} == {"left", "right"}
+
+
+def test_the_witness_is_the_viewset_key_least_among_sets_of_one_size():
+    # sets that tie on (total moves, view count) are ordered by their
+    # views, as `viewset_key` orders them; a tie at a larger size loses
+    q = ("q", ROOT)
+
+    def closed(*moves):
+        return frozenset(moves[:k] for k in range(len(moves) + 1))
+
+    two, one, zero = (closed(q, (n, 0)) for n in ("2", "1", "0"))
+    wide = one | two
+    x = ObservationalStrategy(N2, frozenset({two, one, wide}), FLAT)
+    for y_sets, want in (({wide}, one), ({zero}, zero), ({wide, one}, two)):
+        y = ObservationalStrategy(N2, frozenset(y_sets), FLAT)
+        assert equiv._least_difference(x, y) == want
+        assert want == min(x.sets ^ y.sets, key=viewset_key)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -228,13 +228,17 @@ def test_observations_of_bottom_empty():
 
 @pytest.mark.parametrize("e", CORPUS, ids=lambda e: e.name)
 def test_observations_are_the_reference_oviews_of_complete_plays(e):
-    # observations reads the view-sets off walk's views; the reference
-    # reads each complete play's prefixes afresh
+    # observations reads the view-sets off walk's views, and adds the
+    # last O-view of a play at the cap, which the walk yields without
+    # it; the reference reads each complete play's prefixes afresh.  At
+    # the entry's cap, and at odd and small ones.
     sigma = e.build()
-    plays = played(innocent_explore(sigma, e.bounds))
-    want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
-            for p in plays if p.moves and ref_pending_questions(p) == ()}
-    assert observations(sigma, e.bounds).sets == want
+    for cap in (e.bounds.max_play_len, 1, 2, 3, 5, 7, 9):
+        b = replace(e.bounds, max_play_len=cap)
+        plays = played(innocent_explore(sigma, b))
+        want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
+                for p in plays if p.moves and ref_pending_questions(p) == ()}
+        assert observations(sigma, b).sets == want, cap
 
 
 def test_observations_build_each_oview_once():
@@ -261,6 +265,25 @@ def test_obs_leq_and_equality():
     y = observations(builtin("add_RL", 2), b)
     assert obs_leq(x, y) and obs_leq(y, x)
     assert x.sets == y.sets
+
+
+@pytest.mark.parametrize("left, right, holds", [
+    ("num_0", "num_1", (False, False)),
+    ("bottom_nat", "num_0", (True, False)),
+])
+def test_obs_leq_can_fail_and_hold_one_way_only(left, right, holds):
+    # the order on observations agrees with the test order wherever no
+    # side hit a bound
+    entries = {e.name: e for e in CORPUS}
+    b = entries[left].bounds
+    s1, s2 = entries[left].build(), entries[right].build()
+    x, y = observations(s1, b), observations(s2, b)
+    assert (obs_leq(x, y), obs_leq(y, x)) == holds
+    assert x.bound_exceeded == y.bound_exceeded == 0
+    for (u, v), want in zip(((s1, s2), (s2, s1)), holds):
+        report = brute_force_leq(u, v, b)
+        assert report.bound_exceeded == 0
+        assert report.holds == want
 
 
 def test_is_observational_on_real_obs():

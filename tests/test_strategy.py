@@ -5,12 +5,14 @@ from collections import Counter
 
 import pytest
 
+from gamesem import equiv as equiv_module
 from gamesem import pcf, strategy
 from gamesem import plays as plays_module
 from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
 from gamesem.equiv import brute_force_leq
+from gamesem.observation import TestVerdict as Verdict
 from gamesem.observation import observations
 from gamesem.pcf import (
     Lam,
@@ -67,6 +69,7 @@ from oracles import (
     ref_is_o_innocent,
     ref_is_p_innocent,
     ref_legal_extensions,
+    ref_oview,
     ref_pair,
     ref_pview,
     ref_rename,
@@ -210,21 +213,28 @@ def _print_order(plays) -> tuple:
     return tuple(sorted(plays, key=lambda p: (len(p.moves), p.moves)))
 
 
+# Play caps, odd and small ones too: the walk yields a play at the cap
+# from its parent's loop, at an odd cap the last round cannot fit, and
+# below 2 not even the first.
+CAPS = (1, 2, 3, 5, 7, 8, 9)
+
+
 def test_explore_gives_the_reference_plays_in_print_order():
     # the reference: every legal even-length play, grown breadth first,
     # whose Proponent moves are the strategy's replies; each factor
     # keeps a wide interaction budget, so no reply hits a bound
     wide = Bounds(max_nat=1, max_play_len=20)
-    b = Bounds(max_nat=1, max_play_len=8)
     for sigma in (builtin("add_LR", 1), copycat(make_nat_arena(1)),
                   denote(parse("fun f: nat -> nat -> f (f 1)"), wide),
                   denote(parse("fun x: nat -> ifz x then 1 else 0"), wide)):
-        ref = [p for p in ref_enumerate_plays(sigma.arena, b.max_play_len)
-               if len(p) % 2 == 0 and all(sigma.respond(p.prefix(k)) == p.moves[k]
-                                          for k in range(1, len(p), 2))]
-        res = explore(sigma, b)
-        assert res.bound_exceeded == 0
-        assert played(res) == _print_order(ref)
+        every = ref_enumerate_plays(sigma.arena, max(CAPS))
+        for cap in CAPS:
+            ref = [p for p in every
+                   if len(p) <= cap and len(p) % 2 == 0
+                   and all(sigma.respond(p.prefix(k)) == p.moves[k] for k in range(1, len(p), 2))]
+            res = explore(sigma, Bounds(max_nat=1, max_play_len=cap))
+            assert res.bound_exceeded == 0
+            assert played(res) == _print_order(ref), (sigma.name, cap)
 
 
 # rec_zero against every Opponent at the bounds of SMALL_TERMS below;
@@ -312,8 +322,9 @@ def _ref_asks(plays, b, innocent_opponent=False):
 
 @pytest.mark.parametrize("innocent_opponent", [False, True])
 def test_explore_asks_each_p_view_once(innocent_opponent):
-    # the leaf is asked by `_round`, and, behind a renaming onto its own
-    # arena, through its `view_fn` by the renaming's route, past its memo
+    # the leaf is asked by the walk's rounds, and, behind a renaming onto
+    # its own arena, through its `view_fn` by the renaming's route, past
+    # its memo
     b = Bounds(max_nat=1, max_play_len=10)
     sigma = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
     for renamed in (False, True):
@@ -329,17 +340,19 @@ def test_explore_asks_each_p_view_once(innocent_opponent):
 
 def test_brute_force_leq_asks_each_p_view_once():
     # the oracle's search plays through the same rounds; the P-views
-    # each side reaches are read off every play a round is asked about
+    # each side reaches are read off every ask of its `_answer`
     b = Bounds(max_nat=1, max_play_len=16, max_view_len=8)
     sides = [denote(parse(src), b)
              for src in ("fun f: nat -> nat -> f 1", "fun f: nat -> nat -> f (f 1)")]
     asked, reached = ([], []), ([], [])
     leaves = [_counted_leaf(s, b, a) for s, a in zip(sides, asked)]
     for leaf, seen in zip(leaves, reached):
-        def round_(so, views, play_round=leaf._round, seen=seen):
-            seen.append(ref_pview(Play(leaf.arena, so)).moves)
-            return play_round(so, views)
-        leaf._round = round_
+        def answer(views, ask=leaf._answer, seen=seen, arena=leaf.arena):
+            # each ask is keyed by its P-view's moves, itself a P-view
+            assert ref_pview(Play(arena, views[2])).moves == views[2]
+            seen.append(views[2])
+            return ask(views)
+        leaf._answer = answer
     assert brute_force_leq(*leaves, b) == brute_force_leq(*sides, b)
     for a, r in zip(asked, reached):
         assert sorted(a) == sorted(set(r))
@@ -369,7 +382,7 @@ def test_a_reply_that_fails_its_check_raises_on_every_ask():
     opening = Play(wrong.arena, (("R.q", ROOT),))
     for _ in range(2):
         with pytest.raises(StrategyError):
-            wrong._round(opening.moves, (EMPTY_VIEWS,))
+            wrong.respond(opening)
         with pytest.raises(StrategyError):
             explore(wrong, b)
     assert asked == [opening.moves] * 4
@@ -482,17 +495,65 @@ ROUND_NODES = {
 
 
 @pytest.mark.parametrize("build", ROUND_NODES.values(), ids=ROUND_NODES.keys())
-def test_a_round_returns_the_views_prefix_views_walks(build):
-    # explore and run_test carry a play's views only through _round
+def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
+    # walk and run_test carry a play's views one round at a time: every
+    # play walk yields carries the views of its prefixes, its own last
+    # unless it is a nonempty play at the cap, and every run
+    # `_play_against` stops at carries those of its moves
+    kinds = Counter()
+    for cap in (3, 4, 7, 10):
+        b = Bounds(max_nat=1, max_play_len=cap)
+        sigma = build(b)
+        for innocent_opponent in (False, True):
+            walked = [step for step in walk(sigma, b, innocent_opponent) if step is not None]
+            for moves, views, _ in walked:
+                at_cap = bool(moves) and len(moves) + 2 > cap
+                kinds[at_cap] += 1
+                want = prefix_views(Play(sigma.arena, moves[:-1] if at_cap else moves))
+                assert views == tuple(want), (innocent_opponent, moves)
+    assert kinds[True] > 2 and kinds[False] > 2
+    runs = []
+
+    def play_against(*args, play=equiv_module._play_against):
+        got = play(*args)
+        if not isinstance(got, Verdict):
+            runs.append(got)
+        return got
+
+    monkeypatch.setattr(equiv_module, "_play_against", play_against)
     b = Bounds(max_nat=1, max_play_len=10)
     sigma = build(b)
-    plays = played(explore(sigma, b))
-    assert len(plays) > 2
-    for sop in plays:
-        if sop.moves:
-            n = len(sop.moves)
-            step = sigma._round(sop.moves[:-1], tuple(prefix_views(sop.prefix(n - 2))))
-            assert step == (sop.moves, tuple(prefix_views(sop)))
+    brute_force_leq(sigma, sigma, b)
+    assert len(runs) > 2
+    for moves, views in runs:
+        assert views == tuple(prefix_views(Play(sigma.arena, moves)))
+
+
+def test_the_innocent_walk_plays_a_forced_opponent_move_without_search(monkeypatch):
+    # where Opponent has moved at the play's O-view already, O-innocence
+    # leaves it that move alone: no move is generated there
+    b = Bounds(max_nat=1, max_play_len=16)
+    sigma = denote(parse("fun f: nat -> nat -> f (f 1)"), b)
+    searched = []
+
+    def extensions(arena, moves, justifiers, generate=plays_module.legal_extensions):
+        searched.append(moves)
+        return generate(arena, moves, justifiers)
+
+    monkeypatch.setattr(strategy, "legal_extensions", extensions)
+    def oviews(moves):
+        # the O-view of each prefix, by the reference
+        p = Play(sigma.arena, moves)
+        return [ref_oview(p.prefix(k)).moves for k in range(len(moves) + 1)]
+
+    forced = 0
+    for moves, _, _ in filter(None, walk(sigma, b, innocent_opponent=True)):
+        seen = oviews(moves)
+        forced += any(seen[k] in seen[:k:2] for k in range(2, len(moves), 2))
+    assert searched and forced
+    for moves in searched:
+        seen = oviews(moves)
+        assert seen[-1] not in seen[:-1:2], moves
 
 
 def _rename_nodes():
