@@ -15,7 +15,7 @@ from gamesem.corpus import CorpusEntry, entry
 from gamesem.equiv import obs_equiv
 from gamesem.observation import observations
 from gamesem.pcf import builtin
-from gamesem.plays import ROOT, Play
+from gamesem.plays import Play
 from gamesem.strategy import traces
 
 

@@ -23,10 +23,10 @@ older runs the stdlib's pure-Python encoder once it is given an indent.
 `traces` hands it `explore`'s `TraceResult`, whose plays are move
 tuples: each is written as its `Play.to_json()` would be, with one join
 over a per-depth table of move texts, so no `Play` and no dict per move
-is built.  `_emit` streams the document: it writes the top-level keys
-one at a time and a list there one element at a time, a play with its
-separator in one write, so `obs` and `traces` never hold the whole
-text.
+is built.  `_emit` streams the document through one generator,
+`_pieces`, which yields the text of a container down two levels member
+by member, and of a `TraceResult` play by play, each with its separator,
+so `obs` and `traces` never hold the whole text.
 """
 from __future__ import annotations
 
@@ -65,41 +65,13 @@ def _bounds(ns) -> Bounds:
 
 def _emit(doc) -> None:
     """Write `_encode(doc, 0, {})` and a line break to stdout, a piece
-    at a time, so the whole text is never held: a dict at the top key
-    by key, and a list or a `TraceResult` that is the document or a
-    value of it element by element, each piece by `_encode` with one
-    memo."""
-    write, memo = sys.stdout.write, {}
-    if isinstance(doc, dict) and doc:
-        sep = "{\n  "
-        for k, v in sorted(doc.items()):
-            write(sep + _str(k) + ": ")
-            _write_list(write, v, 1, memo)
-            sep = ",\n  "
-        write("\n}")
-    else:
-        _write_list(write, doc, 0, memo)
+    at a time as `_pieces` yields them down two levels, with one memo,
+    so the whole text is never held."""
+    write = sys.stdout.write
+    for piece in _pieces(doc, 0, {}, 2):
+        write(piece)
     write("\n")
     sys.stdout.flush()
-
-
-def _write_list(write, o, depth: int, memo: dict) -> None:
-    """Write `_encode(o, depth, memo)`, a nonempty list or tuple one
-    element at a time, and a `TraceResult` one play at a time, each
-    element in one write with the separator before it."""
-    if isinstance(o, TraceResult):
-        for piece in _trace_pieces(o, depth, memo):
-            write(piece)
-        return
-    if not (isinstance(o, (list, tuple)) and o):
-        write(_encode(o, depth, memo))
-        return
-    inner = "\n" + "  " * (depth + 1)
-    sep = "[" + inner
-    for v in o:
-        write(sep + _encode(v, depth + 1, memo))
-        sep = "," + inner
-    write(inner[:-2] + "]")
 
 
 class _MoveTexts(dict):
@@ -116,34 +88,52 @@ class _MoveTexts(dict):
         return text
 
 
-def _trace_pieces(tr: TraceResult, depth: int, memo: dict):
-    """`_encode(tr, depth, memo)` in pieces: each play with the
-    separator before it, then the list's close.  A play is written as
-    `Play.to_json()` would be at depth + 1, without building a `Play`
-    or a dict: its constant pieces and a table of move texts are made
-    once per document, depth and arena name and kept in `memo`, and
-    each play is one join of its moves' texts."""
-    if not tr.plays:
-        yield "[]"
-        return
+def _pieces(o, depth: int, memo: dict, levels: int):
+    """`_encode(o, depth, memo)` in pieces, each member with the
+    separator before it: a nonempty dict, list or tuple member by member
+    down to `levels` levels, and a `TraceResult` play by play at any
+    level.  A play is written as `Play.to_json()` would be at depth + 1,
+    without building a `Play` or a dict: its constant pieces and a table
+    of move texts are made once per document, depth and arena name and
+    kept in `memo`, and each play is one join of its moves' texts."""
     inner = "\n" + "  " * (depth + 1)
-    key = (TraceResult, depth, tr.arena.name)
-    parts = memo.get(key)
-    if parts is None:
-        play = inner + "  "
-        arena = "{" + play + '"arena": ' + _str(tr.arena.name) + "," + play + '"moves": '
-        parts = memo[key] = (arena + "[" + play + "  ", "," + play + "  ",
-                             play + "]" + inner + "}", arena + "[]" + inner + "}",
-                             _MoveTexts(depth + 3, memo))
-    head, sep, tail, empty, texts = parts
-    lead = "[" + inner
-    for moves in tr.plays:
-        if moves:
-            yield lead + head + sep.join(map(texts.__getitem__, moves)) + tail
-        else:
-            yield lead + empty
+    if isinstance(o, TraceResult):
+        if not o.plays:
+            yield "[]"
+            return
+        key = (TraceResult, depth, o.arena.name)
+        parts = memo.get(key)
+        if parts is None:
+            play = inner + "  "
+            arena = "{" + play + '"arena": ' + _str(o.arena.name) + "," + play + '"moves": '
+            parts = memo[key] = (arena + "[" + play + "  ", "," + play + "  ",
+                                 play + "]" + inner + "}", arena + "[]" + inner + "}",
+                                 _MoveTexts(depth + 3, memo))
+        head, sep, tail, empty, texts = parts
+        lead = "[" + inner
+        for moves in o.plays:
+            if moves:
+                yield lead + head + sep.join(map(texts.__getitem__, moves)) + tail
+            else:
+                yield lead + empty
+            lead = "," + inner
+        yield inner[:-2] + "]"
+        return
+    if not (levels and o and isinstance(o, (dict, list, tuple))):
+        yield _encode(o, depth, memo)
+        return
+    if isinstance(o, dict):
+        lead, close = "{" + inner, "}"
+        members = ((_str(k) + ": ", v) for k, v in sorted(o.items()))
+    else:
+        lead, close = "[" + inner, "]"
+        members = (("", v) for v in o)
+    for label, v in members:
+        rest = _pieces(v, depth + 1, memo, levels - 1)
+        yield lead + label + next(rest)
+        yield from rest
         lead = "," + inner
-    yield inner[:-2] + "]"
+    yield inner[:-2] + close
 
 
 _LEAF_TYPES = frozenset((str, int))
@@ -154,7 +144,7 @@ def _encode(o, depth: int, memo: dict) -> str:
     for byte, for dicts with str keys, lists, tuples, str, int, bool,
     None and `TraceResult`s; anything else raises TypeError.  A
     TraceResult is written as the list of its plays' `Play.to_json()`,
-    by `_trace_pieces`.  `memo` maps (depth, items) of a dict whose
+    by `_pieces`.  `memo` maps (depth, items) of a dict whose
     values are all str or exact int to its text, so a move repeated
     through a document is written once per depth.  A bool is kept out
     of it: True == 1, so it would share 1's entry.  Containers are
@@ -186,7 +176,7 @@ def _encode(o, depth: int, memo: dict) -> str:
         return int.__repr__(o)
     if not isinstance(o, (list, tuple)):
         if isinstance(o, TraceResult):
-            return "".join(_trace_pieces(o, depth, memo))
+            return "".join(_pieces(o, depth, memo, 0))
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not o:
         return "[]"

@@ -209,7 +209,7 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
             r2 = _play_against(s2, table, b, r2)
         stuck = r2 if isinstance(r1, TestVerdict) else r1
         if not isinstance(stuck, TestVerdict):
-            at = stuck[1][-1][3]
+            at = stuck[-1][3]
             for e in entries(at):
                 heapq.heappush(heap, (_closing(vkey, at, e), next(seq), table, at, e, r1, r2))
             continue

@@ -28,11 +28,12 @@ construction).  `run_test` gives the verdict of that composite without
 building it: the set is read as an Opponent, a table from O-views to
 the next Opponent move, and one play over the strategy's own arena
 alternates that Opponent with the strategy's replies, asked as `walk`
-asks them, on the play's moves.  That play is `_play_against`, which takes
-a valid set's table or a partial one that the test oracle in `equiv`
-grows by `oview_steps`, and plays the Opponent moves either
-gives unchecked: it stops at the first O-view the table has no entry
-for, and the oracle branches there.
+asks them.  That play is `_play_against`, which takes a valid set's
+table or a partial one that the test oracle in `equiv` grows by
+`oview_steps`, and plays the Opponent moves either gives unchecked: it
+stops at the first O-view the table has no entry for, and the oracle
+branches there.  A run is the views of its play's prefixes and nothing
+else, from which the play's moves can be read back.
 """
 from __future__ import annotations
 
@@ -272,14 +273,17 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     moves to the next Opponent move (move, pointer into the O-view or
     ROOT), to _SUCCEED, or to None, where the test gives up (BOT).
 
-    Returns the TestVerdict where the play ends, or the run (the play's
-    moves and the views of each of its prefixes) as it stands at the
-    first O-view that is not a key of the table; that O-view is
-    `run[1][-1][3]`.  Given such a run, the play resumes from it.  The
-    Opponent move is looked up by the play's O-view, sigma answers from
-    its P-view, and the test succeeds when the table says so.  Each
-    round asks sigma's `_answer` as `walk` does, so both views are
-    carried forward one move at a time and no play is checked; the
+    Returns the TestVerdict where the play ends, or the run as it stands
+    at the first O-view that is not a key of the table.  A run is the
+    views of its play's prefixes, shortest first, as `plays.next_views`
+    gives them, and nothing else: each move is the last move of its
+    mover's own view (an Opponent move of its O-view, a reply of its
+    P-view), so the play is read back from them.  The O-view a run
+    stopped at is `run[-1][3]`, and given such a run, the play resumes
+    from it.  The Opponent move is looked up by the play's O-view, sigma
+    answers from its P-view, and the test succeeds when the table says
+    so.  Each round asks sigma's `_answer` as `walk` does, so both views
+    are carried forward one move at a time and no play is checked; the
     views of the reply are added only where the play goes on.  As
     in the composite, the Sigma question and answer count against
     b.max_play_len with the moves of A, so a reply that would take the
@@ -292,12 +296,12 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
     # The composite's interaction holds the Sigma question, the moves of
     # A and the next reply: a reply after i moves of A needs 2 + i <= cap.
     cap = b.max_play_len - 2
-    moves, views = run or ((), (EMPTY_VIEWS,))
+    views = run or (EMPTY_VIEWS,)
     while True:
-        i = len(moves)
+        i = len(views) - 1
         entry = table.get(views[i][3], _UNSET)
         if entry is _UNSET:
-            return moves, views
+            return views
         if entry is None:
             return TestVerdict.BOT
         if entry is _SUCCEED:
@@ -307,16 +311,16 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
             return TestVerdict.BOUND_EXCEEDED
         # the O-view's pointer, as a position in the play
         j = ROOT if ptr == ROOT else views[i][1][ptr]
-        views += (next_views(views, o, j),)
+        e = next_views(views, o, j)
+        views += (e,)
         try:
-            r = sigma._answer(views[-1])
+            r = sigma._answer(e[2], e[0])
         except BoundExceeded:
             return TestVerdict.BOUND_EXCEEDED
         if r is None:
             return TestVerdict.BOT
         if i + 1 > cap:
             return TestVerdict.BOUND_EXCEEDED
-        moves += ((o, j), r)
         views += (next_views(views, *r),)
 
 

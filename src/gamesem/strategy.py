@@ -16,16 +16,19 @@ node and checks the response against the arena and the view, so the
 extended play is legal again; a bound hit is stored too and raised
 again on later asks.  A reply may go on after its move and pointer:
 the memo keeps the rest, a composite's interaction, and `_answer`
-hands it to no caller.  Three callers hand `_answer` a play's views,
-whose P-view moves key the memo, and no play is built for it:
-`respond`, after one legality pass at `plays.checked_views`; a round
-of play (an Opponent move and the reply) in `walk` and in
-`observation._play_against` (test runs and the oracle), which extends
-the play's views through `plays.next_views` by the Opponent move and
-adds the reply's only where the play goes on; and compose, which
-carries each factor's views the same way.  `tabulate`, and a composite
-asking itself a shorter P-view, hand `_answer` a P-view as its own
-play, so only it calls `_reply`.
+hands it to no caller.  A node is asked with the P-view it keys on:
+`_answer(key, positions)` takes the P-view's moves, its memo key, and
+their positions in the play, through which the reply's pointer is
+read.  No play is built for it.  `respond` hands it the P-view of
+`plays.checked_views`, after one legality pass; a round of play (an
+Opponent move and the reply) in `walk` and in
+`observation._play_against` (test runs and the oracle) extends the
+play's views through `plays.next_views` by the Opponent move, hands it
+that entry's P-view, and adds the reply's views only where the play
+goes on; and compose carries each factor's views the same way.
+`tabulate`, and a composite asking itself a shorter P-view, hand it a
+P-view as its own play, at positions `range(len(key))`, so only it
+calls `_reply`.
 Renamings and pairings translate the view alone (a prefix renaming is
 an arena isomorphism, so it commutes with the P-view), and the pointer
 of the reply into that view is already view-relative.
@@ -166,26 +169,26 @@ class InnocentStrategy:
         """Proponent's reply to a legal odd-length play, or None.
 
         The one checked entry point: one legality pass over s, whose
-        views are handed to `_answer`.  Returns (move, justifier index
+        P-view is handed to `_answer`.  Returns (move, justifier index
         into s) for a P-move enabled by a move of that P-view; raises
         StrategyError for any other reply, BoundExceeded if computing
         the reply hit an interaction bound.
         """
         if s.arena != self.arena:
             raise ValueError(f"play is over {s.arena.name}, strategy over {self.arena.name}")
-        views = checked_views(s)
+        positions, _, key, _ = checked_views(s)
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
-        return self._answer(views)
+        return self._answer(key, positions)
 
-    def _answer(self, views):
+    def _answer(self, key: tuple, positions):
         """`respond`'s reply to a legal odd-length play, unchecked, from
-        its views as `plays.next_views` gives them.  Memoised by the
-        P-view's moves: each view is asked through `_reply`, and its
+        the moves `key` of its P-view and their `positions` in the play.
+        Memoised by `key`: each view is asked through `_reply`, and its
         reply checked, once; a bound hit is stored and raised again on
         every later ask, and any other exception is never stored.  The
-        caller gets (move, pointer) of the memo's whole reply."""
-        positions, _, key, _ = views
+        caller gets the memo's move and its pointer read through
+        `positions`."""
         r = self._memo.get(key, _UNASKED)
         if r is _UNASKED:
             try:
@@ -288,13 +291,16 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
         if forced is None:
             extensions = legal_extensions(arena, s, ov if innocent_opponent and s else (ROOT, *ov))
         else:
+            # forced at a nonempty O-view, by an Opponent that opens no
+            # second thread: k points into the view, never at ROOT
             o, k = forced
-            extensions = ((o, ROOT if k == ROOT else ov[k]),)
+            extensions = ((o, ov[k]),)
         children = []
         for o, j in extensions:
-            so_views = views + (next_views(views, o, j),)
+            e = next_views(views, o, j)
+            so_views = views + (e,)
             try:
-                r = sigma._answer(so_views[-1])
+                r = sigma._answer(e[2], e[0])
             except BoundExceeded:
                 yield None
                 continue
@@ -310,7 +316,7 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
                 yield sop, so_views, pending_sop
                 continue
             if innocent_opponent and forced is None:
-                child_omap = {**omap, okey: so_views[-1][3][-1]}
+                child_omap = {**omap, okey: e[3][-1]}
             else:
                 child_omap = omap
             children.append((sop, so_views + (next_views(so_views, *r),), pending_sop, child_omap))
@@ -367,7 +373,7 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
         for o in legal_extensions(arena, v, (len(v) - 1,) if v else (ROOT,)):
             vo = v + (o,)
             try:
-                r = sigma._answer((range(len(vo)), None, vo, None))
+                r = sigma._answer(vo, range(len(vo)))
             except BoundExceeded:
                 continue
             if r is not None:
@@ -666,7 +672,8 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         # True once a move surfaces in A or C, False on a refusal
         while True:
             idx, _, views = proj[side]
-            r = strats[side]._answer(views[-1])
+            e = views[-1]
+            r = strats[side]._answer(e[2], e[0])
             if r is None:
                 return False
             m, pptr = r
@@ -690,7 +697,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             # it is a reply
             r = node._memo.get(view[:-2])
             if type(r) is not tuple:
-                node._answer((range(n - 2), None, view[:-2], None))
+                node._answer(view[:-2], range(n - 2))
                 r = node._memo[view[:-2]]
             if r is None:
                 raise InconsistentPlay(f"{cname}: no response where the play has {view[-2][0]!r}")

@@ -39,7 +39,7 @@ from gamesem.plays import (
     pview,
 )
 from gamesem.strategy import traces
-from oracles import is_single_threaded, ref_enumerate_plays
+from oracles import ref_enumerate_plays
 from walks import innocent_explore, played
 
 DATA = Path(__file__).parent / "data"

@@ -619,6 +619,18 @@ def test_a_term_past_the_nesting_limit_exits_2_with_no_output(tmp_path, n):
     assert r.stderr == f"error: {f}: 1:{col}: term nested too deeply\n"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the passes over a term and the asks down its compose chain still recurse, so a "
+    "term the parser accepts exits 3 with a recursion limit (ROADMAP item 10)"))
+def test_a_term_the_parser_accepts_is_observed_or_refused_as_bad_input(tmp_path):
+    # 250 nested `succ`s are within pcf.MAX_NESTING; the engine must
+    # observe the term or refuse it as bad input, not run out of stack
+    assert 250 < pcf.MAX_NESTING
+    f = write(tmp_path, "deep.pcf", "succ " * 250 + "0\n")
+    r = run_cli("obs", f, "--max-nat", "1", "--max-play-len", "4")
+    assert r.returncode in (0, 2), r.stderr
+
+
 def test_a_term_at_the_nesting_limit_is_written_from_deep_in_the_caller(tmp_path, capsys):
     # the writer recurses one frame per level, so an in-process caller
     # 300 frames down still has room to write a term one level short of
@@ -869,6 +881,9 @@ def _plain(o):
 def test_encoder_matches_json_dumps(doc):
     assert canonical(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
     assert emitted(doc) == canonical(doc) + "\n"
+    # streamed down any number of levels, the pieces are the same text
+    for levels in range(4):
+        assert "".join(cli._pieces(doc, 0, {}, levels)) == canonical(doc)
 
 
 def test_encoder_keeps_bools_and_depths_apart():
@@ -911,6 +926,20 @@ def test_emit_streams_what_json_dumps_writes(tmp_path, monkeypatch):
              TraceResult(_ARENAS[3], ((), (("q", ROOT), ('"1"', 0))), 0)]
     for doc in docs:
         assert emitted(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_writes_each_set_and_each_play_apart():
+    # the whole text is never held: no write `_emit` makes holds two of
+    # a document's sets, or two of its plays
+    sets = [[{"m": f"set{k}", "ptr": -1}] for k in range(3)]
+    plays = TraceResult(_ARENAS[2], tuple(((f"play{k}", ROOT),) for k in range(3)), 0)
+    writes = []
+    with redirect_stdout(io.StringIO()) as out:
+        out.write = writes.append
+        cli._emit({"sets": sets, "plays": plays, "count": 3})
+    for kind in ("set", "play"):
+        assert all(len(re.findall(kind + r"\d", w)) <= 1 for w in writes), kind
+    assert "".join(writes) == emitted({"sets": sets, "plays": plays, "count": 3})
 
 
 def test_in_process_calls_share_the_parser_and_nothing_else(tmp_path, capsys):

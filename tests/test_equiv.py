@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -226,6 +227,14 @@ def test_the_witness_is_the_viewset_key_least_among_sets_of_one_size():
         y = ObservationalStrategy(N2, frozenset(y_sets), FLAT)
         assert equiv._least_difference(x, y) == want
         assert want == min(x.sets ^ y.sets, key=viewset_key)
+    # every pair of six sets of one size: a tie broken by the order the
+    # sets are held in, not by their views, picks the wrong one somewhere
+    n5 = make_nat_arena(5)
+    tied = [closed(q, (str(n), 0)) for n in range(6)]
+    for a, b in itertools.combinations(range(6), 2):
+        x = ObservationalStrategy(n5, frozenset({tied[a], tied[b]}), FLAT)
+        y = ObservationalStrategy(n5, frozenset(), FLAT)
+        assert equiv._least_difference(x, y) == tied[a]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -27,14 +27,8 @@ from gamesem.observation import (
 )
 from gamesem.observation import TestVerdict as Verdict
 from gamesem.pcf import builtin, denote, parse
-from gamesem.plays import ROOT, Play, is_complete
-from gamesem.strategy import (
-    BoundExceeded,
-    InnocentStrategy,
-    as_thunk,
-    compose,
-    traces,
-)
+from gamesem.plays import ROOT, Play
+from gamesem.strategy import BoundExceeded, InnocentStrategy, as_thunk, compose
 from mutations import mutated
 from oracles import is_single_threaded, ref_is_legal, ref_oview, ref_pending_questions
 from walks import innocent_explore, played

@@ -8,7 +8,7 @@ import pytest
 from gamesem import equiv as equiv_module
 from gamesem import pcf, strategy
 from gamesem import plays as plays_module
-from gamesem.arena import arrow, make_empty, make_nat_arena, make_sigma, product
+from gamesem.arena import arrow, make_empty, make_nat_arena, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import CORPUS
 from gamesem.equiv import brute_force_leq
@@ -347,11 +347,11 @@ def test_brute_force_leq_asks_each_p_view_once():
     asked, reached = ([], []), ([], [])
     leaves = [_counted_leaf(s, b, a) for s, a in zip(sides, asked)]
     for leaf, seen in zip(leaves, reached):
-        def answer(views, ask=leaf._answer, seen=seen, arena=leaf.arena):
+        def answer(key, positions, ask=leaf._answer, seen=seen, arena=leaf.arena):
             # each ask is keyed by its P-view's moves, itself a P-view
-            assert ref_pview(Play(arena, views[2])).moves == views[2]
-            seen.append(views[2])
-            return ask(views)
+            assert ref_pview(Play(arena, key)).moves == key
+            seen.append(key)
+            return ask(key, positions)
         leaf._answer = answer
     assert brute_force_leq(*leaves, b) == brute_force_leq(*sides, b)
     for a, r in zip(asked, reached):
@@ -499,7 +499,9 @@ def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
     # walk and run_test carry a play's views one round at a time: every
     # play walk yields carries the views of its prefixes, its own last
     # unless it is a nonempty play at the cap, and every run
-    # `_play_against` stops at carries those of its moves
+    # `_play_against` stops at is the views of its play's prefixes, the
+    # play read back from them: each move is the last of its mover's own
+    # view, its pointer read through that view's positions
     kinds = Counter()
     for cap in (3, 4, 7, 10):
         b = Bounds(max_nat=1, max_play_len=cap)
@@ -525,8 +527,13 @@ def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
     sigma = build(b)
     brute_force_leq(sigma, sigma, b)
     assert len(runs) > 2
-    for moves, views in runs:
-        assert views == tuple(prefix_views(Play(sigma.arena, moves)))
+    for views in runs:
+        moves = []
+        for k, (pv, ov, pvm, ovm) in enumerate(views[1:]):
+            positions, own = (pv, pvm) if k % 2 else (ov, ovm)
+            m, ptr = own[-1]
+            moves.append((m, ROOT if ptr == ROOT else positions[ptr]))
+        assert views == tuple(prefix_views(Play(sigma.arena, tuple(moves))))
 
 
 def test_the_innocent_walk_plays_a_forced_opponent_move_without_search(monkeypatch):
@@ -844,15 +851,16 @@ def _projections(monkeypatch):
     last of the views it is handed, then the move.  Entries are keyed by
     their own ids, which a composite resuming from a copy of its lists
     of views keeps.  Compose nodes built afterwards use the patch.
-    Returns a map from each entry made to (the entry, the moves of the
-    projection it was made for)."""
+    Returns a map from each entry made, and from the ids of its P-view
+    moves and positions, to (the entry, the moves of the projection it
+    was made for)."""
     made = {id(EMPTY_VIEWS): (EMPTY_VIEWS, ())}
 
     def recording(views, move, ptr, real=strategy.next_views):
         entry = real(views, move, ptr)
         last, moves = made[id(views[-1])]
         assert last is views[-1], "a list of views not grown by the recurrence"
-        made[id(entry)] = (entry, moves + ((move, ptr),))
+        made[id(entry)] = made[id(entry[2]), id(entry[0])] = (entry, moves + ((move, ptr),))
         return entry
 
     monkeypatch.setattr(strategy, "next_views", recording)
@@ -861,14 +869,16 @@ def _projections(monkeypatch):
 
 def _recorded(made, factors):
     """Patch each factor's `_answer` to record, per ask, its projection
-    as a play and the views entry it is handed; returns the record."""
+    as a play and the views entry whose P-view it is handed; returns the
+    record."""
     seen = []
     for strat in {id(x): x for x in factors}.values():
-        def answer(views, strat=strat, ask=strat._answer):
-            entry, moves = made.get(id(views), (None, ()))
-            assert entry is views, "an entry no projection's recurrence made"
-            seen.append((Play(strat.arena, moves), views))
-            return ask(views)
+        def answer(key, positions, strat=strat, ask=strat._answer):
+            entry, moves = made.get((id(key), id(positions)), (None, ()))
+            assert entry is not None and entry[2] is key and entry[0] is positions, \
+                "parts of an entry no projection's recurrence made"
+            seen.append((Play(strat.arena, moves), entry))
+            return ask(key, positions)
         strat._answer = answer
     return seen
 
@@ -927,9 +937,9 @@ def test_a_cold_ask_leaves_each_p_view_prefix_it_needed_in_the_memo():
     comp, sigma, tau = make()
     asked = []
     for strat in (sigma, tau):
-        def answer(views, strat=strat, ask=strat._answer):
-            asked.append((strat, views[2]))
-            return ask(views)
+        def answer(key, positions, strat=strat, ask=strat._answer):
+            asked.append((strat, key))
+            return ask(key, positions)
         strat._answer = answer
     reply = comp.respond(s)
     w = pview(s).moves
