@@ -5,10 +5,13 @@
 Each mutant is one exact source replacement in one file under
 src/gamesem, which must apply exactly once.  For each, the repository
 is copied to a temporary directory, the replacement applied there, and
-`python -m pytest -x` run on the copy with PYTHONHASHSEED=0, so the
-checkout itself is never changed.  One line per mutant is printed, in
-the list's order: killed, with the first test that failed; survived;
-or timed out after TIMEOUT_S seconds.  A survivor is either
+`python -m pytest -x` run on the copy with PYTHONHASHSEED=0 and at
+most MEMORY_BYTES of address space, so the checkout itself is never
+changed and a mutant that makes a search explode fails with
+MemoryError rather than taking the host's memory.  One line per mutant
+is printed, in the list's order: killed, with the first test that
+failed (or the test module whose collection failed); survived; or
+timed out after TIMEOUT_S seconds.  A survivor is either
 killed by a new test or explained as equivalent in CHANGES.md; no
 mutant is dropped to make the report pass.  Exits 2 if a mutant does
 not apply exactly once, and 0 otherwise, whatever the report says: CI
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,6 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Tier-1 takes under a minute on a 2-core host: only a mutant that
 # never ends runs this long.
 TIMEOUT_S = 600
+# Tier-1 passes within this; a mutant that lets the oracle's
+# candidate sets multiply would otherwise grow until the host kills it.
+MEMORY_BYTES = 2 << 30
 
 # (name, file under src/gamesem, the source, its replacement)
 MUTANTS = [
@@ -67,17 +74,42 @@ MUTANTS = [
      "at_cap = n + 4 > cap", "at_cap = n + 4 >= cap"),
     # the walk's Opponent
     ("walk: O-innocence pruning off", "strategy.py",
-     "forced = omap.get(okey)", "forced = None"),
-    ("walk: O-innocence map never grows", "strategy.py",
-     "child_omap = {**omap, okey: e[3][-1]}", "child_omap = omap"),
+     "forced = innocent_o_move(views) if innocent_opponent else None", "forced = None"),
+    ("O-innocence rule: scans only the first prefix", "plays.py",
+     "for k in range(0, len(views) - 1, 2):", "for k in range(0, min(len(views) - 1, 1), 2):"),
     ("observations: a play at the cap without its last O-view", "observation.py",
      "views += (next_views(views, *moves[-1]),)", "pass"),
+    # the view and bracketing recurrences and the move generator
+    ("next_views: a Proponent move keeps the O-view before it", "plays.py",
+     "return pv + (i,), jov + (i,), pvm + (at_p,), jovm + (at_o,)",
+     "return pv + (i,), ov + (i,), pvm + (at_p,), ovm + (at_o,)"),
+    ("next_pending: an answer closes the innermost question wherever it points", "plays.py",
+     "if pending and pending[-1] == ptr:", "if pending:"),
+    ("legal_extensions: a justifier of the mover's parity", "plays.py",
+     "elif (n - j) % 2:", "elif (n - j) % 2 == 0:"),
+    ("oview_steps: a Proponent move points anywhere in the view", "observation.py",
+     "ptrs = (ROOT,) if n == 0 else range(n) if n % 2 == 0 else (n - 1,)",
+     "ptrs = (ROOT,) if n == 0 else range(n)"),
+    ("copycat_echo: an opener's echo points before it", "strategy.py",
+     "j = len(moves) - 1", "j = len(moves) - 2"),
+    # compose's two rules
+    ("compose: a hidden move answered by the side that played it", "strategy.py",
+     "side = 1 - side", "side = side"),
+    ("compose: a justifier outside the components points at ROOT", "strategy.py",
+     "ptr = pos[up] if up in pos else pos.get(u[up], ROOT)",
+     "ptr = pos[up] if up in pos else ROOT"),
     # test runs and the view-set door
     ("run: success ignores the cap", "observation.py",
      "return TestVerdict.BOUND_EXCEEDED if i > cap else TestVerdict.TOP",
      "return TestVerdict.TOP"),
     ("door: ODetSet accepts anything", "observation.py",
      'raise ValueError(f"not an O-deterministic view-set: {got}")', "got = {}"),
+    ("_opponent_table: a complete element does not succeed", "observation.py",
+     "elif p == ():", "elif p is None:"),
+    ("_opponent_table: an element off the set's prefixes has its last step checked alone",
+     "observation.py",
+     "for i in range(len(v) - 1 if closed else 0, len(v)):",
+     "for i in range(len(v) - 1, len(v)):"),
     ("order: viewset_key halves swapped", "observation.py",
      "return (sum(n for n, _ in keys), len(keys), tuple(keys))",
      "return (len(keys), sum(n for n, _ in keys), tuple(keys))"),
@@ -94,6 +126,8 @@ MUTANTS = [
     ("witness: by size alone", "equiv.py",
      "return min([vs for vs, size in sizes.items() if size == least], key=viewset_key)",
      "return min([vs for vs, size in sizes.items() if size == least], key=len)"),
+    ("oracle: a leaf counted twice", "equiv.py",
+     "tested += 1", "tested += 2"),
     ("oracle: s1's bound hit ignored", "equiv.py",
      "if TestVerdict.BOUND_EXCEEDED in (r1, r2):",
      "if r2 is TestVerdict.BOUND_EXCEEDED:"),
@@ -120,6 +154,10 @@ def killer(output: str) -> str:
     return "(no test named)"
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
 def run(name: str, path: str, old: str, new: str) -> str:
     """The report line for one mutant."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -133,7 +171,8 @@ def run(name: str, path: str, old: str, new: str) -> str:
             p = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors"],
-                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+                preexec_fn=_limit_memory)
         except subprocess.TimeoutExpired:
             return f"{name}: timed out"
     if p.returncode == 0:

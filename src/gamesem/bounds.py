@@ -33,8 +33,13 @@ class Bounds:
     def from_json(cls, doc: dict) -> "Bounds":
         """The bounds `to_json` wrote under an observation's "bounds"
         key, each field a JSON integer; a field left out keeps its
-        default.  ValueError names a part out of shape by its path."""
+        default.  ValueError names a part out of shape, or a key that
+        is no field, by its path."""
         json_check(doc, dict, "bounds")
-        given = {k: doc[k] for k in asdict(cls()) if k in doc}
-        json_check(given, dict.fromkeys(given, int), "bounds")
-        return cls(**given)
+        fields = asdict(cls())
+        for k in doc:
+            if k not in fields:
+                raise ValueError(f"bounds.{k}: expected one of {', '.join(fields)}, "
+                                 "got an unknown key")
+        json_check(doc, dict.fromkeys(doc, int), "bounds")
+        return cls(**doc)

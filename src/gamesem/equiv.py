@@ -14,11 +14,13 @@ the candidate sets, smallest first, growing O-views as the oracle does.
 A view set holds each O-view as its move tuple, as `observation` does,
 and so does the witness; the oracle and the candidate list grow
 O-views as move tuples too, by the one rule the view-set door checks
-them by, `observation.oview_steps`, and read a view's completeness off
-the open questions that rule carries.
+them by, `observation.oview_steps`.  The candidate list reads a view's
+completeness off the open questions that rule carries; the oracle folds
+`plays.open_questions` over an O-view where a run first stops at it.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, replace
@@ -38,7 +40,7 @@ from .observation import (
     viewset_key,
 )
 from .pcf import builtin, denote, parse, succ_strategy
-from .plays import next_pending
+from .plays import open_questions
 from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
 
 
@@ -155,7 +157,9 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
     an O-view with no entry the table branches on every entry a
     candidate set can give it.  Those are nothing; success, at a
     nonempty complete view within the cap; and each Opponent move that
-    extends the view to a well-bracketed one within the cap.  A table
+    extends the view to a well-bracketed one within the cap.  They are
+    listed once for each O-view, from its open questions,
+    `plays.open_questions` of its moves.  A table
     where both runs end is a leaf: every candidate set extends exactly
     one leaf and gets its verdicts, so the quantifier is the brute
     force's over every candidate.
@@ -173,25 +177,15 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
         raise ValueError("strategies live on different arenas")
     arena = s1.arena
     cap = b.max_view_len
-    branches: dict[tuple, list] = {}
-    # the open questions of each view an Opponent entry makes
-    opened: dict[tuple, tuple | None] = {}
 
+    @functools.cache
     def entries(key: tuple) -> list:
         # Every entry a candidate set's table can hold at the O-view key.
-        # A nonempty key is a view an Opponent entry made, extended by
-        # sigma's reply, which points at that entry's move.
-        got = branches.get(key)
-        if got is None:
-            n = len(key)
-            pending = (next_pending(arena.questions, opened[key[:-1]], n - 1, *key[-1])
-                       if n else ())
-            got = [None, _SUCCEED] if 0 < n <= cap and pending == () else [None]
-            steps = oview_steps(arena, key, pending) if n < cap else {}
-            opened.update((key + (e,), p) for e, p in steps.items())
-            got += [e for e, p in steps.items() if p is not None]
-            branches[key] = got
-        return got
+        n = len(key)
+        pending = open_questions(arena.questions, key)
+        got = [None, _SUCCEED] if 0 < n <= cap and pending == () else [None]
+        steps = oview_steps(arena, key, pending) if n < cap else {}
+        return got + [e for e, p in steps.items() if p is not None]
 
     seq = itertools.count()
     # (viewset_key of the closing set, tie-break, parent table, key,

@@ -49,6 +49,7 @@ from .plays import (
     legal_extensions,
     next_pending,
     next_views,
+    open_questions,
     prefix_views,
 )
 from .strategy import (
@@ -106,8 +107,10 @@ def _opponent_table(arena: Arena, views: frozenset[tuple]):
     The elements are read shortest first, so a reason names the
     shortest element at fault.  Each element must be grown from the
     empty view by `oview_steps`, so it is a single-threaded
-    well-bracketed O-view; the steps at each prefix are computed once,
-    and each element's open questions are carried from its parent's.
+    well-bracketed O-view.  The steps at each prefix are computed once,
+    from the prefix's open questions, `plays.open_questions` of its
+    moves, and an element whose parent is in the set, and so was read
+    first, has only its last step checked.
     A faulty step is named by what it breaks: it opens a second thread,
     breaks bracketing, or else is illegal or leaves the element no
     O-view.  Each element's parent must be an element too, so the set is
@@ -123,13 +126,12 @@ def _opponent_table(arena: Arena, views: frozenset[tuple]):
     so single-threaded, and a complete element, (q, a) with the answer
     pointing at q, has no Opponent extension to compete with its
     _SUCCEED."""
-    opened, steps, table = {(): ()}, {}, {}   # opened: each view read, its open questions
-    for v in sorted_views(views):
-        for i in range(len(v)):
-            if v[:i + 1] in opened:
-                continue
+    steps, table = {}, {}
+    for v in sorted_views(views - {()}):
+        closed = v[:-1] in views
+        for i in range(len(v) - 1 if closed else 0, len(v)):
             if v[:i] not in steps:
-                steps[v[:i]] = oview_steps(arena, v[:i], opened[v[:i]])
+                steps[v[:i]] = oview_steps(arena, v[:i], open_questions(arena.questions, v[:i]))
             p = steps[v[:i]].get(v[i], _UNSET)
             if p is _UNSET or p is None:
                 m, ptr = v[i]
@@ -137,15 +139,14 @@ def _opponent_table(arena: Arena, views: frozenset[tuple]):
                 why = ("has several initial moves" if second_thread else
                        "is not an O-view" if p is _UNSET else "is not well-bracketed")
                 return f"element {why}: {Play(arena, v)!r}"
-            opened[v[:i + 1]] = p
-        if v and v[:-1] not in views:
+        if not closed:
             k = next(k for k in range(len(v)) if v[:k] not in views)
             return f"set is not prefix-closed at {Play(arena, v[:k])!r}"
         if len(v) % 2:
             if v[:-1] in table:
                 return f"two Opponent continuations after {Play(arena, v[:-1])!r}"
             table[v[:-1]] = v[-1]
-        elif v and opened[v] == ():
+        elif p == ():
             table[v] = _SUCCEED
     return table
 
@@ -351,14 +352,17 @@ class ObservationalStrategy:
     @classmethod
     def from_json(cls, doc: dict, arena: Arena | None = None) -> "ObservationalStrategy":
         """The observation `to_json` wrote, over `arena` or the embedded
-        one; ValueError naming the part of the document at fault, or the
-        set, `sets[i]`, that is not an O-deterministic view-set.  The
+        one; ValueError naming the part of the document at fault (a
+        negative count and an unknown key under "bounds" among them), or
+        the set, `sets[i]`, that is not an O-deterministic view-set.  The
         sets need not be pairwise O-separated (`is_observational`), as
         sets built by hand may not be."""
         json_check(doc, {"sets": [list]})
         bounds = Bounds.from_json(doc.get("bounds", {}))
         exceeded = doc.get("bound_exceeded", 0)
         json_check(exceeded, int, "bound_exceeded")
+        if exceeded < 0:
+            raise ValueError(f"bound_exceeded: expected a count, got {exceeded}")
         arena = _doc_arena(doc, arena)
         sets = set()
         for i, vs in enumerate(doc["sets"]):

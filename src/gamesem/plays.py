@@ -42,11 +42,19 @@ without asking `legal_extensions`.
 through it too.
 
 Bracketing has one rule as well: `next_pending` gives the open
-questions of a play from those of the play one move shorter.
-`pending_questions` folds it over a play, and `walk` carries its result
-with each play, so `observations` reads completeness off the walk; the
-O-view rule carries it with each view it grows, so the view-set door
-and the oracle read completeness off the rule.
+questions of a play from those of the play one move shorter, and
+`open_questions` folds it over a move tuple, a play's or one view's.
+`pending_questions` is that fold over a play.  `walk` carries its result
+with each play, one move at a time, so `observations` reads completeness
+off the walk; the O-view rule carries it with each view it grows, and
+the view-set door and the oracle fold it over a view where they first
+grow that view.
+
+O-innocence has one rule too, read off the views: `innocent_o_move`
+gives the move an O-innocent Opponent is bound to make at a play's
+O-view, the one it made at the first earlier prefix with that O-view.
+`is_o_innocent` checks each Opponent move of a play against it, and
+`walk` asks it for an innocent Opponent's forced move.
 
 Views are returned with their pointers re-indexed into the view itself.
 """
@@ -229,18 +237,23 @@ def next_pending(questions, pending: tuple[int, ...] | None, i: int, move: str,
     return None
 
 
+def open_questions(questions, moves) -> tuple[int, ...] | None:
+    """The open questions of the move tuple `moves`, a legal play or
+    one view of it with pointers into the view, over an arena whose
+    questions are `questions`, or None if it is not well-bracketed:
+    `next_pending` folded over its moves."""
+    pending: tuple[int, ...] | None = ()
+    for i, (m, ptr) in enumerate(moves):
+        pending = next_pending(questions, pending, i, m, ptr)
+    return pending
+
+
 def pending_questions(s: Play) -> tuple[int, ...] | None:
     """Positions of the questions of s still unanswered, innermost last;
     None if s is not well-bracketed, that is, as soon as an answer does
-    not answer the innermost open question.  `next_pending` one move at
-    a time, which is how `strategy.walk` carries them."""
-    questions = s.arena.questions
-    pending: tuple[int, ...] | None = ()
-    for i, (m, ptr) in enumerate(s.moves):
-        pending = next_pending(questions, pending, i, m, ptr)
-        if pending is None:
-            return None
-    return pending
+    not answer the innermost open question.  `open_questions` of its
+    moves."""
+    return open_questions(s.arena.questions, s.moves)
 
 
 def is_complete(s: Play) -> bool:
@@ -252,16 +265,26 @@ def is_complete(s: Play) -> bool:
     return len(s.moves) > 0 and pending_questions(s) == ()
 
 
+def innocent_o_move(views):
+    """The one O-innocence rule: the move an O-innocent Opponent makes
+    after the even-length play whose prefixes' views, as `prefix_views`
+    gives them, are `views`, its own last.  That is the move Opponent
+    made at the first earlier even-length prefix with the same O-view,
+    read off the end of the O-view after it as (move, pointer into the
+    O-view), or None where no earlier prefix has that O-view."""
+    key = views[-1][3]
+    for k in range(0, len(views) - 1, 2):
+        if views[k][3] == key:
+            return views[k + 1][3][-1]
+    return None
+
+
 def is_o_innocent(s: Play) -> bool:
     """Opponent extends equal O-views identically (pointer-inclusive):
-    each Opponent move, keyed by the O-view before it and read off the
-    end of the O-view after it, agrees with every earlier one."""
-    seen: dict[tuple, tuple] = {}
+    each Opponent move of s is the one `innocent_o_move` gives, if any."""
     views = list(prefix_views(s))
-    for before, after in zip(views[::2], views[1::2]):
-        if seen.setdefault(before[3], after[3][-1]) != after[3][-1]:
-            return False
-    return True
+    return all(innocent_o_move(views[:i + 1]) in (None, views[i + 1][3][-1])
+               for i in range(0, len(s), 2))
 
 
 def legal_extensions(arena: Arena, moves: tuple, justifiers) -> list[tuple[str, int]]:

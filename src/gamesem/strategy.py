@@ -40,7 +40,9 @@ builds only what a reader reads: a play at the length cap is yielded
 straight from its parent's loop, without the views of its last reply or
 a stack entry, and a forced Opponent move, the one O-innocence leaves
 where Opponent has moved at that O-view already, is played without
-generating the moves.
+generating the moves.  That move is read off the play's views by
+`plays.innocent_o_move`, so a play on the walk's stack is the triple it
+is yielded as and nothing more.
 `explore` folds it into the plays against every Opponent, kept as
 their moves and ordered shortest first with one stable sort by length,
 and builds no `Play`: the CLI writes each play straight from its moves,
@@ -108,6 +110,7 @@ from .plays import (
     ROOT,
     Play,
     checked_views,
+    innocent_o_move,
     legal_extensions,
     next_pending,
     next_views,
@@ -266,28 +269,27 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     begun, and each round extends the views by `plays.next_views` and
     asks sigma's `_answer` without a legality pass.  The open questions
     grow by `plays.next_pending`, one move at a time.  With
-    `innocent_opponent` the walk also carries the O-innocence map of its
-    Opponent moves (O-view -> the last move of the O-view it makes),
-    which is `is_o_innocent` one move at a time: where Opponent has
+    `innocent_opponent` the walk asks `plays.innocent_o_move`, the rule
+    `is_o_innocent` checks, of each play's views: where Opponent has
     moved at the play's O-view already, that move is forced and played
-    without a search, and the child shares its parent's map.
+    without a search.  So a stacked entry is the triple it is yielded
+    as.
     """
     arena = sigma.arena
     questions = arena.questions
     cap = b.max_play_len
     # A tree walk: no play is reached twice.
     reached = 1   # the empty play
-    # (moves, their prefixes' views, open questions, O-innocence map)
-    stack = [((), (EMPTY_VIEWS,), (), {})]
+    stack = [((), (EMPTY_VIEWS,), ())]
     while stack:
-        s, views, pending, omap = stack.pop()
-        yield s, views, pending
+        s, views, pending = step = stack.pop()
+        yield step
         n = len(s)
         if n + 2 > cap:   # the empty play alone: a child at the cap is never stacked
             continue
         at_cap = n + 4 > cap
-        _, ov, _, okey = views[-1]
-        forced = omap.get(okey)
+        ov = views[-1][1]
+        forced = innocent_o_move(views) if innocent_opponent else None
         if forced is None:
             extensions = legal_extensions(arena, s, ov if innocent_opponent and s else (ROOT, *ov))
         else:
@@ -315,11 +317,7 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
             if at_cap:
                 yield sop, so_views, pending_sop
                 continue
-            if innocent_opponent and forced is None:
-                child_omap = {**omap, okey: e[3][-1]}
-            else:
-                child_omap = omap
-            children.append((sop, so_views + (next_views(so_views, *r),), pending_sop, child_omap))
+            children.append((sop, so_views + (next_views(so_views, *r),), pending_sop))
         stack += reversed(children)
 
 

@@ -559,6 +559,13 @@ def _obs_doc(name: str) -> dict:
                  "bounds: expected an object, got an array of 0", id="bounds-not-an-object"),
     pytest.param(lambda d: d["bounds"].update(max_view_len=True),
                  "bounds.max_view_len: expected an integer, got a boolean", id="boolean-bound"),
+    pytest.param(lambda d: d.update(bound_exceeded=-7),
+                 "bound_exceeded: expected a count, got -7", id="negative-count"),
+    # an unknown key, such as a misspelt field, would leave the field at
+    # its default
+    pytest.param(lambda d: d.update(bounds={"max_nat": 1, "bogus": 3}),
+                 "bounds.bogus: expected one of max_nat, max_play_len, max_view_len, "
+                 "fix_depth, got an unknown key", id="unknown-bound"),
 ])
 def test_observation_door_refuses_bad_documents(change, said):
     doc = _obs_doc("add_LR")

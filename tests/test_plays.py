@@ -21,6 +21,7 @@ from oracles import (
     prefixes,
     ref_enumerate_plays,
     ref_is_legal,
+    ref_is_o_innocent,
     ref_is_p_innocent,
     ref_legal_extensions,
     ref_oview,
@@ -246,6 +247,17 @@ def test_innocence_filters():
     t = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0), ("L.1", 3))
     assert is_o_innocent(t)
     assert ref_is_p_innocent(t)
+
+
+@pytest.mark.parametrize("arena", [arrow(arrow(N1, N1), N1), arrow(product(N1, N1), N1)],
+                         ids=lambda a: a.name)
+def test_o_innocence_matches_reference_everywhere(arena):
+    # every play, several threads included, and both verdicts among them
+    verdicts = set()
+    for s in ref_enumerate_plays(arena, 8):
+        assert is_o_innocent(s) == ref_is_o_innocent(s), s
+        verdicts.add(is_o_innocent(s))
+    assert verdicts == {False, True}
 
 
 def test_enumerate_plays_all_legal():

@@ -556,7 +556,13 @@ def test_the_innocent_walk_plays_a_forced_opponent_move_without_search(monkeypat
     forced = 0
     for moves, _, _ in filter(None, walk(sigma, b, innocent_opponent=True)):
         seen = oviews(moves)
-        forced += any(seen[k] in seen[:k:2] for k in range(2, len(moves), 2))
+        for k in range(2, len(moves), 2):
+            if seen[k] in seen[:k:2]:
+                # the move read off the O-view after it is the one read
+                # there at the first earlier prefix with that O-view
+                first = 2 * seen[::2].index(seen[k])
+                assert seen[k + 1][-1] == seen[first + 1][-1], moves
+                forced += 1
     assert searched and forced
     for moves in searched:
         seen = oviews(moves)
