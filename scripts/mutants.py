@@ -81,8 +81,13 @@ MUTANTS = [
      "views += (next_views(views, *moves[-1]),)", "pass"),
     # the view and bracketing recurrences and the move generator
     ("next_views: a Proponent move keeps the O-view before it", "plays.py",
-     "return pv + (i,), jov + (i,), pvm + (at_p,), jovm + (at_o,)",
-     "return pv + (i,), ov + (i,), pvm + (at_p,), ovm + (at_o,)"),
+     "return pv, jov + (i,), pvm, jovm + (at_o,)",
+     "return pv, ov + (i,), pvm, ovm + (at_o,)"),
+    ("next_pview: an Opponent move extends the P-view before it", "plays.py",
+     "return jpv + (i,), None, jpvm + (at_p,), None",
+     "return views[i][0] + (i,), None, views[i][2] + (at_p,), None"),
+    ("legality: visibility unchecked", "plays.py",
+     "elif ptr not in grown[i][0 if i % 2 else 1]:", "elif False:"),
     ("next_pending: an answer closes the innermost question wherever it points", "plays.py",
      "if pending and pending[-1] == ptr:", "if pending:"),
     ("legal_extensions: a justifier of the mover's parity", "plays.py",
@@ -98,6 +103,9 @@ MUTANTS = [
     ("compose: a justifier outside the components points at ROOT", "strategy.py",
      "ptr = pos[up] if up in pos else pos.get(u[up], ROOT)",
      "ptr = pos[up] if up in pos else ROOT"),
+    ("compose: a B move reaches sigma's projection only", "strategy.py",
+     'for c in "ABC"}',
+     'for c in "ABC"}\n_LANDS_IN["B"] = _LANDS_IN["B"][:1]'),
     # test runs and the view-set door
     ("run: success ignores the cap", "observation.py",
      "return TestVerdict.BOUND_EXCEEDED if i > cap else TestVerdict.TOP",

@@ -32,9 +32,9 @@ class Bounds:
     @classmethod
     def from_json(cls, doc: dict) -> "Bounds":
         """The bounds `to_json` wrote under an observation's "bounds"
-        key, each field a JSON integer; a field left out keeps its
-        default.  ValueError names a part out of shape, or a key that
-        is no field, by its path."""
+        key, each field a positive JSON integer; a field left out keeps
+        its default.  ValueError names a part out of shape, a key that is
+        no field or a field that is not positive, by its path."""
         json_check(doc, dict, "bounds")
         fields = asdict(cls())
         for k in doc:
@@ -42,4 +42,7 @@ class Bounds:
                 raise ValueError(f"bounds.{k}: expected one of {', '.join(fields)}, "
                                  "got an unknown key")
         json_check(doc, dict.fromkeys(doc, int), "bounds")
+        for k, v in doc.items():
+            if v < 1:
+                raise ValueError(f"bounds.{k}: expected a positive integer, got {v}")
         return cls(**doc)

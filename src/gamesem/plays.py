@@ -13,13 +13,18 @@ for PCF", Inf. & Comp. 163, 2000), and `next_views` is the one view
 recurrence: it extends the views of a play's prefixes by one move,
 reading the mover from the play's parity.  Each entry carries both
 views' positions and their moves, so no reader cuts a view out of the
-play by its positions.  `prefix_views` loops over it, and a round of
-play (in `strategy.walk` and `observation._play_against`) and a
-composite's interaction extend a play's views with it, so the legality
-check, the view functions, the O-innocence test, the memo keys of
-strategies, exploration, test runs, composition and the observation
-code all read their views from it.  `strategy.tabulate` needs none: it walks
-P-views, each its own P-view.
+play by its positions.  `prefix_views` loops over it, the legality
+check grows a play's views with it one checked move at a time, and a
+round of play (in `strategy.walk` and `observation._play_against`)
+extends a play's views with it, so the legality check, the view
+functions, the O-innocence test, the memo keys of strategies,
+exploration, test runs and the observation code all read their views
+from it.  Each view of s·m reads only the same view of prefixes of s,
+so the recurrence's P-view half stands alone as `next_pview`, which
+`next_views` calls and whose own entries leave the O-view parts None:
+a composite grows its factors' projections with it, since a factor is
+asked its P-view and nothing else.  `strategy.tabulate` needs neither:
+it walks P-views, each its own P-view.
 
 Legality is checked where plays enter, at one door: `checked_views`
 returns the views of a legal play or raises ValueError, and
@@ -129,26 +134,42 @@ def next_views(views, move: str, ptr: int):
     It appends itself to its own view; the other view is (m) when m is
     unjustified, and otherwise that view of the prefix ending with the
     justifier, then m.  Either view that holds the justifier agrees, up
-    to it, with that prefix's view, so m points at that view's end."""
+    to it, with that prefix's view, so m points at that view's end.
+
+    Each view of s·m reads only the same view of prefixes of s, so the
+    P-view half is `next_pview`'s, and this adds the O-view half."""
+    pv, _, pvm, _ = next_pview(views, move, ptr)
     i = len(views) - 1
-    pv, ov, pvm, ovm = views[i]
+    _, ov, _, ovm = views[i]
     if ptr == ROOT:   # an initial move, Opponent's
-        return (i,), ov + (i,), ((move, ROOT),), ovm + ((move, ROOT),)
-    jpv, jov, jpvm, jovm = views[ptr + 1]
-    at_p, at_o = (move, len(jpv) - 1), (move, len(jov) - 1)
+        return pv, ov + (i,), pvm, ovm + ((move, ROOT),)
+    _, jov, _, jovm = views[ptr + 1]
+    at_o = (move, len(jov) - 1)
     if i % 2:   # a Proponent move
-        return pv + (i,), jov + (i,), pvm + (at_p,), jovm + (at_o,)
-    return jpv + (i,), ov + (i,), jpvm + (at_p,), ovm + (at_o,)
+        return pv, jov + (i,), pvm, jovm + (at_o,)
+    return pv, ov + (i,), pvm, ovm + (at_o,)
+
+
+def next_pview(views, move: str, ptr: int):
+    """The P-view half of `next_views`: the entry of the legal play s·m
+    with its P-view positions and moves and its O-view parts None, from
+    the entries of every prefix of s, of which it reads only the P-view
+    parts, so it grows a list of its own entries as well."""
+    i = len(views) - 1
+    if ptr == ROOT:   # an initial move, Opponent's
+        return (i,), None, ((move, ROOT),), None
+    jpv, _, jpvm, _ = views[ptr + 1]
+    at_p = (move, len(jpv) - 1)
+    if i % 2:   # a Proponent move
+        pv, _, pvm, _ = views[i]
+        return pv + (i,), None, pvm + (at_p,), None
+    return jpv + (i,), None, jpvm + (at_p,), None
 
 
 def prefix_views(s: Play):
-    """The views of every prefix of s, shortest first, as `next_views`
-    gives them: positions ascend in s, and moves point into the view.
-
-    The entries come lazily, one move at a time, so `legality_violation`
-    can stop at a bad move before the recurrence reads its pointer or
-    its parity; other readers take a legal play.
-    """
+    """The views of every prefix of s, a legal play, shortest first, as
+    `next_views` gives them: positions ascend in s, and moves point into
+    the view.  The entries come one move at a time."""
     views = [EMPTY_VIEWS]
     yield views[0]
     for m, ptr in s.moves:
@@ -161,30 +182,34 @@ def legality_violation(s: Play, views: list | None = None) -> str | None:
 
     Checks, in order per occurrence: known move, strict OP alternation
     starting with Opponent, pointer sanity (ROOT only on initial moves,
-    otherwise an earlier enabling occurrence), and visibility.  On a
-    legal play the views of s, as `next_views` gives them, are appended
-    to `views`.
+    otherwise an earlier enabling occurrence), and visibility.  The
+    views of each prefix grow by `next_views` only once its last move
+    has passed, so a bad move is refused before the recurrence reads its
+    pointer or its parity.  On a legal play the views of s, as
+    `next_views` gives them, are appended to `views`.
     """
     arena = s.arena
-    polarity = arena.polarity
-    walk = prefix_views(s)
-    for i, ((m, ptr), (pv, ov, _, _)) in enumerate(zip(s.moves, walk)):
+    polarity, initials, enabling = arena.polarity, arena.initials, arena.enabling_pairs
+    moves = s.moves
+    grown = [EMPTY_VIEWS]
+    for i, (m, ptr) in enumerate(moves):
         if m not in polarity:
             return f"move {i}: unknown move {m!r}"
         want = "O" if i % 2 == 0 else "P"
         if polarity[m] != want:
             return f"move {i}: expected {want}-move, got {m!r}"
         if ptr == ROOT:
-            if not arena.is_initial(m):
+            if m not in initials:
                 return f"move {i}: unjustified non-initial move {m!r}"
         elif not 0 <= ptr < i:
             return f"move {i}: pointer {ptr} out of range"
-        elif not arena.enables(s.moves[ptr][0], m):
-            return f"move {i}: {s.moves[ptr][0]!r} does not enable {m!r}"
-        elif ptr not in (pv if want == "P" else ov):
+        elif (moves[ptr][0], m) not in enabling:
+            return f"move {i}: {moves[ptr][0]!r} does not enable {m!r}"
+        elif ptr not in grown[i][0 if i % 2 else 1]:   # the mover's view
             return f"move {i}: justifier {ptr} not in the {want}-view"
+        grown.append(next_views(grown, m, ptr))
     if views is not None:
-        views.extend(next(walk))
+        views.extend(grown[-1])
     return None
 
 

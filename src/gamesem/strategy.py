@@ -25,7 +25,8 @@ Opponent move and the reply) in `walk` and in
 `observation._play_against` (test runs and the oracle) extends the
 play's views through `plays.next_views` by the Opponent move, hands it
 that entry's P-view, and adds the reply's views only where the play
-goes on; and compose carries each factor's views the same way.
+goes on; and compose carries each factor's P-view the same way, by
+`plays.next_pview`, the recurrence's P-view half.
 `tabulate`, and a composite asking itself a shorter P-view, hand it a
 P-view as its own play, at positions `range(len(key))`, so only it
 calls `_reply`.
@@ -87,10 +88,12 @@ like any other, with the interaction after it.  It resumes from the
 memo entry of the P-view two moves shorter: a P-view asked in a play is
 an earlier asked P-view, Proponent's reply and one Opponent move, so a
 miss plays only that move and the hidden moves up to the next visible
-one.  One turn rule says who moves next, and the interaction grows three
-projections with each move it appends: sigma's and tau's, by their
-views, and the outer one the reply is read off, by its moves, all
-pointed by one justifier rule.  Interactions are capped at
+one.  One turn rule says who moves next, and each move the interaction
+appends lands in two of its three projections, read from one table by
+the move's component: sigma's and tau's, which grow their P-views and
+no O-view, since a factor is asked its P-view alone, and the outer one
+the reply is read off, which grows its moves.  One justifier rule
+points them all.  Interactions are capped at
 `bounds.max_play_len` occurrences counting hidden moves; hitting the
 cap raises BoundExceeded, which is deliberately distinct from a
 genuine refusal to respond.
@@ -113,6 +116,7 @@ from .plays import (
     innocent_o_move,
     legal_extensions,
     next_pending,
+    next_pview,
     next_views,
 )
 
@@ -593,6 +597,16 @@ def as_thunk(sigma: InnocentStrategy) -> InnocentStrategy:
     return rename_strategy(sigma, [("", "R.")], outer, f"thunk({sigma.name})")
 
 
+# The layout of a composite's interaction: the (left, right) components
+# of its three projections, sigma's, tau's and the outer one, and the
+# two projections each component's moves land in, with the move's tag
+# there.
+_SIDES = (("A", "B"), ("B", "C"), ("A", "C"))
+_LANDS_IN = {c: tuple((k, "L." if c == left else "R.")
+                      for k, (left, right) in enumerate(_SIDES) if c in (left, right))
+             for c in "ABC"}
+
+
 def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             name: str | None = None) -> InnocentStrategy:
     """Sequential composition of sigma : arrow(A, B) with tau : arrow(B, C).
@@ -609,8 +623,9 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
 
     Each reply comes with the interaction after it, so the node's memo
     keeps both.  A P-view w resumes from the memo entry of w[:-2], whose
-    reply is checked to be w[-2]; its interaction is copied and grown by
-    w[-1] and the hidden moves after it.  Where w[:-2] has no reply in
+    reply is checked to be w[-2]; its interaction, the justifiers and
+    the three projections' nine containers, is copied and grown by w[-1]
+    and the hidden moves after it.  Where w[:-2] has no reply in
     the memo, as when `respond` is asked an arbitrary play, the node
     first asks itself w[:-2] through `_answer`, which recurses down to
     the longest prefix in the memo, or to the empty interaction.  The
@@ -619,22 +634,25 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     interaction.
 
     Component bookkeeping: the interaction records the justifier of
-    each occurrence, in A, B or C, and grows three projections of it
-    with each move: sigma's (A, B), tau's (B, C) and the outer (A, C),
-    which is the P-view played out, followed by the reply.  Each projection
-    holds the interaction index of each of its positions, the position
-    of each of its interaction indices, and per move sigma's and tau's
-    views, or the outer move, tagged "L."/"R.".  One rule
-    points every projection's moves: a justifier outside its components
-    is replaced by its own justifier, and by ROOT if that is outside
-    too.  So sigma's B-initials, justified by C initials, are
-    unjustified on sigma's side, and an A-initial, which points at a
-    B-initial, surfaces pointing at that move's C justifier.  The
-    projections are indexed by position, never by strategy, since sigma
-    and tau may be one object.
+    each occurrence, in A, B or C, and has three projections: sigma's
+    (A, B), tau's (B, C) and the outer (A, C), which is the P-view
+    played out, followed by the reply.  Each move lands in the two
+    projections that hold its component, read from one table by
+    component: an A move in sigma's and the outer, a B move in sigma's
+    and tau's, a C move in tau's and the outer.  Each projection holds
+    the interaction index of each of its positions, the position of
+    each of its interaction indices, and per move sigma's and tau's
+    P-views, entries of `plays.next_pview` with no O-view, or the outer
+    move, tagged "L."/"R.".  One rule points every projection's moves:
+    a justifier outside its components is replaced by its own justifier,
+    and by ROOT if that is outside too.  So sigma's B-initials, justified
+    by C initials, are unjustified on sigma's side, and an A-initial,
+    which points at a B-initial, surfaces pointing at that move's C
+    justifier.  The projections are indexed by position, never by
+    strategy, since sigma and tau may be one object.
 
     A factor's projection is a legal play, so the factor is asked
-    through `_answer` with its views, unchecked, and no play is built.
+    through `_answer` with its P-view, unchecked, and no play is built.
     The composite's reply depends on its P-view alone; its node
     memoises it with the interaction, which is the composite's own.
     """
@@ -649,22 +667,19 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     cap = b.max_play_len
     cname = name or f"({sigma.name} ; {tau.name})"
     strats = (sigma, tau)
-    # each projection's (left, right) components, and the entry a move
-    # adds: sigma's and tau's views, the outer projection's move
-    comps = (("A", "B", next_views), ("B", "C", next_views),
-             ("A", "C", lambda moves, m, ptr: (m, ptr)))
 
     def append(u: list, proj: tuple, comp: str, mv: str, up: int) -> None:
         ui = len(u)
         if ui >= cap:
             raise BoundExceeded(cname)
         u.append(up)
-        for (left, right, entry), (idx, pos, grown) in zip(comps, proj):
-            if comp == left or comp == right:
-                ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
-                pos[ui] = len(idx)
-                idx.append(ui)
-                grown.append(entry(grown, ("L." if comp == left else "R.") + mv, ptr))
+        for k, tag in _LANDS_IN[comp]:
+            idx, pos, grown = proj[k]
+            ptr = pos[up] if up in pos else pos.get(u[up], ROOT)
+            pos[ui] = len(idx)
+            idx.append(ui)
+            # the outer projection grows its moves, the factors' their P-views
+            grown.append((tag + mv, ptr) if k == 2 else next_pview(grown, tag + mv, ptr))
 
     def run_until_visible(u: list, proj: tuple, side: int) -> bool:
         # True once a move surfaces in A or C, False on a refusal
@@ -675,7 +690,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             if r is None:
                 return False
             m, pptr = r
-            comp = comps[side][0 if m.startswith("L.") else 1]
+            comp = _SIDES[side][0 if m.startswith("L.") else 1]
             append(u, proj, comp, m[2:], idx[pptr])
             if comp != "B":
                 return True
@@ -693,18 +708,20 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             # the memo entry of view[:-2]: its reply, checked against
             # view[-2], and the interaction after it; asked first unless
             # it is a reply
-            r = node._memo.get(view[:-2])
+            key = view[:-2]
+            r = node._memo.get(key)
             if type(r) is not tuple:
-                node._answer(view[:-2], range(n - 2))
-                r = node._memo[view[:-2]]
+                node._answer(key, range(n - 2))
+                r = node._memo[key]
+            m, ptr = view[-2]
             if r is None:
-                raise InconsistentPlay(f"{cname}: no response where the play has {view[-2][0]!r}")
-            if r[:2] != view[-2]:
-                raise InconsistentPlay(
-                    f"{cname}: computed {r[0]!r} where the play has {view[-2][0]!r}")
-            u, proj = r[2]
-            u, proj = u.copy(), tuple((idx.copy(), pos.copy(), grown.copy())
-                                      for idx, pos, grown in proj)
+                raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
+            if r[0] != m or r[1] != ptr:
+                raise InconsistentPlay(f"{cname}: computed {r[0]!r} where the play has {m!r}")
+            u, ((si, sp, sg), (ti, tp, tg), (oi, op, og)) = r[2]
+            u, proj = u.copy(), ((si.copy(), sp.copy(), sg.copy()),
+                                 (ti.copy(), tp.copy(), tg.copy()),
+                                 (oi.copy(), op.copy(), og.copy()))
         m, ptr = view[-1]
         side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
         append(u, proj, "AC"[side], m[2:], ROOT if ptr == ROOT else proj[2][0][ptr])

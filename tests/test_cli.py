@@ -328,9 +328,16 @@ def test_a_view_set_file_nested_too_deeply_exits_2(tmp_path):
 # or huge pointers, NaN, odd move names and foreign arenas in place of
 # any part, the whole document included.  Each must give a verdict, or
 # exit 2 with one stderr line.
+# The set is written out as the document `ODetSet.to_json` makes of it,
+# which `test_the_fuzzed_view_set_is_what_the_engine_writes` checks, so
+# no engine rule runs at import.
 _ID_ARENA = arrow(make_nat_arena(1), make_nat_arena(1))
-_ID_SET = ODetSet.make(_ID_ARENA, [(("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
-                                   (("R.q", ROOT), ("R.1", 0))]).to_json(include_arena=True)
+_ID_CALLS = (("R.q", ROOT), ("L.q", 0), ("L.1", 1))
+_ID_ANSWERS = (("R.q", ROOT), ("R.1", 0))
+_ID_SET = {"initial": "R.q",
+           "views": [Play(_ID_ARENA, v).to_json()
+                     for v in ((), _ID_CALLS[:1], _ID_CALLS[:2], _ID_ANSWERS, _ID_CALLS)],
+           "arena": _ID_ARENA.to_json()}
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 6), st.integers(),
     st.sampled_from([2 ** 63, -(2 ** 63), 10 ** 30]),
@@ -339,6 +346,12 @@ _JUNK = st.one_of(
                      {"m": "L.q", "ptr": 0}, make_nat_arena(1).to_json(),
                      make_nat_arena(2).to_json(), arrow(make_nat_arena(2),
                                                         make_nat_arena(2)).to_json()]))
+
+
+def test_the_fuzzed_view_set_is_what_the_engine_writes():
+    made = ODetSet.make(_ID_ARENA, [_ID_CALLS, _ID_ANSWERS])
+    # key order included: the fuzzer walks the document's parts in it
+    assert list(made.to_json(include_arena=True).items()) == list(_ID_SET.items())
 
 
 @st.composite

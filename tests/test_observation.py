@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -464,23 +465,32 @@ def _check_door_against_reference(arena, views):
 
 # The arenas the door is checked on against the references, each with
 # the view cap its candidate sets are listed at.  Only the third-order
-# arena has steps that break bracketing.
-_DOOR_ARENAS = [
-    (arrow(N1, N1), 6),
-    (arrow(product(N1, N1), N1), 6),
-    (arrow(arrow(N1, N1), N1), 6),
-    (denote(parse("fun x: nat -> fun y: nat -> x + y"), Bounds(max_nat=1)).arena, 6),
-    (DEEP, 5),
-]
-_DOOR_CASES = [(a, sorted_views(vs)) for a, cap in _DOOR_ARENAS
-               for vs in enumerate_closed_odet_sets(a, cap)]
-# every view of each arena's candidates
-_DOOR_VIEWS = {a: sorted_views({v for b, vs in _DOOR_CASES if b == a for v in vs})
-               for a, _ in _DOOR_ARENAS}
+# arena has steps that break bracketing.  The candidates are listed by
+# the engine, so they are built when a test first asks, not at import.
+@functools.cache
+def _door_cases():
+    arenas = [
+        (arrow(N1, N1), 6),
+        (arrow(product(N1, N1), N1), 6),
+        (arrow(arrow(N1, N1), N1), 6),
+        (denote(parse("fun x: nat -> fun y: nat -> x + y"), Bounds(max_nat=1)).arena, 6),
+        (DEEP, 5),
+    ]
+    return [(a, sorted_views(vs)) for a, cap in arenas
+            for vs in enumerate_closed_odet_sets(a, cap)]
+
+
+@functools.cache
+def _door_views():
+    """Every view of each arena's candidates."""
+    views = {}
+    for a, vs in _door_cases():
+        views.setdefault(a, set()).update(vs)
+    return {a: sorted_views(vs) for a, vs in views.items()}
 
 
 def test_door_agrees_with_the_references_on_every_candidate():
-    for arena, views in _DOOR_CASES:
+    for arena, views in _door_cases():
         _check_door_against_reference(arena, frozenset(views))
 
 
@@ -488,7 +498,7 @@ def test_door_agrees_with_the_references_on_every_one_move_extension():
     # every view of a candidate, extended by every move of its arena
     # with every pointer, one out of range included, and its prefixes
     kinds = Counter()
-    for arena, views in _DOOR_VIEWS.items():
+    for arena, views in _door_views().items():
         for v in views:
             for m in sorted(arena.moves):
                 for ptr in range(-1, len(v) + 1):
@@ -501,13 +511,13 @@ def test_door_agrees_with_the_references_on_every_one_move_extension():
 
 @st.composite
 def _mutated_sets(draw):
-    """A candidate set of `_DOOR_CASES` after one to three mutations:
+    """A candidate set of `_door_cases` after one to three mutations:
     drop a view; add one with its prefixes, a view of another candidate
     of the arena; add one alone, a view extended by a move of the arena
     (half the time one of the player due) with any pointer (half the
     time the last position); or re-point a move of a view in every view
     through it."""
-    arena, views = draw(st.sampled_from(_DOOR_CASES))
+    arena, views = draw(st.sampled_from(_door_cases()))
     views = set(views)
     moves = sorted(arena.moves)
     for _ in range(draw(st.integers(1, 3))):
@@ -516,7 +526,7 @@ def _mutated_sets(draw):
         if kind == "drop" and views:
             views.discard(draw(st.sampled_from(ordered)))
         elif kind == "graft":
-            views |= V(*draw(st.sampled_from(_DOOR_VIEWS[arena])))
+            views |= V(*draw(st.sampled_from(_door_views()[arena])))
         elif kind == "add" or not any(ordered):
             v = draw(st.sampled_from(ordered or [()]))
             due = [m for m in moves if arena.polarity[m] == "OP"[len(v) % 2]]
@@ -566,6 +576,10 @@ def _obs_doc(name: str) -> dict:
     pytest.param(lambda d: d.update(bounds={"max_nat": 1, "bogus": 3}),
                  "bounds.bogus: expected one of max_nat, max_play_len, max_view_len, "
                  "fix_depth, got an unknown key", id="unknown-bound"),
+    pytest.param(lambda d: d.update(bounds={"max_nat": 0}),
+                 "bounds.max_nat: expected a positive integer, got 0", id="zero-bound"),
+    pytest.param(lambda d: d["bounds"].update(fix_depth=-3),
+                 "bounds.fix_depth: expected a positive integer, got -3", id="negative-bound"),
 ])
 def test_observation_door_refuses_bad_documents(change, said):
     doc = _obs_doc("add_LR")
@@ -583,11 +597,16 @@ def test_observation_door_keeps_default_bounds():
 
 
 # The observation door, `ObservationalStrategy.from_json`, fuzzed on the
-# documents of two corpus terms: any part, the whole document included,
-# is dropped or replaced by a move, a pointer, an object or a value of
-# another type.  The door gives an observation of O-deterministic sets,
-# or refuses the document with ValueError; nothing else escapes.
-_OBS_DOCS = [_obs_doc("add_LR"), _obs_doc("iszero")]
+# documents of two corpus terms, observed when a test first asks: any
+# part, the whole document included, is dropped or replaced by a move, a
+# pointer, an object or a value of another type.  The door gives an
+# observation of O-deterministic sets, or refuses the document with
+# ValueError; nothing else escapes.
+@functools.cache
+def _obs_docs():
+    return [_obs_doc("add_LR"), _obs_doc("iszero")]
+
+
 _OBS_JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 6), st.integers(), st.floats(),
     st.text(max_size=4),
@@ -599,7 +618,7 @@ _OBS_JUNK = st.one_of(
 @st.composite
 def _observation_docs(draw):
     # the sets' and bounds' parts three times as likely as the arena's
-    return mutated(draw, draw(st.sampled_from(_OBS_DOCS)), _OBS_JUNK,
+    return mutated(draw, draw(st.sampled_from(_obs_docs())), _OBS_JUNK,
                    lambda p: p[:1] != ("arena",))
 
 

@@ -11,6 +11,7 @@ from gamesem.plays import (
     is_o_innocent,
     legal_extensions,
     legality_violation,
+    next_pview,
     oview,
     pending_questions,
     prefix_views,
@@ -163,15 +164,66 @@ def test_prefix_views_match_backward_walk(arena):
             assert ov_moves == ref_oview(t).moves
 
 
+@pytest.mark.parametrize("arena", [arrow(arrow(N1, N1), N1), arrow(product(N1, N1), N1)],
+                         ids=lambda a: a.name)
+def test_next_pview_is_the_p_view_half_of_next_views(arena):
+    # on every prefix of every play, from the full views of the prefixes
+    # before it, as `next_views` asks it, and from a list grown by
+    # `next_pview` alone, as compose's factor projections are, which
+    # holds no O-view
+    plays = ref_enumerate_plays(arena, 7)
+    assert len(plays) > 100
+    for s in plays:
+        full = list(prefix_views(s))
+        alone = [full[0]]
+        for k, (m, ptr) in enumerate(s.moves):
+            pv, _, pvm, _ = full[k + 1]
+            assert next_pview(full[:k + 1], m, ptr) == (pv, None, pvm, None), s.prefix(k + 1)
+            alone.append(next_pview(alone, m, ptr))
+            assert alone[-1] == (pv, None, pvm, None), s.prefix(k + 1)
+
+
+_OPENED = (("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.1", 0), ("R.q", ROOT))
+
+
 def test_legality_stops_before_the_views_of_a_bad_move():
     # the recurrence never reads a move that failed its checks, so a bad
     # pointer with moves after it gives its message and raises nothing
-    opened = (("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.1", 0), ("R.q", ROOT))
     for moves, why in (
-        (opened[:1] + (("L.q", 5), ("L.1", 1)), "move 1: pointer 5 out of range"),
-        (opened + (("L.q", 0), ("L.1", 5)), "move 5: justifier 0 not in the P-view"),
+        (_OPENED[:1] + (("L.q", 5), ("L.1", 1)), "move 1: pointer 5 out of range"),
+        (_OPENED + (("L.q", 0), ("L.1", 5)), "move 5: justifier 0 not in the P-view"),
     ):
         assert legality_violation(P(ARROW, *moves)) == why
+
+
+# One bad play per check of the legality door, in the door's order, with
+# the text it refuses the play with.
+@pytest.mark.parametrize("arena, moves, why", [
+    pytest.param(ARROW, (("R.q", ROOT), ("nonsense", 0)),
+                 "move 1: unknown move 'nonsense'", id="unknown-move"),
+    pytest.param(N2, (("q", ROOT), ("q", ROOT)),
+                 "move 1: expected P-move, got 'q'", id="wrong-polarity"),
+    pytest.param(ARROW, (("L.q", ROOT),),
+                 "move 0: expected O-move, got 'L.q'", id="opening-with-a-P-move"),
+    pytest.param(ARROW, (("R.q", ROOT), ("L.q", ROOT)),
+                 "move 1: unjustified non-initial move 'L.q'", id="unjustified-non-initial"),
+    pytest.param(ARROW, (("R.q", ROOT), ("L.q", 1)),
+                 "move 1: pointer 1 out of range", id="pointer-at-itself"),
+    pytest.param(ARROW, (("R.q", ROOT), ("L.q", -2)),
+                 "move 1: pointer -2 out of range", id="pointer-below-root"),
+    pytest.param(ARROW, _OPENED[:3] + (("R.1", 1),),
+                 "move 3: 'L.q' does not enable 'R.1'", id="not-enabled"),
+    pytest.param(ARROW, _OPENED + (("L.q", 0),),
+                 "move 5: justifier 0 not in the P-view", id="outside-the-p-view"),
+    pytest.param(ARROW, (("R.q", ROOT), ("L.q", 0), ("L.2", 1), ("L.q", 0), ("L.1", 1)),
+                 "move 4: justifier 1 not in the O-view", id="outside-the-o-view"),
+])
+def test_legality_door_names_each_check(arena, moves, why):
+    s = P(arena, *moves)
+    assert legality_violation(s) == why
+    with pytest.raises(ValueError) as e:
+        pview(s)
+    assert str(e.value) == f"illegal play: {why}"
 
 
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)

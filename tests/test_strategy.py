@@ -851,7 +851,7 @@ def test_compose_associates_on_traces():
 
 
 def _projections(monkeypatch):
-    """Patch `strategy.next_views`, which compose's `append` calls once
+    """Patch `strategy.next_pview`, which compose's `append` calls once
     per move of a factor's projection, to record the moves of the play
     each entry it makes belongs to: those of the entry it extends, the
     last of the views it is handed, then the move.  Entries are keyed by
@@ -862,14 +862,14 @@ def _projections(monkeypatch):
     was made for)."""
     made = {id(EMPTY_VIEWS): (EMPTY_VIEWS, ())}
 
-    def recording(views, move, ptr, real=strategy.next_views):
+    def recording(views, move, ptr, real=strategy.next_pview):
         entry = real(views, move, ptr)
         last, moves = made[id(views[-1])]
         assert last is views[-1], "a list of views not grown by the recurrence"
         made[id(entry)] = made[id(entry[2]), id(entry[0])] = (entry, moves + ((move, ptr),))
         return entry
 
-    monkeypatch.setattr(strategy, "next_views", recording)
+    monkeypatch.setattr(strategy, "next_pview", recording)
     return made
 
 
@@ -907,7 +907,8 @@ def test_compose_hands_each_factor_a_legal_play_and_its_p_view(monkeypatch):
         explore(comp, Bounds(max_nat=2, max_play_len=6))
     asks += seen
     assert len(asks) > 50
-    for s, (positions, _, moves, _) in asks:
+    for s, (positions, o_positions, moves, o_moves) in asks:
+        assert o_positions is None and o_moves is None, "a factor's projection grew an O-view"
         assert ref_is_legal(s), s
         assert reindex(s, positions) == ref_pview(s), s
         assert moves == ref_pview(s).moves, s
