@@ -87,7 +87,14 @@ MUTANTS = [
      "return jpv + (i,), None, jpvm + (at_p,), None",
      "return views[i][0] + (i,), None, views[i][2] + (at_p,), None"),
     ("legality: visibility unchecked", "plays.py",
-     "elif ptr not in grown[i][0 if i % 2 else 1]:", "elif False:"),
+     "elif ptr not in views[i][0 if i % 2 else 1]:", "elif False:"),
+    # the one door's form, and a reader of it
+    ("checked_views: the empty play's entry dropped", "plays.py",
+     'raise ValueError(f"illegal play: {bad}")\n    return views',
+     'raise ValueError(f"illegal play: {bad}")\n    return views[1:]'),
+    ("oview_with_positions: reads the P-view half", "plays.py",
+     "_, positions, _, moves = checked_views(s)[-1]",
+     "positions, _, moves, _ = checked_views(s)[-1]"),
     ("next_pending: an answer closes the innermost question wherever it points", "plays.py",
      "if pending and pending[-1] == ptr:", "if pending:"),
     ("legal_extensions: a justifier of the mover's parity", "plays.py",

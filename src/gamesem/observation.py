@@ -46,11 +46,11 @@ from .plays import (
     EMPTY_VIEWS,
     ROOT,
     Play,
+    checked_views,
     legal_extensions,
     next_pending,
     next_views,
     open_questions,
-    prefix_views,
 )
 from .strategy import (
     BoundExceeded,
@@ -61,9 +61,9 @@ from .strategy import (
 
 
 def prefix_oviews(s: Play) -> frozenset[tuple]:
-    """O-views of every prefix of the legal play s (the empty view
-    included), each as its moves."""
-    return frozenset(views[3] for views in prefix_views(s))
+    """O-views of every prefix of s (the empty view included), each as
+    its moves; ValueError if s is not legal."""
+    return frozenset(views[3] for views in checked_views(s))
 
 
 def oview_steps(arena: Arena, v: tuple, pending) -> dict[tuple, tuple | None]:

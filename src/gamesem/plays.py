@@ -13,13 +13,14 @@ for PCF", Inf. & Comp. 163, 2000), and `next_views` is the one view
 recurrence: it extends the views of a play's prefixes by one move,
 reading the mover from the play's parity.  Each entry carries both
 views' positions and their moves, so no reader cuts a view out of the
-play by its positions.  `prefix_views` loops over it, the legality
-check grows a play's views with it one checked move at a time, and a
-round of play (in `strategy.walk` and `observation._play_against`)
-extends a play's views with it, so the legality check, the view
-functions, the O-innocence test, the memo keys of strategies,
-exploration, test runs and the observation code all read their views
-from it.  Each view of s·m reads only the same view of prefixes of s,
+play by its positions.  The legality check is the one loop over a
+play's moves that grows its views with it, one checked move at a time,
+and a round of play (in `strategy.walk` and
+`observation._play_against`) extends a play's views with it, so the
+legality check, the view functions, the O-innocence test, the memo
+keys of strategies, exploration, test runs and the observation code
+all read their views from it, one entry per prefix, the empty play
+first.  Each view of s·m reads only the same view of prefixes of s,
 so the recurrence's P-view half stands alone as `next_pview`, which
 `next_views` calls and whose own entries leave the O-view parts None:
 a composite grows its factors' projections with it, since a factor is
@@ -27,8 +28,9 @@ asked its P-view and nothing else.  `strategy.tabulate` needs neither:
 it walks P-views, each its own P-view.
 
 Legality is checked where plays enter, at one door: `checked_views`
-returns the views of a legal play or raises ValueError, and
-`InnocentStrategy.respond`, `pview` and `oview` pass every play they
+returns the views of every prefix of a legal play or raises
+ValueError, and `InnocentStrategy.respond`, the view functions,
+`is_o_innocent` and `observation.prefix_oviews` pass every play they
 are given through it.  A view-set is checked by the `ODetSet`
 constructor, which an observation document's sets pass through too: it
 builds no `Play`, but checks that each element grows from the empty
@@ -166,32 +168,24 @@ def next_pview(views, move: str, ptr: int):
     return jpv + (i,), None, jpvm + (at_p,), None
 
 
-def prefix_views(s: Play):
-    """The views of every prefix of s, a legal play, shortest first, as
-    `next_views` gives them: positions ascend in s, and moves point into
-    the view.  The entries come one move at a time."""
-    views = [EMPTY_VIEWS]
-    yield views[0]
-    for m, ptr in s.moves:
-        views.append(next_views(views, m, ptr))
-        yield views[-1]
-
-
 def legality_violation(s: Play, views: list | None = None) -> str | None:
     """Return a description of the first legality failure, or None.
 
     Checks, in order per occurrence: known move, strict OP alternation
     starting with Opponent, pointer sanity (ROOT only on initial moves,
     otherwise an earlier enabling occurrence), and visibility.  The
-    views of each prefix grow by `next_views` only once its last move
-    has passed, so a bad move is refused before the recurrence reads its
-    pointer or its parity.  On a legal play the views of s, as
-    `next_views` gives them, are appended to `views`.
+    views grow by `next_views` in `views`, an empty list if given, one
+    entry per prefix of s, the empty play first; a prefix's entry is
+    added only once its last move has passed, so a bad move is refused
+    before the recurrence reads its pointer or its parity.  This is the
+    one loop that grows a play's views.
     """
     arena = s.arena
     polarity, initials, enabling = arena.polarity, arena.initials, arena.enabling_pairs
     moves = s.moves
-    grown = [EMPTY_VIEWS]
+    if views is None:
+        views = []
+    views.append(EMPTY_VIEWS)
     for i, (m, ptr) in enumerate(moves):
         if m not in polarity:
             return f"move {i}: unknown move {m!r}"
@@ -205,11 +199,9 @@ def legality_violation(s: Play, views: list | None = None) -> str | None:
             return f"move {i}: pointer {ptr} out of range"
         elif (moves[ptr][0], m) not in enabling:
             return f"move {i}: {moves[ptr][0]!r} does not enable {m!r}"
-        elif ptr not in grown[i][0 if i % 2 else 1]:   # the mover's view
+        elif ptr not in views[i][0 if i % 2 else 1]:   # the mover's view
             return f"move {i}: justifier {ptr} not in the {want}-view"
-        grown.append(next_views(grown, m, ptr))
-    if views is not None:
-        views.extend(grown[-1])
+        views.append(next_views(views, m, ptr))
     return None
 
 
@@ -217,15 +209,10 @@ def is_legal(s: Play) -> bool:
     return legality_violation(s) is None
 
 
-def pview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
-    """P-view of the legal play s, unchecked, and its positions in s."""
-    *_, (positions, _, moves, _) = prefix_views(s)
-    return Play(s.arena, moves), positions
-
-
 def checked_views(s: Play) -> list:
-    """The views of s, as `next_views` gives them; ValueError if s is
-    not legal.  The one door a play is checked at."""
+    """The views of every prefix of s, shortest first, as `next_views`
+    gives them: positions ascend in s, and moves point into the view.
+    ValueError if s is not legal.  The one door a play is checked at."""
     views: list = []
     bad = legality_violation(s, views)
     if bad is not None:
@@ -233,18 +220,24 @@ def checked_views(s: Play) -> list:
     return views
 
 
+def pview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
+    """P-view of s and its positions in s; ValueError if s is not legal."""
+    positions, _, moves, _ = checked_views(s)[-1]
+    return Play(s.arena, moves), positions
+
+
 def pview(s: Play) -> Play:
-    return Play(s.arena, checked_views(s)[2])
+    return pview_with_positions(s)[0]
 
 
 def oview_with_positions(s: Play) -> tuple[Play, tuple[int, ...]]:
-    """O-view of the legal play s, unchecked, and its positions in s."""
-    *_, (_, positions, _, moves) = prefix_views(s)
+    """O-view of s and its positions in s; ValueError if s is not legal."""
+    _, positions, _, moves = checked_views(s)[-1]
     return Play(s.arena, moves), positions
 
 
 def oview(s: Play) -> Play:
-    return Play(s.arena, checked_views(s)[3])
+    return oview_with_positions(s)[0]
 
 
 def next_pending(questions, pending: tuple[int, ...] | None, i: int, move: str,
@@ -292,11 +285,12 @@ def is_complete(s: Play) -> bool:
 
 def innocent_o_move(views):
     """The one O-innocence rule: the move an O-innocent Opponent makes
-    after the even-length play whose prefixes' views, as `prefix_views`
-    gives them, are `views`, its own last.  That is the move Opponent
-    made at the first earlier even-length prefix with the same O-view,
-    read off the end of the O-view after it as (move, pointer into the
-    O-view), or None where no earlier prefix has that O-view."""
+    after the even-length legal play whose prefixes' views, as
+    `checked_views` gives them, are `views`, its own last.  That is the
+    move Opponent made at the first earlier even-length prefix with the
+    same O-view, read off the end of the O-view after it as (move,
+    pointer into the O-view), or None where no earlier prefix has that
+    O-view."""
     key = views[-1][3]
     for k in range(0, len(views) - 1, 2):
         if views[k][3] == key:
@@ -306,8 +300,9 @@ def innocent_o_move(views):
 
 def is_o_innocent(s: Play) -> bool:
     """Opponent extends equal O-views identically (pointer-inclusive):
-    each Opponent move of s is the one `innocent_o_move` gives, if any."""
-    views = list(prefix_views(s))
+    each Opponent move of s is the one `innocent_o_move` gives, if any.
+    ValueError if s is not legal."""
+    views = checked_views(s)
     return all(innocent_o_move(views[:i + 1]) in (None, views[i + 1][3][-1])
                for i in range(0, len(s), 2))
 
@@ -317,7 +312,7 @@ def legal_extensions(arena: Arena, moves: tuple, justifiers) -> list[tuple[str, 
     `moves` over `arena` to a legal play with a pointer in `justifiers`.
 
     Every member of `justifiers` must lie in the mover's view of the
-    play (positions as `prefix_views` yields them), or be ROOT, which
+    play (positions as `checked_views` gives them), or be ROOT, which
     opens a thread; neither precondition is checked.  ROOT offers the
     mover's initial moves, and a position j the mover's moves in
     `arena.enabled_from` of the move at j.  Visibility holds for every

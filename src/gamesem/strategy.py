@@ -19,9 +19,10 @@ the memo keeps the rest, a composite's interaction, and `_answer`
 hands it to no caller.  A node is asked with the P-view it keys on:
 `_answer(key, positions)` takes the P-view's moves, its memo key, and
 their positions in the play, through which the reply's pointer is
-read.  No play is built for it.  `respond` hands it the P-view of
-`plays.checked_views`, after one legality pass; a round of play (an
-Opponent move and the reply) in `walk` and in
+read.  No play is built for it.  `respond` hands it the P-view of the
+play's own entry, the last, of `plays.checked_views`, after one
+legality pass; a round of play (an Opponent move and the reply) in
+`walk` and in
 `observation._play_against` (test runs and the oracle) extends the
 play's views through `plays.next_views` by the Opponent move, hands it
 that entry's P-view, and adds the reply's views only where the play
@@ -183,7 +184,7 @@ class InnocentStrategy:
         """
         if s.arena != self.arena:
             raise ValueError(f"play is over {s.arena.name}, strategy over {self.arena.name}")
-        positions, _, key, _ = checked_views(s)
+        positions, _, key, _ = checked_views(s)[-1]
         if len(s.moves) % 2 != 1:
             raise ValueError("can only respond to odd-length plays")
         return self._answer(key, positions)
@@ -247,7 +248,7 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     once the play is not well-bracketed.  No play is kept: `explore` and
     `observation.observations` are two folds over this walk.
 
-    The views are those of `plays.prefix_views`, one entry per prefix,
+    The views are those of `plays.checked_views`, one entry per prefix,
     shortest first.  A play the walk may extend, one of at most
     b.max_play_len - 2 moves, and the empty play carry their own views
     last.  A longer play is at the cap: it carries the views of its

@@ -3,9 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesem.arena import arrow, make_nat_arena, make_sigma, product
+from gamesem.observation import prefix_oviews
 from gamesem.plays import (
     ROOT,
     Play,
+    checked_views,
     is_complete,
     is_legal,
     is_o_innocent,
@@ -13,9 +15,10 @@ from gamesem.plays import (
     legality_violation,
     next_pview,
     oview,
+    oview_with_positions,
     pending_questions,
-    prefix_views,
     pview,
+    pview_with_positions,
 )
 from oracles import (
     is_single_threaded,
@@ -156,7 +159,7 @@ def test_legal_extensions_match_generate_then_check(arena, single_threaded):
 def test_prefix_views_match_backward_walk(arena):
     # positions by the backward walk, moves by the reference recursions
     for s in ref_enumerate_plays(arena, 7):
-        for k, (pv, ov, pv_moves, ov_moves) in enumerate(prefix_views(s)):
+        for k, (pv, ov, pv_moves, ov_moves) in enumerate(checked_views(s)):
             t = s.prefix(k)
             assert list(pv) == walk_view_positions(arena, t.moves, "P")
             assert list(ov) == walk_view_positions(arena, t.moves, "O")
@@ -174,7 +177,7 @@ def test_next_pview_is_the_p_view_half_of_next_views(arena):
     plays = ref_enumerate_plays(arena, 7)
     assert len(plays) > 100
     for s in plays:
-        full = list(prefix_views(s))
+        full = checked_views(s)
         alone = [full[0]]
         for k, (m, ptr) in enumerate(s.moves):
             pv, _, pvm, _ = full[k + 1]
@@ -236,11 +239,12 @@ def test_legality_matches_reference_on_every_raw_extension(arena):
 
 
 def test_views_require_legality():
+    # every reader of a play's views asks the one door, which refuses
     bad = P(N2, ("q", ROOT), ("q", ROOT))
-    with pytest.raises(ValueError):
-        pview(bad)
-    with pytest.raises(ValueError):
-        oview(bad)
+    for read in (pview, oview, pview_with_positions, oview_with_positions,
+                 is_o_innocent, prefix_oviews):
+        with pytest.raises(ValueError, match=r"^illegal play: move 1: expected P-move"):
+            read(bad)
 
 
 def test_prefixes():

@@ -32,10 +32,10 @@ from gamesem.plays import (
     EMPTY_VIEWS,
     ROOT,
     Play,
+    checked_views,
     is_complete,
     legal_extensions,
     pending_questions,
-    prefix_views,
     pview,
     pview_with_positions,
 )
@@ -511,7 +511,7 @@ def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
             for moves, views, _ in walked:
                 at_cap = bool(moves) and len(moves) + 2 > cap
                 kinds[at_cap] += 1
-                want = prefix_views(Play(sigma.arena, moves[:-1] if at_cap else moves))
+                want = checked_views(Play(sigma.arena, moves[:-1] if at_cap else moves))
                 assert views == tuple(want), (innocent_opponent, moves)
     assert kinds[True] > 2 and kinds[False] > 2
     runs = []
@@ -533,7 +533,7 @@ def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
             positions, own = (pv, pvm) if k % 2 else (ov, ovm)
             m, ptr = own[-1]
             moves.append((m, ROOT if ptr == ROOT else positions[ptr]))
-        assert views == tuple(prefix_views(Play(sigma.arena, tuple(moves))))
+        assert views == tuple(checked_views(Play(sigma.arena, tuple(moves))))
 
 
 def test_the_innocent_walk_plays_a_forced_opponent_move_without_search(monkeypatch):
@@ -1038,7 +1038,7 @@ def _asked(node, play):
 
 def _extensions(s: Play) -> list[Play]:
     """The legal plays one move longer than s, by `legal_extensions`."""
-    *_, (pv, ov, _, _) = prefix_views(s)
+    *_, (pv, ov, _, _) = checked_views(s)
     justifiers = pv if len(s.moves) % 2 else (ROOT, *ov)
     return [s.extend(*mj) for mj in legal_extensions(s.arena, s.moves, justifiers)]
 
