@@ -42,6 +42,8 @@ MUTANTS = [
     ("answer: reply pointer not read through positions", "strategy.py",
      "return None if r is None else (r[0], positions[r[1]])",
      "return None if r is None else (r[0], r[1])"),
+    ("answer: the enabling check dropped", "strategy.py",
+     "if not self.arena.enables(key[j][0], move):", "if False:"),
     # a test run is the views of its prefixes
     ("run: moves counted one short", "observation.py",
      "i = len(views) - 1", "i = len(views) - 2"),

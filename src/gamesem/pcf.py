@@ -342,7 +342,9 @@ def _parse_all(source: str, rule):
 # itself and its leaves included.  The CLI's JSON writer recurses once
 # per level, so it writes every term this lets through within Python's
 # default limit of 1,000 frames, with room to spare for a caller.
-# `denote` recurses deeper per level and can still run out below it.
+# `denote` recurses once per level too, and asking a composite costs
+# two frames, but a pairing is asked through `respond` at seven frames
+# per level, so a sum or an `ifz` chain can still run out below it.
 MAX_NESTING = 400
 
 
@@ -547,13 +549,7 @@ def ifz_strategy(res_arena: Arena, max_nat: int) -> InnocentStrategy:
 def denote(t: Term, b: Bounds, rl_add: bool = False) -> InnocentStrategy:
     """Strategy of a closed well-typed term, on the arena of its type."""
     open_strat = denote_open(t, (), b, rl_add)
-    return rename_strategy(open_strat, [("R.", "")], open_strat.arena.parts[1],
-                           f"den[{_short(t)}]")
-
-
-def _short(t: Term) -> str:
-    s = repr(t)
-    return s if len(s) <= 40 else s[:37] + "..."
+    return rename_strategy(open_strat, [("R.", "")], open_strat.arena.parts[1], "den")
 
 
 def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> InnocentStrategy:
@@ -563,14 +559,78 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
     context arena nests products to the left, so the innermost variable
     sits under R. and each enclosing one under one more L..  The term
     is typechecked here, once; below it every subterm's type is read
-    off the arena of its strategy.
+    off the arena of its strategy.  The pass recurses one frame per
+    subterm.
     """
     typecheck(t, ctx)
     env = tuple((name, type_arena(ty, b.max_nat)) for name, ty in ctx)
     ca = make_empty()
     for _, va in env:
         ca = product(ca, va)
-    return _denote(t, env, ca, b, rl_add, {})
+    evals: dict[Arena, InnocentStrategy] = {}   # `_apply`'s, one per term denoted
+
+    def strat(t: Term, env: tuple, ca: Arena) -> InnocentStrategy:
+        # env pairs each variable in scope with its arena, innermost
+        # last, and ca is their product
+        if isinstance(t, Num):
+            k = min(t.n, b.max_nat)
+            return interrogate(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]", (),
+                               lambda ks: k)
+
+        if isinstance(t, Var):
+            path, va = _var(env, t.name)
+            a = arrow(ca, va)
+            return mirror_strategy(a, prefix_swap([("L." + path, "R.")], a.moves),
+                                   f"var[{t.name}]")
+
+        if isinstance(t, Lam):
+            va = type_arena(t.ty, b.max_nat)
+            inner = strat(t.body, env + ((t.var, va),), product(ca, va))
+            target = arrow(ca, arrow(va, inner.arena.parts[1]))
+            pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
+            return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
+
+        if isinstance(t, App):
+            return _apply(strat(t.fn, env, ca), strat(t.arg, env, ca), b, evals)
+
+        if isinstance(t, (Succ, Pred)):
+            prim = (succ_strategy if isinstance(t, Succ) else pred_strategy)(b.max_nat)
+            return compose(strat(t.t, env, ca), prim, b, name=prim.name)
+
+        if isinstance(t, Ifz):
+            dt = strat(t.then, env, ca)
+            prim = ifz_strategy(dt.arena.parts[1], b.max_nat)
+            return compose(pair_strategies(strat(t.cond, env, ca),
+                                           pair_strategies(dt, strat(t.els, env, ca))),
+                           prim, b, name="ifz")
+
+        if isinstance(t, Fix):
+            # the fix_depth-th approximant: the body applied that many
+            # times to the strategy with no responses
+            body = strat(t.t, env, ca)
+            approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
+                                      view_fn=lambda ms: None)
+            for _ in range(b.fix_depth):
+                approx = _apply(body, approx, b, evals)
+            return approx
+
+        if isinstance(t, Add):
+            first, second = (t.right, t.left) if rl_add else (t.left, t.right)
+            if isinstance(first, Var) and isinstance(second, Var):
+                # Ask the context directly, not through compose: no hidden
+                # moves count against max_play_len, and a curried sum is
+                # move-for-move the classic interrogation strategy.
+                qs = tuple("L." + _var(env, v.name)[0] + "q" for v in (first, second))
+                return interrogate(arrow(ca, make_nat_arena(b.max_nat)),
+                                   f"add_vars[{first.name},{second.name}]", qs,
+                                   lambda ks: min(sum(ks), b.max_nat))
+            prim = make_add(("R", "L") if rl_add else ("L", "R"), b.max_nat)
+            return compose(pair_strategies(strat(t.left, env, ca), strat(t.right, env, ca)),
+                           prim, b, name="add")
+
+        raise ValueError(f"cannot denote {t!r}")
+
+    return strat(t, env, ca)
 
 
 def _var(env: tuple, name: str) -> tuple[str, Arena]:
@@ -591,67 +651,3 @@ def _apply(f: InnocentStrategy, x: InnocentStrategy, b: Bounds,
     if fn_arena not in evals:
         evals[fn_arena] = eval_strategy(fn_arena)
     return compose(pair_strategies(f, x), evals[fn_arena], b, name="app")
-
-
-def _denote(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
-            evals: dict[Arena, InnocentStrategy]) -> InnocentStrategy:
-    """`denote_open` of a well-typed term; env pairs each variable in
-    scope with its arena, innermost last, and ca is their product.
-    `evals` is `_apply`'s, one per term denoted."""
-    def den(u: Term) -> InnocentStrategy:
-        return _denote(u, env, ca, b, rl_add, evals)
-
-    if isinstance(t, Num):
-        k = min(t.n, b.max_nat)
-        return interrogate(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]", (),
-                           lambda ks: k)
-
-    if isinstance(t, Var):
-        path, va = _var(env, t.name)
-        a = arrow(ca, va)
-        return mirror_strategy(a, prefix_swap([("L." + path, "R.")], a.moves), f"var[{t.name}]")
-
-    if isinstance(t, Lam):
-        va = type_arena(t.ty, b.max_nat)
-        inner = _denote(t.body, env + ((t.var, va),), product(ca, va), b, rl_add, evals)
-        target = arrow(ca, arrow(va, inner.arena.parts[1]))
-        pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
-        return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
-
-    if isinstance(t, App):
-        return _apply(den(t.fn), den(t.arg), b, evals)
-
-    if isinstance(t, (Succ, Pred)):
-        prim = (succ_strategy if isinstance(t, Succ) else pred_strategy)(b.max_nat)
-        return compose(den(t.t), prim, b, name=prim.name)
-
-    if isinstance(t, Ifz):
-        dt = den(t.then)
-        prim = ifz_strategy(dt.arena.parts[1], b.max_nat)
-        return compose(pair_strategies(den(t.cond), pair_strategies(dt, den(t.els))), prim, b,
-                       name="ifz")
-
-    if isinstance(t, Fix):
-        # the fix_depth-th approximant: the body applied that many
-        # times to the strategy with no responses
-        body = den(t.t)
-        approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
-                                  view_fn=lambda ms: None)
-        for _ in range(b.fix_depth):
-            approx = _apply(body, approx, b, evals)
-        return approx
-
-    if isinstance(t, Add):
-        first, second = (t.right, t.left) if rl_add else (t.left, t.right)
-        if isinstance(first, Var) and isinstance(second, Var):
-            # Ask the context directly, not through compose: no hidden
-            # moves count against max_play_len, and a curried sum is
-            # move-for-move the classic interrogation strategy.
-            qs = tuple("L." + _var(env, v.name)[0] + "q" for v in (first, second))
-            return interrogate(arrow(ca, make_nat_arena(b.max_nat)),
-                               f"add_vars[{first.name},{second.name}]", qs,
-                               lambda ks: min(sum(ks), b.max_nat))
-        prim = make_add(("R", "L") if rl_add else ("L", "R"), b.max_nat)
-        return compose(pair_strategies(den(t.left), den(t.right)), prim, b, name="add")
-
-    raise ValueError(f"cannot denote {t!r}")

@@ -11,26 +11,25 @@ which differs in name only, so a tracer can tell the node kinds apart.
 
 Every node keeps one memo of its checked replies, one entry per P-view,
 written only by `_answer`: an innocent strategy is its view function,
-so reaching a view again costs a lookup.  On a miss `_reply` runs the
-node and checks the response against the arena and the view, so the
-extended play is legal again; a bound hit is stored too and raised
-again on later asks.  A reply may go on after its move and pointer:
-the memo keeps the rest, a composite's interaction, and `_answer`
-hands it to no caller.  A node is asked with the P-view it keys on:
-`_answer(key, positions)` takes the P-view's moves, its memo key, and
-their positions in the play, through which the reply's pointer is
-read.  No play is built for it.  `respond` hands it the P-view of the
-play's own entry, the last, of `plays.checked_views`, after one
-legality pass; a round of play (an Opponent move and the reply) in
-`walk` and in
-`observation._play_against` (test runs and the oracle) extends the
-play's views through `plays.next_views` by the Opponent move, hands it
-that entry's P-view, and adds the reply's views only where the play
-goes on; and compose carries each factor's P-view the same way, by
-`plays.next_pview`, the recurrence's P-view half.
+so reaching a view again costs a lookup.  On a miss `_answer` runs
+the node's function and checks the response against the arena and the
+view, so the extended play is legal again; a bound hit is stored too
+and raised again on later asks.  A reply may go on after its move and
+pointer: the memo keeps the rest, a composite's interaction, and
+`_answer` hands it to no caller.  A node is asked with the P-view it
+keys on: `_answer(key, positions)` takes the P-view's moves, its memo
+key, and their positions in the play, through which the reply's
+pointer is read.  No play is built for it.  `respond` hands it the
+P-view of the play's own entry, the last, of `plays.checked_views`,
+after one legality pass; a round of play (an Opponent move and the
+reply) in `walk` and in `observation._play_against` (test runs and the
+oracle) extends the play's views through `plays.next_views` by the
+Opponent move, hands it that entry's P-view, and adds the reply's views
+only where the play goes on; and compose carries each factor's P-view
+the same way, by `plays.next_pview`, the recurrence's P-view half.
 `tabulate`, and a composite asking itself a shorter P-view, hand it a
-P-view as its own play, at positions `range(len(key))`, so only it
-calls `_reply`.
+P-view as its own play, at positions `range(len(key))`, so only
+`_answer` runs a node's function.
 Renamings and pairings translate the view alone (a prefix renaming is
 an arena isomorphism, so it commutes with the P-view), and the pointer
 of the reply into that view is already view-relative.
@@ -73,7 +72,7 @@ own: the fused `into` is this node's followed by the inner one, and the
 fused `back` the inner one followed by this node's.  Each fused table
 is built once for each chain of (pairs, moves) keys and shared, read
 only.  A view-function leaf is asked through its `view_fn`, and the
-asking node's `_reply` checks the translated reply, which is the
+asking node's `_answer` checks the translated reply, which is the
 leaf's own check read across the tables: a renaming is an arena
 isomorphism, and a pairing embeds each side's arena keeping polarity
 and enabling.  Any other node, a composite, is asked through `respond`,
@@ -192,37 +191,31 @@ class InnocentStrategy:
     def _answer(self, key: tuple, positions):
         """`respond`'s reply to a legal odd-length play, unchecked, from
         the moves `key` of its P-view and their `positions` in the play.
-        Memoised by `key`: each view is asked through `_reply`, and its
-        reply checked, once; a bound hit is stored and raised again on
-        every later ask, and any other exception is never stored.  The
-        caller gets the memo's move and its pointer read through
-        `positions`."""
+        Memoised by `key`: on a miss the node's function is asked the
+        view and its reply checked, once: (P-move, index into the view
+        of a move enabling it), or None, and StrategyError for any other
+        reply.  A bound hit is stored and raised again on every later
+        ask, and any other exception is never stored.  The caller gets
+        the memo's move and its pointer read through `positions`."""
         r = self._memo.get(key, _UNASKED)
         if r is _UNASKED:
             try:
-                r = self._reply(key)
+                r = (self._view_fn or self._play_fn)(key)
+                if r is not None:
+                    move, j = r[0], r[1]
+                    if not 0 <= j < len(key):
+                        raise StrategyError(f"{self.name}: pointer {j} outside the P-view")
+                    if self.arena.polarity.get(move) != "P":
+                        raise StrategyError(f"{self.name}: emitted non-P move {move!r}")
+                    if not self.arena.enables(key[j][0], move):
+                        raise StrategyError(
+                            f"{self.name}: move {move!r} not enabled in the P-view at {j}")
             except BoundExceeded:
                 r = _BOUND
             self._memo[key] = r
         if r is _BOUND:
             raise BoundExceeded(self.name)
         return None if r is None else (r[0], positions[r[1]])
-
-    def _reply(self, view: tuple):
-        """The node's reply to the moves `view` of a P-view over this
-        arena, checked: (P-move, index into the view of a move enabling
-        it), or None.  Raises StrategyError for any other reply."""
-        r = (self._view_fn or self._play_fn)(view)
-        if r is None:
-            return None
-        move, j = r[0], r[1]
-        if not 0 <= j < len(view):
-            raise StrategyError(f"{self.name}: pointer {j} outside the P-view")
-        if self.arena.polarity.get(move) != "P":
-            raise StrategyError(f"{self.name}: emitted non-P move {move!r}")
-        if not self.arena.enables(view[j][0], move):
-            raise StrategyError(f"{self.name}: move {move!r} not enabled in the P-view at {j}")
-        return r
 
     def __repr__(self) -> str:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
@@ -682,21 +675,6 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             # the outer projection grows its moves, the factors' their P-views
             grown.append((tag + mv, ptr) if k == 2 else next_pview(grown, tag + mv, ptr))
 
-    def run_until_visible(u: list, proj: tuple, side: int) -> bool:
-        # True once a move surfaces in A or C, False on a refusal
-        while True:
-            idx, _, views = proj[side]
-            e = views[-1]
-            r = strats[side]._answer(e[2], e[0])
-            if r is None:
-                return False
-            m, pptr = r
-            comp = _SIDES[side][0 if m.startswith("L.") else 1]
-            append(u, proj, comp, m[2:], idx[pptr])
-            if comp != "B":
-                return True
-            side = 1 - side
-
     def play_fn(view: tuple):
         n = len(view)
         if n == 1:
@@ -726,9 +704,19 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
         m, ptr = view[-1]
         side = 1 if m.startswith("R.") else 0   # C is tau's, A sigma's
         append(u, proj, "AC"[side], m[2:], ROOT if ptr == ROOT else proj[2][0][ptr])
-        if not run_until_visible(u, proj, side):
-            return None
-        return (*proj[2][2][-1], (u, proj))
+        # the factors play until a move surfaces in A or C, or one refuses
+        while True:
+            idx, _, views = proj[side]
+            e = views[-1]
+            r = strats[side]._answer(e[2], e[0])
+            if r is None:
+                return None
+            m, pptr = r
+            comp = _SIDES[side][0 if m.startswith("L.") else 1]
+            append(u, proj, comp, m[2:], idx[pptr])
+            if comp != "B":
+                return (*proj[2][2][-1], (u, proj))
+            side = 1 - side
 
     node = InnocentStrategy(outer, cname, play_fn=play_fn)
     return node

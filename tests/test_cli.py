@@ -589,9 +589,22 @@ def test_bad_bounds_exit_2(tmp_path, flag, value, field):
     assert r.stderr == f"error: {field} must be positive, got {value}\n"
 
 
+# terms that nest pcf.MAX_NESTING deep, the most the parser accepts,
+# and a sum deep enough to run out below it
+_DEEP_TERMS = {
+    "succ": "succ " * (pcf.MAX_NESTING - 1) + "0\n",
+    "pred": "pred " * (pcf.MAX_NESTING - 1) + "1\n",
+    "lambdas": "".join(f"fun x{i}: nat -> " for i in range(pcf.MAX_NESTING - 1)) + "x0\n",
+    "sum": " + ".join(["1"] * 200) + "\n",
+}
+
+
 def test_resource_limit_exits_3(tmp_path):
-    # the term parses; asking its strategy recurses once per succ
-    f = write(tmp_path, "deep.pcf", "succ " * 250 + "0\n")
+    # the term parses; asking its strategy goes down the sum's pairings
+    # at seven frames per level (a pairing's `_answer`, `play_fn` and
+    # `_ask`, `_respond` and `respond`, and the composite's `_answer`
+    # and `play_fn`; ROADMAP item 2(b)), so 200 terms run out
+    f = write(tmp_path, "deep.pcf", _DEEP_TERMS["sum"])
     r = run_cli("obs", f)
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
@@ -632,14 +645,20 @@ def test_a_term_past_the_nesting_limit_exits_2_with_no_output(tmp_path, n):
     assert r.stderr == f"error: {f}: 1:{col}: term nested too deeply\n"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the passes over a term and the asks down its compose chain still recurse, so a "
-    "term the parser accepts exits 3 with a recursion limit (ROADMAP item 10)"))
-def test_a_term_the_parser_accepts_is_observed_or_refused_as_bad_input(tmp_path):
-    # 250 nested `succ`s are within pcf.MAX_NESTING; the engine must
-    # observe the term or refuse it as bad input, not run out of stack
-    assert 250 < pcf.MAX_NESTING
-    f = write(tmp_path, "deep.pcf", "succ " * 250 + "0\n")
+@pytest.mark.parametrize("shape", [
+    "succ", "pred", "lambdas",
+    pytest.param("sum", marks=pytest.mark.xfail(strict=True, reason=(
+        "a sum is asked down its pairings at seven frames per level, through "
+        "`respond`, so 200 terms exit 3 with a recursion limit (ROADMAP items 10 "
+        "and 2(b))"))),
+])
+def test_a_term_the_parser_accepts_is_observed_or_refused_as_bad_input(tmp_path, shape):
+    # every term here is within pcf.MAX_NESTING; the engine must
+    # observe it or refuse it as bad input, not run out of stack.  The
+    # denotation recurses one frame per subterm, and a composite is
+    # asked in two, its `_answer` and its `play_fn`.
+    f = write(tmp_path, "deep.pcf", _DEEP_TERMS[shape])
+    assert pcf.parse(_DEEP_TERMS[shape])
     r = run_cli("obs", f, "--max-nat", "1", "--max-play-len", "4")
     assert r.returncode in (0, 2), r.stderr
 

@@ -388,6 +388,19 @@ def test_a_reply_that_fails_its_check_raises_on_every_ask():
     assert asked == [opening.moves] * 4
 
 
+def test_a_reply_pointing_at_a_move_that_does_not_enable_it_raises():
+    # L.q is a Proponent move and index 2 lies in the view, but only the
+    # opening R.q enables L.q, not the answer L.0 at index 2
+    astray = InnocentStrategy(arrow(N2, N2), "astray",
+                              view_fn=lambda v: ("L.q", 0) if len(v) == 1 else ("L.q", 2))
+    play = Play(astray.arena, (("R.q", ROOT), ("L.q", 0), ("L.0", 1)))
+    want = r"^astray: move 'L.q' not enabled in the P-view at 2$"
+    with pytest.raises(StrategyError, match=want):
+        astray.respond(play)
+    with pytest.raises(StrategyError, match=want):
+        explore(astray, Bounds(max_nat=2, max_play_len=4))
+
+
 def test_explore_stops_at_its_play_budget(monkeypatch):
     b = Bounds(max_nat=1, max_play_len=6)
     sigma = builtin("add_LR", 1)
@@ -929,7 +942,7 @@ def test_a_cold_ask_leaves_each_p_view_prefix_it_needed_in_the_memo():
     # `respond` on a fresh composite's play with the longest P-view w
     # asks the composite itself, through `_answer`, about each P-view
     # prefix of w that it resumes from: each is left in the memo as a
-    # reply that passed `_reply`'s checks, with the interaction after
+    # reply that passed `_answer`'s checks, with the interaction after
     # it.  A warm ask of one more view then resumes from that memo, and
     # asks the factors only about views they were not asked before.
     b = Bounds(max_nat=1, max_play_len=40)
@@ -1123,7 +1136,7 @@ def test_a_cold_composite_answers_as_a_warm_one_in_any_order():
                      "computed 'R.0'": 36, "computed 'R.1'": 18, "computed 'R.2'": 18,
                      "no response": 2, "BoundExceeded": 25}
     assert digest.hexdigest() == (
-        "5c8dbb19fafcf61a5896b70eae23bf2444be0283a9ec7a6cfea177f8aaffea44")
+        "2096be6b97c0c91b15189aa7d82dcfc25195f1de5fac05073ae3c835f01e9297")
 
 
 def test_strategy_responses_are_opponent_enabled_and_proponent():
