@@ -44,6 +44,9 @@ MUTANTS = [
      "return None if r is None else (r[0], r[1])"),
     ("answer: the enabling check dropped", "strategy.py",
      "if not self.arena.enables(key[j][0], move):", "if False:"),
+    # a wrapper asks what lies below it
+    ("wrapper: the reply's move not read back", "strategy.py",
+     "return back[r[0]], r[1]", "return r[0], r[1]"),
     # a test run is the views of its prefixes
     ("run: moves counted one short", "observation.py",
      "i = len(views) - 1", "i = len(views) - 2"),

@@ -65,8 +65,13 @@ class TFun(Ty):
     res: Ty
 
     def __str__(self):
-        a = f"({self.arg})" if isinstance(self.arg, TFun) else str(self.arg)
-        return f"{a} -> {self.res}"
+        # along the result spine in a loop, so a long chain of arrows
+        # costs no frame per arrow
+        parts, t = [], self
+        while isinstance(t, TFun):
+            parts.append(f"({t.arg})" if isinstance(t.arg, TFun) else str(t.arg))
+            t = t.res
+        return " -> ".join([*parts, str(t)])
 
 
 NAT = TNat()
@@ -343,8 +348,9 @@ def _parse_all(source: str, rule):
 # per level, so it writes every term this lets through within Python's
 # default limit of 1,000 frames, with room to spare for a caller.
 # `denote` recurses once per level too, and asking a composite costs
-# two frames, but a pairing is asked through `respond` at seven frames
-# per level, so a sum or an `ifz` chain can still run out below it.
+# two frames, but a sum or an `ifz` level costs five (a pairing's
+# `_answer` and `play_fn`, then `respond`, `_answer` and `play_fn` of
+# the composite below), so such a chain can still run out below it.
 MAX_NESTING = 400
 
 

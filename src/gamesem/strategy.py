@@ -63,21 +63,24 @@ the mirror answers with it, and so does `pcf.ifz_strategy` once its
 condition is answered.
 
 A renaming or a pairing relabels moves and leaves the view function
-alone, so it asks across one move table whatever lies below it.  Its
-node holds a route for each initial move of its arena, built with the
-node: the first node below it that is no renaming or pairing, how to
-ask it, and the tables `into` it and `back`.  Over another wrapper the
-route is that wrapper's route, with this node's tables fused onto its
-own: the fused `into` is this node's followed by the inner one, and the
-fused `back` the inner one followed by this node's.  Each fused table
-is built once for each chain of (pairs, moves) keys and shared, read
-only.  A view-function leaf is asked through its `view_fn`, and the
-asking node's `_answer` checks the translated reply, which is the
-leaf's own check read across the tables: a renaming is an arena
-isomorphism, and a pairing embeds each side's arena keeping polarity
-and enabling.  Any other node, a composite, is asked through `respond`,
-where the benchmark's tracer counts compose asks.  The wrappers in
-between are skipped, so their memos stay empty.
+alone, so it asks across one move table whatever lies below it.  One
+constructor, `_wrapper`, builds both.  Its node holds a route for each
+initial move of its arena, built with the node: the first node below it
+that is no renaming or pairing, and the tables `into` it and `back`.
+Over another wrapper the route is that wrapper's route, with this
+node's tables fused onto its own: the fused `into` is this node's
+followed by the inner one, and the fused `back` the inner one followed
+by this node's.  Each fused table is built once for each chain of
+(pairs, moves) keys and shared, read only.  The node's `play_fn` is the
+whole ask, so it is decided in one place: the view is read down `into`,
+the node below is asked it, a view-function leaf through its `view_fn`
+and any other node, a composite, through `respond`, where the
+benchmark's tracer counts compose asks, and the reply's move is read
+back up `back`.  The asking node's `_answer` checks the translated
+reply, which is the leaf's own check read across the tables: a renaming
+is an arena isomorphism, and a pairing embeds each side's arena keeping
+polarity and enabling.  The wrappers in between are skipped, so their
+memos stay empty.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -168,8 +171,9 @@ class InnocentStrategy:
         self._view_fn = view_fn
         self._play_fn = play_fn
         self._memo: dict[tuple, object] = {}   # `_answer`'s, by P-view moves
-        # a renaming's or a pairing's, by initial move: (ask, into, back,
-        # the `_tables` keys fused into them); None on any other node
+        # a renaming's or a pairing's, by initial move: (the node below,
+        # into, back, the `_tables` keys fused into them); None on any
+        # other node
         self._routes: dict[str, tuple] | None = None
 
     def respond(self, s: Play):
@@ -470,20 +474,13 @@ def rename_strategy(sigma: InnocentStrategy, pairs: list[tuple[str, str]],
     renaming is tabled once, `prefix_map` over sigma's moves, and must
     be a bijection onto `new_arena`'s moves: a renaming that leaves a
     move unmatched, merges two moves or misses a target move raises
-    ValueError.  P-views over `new_arena` are read down through the
-    inverse table, fused with sigma's route when sigma is a renaming or
-    a pairing itself.
+    ValueError.  The node is `_wrapper`'s: P-views over `new_arena` are
+    read down through the inverse table, fused with sigma's route when
+    sigma is a renaming or a pairing itself, to the node below.
     """
     key = (tuple(pairs), sigma.arena.moves)
     _check_renaming(*key, new_arena.moves)
-    routes = _routes_over(sigma, key, new_arena.initials)
-
-    def play_fn(view: tuple):
-        return _ask(routes[view[0][0]], view, name)
-
-    node = InnocentStrategy(new_arena, name, play_fn=play_fn)
-    node._routes = routes
-    return node
+    return _wrapper(new_arena, name, _routes_over(sigma, key, new_arena.initials))
 
 
 @functools.cache
@@ -508,24 +505,47 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrateg
     initial move, so the view lies inside one thread and is read down
     whole to that side's strategy.  Each side's move tables are built
     once, as in `rename_strategy`: X moves keep their tags, and the
-    side's "R." moves gain "L." or "R." after the outer "R.".  Each
-    initial move's route goes through its side's tables, fused with
-    that side's route when the side is a renaming or a pairing itself.
+    side's "R." moves gain "L." or "R." after the outer "R.".  The node
+    is `_wrapper`'s: each initial move's route goes through its side's
+    tables, fused with that side's route when the side is a renaming or
+    a pairing itself, to the node below.
     """
     x = f.arena.parts[0]
     if g.arena.parts[0] != x:
         raise ValueError("paired strategies disagree on the left arena")
     outer = arrow(x, product(f.arena.parts[1], g.arena.parts[1]))
-    name = f"<{f.name}, {g.name}>"
     routes = {}
     for strat, tag in ((f, "R.L."), (g, "R.R.")):
         routes.update(_routes_over(strat, ((("L.", "L."), ("R.", tag)), strat.arena.moves),
                                    outer.initials))
+    return _wrapper(outer, f"<{f.name}, {g.name}>", routes)
 
+
+def _wrapper(arena: Arena, name: str, routes: dict) -> InnocentStrategy:
+    """A renaming's or a pairing's node over `arena`, asking what lies
+    below it along `routes`, one for each initial move it reads down.
+    Its `play_fn` is the whole ask: the view is read down the route's
+    `into` table, the node below is asked it, a leaf through its
+    `view_fn` and a composite through `respond`, where the benchmark's
+    tracer counts compose asks, and the reply's move is read back up
+    `back`.  The translated view is its own P-view, so the pointer is
+    already an index into the view; the node's `_answer` checks the
+    translated reply."""
     def play_fn(view: tuple):
-        return _ask(routes[view[0][0]], view, name)
+        below, into, back, _ = routes[view[0][0]]
+        inner = tuple([(into[m], p) for m, p in view])
+        if below._view_fn is not None:
+            r = below._view_fn(inner)
+        else:
+            r = below.respond(Play(below.arena, inner))
+        if r is None:
+            return None
+        try:
+            return back[r[0]], r[1]
+        except KeyError:
+            raise StrategyError(f"{name}: emitted move {r[0]!r} outside the inner arena") from None
 
-    node = InnocentStrategy(outer, name, play_fn=play_fn)
+    node = InnocentStrategy(arena, name, play_fn=play_fn)
     node._routes = routes
     return node
 
@@ -534,19 +554,21 @@ def _routes_over(inner: InnocentStrategy, key: tuple, initials: frozenset) -> di
     """The routes of one wrapper step over `inner`, for each of
     `initials` that the step's inverse table reads down to inner's
     arena.  The step is `_tables` of `key`, which maps inner's moves to
-    the wrapper's.  Over a renaming or a pairing, the route is inner's
-    own, with `key` fused onto its keys."""
+    the wrapper's.  A route is (the node below, into, back, the keys
+    fused into them): over a renaming or a pairing it is inner's own,
+    with `key` fused onto its keys and the same node below, and over
+    any other node, a leaf or a composite, inner is the node below."""
     down = _tables(*key)[1]
     routes = {}
     for m in initials:
         if m not in down:
             continue
         if inner._routes is not None:
-            ask, _, _, keys = inner._routes[down[m]]
+            below, _, _, keys = inner._routes[down[m]]
         else:
-            ask, keys = inner._view_fn or functools.partial(_respond, inner), ()
+            below, keys = inner, ()
         keys = (key, *keys)
-        routes[m] = (ask, *_fused(keys), keys)
+        routes[m] = (below, *_fused(keys), keys)
     return routes
 
 
@@ -562,27 +584,6 @@ def _fused(keys: tuple) -> tuple[Mapping[str, str], Mapping[str, str]]:
     into, back = _fused(keys[1:])
     return (MappingProxyType({m: into[x] for m, x in down.items() if x in into}),
             MappingProxyType({m: up[x] for m, x in back.items()}))
-
-
-def _respond(node: InnocentStrategy, view: tuple):
-    # a composite is asked through `respond`: the benchmark's tracer
-    # counts compose asks there
-    return node.respond(Play(node.arena, view))
-
-
-def _ask(route: tuple, view: tuple, name: str):
-    """The reply of the node `route` reaches to `view` read down through
-    the route's `into` table, with its move read back up through `back`;
-    the asking node `name` checks it.  The translated view is its own
-    P-view, so the pointer is already an index into `view`."""
-    ask, into, back, _ = route
-    r = ask(tuple([(into[m], p) for m, p in view]))
-    if r is None:
-        return None
-    try:
-        return back[r[0]], r[1]
-    except KeyError:
-        raise StrategyError(f"{name}: emitted move {r[0]!r} outside the inner arena") from None
 
 
 def as_thunk(sigma: InnocentStrategy) -> InnocentStrategy:

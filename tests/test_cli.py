@@ -601,14 +601,34 @@ _DEEP_TERMS = {
 
 def test_resource_limit_exits_3(tmp_path):
     # the term parses; asking its strategy goes down the sum's pairings
-    # at seven frames per level (a pairing's `_answer`, `play_fn` and
-    # `_ask`, `_respond` and `respond`, and the composite's `_answer`
-    # and `play_fn`; ROADMAP item 2(b)), so 200 terms run out
+    # at five frames per level (a pairing's `_answer` and `play_fn`,
+    # then `respond`, `_answer` and `play_fn` of the composite below;
+    # ROADMAP item 2(b)), so 200 terms run out
     f = write(tmp_path, "deep.pcf", _DEEP_TERMS["sum"])
     r = run_cli("obs", f)
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
     assert r.stderr == "resource limit: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("source", [" + ".join(["1"] * 190) + "\n",
+                                    "ifz " * 190 + "0" + " then 0 else 0" * 190 + "\n"],
+                         ids=["sum", "ifz"])
+def test_a_sum_or_an_ifz_chain_190_levels_deep_is_observed(tmp_path, source):
+    # a sum or an `ifz` level is asked in five frames, so 190 levels
+    # fit within the default recursion limit
+    f = write(tmp_path, "deep.pcf", source)
+    r = run_cli("obs", f, "--max-nat", "1", "--max-play-len", "4")
+    assert r.returncode == 0, r.stderr
+
+
+def test_parse_prints_the_type_of_the_longest_lambda_chain(tmp_path):
+    # the type's arrows are printed along its result spine in a loop,
+    # not one frame per arrow
+    f = write(tmp_path, "deep.pcf", _DEEP_TERMS["lambdas"])
+    r = run_cli("parse", f)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["type"] == "nat -> " * (pcf.MAX_NESTING - 1) + "nat"
 
 
 def test_a_deep_lambda_chain_asks_its_variable_across_one_table(tmp_path):
@@ -648,7 +668,7 @@ def test_a_term_past_the_nesting_limit_exits_2_with_no_output(tmp_path, n):
 @pytest.mark.parametrize("shape", [
     "succ", "pred", "lambdas",
     pytest.param("sum", marks=pytest.mark.xfail(strict=True, reason=(
-        "a sum is asked down its pairings at seven frames per level, through "
+        "a sum is asked down its pairings at five frames per level, through "
         "`respond`, so 200 terms exit 3 with a recursion limit (ROADMAP items 10 "
         "and 2(b))"))),
 ])

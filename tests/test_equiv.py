@@ -252,6 +252,21 @@ def test_asking_g_twice_through_ifz_is_asking_it_once():
     assert r.equal, r.witness_side
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a wrong INEQUIV with no bound hit, the witness on the left: the duplicate's "
+    "plays are cut at the play cap without a count, at nat 1 and 2 and every even "
+    "play_len from 12 to 24 (ROADMAP items 5, 16 and 23)"))
+def test_asking_f_f_1_twice_through_ifz_is_asking_it_once():
+    # equivalent in PCF: duplicating a term under `ifz` changes nothing
+    b = Bounds(max_nat=1, max_play_len=12)
+    twice = "f (f 1)"
+    left = denote(parse(f"fun f: nat -> nat -> {twice}"), b)
+    right = denote(parse(f"fun f: nat -> nat -> ifz {twice} then {twice} else {twice}"), b)
+    r = obs_equiv(left, right, b)
+    assert r.bound_exceeded == (0, 0)
+    assert r.equal, r.witness_side
+
+
 # ------------------------------------------------------ brute_force_leq
 
 

@@ -746,9 +746,10 @@ def test_nodes_built_twice_share_their_tables_and_play_alike():
     # move, down to the sum's leaf: two builds share its tables
     first, second = (denote(parse("fun x: nat -> fun y: nat -> x + y"), b) for _ in range(2))
     assert first._routes and first._routes.keys() == second._routes.keys()
-    for m, (ask, into, back, keys) in first._routes.items():
-        ask2, into2, back2, keys2 = second._routes[m]
-        assert len(keys) == 3 and keys == keys2 and ask is not ask2
+    for m, (below, into, back, keys) in first._routes.items():
+        below2, into2, back2, keys2 = second._routes[m]
+        assert len(keys) == 3 and keys == keys2
+        assert below._view_fn is not None and below is not below2
         assert into is into2 and back is back2
         assert (dict(into), dict(back)) == _fresh_fused(keys)
         for table in (into, back):
