@@ -82,8 +82,15 @@ MUTANTS = [
      "forced = innocent_o_move(views) if innocent_opponent else None", "forced = None"),
     ("O-innocence rule: scans only the first prefix", "plays.py",
      "for k in range(0, len(views) - 1, 2):", "for k in range(0, min(len(views) - 1, 1), 2):"),
-    ("observations: a play at the cap without its last O-view", "observation.py",
-     "views += (next_views(views, *moves[-1]),)", "pass"),
+    # a play at the cap, grown by its last round
+    ("observations: a play at the cap without its last O-view", "strategy.py",
+     "        if views:\n", "        if views and i == len(moves) - 2:\n"),
+    ("observations: a cap play's open questions are its parent's", "observation.py",
+     "elif step[0] and last_round(questions, step)[2] == ():",
+     "elif step[0] and step[2] == ():"),
+    ("explore: a cap play's open questions are its parent's", "strategy.py",
+     "elif not complete_only or (step[0] and last_round(questions, step)[2] == ()):",
+     "elif not complete_only or (step[0] and step[2] == ()):"),
     # the view and bracketing recurrences and the move generator
     ("next_views: a Proponent move keeps the O-view before it", "plays.py",
      "return pv, jov + (i,), pvm, jovm + (at_o,)",

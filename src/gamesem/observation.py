@@ -6,8 +6,10 @@ produce (against innocent, single-threaded Opponents) yields the
 strategy's observation: a set of view-sets, which `observations` reads
 off the views `strategy.walk` yields with each play whose open
 questions, which the walk yields too, are none; a play at the length
-cap comes without its own views, and `observations` adds its last
-O-view.  An O-view is held as its moves, the tuple ((move, pointer into
+cap comes with its parent's views and open questions, and
+`observations` grows it by its last round, its open questions and, for
+a complete play, its views (`strategy.last_round`).  An O-view is held
+as its moves, the tuple ((move, pointer into
 the view), ...) the walk yields, since its set already names the arena;
 a `Play` is built only where a view crosses the JSON door (`to_json`,
 `from_json`, which checks the document's shape with `arena.json_check`
@@ -56,6 +58,7 @@ from .strategy import (
     BoundExceeded,
     InnocentStrategy,
     from_view_table,
+    last_round,
     walk,
 )
 
@@ -382,7 +385,10 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     """The O-views of the prefixes of each of sigma's complete
     single-threaded traces, one view-set per play, read off the views
     `walk` carries with each play.  A play is complete when it is
-    nonempty and the open questions `walk` carries with it are none.
+    nonempty and the open questions `walk` carries with it are none.  A
+    play at the cap comes with its parent's, so `last_round` grows its
+    open questions by its last round, and, where it is complete, its
+    views.
 
     Opponent is restricted to innocent, single-threaded behavior.  Plays
     cut short by the length bound contribute nothing, but positions
@@ -391,13 +397,12 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     one tuple per distinct O-view.
     """
     sets, exceeded, oviews = set(), 0, {}   # oviews: O-view moves -> themselves
+    questions = sigma.arena.questions
     for step in walk(sigma, b, innocent_opponent=True):
         if step is None:
             exceeded += 1
-        elif step[2] == () and step[0]:
-            moves, views, _ = step
-            if len(views) == len(moves):   # a play at the cap: add its own O-view
-                views += (next_views(views, *moves[-1]),)
+        elif step[0] and last_round(questions, step)[2] == ():
+            views = last_round(questions, step, views=True)[1]
             sets.add(frozenset(oviews.setdefault(v[3], v[3]) for v in views))
     return ObservationalStrategy(sigma.arena, frozenset(sets), b, exceeded)
 

@@ -42,9 +42,11 @@ a new thread may open.  That is visibility, so every (move, pointer) pair it ret
 the play to a legal one, and exploration checks no play it built:
 `walk` carries each play as its moves, with the views of its prefixes
 one entry per move, and plays each round without a legality pass.  A
-play at the length cap leaves the walk without the views of its last
-move, and a forced Opponent move, the one O-innocence leaves, is played
-without asking `legal_extensions`.
+play at the length cap leaves the walk with the views and open
+questions of its parent, two moves shorter, its last round having
+built only the `next_pview` entry its reply is read off, and a forced
+Opponent move, the one O-innocence leaves, is played without asking
+`legal_extensions`.
 `strategy.tabulate` and the O-view rule grow their move tuples
 through it too.
 
@@ -52,8 +54,10 @@ Bracketing has one rule as well: `next_pending` gives the open
 questions of a play from those of the play one move shorter, and
 `open_questions` folds it over a move tuple, a play's or one view's.
 `pending_questions` is that fold over a play.  `walk` carries its result
-with each play, one move at a time, so `observations` reads completeness
-off the walk; the O-view rule carries it with each view it grows, and
+with each play, one move at a time, so `observations` and `explore`
+read completeness off the walk, growing a play at the cap by its last
+round (`strategy.last_round`); the O-view rule carries it with each
+view it grows, and
 the view-set door and the oracle fold it over a view where they first
 grow that view.
 

@@ -26,7 +26,8 @@ reply) in `walk` and in `observation._play_against` (test runs and the
 oracle) extends the play's views through `plays.next_views` by the
 Opponent move, hands it that entry's P-view, and adds the reply's views
 only where the play goes on; and compose carries each factor's P-view
-the same way, by `plays.next_pview`, the recurrence's P-view half.
+the same way, by `plays.next_pview`, the recurrence's P-view half,
+which is all `walk` builds for a round at the cap.
 `tabulate`, and a composite asking itself a shorter P-view, hand it a
 P-view as its own play, at positions `range(len(key))`, so only
 `_answer` runs a node's function.
@@ -38,13 +39,16 @@ of the reply into that view is already view-relative.
 keeps none: it yields each play it reaches as its moves, with the views
 of its prefixes and its open questions, in order of the moves.  It
 builds only what a reader reads: a play at the length cap is yielded
-straight from its parent's loop, without the views of its last reply or
-a stack entry, and a forced Opponent move, the one O-innocence leaves
-where Opponent has moved at that O-view already, is played without
-generating the moves.  That move is read off the play's views by
-`plays.innocent_o_move`, so a play on the walk's stack is the triple it
-is yielded as and nothing more.
-`explore` folds it into the plays against every Opponent, kept as
+straight from its parent's loop, with its parent's views and open
+questions and no stack entry, its last round having built only the
+P-view its reply is read off; and a forced Opponent move, the one
+O-innocence leaves where Opponent has moved at that O-view already, is
+played without generating the moves.  That move is read off the play's
+views by `plays.innocent_o_move`, so a play on the walk's stack is the
+triple it is yielded as and nothing more.  `last_round` is the one
+rule that grows a play at the cap by its last round, for a reader that
+needs its own open questions or views.
+`explore` folds the walk into the plays against every Opponent, kept as
 their moves and ordered shortest first with one stable sort by length,
 and builds no `Play`: the CLI writes each play straight from its moves,
 and `traces` wraps them at its own door.  `observation.observations`
@@ -248,9 +252,10 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     The views are those of `plays.checked_views`, one entry per prefix,
     shortest first.  A play the walk may extend, one of at most
     b.max_play_len - 2 moves, and the empty play carry their own views
-    last.  A longer play is at the cap: it carries the views of its
-    proper prefixes only, so `len(views) == len(moves)`, and a reader
-    that needs its own gets them as `next_views(views, *moves[-1])`.
+    and open questions, their own views last.  A longer play is at the
+    cap: it carries its parent's, those of the play two moves shorter,
+    so `len(views) == len(moves) - 1`, and a reader that needs its own
+    grows it by its last round with `last_round`.
 
     Opponent ranges over every legal choice, or with `innocent_opponent`
     over the single-threaded, O-innocent ones; Proponent plays sigma's
@@ -263,7 +268,9 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     moves, each before its extensions.  Each child is played when its
     parent is taken off, so every play is extended once.  A child at
     the cap is never extended, so it is yielded straight from its
-    parent's loop, in the same order, and never stacked.
+    parent's loop, in the same order, and never stacked, and its round
+    builds only what sigma reads: the P-view entry of its Opponent move,
+    by `plays.next_pview`, and no O-view, views tuple or open questions.
 
     No play is checked: each stacked play carries the views of its
     prefixes, so `legal_extensions` builds its legal extensions from the
@@ -299,10 +306,11 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
             # second thread: k points into the view, never at ROOT
             o, k = forced
             extensions = ((o, ov[k]),)
+        # a child at the cap needs only the P-view its reply is read off
+        grow = next_pview if at_cap else next_views
         children = []
         for o, j in extensions:
-            e = next_views(views, o, j)
-            so_views = views + (e,)
+            e = grow(views, o, j)
             try:
                 r = sigma._answer(e[2], e[0])
             except BoundExceeded:
@@ -314,13 +322,32 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
                 raise ExplorationIncomplete(reached)
             reached += 1
             sop = s + ((o, j), r)
-            pending_sop = next_pending(questions, next_pending(questions, pending, n, o, j),
-                                       n + 1, *r)
             if at_cap:
-                yield sop, so_views, pending_sop
+                yield sop, views, pending
                 continue
-            children.append((sop, so_views + (next_views(so_views, *r),), pending_sop))
+            so_views = views + (e,)
+            children.append((sop, so_views + (next_views(so_views, *r),),
+                             next_pending(questions, next_pending(questions, pending, n, o, j),
+                                          n + 1, *r)))
         stack += reversed(children)
+
+
+def last_round(questions, step, views: bool = False):
+    """The play `step`, as `walk` yields it, over an arena whose
+    questions are `questions`, with its own open questions, and with
+    `views` its own views too.  A nonempty play at the cap comes with
+    those of its parent, two moves shorter, and is grown here by its
+    last round, the Opponent move and the reply: its open questions by
+    `plays.next_pending` and its views by `plays.next_views`.  This is
+    the one rule for it; any other play is handed back as it is."""
+    moves, vs, pending = step
+    if len(vs) > len(moves):
+        return step
+    for i in (len(moves) - 2, len(moves) - 1):
+        pending = next_pending(questions, pending, i, *moves[i])
+        if views:
+            vs += (next_views(vs, *moves[i]),)
+    return moves, vs, pending
 
 
 def explore(sigma: InnocentStrategy, b: Bounds, complete_only: bool = False) -> TraceResult:
@@ -330,14 +357,15 @@ def explore(sigma: InnocentStrategy, b: Bounds, complete_only: bool = False) -> 
     walk gives them in order of their moves, so a stable sort by length
     alone puts them in that order.  No `Play` is built.  With
     `complete_only`, only the complete plays are kept: nonempty, with
-    no open question by the walk's count.  Positions where the response
+    no open question by the walk's count, which `last_round` grows by
+    the last round of a play at the cap.  Positions where the response
     computation hit an interaction bound are counted, not silently
     dropped."""
-    plays, exceeded = [], 0
+    plays, exceeded, questions = [], 0, sigma.arena.questions
     for step in walk(sigma, b):
         if step is None:
             exceeded += 1
-        elif not complete_only or (step[2] == () and step[0]):
+        elif not complete_only or (step[0] and last_round(questions, step)[2] == ()):
             plays.append(step[0])
     plays.sort(key=len)
     return TraceResult(sigma.arena, tuple(plays), exceeded)

@@ -223,10 +223,11 @@ def test_observations_of_bottom_empty():
 
 @pytest.mark.parametrize("e", CORPUS, ids=lambda e: e.name)
 def test_observations_are_the_reference_oviews_of_complete_plays(e):
-    # observations reads the view-sets off walk's views, and adds the
-    # last O-view of a play at the cap, which the walk yields without
-    # it; the reference reads each complete play's prefixes afresh.  At
-    # the entry's cap, and at odd and small ones.
+    # observations reads the view-sets off walk's views, and grows a
+    # play at the cap, which the walk yields with its parent's views and
+    # open questions, by its last round; the reference reads each
+    # complete play's prefixes afresh.  At the entry's cap, and at odd
+    # and small ones.
     sigma = e.build()
     for cap in (e.bounds.max_play_len, 1, 2, 3, 5, 7, 9):
         b = replace(e.bounds, max_play_len=cap)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -50,6 +51,7 @@ from gamesem.strategy import (
     copycat,
     explore,
     from_view_table,
+    last_round,
     mirror_strategy,
     pair_strategies,
     prefix_map,
@@ -242,8 +244,16 @@ def test_explore_gives_the_reference_plays_in_print_order():
 _REC_EVERY = Bounds(max_nat=1, max_play_len=14, fix_depth=2)
 
 
+def _at_cap(moves, b: Bounds) -> bool:
+    """Is the play `moves`, which `walk` yields at `b`, at the cap, so
+    that it carries its parent's views and open questions?"""
+    return bool(moves) and len(moves) + 2 > b.max_play_len
+
+
 @pytest.mark.parametrize("innocent_opponent", [False, True])
 def test_walk_carries_each_plays_open_questions_in_order_of_moves(innocent_opponent):
+    # every play walk yields carries its own open questions, unless it
+    # is a nonempty play at the cap, which carries its parent's
     kinds = Counter()
     for e in CORPUS:
         b = _REC_EVERY if e.name == "rec_zero" and not innocent_opponent else e.bounds
@@ -252,7 +262,8 @@ def test_walk_carries_each_plays_open_questions_in_order_of_moves(innocent_oppon
         assert walked[0][0] == ()
         assert [moves for moves, _, _ in walked] == sorted(moves for moves, _, _ in walked)
         for moves, _, pending in walked:
-            assert pending == pending_questions(Play(sigma.arena, moves)), (e.name, moves)
+            carried = moves[:-2] if _at_cap(moves, b) else moves
+            assert pending == pending_questions(Play(sigma.arena, carried)), (e.name, moves)
             kinds[pending if pending in (None, ()) else "open"] += 1
     assert kinds[()] and kinds["open"]
     # an Opponent free to answer any question it sees breaks the brackets
@@ -510,8 +521,9 @@ ROUND_NODES = {
 @pytest.mark.parametrize("build", ROUND_NODES.values(), ids=ROUND_NODES.keys())
 def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
     # walk and run_test carry a play's views one round at a time: every
-    # play walk yields carries the views of its prefixes, its own last
-    # unless it is a nonempty play at the cap, and every run
+    # play walk yields carries the views of its prefixes, its own last,
+    # unless it is a nonempty play at the cap, which carries its
+    # parent's, those of the play two moves shorter; and every run
     # `_play_against` stops at is the views of its play's prefixes, the
     # play read back from them: each move is the last of its mover's own
     # view, its pointer read through that view's positions
@@ -522,9 +534,9 @@ def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
         for innocent_opponent in (False, True):
             walked = [step for step in walk(sigma, b, innocent_opponent) if step is not None]
             for moves, views, _ in walked:
-                at_cap = bool(moves) and len(moves) + 2 > cap
+                at_cap = _at_cap(moves, b)
                 kinds[at_cap] += 1
-                want = checked_views(Play(sigma.arena, moves[:-1] if at_cap else moves))
+                want = checked_views(Play(sigma.arena, moves[:-2] if at_cap else moves))
                 assert views == tuple(want), (innocent_opponent, moves)
     assert kinds[True] > 2 and kinds[False] > 2
     runs = []
@@ -547,6 +559,30 @@ def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
             m, ptr = own[-1]
             moves.append((m, ROOT if ptr == ROOT else positions[ptr]))
         assert views == tuple(checked_views(Play(sigma.arena, tuple(moves))))
+
+
+def test_the_last_round_grows_a_cap_play_to_its_own_views_and_open_questions():
+    # `last_round` gives every play walk yields its own views and open
+    # questions: a cap play grown by its last round, any other as it is
+    grown = Counter()
+    for build in ROUND_NODES.values():
+        for cap in CAPS:
+            b = Bounds(max_nat=1, max_play_len=cap)
+            sigma = build(b)
+            questions = sigma.arena.questions
+            for innocent_opponent in (False, True):
+                for step in filter(None, walk(sigma, b, innocent_opponent)):
+                    moves = step[0]
+                    play = Play(sigma.arena, moves)
+                    got = last_round(questions, step, views=True)
+                    assert got == (moves, tuple(checked_views(play)), pending_questions(play)), \
+                        (sigma.name, cap, moves)
+                    assert last_round(questions, step)[::2] == got[::2]
+                    if _at_cap(moves, b):
+                        grown[cap] += 1
+                    else:
+                        assert last_round(questions, step) is step
+    assert sorted(grown) == [2, 3, 5, 7, 8, 9]
 
 
 def test_the_innocent_walk_plays_a_forced_opponent_move_without_search(monkeypatch):
@@ -868,9 +904,11 @@ def _projections(monkeypatch):
     """Patch `strategy.next_pview`, which compose's `append` calls once
     per move of a factor's projection, to record the moves of the play
     each entry it makes belongs to: those of the entry it extends, the
-    last of the views it is handed, then the move.  Entries are keyed by
-    their own ids, which a composite resuming from a copy of its lists
-    of views keeps.  Compose nodes built afterwards use the patch.
+    last of the views it is handed, then the move.  Only `append`'s
+    calls are recorded: `walk` asks the recurrence too, for a child at
+    the cap, and that entry is no factor's.  Entries are keyed by their
+    own ids, which a composite resuming from a copy of its lists of
+    views keeps.  Compose nodes built afterwards use the patch.
     Returns a map from each entry made, and from the ids of its P-view
     moves and positions, to (the entry, the moves of the projection it
     was made for)."""
@@ -878,6 +916,9 @@ def _projections(monkeypatch):
 
     def recording(views, move, ptr, real=strategy.next_pview):
         entry = real(views, move, ptr)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name != "append" or caller.f_globals is not vars(strategy):
+            return entry
         last, moves = made[id(views[-1])]
         assert last is views[-1], "a list of views not grown by the recurrence"
         made[id(entry)] = made[id(entry[2]), id(entry[0])] = (entry, moves + ((move, ptr),))
