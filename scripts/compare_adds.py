@@ -14,7 +14,7 @@ from gamesem.bounds import Bounds
 from gamesem.corpus import CorpusEntry, entry
 from gamesem.equiv import obs_equiv
 from gamesem.observation import observations
-from gamesem.pcf import builtin
+from gamesem.pcf import make_add
 from gamesem.plays import Play
 from gamesem.strategy import traces
 
@@ -30,8 +30,8 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     b = Bounds(max_nat=ns.max_nat, max_play_len=ns.max_play_len)
 
-    lr = builtin("add_LR", b.max_nat)
-    rl = builtin("add_RL", b.max_nat)
+    lr = make_add(("L", "R"), b.max_nat)
+    rl = make_add(("R", "L"), b.max_nat)
     t1, t2 = traces(lr, b), traces(rl, b)
     print(f"bounds: {b.to_json()}")
     print(f"trace sets: left-first {len(t1)} plays, "

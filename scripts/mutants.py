@@ -38,6 +38,9 @@ MEMORY_BYTES = 2 << 30
 
 # (name, file under src/gamesem, the source, its replacement)
 MUTANTS = [
+    # the arena door
+    ("arena: an initial move some move enables", "arena.py",
+     "if b in self.initials:", "if False:"),
     # a node is asked with the P-view it keys on
     ("answer: reply pointer not read through positions", "strategy.py",
      "return None if r is None else (r[0], positions[r[1]])",

@@ -18,15 +18,14 @@ from .observation import (
     ObservationalStrategy,
     TestVerdict,
     induced_test,
-    is_o_deterministic,
     is_observational,
     obs_leq,
     observations,
     prefix_oviews,
     run_test,
 )
-from .pcf import PcfError, PcfParseError, PcfTypeError, denote, parse, parse_type, typecheck
-from .plays import ROOT, Play, is_complete, is_legal, oview, pview
+from .pcf import PcfError, PcfParseError, PcfTypeError, denote, parse, typecheck
+from .plays import ROOT, Play, is_complete, oview, pview
 from .strategy import (
     BoundExceeded,
     InnocentStrategy,
@@ -43,10 +42,10 @@ __all__ = [
     "product", "Bounds", "EquivReport", "LawsReport", "LeqReport",
     "brute_force_leq", "check_category_laws", "enumerate_closed_odet_sets",
     "obs_equiv", "ODetSet", "ObservationalStrategy", "TestVerdict",
-    "induced_test", "is_o_deterministic", "is_observational", "obs_leq",
-    "observations", "prefix_oviews", "run_test", "PcfError",
-    "PcfParseError", "PcfTypeError", "denote", "parse", "parse_type",
-    "typecheck", "ROOT", "Play", "is_complete", "is_legal", "oview", "pview",
+    "induced_test", "is_observational", "obs_leq", "observations",
+    "prefix_oviews", "run_test", "PcfError", "PcfParseError",
+    "PcfTypeError", "denote", "parse", "typecheck", "ROOT", "Play",
+    "is_complete", "oview", "pview",
     "BoundExceeded", "InnocentStrategy", "as_thunk", "compose", "copycat",
     "explore", "tabulate", "traces",
 ]

@@ -169,11 +169,10 @@ class Arena:
     def enables(self, enabler: str, enabled: str) -> bool:
         return (enabler, enabled) in self.enabling_pairs
 
-    def is_initial(self, move: str) -> bool:
-        return move in self.initials
-
     def validate(self) -> None:
-        """Check the arena invariants, raising ValueError on violation."""
+        """Check the arena invariants, raising ValueError on violation.
+        An initial move is enabled by the root alone (Hyland & Ong
+        2000, axiom (e1)), so no move enables one."""
         ids = [m for m, _ in self.labels]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate move ids")
@@ -189,6 +188,8 @@ class Arena:
                 raise ValueError(f"enabling pair ({a!r}, {b!r}) does not alternate polarity")
             if not self.label(a).is_question:
                 raise ValueError(f"answers enable nothing, but {a!r} enables {b!r}")
+            if b in self.initials:
+                raise ValueError(f"initial move {b!r} is enabled by {a!r}")
         enabled = {b for _, b in self.enabling}
         for m in self.moves:
             if m not in self.initials and m not in enabled:

@@ -2,10 +2,11 @@
 
 Everything here is finite on purpose: arenas for natural numbers carry
 numerals 0..max_nat, plays are explored up to max_play_len moves
-(interactions count their hidden moves against the same figure), views
-enumerated for testing are capped at max_view_len, and recursion is
-unrolled fix_depth times.  Results are only meaningful relative to a
-Bounds value, so reports carry the bounds they were computed at.
+(interactions count their hidden moves against the same figure), the
+O-views in the test oracle's tests are capped at max_view_len, and
+recursion is unrolled fix_depth times.  Results are only meaningful
+relative to a Bounds value, so reports carry the bounds they were
+computed at.
 """
 from __future__ import annotations
 

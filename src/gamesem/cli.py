@@ -47,7 +47,7 @@ from .strategy import (
     StrategyError,
     TraceResult,
     explore,
-    tabulation_to_json,
+    tabulate,
 )
 
 
@@ -232,7 +232,8 @@ def cmd_denote(ns) -> int:
         "arena": sigma.arena.to_json(),
         "bounds": b.to_json(),
         "type": str(ty),
-        "views": tabulation_to_json(sigma, b),
+        "views": [{"view": v.to_json(), "response": {"m": m, "ptr": p}}
+                  for v, (m, p) in tabulate(sigma, b)],
     })
     return 0
 
@@ -326,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-nat", type=int, default=Bounds.max_nat,
                         help="largest numeral distinguished (default %(default)s)")
     common.add_argument("--max-play-len", type=int, default=Bounds.max_play_len,
-                        help="play and interaction length cap (default %(default)s)")
+                        help="play and interaction length cap; bound_exceeded counts "
+                             "interactions cut at it, not plays (default %(default)s)")
     common.add_argument("--max-view-len", type=int, default=Bounds.max_view_len,
-                        help="view length cap for enumeration (default %(default)s)")
+                        help="longest O-view in the test oracle's tests (default %(default)s)")
     common.add_argument("--fix-depth", type=int, default=Bounds.fix_depth,
                         help="fixpoint unrolling depth (default %(default)s)")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .arena import arrow, make_nat_arena, product
 from .bounds import Bounds
-from .pcf import builtin, denote, make_add, parse
+from .pcf import denote, make_add, parse
 from .plays import ROOT
 from .strategy import InnocentStrategy, mirror_strategy, prefix_swap
 
@@ -65,8 +65,8 @@ class CorpusEntry:
             s.name = self.name
             return s
         builders = {
-            "add_LR": lambda: builtin("add_LR", b.max_nat),
-            "add_RL": lambda: builtin("add_RL", b.max_nat),
+            "add_LR": lambda: make_add(("L", "R"), b.max_nat),
+            "add_RL": lambda: make_add(("R", "L"), b.max_nat),
             "add_LLR": lambda: make_add(("L", "L", "R"), b.max_nat),
             "proj_fst": lambda: proj_strategy("L", b.max_nat),
             "proj_snd": lambda: proj_strategy("R", b.max_nat),
@@ -116,10 +116,6 @@ def entry(name: str) -> CorpusEntry:
         if e.name == name:
             return e
     raise KeyError(name)
-
-
-def build_corpus() -> list[tuple[str, InnocentStrategy, Bounds]]:
-    return [(e.name, e.build(), e.bounds) for e in CORPUS]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .observation import (
     sorted_views,
     viewset_key,
 )
-from .pcf import builtin, denote, parse, succ_strategy
+from .pcf import denote, make_add, parse, succ_strategy
 from .plays import open_questions
 from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
 
@@ -288,7 +288,7 @@ def _law_strategies(b: Bounds) -> list[tuple[str, InnocentStrategy]]:
     return [
         ("numeral_2_thunk", as_thunk(denote(parse("2"), b))),
         ("succ", succ_strategy(b.max_nat)),
-        ("add_LR", builtin("add_LR", b.max_nat)),
+        ("add_LR", make_add(("L", "R"), b.max_nat)),
         ("proj_fst", proj_strategy("L", b.max_nat)),
     ]
 
@@ -333,8 +333,8 @@ def check_category_laws(b: Bounds) -> LawsReport:
 
     pb = Bounds(max_nat=2, max_play_len=6, max_view_len=b.max_view_len,
                 fix_depth=b.fix_depth)
-    s1 = builtin("add_LR", pb.max_nat)
-    s2 = builtin("add_RL", pb.max_nat)
+    s1 = make_add(("L", "R"), pb.max_nat)
+    s2 = make_add(("R", "L"), pb.max_nat)
     premise = observations(s1, pb).sets == observations(s2, pb).sets
     ctx = applier(pb.max_nat)
     c1 = observations(compose(as_thunk(s1), ctx, _interaction_bounds(pb)), pb)

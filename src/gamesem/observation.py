@@ -154,18 +154,6 @@ def _opponent_table(arena: Arena, views: frozenset[tuple]):
     return table
 
 
-def odet_violation(arena: Arena, views: frozenset[tuple]):
-    """Why `views`, a set of move tuples, fails to be an
-    O-deterministic view-set over `arena`, or None: the reason
-    `_opponent_table` gives."""
-    got = _opponent_table(arena, views)
-    return got if isinstance(got, str) else None
-
-
-def is_o_deterministic(arena: Arena, views: frozenset[tuple]) -> bool:
-    return odet_violation(arena, views) is None
-
-
 @dataclass(frozen=True)
 class ODetSet:
     """A prefix-closed, O-deterministic set of O-views over one arena,

@@ -328,21 +328,6 @@ class _Parser:
         raise PcfParseError(f"expected a type, found {t.text or 'end of input'!r}", t.pos)
 
 
-def _parse_all(source: str, rule):
-    """Parse the whole of `source` by the `_Parser` method `rule`.  A
-    term nested deeper than the parser's recursion can follow is a
-    parse error at the last token it read."""
-    p = _Parser(tokenize(source))
-    try:
-        out = rule(p)
-    except RecursionError:
-        raise PcfParseError("term nested too deeply", p.toks[p.i - 1].pos) from None
-    tail = p.peek()
-    if tail.kind != "eof":
-        raise PcfParseError(f"trailing input starting at {tail.text!r}", tail.pos)
-    return out
-
-
 # The most terms a parsed term may nest one inside another, the term
 # itself and its leaves included.  The CLI's JSON writer recurses once
 # per level, so it writes every term this lets through within Python's
@@ -355,10 +340,19 @@ MAX_NESTING = 400
 
 
 def parse(source: str) -> Term:
-    """The term `source` holds; PcfParseError if it does not parse or
-    nests more than MAX_NESTING terms deep, the latter at the first
-    term too deep in source order."""
-    term = _parse_all(source, _Parser.term)
+    """The term the whole of `source` holds; PcfParseError if it does
+    not parse or nests more than MAX_NESTING terms deep, the latter at
+    the first term too deep in source order.  A term nested deeper than
+    the parser's recursion can follow is refused at the last token it
+    read."""
+    p = _Parser(tokenize(source))
+    try:
+        term = p.term()
+    except RecursionError:
+        raise PcfParseError("term nested too deeply", p.toks[p.i - 1].pos) from None
+    tail = p.peek()
+    if tail.kind != "eof":
+        raise PcfParseError(f"trailing input starting at {tail.text!r}", tail.pos)
     depth, level = 0, [term]   # the terms at one depth, in source order
     while level:
         depth += 1
@@ -366,10 +360,6 @@ def parse(source: str) -> Term:
             raise PcfParseError("term nested too deeply", level[0].pos)
         level = [c for t in level for c in vars(t).values() if isinstance(c, Term)]
     return term
-
-
-def parse_type(source: str) -> Ty:
-    return _parse_all(source, _Parser.type_greedy)
 
 
 # ----------------------------------------------------------- typechecker
@@ -500,14 +490,6 @@ def make_add(order: tuple[str, ...], max_nat: int) -> InnocentStrategy:
     return interrogate(arrow(product(n, n), n), f"add_{''.join(order)}",
                        tuple(f"L.{c}.q" for c in order),
                        lambda ks: min(sum(dict(zip(order, ks)).values()), max_nat))
-
-
-def builtin(name: str, max_nat: int) -> InnocentStrategy:
-    if name == "add_LR":
-        return make_add(("L", "R"), max_nat)
-    if name == "add_RL":
-        return make_add(("R", "L"), max_nat)
-    raise ValueError(f"unknown builtin {name!r}")
 
 
 def eval_strategy(fn_arena: Arena) -> InnocentStrategy:

@@ -52,8 +52,8 @@ through it too.
 
 Bracketing has one rule as well: `next_pending` gives the open
 questions of a play from those of the play one move shorter, and
-`open_questions` folds it over a move tuple, a play's or one view's.
-`pending_questions` is that fold over a play.  `walk` carries its result
+`open_questions` folds it over a move tuple, a play's or one view's;
+`is_complete` reads it off a play's moves.  `walk` carries its result
 with each play, one move at a time, so `observations` and `explore`
 read completeness off the walk, growing a play at the cap by its last
 round (`strategy.last_round`); the O-view rule carries it with each
@@ -85,9 +85,9 @@ _PLAY_SHAPE = {"moves": [{"m": str, "ptr": int}]}
 class Play:
     """A justified sequence over an arena.
 
-    The constructor does not check legality; use `is_legal` or
-    `legality_violation`.  Moves are (move id, pointer) pairs with
-    pointer ROOT (-1) for unjustified occurrences.
+    The constructor does not check legality; `checked_views` does, and
+    `legality_violation` names the first failure.  Moves are (move id,
+    pointer) pairs with pointer ROOT (-1) for unjustified occurrences.
     """
 
     arena: Arena
@@ -95,10 +95,6 @@ class Play:
 
     def __len__(self) -> int:
         return len(self.moves)
-
-    @property
-    def last(self) -> tuple[str, int]:
-        return self.moves[-1]
 
     def extend(self, move: str, ptr: int) -> "Play":
         return Play(self.arena, self.moves + ((move, ptr),))
@@ -209,10 +205,6 @@ def legality_violation(s: Play, views: list | None = None) -> str | None:
     return None
 
 
-def is_legal(s: Play) -> bool:
-    return legality_violation(s) is None
-
-
 def checked_views(s: Play) -> list:
     """The views of every prefix of s, shortest first, as `next_views`
     gives them: positions ascend in s, and moves point into the view.
@@ -246,7 +238,7 @@ def oview(s: Play) -> Play:
 
 def next_pending(questions, pending: tuple[int, ...] | None, i: int, move: str,
                  ptr: int) -> tuple[int, ...] | None:
-    """The open questions of the play s·m, as `pending_questions` gives
+    """The open questions of the play s·m, as `open_questions` gives
     them, from those of s; `i` is m's position and `questions` the
     arena's.  None stays None, and an answer that does not answer the
     innermost open question gives None."""
@@ -260,22 +252,16 @@ def next_pending(questions, pending: tuple[int, ...] | None, i: int, move: str,
 
 
 def open_questions(questions, moves) -> tuple[int, ...] | None:
-    """The open questions of the move tuple `moves`, a legal play or
-    one view of it with pointers into the view, over an arena whose
-    questions are `questions`, or None if it is not well-bracketed:
-    `next_pending` folded over its moves."""
+    """The positions of the questions still unanswered in the move
+    tuple `moves`, a legal play or one view of it with pointers into
+    the view, over an arena whose questions are `questions`, innermost
+    last; None if it is not well-bracketed, that is, as soon as an
+    answer does not answer the innermost open question.  `next_pending`
+    folded over its moves."""
     pending: tuple[int, ...] | None = ()
     for i, (m, ptr) in enumerate(moves):
         pending = next_pending(questions, pending, i, m, ptr)
     return pending
-
-
-def pending_questions(s: Play) -> tuple[int, ...] | None:
-    """Positions of the questions of s still unanswered, innermost last;
-    None if s is not well-bracketed, that is, as soon as an answer does
-    not answer the innermost open question.  `open_questions` of its
-    moves."""
-    return open_questions(s.arena.questions, s.moves)
 
 
 def is_complete(s: Play) -> bool:
@@ -284,7 +270,7 @@ def is_complete(s: Play) -> bool:
     The empty play is not complete: completion means an interrogation
     actually happened and every question in it was answered.
     """
-    return len(s.moves) > 0 and pending_questions(s) == ()
+    return len(s.moves) > 0 and open_questions(s.arena.questions, s.moves) == ()
 
 
 def innocent_o_move(views):

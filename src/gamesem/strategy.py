@@ -245,9 +245,10 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
     the empty play first, yielded as (its moves, the views of its
     prefixes, its open questions), and None for each position where
     sigma's reply hit an interaction bound.  The open questions are
-    `plays.pending_questions` of the play: a tuple of positions, or None
-    once the play is not well-bracketed.  No play is kept: `explore` and
-    `observation.observations` are two folds over this walk.
+    `plays.open_questions` of the play's moves: a tuple of positions, or
+    None once the play is not well-bracketed.  No play is kept:
+    `explore` and `observation.observations` are two folds over this
+    walk.
 
     The views are those of `plays.checked_views`, one entry per prefix,
     shortest first.  A play the walk may extend, one of at most
@@ -410,13 +411,6 @@ def tabulate(sigma: InnocentStrategy, b: Bounds) -> list[tuple[Play, tuple[str, 
     out = [(Play(arena, k), e) for k, e in entries.items()]
     out.sort(key=lambda ve: json.dumps(ve[0].to_json(), sort_keys=True))
     return out
-
-
-def tabulation_to_json(sigma: InnocentStrategy, b: Bounds) -> list[dict]:
-    return [
-        {"view": v.to_json(), "response": {"m": m, "ptr": p}}
-        for v, (m, p) in tabulate(sigma, b)
-    ]
 
 
 def from_view_table(arena: Arena, name: str, table: dict[tuple, tuple[str, int]]) -> InnocentStrategy:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from gamesem.arena import arrow, make_nat_arena, make_sigma
 from gamesem.bounds import Bounds
-from gamesem.corpus import PAIRS, build_corpus, build_pair, entry
+from gamesem.corpus import CORPUS, PAIRS, build_pair, entry
 from gamesem.equiv import (
     brute_force_leq,
     check_category_laws,
@@ -22,7 +22,6 @@ from gamesem.equiv import (
 from gamesem.observation import (
     ODetSet,
     ObservationalStrategy,
-    is_o_deterministic,
     is_observational,
     obs_leq,
     observations,
@@ -30,7 +29,7 @@ from gamesem.observation import (
     run_test,
 )
 from gamesem.observation import TestVerdict as Verdict
-from gamesem.pcf import builtin
+from gamesem.pcf import make_add
 from gamesem.plays import (
     ROOT,
     Play,
@@ -56,8 +55,8 @@ def report(n: int, ok: bool, desc: str) -> bool:
 
 def test_criterion_1_orders_differ_in_traces_not_in_content():
     b = Bounds(max_nat=2, max_play_len=6)
-    lr = builtin("add_LR", 2)
-    rl = builtin("add_RL", 2)
+    lr = make_add(("L", "R"), 2)
+    rl = make_add(("R", "L"), 2)
     t1 = traces(lr, b)
     t2 = traces(rl, b)
     probe_l = Play(lr.arena, (("R.q", ROOT), ("L.L.q", 0)))
@@ -122,8 +121,8 @@ def test_criterion_3_complete_traces_induce_deterministic_view_sets():
     got_counts = {}
     bad = []
     exceeded = 0
-    for name, sigma, b in build_corpus():
-        tr = innocent_explore(sigma, b)
+    for e in CORPUS:
+        tr = innocent_explore(e.build(), e.bounds)
         exceeded += tr.bound_exceeded
         fams = set()
         for s in played(tr):
@@ -131,9 +130,11 @@ def test_criterion_3_complete_traces_induce_deterministic_view_sets():
                 continue
             vs = prefix_oviews(s)
             fams.add(vs)
-            if not is_o_deterministic(sigma.arena, vs):
-                bad.append((name, s))
-        got_counts[name] = len(fams)
+            try:
+                ODetSet(tr.arena, vs)
+            except ValueError:
+                bad.append((e.name, s))
+        got_counts[e.name] = len(fams)
     ok = not bad and exceeded == 0 and got_counts == SET_COUNTS
     assert report(3, ok, "every complete single-threaded trace of all "
                          f"{len(SET_COUNTS)} corpus strategies yields a "
@@ -218,14 +219,14 @@ def test_criterion_6_mutual_order_without_equality():
 
 def test_criterion_7_observable_content_is_a_realisable_antichain():
     offenders = []
-    for name, sigma, b in build_corpus():
-        x = observations(sigma, b)
+    for e in CORPUS:
+        x = observations(e.build(), e.bounds)
         if not is_observational(x):
-            offenders.append((name, "not realisable"))
+            offenders.append((e.name, "not realisable"))
         for s in x.sets:
             for t in x.sets:
                 if s != t and s <= t:
-                    offenders.append((name, "strict inclusion"))
+                    offenders.append((e.name, "strict inclusion"))
     ok = not offenders
     assert report(7, ok, "every corpus strategy's observable content is a "
                          "realisable antichain")

@@ -100,6 +100,8 @@ def _doc(moves, enabling=(), initials=("q",)):
                  id="same_polarity_enabling"),
     pytest.param(_doc([("q", "OQ"), ("a", "PA"), ("x", "OQ")], [("q", "a"), ("a", "x")]),
                  "answers enable nothing, but 'a' enables 'x'", id="answer_enabling"),
+    pytest.param(_doc([("q", "OQ"), ("p", "PQ")], [("q", "p"), ("p", "q")]),
+                 "initial move 'q' is enabled by 'p'", id="enabled_initial"),
     pytest.param(_doc([("q", "OQ"), ("a", "PA")]),
                  "non-initial move 'a' has no enabler", id="orphan_move"),
 ])

@@ -17,9 +17,9 @@ from gamesem.equiv import (
     enumerate_closed_odet_sets,
     obs_equiv,
 )
-from gamesem.observation import ObservationalStrategy
+from gamesem.observation import ODetSet, ObservationalStrategy
 from gamesem.observation import TestVerdict as Verdict
-from gamesem.observation import is_o_deterministic, oview_steps, run_test, viewset_key
+from gamesem.observation import oview_steps, run_test, viewset_key
 from gamesem.pcf import denote, parse
 from gamesem.plays import ROOT, Play
 from gamesem.strategy import InnocentStrategy
@@ -120,7 +120,7 @@ def test_closed_sets_are_all_deterministic():
     assert frozenset() in sets
     assert frozenset({()}) in sets
     for vs in sets:
-        assert is_o_deterministic(a, vs)
+        ODetSet(a, vs)
 
 
 def _moves(sets):

@@ -16,18 +16,16 @@ from gamesem.observation import (
     ODetSet,
     ObservationalStrategy,
     induced_test,
-    is_o_deterministic,
     is_observational,
     obs_leq,
     observations,
-    odet_violation,
     prefix_oviews,
     run_test,
     sorted_views,
     viewset_key,
 )
 from gamesem.observation import TestVerdict as Verdict
-from gamesem.pcf import builtin, denote, parse
+from gamesem.pcf import denote, make_add, parse
 from gamesem.plays import ROOT, Play
 from gamesem.strategy import BoundExceeded, InnocentStrategy, as_thunk, compose
 from mutations import mutated
@@ -62,7 +60,7 @@ def test_prefix_oviews_of_interrogation():
 
 def test_odet_accepts_interrogation_views():
     s = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.2", 0))
-    assert is_o_deterministic(ARROW, prefix_oviews(s))
+    ODetSet(ARROW, prefix_oviews(s))
 
 
 def test_odet_rejects_unclosed_set():
@@ -71,8 +69,8 @@ def test_odet_rejects_unclosed_set():
         (("q", ROOT), ("2", 0)),
         (("q", ROOT), ("1", 0)),
     })
-    reason = odet_violation(N2, views)
-    assert reason is not None and "prefix" in reason
+    with pytest.raises(ValueError, match="prefix"):
+        ODetSet(N2, views)
 
 
 def test_odet_rejects_opponent_branching():
@@ -84,8 +82,8 @@ def test_odet_rejects_opponent_branching():
         (("R.q", ROOT), ("L.q", 0), ("L.0", 1)),
         (("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
     })
-    reason = odet_violation(ARROW, views)
-    assert reason is not None and "Opponent" in reason
+    with pytest.raises(ValueError, match="Opponent"):
+        ODetSet(ARROW, views)
 
 
 def test_odet_allows_proponent_answer_branching():
@@ -96,7 +94,7 @@ def test_odet_allows_proponent_answer_branching():
         (("q", ROOT), ("2", 0)),
         (("q", ROOT), ("1", 0)),
     })
-    assert odet_violation(N2, views) is None
+    ODetSet(N2, views)
 
 
 def test_odet_allows_proponent_branching():
@@ -108,7 +106,7 @@ def test_odet_allows_proponent_branching():
         (("R.q", ROOT), ("L.q", 0), ("L.1", 1)),
         (("R.q", ROOT), ("R.0", 0)),
     })
-    assert is_o_deterministic(ARROW, views)
+    ODetSet(ARROW, views)
 
 
 def test_odet_rejects_two_initials():
@@ -116,7 +114,8 @@ def test_odet_rejects_two_initials():
     from gamesem.arena import product
     pa = product(N2, N2)
     bad = frozenset({(), (("L.q", ROOT),), (("R.q", ROOT),)})
-    assert odet_violation(pa, bad) is not None
+    with pytest.raises(ValueError, match=r"two Opponent continuations after Play\[\]$"):
+        ODetSet(pa, bad)
 
 
 def test_odet_set_make_closes_prefixes():
@@ -173,7 +172,7 @@ def test_odet_set_json_roundtrip():
 def test_documents_without_an_arena_are_refused():
     b = Bounds(max_nat=2, max_play_len=6)
     docs = [(ODetSet, ODetSet.make(N2, [(("q", ROOT), ("1", 0))]).to_json()),
-            (ObservationalStrategy, observations(builtin("add_LR", 2), b).to_json())]
+            (ObservationalStrategy, observations(make_add(("L", "R"), 2), b).to_json())]
     for cls, doc in docs:
         with pytest.raises(ValueError, match="^no arena given and none embedded"):
             cls.from_json(doc)
@@ -210,7 +209,7 @@ def test_run_test_empty_set_is_bot():
 
 def test_observations_of_add():
     b = Bounds(max_nat=2, max_play_len=6)
-    x = observations(builtin("add_LR", 2), b)
+    x = observations(make_add(("L", "R"), 2), b)
     assert len(x.sets) == 9  # one per answer pair (m, n) with m, n <= 2
     assert x.bound_exceeded == 0
 
@@ -257,8 +256,8 @@ def test_observations_complete_plays_only():
 
 def test_obs_leq_and_equality():
     b = Bounds(max_nat=2, max_play_len=6)
-    x = observations(builtin("add_LR", 2), b)
-    y = observations(builtin("add_RL", 2), b)
+    x = observations(make_add(("L", "R"), 2), b)
+    y = observations(make_add(("R", "L"), 2), b)
     assert obs_leq(x, y) and obs_leq(y, x)
     assert x.sets == y.sets
 
@@ -284,8 +283,8 @@ def test_obs_leq_can_fail_and_hold_one_way_only(left, right, holds):
 
 def test_is_observational_on_real_obs():
     b = Bounds(max_nat=2, max_play_len=6)
-    for name in ("add_LR", "add_RL"):
-        assert is_observational(observations(builtin(name, 2), b))
+    for order in (("L", "R"), ("R", "L")):
+        assert is_observational(observations(make_add(order, 2), b))
 
 
 def test_is_observational_rejects_unseparated():
@@ -306,12 +305,12 @@ def test_is_observational_rejects_unseparated():
 
 def test_observational_strategy_json_roundtrip_and_order():
     b = Bounds(max_nat=2, max_play_len=6)
-    x = observations(builtin("add_LR", 2), b)
+    x = observations(make_add(("L", "R"), 2), b)
     doc = x.to_json(include_arena=True)
     y = ObservationalStrategy.from_json(doc)
     assert y.sets == x.sets and y.arena == x.arena
     blob1 = json.dumps(doc, sort_keys=True)
-    blob2 = json.dumps(observations(builtin("add_LR", 2), b).to_json(include_arena=True),
+    blob2 = json.dumps(observations(make_add(("L", "R"), 2), b).to_json(include_arena=True),
                        sort_keys=True)
     assert blob1 == blob2
 
@@ -456,12 +455,16 @@ def _ref_table(arena, views):
 
 
 def _check_door_against_reference(arena, views):
+    """The door's reason for refusing `views`, its kind alone, or
+    "accepted"; the door refuses where the references do, and
+    otherwise builds their table."""
     want = _ref_table(arena, views)
     if want is None:
-        with pytest.raises(ValueError, match="^not an O-deterministic view-set: "):
+        with pytest.raises(ValueError, match="^not an O-deterministic view-set: ") as e:
             ODetSet(arena, views)
-    else:
-        assert ODetSet(arena, views)._table == want
+        return str(e.value).split(": ")[1]
+    assert ODetSet(arena, views)._table == want
+    return "accepted"
 
 
 # The arenas the door is checked on against the references, each with
@@ -503,9 +506,7 @@ def test_door_agrees_with_the_references_on_every_one_move_extension():
         for v in views:
             for m in sorted(arena.moves):
                 for ptr in range(-1, len(v) + 1):
-                    vs = V(*v, (m, ptr))
-                    _check_door_against_reference(arena, vs)
-                    kinds[(odet_violation(arena, vs) or "accepted").split(":")[0]] += 1
+                    kinds[_check_door_against_reference(arena, V(*v, (m, ptr)))] += 1
     assert set(kinds) == {"accepted", "element is not an O-view",
                           "element has several initial moves", "element is not well-bracketed"}
 
@@ -630,4 +631,4 @@ def test_observation_door_reads_or_refuses_mutated_documents(doc):
         x = ObservationalStrategy.from_json(doc)
     except ValueError:
         return
-    assert all(odet_violation(x.arena, vs) is None for vs in x.sets)
+    assert all(ODetSet(x.arena, vs).views == vs for vs in x.sets)

@@ -20,12 +20,10 @@ from gamesem.pcf import (
     TFun,
     Var,
     arena_type,
-    builtin,
     denote,
     ifz_strategy,
     make_add,
     parse,
-    parse_type,
     pragmas,
     term_to_json,
     tokenize,
@@ -134,8 +132,9 @@ def test_parenthesised_binder_type():
 
 
 def test_parse_type_right_associative():
-    assert parse_type("nat -> nat -> nat") == TFun(NAT, TFun(NAT, NAT))
-    assert parse_type("(nat -> nat) -> nat") == TFun(TFun(NAT, NAT), NAT)
+    # a binder annotation, the one place a type is written
+    assert parse("fun f: nat -> nat -> nat -> f").ty == TFun(NAT, TFun(NAT, NAT))
+    assert parse("fun f: (nat -> nat) -> nat -> f").ty == TFun(TFun(NAT, NAT), NAT)
 
 
 def test_parse_error_reports_position():
@@ -177,13 +176,6 @@ def test_nesting_past_the_limit_is_a_parse_error(inner, outer, pos):
         parse(outer.format(source))
     assert e.value.pos == pos
     assert str(e.value) == f"{pos[0]}:{pos[1]}: term nested too deeply"
-
-
-def test_parse_type_rejects_trailing_input():
-    with pytest.raises(PcfParseError) as e:
-        parse_type("nat nat")
-    assert "trailing input starting at 'nat'" in str(e.value)
-    assert "1:5" in str(e.value)
 
 
 def test_parse_error_on_empty_input():
@@ -351,7 +343,7 @@ def test_denoted_arena_follows_the_type():
 @pytest.mark.parametrize("text", ["nat", "nat -> nat", "nat -> nat -> nat",
                                   "(nat -> nat) -> nat"])
 def test_arena_type_inverts_type_arena(text):
-    ty = parse_type(text)
+    ty = parse(f"fun x: {text} -> x").ty
     assert arena_type(type_arena(ty, 2)) == ty
 
 
@@ -404,15 +396,14 @@ def test_flipped_sum_under_pragma_is_trace_identical():
 
 def test_builtin_add_orders():
     b = Bounds(max_nat=2, max_play_len=6)
-    lr = builtin("add_LR", 2)
+    lr, rl = make_add(("L", "R"), 2), make_add(("R", "L"), 2)
+    assert (lr.name, rl.name) == ("add_LR", "add_RL")
     opening = Play(lr.arena, (("R.q", ROOT),))
     assert lr.respond(opening) == ("L.L.q", 0)
-    assert builtin("add_RL", 2).respond(opening) == ("L.R.q", 0)
+    assert rl.respond(opening) == ("L.R.q", 0)
     # a view that asked the right summand first is none of add_LR's own
     right_first = Play(lr.arena, (("R.q", ROOT), ("L.R.q", 0), ("L.R.1", 1)))
     assert lr.respond(right_first) is None
-    with pytest.raises(ValueError):
-        builtin("no_such", 2)
 
 
 @pytest.mark.parametrize("order", [("L",), ("R", "R"), (), ("L", "R", "M")])

@@ -9,14 +9,13 @@ from gamesem.plays import (
     Play,
     checked_views,
     is_complete,
-    is_legal,
     is_o_innocent,
     legal_extensions,
     legality_violation,
     next_pview,
+    open_questions,
     oview,
     oview_with_positions,
-    pending_questions,
     pview,
     pview_with_positions,
 )
@@ -43,7 +42,7 @@ def P(arena, *moves):
 
 
 def test_empty_play_is_legal():
-    assert is_legal(P(N2))
+    assert legality_violation(P(N2)) is None
 
 
 def test_basic_legal_play():
@@ -105,7 +104,7 @@ def test_oview_matches_reference_everywhere():
 @given(st.sampled_from(ALL_PLAYS))
 def test_views_are_legal_and_idempotent(s):
     pv, ov = pview(s), oview(s)
-    assert is_legal(pv) and is_legal(ov)
+    assert legality_violation(pv) is None and legality_violation(ov) is None
     assert pview(pv) == pv
     assert oview(ov) == ov
 
@@ -156,7 +155,7 @@ def test_legal_extensions_match_generate_then_check(arena, single_threaded):
 
 
 @pytest.mark.parametrize("arena", EXT_ARENAS, ids=lambda a: a.name)
-def test_prefix_views_match_backward_walk(arena):
+def test_checked_views_match_backward_walk(arena):
     # positions by the backward walk, moves by the reference recursions
     for s in ref_enumerate_plays(arena, 7):
         for k, (pv, ov, pv_moves, ov_moves) in enumerate(checked_views(s)):
@@ -264,8 +263,7 @@ def test_single_threaded():
 
 def test_bracketing_and_completeness():
     open_q = P(ARROW, ("R.q", ROOT), ("L.q", 0))
-    assert pending_questions(open_q) is not None
-    assert pending_questions(open_q) == (0, 1)
+    assert open_questions(ARROW.questions, open_q.moves) == (0, 1)
     assert not is_complete(open_q)
     done = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("R.2", 0))
     assert is_complete(done)
@@ -276,10 +274,8 @@ def test_bracketing_matches_reference_everywhere():
     ill = complete = 0
     for s in ALL_PLAYS:
         ref = ref_pending_questions(s)
-        assert (pending_questions(s) is None) == (ref is None), s
+        assert open_questions(s.arena.questions, s.moves) == ref, s
         assert is_complete(s) == (len(s.moves) > 0 and ref == ()), s
-        if ref is not None:
-            assert pending_questions(s) == ref, s
         ill += ref is None
         complete += len(s.moves) > 0 and ref == ()
     assert (len(ALL_PLAYS), ill, complete) == (3381, 375, 1332)
@@ -290,15 +286,15 @@ def test_answer_must_close_pending_question():
     # inner questions are still pending
     a3 = arrow(arrow(make_nat_arena(1), make_nat_arena(1)), make_nat_arena(1))
     s = P(a3, ("R.q", ROOT), ("L.R.q", 0), ("L.L.q", 1), ("R.1", 0))
-    assert is_legal(s)
-    assert pending_questions(s) is None
+    assert legality_violation(s) is None
+    assert open_questions(a3.questions, s.moves) is None
 
 
 def test_innocence_filters():
     # the same question asked twice from the same Opponent view, answered
     # two different ways: O-innocence fails
     s = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0), ("L.2", 3))
-    assert is_legal(s)
+    assert legality_violation(s) is None
     assert not is_o_innocent(s)
     t = P(ARROW, ("R.q", ROOT), ("L.q", 0), ("L.1", 1), ("L.q", 0), ("L.1", 3))
     assert is_o_innocent(t)
@@ -318,7 +314,7 @@ def test_o_innocence_matches_reference_everywhere(arena):
 
 def test_enumerate_plays_all_legal():
     plays = ref_enumerate_plays(ARROW, 6)
-    assert all(is_legal(s) for s in plays)
+    assert all(legality_violation(s) is None for s in plays)
     lengths = {len(s.moves) for s in plays}
     assert 0 in lengths and 1 in lengths and 6 in lengths
 

@@ -16,16 +16,17 @@ from gamesem.equiv import brute_force_leq
 from gamesem.observation import TestVerdict as Verdict
 from gamesem.observation import observations
 from gamesem.pcf import (
+    NAT,
     Lam,
     Num,
+    TFun,
     Var,
-    builtin,
     denote,
     denote_open,
     eval_strategy,
     interrogate,
+    make_add,
     parse,
-    parse_type,
     pred_strategy,
     succ_strategy,
 )
@@ -36,7 +37,7 @@ from gamesem.plays import (
     checked_views,
     is_complete,
     legal_extensions,
-    pending_questions,
+    open_questions,
     pview,
     pview_with_positions,
 )
@@ -168,7 +169,7 @@ def test_every_swap_echoes_onto_an_enabling_pair():
         for m, echo in swap.items():
             if arena.polarity[m] != "O":
                 continue
-            if arena.is_initial(m):
+            if m in arena.initials:
                 assert arena.enables(m, echo)
             for x in swap:
                 if arena.enables(x, m):
@@ -187,7 +188,7 @@ def test_mirror_answers_only_views_that_keep_the_pairing_discipline():
 
 def test_traces_even_prefix_closed_and_deterministic():
     b = Bounds(max_nat=2, max_play_len=6)
-    t = traces(builtin("add_LR", 2), b)
+    t = traces(make_add(("L", "R"), 2), b)
     for p in t:
         assert len(p.moves) % 2 == 0
         if len(p.moves) >= 2:
@@ -196,8 +197,8 @@ def test_traces_even_prefix_closed_and_deterministic():
 
 def test_all_traces_p_innocent():
     b = Bounds(max_nat=2, max_play_len=6)
-    for name in ("add_LR", "add_RL"):
-        for p in traces(builtin(name, 2), b):
+    for order in (("L", "R"), ("R", "L")):
+        for p in traces(make_add(order, 2), b):
             assert ref_is_p_innocent(p)
 
 
@@ -205,9 +206,9 @@ def test_single_threaded_traces_well_bracketed():
     # raw traces let Opponent interleave threads unbracketed; within a
     # single thread every built-in stays bracketed
     b = Bounds(max_nat=2, max_play_len=6)
-    for name in ("add_LR", "add_RL"):
-        for p in filter(is_single_threaded, traces(builtin(name, 2), b)):
-            assert pending_questions(p) is not None
+    for order in (("L", "R"), ("R", "L")):
+        for p in filter(is_single_threaded, traces(make_add(order, 2), b)):
+            assert open_questions(p.arena.questions, p.moves) is not None
 
 
 def _print_order(plays) -> tuple:
@@ -226,7 +227,7 @@ def test_explore_gives_the_reference_plays_in_print_order():
     # whose Proponent moves are the strategy's replies; each factor
     # keeps a wide interaction budget, so no reply hits a bound
     wide = Bounds(max_nat=1, max_play_len=20)
-    for sigma in (builtin("add_LR", 1), copycat(make_nat_arena(1)),
+    for sigma in (make_add(("L", "R"), 1), copycat(make_nat_arena(1)),
                   denote(parse("fun f: nat -> nat -> f (f 1)"), wide),
                   denote(parse("fun x: nat -> ifz x then 1 else 0"), wide)):
         every = ref_enumerate_plays(sigma.arena, max(CAPS))
@@ -263,7 +264,7 @@ def test_walk_carries_each_plays_open_questions_in_order_of_moves(innocent_oppon
         assert [moves for moves, _, _ in walked] == sorted(moves for moves, _, _ in walked)
         for moves, _, pending in walked:
             carried = moves[:-2] if _at_cap(moves, b) else moves
-            assert pending == pending_questions(Play(sigma.arena, carried)), (e.name, moves)
+            assert pending == open_questions(sigma.arena.questions, carried), (e.name, moves)
             kinds[pending if pending in (None, ()) else "open"] += 1
     assert kinds[()] and kinds["open"]
     # an Opponent free to answer any question it sees breaks the brackets
@@ -372,7 +373,7 @@ def test_brute_force_leq_asks_each_p_view_once():
 
 def test_a_bound_hit_is_asked_once_and_counted_at_every_position():
     b = Bounds(max_nat=1, max_play_len=8)
-    sigma = builtin("add_LR", 1)
+    sigma = make_add(("L", "R"), 1)
     counts = Counter(_ref_asks(played(explore(sigma, b)), b))
     # the longest P-view reached at more than one position
     view = max(counts, key=lambda v: (counts[v] > 1, len(v), v))
@@ -414,7 +415,7 @@ def test_a_reply_pointing_at_a_move_that_does_not_enable_it_raises():
 
 def test_explore_stops_at_its_play_budget(monkeypatch):
     b = Bounds(max_nat=1, max_play_len=6)
-    sigma = builtin("add_LR", 1)
+    sigma = make_add(("L", "R"), 1)
     n = len(explore(sigma, b).plays)
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n)
     assert len(explore(sigma, b).plays) == n
@@ -428,7 +429,7 @@ def test_explore_stops_at_its_play_budget(monkeypatch):
 def test_observations_stop_at_the_play_budget_as_explore_does(monkeypatch):
     # the innocent walk counts the plays it reaches, the empty one too
     b = Bounds(max_nat=1, max_play_len=6)
-    sigma = builtin("add_LR", 1)
+    sigma = make_add(("L", "R"), 1)
     want = observations(sigma, b)
     n = len(innocent_explore(sigma, b).plays)
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n)
@@ -443,7 +444,7 @@ def test_observations_stop_at_the_play_budget_as_explore_does(monkeypatch):
 def test_tabulate_canonical_and_consistent():
     import json
     b = Bounds(max_nat=1, max_play_len=6)
-    s = builtin("add_LR", 1)
+    s = make_add(("L", "R"), 1)
     tab = tabulate(s, b)
     keys = [json.dumps(v.to_json(), sort_keys=True) for v, _ in tab]
     assert keys == sorted(keys)
@@ -457,7 +458,7 @@ def _multi_threaded_table(sigma, b):
     for sop in played(explore(sigma, b)):
         if sop.moves:
             positions = pview_positions(sop.arena, sop.moves[:-1])
-            m, ptr = sop.last
+            m, ptr = sop.moves[-1]
             table[reindex(sop, positions).moves] = (m, positions.index(ptr))
     return table
 
@@ -512,14 +513,14 @@ def test_o_innocent_exploration_prunes_exactly_the_non_o_innocent_plays():
 
 ROUND_NODES = {
     "copycat": lambda b: copycat(make_nat_arena(1)),
-    "add_LR": lambda b: builtin("add_LR", 1),
+    "add_LR": lambda b: make_add(("L", "R"), 1),
     "ifz": lambda b: denote(parse("fun x: nat -> ifz x then 1 else 0"), b),
     "twice": lambda b: denote(parse("fun f: nat -> nat -> f (f 1)"), b),
 }
 
 
 @pytest.mark.parametrize("build", ROUND_NODES.values(), ids=ROUND_NODES.keys())
-def test_a_round_returns_the_views_prefix_views_walks(build, monkeypatch):
+def test_walk_and_each_test_run_carry_the_views_checked_views_gives(build, monkeypatch):
     # walk and run_test carry a play's views one round at a time: every
     # play walk yields carries the views of its prefixes, its own last,
     # unless it is a nonempty play at the cap, which carries its
@@ -573,10 +574,10 @@ def test_the_last_round_grows_a_cap_play_to_its_own_views_and_open_questions():
             for innocent_opponent in (False, True):
                 for step in filter(None, walk(sigma, b, innocent_opponent)):
                     moves = step[0]
-                    play = Play(sigma.arena, moves)
+                    own = (moves, tuple(checked_views(Play(sigma.arena, moves))),
+                           open_questions(questions, moves))
                     got = last_round(questions, step, views=True)
-                    assert got == (moves, tuple(checked_views(play)), pending_questions(play)), \
-                        (sigma.name, cap, moves)
+                    assert got == own, (sigma.name, cap, moves)
                     assert last_round(questions, step)[::2] == got[::2]
                     if _at_cap(moves, b):
                         grown[cap] += 1
@@ -720,7 +721,7 @@ def test_a_bad_reply_behind_wrappers_raises_strategy_error_naming_a_node(reply, 
 
 def test_from_view_table_roundtrip():
     b = Bounds(max_nat=1, max_play_len=6)
-    s = builtin("add_LR", 1)
+    s = make_add(("L", "R"), 1)
     table = {v.moves: r for v, r in tabulate(s, b)}
     s2 = from_view_table(s.arena, "rebuilt", table)
     assert traces(s2, b) == traces(s, b)
@@ -859,7 +860,7 @@ def _interleaving_cases(wide):
     """(sigma, tau) pairs whose composite is checked against the
     interleaving oracle."""
     same = succ_strategy(2)
-    ctx = (("f", parse_type("nat -> nat")),)
+    ctx = (("f", TFun(NAT, NAT)),)
     return [
         (as_thunk(denote(parse("2"), wide)), succ_strategy(2)),
         (succ_strategy(2), succ_strategy(2)),
@@ -1183,7 +1184,7 @@ def test_a_cold_composite_answers_as_a_warm_one_in_any_order():
 
 def test_strategy_responses_are_opponent_enabled_and_proponent():
     b = Bounds(max_nat=1, max_play_len=6)
-    s = builtin("add_RL", 1)
+    s = make_add(("R", "L"), 1)
     for p in traces(s, b):
         for i in range(1, len(p.moves), 2):
             m, ptr = p.moves[i]
