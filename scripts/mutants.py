@@ -67,6 +67,12 @@ MUTANTS = [
      "key = (depth, *o.items())", "key = (*o.items(),)"),
     ("encode: bools share the memo", "cli.py",
      "_LEAF_TYPES = frozenset((str, int))", "_LEAF_TYPES = frozenset((str, int, bool))"),
+    # the exit lines
+    ("cli: a spent budget reported as an internal error", "cli.py",
+     "except StrategyError as e:", "except (StrategyError, BudgetExhausted) as e:"),
+    ("cli: out of memory not a resource limit", "cli.py",
+     "except (RecursionError, MemoryError, BudgetExhausted) as e:",
+     "except (RecursionError, BudgetExhausted) as e:"),
     # the walk's two cap tests
     ("walk: room check n + 1 >", "strategy.py",
      "if n + 2 > cap:", "if n + 1 > cap:"),

@@ -1,17 +1,23 @@
 """Command line front end.
 
 Exit codes: 0 for success (including an EQUIV verdict), 1 for an
-INEQUIV verdict or a failed law check, 2 for bad input (unreadable
-file, parse error, type error, mismatched arenas, a view-set file that
-is not a view set or is nested deeper than `json.loads` can follow),
-reported on one stderr line with any line break in it escaped, 3 for
-an internal consistency failure (the engine rejects its own play, or
-the two decision methods disagree although neither hit a bound and no
-witness view is longer than max_view_len) or a resource limit
-(recursion depth, memory, the oracle's test budget running out before
-it decides, or the exploration's play budget running out before it
-ends) or a stdout closed by its reader before the output was written,
-reported on one stderr line (after the report, for a disagreement).
+INEQUIV verdict or a failed law check.  Each failure is reported on one
+stderr line, and each class of failure is one exception:
+- 2, `error:`, for bad input, `_InputError` (unreadable file, parse
+  error, type error, mismatched arenas, a view-set file that is not a
+  view set or is nested deeper than `json.loads` can follow), with any
+  line break in it escaped;
+- 3, `internal error:`, for a broken engine contract, `StrategyError`
+  (a strategy emits a move its arena does not allow, or a composite is
+  asked about a play it would not have produced), and for the two
+  decision methods disagreeing although neither hit a bound and no
+  witness view is longer than max_view_len (after the report);
+- 3, `resource limit:`, for a spent search budget, `BudgetExhausted`
+  (the oracle's tests or the exploration's plays), or the interpreter's
+  RecursionError or MemoryError, reported once the failed computation
+  is let go;
+- 3, `output closed:`, for a stdout closed by its reader before the
+  output was written.
 A disagreement the bounds explain adds "bounds_explain": true to the
 oracle report and exits with the obs_equiv verdict.
 
@@ -32,23 +38,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _str
 
 from .bounds import Bounds
-from .equiv import OracleIncomplete, brute_force_leq, check_category_laws, obs_equiv
+from .equiv import brute_force_leq, check_category_laws, obs_equiv
 from .observation import ODetSet, observations, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
-from .strategy import (
-    ExplorationIncomplete,
-    InconsistentPlay,
-    StrategyError,
-    TraceResult,
-    explore,
-    tabulate,
-)
+from .strategy import BudgetExhausted, StrategyError, TraceResult, explore, tabulate
 
 
 class _InputError(Exception):
@@ -396,15 +396,18 @@ def main(argv=None) -> int:
         # a line break in a file name or a move name stays on the one line
         print("error: " + "\\n".join(str(e).splitlines()), file=sys.stderr)
         return 2
-    except (StrategyError, InconsistentPlay) as e:
+    except StrategyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except (RecursionError, OracleIncomplete, ExplorationIncomplete) as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return 3
-    except MemoryError:
-        print("resource limit: out of memory", file=sys.stderr)
-        return 3
+    except (RecursionError, MemoryError, BudgetExhausted) as e:
+        limit = "out of memory" if isinstance(e, MemoryError) else str(e)
+    # Reported once the handler has let go of the traceback and a
+    # collection has freed what the failed computation built, whose
+    # nodes hold cycles: a report inside the handler can run out of
+    # memory again.
+    gc.collect()
+    print(f"resource limit: {limit}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .observation import (
 )
 from .pcf import denote, make_add, parse, succ_strategy
 from .plays import open_questions
-from .strategy import InnocentStrategy, as_thunk, compose, copycat, explore
+from .strategy import BudgetExhausted, InnocentStrategy, as_thunk, compose, copycat, explore
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,6 @@ class LeqReport:
 TEST_BUDGET = 20_000
 
 
-class OracleIncomplete(Exception):
-    """The leaf budget ran out before a failing test or the last leaf."""
-
-    def __init__(self, tested: int):
-        super().__init__(f"oracle incomplete at bounds after {tested} tests")
-        self.tested = tested
-
-
 def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> LeqReport:
     """Test-based order: does every closed deterministic view set (views
     capped at max_view_len) that drives s1 to convergence also drive s2
@@ -170,7 +162,7 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
     `viewset_key`-least failing candidate as the witness.  `tested`
     counts leaves; leaves where either side exceeds the interaction
     budget are counted in `bound_exceeded` and neither confirm nor
-    refute.  Raises OracleIncomplete when TEST_BUDGET leaves find no
+    refute.  Raises BudgetExhausted when TEST_BUDGET leaves find no
     failure and another leaf is due.
     """
     if s1.arena != s2.arena:
@@ -208,7 +200,7 @@ def brute_force_leq(s1: InnocentStrategy, s2: InnocentStrategy, b: Bounds) -> Le
                 heapq.heappush(heap, (_closing(vkey, at, e), next(seq), table, at, e, r1, r2))
             continue
         if tested == TEST_BUDGET:
-            raise OracleIncomplete(tested)
+            raise BudgetExhausted("oracle", tested, "tests")
         tested += 1
         if TestVerdict.BOUND_EXCEEDED in (r1, r2):
             exceeded += 1

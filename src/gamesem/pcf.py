@@ -81,19 +81,17 @@ NAT = TNat()
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    pos: tuple = field(default=(0, 0), compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Num(Term):
     n: int
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,26 +99,22 @@ class Lam(Term):
     var: str
     ty: Ty
     body: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Succ(Term):
     t: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Pred(Term):
     t: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -128,20 +122,17 @@ class Ifz(Term):
     cond: Term
     then: Term
     els: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Fix(Term):
     t: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Add(Term):
     left: Term
     right: Term
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 class PcfError(Exception):
@@ -256,17 +247,17 @@ class _Parser:
             ty = self.type_greedy()
             self.expect("->")
             body = self.term()
-            return Lam(v.text, ty, body, t.pos)
+            return Lam(v.text, ty, body, pos=t.pos)
         if t.text in PREFIX_FORMS:
             self.next()
-            return PREFIX_FORMS[t.text](self.term(), t.pos)
+            return PREFIX_FORMS[t.text](self.term(), pos=t.pos)
         if t.text == "ifz":
             self.next()
             cond = self.term()
             self.expect("then")
             then = self.term()
             self.expect("else")
-            return Ifz(cond, then, self.term(), t.pos)
+            return Ifz(cond, then, self.term(), pos=t.pos)
         return self.sum()
 
     def sum(self) -> Term:
@@ -274,14 +265,14 @@ class _Parser:
         while self.peek().text == "+":
             pos = self.next().pos
             right = self.app()
-            left = Add(left, right, pos)
+            left = Add(left, right, pos=pos)
         return left
 
     def app(self) -> Term:
         f = self.atom()
         while self.starts_atom(self.peek()):
             arg = self.atom()
-            f = App(f, arg, f.pos)
+            f = App(f, arg, pos=f.pos)
         return f
 
     @staticmethod
@@ -292,12 +283,12 @@ class _Parser:
         t = self.next()
         if t.kind == "num":
             try:
-                return Num(int(t.text), t.pos)
+                return Num(int(t.text), pos=t.pos)
             except ValueError:   # past the interpreter's int-string digit limit
                 raise PcfParseError(f"numeral of {len(t.text)} digits is too long",
                                     t.pos) from None
         if t.kind == "ident":
-            return Var(t.text, t.pos)
+            return Var(t.text, pos=t.pos)
         if t.text == "(":
             inner = self.term()
             self.expect(")")

@@ -133,11 +133,9 @@ class BoundExceeded(Exception):
 
 
 class StrategyError(Exception):
-    """A strategy emitted a response its arena does not allow."""
-
-
-class InconsistentPlay(Exception):
-    """A composite was asked about a play it would never have produced."""
+    """A broken engine contract: a strategy emitted a response its arena
+    does not allow, or a composite was asked about a play it would never
+    have produced."""
 
 
 # Plays `walk` reaches before it gives up.  A benchmark op explores
@@ -147,12 +145,13 @@ class InconsistentPlay(Exception):
 EXPLORE_BUDGET = 500_000
 
 
-class ExplorationIncomplete(Exception):
-    """The play budget ran out before the exploration did."""
+class BudgetExhausted(Exception):
+    """A search's budget ran out before the search did: `walk`'s plays
+    (EXPLORE_BUDGET) or `equiv.brute_force_leq`'s tests."""
 
-    def __init__(self, plays: int):
-        super().__init__(f"exploration incomplete at bounds after {plays} plays")
-        self.plays = plays
+    def __init__(self, search: str, count: int, unit: str):
+        super().__init__(f"{search} incomplete at bounds after {count} {unit}")
+        self.count = count
 
 
 # The markers of `_answer`'s memo: a view not asked yet, a view whose
@@ -260,7 +259,7 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
 
     Opponent ranges over every legal choice, or with `innocent_opponent`
     over the single-threaded, O-innocent ones; Proponent plays sigma's
-    response.  Raises ExplorationIncomplete when the plays reached, the
+    response.  Raises BudgetExhausted when the plays reached, the
     empty play included, come to EXPLORE_BUDGET and another is due.
 
     A depth-first walk in preorder: a play is yielded when it is taken
@@ -320,7 +319,7 @@ def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):
             if r is None:
                 continue
             if reached == EXPLORE_BUDGET:
-                raise ExplorationIncomplete(reached)
+                raise BudgetExhausted("exploration", reached, "plays")
             reached += 1
             sop = s + ((o, j), r)
             if at_cap:
@@ -636,7 +635,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     answered by the side that did not play it.  The interaction, hidden
     moves included, may not grow past b.max_play_len.  A P-move of the
     view that the composite would not have played raises
-    InconsistentPlay.
+    StrategyError.
 
     Each reply comes with the interaction after it, so the node's memo
     keeps both.  A P-view w resumes from the memo entry of w[:-2], whose
@@ -647,7 +646,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     first asks itself w[:-2] through `_answer`, which recurses down to
     the longest prefix in the memo, or to the empty interaction.  The
     moves played, and so the replies, the bound hits and the
-    InconsistentPlay texts, are those of playing out w from the empty
+    StrategyError texts, are those of playing out w from the empty
     interaction.
 
     Component bookkeeping: the interaction records the justifier of
@@ -717,9 +716,9 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
                 r = node._memo[key]
             m, ptr = view[-2]
             if r is None:
-                raise InconsistentPlay(f"{cname}: no response where the play has {m!r}")
+                raise StrategyError(f"{cname}: no response where the play has {m!r}")
             if r[0] != m or r[1] != ptr:
-                raise InconsistentPlay(f"{cname}: computed {r[0]!r} where the play has {m!r}")
+                raise StrategyError(f"{cname}: computed {r[0]!r} where the play has {m!r}")
             u, ((si, sp, sg), (ti, tp, tg), (oi, op, og)) = r[2]
             u, proj = u.copy(), ((si.copy(), sp.copy(), sg.copy()),
                                  (ti.copy(), tp.copy(), tg.copy()),

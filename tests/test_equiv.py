@@ -11,7 +11,6 @@ from gamesem.arena import arrow, make_nat_arena, make_sigma, product
 from gamesem.bounds import Bounds
 from gamesem.corpus import PAIRS, CorpusEntry, build_pair, entry
 from gamesem.equiv import (
-    OracleIncomplete,
     brute_force_leq,
     check_category_laws,
     enumerate_closed_odet_sets,
@@ -22,7 +21,7 @@ from gamesem.observation import TestVerdict as Verdict
 from gamesem.observation import oview_steps, run_test, viewset_key
 from gamesem.pcf import denote, parse
 from gamesem.plays import ROOT, Play
-from gamesem.strategy import InnocentStrategy
+from gamesem.strategy import BudgetExhausted, InnocentStrategy
 
 from oracles import (
     ref_closed_odet_sets,
@@ -336,9 +335,9 @@ def test_brute_force_leq_budget(monkeypatch):
     monkeypatch.setattr(equiv, "TEST_BUDGET", 3)
     assert brute_force_leq(bot, top, b).tested == 3
     monkeypatch.setattr(equiv, "TEST_BUDGET", 2)
-    with pytest.raises(OracleIncomplete) as e:
+    with pytest.raises(BudgetExhausted) as e:
         brute_force_leq(bot, top, b)
-    assert e.value.tested == 2
+    assert e.value.count == 2
     assert str(e.value) == "oracle incomplete at bounds after 2 tests"
     # A failing test found at the last leaf the budget allows is reported.
     monkeypatch.setattr(equiv, "TEST_BUDGET", 3)

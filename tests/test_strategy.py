@@ -43,8 +43,7 @@ from gamesem.plays import (
 )
 from gamesem.strategy import (
     BoundExceeded,
-    ExplorationIncomplete,
-    InconsistentPlay,
+    BudgetExhausted,
     InnocentStrategy,
     StrategyError,
     as_thunk,
@@ -420,9 +419,9 @@ def test_explore_stops_at_its_play_budget(monkeypatch):
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n)
     assert len(explore(sigma, b).plays) == n
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n - 1)
-    with pytest.raises(ExplorationIncomplete) as e:
+    with pytest.raises(BudgetExhausted) as e:
         explore(sigma, b)
-    assert e.value.plays == n - 1
+    assert e.value.count == n - 1
     assert str(e.value) == f"exploration incomplete at bounds after {n - 1} plays"
 
 
@@ -435,9 +434,9 @@ def test_observations_stop_at_the_play_budget_as_explore_does(monkeypatch):
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n)
     assert observations(sigma, b) == want
     monkeypatch.setattr(strategy, "EXPLORE_BUDGET", n - 1)
-    with pytest.raises(ExplorationIncomplete) as e:
+    with pytest.raises(BudgetExhausted) as e:
         observations(sigma, b)
-    assert e.value.plays == n - 1
+    assert e.value.count == n - 1
     assert str(e.value) == f"exploration incomplete at bounds after {n - 1} plays"
 
 
@@ -1037,7 +1036,7 @@ def test_compose_raises_inconsistent_on_foreign_play():
     explore(warm, Bounds(max_nat=2, max_play_len=8))
     for comp in (cold, warm):
         lie = Play(comp.arena, (("R.R.q", ROOT), ("R.L.q", 0), ("R.L.1", 1)))
-        with pytest.raises(InconsistentPlay):
+        with pytest.raises(StrategyError, match="where the play has"):
             comp.respond(lie)
 
 
@@ -1048,7 +1047,7 @@ def test_compose_raises_inconsistent_when_a_side_refuses():
     never = InnocentStrategy(arrow(n1, n1), "never", view_fn=lambda v: None)
     comp = compose(copycat(n1), never, Bounds())
     play = Play(comp.arena, (("R.q", ROOT), ("L.q", 0), ("L.0", 1)))
-    with pytest.raises(InconsistentPlay) as e:
+    with pytest.raises(StrategyError, match="where the play has") as e:
         comp.respond(play)
     assert str(e.value) == "(copycat(N1) ; never): no response where the play has 'L.q'"
 
@@ -1088,7 +1087,7 @@ def _asked(node, play):
     """`node.respond(play)`, or the exception it raised, by type and text."""
     try:
         return node.respond(play)
-    except (InconsistentPlay, BoundExceeded) as e:
+    except (StrategyError, BoundExceeded) as e:
         return type(e).__name__, str(e)
 
 
@@ -1100,12 +1099,12 @@ def _extensions(s: Play) -> list[Play]:
 
 
 def _kind(outcome) -> str:
-    """An outcome's kind: a reply, a refusal, a bound hit, or an
-    InconsistentPlay by what it says the composite did."""
+    """An outcome's kind: a reply, a refusal, a bound hit, or a
+    StrategyError by what it says the composite did."""
     if outcome is None:
         return "refusal"
     name, text = outcome
-    if name == "InconsistentPlay":
+    if name == "StrategyError":
         return text.partition(" where")[0].split(": ")[-1]
     return name if name == "BoundExceeded" else "reply"
 
@@ -1153,7 +1152,7 @@ def test_a_cold_composite_answers_as_a_warm_one_in_any_order():
     # of the longest asked prefix, or from the empty one.  Asked cold, in
     # any order, through `respond`, every node answers as a warm one
     # does, and as one asked only that play, which plays it out from the
-    # empty interaction: the same replies, and InconsistentPlay and
+    # empty interaction: the same replies, and StrategyError and
     # BoundExceeded, with the same texts, on the same plays.
     rng = random.Random(0)
     kinds = Counter()
@@ -1179,7 +1178,7 @@ def test_a_cold_composite_answers_as_a_warm_one_in_any_order():
                      "computed 'R.0'": 36, "computed 'R.1'": 18, "computed 'R.2'": 18,
                      "no response": 2, "BoundExceeded": 25}
     assert digest.hexdigest() == (
-        "2096be6b97c0c91b15189aa7d82dcfc25195f1de5fac05073ae3c835f01e9297")
+        "1a9d361c3523dad92b2bac3c0de3e154930e0feed587687e2e79118a1f08bfbb")
 
 
 def test_strategy_responses_are_opponent_enabled_and_proponent():
