@@ -134,6 +134,11 @@ MUTANTS = [
     ("compose: a B move reaches sigma's projection only", "strategy.py",
      'for c in "ABC"}',
      'for c in "ABC"}\n_LANDS_IN["B"] = _LANDS_IN["B"][:1]'),
+    # no node holds itself
+    ("compose: the node held by its own function", "strategy.py",
+     "return InnocentStrategy(outer, cname, play_fn=play_fn)",
+     "play_fn.node = InnocentStrategy(outer, cname, play_fn=play_fn)\n"
+     "    return play_fn.node"),
     # test runs and the view-set door
     ("run: success ignores the cap", "observation.py",
      "return TestVerdict.BOUND_EXCEEDED if i > cap else TestVerdict.TOP",

@@ -15,7 +15,7 @@ stderr line, and each class of failure is one exception:
 - 3, `resource limit:`, for a spent search budget, `BudgetExhausted`
   (the oracle's tests or the exploration's plays), or the interpreter's
   RecursionError or MemoryError, reported once the failed computation
-  is let go;
+  is let go: no strategy node holds itself, so letting go frees it;
 - 3, `output closed:`, for a stdout closed by its reader before the
   output was written.
 A disagreement the bounds explain adds "bounds_explain": true to the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
@@ -77,14 +76,16 @@ def _emit(doc) -> None:
 class _MoveTexts(dict):
     """The texts of moves at one nesting depth, keyed by (move,
     pointer): each is `_encode` of the move's {"m", "ptr"} dict,
-    written on its first ask."""
+    written on its first ask.  Each text is written once per table, so
+    `_encode` is handed a fresh memo: the table holds no document's
+    memo, which holds the table."""
 
-    def __init__(self, depth: int, memo: dict):
+    def __init__(self, depth: int):
         super().__init__()
-        self._depth, self._memo = depth, memo
+        self._depth = depth
 
     def __missing__(self, move):
-        text = self[move] = _encode({"m": move[0], "ptr": move[1]}, self._depth, self._memo)
+        text = self[move] = _encode({"m": move[0], "ptr": move[1]}, self._depth, {})
         return text
 
 
@@ -108,7 +109,7 @@ def _pieces(o, depth: int, memo: dict, levels: int):
             arena = "{" + play + '"arena": ' + _str(o.arena.name) + "," + play + '"moves": '
             parts = memo[key] = (arena + "[" + play + "  ", "," + play + "  ",
                                  play + "]" + inner + "}", arena + "[]" + inner + "}",
-                                 _MoveTexts(depth + 3, memo))
+                                 _MoveTexts(depth + 3))
         head, sep, tail, empty, texts = parts
         lead = "[" + inner
         for moves in o.plays:
@@ -401,11 +402,9 @@ def main(argv=None) -> int:
         return 3
     except (RecursionError, MemoryError, BudgetExhausted) as e:
         limit = "out of memory" if isinstance(e, MemoryError) else str(e)
-    # Reported once the handler has let go of the traceback and a
-    # collection has freed what the failed computation built, whose
-    # nodes hold cycles: a report inside the handler can run out of
-    # memory again.
-    gc.collect()
+    # Reported once the handler has let go of the traceback, which
+    # frees what the failed computation built: a report inside the
+    # handler can run out of memory again.
     print(f"resource limit: {limit}", file=sys.stderr)
     return 3
 

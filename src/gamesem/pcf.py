@@ -538,78 +538,82 @@ def denote_open(t: Term, ctx: tuple, b: Bounds, rl_add: bool = False) -> Innocen
     context arena nests products to the left, so the innermost variable
     sits under R. and each enclosing one under one more L..  The term
     is typechecked here, once; below it every subterm's type is read
-    off the arena of its strategy.  The pass recurses one frame per
-    subterm.
+    off the arena of its strategy.  The pass, `_strat`, recurses one
+    frame per subterm.
     """
     typecheck(t, ctx)
     env = tuple((name, type_arena(ty, b.max_nat)) for name, ty in ctx)
     ca = make_empty()
     for _, va in env:
         ca = product(ca, va)
-    evals: dict[Arena, InnocentStrategy] = {}   # `_apply`'s, one per term denoted
+    return _strat(t, env, ca, b, rl_add, {})
 
-    def strat(t: Term, env: tuple, ca: Arena) -> InnocentStrategy:
-        # env pairs each variable in scope with its arena, innermost
-        # last, and ca is their product
-        if isinstance(t, Num):
-            k = min(t.n, b.max_nat)
-            return interrogate(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]", (),
-                               lambda ks: k)
 
-        if isinstance(t, Var):
-            path, va = _var(env, t.name)
-            a = arrow(ca, va)
-            return mirror_strategy(a, prefix_swap([("L." + path, "R.")], a.moves),
-                                   f"var[{t.name}]")
+def _strat(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
+           evals: dict[Arena, InnocentStrategy]) -> InnocentStrategy:
+    """`denote_open`'s pass over t, one frame per subterm: env pairs
+    each variable in scope with its arena, innermost last, ca is their
+    product, and `evals` holds `_apply`'s eval nodes, shared by the
+    whole term and freed with it."""
+    if isinstance(t, Num):
+        k = min(t.n, b.max_nat)
+        return interrogate(arrow(ca, make_nat_arena(b.max_nat)), f"num[{k}]", (),
+                           lambda ks: k)
 
-        if isinstance(t, Lam):
-            va = type_arena(t.ty, b.max_nat)
-            inner = strat(t.body, env + ((t.var, va),), product(ca, va))
-            target = arrow(ca, arrow(va, inner.arena.parts[1]))
-            pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
-            return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
+    if isinstance(t, Var):
+        path, va = _var(env, t.name)
+        a = arrow(ca, va)
+        return mirror_strategy(a, prefix_swap([("L." + path, "R.")], a.moves),
+                               f"var[{t.name}]")
 
-        if isinstance(t, App):
-            return _apply(strat(t.fn, env, ca), strat(t.arg, env, ca), b, evals)
+    if isinstance(t, Lam):
+        va = type_arena(t.ty, b.max_nat)
+        inner = _strat(t.body, env + ((t.var, va),), product(ca, va), b, rl_add, evals)
+        target = arrow(ca, arrow(va, inner.arena.parts[1]))
+        pairs = [("L.L.", "L."), ("L.R.", "R.L."), ("R.", "R.R.")]
+        return rename_strategy(inner, pairs, target, f"fun[{t.var}]")
 
-        if isinstance(t, (Succ, Pred)):
-            prim = (succ_strategy if isinstance(t, Succ) else pred_strategy)(b.max_nat)
-            return compose(strat(t.t, env, ca), prim, b, name=prim.name)
+    if isinstance(t, App):
+        return _apply(_strat(t.fn, env, ca, b, rl_add, evals),
+                      _strat(t.arg, env, ca, b, rl_add, evals), b, evals)
 
-        if isinstance(t, Ifz):
-            dt = strat(t.then, env, ca)
-            prim = ifz_strategy(dt.arena.parts[1], b.max_nat)
-            return compose(pair_strategies(strat(t.cond, env, ca),
-                                           pair_strategies(dt, strat(t.els, env, ca))),
-                           prim, b, name="ifz")
+    if isinstance(t, (Succ, Pred)):
+        prim = (succ_strategy if isinstance(t, Succ) else pred_strategy)(b.max_nat)
+        return compose(_strat(t.t, env, ca, b, rl_add, evals), prim, b, name=prim.name)
 
-        if isinstance(t, Fix):
-            # the fix_depth-th approximant: the body applied that many
-            # times to the strategy with no responses
-            body = strat(t.t, env, ca)
-            approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
-                                      view_fn=lambda ms: None)
-            for _ in range(b.fix_depth):
-                approx = _apply(body, approx, b, evals)
-            return approx
+    if isinstance(t, Ifz):
+        dt = _strat(t.then, env, ca, b, rl_add, evals)
+        prim = ifz_strategy(dt.arena.parts[1], b.max_nat)
+        cond = _strat(t.cond, env, ca, b, rl_add, evals)
+        branches = pair_strategies(dt, _strat(t.els, env, ca, b, rl_add, evals))
+        return compose(pair_strategies(cond, branches), prim, b, name="ifz")
 
-        if isinstance(t, Add):
-            first, second = (t.right, t.left) if rl_add else (t.left, t.right)
-            if isinstance(first, Var) and isinstance(second, Var):
-                # Ask the context directly, not through compose: no hidden
-                # moves count against max_play_len, and a curried sum is
-                # move-for-move the classic interrogation strategy.
-                qs = tuple("L." + _var(env, v.name)[0] + "q" for v in (first, second))
-                return interrogate(arrow(ca, make_nat_arena(b.max_nat)),
-                                   f"add_vars[{first.name},{second.name}]", qs,
-                                   lambda ks: min(sum(ks), b.max_nat))
-            prim = make_add(("R", "L") if rl_add else ("L", "R"), b.max_nat)
-            return compose(pair_strategies(strat(t.left, env, ca), strat(t.right, env, ca)),
-                           prim, b, name="add")
+    if isinstance(t, Fix):
+        # the fix_depth-th approximant: the body applied that many
+        # times to the strategy with no responses
+        body = _strat(t.t, env, ca, b, rl_add, evals)
+        approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
+                                  view_fn=lambda ms: None)
+        for _ in range(b.fix_depth):
+            approx = _apply(body, approx, b, evals)
+        return approx
 
-        raise ValueError(f"cannot denote {t!r}")
+    if isinstance(t, Add):
+        first, second = (t.right, t.left) if rl_add else (t.left, t.right)
+        if isinstance(first, Var) and isinstance(second, Var):
+            # Ask the context directly, not through compose: no hidden
+            # moves count against max_play_len, and a curried sum is
+            # move-for-move the classic interrogation strategy.
+            qs = tuple("L." + _var(env, v.name)[0] + "q" for v in (first, second))
+            return interrogate(arrow(ca, make_nat_arena(b.max_nat)),
+                               f"add_vars[{first.name},{second.name}]", qs,
+                               lambda ks: min(sum(ks), b.max_nat))
+        prim = make_add(("R", "L") if rl_add else ("L", "R"), b.max_nat)
+        return compose(pair_strategies(_strat(t.left, env, ca, b, rl_add, evals),
+                                       _strat(t.right, env, ca, b, rl_add, evals)),
+                       prim, b, name="add")
 
-    return strat(t, env, ca)
+    raise ValueError(f"cannot denote {t!r}")
 
 
 def _var(env: tuple, name: str) -> tuple[str, Arena]:

@@ -7,7 +7,10 @@ here is a function from P-views, given by their moves as the key
 `plays.next_views` carries, to a response: (move, index into the
 P-view) or None.  Leaves give it as `view_fn`; wrappers that ask an
 inner strategy (renamings, pairings, composites) give it as `play_fn`,
-which differs in name only, so a tracer can tell the node kinds apart.
+which is handed the node it answers for before the view, so no node's
+function holds its own node: a denotation is freed by reference
+counting when its last reference goes, with its memos and their
+interactions, and no node waits for the cyclic collector.
 
 Every node keeps one memo of its checked replies, one entry per P-view,
 written only by `_answer`: an innocent strategy is its view function,
@@ -75,16 +78,17 @@ Over another wrapper the route is that wrapper's route, with this
 node's tables fused onto its own: the fused `into` is this node's
 followed by the inner one, and the fused `back` the inner one followed
 by this node's.  Each fused table is built once for each chain of
-(pairs, moves) keys and shared, read only.  The node's `play_fn` is the
-whole ask, so it is decided in one place: the view is read down `into`,
-the node below is asked it, a view-function leaf through its `view_fn`
-and any other node, a composite, through `respond`, where the
-benchmark's tracer counts compose asks, and the reply's move is read
-back up `back`.  The asking node's `_answer` checks the translated
-reply, which is the leaf's own check read across the tables: a renaming
-is an arena isomorphism, and a pairing embeds each side's arena keeping
-polarity and enabling.  The wrappers in between are skipped, so their
-memos stay empty.
+(pairs, moves) keys and shared, read only.  Every such node has the one
+`play_fn`, `_ask_below`, which reads the routes off the node it is
+handed.  It is the whole ask, so it is decided in one place: the view
+is read down `into`, the node below is asked it, a view-function leaf
+through its `view_fn` and any other node, a composite, through
+`respond`, where the benchmark's tracer counts compose asks, and the
+reply's move is read back up `back`.  The asking node's `_answer`
+checks the translated reply, which is the leaf's own check read across
+the tables: a renaming is an arena isomorphism, and a pairing embeds
+each side's arena keeping polarity and enabling.  The wrappers in
+between are skipped, so their memos stay empty.
 
 Composition runs the standard parallel interaction: the two strategies
 exchange moves in the shared middle component, which is hidden from the
@@ -162,9 +166,10 @@ _BOUND = object()
 
 class InnocentStrategy:
     """A node over `arena` answering P-views: exactly one of `view_fn`
-    (a leaf) or `play_fn` (a wrapper) maps the P-view's moves to
-    (move, index into the view), which may go on with items the memo
-    keeps and no reader sees, or None."""
+    (a leaf), called with the P-view's moves, or `play_fn` (a wrapper),
+    called with the node and the P-view's moves, maps them to (move,
+    index into the view), which may go on with items the memo keeps and
+    no reader sees, or None."""
 
     def __init__(self, arena: Arena, name: str, view_fn=None, play_fn=None):
         if (view_fn is None) == (play_fn is None):
@@ -207,7 +212,7 @@ class InnocentStrategy:
         r = self._memo.get(key, _UNASKED)
         if r is _UNASKED:
             try:
-                r = (self._view_fn or self._play_fn)(key)
+                r = self._view_fn(key) if self._view_fn is not None else self._play_fn(self, key)
                 if r is not None:
                     move, j = r[0], r[1]
                     if not 0 <= j < len(key):
@@ -544,31 +549,34 @@ def pair_strategies(f: InnocentStrategy, g: InnocentStrategy) -> InnocentStrateg
 
 def _wrapper(arena: Arena, name: str, routes: dict) -> InnocentStrategy:
     """A renaming's or a pairing's node over `arena`, asking what lies
-    below it along `routes`, one for each initial move it reads down.
-    Its `play_fn` is the whole ask: the view is read down the route's
-    `into` table, the node below is asked it, a leaf through its
-    `view_fn` and a composite through `respond`, where the benchmark's
-    tracer counts compose asks, and the reply's move is read back up
-    `back`.  The translated view is its own P-view, so the pointer is
-    already an index into the view; the node's `_answer` checks the
-    translated reply."""
-    def play_fn(view: tuple):
-        below, into, back, _ = routes[view[0][0]]
-        inner = tuple([(into[m], p) for m, p in view])
-        if below._view_fn is not None:
-            r = below._view_fn(inner)
-        else:
-            r = below.respond(Play(below.arena, inner))
-        if r is None:
-            return None
-        try:
-            return back[r[0]], r[1]
-        except KeyError:
-            raise StrategyError(f"{name}: emitted move {r[0]!r} outside the inner arena") from None
-
-    node = InnocentStrategy(arena, name, play_fn=play_fn)
+    below it along `routes`, one for each initial move it reads down,
+    through `_ask_below`, the one `play_fn` every such node shares."""
+    node = InnocentStrategy(arena, name, play_fn=_ask_below)
     node._routes = routes
     return node
+
+
+def _ask_below(node: InnocentStrategy, view: tuple):
+    """A renaming's or a pairing's `play_fn`, the whole ask: `view` is
+    read down the `into` table of `node`'s route for its initial move,
+    the node below is asked it, a leaf through its `view_fn` and a
+    composite through `respond`, where the benchmark's tracer counts
+    compose asks, and the reply's move is read back up `back`.  The
+    translated view is its own P-view, so the pointer is already an
+    index into the view; `node`'s `_answer` checks the translated
+    reply."""
+    below, into, back, _ = node._routes[view[0][0]]
+    inner = tuple([(into[m], p) for m, p in view])
+    if below._view_fn is not None:
+        r = below._view_fn(inner)
+    else:
+        r = below.respond(Play(below.arena, inner))
+    if r is None:
+        return None
+    try:
+        return back[r[0]], r[1]
+    except KeyError:
+        raise StrategyError(f"{node.name}: emitted move {r[0]!r} outside the inner arena") from None
 
 
 def _routes_over(inner: InnocentStrategy, key: tuple, initials: frozenset) -> dict:
@@ -647,7 +655,9 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
     the longest prefix in the memo, or to the empty interaction.  The
     moves played, and so the replies, the bound hits and the
     StrategyError texts, are those of playing out w from the empty
-    interaction.
+    interaction.  The node's `play_fn` reads that memo, and asks those
+    shorter P-views, of the node it is handed: it holds no node of its
+    own, so a composite is no reference cycle.
 
     Component bookkeeping: the interaction records the justifier of
     each occurrence, in A, B or C, and has three projections: sigma's
@@ -697,7 +707,7 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
             # the outer projection grows its moves, the factors' their P-views
             grown.append((tag + mv, ptr) if k == 2 else next_pview(grown, tag + mv, ptr))
 
-    def play_fn(view: tuple):
+    def play_fn(node: InnocentStrategy, view: tuple):
         n = len(view)
         if n == 1:
             # per projection: position -> u index, u index -> position
@@ -740,5 +750,4 @@ def compose(sigma: InnocentStrategy, tau: InnocentStrategy, b: Bounds,
                 return (*proj[2][2][-1], (u, proj))
             side = 1 - side
 
-    node = InnocentStrategy(outer, cname, play_fn=play_fn)
-    return node
+    return InnocentStrategy(outer, cname, play_fn=play_fn)

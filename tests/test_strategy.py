@@ -107,10 +107,10 @@ def test_respond_refuses_an_invisible_justifier():
     # into the view cannot name it.  Index 1 is past the view's end.
     arena = arrow(N2, N2)
     s = Play(arena, (("R.q", ROOT), ("L.q", 0), ("R.q", ROOT)))
-    peek = InnocentStrategy(arena, "peek", play_fn=lambda v: ("R.0", 1))
+    peek = InnocentStrategy(arena, "peek", play_fn=lambda node, v: ("R.0", 1))
     with pytest.raises(StrategyError):
         peek.respond(s)
-    local = InnocentStrategy(arena, "local", play_fn=lambda v: ("R.0", 0))
+    local = InnocentStrategy(arena, "local", play_fn=lambda node, v: ("R.0", 0))
     assert local.respond(s) == ("R.0", 2)
 
 
