@@ -590,13 +590,17 @@ def _strat(t: Term, env: tuple, ca: Arena, b: Bounds, rl_add: bool,
 
     if isinstance(t, Fix):
         # the fix_depth-th approximant: the body applied that many
-        # times to the strategy with no responses
+        # times to the strategy with no responses.  The list holds every
+        # approximant, so a build that runs out of memory frees them top
+        # down, one at a time: the last alone would free the chain by
+        # one nested deallocation per approximant, and the C stack that
+        # takes cannot grow when the address space is full.
         body = _strat(t.t, env, ca, b, rl_add, evals)
-        approx = InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
-                                  view_fn=lambda ms: None)
+        approxes = [InnocentStrategy(arrow(ca, body.arena.parts[1].parts[1]), "bottom",
+                                     view_fn=lambda ms: None)]
         for _ in range(b.fix_depth):
-            approx = _apply(body, approx, b, evals)
-        return approx
+            approxes.append(_apply(body, approxes[-1], b, evals))
+        return approxes[-1]
 
     if isinstance(t, Add):
         first, second = (t.right, t.left) if rl_add else (t.left, t.right)
