@@ -71,8 +71,15 @@ MUTANTS = [
     ("cli: a spent budget reported as an internal error", "cli.py",
      "except StrategyError as e:", "except (StrategyError, BudgetExhausted) as e:"),
     ("cli: out of memory not a resource limit", "cli.py",
-     "except (RecursionError, MemoryError, BudgetExhausted) as e:",
-     "except (RecursionError, BudgetExhausted) as e:"),
+     "_RESOURCE_LIMITS = (RecursionError, MemoryError, BudgetExhausted)",
+     "_RESOURCE_LIMITS = (RecursionError, BudgetExhausted)"),
+    # a run loads only the modules its subcommand calls
+    ("cli: `equiv` imported at module level", "cli.py",
+     "from .bounds import Bounds\n",
+     "from .bounds import Bounds\nfrom .equiv import brute_force_leq, obs_equiv\n"),
+    ("package: an unknown name resolves to None", "__init__.py",
+     'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+     "return None"),
     # the walk's two cap tests
     ("walk: room check n + 1 >", "strategy.py",
      "if n + 2 > cap:", "if n + 1 > cap:"),

@@ -33,6 +33,15 @@ is built.  `_emit` streams the document through one generator,
 `_pieces`, which yields the text of a container down two levels member
 by member, and of a `TraceResult` play by play, each with its separator,
 so `obs` and `traces` never hold the whole text.
+
+A run loads only the modules its subcommand calls.  `parse`, `denote`
+and `traces` load `bounds`, `pcf` and the engine under it (`arena`,
+`plays`, `strategy`); `obs` and `test` add `observation`; `equiv`, with
+or without `--oracle`, adds `observation` and `equiv`; `laws` adds
+those and `corpus`.  Each `cmd_*` that calls `observation` or `equiv`
+imports it as its first statement, before any file is read or term
+denoted, so a MemoryError or RecursionError never lands inside an
+import.
 """
 from __future__ import annotations
 
@@ -44,8 +53,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _str
 
 from .bounds import Bounds
-from .equiv import brute_force_leq, check_category_laws, obs_equiv
-from .observation import ODetSet, observations, run_test
 from .pcf import PcfError, arena_type, denote, parse, pragmas, term_to_json, typecheck
 from .strategy import BudgetExhausted, StrategyError, TraceResult, explore, tabulate
 
@@ -254,6 +261,7 @@ def cmd_traces(ns) -> int:
 
 
 def cmd_obs(ns) -> int:
+    from .observation import observations
     b = _bounds(ns)
     sigma, _ = _denote_file(ns.file, b)
     _emit(observations(sigma, b).to_json(include_arena=True))
@@ -261,6 +269,7 @@ def cmd_obs(ns) -> int:
 
 
 def cmd_equiv(ns) -> int:
+    from .equiv import brute_force_leq, obs_equiv
     b = _bounds(ns)
     s1, ty1 = _denote_file(ns.file1, b)
     s2, ty2 = _denote_file(ns.file2, b)
@@ -299,6 +308,7 @@ def _bounds_explain(report, fwd, bwd, b: Bounds) -> bool:
 
 
 def cmd_test(ns) -> int:
+    from .observation import ODetSet, run_test
     b = _bounds(ns)
     sigma, _ = _denote_file(ns.file, b)
     try:
@@ -316,6 +326,7 @@ def cmd_test(ns) -> int:
 
 
 def cmd_laws(ns) -> int:
+    from .equiv import check_category_laws
     report = check_category_laws(_bounds(ns))
     _emit(report.to_json())
     return 0 if report.all_pass else 1
@@ -382,6 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# What `main` reports as a resource limit.  A tuple written in the
+# `except` clause is built each time the clause is tried, while memory
+# is still exhausted; on CPython 3.13 that allocation raised a second
+# MemoryError in up to half the runs that ran out of memory.  This one
+# is built once, at import.
+_RESOURCE_LIMITS = (RecursionError, MemoryError, BudgetExhausted)
+
+
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
@@ -400,7 +419,7 @@ def main(argv=None) -> int:
     except StrategyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except (RecursionError, MemoryError, BudgetExhausted) as e:
+    except _RESOURCE_LIMITS as e:
         limit = "out of memory" if isinstance(e, MemoryError) else str(e)
     # Reported once the handler has let go of the traceback, which
     # frees what the failed computation built: a report inside the

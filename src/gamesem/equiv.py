@@ -17,6 +17,8 @@ O-views as move tuples too, by the one rule the view-set door checks
 them by, `observation.oview_steps`.  The candidate list reads a view's
 completeness off the open questions that rule carries; the oracle folds
 `plays.open_questions` over an O-view where a run first stops at it.
+The law checks import the strategies they take from `corpus` when
+they run, so deciding equivalence never loads the test corpus.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from dataclasses import dataclass, replace
 
 from .arena import Arena
 from .bounds import Bounds
-from .corpus import applier, proj_strategy
 from .observation import (
     _SUCCEED,
     ODetSet,
@@ -277,6 +278,7 @@ def _min_distinguishing(x: ObservationalStrategy, y: ObservationalStrategy) -> s
 
 
 def _law_strategies(b: Bounds) -> list[tuple[str, InnocentStrategy]]:
+    from .corpus import proj_strategy
     return [
         ("numeral_2_thunk", as_thunk(denote(parse("2"), b))),
         ("succ", succ_strategy(b.max_nat)),
@@ -289,6 +291,7 @@ def check_category_laws(b: Bounds) -> LawsReport:
     """Identity, associativity, and congruence checks over the
     built-in strategies, with a minimal distinguishing view set
     reported on failure."""
+    from .corpus import applier
     wide = _interaction_bounds(b)
     checks: list[LawCheck] = []
 

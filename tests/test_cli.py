@@ -182,7 +182,7 @@ def test_equiv_oracle_unexplained_disagreement_exits_3(tmp_path, monkeypatch, ca
     def refuted(s1, s2, b):
         return LeqReport(False, b, None, 1, 0)
 
-    monkeypatch.setattr(cli, "brute_force_leq", refuted)
+    monkeypatch.setattr(equiv, "brute_force_leq", refuted)
     assert cli.main(["equiv", a, b, "--oracle"]) == 3
     out, err = capsys.readouterr()
     oracle = json.loads(out)["oracle"]
