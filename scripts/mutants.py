@@ -80,6 +80,17 @@ MUTANTS = [
     ("package: an unknown name resolves to None", "__init__.py",
      'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
      "return None"),
+    # a value class is a record: equality reads its class, and a field
+    # is never reassigned
+    ("pcf: node equality ignores its class", "pcf.py",
+     "class Term(_Record):\n",
+     "class Term(_Record):\n"
+     "    def __eq__(self, other):\n"
+     "        return isinstance(other, Term) and self._key() == other._key()\n\n"
+     "    __hash__ = _Record.__hash__\n\n"),
+    ("bounds: a field can be reassigned", "bounds.py",
+     "class Bounds(_Record):\n",
+     "class Bounds(_Record):\n    __setattr__ = object.__setattr__\n"),
     # the walk's two cap tests
     ("walk: room check n + 1 >", "strategy.py",
      "if n + 2 > cap:", "if n + 1 > cap:"),

@@ -23,11 +23,11 @@ denotation builds its own.
 
 `json_check` is the shape check of the JSON door: the readers of
 arenas, plays and view-sets run it on each part before they read it,
-so bad input is named by its path in the document.
+so bad input is named by its path in the document.  `_Record` is the
+base of the package's value classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -100,12 +100,44 @@ def json_check(value, shape, path: str = "") -> None:
             json_check(v, shape[0] if isinstance(shape, list) else shape[k], f"{path}[{k}]")
 
 
+class _Record:
+    """An immutable value with named fields, written out rather than made
+    by `dataclasses`, whose import and per-class code generation cost a
+    fresh process more than a small command does.  A subclass's
+    `__init__` stores its fields through `__dict__`, in the order `repr`
+    shows them (a field whose name starts with "_" is not shown), and
+    its `_key` gives the fields equality reads, by default all of them.
+    Two values are equal when they are of the same class and their keys
+    are equal; equal values hash alike.  Assigning or deleting an
+    attribute raises AttributeError."""
+
+    def _key(self) -> tuple:
+        return tuple(vars(self).values())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+
 _ARENA_SHAPE = {"moves": [{"id": str, "label": frozenset(lab.value for lab in MoveLabel)}],
                 "enabling": [(str, str)], "initials": [str]}
 
 
-@dataclass(frozen=True)
-class Arena:
+class Arena(_Record):
     """Immutable arena value.
 
     Equality and hashing are structural: two arenas are equal when they
@@ -115,16 +147,18 @@ class Arena:
     arena back into its operands).
     """
 
-    labels: tuple[tuple[str, MoveLabel], ...]
-    enabling: tuple[tuple[str, str], ...]
-    initials: frozenset[str]
-    name: str = field(default="arena", compare=False)
-    kind: str = field(default="custom", compare=False)
-    parts: tuple["Arena", ...] = field(default=(), compare=False, repr=False)
+    def __init__(self, labels: tuple[tuple[str, MoveLabel], ...],
+                 enabling: tuple[tuple[str, str], ...], initials: frozenset[str],
+                 name: str = "arena", kind: str = "custom", parts: tuple[Arena, ...] = ()):
+        self.__dict__.update(labels=labels, enabling=enabling, initials=initials,
+                             name=name, kind=kind, parts=parts)
+
+    def _key(self) -> tuple:
+        return self.labels, self.enabling, self.initials
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.labels, self.enabling, self.initials))
+        return hash(self._key())
 
     def __hash__(self) -> int:
         # The structural hash, computed once: every hash(Play) asks for it.

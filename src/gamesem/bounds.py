@@ -10,25 +10,26 @@ computed at.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
-from .arena import json_check
+from .arena import _Record, json_check
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_nat: int = 3
-    max_play_len: int = 8
-    max_view_len: int = 6
-    fix_depth: int = 4
+class Bounds(_Record):
+    # the defaults, which the CLI reads off the class
+    max_nat = 3
+    max_play_len = 8
+    max_view_len = 6
+    fix_depth = 4
 
-    def __post_init__(self):
-        for f, v in asdict(self).items():
+    def __init__(self, max_nat: int = max_nat, max_play_len: int = max_play_len,
+                 max_view_len: int = max_view_len, fix_depth: int = fix_depth):
+        self.__dict__.update(max_nat=max_nat, max_play_len=max_play_len,
+                             max_view_len=max_view_len, fix_depth=fix_depth)
+        for f, v in vars(self).items():
             if v < 1:
                 raise ValueError(f"{f} must be positive, got {v}")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Bounds":
@@ -37,7 +38,7 @@ class Bounds:
         its default.  ValueError names a part out of shape, a key that is
         no field or a field that is not positive, by its path."""
         json_check(doc, dict, "bounds")
-        fields = asdict(cls())
+        fields = vars(cls())
         for k in doc:
             if k not in fields:
                 raise ValueError(f"bounds.{k}: expected one of {', '.join(fields)}, "

@@ -38,10 +38,11 @@ A run loads only the modules its subcommand calls.  `parse`, `denote`
 and `traces` load `bounds`, `pcf` and the engine under it (`arena`,
 `plays`, `strategy`); `obs` and `test` add `observation`; `equiv`, with
 or without `--oracle`, adds `observation` and `equiv`; `laws` adds
-those and `corpus`.  Each `cmd_*` that calls `observation` or `equiv`
-imports it as its first statement, before any file is read or term
-denoted, so a MemoryError or RecursionError never lands inside an
-import.
+those and `corpus`, the one module that builds its classes with
+`dataclasses`, so only `laws` imports that.  Each `cmd_*` that calls
+`observation` or `equiv` imports it as its first statement, before any
+file is read or term denoted, so a MemoryError or RecursionError never
+lands inside an import.
 """
 from __future__ import annotations
 

@@ -25,9 +25,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass, replace
-
-from .arena import Arena
+from .arena import Arena, _Record
 from .bounds import Bounds
 from .observation import (
     _SUCCEED,
@@ -45,13 +43,12 @@ from .plays import open_questions
 from .strategy import BudgetExhausted, InnocentStrategy, as_thunk, compose, copycat, explore
 
 
-@dataclass(frozen=True)
-class EquivReport:
-    equal: bool
-    bounds: Bounds
-    witness: ODetSet | None
-    witness_side: str | None       # "left" or "right" when inequivalent
-    bound_exceeded: tuple[int, int]
+class EquivReport(_Record):
+    def __init__(self, equal: bool, bounds: Bounds, witness: ODetSet | None,
+                 witness_side: str | None, bound_exceeded: tuple[int, int]):
+        # witness_side is "left" or "right" when inequivalent
+        self.__dict__.update(equal=equal, bounds=bounds, witness=witness,
+                             witness_side=witness_side, bound_exceeded=bound_exceeded)
 
     @property
     def verdict(self) -> str:
@@ -110,13 +107,11 @@ def enumerate_closed_odet_sets(arena: Arena, max_view_len: int) -> list[frozense
     return sorted([frozenset(), *rooted((), ())], key=viewset_key)
 
 
-@dataclass(frozen=True)
-class LeqReport:
-    holds: bool
-    bounds: Bounds
-    witness: ODetSet | None
-    tested: int
-    bound_exceeded: int
+class LeqReport(_Record):
+    def __init__(self, holds: bool, bounds: Bounds, witness: ODetSet | None, tested: int,
+                 bound_exceeded: int):
+        self.__dict__.update(holds=holds, bounds=bounds, witness=witness, tested=tested,
+                             bound_exceeded=bound_exceeded)
 
     @property
     def verdict(self) -> str:
@@ -224,22 +219,18 @@ def _closing(vkey: tuple, key: tuple, entry) -> tuple:
     return (total + sum(k for k, _ in new), count + len(new), tuple(sorted(views + tuple(new))))
 
 
-@dataclass(frozen=True)
-class LawCheck:
-    law: str
-    subject: str
-    passed: bool
-    detail: str = ""
+class LawCheck(_Record):
+    def __init__(self, law: str, subject: str, passed: bool, detail: str = ""):
+        self.__dict__.update(law=law, subject=subject, passed=passed, detail=detail)
 
     def to_json(self) -> dict:
         return {"law": self.law, "subject": self.subject,
                 "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class LawsReport:
-    bounds: Bounds
-    checks: tuple[LawCheck, ...]
+class LawsReport(_Record):
+    def __init__(self, bounds: Bounds, checks: tuple[LawCheck, ...]):
+        self.__dict__.update(bounds=bounds, checks=checks)
 
     @property
     def all_pass(self) -> bool:
@@ -257,7 +248,7 @@ def _interaction_bounds(b: Bounds) -> Bounds:
     # Composites built only to state a law get a widened interaction
     # budget: hiding must not eat the visible horizon the law is
     # stated at.  Plain compose() keeps the strict shared budget.
-    return replace(b, max_play_len=2 * b.max_play_len + 4)
+    return Bounds(b.max_nat, 2 * b.max_play_len + 4, b.max_view_len, b.fix_depth)
 
 
 def _least_difference(x: ObservationalStrategy, y: ObservationalStrategy) -> frozenset[tuple]:

@@ -40,9 +40,7 @@ else, from which the play's moves can be read back.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-from .arena import Arena, arrow, json_check, make_sigma
+from .arena import Arena, _Record, arrow, json_check, make_sigma
 from .bounds import Bounds
 from .plays import (
     EMPTY_VIEWS,
@@ -154,23 +152,22 @@ def _opponent_table(arena: Arena, views: frozenset[tuple]):
     return table
 
 
-@dataclass(frozen=True)
-class ODetSet:
+class ODetSet(_Record):
     """A prefix-closed, O-deterministic set of O-views over one arena,
     each O-view held as its moves.  The constructor is the one door:
     ValueError with the reason `_opponent_table` gives if the set is
     not valid, so nothing that reads one checks it again.  The same
     pass builds `_table`, the Opponent the set defines, once for every
-    strategy the set tests."""
-    arena: Arena
-    views: frozenset[tuple]
-    _table: dict = field(init=False, repr=False, compare=False)
+    strategy the set tests; equality does not read it."""
 
-    def __post_init__(self):
-        got = _opponent_table(self.arena, self.views)
+    def __init__(self, arena: Arena, views: frozenset[tuple]):
+        got = _opponent_table(arena, views)
         if isinstance(got, str):
             raise ValueError(f"not an O-deterministic view-set: {got}")
-        object.__setattr__(self, "_table", got)
+        self.__dict__.update(arena=arena, views=views, _table=got)
+
+    def _key(self) -> tuple:
+        return self.arena, self.views
 
     @classmethod
     def make(cls, arena: Arena, views) -> "ODetSet":
@@ -316,14 +313,19 @@ def _play_against(sigma: InnocentStrategy, table: dict, b: Bounds, run=None):
         views += (next_views(views, *r),)
 
 
-@dataclass(frozen=True)
-class ObservationalStrategy:
+class ObservationalStrategy(_Record):
     """A strategy's observation: its complete plays seen through O-views,
-    one set of O-views per play, each O-view held as its moves."""
-    arena: Arena
-    sets: frozenset[frozenset[tuple]]
-    bounds: Bounds = field(compare=False)
-    bound_exceeded: int = field(default=0, compare=False)
+    one set of O-views per play, each O-view held as its moves.
+    Equality reads the arena and the sets, not the bounds or the count
+    of bound hits."""
+
+    def __init__(self, arena: Arena, sets: frozenset[frozenset[tuple]], bounds: Bounds,
+                 bound_exceeded: int = 0):
+        self.__dict__.update(arena=arena, sets=sets, bounds=bounds,
+                             bound_exceeded=bound_exceeded)
+
+    def _key(self) -> tuple:
+        return self.arena, self.sets
 
     def to_json(self, include_arena: bool = False) -> dict:
         """The document `from_json` reads.  Each distinct O-view is

@@ -32,9 +32,7 @@ Arithmetic saturates at max_nat and pred 0 = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .arena import Arena, arrow, make_empty, make_nat_arena, product
+from .arena import Arena, _Record, arrow, make_empty, make_nat_arena, product
 from .bounds import Bounds
 from .strategy import (
     InnocentStrategy,
@@ -49,20 +47,18 @@ from .strategy import (
 
 # ---------------------------------------------------------------- types
 
-class Ty:
+class Ty(_Record):
     pass
 
 
-@dataclass(frozen=True)
 class TNat(Ty):
     def __str__(self):
         return "nat"
 
 
-@dataclass(frozen=True)
 class TFun(Ty):
-    arg: Ty
-    res: Ty
+    def __init__(self, arg: Ty, res: Ty):
+        self.__dict__.update(arg=arg, res=res)
 
     def __str__(self):
         # along the result spine in a loop, so a long chain of arrows
@@ -79,60 +75,80 @@ NAT = TNat()
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Term:
-    pos: tuple = field(default=(0, 0), compare=False, kw_only=True)
+class Term(_Record):
+    """A node of a term.  Its `pos`, (line, column) where it starts in
+    its source, is given by keyword, shown first and not compared; its
+    `_key` is its other fields, so its subterms are among them."""
 
 
-@dataclass(frozen=True)
 class Num(Term):
-    n: int
+    def __init__(self, n: int, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, n=n)
+
+    def _key(self) -> tuple:
+        return (self.n,)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    def __init__(self, name: str, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, name=name)
+
+    def _key(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    var: str
-    ty: Ty
-    body: Term
+    def __init__(self, var: str, ty: Ty, body: Term, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, var=var, ty=ty, body=body)
+
+    def _key(self) -> tuple:
+        return self.var, self.ty, self.body
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    def __init__(self, fn: Term, arg: Term, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, fn=fn, arg=arg)
+
+    def _key(self) -> tuple:
+        return self.fn, self.arg
 
 
-@dataclass(frozen=True)
-class Succ(Term):
-    t: Term
+class _Prefix(Term):
+    """A prefix form, `fix`, `succ` or `pred`, and its one subterm."""
+
+    def __init__(self, t: Term, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, t=t)
+
+    def _key(self) -> tuple:
+        return (self.t,)
 
 
-@dataclass(frozen=True)
-class Pred(Term):
-    t: Term
+class Succ(_Prefix):
+    pass
 
 
-@dataclass(frozen=True)
+class Pred(_Prefix):
+    pass
+
+
 class Ifz(Term):
-    cond: Term
-    then: Term
-    els: Term
+    def __init__(self, cond: Term, then: Term, els: Term, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, cond=cond, then=then, els=els)
+
+    def _key(self) -> tuple:
+        return self.cond, self.then, self.els
 
 
-@dataclass(frozen=True)
-class Fix(Term):
-    t: Term
+class Fix(_Prefix):
+    pass
 
 
-@dataclass(frozen=True)
 class Add(Term):
-    left: Term
-    right: Term
+    def __init__(self, left: Term, right: Term, *, pos: tuple = (0, 0)):
+        self.__dict__.update(pos=pos, left=left, right=right)
+
+    def _key(self) -> tuple:
+        return self.left, self.right
 
 
 class PcfError(Exception):
@@ -159,11 +175,10 @@ PREFIX_FORMS = {"fix": Fix, "succ": Succ, "pred": Pred}
 PREFIX_NAMES = {cls: kw for kw, cls in PREFIX_FORMS.items()}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str     # num | ident | keyword | punct | eof
-    text: str
-    pos: tuple
+class Token(_Record):
+    def __init__(self, kind: str, text: str, pos: tuple):
+        # kind is num, ident, keyword, punct or eof
+        self.__dict__.update(kind=kind, text=text, pos=pos)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -349,7 +364,7 @@ def parse(source: str) -> Term:
         depth += 1
         if depth > MAX_NESTING:
             raise PcfParseError("term nested too deeply", level[0].pos)
-        level = [c for t in level for c in vars(t).values() if isinstance(c, Term)]
+        level = [c for t in level for c in t._key() if isinstance(c, Term)]
     return term
 
 

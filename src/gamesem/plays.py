@@ -71,9 +71,7 @@ Views are returned with their pointers re-indexed into the view itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arena import Arena, json_check
+from .arena import Arena, _Record, json_check
 
 ROOT = -1
 
@@ -81,8 +79,7 @@ ROOT = -1
 _PLAY_SHAPE = {"moves": [{"m": str, "ptr": int}]}
 
 
-@dataclass(frozen=True)
-class Play:
+class Play(_Record):
     """A justified sequence over an arena.
 
     The constructor does not check legality; `checked_views` does, and
@@ -90,8 +87,8 @@ class Play:
     pointer) pairs with pointer ROOT (-1) for unjustified occurrences.
     """
 
-    arena: Arena
-    moves: tuple[tuple[str, int], ...] = ()
+    def __init__(self, arena: Arena, moves: tuple[tuple[str, int], ...] = ()):
+        self.__dict__.update(arena=arena, moves=moves)
 
     def __len__(self) -> int:
         return len(self.moves)

@@ -114,10 +114,9 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .arena import Arena, arrow, make_empty, product
+from .arena import Arena, _Record, arrow, make_empty, product
 from .bounds import Bounds
 from .plays import (
     EMPTY_VIEWS,
@@ -233,15 +232,15 @@ class InnocentStrategy:
         return f"InnocentStrategy({self.name} : {self.arena.name})"
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(_Record):
     """`explore`'s plays over `arena`, each as its moves, shortest first
     and then in order of their moves, the order the CLI prints, and its
     count of bound hits.  No `Play` is built: `Play(arena, moves)` is
     the play of each."""
-    arena: Arena
-    plays: tuple[tuple[tuple[str, int], ...], ...]
-    bound_exceeded: int
+
+    def __init__(self, arena: Arena, plays: tuple[tuple[tuple[str, int], ...], ...],
+                 bound_exceeded: int):
+        self.__dict__.update(arena=arena, plays=plays, bound_exceeded=bound_exceeded)
 
 
 def walk(sigma: InnocentStrategy, b: Bounds, innocent_opponent: bool = False):

@@ -363,7 +363,9 @@ def _oracle_cases():
     for left, right, s1, s2, b, _ in sweep.cases():
         yield pytest.param(s1, s2, b, id=f"{left}~{right}@{b.max_play_len}/{b.max_view_len}")
     for p in PAIRS:
-        for b in (replace(p.bounds, max_play_len=4), replace(p.bounds, max_view_len=2)):
+        pb = p.bounds
+        for b in (Bounds(pb.max_nat, 4, pb.max_view_len, pb.fix_depth),
+                  Bounds(pb.max_nat, pb.max_play_len, 2, pb.fix_depth)):
             q = replace(p, bounds=b)
             yield pytest.param(*build_pair(q), b,
                                id=f"{p.left}~{p.right}@{b.max_play_len}/{b.max_view_len}")

@@ -229,7 +229,7 @@ def test_observations_are_the_reference_oviews_of_complete_plays(e):
     # and small ones.
     sigma = e.build()
     for cap in (e.bounds.max_play_len, 1, 2, 3, 5, 7, 9):
-        b = replace(e.bounds, max_play_len=cap)
+        b = Bounds(e.bounds.max_nat, cap, e.bounds.max_view_len, e.bounds.fix_depth)
         plays = played(innocent_explore(sigma, b))
         want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
                 for p in plays if p.moves and ref_pending_questions(p) == ()}
@@ -346,7 +346,8 @@ def _composite_verdict(sigma, s, b):
 def _cross_check_cases():
     for p in PAIRS:
         for k in (p.bounds.max_play_len, 2, 3, 4, 5):
-            q = replace(p, bounds=replace(p.bounds, max_play_len=k))
+            pb = p.bounds
+            q = replace(p, bounds=Bounds(pb.max_nat, k, pb.max_view_len, pb.fix_depth))
             yield from zip(build_pair(q), (q.bounds,) * 2)
     b = Bounds(max_nat=1, max_play_len=16, max_view_len=6)
     for body in ("f 1", "f (f 1)", "f (f (f 1))"):

@@ -1,6 +1,7 @@
 """The package's names load on first use: `import gamesem` loads no
-module, each CLI subcommand loads only the modules it calls, and every
-public name still resolves to its home module's object."""
+module, each CLI subcommand loads only the modules it calls, only `laws`
+imports `dataclasses`, and every public name still resolves to its home
+module's object."""
 import importlib
 import json
 import re
@@ -65,12 +66,14 @@ DECIDE = OBSERVE | {"gamesem.equiv"}
 
 def loaded(*args: str) -> set[str]:
     """The gamesem modules a fresh interpreter started with `args`
-    imports, read from its `-X importtime` report.  A module run with
-    `-m` runs as `__main__` and is not in the report."""
+    imports, and "dataclasses" if it imports that, read from its
+    `-X importtime` report.  A module run with `-m` runs as `__main__`
+    and is not in the report."""
     r = subprocess.run([sys.executable, "-X", "importtime", *args],
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr[-2000:]
-    return set(re.findall(r"^import time:.*\| +(gamesem(?:\.\w+)?)$", r.stderr, re.M))
+    return set(re.findall(r"^import time:.*\| +(gamesem(?:\.\w+)?|dataclasses)$", r.stderr,
+                          re.M))
 
 
 def test_importing_the_package_loads_no_module():
@@ -86,7 +89,8 @@ SUBCOMMANDS = [
     (["test", "t.pcf", "--set", "s.json", "--max-nat", "2"], OBSERVE),
     (["equiv", "t.pcf", "t.pcf"], DECIDE),
     (["equiv", "t.pcf", "t.pcf", "--oracle"], DECIDE),
-    (["laws", "--max-nat", "1"], DECIDE | {"gamesem.corpus"}),
+    # `corpus` alone builds its classes with `dataclasses`
+    (["laws", "--max-nat", "1"], DECIDE | {"gamesem.corpus", "dataclasses"}),
 ]
 
 
