@@ -57,14 +57,18 @@ MUTANTS = [
     ("pieces: first separator of a container is a comma", "cli.py",
      'lead, close = "[" + inner, "]"', 'lead, close = "," + inner, "]"'),
     ("pieces: first separator of a play list is a comma", "cli.py",
-     'lead = "[" + inner\n        for moves in o.plays:',
-     'lead = "," + inner\n        for moves in o.plays:'),
+     'lead = "[" + inner\n        stem = stem_text = None',
+     'lead = "," + inner\n        stem = stem_text = None'),
+    ("pieces: a play's stem text is not rebuilt when the stem changes", "cli.py",
+     "if moves[:-2] != stem:", "if stem is None:"),
     ("emit: streams zero levels", "cli.py",
      "_pieces(doc, 0, {}, 2)", "_pieces(doc, 0, {}, 0)"),
     ("emit: streams one level", "cli.py",
      "_pieces(doc, 0, {}, 2)", "_pieces(doc, 0, {}, 1)"),
     ("encode: memo key without depth", "cli.py",
      "key = (depth, *o.items())", "key = (*o.items(),)"),
+    ("encode: a shared dict's memo key drops its depth", "cli.py",
+     "else (depth, id(o))", "else (id(o),)"),
     ("encode: bools share the memo", "cli.py",
      "_LEAF_TYPES = frozenset((str, int))", "_LEAF_TYPES = frozenset((str, int, bool))"),
     # the exit lines

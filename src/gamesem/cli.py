@@ -26,13 +26,17 @@ element ordering, so repeated runs are byte-identical.  One encoder,
 `_encode`, writes it for every subcommand; its bytes are those of
 `json.dumps(doc, indent=2, sort_keys=True)`, which on Python 3.13 and
 older runs the stdlib's pure-Python encoder once it is given an indent.
-`traces` hands it `explore`'s `TraceResult`, whose plays are move
-tuples: each is written as its `Play.to_json()` would be, with one join
-over a per-depth table of move texts, so no `Play` and no dict per move
-is built.  `_emit` streams the document through one generator,
-`_pieces`, which yields the text of a container down two levels member
-by member, and of a `TraceResult` play by play, each with its separator,
-so `obs` and `traces` never hold the whole text.
+The writer builds each piece of text once.  `traces` hands it
+`explore`'s `TraceResult`, whose plays are move tuples: each is written
+as its `Play.to_json()` would be, from a per-depth table of move texts
+formatted straight from each move, so no `Play` and no dict per move is
+built, and a play is its parent's text plus its last round, as the
+walk hands out siblings together.  A dict the document shares, such as
+an O-view that `obs` lists in thousands of sets, is written once per
+depth and document.  `_emit` streams the document through one
+generator, `_pieces`, which yields the text of a container down two
+levels member by member, and of a `TraceResult` play by play, each
+with its separator, so `obs` and `traces` never hold the whole text.
 
 A run loads only the modules its subcommand calls.  `parse`, `denote`
 and `traces` load `bounds`, `pcf` and the engine under it (`arena`,
@@ -83,17 +87,18 @@ def _emit(doc) -> None:
 
 class _MoveTexts(dict):
     """The texts of moves at one nesting depth, keyed by (move,
-    pointer): each is `_encode` of the move's {"m", "ptr"} dict,
-    written on its first ask.  Each text is written once per table, so
-    `_encode` is handed a fresh memo: the table holds no document's
-    memo, which holds the table."""
+    pointer): each is the text `_encode` gives the move's {"m", "ptr"}
+    dict at that depth, formatted from the move's string and the
+    pointer's int on its first ask, with no dict built."""
 
     def __init__(self, depth: int):
         super().__init__()
-        self._depth = depth
+        inner = "\n" + "  " * (depth + 1)
+        self._parts = "{" + inner + '"m": ', "," + inner + '"ptr": ', inner[:-2] + "}"
 
     def __missing__(self, move):
-        text = self[move] = _encode({"m": move[0], "ptr": move[1]}, self._depth, {})
+        head, sep, tail = self._parts
+        text = self[move] = head + _str(move[0]) + sep + int.__repr__(move[1]) + tail
         return text
 
 
@@ -104,7 +109,14 @@ def _pieces(o, depth: int, memo: dict, levels: int):
     level.  A play is written as `Play.to_json()` would be at depth + 1,
     without building a `Play` or a dict: its constant pieces and a table
     of move texts are made once per document, depth and arena name and
-    kept in `memo`, and each play is one join of its moves' texts."""
+    kept in `memo`.  A play is its parent's text plus its last round:
+    the text of the last stem, `moves[:-2]`, is kept with its
+    separators and rebuilt only when the stem changes, and each play of
+    two or more moves is one join of the lead, that text, its last two
+    move texts and the tail.  The walk hands out a capped play with its
+    siblings and `explore` sorts by length stably, so a run of plays
+    that differ only in their last round builds its stem text once.
+    Each play is one piece, and no piece holds two plays."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(o, TraceResult):
         if not o.plays:
@@ -120,9 +132,15 @@ def _pieces(o, depth: int, memo: dict, levels: int):
                                  _MoveTexts(depth + 3))
         head, sep, tail, empty, texts = parts
         lead = "[" + inner
+        stem = stem_text = None
         for moves in o.plays:
-            if moves:
-                yield lead + head + sep.join(map(texts.__getitem__, moves)) + tail
+            if len(moves) > 1:
+                if moves[:-2] != stem:
+                    stem = moves[:-2]
+                    stem_text = head + "".join([texts[m] + sep for m in stem])
+                yield "".join((lead, stem_text, texts[moves[-2]], sep, texts[moves[-1]], tail))
+            elif moves:
+                yield lead + head + texts[moves[0]] + tail
             else:
                 yield lead + empty
             lead = "," + inner
@@ -153,19 +171,27 @@ def _encode(o, depth: int, memo: dict) -> str:
     for byte, for dicts with str keys, lists, tuples, str, int, bool,
     None and `TraceResult`s; anything else raises TypeError.  A
     TraceResult is written as the list of its plays' `Play.to_json()`,
-    by `_pieces`.  `memo` maps (depth, items) of a dict whose
-    values are all str or exact int to its text, so a move repeated
-    through a document is written once per depth.  A bool is kept out
-    of it: True == 1, so it would share 1's entry.  Containers are
-    built in plain loops, not comprehensions, so the writer recurses one
-    frame per level on every Python version."""
+    by `_pieces`.  `memo` maps (depth, items) of a dict whose values are
+    all str or exact int to its text, so a move repeated through a
+    document is written once per depth.  A bool is kept out of it:
+    True == 1, so it would share 1's entry.  Any other dict is keyed by
+    (depth, id(dict)), so a dict the document shares, such as an O-view
+    every set that holds it lists, is written once per depth.  An id
+    names one dict only while that dict lives; this is sound because
+    the document holds every dict in it for the whole write, and `memo`
+    lives no longer than one document.  Such a dict's text is kept only
+    from the second time it is met: the first time, the memo marks it
+    with "", which no JSON text is, so a dict the document holds once,
+    such as each node of a parsed term, costs the memo no text, and the
+    memo of a term's nested dicts does not grow with the square of its
+    depth.  Containers are built in plain loops, not comprehensions, so
+    the writer recurses one frame per level on every Python version."""
     if isinstance(o, dict):
-        key = None
-        if _LEAF_TYPES.issuperset(map(type, o.values())):
-            key = (depth, *o.items())
-            text = memo.get(key)
-            if text is not None:
-                return text
+        leaves = _LEAF_TYPES.issuperset(map(type, o.values()))
+        key = (depth, *o.items()) if leaves else (depth, id(o))
+        known = memo.get(key)
+        if known:
+            return known
         if o:
             inner = "\n" + "  " * (depth + 1)
             parts = []
@@ -174,8 +200,7 @@ def _encode(o, depth: int, memo: dict) -> str:
             text = "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
         else:
             text = "{}"
-        if key is not None:
-            memo[key] = text
+        memo[key] = text if leaves or known is not None else ""
         return text
     if isinstance(o, str):
         return _str(o)

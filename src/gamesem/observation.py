@@ -330,13 +330,19 @@ class ObservationalStrategy(_Record):
     def to_json(self, include_arena: bool = False) -> dict:
         """The document `from_json` reads.  Each distinct O-view is
         written as one object, and every set that holds the view lists
-        that same object, so the document shares them."""
+        that same object, so the document shares them.  The sets come in
+        `viewset_key` order, and each set's views in the order its key
+        holds them, so no set is sorted twice; each key gives way to its
+        set's list as the list is built, so the keys and the lists are
+        not all held at once."""
         docs = {v: Play(self.arena, v).to_json() for v in frozenset().union(*self.sets)}
+        sets = sorted(map(viewset_key, self.sets))
+        for i, key in enumerate(sets):
+            sets[i] = [docs[v] for _, v in key[2]]
         doc = {
             "bounds": self.bounds.to_json(),
             "bound_exceeded": self.bound_exceeded,
-            "sets": [[docs[v] for v in sorted_views(vs)]
-                     for vs in sorted(self.sets, key=viewset_key)],
+            "sets": sets,
         }
         if include_arena:
             doc["arena"] = self.arena.to_json()

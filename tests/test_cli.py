@@ -881,7 +881,11 @@ def test_stdout_is_canonical_json(tmp_path, capsys, args):
 # a lone surrogate, its moves come from a pool of three, so they recur
 # within a play, across plays and across depths, it holds the empty
 # play among others or no play at all, and it is drawn alone, at
-# several depths at once and beside its own plain form.
+# several depths at once and beside its own plain form.  Its plays are
+# drawn apart, or as the walk hands them out: runs of plays that share
+# all but their last two moves, each run broken by a shorter play, so
+# the stem a play shares with the play before it changes, grows and
+# shrinks, and plays of length 0, 1 and 3 sit among the runs.
 _TEXT = st.one_of(
     st.sampled_from(["a", "m", "ptr", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
                      "\u2028", "\ud800", "\U0001f600"]),
@@ -895,9 +899,19 @@ _ARENAS = [Arena((("q", MoveLabel.OQ), ("0", MoveLabel.PA), ('"1"', MoveLabel.PA
 def _results(draw):
     arena = draw(st.sampled_from(_ARENAS))
     ids = [m for m, _ in arena.labels]
-    plays = [tuple((draw(st.sampled_from(ids)), draw(st.integers(ROOT, i - 1)))
-                   for i in range(draw(st.integers(0, 5))))
-             for _ in range(draw(st.integers(0, 4)))]
+
+    def grow(stem, n):
+        return stem + tuple((draw(st.sampled_from(ids)), draw(st.integers(ROOT, i - 1)))
+                            for i in range(len(stem), n))
+
+    if draw(st.booleans()):
+        plays = [grow((), draw(st.integers(0, 5))) for _ in range(draw(st.integers(0, 4)))]
+    else:
+        plays = []
+        for _ in range(draw(st.integers(1, 3))):
+            stem = grow((), draw(st.integers(0, 3)))
+            plays += [grow(stem, len(stem) + 2) for _ in range(draw(st.integers(1, 3)))]
+            plays.append(grow((), draw(st.integers(0, len(stem) + 1))))
     return TraceResult(arena, tuple(plays), draw(st.integers(0, 2)))
 
 
@@ -928,8 +942,17 @@ def _plain(o):
     return o
 
 
+# One dict object met at several depths, and again at a depth it was
+# met at before, is written as the equal copies `_plain` makes of it;
+# and {"a": 1} meets {"a": True} at one depth whatever the draws.
+_VIEW = {"arena": "nat", "moves": [{"m": "R.q", "ptr": -1}, {"m": "R.0", "ptr": 0}]}
+_SHARED = {"sets": [[_VIEW, [_VIEW], _VIEW], [[_VIEW, _VIEW]], _VIEW], "view": _VIEW}
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_DOCS)
+@example(_SHARED)
+@example([{"a": 1}, {"a": True}])
 def test_encoder_matches_json_dumps(doc):
     assert canonical(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
     assert emitted(doc) == canonical(doc) + "\n"
@@ -944,6 +967,17 @@ def test_encoder_keeps_bools_and_depths_apart():
                 {"x": leaf, "y": [leaf, [leaf]]},
                 (1, [()], {"t": ((),)})):
         assert canonical(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_a_dict_the_document_holds_once_leaves_no_text_in_the_memo():
+    # each dict of a deep chain is met once: the memo keeps a mark for
+    # it and no text, or it would hold the square of the chain's depth
+    chain = {"x": []}
+    for _ in range(300):
+        chain = {"x": chain}
+    memo = {}
+    assert cli._encode(chain, 0, memo) == json.dumps(chain, indent=2, sort_keys=True)
+    assert len(memo) == 301 and not any(memo.values())
 
 
 @pytest.mark.parametrize("doc", [1.5, {1: "a"}, {"a": [float("nan")]}, {"a"}, b"a"],
@@ -984,14 +1018,16 @@ def test_emit_writes_each_set_and_each_play_apart():
     # the whole text is never held: no write `_emit` makes holds two of
     # a document's sets, or two of its plays
     sets = [[{"m": f"set{k}", "ptr": -1}] for k in range(3)]
-    plays = TraceResult(_ARENAS[2], tuple(((f"play{k}", ROOT),) for k in range(3)), 0)
+    plays = TraceResult(_ARENAS[2], tuple(((f"play{k}", ROOT),) for k in range(3))
+                        + tuple((("q", ROOT), (f"play{k}", 0), ("0", 1)) for k in range(3, 6)),
+                        0)
     writes = []
     with redirect_stdout(io.StringIO()) as out:
         out.write = writes.append
-        cli._emit({"sets": sets, "plays": plays, "count": 3})
+        cli._emit({"sets": sets, "plays": plays, "count": 6})
     for kind in ("set", "play"):
         assert all(len(re.findall(kind + r"\d", w)) <= 1 for w in writes), kind
-    assert "".join(writes) == emitted({"sets": sets, "plays": plays, "count": 3})
+    assert "".join(writes) == emitted({"sets": sets, "plays": plays, "count": 6})
 
 
 def test_in_process_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
