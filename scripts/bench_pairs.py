@@ -13,12 +13,16 @@ change's difference in the median, how many pairs the change won
 least ten pairs ran, the change won at least nine tenths of them, and
 its median is better than the parent's by more than the parent's own
 interquartile distance.  It also prints how many ops failed on each
-side.  Exits 1 if a run fails.
+side.  Exits 1 if a run fails, and 2, before any run, if either
+checkout has a `__pycache__` directory under src: bytecode an earlier
+run left on one side makes its `setup_s` time loading that, not
+compiling the source.  The runs write none (PYTHONDONTWRITEBYTECODE).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -45,11 +49,17 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             and sign * (c[0] - p[0]) > p[2] - p[1]}
 
 
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The `__pycache__` directories under the checkout's src."""
+    return sorted((checkout / "src").rglob("__pycache__"))
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     p = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if p.returncode != 0:
         raise RuntimeError(f"{checkout} seed {seed}: exit {p.returncode}\n{p.stderr}")
     return json.loads(p.stdout.splitlines()[-1])
@@ -67,6 +77,12 @@ def main(argv=None) -> int:
     if ns.pairs < 2:
         ap.error("--pairs must be at least 2")
     sides = {"parent": ns.parent, "change": ns.change}
+    for checkout in sides.values():
+        caches = bytecode_caches(checkout)
+        if caches:
+            print(f"bench_pairs: bytecode cache under src, remove it first: "
+                  f"{', '.join(map(str, caches))}", file=sys.stderr)
+            return 2
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(ns.pairs):
         seed = ns.first_seed + k

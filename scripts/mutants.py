@@ -117,8 +117,13 @@ MUTANTS = [
     ("observations: a play at the cap without its last O-view", "strategy.py",
      "        if views:\n", "        if views and i == len(moves) - 2:\n"),
     ("observations: a cap play's open questions are its parent's", "observation.py",
-     "elif step[0] and last_round(questions, step)[2] == ():",
-     "elif step[0] and step[2] == ():"),
+     "if step[0] and last_round(questions, step)[2] == ():",
+     "if step[0] and step[2] == ():"),
+    # a complete play's set is its parent's plus its last round's O-views
+    ("observations: a complete play's set is its parent's", "observation.py",
+     "sets.add(path[-1])", "sets.add(path[-2])"),
+    ("observations: a play keeps the set of an earlier play of its length", "observation.py",
+     "del path[len(step[0]) // 2 or 1:]", "del path[len(step[0]) // 2 + 1:]"),
     ("explore: a cap play's open questions are its parent's", "strategy.py",
      "elif not complete_only or (step[0] and last_round(questions, step)[2] == ()):",
      "elif not complete_only or (step[0] and step[2] == ()):"),

@@ -8,7 +8,9 @@ off the views `strategy.walk` yields with each play whose open
 questions, which the walk yields too, are none; a play at the length
 cap comes with its parent's views and open questions, and
 `observations` grows it by its last round, its open questions and, for
-a complete play, its views (`strategy.last_round`).  An O-view is held
+a complete play, its views (`strategy.last_round`).  A complete play's
+set is its parent's set plus the O-views of its last round's two
+prefixes, so no O-view of a prefix is hashed again.  An O-view is held
 as its moves, the tuple ((move, pointer into
 the view), ...) the walk yields, since its set already names the arena;
 a `Play` is built only where a view crosses the JSON door (`to_json`,
@@ -386,20 +388,36 @@ def observations(sigma: InnocentStrategy, b: Bounds) -> ObservationalStrategy:
     open questions by its last round, and, where it is complete, its
     views.
 
+    A complete play's set is its parent's set plus the O-views of its
+    last round's two prefixes.  The walk yields the plays in order of
+    their moves, each before its extensions, so the prefix of 2k moves
+    of a play is the last play of 2k moves yielded before it: `path[k]`
+    holds that prefix's set, and each play drops the sets of the plays
+    that are not its prefixes.  A set is made only when a complete play
+    asks, from the deepest one `path` holds, by unions, which copy the
+    hashes the parent's set stores, so its O-views are not hashed again.
+
     Opponent is restricted to innocent, single-threaded behavior.  Plays
     cut short by the length bound contribute nothing, but positions
     where the strategy's own computation hit a bound are counted in
     bound_exceeded.  An O-view is held as its moves, and the sets share
     one tuple per distinct O-view.
     """
-    sets, exceeded, oviews = set(), 0, {}   # oviews: O-view moves -> themselves
+    sets, exceeded = set(), 0
+    oviews = {(): ()}   # O-view moves -> themselves
+    path = [frozenset(oviews)]   # path[k]: the set of the prefix of 2k moves
     questions = sigma.arena.questions
     for step in walk(sigma, b, innocent_opponent=True):
         if step is None:
             exceeded += 1
-        elif step[0] and last_round(questions, step)[2] == ():
+            continue
+        del path[len(step[0]) // 2 or 1:]
+        if step[0] and last_round(questions, step)[2] == ():
             views = last_round(questions, step, views=True)[1]
-            sets.add(frozenset(oviews.setdefault(v[3], v[3]) for v in views))
+            for i in range(2 * len(path), len(views), 2):
+                o, p = views[i - 1][3], views[i][3]
+                path.append(path[-1] | {oviews.setdefault(o, o), oviews.setdefault(p, p)})
+            sets.add(path[-1])
     return ObservationalStrategy(sigma.arena, frozenset(sets), b, exceeded)
 
 

@@ -44,3 +44,15 @@ def test_a_win_inside_the_parent_spread_is_no_gain():
 def test_fewer_than_ten_pairs_show_no_gain():
     row = bench_pairs.compare([1.0] * 9, [2.0] * 9, "higher")
     assert (row["wins"], row["gain"]) == (9, False)
+
+
+def test_a_checkout_with_bytecode_under_src_is_refused(tmp_path, capsys):
+    # bytecode left on one side would time loading it, not compiling
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "src" / "gamesem").mkdir(parents=True)
+    cache = change / "src" / "gamesem" / "__pycache__"
+    cache.mkdir(parents=True)
+    argv = [str(parent), str(change), "--workload", "equiv", "--pairs", "2", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(cache) in err and str(parent) not in err

@@ -230,10 +230,45 @@ def test_observations_are_the_reference_oviews_of_complete_plays(e):
     sigma = e.build()
     for cap in (e.bounds.max_play_len, 1, 2, 3, 5, 7, 9):
         b = Bounds(e.bounds.max_nat, cap, e.bounds.max_view_len, e.bounds.fix_depth)
-        plays = played(innocent_explore(sigma, b))
-        want = {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
-                for p in plays if p.moves and ref_pending_questions(p) == ()}
-        assert observations(sigma, b).sets == want, cap
+        assert observations(sigma, b).sets == reference_sets(sigma, b), cap
+
+
+def reference_sets(sigma, b):
+    """The prefix O-views of each complete play against the innocent
+    Opponent, each read afresh."""
+    plays = played(innocent_explore(sigma, b))
+    return {frozenset(ref_oview(p.prefix(k)).moves for k in range(len(p) + 1))
+            for p in plays if p.moves and ref_pending_questions(p) == ()}
+
+
+HIGHER_ORDER = {
+    "once": "fun f: nat -> nat -> f 1",
+    "twice": "fun f: nat -> nat -> f (f 1)",
+    "thrice": "fun f: nat -> nat -> f (f (f 1))",
+    "g1": "fun g: (nat -> nat) -> nat -> g (fun x: nat -> x)",
+    "g2": "fun g: (nat -> nat) -> nat -> g (fun x: nat -> g (fun y: nat -> x))",
+}
+
+
+# the caps each term is walked at, even and odd; at 14 g1's composite
+# hits the interaction bound between plays
+DEEP_CAPS = {"once": (10, 11, 24), "twice": (10, 11, 24), "thrice": (10, 11, 24),
+             "g1": (14, 15, 16), "g2": (14, 17, 18)}
+
+
+@pytest.mark.parametrize("nat", (1, 2))
+@pytest.mark.parametrize("name", DEEP_CAPS)
+def test_observations_are_the_reference_oviews_on_deep_walks(name, nat):
+    # A complete play's set is its parent's plus its last round's
+    # O-views, read along the walk's path, which only deep walks with
+    # many branches exercise: up to 471 sets, with plays of 24 moves.
+    for cap in DEEP_CAPS[name]:
+        b = Bounds(max_nat=nat, max_play_len=cap)
+        sigma = denote(parse(HIGHER_ORDER[name]), b)
+        x = observations(sigma, b)
+        assert x.sets == reference_sets(sigma, b), cap
+        if (name, cap) == ("g1", 14):
+            assert x.bound_exceeded > 0 and len(x.sets) > 1
 
 
 def test_observations_build_each_oview_once():
