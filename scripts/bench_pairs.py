@@ -49,11 +49,6 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             and sign * (c[0] - p[0]) > p[2] - p[1]}
 
 
-def bytecode_caches(checkout: Path) -> list[Path]:
-    """The `__pycache__` directories under the checkout's src."""
-    return sorted((checkout / "src").rglob("__pycache__"))
-
-
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     p = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -78,7 +73,7 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2")
     sides = {"parent": ns.parent, "change": ns.change}
     for checkout in sides.values():
-        caches = bytecode_caches(checkout)
+        caches = sorted((checkout / "src").rglob("__pycache__"))
         if caches:
             print(f"bench_pairs: bytecode cache under src, remove it first: "
                   f"{', '.join(map(str, caches))}", file=sys.stderr)

@@ -10,9 +10,9 @@ cap comes with its parent's views and open questions, and
 `observations` grows it by its last round, its open questions and, for
 a complete play, its views (`strategy.last_round`).  A complete play's
 set is its parent's set plus the O-views of its last round's two
-prefixes, so no O-view of a prefix is hashed again.  An O-view is held
-as its moves, the tuple ((move, pointer into
-the view), ...) the walk yields, since its set already names the arena;
+prefixes, so the O-views of its parent's set are not hashed again.  An
+O-view is held as its moves, the tuple ((move, pointer into the view),
+...) the walk yields, since its set already names the arena;
 a `Play` is built only where a view crosses the JSON door (`to_json`,
 `from_json`, which checks the document's shape with `arena.json_check`
 first) and to name a view in a refusal.  What an O-view is, the rule

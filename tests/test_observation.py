@@ -241,30 +241,28 @@ def reference_sets(sigma, b):
             for p in plays if p.moves and ref_pending_questions(p) == ()}
 
 
-HIGHER_ORDER = {
-    "once": "fun f: nat -> nat -> f 1",
-    "twice": "fun f: nat -> nat -> f (f 1)",
-    "thrice": "fun f: nat -> nat -> f (f (f 1))",
-    "g1": "fun g: (nat -> nat) -> nat -> g (fun x: nat -> x)",
-    "g2": "fun g: (nat -> nat) -> nat -> g (fun x: nat -> g (fun y: nat -> x))",
+# each term and the caps it is walked at, even and odd; at 14 g1's
+# composite hits the interaction bound between plays
+DEEP_WALKS = {
+    "once": ("fun f: nat -> nat -> f 1", (10, 11, 24)),
+    "twice": ("fun f: nat -> nat -> f (f 1)", (10, 11, 24)),
+    "thrice": ("fun f: nat -> nat -> f (f (f 1))", (10, 11, 24)),
+    "g1": ("fun g: (nat -> nat) -> nat -> g (fun x: nat -> x)", (14, 15, 16)),
+    "g2": ("fun g: (nat -> nat) -> nat -> g (fun x: nat -> g (fun y: nat -> x))",
+           (14, 17, 18)),
 }
 
 
-# the caps each term is walked at, even and odd; at 14 g1's composite
-# hits the interaction bound between plays
-DEEP_CAPS = {"once": (10, 11, 24), "twice": (10, 11, 24), "thrice": (10, 11, 24),
-             "g1": (14, 15, 16), "g2": (14, 17, 18)}
-
-
 @pytest.mark.parametrize("nat", (1, 2))
-@pytest.mark.parametrize("name", DEEP_CAPS)
+@pytest.mark.parametrize("name", DEEP_WALKS)
 def test_observations_are_the_reference_oviews_on_deep_walks(name, nat):
     # A complete play's set is its parent's plus its last round's
     # O-views, read along the walk's path, which only deep walks with
     # many branches exercise: up to 471 sets, with plays of 24 moves.
-    for cap in DEEP_CAPS[name]:
+    term, caps = DEEP_WALKS[name]
+    for cap in caps:
         b = Bounds(max_nat=nat, max_play_len=cap)
-        sigma = denote(parse(HIGHER_ORDER[name]), b)
+        sigma = denote(parse(term), b)
         x = observations(sigma, b)
         assert x.sets == reference_sets(sigma, b), cap
         if (name, cap) == ("g1", 14):
